@@ -86,7 +86,7 @@ def main(argv=None) -> int:
         try:
             config = SuiteConfig(args.p, args.q, seed=args.seed,
                                  trials=args.trials,
-                                 suites=tuple(args.suite), out=args.out,
+                                 suites=tuple(args.suite),
                                  timings=args.timings)
         except ValueError as exc:
             parser.error(str(exc))

@@ -27,12 +27,12 @@ import math
 import random
 from fractions import Fraction
 
-from .linalg import (DualRat, Mat, commutator, det, exp_float, invert,
-                     max_abs, rank_kernel, rat_sqrt)
+from .linalg import (DualRat, Mat, commutator, exp_float, invert, max_abs,
+                     rank_kernel, rat_sqrt)
 from .path_sl import (SlElement, sl_bracket, sl_neg_basis, sl_neg_coordinates,
                       sl_neg_degrees, sl_neg_duals, sl_neg_slots, w0)
 from .so_contact import (QGroupElement, Signature, SoElement, bracket, inner,
-                         so_basis)
+                         so_basis, so_basis_degrees)
 from . import samplers
 
 HALF = Fraction(1, 2)
@@ -162,14 +162,9 @@ def i_prime_float(sig: Signature, a: Mat, d: Mat, w, step=1e-5) -> Mat:
 
 def negative_part_basis(sig: Signature):
     """Basis of g_- + g_1 (z, X, U slots) in the global basis order."""
-    out = [b for b, deg in zip(so_basis(sig), _so_degrees(sig))
+    out = [b for b, deg in zip(so_basis(sig), so_basis_degrees(sig))
            if deg in (-2, -1, 1)]
     return out
-
-
-def _so_degrees(sig):
-    from .so_contact import so_basis_degrees
-    return so_basis_degrees(sig)
 
 
 def alpha_restriction_matrix(sig: Signature) -> Mat:

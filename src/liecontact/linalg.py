@@ -4,8 +4,14 @@ needed for sampling and derivative checks.
 Every identity asserted anywhere in this package runs over
 `fractions.Fraction`. Floats appear only in `exp_float` and in trajectory
 export. Matrices are immutable, dense and row-major; nothing here exceeds
-(2n+2) x (2n+2) with n <= 4 in the suites, so all algorithms are the plain
-cubic ones with exact pivoting.
+(2n+2) x (2n+2) with n <= 4 in the suites, so elimination (`_rref`, `det`)
+is plain cubic Gauss-Jordan over Fraction with exact pivoting.
+
+Products and commutators of all-Fraction matrices go through one exact
+integer kernel: each factor is scaled to integers over the lcm of its entry
+denominators and read as sparse rows, the sums run over Python ints, and
+one Fraction is built per nonzero output entry. Matrices of floats,
+`DualRat` or mixed types are multiplied entry by entry (`_dot`).
 """
 
 from __future__ import annotations
@@ -206,6 +212,16 @@ class Mat:
             if self.cols != other.rows:
                 raise ValueError("shape mismatch %sx%s * %sx%s"
                                  % (self.rows, self.cols, other.rows, other.cols))
+            sa = _scaled_rows(self)
+            sb = sa and _scaled_rows(other)
+            if sb:
+                (rows_a, da), (rows_b, db) = sa, sb
+                out = []
+                for ra in rows_a:
+                    acc = [0] * other.cols
+                    _addmul(acc, ra, rows_b, 1)
+                    out.append(acc)
+                return _from_ints(out, da * db)
             cols = [other.column(j) for j in range(other.cols)]
             return Mat([[_dot(r, c) for c in cols] for r in self.data])
         return Mat([[a * other for a in r] for r in self.data])
@@ -258,8 +274,67 @@ def _dot(r, c):
     return acc
 
 
+# The exact product kernel. A matrix whose entries are all Fractions is
+# scaled to integers over one common denominator d (the lcm of its entry
+# denominators) and kept as sparse rows of (column, int) pairs, so a
+# product costs one Python int multiply-add per pair of nonzero entries
+# that meet and one Fraction per nonzero output entry. Any other element
+# type (float, DualRat, int, a mix) takes the entrywise `_dot` path.
+
+_ZERO = Fraction(0)
+
+
+def _scaled_rows(m: Mat):
+    """(rows, d) with row i of m equal to rows[i] / d, rows[i] the
+    (column, int) pairs of its nonzero entries; None unless every entry
+    of m is a Fraction."""
+    d = 1
+    rows = []
+    for r in m.data:
+        row = []
+        for j, e in enumerate(r):
+            if type(e) is not Fraction:
+                return None
+            x = e.numerator
+            if x:
+                q = e.denominator
+                if q != 1:
+                    d = math.lcm(d, q)
+                row.append((j, x, q))
+        rows.append(row)
+    return [[(j, x * (d // q)) for j, x, q in r] for r in rows], d
+
+
+def _addmul(acc, row, rows, sign):
+    """acc += sign * (row times the matrix whose sparse rows are rows)."""
+    for k, x in row:
+        x *= sign
+        for j, y in rows[k]:
+            acc[j] += x * y
+
+
+def _from_ints(rows, d):
+    """Mat of the Fractions x / d for the integer rows, sharing one zero."""
+    if d == 1:  # Fraction(x) skips the gcd that Fraction(x, 1) pays for
+        return Mat([[Fraction(x) if x else _ZERO for x in r] for r in rows])
+    return Mat([[Fraction(x, d) if x else _ZERO for x in r] for r in rows])
+
+
 def commutator(a: Mat, b: Mat) -> Mat:
-    return a * b - b * a
+    n = a.rows
+    sa = n == a.cols == b.rows == b.cols and _scaled_rows(a)
+    sb = sa and _scaled_rows(b)
+    if not sb:
+        return a * b - b * a
+    # a*b and b*a share the denominator da*db: one integer array holds both
+    (rows_a, da), (rows_b, db) = sa, sb
+    out = []
+    for ra, rb in zip(rows_a, rows_b):
+        acc = [0] * n
+        _addmul(acc, ra, rows_b, 1)
+        _addmul(acc, rb, rows_a, -1)
+        out.append(acc)
+    return _from_ints(out, da * db)
 
 
 def _pivot_key(e):
@@ -430,3 +505,28 @@ def exp_float(m: Mat) -> Mat:
 
 def max_abs(m: Mat) -> float:
     return max(abs(float(e)) for r in m.data for e in r)
+
+
+def jacobi_failures(table, dim: int) -> int:
+    """Number of ordered basis triples (a, b, c) on which the Jacobi
+    identity fails for the structure-constant table, a dict
+    (a, b) -> {c: coeff} with [x_a, x_b] = sum coeff * x_c over a basis of
+    size dim (missing pairs bracket to zero)."""
+    failures = 0
+    for a in range(dim):
+        for b in range(dim):
+            tab_ab = table.get((a, b), {})
+            for c in range(dim):
+                acc = {}
+                for e, v in tab_ab.items():
+                    for f, u in table.get((e, c), {}).items():
+                        acc[f] = acc.get(f, 0) + v * u
+                for e, v in table.get((b, c), {}).items():
+                    for f, u in table.get((e, a), {}).items():
+                        acc[f] = acc.get(f, 0) + v * u
+                for e, v in table.get((c, a), {}).items():
+                    for f, u in table.get((e, b), {}).items():
+                        acc[f] = acc.get(f, 0) + v * u
+                if any(val != 0 for val in acc.values()):
+                    failures += 1
+    return failures

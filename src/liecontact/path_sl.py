@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, commutator, rat
+from .linalg import Mat, commutator, jacobi_failures, rat
 
 SLOTS = ("m2", "m1E", "m1V", "g0", "p1E", "p1V", "p2")
 
@@ -87,10 +87,7 @@ class SlElement:
         n = self.n
         rows = [[e if _slot_of(i, j, n) == slot else Fraction(0)
                  for j, e in enumerate(r)] for i, r in enumerate(self.mat.data)]
-        m = Mat(rows)
-        if slot == "g0":
-            return SlElement(n, m)
-        return SlElement(n, m)
+        return SlElement(n, Mat(rows))
 
     def grade_project(self, d: int) -> "SlElement":
         if d not in (-2, -1, 0, 1, 2):
@@ -181,10 +178,6 @@ def _single_col(n: int, col: int, v: Mat):
 def sl_bracket(x: SlElement, y: SlElement) -> SlElement:
     _check_n(x, y)
     return SlElement(x.n, commutator(x.mat, y.mat))
-
-
-def grade_project(x: SlElement, d: int) -> SlElement:
-    return x.grade_project(d)
 
 
 def w0(n: int) -> SlElement:
@@ -304,21 +297,4 @@ def sl_jacobi_check(n: int):
             sparse = {c: v for c, v in enumerate(coords) if v}
             table[(a, b)] = sparse
             table[(b, a)] = {c: -v for c, v in sparse.items()}
-    failures = 0
-    for a in range(dim):
-        for b in range(dim):
-            tab_ab = table.get((a, b), {})
-            for c in range(dim):
-                acc = {}
-                for e, v in tab_ab.items():
-                    for f, u in table.get((e, c), {}).items():
-                        acc[f] = acc.get(f, 0) + v * u
-                for e, v in table.get((b, c), {}).items():
-                    for f, u in table.get((e, a), {}).items():
-                        acc[f] = acc.get(f, 0) + v * u
-                for e, v in table.get((c, a), {}).items():
-                    for f, u in table.get((e, b), {}).items():
-                        acc[f] = acc.get(f, 0) + v * u
-                if any(val != 0 for val in acc.values()):
-                    failures += 1
-    return dim ** 3, failures
+    return dim ** 3, jacobi_failures(table, dim)

@@ -9,13 +9,14 @@ reports stay byte-identical across subset choices.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 import zlib
 from fractions import Fraction
 
 from . import chains, extension, samplers
-from .linalg import Mat, det, exp_nilpotent, rat
+from .linalg import Mat, exp_nilpotent, rank_kernel
 from .so_contact import (Signature, SoElement, bracket, bracket_gm1,
                          equivariance_checks, grading_check, jacobi_check,
                          rank_one_bracket, segre_rank, so_basis_degrees)
@@ -26,16 +27,20 @@ from .split_quat import (QuatStructureOnH, eigenspace_decompose,
 
 SUITE_NAMES = ("algebra", "quaternion", "extension", "normality", "chains",
                "reconstruction")
+# Suites that fit a constant to the obstruction Psi or test it; Psi
+# vanishes identically when n = 1.
+_PSI_SUITES = ("extension", "normality", "reconstruction")
 
 
 class SuiteConfig:
-    """Settings for one verification run. Unknown suite names are rejected
-    here so the command line can surface them as usage errors."""
+    """Settings for one verification run. Unknown suite names, and the
+    obstruction suites at n = 1, are rejected here so the command line can
+    surface them as usage errors."""
 
-    __slots__ = ("sig", "seed", "trials", "suites", "out", "timings")
+    __slots__ = ("sig", "seed", "trials", "suites", "timings")
 
     def __init__(self, p: int, q: int, seed=0, trials=100,
-                 suites=SUITE_NAMES, out=None, timings=False):
+                 suites=SUITE_NAMES, timings=False):
         sig = Signature(p, q)
         suites = tuple(suites)
         if not suites:
@@ -43,13 +48,19 @@ class SuiteConfig:
         for s in suites:
             if s not in SUITE_NAMES:
                 raise ValueError("unknown suite: %s" % s)
+        if sig.n == 1:
+            rejected = [s for s in suites if s in _PSI_SUITES]
+            if rejected:
+                raise ValueError(
+                    "n = 1 cannot run %s: every contact direction has "
+                    "rank one, so Psi vanishes identically"
+                    % ", ".join(rejected))
         if trials < 1:
             raise ValueError("trials must be at least 1")
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "seed", int(seed))
         object.__setattr__(self, "trials", int(trials))
         object.__setattr__(self, "suites", suites)
-        object.__setattr__(self, "out", out)
         object.__setattr__(self, "timings", bool(timings))
 
     def __setattr__(self, name, value):
@@ -58,7 +69,10 @@ class SuiteConfig:
 
 def _check(records, timings, name, claim, trials, fn):
     started = time.perf_counter()
-    ok, witness = fn()
+    try:
+        ok, witness = fn()
+    except Exception as exc:
+        ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
     records.append({
         "name": name,
         "claim": claim,
@@ -213,7 +227,6 @@ def _suite_quaternion(sig: Signature, rng, trials, timings):
         for v in plus:
             cols = [stack_columns(m).column(0) for m in minus]
             cols.append(stack_columns(st.apply_j(v)).column(0))
-            from .linalg import rank_kernel
             rank, _ = rank_kernel(Mat(cols).T)
             if rank != sig.n:
                 return False, "J image leaves the opposite eigenspace"
@@ -456,7 +469,6 @@ def _suite_reconstruction(sig: Signature, rng, trials, timings):
            trials, dual_path)
 
     def symmetry():
-        import itertools
         for _ in range(min(trials, 200)):
             abc = (samplers.rand_gm1(sig, rng), samplers.rand_gm1(sig, rng),
                    samplers.rand_gm1(sig, rng))

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, Rat, commutator, det, invert, rank_kernel, rat
+from .linalg import (Mat, commutator, det, invert, jacobi_failures,
+                     rank_kernel, rat)
 
 J2 = Mat([[0, 1], [-1, 0]]).map(Fraction)
 
@@ -509,26 +510,8 @@ def _int_coordinates(sig: Signature, m):
 def jacobi_check(sig: Signature):
     """Check the Jacobi identity on every ordered basis triple through the
     structure-constant table. Returns (triples_checked, failures)."""
-    table = structure_constants(sig)
     dim = len(so_basis_degrees(sig))
-    failures = 0
-    for a in range(dim):
-        for b in range(dim):
-            tab_ab = table.get((a, b), {})
-            for c in range(dim):
-                acc = {}
-                for e, v in tab_ab.items():
-                    for f, u in table.get((e, c), {}).items():
-                        acc[f] = acc.get(f, 0) + v * u
-                for e, v in table.get((b, c), {}).items():
-                    for f, u in table.get((e, a), {}).items():
-                        acc[f] = acc.get(f, 0) + v * u
-                for e, v in table.get((c, a), {}).items():
-                    for f, u in table.get((e, b), {}).items():
-                        acc[f] = acc.get(f, 0) + v * u
-                if any(val != 0 for val in acc.values()):
-                    failures += 1
-    return dim ** 3, failures
+    return dim ** 3, jacobi_failures(structure_constants(sig), dim)
 
 
 def grading_check(sig: Signature):

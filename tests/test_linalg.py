@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from liecontact.linalg import (DualRat, Mat, commutator, det, exp_float,
-                               exp_nilpotent, invert, max_abs, rank_kernel,
-                               rat, rat_sqrt, solve_linear)
+                               exp_nilpotent, invert, jacobi_failures,
+                               max_abs, rank_kernel, rat, rat_sqrt,
+                               solve_linear)
 
 
 def test_rat_accepts_exact_inputs():
@@ -192,3 +193,124 @@ def test_commutator_antisymmetry():
     a = Mat([[1, 2], [0, 1]]).map(Fraction)
     b = Mat([[0, 1], [1, 0]]).map(Fraction)
     assert commutator(a, b) == -1 * commutator(b, a)
+
+
+# ---------------------------------------------------------------------------
+# the exact product kernel against a triple-loop Fraction reference
+
+
+def _ref_product(a, b):
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = Fraction(0)
+            for k in range(a.cols):
+                acc += a[i, k] * b[k, j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _rand_entry(rng, density):
+    if rng.random() >= density:
+        return Fraction(0)
+    if rng.random() < 0.2:
+        # entries of 100 bits and more, either sign
+        num = rng.randrange(-(1 << 130), 1 << 130)
+        return Fraction(num, rng.randrange(1, 1 << 110))
+    return Fraction(rng.randrange(-9, 10), rng.randrange(1, 13))
+
+
+def _rand_fraction_mat(rng, rows, cols, density):
+    return Mat([[_rand_entry(rng, density) for _ in range(cols)]
+                for _ in range(rows)])
+
+
+def _assert_fraction_entries(m):
+    assert all(type(e) is Fraction for r in m.data for e in r)
+
+
+@pytest.mark.parametrize("density", [0, 0.05, 0.3, 1])
+def test_kernel_product_matches_triple_loop(density):
+    rng = random.Random(int(density * 100) + 7)
+    shapes = [(1, 5, 4), (4, 5, 1), (1, 1, 1), (3, 4, 2), (2, 6, 5),
+              (6, 6, 6), (5, 1, 3)]
+    for _ in range(6):
+        for r, k, c in shapes:
+            a = _rand_fraction_mat(rng, r, k, density)
+            b = _rand_fraction_mat(rng, k, c, density)
+            prod = a * b
+            assert (prod.rows, prod.cols) == (r, c)
+            assert [list(row) for row in prod.data] == _ref_product(a, b)
+            _assert_fraction_entries(prod)
+
+
+@pytest.mark.parametrize("density", [0, 0.05, 0.3, 1])
+def test_kernel_commutator_matches_reference(density):
+    rng = random.Random(int(density * 100) + 11)
+    for n in (1, 2, 5, 8):
+        for _ in range(4):
+            a = _rand_fraction_mat(rng, n, n, density)
+            b = _rand_fraction_mat(rng, n, n, density)
+            ab = _ref_product(a, b)
+            ba = _ref_product(b, a)
+            ref = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+            comm = commutator(a, b)
+            assert [list(row) for row in comm.data] == ref
+            _assert_fraction_entries(comm)
+
+
+def test_kernel_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat.identity(2) * Mat.identity(3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        commutator(Mat.zeros(2, 3), Mat.zeros(3, 2))
+
+
+def _signed(m):
+    return [[(x, math.copysign(1.0, x)) for x in r] for r in m.data]
+
+
+def test_float_products_keep_signed_zeros():
+    out = Mat([[-1.0]]) * Mat([[0.0]])
+    assert math.copysign(1.0, out[0, 0]) == -1.0
+    a = Mat([[-1.0, 0.0], [2.5, -0.0]])
+    b = Mat([[0.0, -3.0], [-0.0, 0.5]])
+    expect = [[a[i, 0] * b[0, j] + a[i, 1] * b[1, j] for j in range(2)]
+              for i in range(2)]
+    assert _signed(a * b) == [[(x, math.copysign(1.0, x)) for x in r]
+                              for r in expect]
+    assert all(type(e) is float for r in (a * b).data for e in r)
+    comm = commutator(a, b)
+    assert _signed(comm) == _signed(a * b - b * a)
+
+
+def test_dual_and_mixed_products_are_unchanged():
+    a = Mat([[DualRat(1, 2), DualRat(0, 1)], [DualRat(3), DualRat(-1, 1)]])
+    b = Mat([[Fraction(1, 2), Fraction(0)], [Fraction(2), Fraction(-3)]])
+    prod = a * b
+    for i in range(2):
+        for j in range(2):
+            ref = a[i, 0] * b[0, j] + a[i, 1] * b[1, j]
+            assert isinstance(prod[i, j], DualRat)
+            assert (prod[i, j].re, prod[i, j].du) == (ref.re, ref.du)
+    mixed = Mat([[1, Fraction(1, 2)], [0, 3]])
+    out = mixed * b
+    assert [list(r) for r in out.data] == _ref_product(mixed, b)
+    # the entrywise path keeps the int-times-Fraction types it produced
+    ints = Mat([[1, 2], [3, 4]])
+    assert all(type(e) is int for r in (ints * ints).data for e in r)
+
+
+def test_jacobi_failures_on_sl2_tables():
+    # basis (e, f, h): [e, f] = h, [h, e] = 2e, [h, f] = -2f
+    def table(he):
+        brackets = {(0, 1): {2: 1}, (2, 0): {0: he}, (2, 1): {1: -2}}
+        out = dict(brackets)
+        for (a, b), v in brackets.items():
+            out[(b, a)] = {c: -x for c, x in v.items()}
+        return out
+
+    assert jacobi_failures(table(2), 3) == 0
+    assert jacobi_failures(table(3), 3) > 0

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from liecontact.cli import main
-from liecontact.report import SUITE_NAMES, SuiteConfig, run
+from liecontact.report import SUITE_NAMES, SuiteConfig, _check, run
 from liecontact.so_contact import Signature
 
 
@@ -146,3 +146,50 @@ def test_cli_timings_break_nothing(tmp_path):
                  "normality", "--timings", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert all(isinstance(r["wall_time"], float) for r in report["records"])
+
+
+# ---------------------------------------------------------------------------
+# n = 1: the obstruction suites are usage errors, the others still pass
+
+N1_SIGNATURES = [(1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("p,q", N1_SIGNATURES)
+@pytest.mark.parametrize("suite", ["extension", "normality",
+                                   "reconstruction"])
+def test_n1_rejects_obstruction_suites(p, q, suite, capsys):
+    with pytest.raises(ValueError, match="Psi vanishes identically"):
+        SuiteConfig(p, q, suites=(suite,))
+    with pytest.raises(SystemExit) as err:
+        main(["--p", str(p), "--q", str(q), "--suite", suite])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "n = 1 cannot run %s" % suite in stderr
+    assert "every contact direction has rank one" in stderr
+
+
+@pytest.mark.parametrize("p,q", N1_SIGNATURES)
+def test_n1_remaining_suites_pass(p, q, capsys):
+    assert main(["--p", str(p), "--q", str(q), "--trials", "3",
+                 "--suite", "algebra", "--suite", "quaternion",
+                 "--suite", "chains"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert report["suites"] == ["algebra", "quaternion", "chains"]
+    assert all(r["status"] == "pass" for r in report["records"])
+
+
+def test_raising_check_becomes_a_failing_record():
+    def boom():
+        raise ValueError("no unit triple found")
+
+    records = []
+    _check(records, False, "boom", "a claim", 4, boom)
+    assert records == [{
+        "name": "boom",
+        "claim": "a claim",
+        "status": "fail",
+        "trials": 4,
+        "witness": "ValueError: no unit triple found",
+        "wall_time": None,
+    }]
