@@ -23,9 +23,11 @@ in the (0,1) entry whenever det B < 0 and w != 0).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 from .linalg import (DualRat, Mat, commutator, exp_float, invert, max_abs,
                      rank_kernel, rat_sqrt)
@@ -115,30 +117,19 @@ def _i_assemble(n, b, c, w, beta, sbar, zero):
 
 def i_prime(sig: Signature, a: Mat, d: Mat, w) -> Mat:
     """Exact derivative at the identity of i along the curve
-    (I + t*A, I + t*D, t*w), computed with first-order jets. Any curve with
-    these velocities gives the same result."""
-    n = sig.n
-    eps = DualRat(0, 1)
-    p_ = DualRat(1) + eps * a[0, 0]
-    r_ = eps * a[0, 1]
-    s_ = eps * a[1, 0]
-    q_ = DualRat(1) + eps * a[1, 1]
-    wt = eps * w
-    beta = p_ * q_ - r_ * s_
-    sbar = abs(beta).sqrt()
-    m = 2 * n + 2
-    jets = [[DualRat(0)] * m for _ in range(m)]
-    jets[0][0] = beta / sbar
-    jets[0][1] = -wt * beta / sbar
-    jets[1][1] = DualRat(1) / sbar
-    for i in range(n):
-        for j in range(n):
-            cij = DualRat(1 if i == j else 0, d[i, j]) / sbar
-            jets[2 + i][2 + j] = q_ * cij
-            jets[2 + i][2 + n + j] = -s_ * cij
-            jets[2 + n + i][2 + j] = -r_ * cij
-            jets[2 + n + i][2 + n + j] = p_ * cij
-    return Mat([[e.du for e in row] for row in jets])
+    (I + t*A, I + t*D, t*w), computed by running the assembly of i_map on
+    first-order jets. Any curve with these velocities gives the same
+    result."""
+
+    def jet(m):
+        return (Mat.identity(m.rows, DualRat(1))
+                + m.map(lambda e: DualRat(0, e)))
+
+    b = jet(a)
+    beta = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+    jets = _i_assemble(sig.n, b, jet(d), DualRat(0, w), beta,
+                       abs(beta).sqrt(), DualRat(0))
+    return jets.map(lambda e: e.du)
 
 
 def i_prime_float(sig: Signature, a: Mat, d: Mat, w, step=1e-5) -> Mat:
@@ -311,8 +302,9 @@ def r_block_path(sig: Signature, x: Mat, y: Mat) -> Mat:
 
 
 class Cochain2:
-    """Antisymmetric 2-cochain on the negative slots, stored as values on
-    ordered basis pairs (a < b) in the sl_neg_basis order."""
+    """Antisymmetric 2-cochain on the negative slots, stored as a read-only
+    table of values on ordered basis pairs (a < b) in the sl_neg_basis
+    order, keys sorted lexicographically."""
 
     __slots__ = ("n", "table")
 
@@ -323,7 +315,8 @@ class Cochain2:
             if v.n != n:
                 raise ValueError("value dimension mismatch")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", dict(table))
+        object.__setattr__(self, "table", MappingProxyType(
+            {k: table[k] for k in sorted(table)}))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cochain2 is immutable")
@@ -350,7 +343,11 @@ class Cochain1:
         return all(v.is_zero() for v in self.values.values())
 
 
+@functools.cache
 def build_psi_cochain(sig: Signature) -> Cochain2:
+    """The obstruction cochain: Psi on every basis pair a < b, evaluated
+    once per signature. The support, equivariance and normality checks all
+    read this one cached table."""
     basis = sl_neg_basis(sig.n)
     lifts = [hat_lift(sig, zb) for zb in basis]
     table = {}
@@ -422,34 +419,31 @@ def curvature_report(phi: Cochain2) -> dict:
 
 
 def psi_support_report(sig: Signature) -> dict:
-    """Evaluates Psi on every ordered basis pair and checks the support:
-    nonzero values may appear only on (vertical, bottom) slot pairs and must
-    be trace-free lower-block matrices."""
-    n = sig.n
-    basis = sl_neg_basis(n)
-    slots = sl_neg_slots(n)
-    lifts = [hat_lift(sig, zb) for zb in basis]
+    """Checks the support of Psi on every ordered basis pair: nonzero values
+    may appear only on (vertical, bottom) slot pairs and must be trace-free
+    lower-block matrices. Reads the obstruction cochain; by antisymmetry a
+    pair and its reverse pass or fail together and the diagonal vanishes,
+    so the first failing ordered pair is the first failing table key."""
+    slots = sl_neg_slots(sig.n)
     nonzero_pairs = 0
     support_exact = True
     values_in_ss = True
     witness = None
-    for a in range(len(basis)):
-        for b in range(len(basis)):
-            v = psi_gq(lifts[a], lifts[b])
-            if v.is_zero():
-                continue
-            if {slots[a], slots[b]} != {"m1V", "m2"}:
-                support_exact = False
-                witness = witness or (slots[a], slots[b])
-                continue
-            nonzero_pairs += 1
-            ok = (v.in_slots(("g0",)) and v.mat[0, 0] == 0
-                  and v.mat[1, 1] == 0 and v.ss_block().trace() == 0)
-            if not ok:
-                values_in_ss = False
-                witness = witness or (slots[a], slots[b])
+    for (a, b), v in build_psi_cochain(sig).table.items():
+        if v.is_zero():
+            continue
+        if {slots[a], slots[b]} != {"m1V", "m2"}:
+            support_exact = False
+            witness = witness or (slots[a], slots[b])
+            continue
+        nonzero_pairs += 2
+        ok = (v.in_slots(("g0",)) and v.mat[0, 0] == 0
+              and v.mat[1, 1] == 0 and v.ss_block().trace() == 0)
+        if not ok:
+            values_in_ss = False
+            witness = witness or (slots[a], slots[b])
     return {
-        "pairs_checked": len(basis) ** 2,
+        "pairs_checked": len(slots) ** 2,
         "nonzero_pairs": nonzero_pairs,
         "support_exact": support_exact,
         "values_in_ss": values_in_ss,
@@ -557,12 +551,12 @@ def i_homomorphism_float(sig: Signature, trials=100, seed=0) -> float:
 
 def psi_equivariance_check(sig: Signature, trials=25, seed=0) -> int:
     """Failures of Ad(i(h)) Psi(z1, z2) = Psi(Ad(h) lift1, Ad(h) lift2) on
-    random group elements and basis slot pairs."""
+    random group elements and basis slot pairs; the left side is read from
+    the obstruction cochain, the right side is evaluated afresh."""
     rng = random.Random(seed)
-    n = sig.n
-    basis = sl_neg_basis(n)
-    slots = sl_neg_slots(n)
-    lifts = [hat_lift(sig, zb) for zb in basis]
+    phi = build_psi_cochain(sig)
+    basis = sl_neg_basis(sig.n)
+    slots = sl_neg_slots(sig.n)
     vert = [k for k, s in enumerate(slots) if s == "m1V"]
     bottom = [k for k, s in enumerate(slots) if s == "m2"]
     failures = 0
@@ -571,8 +565,9 @@ def psi_equivariance_check(sig: Signature, trials=25, seed=0) -> int:
         a = rng.choice(vert)
         b = rng.choice(bottom)
         ih = i_map(h)
-        lhs = ih * psi_gq(lifts[a], lifts[b]).mat * invert(ih)
-        rhs = psi_gq(h.ad_so(lifts[a]), h.ad_so(lifts[b])).mat
+        lhs = ih * phi.value(a, b).mat * invert(ih)
+        rhs = psi_gq(h.ad_so(hat_lift(sig, basis[a])),
+                     h.ad_so(hat_lift(sig, basis[b]))).mat
         if lhs != rhs:
             failures += 1
     return failures

@@ -67,12 +67,13 @@ class SlElement:
     @classmethod
     def from_m2(cls, n: int, v: Mat):
         """g~_{-2} element with column vector v in R^2n."""
-        return cls(n, _single_col(n, 0, v))
-
-    @classmethod
-    def from_m1v(cls, n: int, v: Mat):
-        """g~_{-1}^V element with column vector v in R^2n."""
-        return cls(n, _single_col(n, 1, v))
+        if v.cols != 1 or v.rows != 2 * n:
+            raise ValueError("expected a 2n x 1 column")
+        m = 2 * n + 2
+        rows = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(2 * n):
+            rows[2 + i][0] = rat(v[i, 0])
+        return cls(n, Mat(rows))
 
     @classmethod
     def from_m1e(cls, n: int, z):
@@ -97,13 +98,7 @@ class SlElement:
                  for j, e in enumerate(r)] for i, r in enumerate(self.mat.data)]
         return SlElement(n, Mat(rows))
 
-    # scalar and vector views
-
-    def m1e_scalar(self):
-        return self.mat[1, 0]
-
-    def p1e_scalar(self):
-        return self.mat[0, 1]
+    # vector views
 
     def m2_vector(self) -> Mat:
         return Mat.col([self.mat[2 + i, 0] for i in range(2 * self.n)])
@@ -114,13 +109,6 @@ class SlElement:
     def ss_block(self) -> Mat:
         m = 2 * self.n + 2
         return self.mat.submat(2, m, 2, m)
-
-    def ss_quadrants(self):
-        """The n x n quadrants (m11, m12, m21, m22) of the 2n block."""
-        n = self.n
-        b = self.ss_block()
-        return (b.submat(0, n, 0, n), b.submat(0, n, n, 2 * n),
-                b.submat(n, 2 * n, 0, n), b.submat(n, 2 * n, n, 2 * n))
 
     def in_slots(self, slots) -> bool:
         """True when every nonzero entry lies in one of the given slots."""
@@ -163,16 +151,6 @@ class SlElement:
 def _check_n(x, y):
     if x.n != y.n:
         raise ValueError("dimension mismatch: n=%d vs n=%d" % (x.n, y.n))
-
-
-def _single_col(n: int, col: int, v: Mat):
-    if v.cols != 1 or v.rows != 2 * n:
-        raise ValueError("expected a 2n x 1 column")
-    m = 2 * n + 2
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(2 * n):
-        rows[2 + i][col] = rat(v[i, 0])
-    return Mat(rows)
 
 
 def sl_bracket(x: SlElement, y: SlElement) -> SlElement:

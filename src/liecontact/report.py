@@ -336,9 +336,9 @@ def _suite_extension(sig: Signature, rng, trials, timings):
 
 def _suite_normality(sig: Signature, rng, trials, timings):
     records = []
-    phi = extension.build_psi_cochain(sig)
 
     def normal():
+        phi = extension.build_psi_cochain(sig)
         return extension.is_normal(phi), "codifferential has nonzero values"
 
     _check(records, timings, "codifferential-vanishes",
@@ -346,7 +346,7 @@ def _suite_normality(sig: Signature, rng, trials, timings):
            (4 * sig.n + 1) ** 2, normal)
 
     def curvature():
-        rep = extension.curvature_report(phi)
+        rep = extension.curvature_report(extension.build_psi_cochain(sig))
         ok = (rep["homogeneities"] == [3] and rep["torsion_free"]
               and rep["regular"] and rep["nonzero"])
         return ok, repr(rep)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liecontact import samplers
+from liecontact import extension, samplers
 from liecontact.extension import (Cochain2, alpha, alpha_restriction_matrix,
                                   build_psi_cochain, check_pair_conditions,
                                   codifferential, curvature_report,
@@ -19,7 +19,7 @@ from liecontact.extension import (Cochain2, alpha, alpha_restriction_matrix,
                                   symmetrized_reference)
 from liecontact.linalg import Mat, max_abs, solve_linear
 from liecontact.path_sl import (SlElement, sl_bracket, sl_neg_basis,
-                                sl_neg_coordinates, w0)
+                                sl_neg_coordinates, sl_neg_slots, w0)
 from liecontact.so_contact import QGroupElement, Signature, SoElement, bracket
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
@@ -37,14 +37,14 @@ def test_alpha_sends_bottom_generator_to_unit():
     for sig in SIGS:
         img = alpha(SoElement.generator_e(sig))
         assert img.in_slots(("m1E",))
-        assert img.m1e_scalar() == 1
+        assert img.mat[1, 0] == 1
 
 
 def test_alpha_on_top_direction():
     sig = Signature(2, 1)
     img = alpha(SoElement(sig, w=Fraction(5)))
     assert img.in_slots(("p1E",))
-    assert img.p1e_scalar() == -5
+    assert img.mat[0, 1] == -5
 
 
 def test_alpha_slot_content_by_piece():
@@ -254,6 +254,70 @@ def test_psi_support():
         assert out["witness"] is None
 
 
+def test_psi_is_antisymmetric_on_lifted_basis():
+    # The support report reads only the pairs a < b of the cochain and
+    # infers the reversed and diagonal pairs from this property.
+    for sig in SIGS:
+        lifts = [hat_lift(sig, zb) for zb in sl_neg_basis(sig.n)]
+        nonzero = 0
+        for la in lifts:
+            assert psi_gq(la, la).is_zero()
+            for lb in lifts:
+                v = psi_gq(la, lb)
+                assert psi_gq(lb, la) == -v
+                nonzero += not v.is_zero()
+        assert psi_support_report(sig)["nonzero_pairs"] == nonzero
+
+
+def _patched_cochain(monkeypatch, sig, edit):
+    table = dict(build_psi_cochain(sig).table)
+    edit(table)
+    phi = Cochain2(sig.n, table)
+    monkeypatch.setattr(extension, "build_psi_cochain", lambda s: phi)
+
+
+def test_psi_support_flags_an_off_support_value(monkeypatch):
+    sig = Signature(2, 1)
+    n = sig.n
+    slots = sl_neg_slots(n)
+    assert (slots[0], slots[1]) == ("m2", "m2")
+
+    def edit(table):
+        assert (0, 1) not in table
+        table[(0, 1)] = w0(n)
+
+    valid_pairs = psi_support_report(sig)["nonzero_pairs"]
+    _patched_cochain(monkeypatch, sig, edit)
+    out = psi_support_report(sig)
+    assert not out["support_exact"]
+    assert out["values_in_ss"]
+    assert out["witness"] == ("m2", "m2")
+    assert out["nonzero_pairs"] == valid_pairs
+
+
+def test_psi_support_flags_a_value_outside_the_block(monkeypatch):
+    sig = Signature(2, 1)
+    n = sig.n
+    slots = sl_neg_slots(n)
+    m = 2 * n + 2
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    rows[0][0] = Fraction(1)
+    rows[2][2] = Fraction(-1)
+    bad = SlElement(n, Mat(rows))
+    assert bad.ss_block().trace() != 0
+
+    def edit(table):
+        key = next(iter(table))
+        assert (slots[key[0]], slots[key[1]]) == ("m2", "m1V")
+        table[key] = bad
+
+    _patched_cochain(monkeypatch, sig, edit)
+    out = psi_support_report(sig)
+    assert out["support_exact"]
+    assert not out["values_in_ss"]
+    assert out["witness"] == ("m2", "m1V")
+
+
 def test_psi_equivariance():
     for sig in SIGS:
         assert psi_equivariance_check(sig, trials=8, seed=1) == 0
@@ -332,6 +396,14 @@ def test_cochain_antisymmetric_lookup():
 
 def test_codifferential_of_empty_cochain():
     assert codifferential(Cochain2(2, {})).is_zero()
+
+
+def test_obstruction_cochain_is_cached_and_read_only():
+    phi = build_psi_cochain(Signature(2, 1))
+    assert build_psi_cochain(Signature(2, 1)) is phi
+    with pytest.raises(TypeError):
+        phi.table[(0, 1)] = w0(phi.n)
+    assert list(phi.table) == sorted(phi.table)
 
 
 def test_obstruction_cochain_is_normal():

@@ -26,13 +26,13 @@ def test_slot_constructors_and_extractors():
     x = SlElement.from_m2(n, col)
     assert x.m2_vector() == col
     assert x.in_slots(("m2",))
-    y = SlElement.from_m1v(n, col)
+    y = sl_bracket(SlElement.from_m2(n, col), w0(n))
     assert y.m1v_vector() == col
     assert y.in_slots(("m1V",))
     z = SlElement.from_m1e(n, Fraction(5))
-    assert z.m1e_scalar() == 5
+    assert z.mat[1, 0] == 5
     assert z.in_slots(("m1E",))
-    assert w0(n).p1e_scalar() == 1
+    assert w0(n).mat[0, 1] == 1
     assert w0(n).in_slots(("p1E",))
 
 
@@ -101,21 +101,6 @@ def test_negative_coordinates_round_trip():
         for c, b in zip(coords, basis):
             x = x + c * b
         assert sl_neg_coordinates(x) == coords
-
-
-def test_ss_quadrants():
-    n = 2
-    rows = [[Fraction(0)] * (2 * n + 2) for _ in range(2 * n + 2)]
-    rows[2][2] = Fraction(1)
-    rows[2 + n][2] = Fraction(3)
-    rows[3][3 + n] = Fraction(5)
-    rows[3][3] = Fraction(-1)
-    x = SlElement(n, Mat(rows))
-    m11, m12, m21, m22 = x.ss_quadrants()
-    assert m11[0, 0] == 1 and m11[1, 1] == -1
-    assert m21[0, 0] == 3
-    assert m12[1, 1] == 5
-    assert m22.is_zero()
 
 
 def test_jacobi_identity_exact():

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from liecontact import extension
 from liecontact.cli import main
 from liecontact.report import SUITE_NAMES, SuiteConfig, _check, run
 from liecontact.so_contact import Signature
@@ -193,3 +194,17 @@ def test_raising_check_becomes_a_failing_record():
         "witness": "ValueError: no unit triple found",
         "wall_time": None,
     }]
+
+
+def test_normality_cochain_failure_becomes_failing_records(monkeypatch):
+    def boom(sig):
+        raise RuntimeError("cochain build failed")
+
+    monkeypatch.setattr(extension, "build_psi_cochain", boom)
+    report = run(SuiteConfig(2, 1, suites=("normality",)))
+    assert report["status"] == "fail"
+    assert [r["name"] for r in report["records"]] == [
+        "codifferential-vanishes", "curvature-profile"]
+    for r in report["records"]:
+        assert r["status"] == "fail"
+        assert r["witness"] == "RuntimeError: cochain build failed"
