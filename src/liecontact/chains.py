@@ -109,9 +109,10 @@ def chain_eval(sig: Signature, t, g: Mat | None = None) -> ModelPoint:
 
 
 def chain_transversality(sig: Signature, t, g: Mat | None = None) -> bool:
-    """Whether the chain's velocity class at parameter t leaves the contact
-    distribution (nonzero bottom grade); computed, not assumed."""
-    return ChainCurve(sig, g).velocity_class(t).z != 0
+    """Whether the chain's velocity class at parameter t is exactly the
+    generator e, which leaves the contact distribution (nonzero bottom
+    grade); computed, not assumed."""
+    return ChainCurve(sig, g).velocity_class(t) == SoElement.generator_e(sig)
 
 
 def flow_transversality(sig: Signature, x: SoElement, t) -> bool:

@@ -185,9 +185,6 @@ class Mat:
     def column(self, j):
         return tuple(r[j] for r in self.data)
 
-    def col_mat(self, j):
-        return Mat.col(self.column(j))
-
     def submat(self, r0, r1, c0, c1):
         """Block self[r0:r1, c0:c1]."""
         return Mat([r[c0:c1] for r in self.data[r0:r1]])

@@ -75,13 +75,6 @@ class SlElement:
             rows[2 + i][0] = rat(v[i, 0])
         return cls(n, Mat(rows))
 
-    @classmethod
-    def from_m1e(cls, n: int, z):
-        m = 2 * n + 2
-        rows = [[Fraction(0)] * m for _ in range(m)]
-        rows[1][0] = rat(z)
-        return cls(n, Mat(rows))
-
     def slot_project(self, slot: str) -> "SlElement":
         if slot not in SLOTS:
             raise ValueError("unknown slot %r" % slot)
@@ -102,9 +95,6 @@ class SlElement:
 
     def m2_vector(self) -> Mat:
         return Mat.col([self.mat[2 + i, 0] for i in range(2 * self.n)])
-
-    def m1v_vector(self) -> Mat:
-        return Mat.col([self.mat[2 + i, 1] for i in range(2 * self.n)])
 
     def ss_block(self) -> Mat:
         m = 2 * self.n + 2

@@ -30,7 +30,9 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from types import MappingProxyType
 
 from .linalg import (Mat, commutator, det, invert, jacobi_failures,
                      rank_kernel, rat)
@@ -435,22 +437,13 @@ def so_coordinates(x: SoElement):
     return coords
 
 
-def from_coordinates(sig: Signature, coords) -> SoElement:
-    basis = so_basis(sig)
-    if len(coords) != len(basis):
-        raise ValueError("expected %d coordinates" % len(basis))
-    acc = SoElement.zero(sig)
-    for c, b in zip(coords, basis):
-        if c != 0:
-            acc = acc + rat(c) * b
-    return acc
-
-
+@functools.cache
 def structure_constants(sig: Signature):
     """Sparse integer structure-constant table over the so_basis:
-    a dict (a, b) -> {c: coeff} with [x_a, x_b] = sum coeff * x_c.
-    Runs over plain ints for speed; all basis brackets have integer
-    coordinates in this basis."""
+    a read-only mapping (a, b) -> {c: coeff} with [x_a, x_b] =
+    sum coeff * x_c. Runs over plain ints for speed; all basis brackets
+    have integer coordinates in this basis. Built once per signature and
+    shared by every caller, so neither level of the mapping is writable."""
     basis = so_basis(sig)
     mats = [[[int(e) for e in row] for row in b.assemble().data] for b in basis]
     dim = len(basis)
@@ -465,9 +458,10 @@ def structure_constants(sig: Signature):
                      for j in idx] for i in idx]
             coords = _int_coordinates(sig, comm)
             sparse = {c: v for c, v in enumerate(coords) if v}
-            table[(a, b)] = sparse
-            table[(b, a)] = {c: -v for c, v in sparse.items()}
-    return table
+            table[(a, b)] = MappingProxyType(sparse)
+            table[(b, a)] = MappingProxyType(
+                {c: -v for c, v in sparse.items()})
+    return MappingProxyType(table)
 
 
 def _int_coordinates(sig: Signature, m):

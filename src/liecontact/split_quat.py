@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, rank_kernel, rat, solve_linear
+from .linalg import Mat, invert, rank_kernel, rat, solve_linear
 from .so_contact import Signature, bracket_gm1
 
 M_I = Mat([[1, 0], [0, -1]]).map(Fraction)
@@ -128,7 +128,6 @@ class QuatStructureOnH:
         return cls(sig, M_I, M_J, M_K)
 
     def conjugated(self, g: Mat) -> "QuatStructureOnH":
-        from .linalg import invert
         ginv = invert(g)
         return QuatStructureOnH(self.sig, g * self.mi * ginv,
                                 g * self.mj * ginv, g * self.mk * ginv)

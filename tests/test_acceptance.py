@@ -1,10 +1,13 @@
 """Acceptance criteria, one test per criterion.
 
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line
-per criterion; each test additionally prints a one-line verdict. All
-algebraic identities are checked in exact rational arithmetic; the only
-tolerances appear where a float computation path is compared against the
-exact one, and they are stated inline.
+per criterion; each test additionally prints a one-line verdict. Each
+criterion runs the registry checks of `liecontact.report` that state its
+claim, at its own signatures, seeds and trial counts, and collects every
+failing (signature, check, witness) so that a failure names its
+counterexample. Assertions that no check makes (fixed constants, fixed
+transforms, adversarial samples) are stated inline. All algebraic
+identities are exact; the only tolerances are those of the float checks.
 """
 
 import csv
@@ -13,96 +16,71 @@ import random
 from fractions import Fraction
 
 from liecontact import samplers
-from liecontact.chains import (STensorEval, act, chain_eval, chain_matrix,
-                               chain_transversality, ChainCurve,
-                               fit_pipeline_constant, flow_transversality,
-                               origin, pipeline_s, reconstruct_cone, s_tensor)
+from liecontact.chains import (STensorEval, act, chain_eval,
+                               fit_pipeline_constant, reconstruct_cone)
 from liecontact.cli import main
-from liecontact.extension import (build_psi_cochain, check_pair_conditions,
-                                  curvature_report, fit_trilinear_constant,
-                                  i_homomorphism_exact, i_homomorphism_float,
-                                  is_normal, psi_alpha, psi_support_report,
-                                  r_block_path, symmetrized_reference)
-from liecontact.linalg import Mat, exp_nilpotent
-from liecontact.path_sl import SlElement, sl_bracket, w0
-from liecontact.so_contact import (Signature, SoElement, bracket,
-                                   bracket_gm1, equivariance_checks,
-                                   grading_check, jacobi_check, segre_rank)
+from liecontact.extension import fit_trilinear_constant
+from liecontact.linalg import Mat
+from liecontact.report import CHECKS, run_checks
+from liecontact.so_contact import Signature
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
+BY_NAME = {c.name: c for c in CHECKS}
 
 
-def _verdict(number, ok, text):
-    print("criterion %02d: %s - %s" % (number, "PASS" if ok else "FAIL",
+def _failures(sig, names, rng=None, trials=1):
+    """(signature, check, witness) for each named check that fails."""
+    records = run_checks(sig, rng, trials, [BY_NAME[n] for n in names])
+    return [(sig, r["name"], r["witness"]) for r in records
+            if r["status"] != "pass"]
+
+
+def _verdict(number, failures, text):
+    print("criterion %02d: %s - %s" % (number, "FAIL" if failures else "PASS",
                                        text))
-    assert ok
+    assert not failures, "counterexamples: %r" % (failures,)
 
 
 def test_criterion_01_jacobi_and_grading_exact():
-    failures = 0
-    triples = 0
+    failures = []
     for sig in SIGS:
-        total, bad = jacobi_check(sig)
-        triples += total
-        failures += bad
-        failures += grading_check(sig)
-    _verdict(1, failures == 0,
+        failures += _failures(sig, ["jacobi-basis-triples", "bracket-grading"])
+    triples = sum(BY_NAME["jacobi-basis-triples"].rule(sig, 1) for sig in SIGS)
+    _verdict(1, failures,
              "Jacobi identity and bracket grading exact on all %d basis "
              "triples across signatures (2,1), (3,0), (2,2)" % triples)
 
 
 def test_criterion_02_closed_bracket_and_equivariance():
     rng = random.Random(2026)
-    bad = 0
+    failures = []
     for sig in SIGS:
-        n = sig.n
-        e = SoElement.generator_e(sig)
-        for _ in range(1000):
-            x = samplers.rand_gm1(sig, rng)
-            y = samplers.rand_gm1(sig, rng)
-            coeff = bracket_gm1(sig, x, y)
-            lhs = bracket(SoElement(sig, X=x), SoElement(sig, X=y))
-            if lhs != coeff * e:
-                bad += 1
-        for _ in range(500):
-            c = samplers.rand_opq(sig, rng)
-            a = samplers.rand_gl2(rng)
-            x = samplers.rand_gm1(sig, rng)
-            y = samplers.rand_gm1(sig, rng)
-            r1, r2 = equivariance_checks(sig, c, a, x, y)
-            if r1 != 0 or r2 != 0:
-                bad += 1
-    _verdict(2, bad == 0,
+        failures += _failures(sig, ["levi-closed-form"], rng, 1000)
+        failures += _failures(sig, ["orthogonal-invariance",
+                                    "determinant-scaling"], rng, 500)
+    _verdict(2, failures,
              "bottom-grade bracket closed form on 1000 pairs and both "
              "invariance identities on 500 pairs per signature, all exact")
 
 
 def test_criterion_03_embedding_and_pair_conditions():
-    ok = True
-    notes = []
+    failures = []
     for sig in SIGS:
-        failures, _ = i_homomorphism_exact(sig, trials=500, seed=7)
-        float_err = i_homomorphism_float(sig, trials=500, seed=8)
-        cond = check_pair_conditions(sig, trials=50, seed=9)
-        ok = ok and failures == 0 and float_err <= 1e-10
-        ok = ok and cond["equivariance_failures"] == 0
-        ok = ok and cond["derivative_failures"] == 0
-        ok = ok and cond["derivative_float_error"] <= 1e-6
-        ok = ok and cond["restriction_rank"] == 4 * sig.n + 1
-        notes.append("%.1e" % float_err)
-    _verdict(3, ok,
+        for name, seed, trials in (("embedding-product-exact", 7, 500),
+                                   ("embedding-product-float", 8, 500),
+                                   ("pair-conditions", 9, 50)):
+            failures += _failures(sig, [name], random.Random(seed), trials)
+    _verdict(3, failures,
              "embedding is multiplicative up to sign on 500 exact pairs "
-             "(defects %s <= 1e-10 on 500 float pairs) and the pair "
-             "conditions hold per signature" % ", ".join(notes))
+             "(defects <= 1e-10 on 500 float pairs) and the pair "
+             "conditions hold per signature")
 
 
 def test_criterion_04_obstruction_support():
-    ok = True
+    failures = []
     for sig in SIGS:
-        rep = psi_support_report(sig)
-        ok = (ok and rep["support_exact"] and rep["values_in_ss"]
-              and rep["nonzero_pairs"] > 0 and rep["witness"] is None)
-    _verdict(4, ok,
+        failures += _failures(sig, ["obstruction-support"])
+    _verdict(4, failures,
              "obstruction is supported exactly on (vertical, bottom) slot "
              "pairs with trace-free block values, checked on every basis "
              "pair per signature")
@@ -110,41 +88,24 @@ def test_criterion_04_obstruction_support():
 
 def test_criterion_05_trilinear_constant_and_r_blocks():
     rng = random.Random(2027)
-    ok = True
-    cst_seen = set()
+    failures = []
     for sig in SIGS:
-        n = sig.n
+        failures += _failures(sig, ["trilinear-symmetrization"], rng, 500)
         cst = fit_trilinear_constant(sig)
-        cst_seen.add(cst)
-        for _ in range(500):
-            x = samplers.rand_col(rng, 2 * n)
-            y = samplers.rand_col(rng, 2 * n)
-            z = samplers.rand_col(rng, 2 * n)
-            xe = SlElement.from_m2(n, x)
-            yv = sl_bracket(SlElement.from_m2(n, y), w0(n))
-            val = psi_alpha(sig, xe, yv)
-            block = r_block_path(sig, x, y)
-            if val.ss_block() != block:
-                ok = False
-            lhs = sl_bracket(val, SlElement.from_m2(n, z)).m2_vector()
-            if lhs != cst * symmetrized_reference(sig, x, y, z):
-                ok = False
-    ok = ok and cst_seen == {Fraction(-1, 2)}
-    _verdict(5, ok,
+        if cst != Fraction(-1, 2):
+            failures.append((sig, "trilinear constant -1/2", cst))
+    _verdict(5, failures,
              "trilinear bracket expression equals -1/2 times the fully "
              "symmetrized pairing form and the closed-form block matrix on "
              "500 random triples per signature, exactly")
 
 
 def test_criterion_06_normality_and_homogeneity():
-    ok = True
+    failures = []
     for sig in SIGS:
-        phi = build_psi_cochain(sig)
-        rep = curvature_report(phi)
-        ok = ok and is_normal(phi)
-        ok = (ok and rep["homogeneities"] == [3] and rep["torsion_free"]
-              and rep["regular"] and rep["nonzero"])
-    _verdict(6, ok,
+        failures += _failures(sig, ["codifferential-vanishes",
+                                    "curvature-profile"])
+    _verdict(6, failures,
              "obstruction cochain is nonzero, torsion free, of homogeneity "
              "exactly {3}, and is killed by the codifferential, exactly per "
              "signature")
@@ -152,31 +113,19 @@ def test_criterion_06_normality_and_homogeneity():
 
 def test_criterion_07_chain_geometry():
     rng = random.Random(2028)
-    ok = True
+    failures = []
     for sig in SIGS:
-        e = chain_matrix(sig)
-        ok = ok and (e * e).is_zero()
-        for _ in range(20):
-            t = samplers.rand_fraction(rng)
-            ok = ok and exp_nilpotent(t * e, 2) == Mat.identity(
-                sig.n + 4) + t * e
-        gen = SoElement.generator_e(sig)
-        for _ in range(200):
-            g = samplers.rand_oform(sig, rng)
-            t = samplers.rand_fraction(rng)
-            pt = chain_eval(sig, t, g)
-            ok = ok and pt.span.rows == sig.n + 4
+        failures += _failures(sig, ["chain-exactness"], rng, 20)
+        failures += _failures(sig, ["chain-isotropy"], rng, 200)
+        failures += _failures(sig, ["chain-equivariance",
+                                    "chain-transversality"], rng, 100)
+        # the identity-frame chain, which chain-equivariance never draws
         for _ in range(100):
             g = samplers.rand_oform(sig, rng)
             t = samplers.rand_fraction(rng)
-            ok = ok and chain_eval(sig, t, g) == act(sig, g,
-                                                     chain_eval(sig, t))
-            curve = ChainCurve(sig, g)
-            ok = ok and curve.velocity_class(t) == gen
-            ok = ok and chain_transversality(sig, t, g)
-        x = SoElement(sig, X=samplers.rand_mat(rng, sig.n, 2))
-        ok = ok and not flow_transversality(sig, x, Fraction(1, 2))
-    _verdict(7, ok,
+            if chain_eval(sig, t, g) != act(sig, g, chain_eval(sig, t)):
+                failures.append((sig, "identity-frame equivariance", t))
+    _verdict(7, failures,
              "chains have exactly linear frames, stay isotropic at 200 "
              "random frames, are equivariant and transverse at 100, and "
              "contact-direction flows are not transverse")
@@ -184,65 +133,63 @@ def test_criterion_07_chain_geometry():
 
 def test_criterion_08_tensor_dual_path_and_classification():
     rng = random.Random(2029)
-    ok = True
+    failures = []
     counts = {"(2,1)": 350, "(3,0)": 300, "(2,2)": 350}
     total = 0
-    mism = 0
     for sig in SIGS:
         ev = STensorEval.standard(sig)
         cst = fit_pipeline_constant(ev)
-        ok = ok and cst == 2
-        for _ in range(500):
-            a = samplers.rand_gm1(sig, rng)
-            b = samplers.rand_gm1(sig, rng)
-            c = samplers.rand_gm1(sig, rng)
-            if s_tensor(ev, a, b, c) != cst * pipeline_s(sig, a, b, c):
-                ok = False
+        if cst != 2:
+            failures.append((sig, "pipeline constant 2", cst))
+        failures += _failures(sig, ["tensor-dual-path"], rng, 500)
         key = "(%d,%d)" % (sig.p, sig.q)
-        samples = [samplers.rand_mixed_gm1(sig, rng)
-                   for _ in range(counts[key])]
+        failures += _failures(sig, ["cone-classification"], rng, counts[key])
+        adversarial = []
         if sig.q >= 1:
-            samples.extend(samplers.rand_isotropic_rank_one(sig, rng)
-                           for _ in range(50))
+            adversarial.extend(samplers.rand_isotropic_rank_one(sig, rng)
+                               for _ in range(50))
         if sig.p >= 2 and sig.q >= 2:
-            samples.extend(samplers.rand_isotropic_plane(sig, rng)
-                           for _ in range(50))
+            adversarial.extend(samplers.rand_isotropic_plane(sig, rng)
+                               for _ in range(50))
             grid = Mat([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)],
                         [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
-            samples.append(grid)
-        rep = reconstruct_cone(ev, samples)
-        total += rep["samples"]
-        mism += rep["mismatches"]
-        ok = ok and rep["matches_ground_truth"]
-    _verdict(8, ok,
+            adversarial.append(grid)
+        total += counts[key] + len(adversarial)
+        rep = reconstruct_cone(ev, adversarial)
+        if not rep["matches_ground_truth"]:
+            failures.append((sig, "adversarial classification",
+                             rep["witness"]))
+    _verdict(8, failures,
              "cubic tensor equals twice the cochain pipeline on 500 triples "
              "per signature and classifies %d mixed and adversarial "
-             "directions with %d mismatches" % (total, mism))
+             "directions" % total)
 
 
 def test_criterion_09_classification_invariance():
     rng = random.Random(2030)
-    ok = True
+    failures = []
     shear = Mat([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]])
     swap = Mat([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
     for sig in SIGS:
+        # fixed rescalings and determinant +-1 basis changes
         ev = STensorEval.standard(sig)
         samples = [samplers.rand_mixed_gm1(sig, rng) for _ in range(60)]
         base = reconstruct_cone(ev, samples)
-        ok = ok and base["matches_ground_truth"]
-        for scale in (Fraction(7, 3), Fraction(-2)):
-            rep = reconstruct_cone(ev.rescaled(scale), samples)
-            ok = ok and rep["flags"] == base["flags"]
-        for g in (shear, swap, shear * swap):
-            rep = reconstruct_cone(ev.basis_changed(g), samples)
-            ok = ok and rep["flags"] == base["flags"]
-    _verdict(9, ok,
+        moved = [ev.rescaled(s) for s in (Fraction(7, 3), Fraction(-2))]
+        moved += [ev.basis_changed(g) for g in (shear, swap, shear * swap)]
+        if not base["matches_ground_truth"] or any(
+                reconstruct_cone(e, samples)["flags"] != base["flags"]
+                for e in moved):
+            failures.append((sig, "fixed transforms", base["witness"]))
+        failures += _failures(sig, ["cone-classification", "cone-invariance"],
+                              rng, 60)
+    _verdict(9, failures,
              "classification of 60 directions per signature is unchanged "
              "under nonzero rescalings and determinant +-1 basis changes")
 
 
 def test_criterion_10_cli_determinism(tmp_path):
-    ok = True
+    failures = []
     pairs = []
     for tag in ("a", "b"):
         out = tmp_path / ("report_%s.json" % tag)
@@ -254,14 +201,19 @@ def test_criterion_10_cli_determinism(tmp_path):
                      "--out", str(out), "--export-chain", str(chain),
                      "--chain-g", "random", "--t-min=-2", "--t-max", "2",
                      "--steps", "9"])
-        ok = ok and code == 0
+        if code != 0:
+            failures.append(("exit code", tag, code))
         pairs.append((out.read_bytes(), chain.read_bytes()))
-    ok = ok and pairs[0] == pairs[1]
+    if pairs[0] != pairs[1]:
+        failures.append(("outputs differ between runs",))
     report = json.loads(pairs[0][0])
-    ok = ok and report["status"] == "pass"
-    ok = ok and all(r["status"] == "pass" for r in report["records"])
+    failures += [("record", r["name"], r["witness"])
+                 for r in report["records"] if r["status"] != "pass"]
+    if report["status"] != "pass":
+        failures.append(("report status", report["status"]))
     rows = list(csv.reader(pairs[0][1].decode("ascii").splitlines()))
-    ok = ok and rows[0][0] == "t" and len(rows) == 10
-    _verdict(10, ok,
+    if rows[0][0] != "t" or len(rows) != 10:
+        failures.append(("chain csv shape", rows[0][0], len(rows)))
+    _verdict(10, failures,
              "two CLI runs produce byte-identical passing JSON reports and "
              "chain CSVs")

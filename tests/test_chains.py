@@ -32,8 +32,8 @@ def test_model_point_validation():
     sig = Signature(2, 1)
     with pytest.raises(ValueError, match="matrix"):
         ModelPoint(sig, Mat.zeros(5, 2))
-    thin = Mat.block([[origin(sig).span.col_mat(0),
-                       origin(sig).span.col_mat(0)]])
+    first = Mat.col(origin(sig).span.column(0))
+    thin = Mat.block([[first, first]])
     with pytest.raises(ValueError, match="rank 2"):
         ModelPoint(sig, thin)
     rows = [[Fraction(0)] * 2 for _ in range(7)]

@@ -200,7 +200,7 @@ def test_hat_lift_inverts_alpha_on_negative_slots():
 
 def test_hat_lift_unit_oracle():
     for sig in SIGS:
-        lift = hat_lift(sig, SlElement.from_m1e(sig.n, Fraction(1)))
+        lift = hat_lift(sig, sl_neg_basis(sig.n)[2 * sig.n])
         assert lift == SoElement.generator_e(sig)
 
 

@@ -3,13 +3,16 @@
 import csv
 import json
 import math
+import random
 
 import pytest
 
-from liecontact import extension
+from liecontact import chains, extension
 from liecontact.cli import main
-from liecontact.report import SUITE_NAMES, SuiteConfig, _check, run
+from liecontact.report import (CHECKS, SUITE_NAMES, Check, SuiteConfig, run,
+                               run_checks)
 from liecontact.so_contact import Signature
+from liecontact.split_quat import QuatStructureOnH
 
 
 def test_config_validation():
@@ -181,11 +184,12 @@ def test_n1_remaining_suites_pass(p, q, capsys):
 
 
 def test_raising_check_becomes_a_failing_record():
-    def boom():
+    def boom(sig, rng, trials):
         raise ValueError("no unit triple found")
 
-    records = []
-    _check(records, False, "boom", "a claim", 4, boom)
+    check = Check("algebra", "boom", "a claim", lambda sig, trials: trials,
+                  boom)
+    records = run_checks(Signature(2, 1), None, 4, [check])
     assert records == [{
         "name": "boom",
         "claim": "a claim",
@@ -208,3 +212,72 @@ def test_normality_cochain_failure_becomes_failing_records(monkeypatch):
     for r in report["records"]:
         assert r["status"] == "fail"
         assert r["witness"] == "RuntimeError: cochain build failed"
+
+
+# ---------------------------------------------------------------------------
+# the check registry
+
+
+def test_registry_entries_are_unique_and_grouped_by_suite():
+    keys = [(c.suite, c.name) for c in CHECKS]
+    assert len(set(keys)) == len(keys)
+    assert SUITE_NAMES == ("algebra", "quaternion", "extension", "normality",
+                           "chains", "reconstruction")
+    suites = [c.suite for c in CHECKS]
+    assert suites == sorted(suites, key=SUITE_NAMES.index)
+
+
+@pytest.mark.parametrize("suites", [SUITE_NAMES, ("reconstruction", "algebra"),
+                                    ("chains", "quaternion", "extension"),
+                                    ("normality",)])
+def test_records_follow_table_order(suites):
+    report = run(SuiteConfig(2, 1, trials=2, suites=suites))
+    assert [r["name"] for r in report["records"]] == [
+        c.name for c in CHECKS if c.suite in suites]
+    assert report["suites"] == [s for s in SUITE_NAMES if s in suites]
+
+
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("setup failed")
+
+
+@pytest.mark.parametrize("suite,target,attr,failing", [
+    ("quaternion", QuatStructureOnH, "standard", ["eigenspace-swap"]),
+    ("chains", chains, "chain_matrix",
+     ["chain-exactness", "chain-isotropy", "chain-equivariance",
+      "chain-transversality"]),
+    ("reconstruction", chains.STensorEval, "standard",
+     ["tensor-dual-path", "tensor-symmetry", "cone-classification",
+      "cone-invariance"]),
+])
+def test_raising_setup_becomes_failing_records(monkeypatch, suite, target,
+                                               attr, failing):
+    monkeypatch.setattr(target, attr, _raise_runtime_error)
+    report = run(SuiteConfig(2, 1, trials=3, suites=(suite,)))
+    assert report["status"] == "fail"
+    assert [r["name"] for r in report["records"]] == [
+        c.name for c in CHECKS if c.suite == suite]
+    for r in report["records"]:
+        if r["name"] in failing:
+            assert r["status"] == "fail"
+            assert r["witness"] == "RuntimeError: setup failed"
+        else:
+            assert r["status"] == "pass"
+
+
+def test_checks_sharing_a_draw_draw_it_once():
+    calls = []
+
+    def draw(sig, rng, trials):
+        calls.append(trials)
+        return [rng.random() for _ in range(trials)]
+
+    def uses(sig, rng, trials, drawn):
+        return len(drawn) == 3, None
+
+    check = Check("algebra", "uses", "a claim", lambda sig, trials: trials,
+                  uses, draws=draw)
+    records = run_checks(Signature(2, 1), random.Random(0), 3,
+                         [check, check])
+    assert calls == [3]
+    assert [r["status"] for r in records] == ["pass", "pass"]

@@ -9,11 +9,10 @@ from liecontact import samplers
 from liecontact.linalg import Mat, commutator, det, invert
 from liecontact.so_contact import (G0Element, QGroupElement, Signature,
                                    SoElement, ad_g0, bracket, bracket_gm1,
-                                   equivariance_checks, from_coordinates,
-                                   grading_check, inner, jacobi_check,
-                                   rank_one_bracket, segre_rank, so_basis,
-                                   so_basis_degrees, so_coordinates,
-                                   structure_constants)
+                                   equivariance_checks, grading_check,
+                                   inner, jacobi_check, rank_one_bracket,
+                                   segre_rank, so_basis, so_basis_degrees,
+                                   so_coordinates, structure_constants)
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 
@@ -232,7 +231,10 @@ def test_basis_coordinates_round_trip():
             assert b.grade(d) == b
         for _ in range(10):
             x = samplers.rand_so_element(sig, rng)
-            assert from_coordinates(sig, so_coordinates(x)) == x
+            acc = SoElement.zero(sig)
+            for c, b in zip(so_coordinates(x), basis):
+                acc = acc + c * b
+            assert acc == x
 
 
 def test_structure_constants_match_brackets():
@@ -249,6 +251,17 @@ def test_structure_constants_match_brackets():
         sparse = table[(a, b)]
         for c, coeff in enumerate(expected):
             assert sparse.get(c, 0) == coeff
+
+
+def test_structure_constants_are_cached_and_read_only():
+    sig = Signature(3, 0)
+    table = structure_constants(sig)
+    assert structure_constants(Signature(3, 0)) is table
+    with pytest.raises(TypeError):
+        table[(0, 1)] = {}
+    with pytest.raises(TypeError):
+        table[(1, 2)][0] = 5
+    assert structure_constants(Signature(2, 1)) is not table
 
 
 def test_jacobi_identity_exact():
