@@ -5,11 +5,13 @@ induces, and cone reconstruction plus trajectory export."""
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from .extension import psi_trilinear
-from .linalg import Mat, exp_nilpotent, invert, rank_kernel, rat, solve_linear
+from .linalg import (Mat, _from_ints, _scaled_rows, exp_nilpotent,
+                     rank_kernel, rat, solve_linear)
 from .so_contact import Signature, SoElement, bracket_gm1, segre_rank
 from .split_quat import QuatStructureOnH, stack_columns, unstack_columns
 
@@ -66,19 +68,30 @@ def act(sig: Signature, g: Mat, pt: ModelPoint) -> ModelPoint:
     return ModelPoint(sig, g * pt.span)
 
 
+def _ambient_inverse(sig: Signature, g: Mat) -> Mat:
+    """g^-1 = S g^T S for g preserving the ambient form S, since S^2 = I."""
+    s = sig.form_s()
+    return s * g.T * s
+
+
+@functools.cache
 def chain_matrix(sig: Signature) -> Mat:
     """Assembled matrix E of the distinguished nilpotent generator; E^2 = 0,
-    so its exponential is exactly I + tE."""
-    return SoElement.generator_e(sig).assemble()
+    so its exponential is exactly I + tE. Built and checked once per
+    signature."""
+    e = SoElement.generator_e(sig).assemble()
+    if not (e * e).is_zero():
+        raise ValueError("the chain generator must square to zero")
+    return e
 
 
 class ChainCurve:
     """The exact chain t -> g (I + tE) . origin.
 
-    The homogeneous coordinates are degree one in t, so every value is an
-    exact rational point of the model."""
+    The frame g (I + tE) = g + t gE is affine in t, so every value is an
+    exact rational point of the model; gE is formed once per curve."""
 
-    __slots__ = ("sig", "g")
+    __slots__ = ("sig", "g", "vel")
 
     def __init__(self, sig: Signature, g: Mat | None = None):
         if g is None:
@@ -86,21 +99,22 @@ class ChainCurve:
         _check_ambient(sig, g)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "vel", g * chain_matrix(sig))
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainCurve is immutable")
 
     def frame(self, t) -> Mat:
-        return self.g * exp_nilpotent(rat(t) * chain_matrix(self.sig), 2)
+        return self.g + rat(t) * self.vel
 
     def at(self, t) -> ModelPoint:
         return ModelPoint(self.sig, self.frame(t) * origin(self.sig).span)
 
     def velocity_class(self, t) -> SoElement:
         """Velocity of the curve of frames pulled back to the identity; its
-        grade -2 part is what transversality reads."""
-        vel = self.g * chain_matrix(self.sig)
-        pullback = invert(self.frame(t)) * vel
+        grade -2 part is what transversality reads. The frame preserves the
+        ambient form, so it is inverted in closed form."""
+        pullback = _ambient_inverse(self.sig, self.frame(t)) * self.vel
         return SoElement.from_matrix(self.sig, pullback)
 
 
@@ -120,8 +134,8 @@ def flow_transversality(sig: Signature, x: SoElement, t) -> bool:
     nilpotent matrix (every negative-slot element does). Contact directions
     X in the middle slot come out non-transverse."""
     m = x.assemble()
-    frame = exp_nilpotent(rat(t) * m, 4)
-    pullback = invert(frame) * (m * frame)
+    frame = exp_nilpotent(rat(t) * m, 4)  # exp of an element of so(S)
+    pullback = _ambient_inverse(sig, frame) * (m * frame)
     return SoElement.from_matrix(sig, pullback).z != 0
 
 
@@ -164,25 +178,56 @@ class STensorEval:
         return STensorEval(self.sig, self.structure.conjugated(g), self.scale)
 
 
+def _int_rows(x: Mat):
+    """x as sparse integer rows over one denominator (the product kernel's
+    scaling); integer entries are read as rationals, floats are refused."""
+    return _scaled_rows(x) or _scaled_rows(x.map(rat))
+
+
+def _pairing(signs, a, b) -> int:
+    """bracket_gm1 of two n x 2 matrices given as sparse integer rows,
+    without their denominators: sum_i s_i (a_i0 b_i1 - a_i1 b_i0)."""
+    acc = 0
+    for s, ra, rb in zip(signs, a, b):
+        for j, x in ra:
+            for k, y in rb:
+                if j != k:
+                    acc += s * x * y if j == 0 else -s * x * y
+    return acc
+
+
 def s_tensor(ev: STensorEval, xi: Mat, eta: Mat, zeta: Mat) -> Mat:
     """Cyclic sum of (a, b, c) -> L(a, Ib) Ic + L(a, Jb) Jc - L(a, Kb) Kc,
     times the stored scale, where L is the bottom-grade bracket. Totally
-    symmetric, with values back among the contact directions."""
+    symmetric, with values back among the contact directions.
+
+    Each argument and its images under I, J, K are scaled to integers once;
+    the nine pairings and the sum run over Python ints on one common
+    denominator, and one Fraction is built per output entry."""
     sig = ev.sig
     st = ev.structure
-    acc = Mat.zeros(sig.n, 2)
-
-    def term(a, b, c):
-        out = Mat.zeros(sig.n, 2)
-        for apply_m, sgn in ((st.apply_i, 1), (st.apply_j, 1),
-                             (st.apply_k, -1)):
-            coeff = bracket_gm1(sig, a, apply_m(b))
-            if coeff != 0:
-                out = out + (sgn * coeff) * apply_m(c)
-        return out
-
-    acc = acc + term(xi, eta, zeta) + term(eta, zeta, xi) + term(zeta, xi, eta)
-    return ev.scale * acc
+    signs = sig.signs()
+    args = (xi, eta, zeta)
+    plain = [_int_rows(a) for a in args]
+    terms = []
+    for apply_m, sgn in ((st.apply_i, 1), (st.apply_j, 1), (st.apply_k, -1)):
+        images = [_int_rows(apply_m(a)) for a in args]
+        for r in range(3):  # the cyclic terms (a, b, c) of (xi, eta, zeta)
+            (ra, da), (rb, db), (rc, dc) = (plain[r], images[(r + 1) % 3],
+                                            images[(r + 2) % 3])
+            coeff = sgn * _pairing(signs, ra, rb)
+            if coeff:
+                terms.append((coeff, rc, da * db * dc))
+    d = math.lcm(*(den for _, _, den in terms))
+    acc = [[0, 0] for _ in range(sig.n)]
+    for coeff, rc, den in terms:
+        f = coeff * (d // den)
+        for out, row in zip(acc, rc):
+            for k, y in row:
+                out[k] += f * y
+    scale = ev.scale
+    return _from_ints([[scale.numerator * x for x in r] for r in acc],
+                      scale.denominator * d)
 
 
 def pipeline_s(sig: Signature, xi: Mat, eta: Mat, zeta: Mat) -> Mat:

@@ -54,12 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_chain_csv(path: str, sig: Signature, args) -> None:
+def _write_chain_csv(path: str, sig: Signature, args, t_min, t_max) -> None:
     g = None
     if args.chain_g == "random":
         g = samplers.rand_oform(sig, random.Random(args.seed))
-    rows = emit_trajectory(sig, g, rat(args.t_min), rat(args.t_max),
-                           args.steps)
+    rows = emit_trajectory(sig, g, t_min, t_max, args.steps)
     header = ["t"]
     for i in range(sig.n + 4):
         for j in range(2):
@@ -81,6 +80,14 @@ def main(argv=None) -> int:
         sig = Signature(args.p, args.q)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.export_chain is not None:
+        # usage errors come before any suite runs or any file is written
+        if args.steps < 2:
+            parser.error("steps must be at least 2")
+        try:
+            t_min, t_max = rat(args.t_min), rat(args.t_max)
+        except ValueError as exc:
+            parser.error(str(exc))
     ok = True
     if args.suite:
         try:
@@ -99,12 +106,7 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         ok = report["status"] == "pass"
     if args.export_chain is not None:
-        if args.steps < 2:
-            parser.error("steps must be at least 2")
-        try:
-            _write_chain_csv(args.export_chain, sig, args)
-        except ValueError as exc:
-            parser.error(str(exc))
+        _write_chain_csv(args.export_chain, sig, args, t_min, t_max)
     return 0 if ok else 1
 
 

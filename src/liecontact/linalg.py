@@ -3,9 +3,10 @@ needed for sampling and derivative checks.
 
 Every identity asserted anywhere in this package runs over
 `fractions.Fraction`. Floats appear only in `exp_float` and in trajectory
-export. Matrices are immutable, dense and row-major; nothing here exceeds
-(2n+2) x (2n+2) with n <= 4 in the suites, so elimination (`_rref`, `det`)
-is plain cubic Gauss-Jordan over Fraction with exact pivoting.
+export. Matrices are immutable, dense and row-major; the largest are the
+(2n+2) x (2n+2) matrices of sl(2n+2), 14 x 14 at n = 6 (signature (3, 3),
+the largest the CI smoke run covers), so elimination (`_rref`, `det`) is
+plain cubic Gauss-Jordan over Fraction with exact pivoting.
 
 Products and commutators of all-Fraction matrices go through one exact
 integer kernel: each factor is scaled to integers over the lcm of its entry
@@ -454,21 +455,19 @@ def exp_nilpotent(m: Mat, nilpotency_bound: int) -> Mat:
     """
     if m.rows != m.cols:
         raise ValueError("exp of a non-square matrix")
-    k = None
+    powers = []  # m, m^2, ... up to the last nonzero power
     p = m
-    for j in range(1, nilpotency_bound + 1):
+    for _ in range(nilpotency_bound):
         if p.is_zero():
-            k = j
             break
+        powers.append(p)
         p = p * m
-    if k is None:
+    else:
         raise ValueError("m^%d != 0, not nilpotent within the stated bound"
                          % nilpotency_bound)
     result = Mat.identity(m.rows)
-    term = Mat.identity(m.rows)
-    for j in range(1, k):
-        term = (term * m) * Fraction(1, j)
-        result = result + term
+    for j, p in enumerate(powers, 1):
+        result = result + p * Fraction(1, math.factorial(j))
     return result
 
 

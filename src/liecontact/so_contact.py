@@ -58,9 +58,13 @@ class Signature:
     def signs(self):
         return (1,) * self.p + (-1,) * self.q
 
+    # Mat is immutable, so each signature builds its constants once and
+    # every caller shares them
+    @functools.cache
     def ipq(self) -> Mat:
         return Mat.diag([Fraction(s) for s in self.signs()])
 
+    @functools.cache
     def form_s(self) -> Mat:
         n = self.n
         z2n = Mat.zeros(2, n)
@@ -92,8 +96,11 @@ def inner(sig: Signature, u, v) -> Fraction:
 
 
 def _is_so_pq(sig: Signature, d: Mat) -> bool:
-    ipq = sig.ipq()
-    return (d.T * ipq + ipq * d).is_zero()
+    """D^t Ipq + Ipq D = 0, read entrywise: s_i D_ij + s_j D_ji = 0."""
+    signs = sig.signs()
+    rows = d.data
+    return all(signs[i] * rows[i][j] + signs[j] * rows[j][i] == 0
+               for i in range(sig.n) for j in range(i, sig.n))
 
 
 class SoElement:

@@ -7,17 +7,20 @@ from fractions import Fraction
 import pytest
 
 from liecontact import samplers
-from liecontact.chains import (ChainCurve, ModelPoint, STensorEval, act,
-                               chain_eval, chain_matrix, chain_transversality,
-                               emit_trajectory, fit_pipeline_constant,
-                               flow_transversality, gm1_units, origin,
-                               pipeline_s, rank_one_by_S, reconstruct_cone,
-                               s_tensor)
-from liecontact.linalg import Mat
+from liecontact import chains
+from liecontact.chains import (ChainCurve, ModelPoint, STensorEval,
+                               _ambient_inverse, act, chain_eval, chain_matrix,
+                               chain_transversality, emit_trajectory,
+                               fit_pipeline_constant, flow_transversality,
+                               gm1_units, origin, pipeline_s, rank_one_by_S,
+                               reconstruct_cone, s_tensor)
+from liecontact.linalg import Mat, exp_nilpotent, invert
 from liecontact.so_contact import (Signature, SoElement, bracket_gm1,
                                    segre_rank)
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
+ORACLE_SIGS = (Signature(1, 0), Signature(2, 1), Signature(3, 0),
+               Signature(2, 2), Signature(3, 3))
 
 
 def _mat(rows):
@@ -77,6 +80,67 @@ def test_chain_matrix_squares_to_zero():
         assert (e * e).is_zero()
 
 
+def test_chain_matrix_is_built_once_per_signature():
+    for sig in SIGS:
+        assert chain_matrix(sig) is chain_matrix(Signature(sig.p, sig.q))
+        assert chain_matrix(sig) == SoElement.generator_e(sig).assemble()
+
+
+def test_chain_matrix_rejects_a_generator_that_does_not_square_to_zero(
+        monkeypatch):
+    sig = Signature(2, 1)
+    monkeypatch.setattr(SoElement, "generator_e",
+                        classmethod(lambda cls, sig: cls(sig, z=1, w=1)))
+    chain_matrix.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="square to zero"):
+            chain_matrix(sig)
+    finally:
+        chain_matrix.cache_clear()
+
+
+def test_ambient_inverse_matches_elimination():
+    rng = random.Random(82)
+    for sig in ORACLE_SIGS:
+        s = sig.form_s()
+        for _ in range(6):
+            g = samplers.rand_oform(sig, rng)
+            inv = _ambient_inverse(sig, g)
+            assert inv == s * g.T * s
+            assert inv == invert(g)
+
+
+def test_affine_frame_matches_the_exponential():
+    rng = random.Random(83)
+    for sig in ORACLE_SIGS:
+        e = chain_matrix(sig)
+        for _ in range(6):
+            g = samplers.rand_oform(sig, rng)
+            t = samplers.rand_fraction(rng)
+            assert ChainCurve(sig, g).frame(t) == g * exp_nilpotent(t * e, 2)
+        assert ChainCurve(sig).frame(0) == Mat.identity(sig.n + 4)
+
+
+def test_pullbacks_match_the_eliminated_inverse():
+    rng = random.Random(84)
+    for sig in ORACLE_SIGS:
+        e = chain_matrix(sig)
+        for _ in range(4):
+            g = samplers.rand_oform(sig, rng)
+            t = samplers.rand_fraction(rng)
+            frame = g * exp_nilpotent(t * e, 2)
+            expected = SoElement.from_matrix(sig, invert(frame) * (g * e))
+            assert ChainCurve(sig, g).velocity_class(t) == expected
+            for x in (SoElement(sig, X=samplers.rand_gm1(sig, rng)),
+                      SoElement(sig, z=samplers.rand_nonzero_fraction(rng),
+                                X=samplers.rand_gm1(sig, rng))):
+                m = x.assemble()
+                flow = exp_nilpotent(t * m, 4)
+                pullback = invert(flow) * (m * flow)
+                assert (flow_transversality(sig, x, t)
+                        == (SoElement.from_matrix(sig, pullback).z != 0))
+
+
 def test_chain_through_origin_has_linear_span():
     sig = Signature(2, 1)
     t = Fraction(3, 5)
@@ -130,6 +194,59 @@ def test_eval_validation():
         STensorEval(sig, scale=0)
     with pytest.raises(ValueError, match="scale must be nonzero"):
         ev.rescaled(0)
+
+
+def _s_tensor_by_matrices(ev, xi, eta, zeta):
+    """The tensor as a sum of Mat terms, one bracket_gm1 and one structure
+    application per term."""
+    sig = ev.sig
+    st = ev.structure
+    acc = Mat.zeros(sig.n, 2)
+
+    def term(a, b, c):
+        out = Mat.zeros(sig.n, 2)
+        for apply_m, sgn in ((st.apply_i, 1), (st.apply_j, 1),
+                             (st.apply_k, -1)):
+            coeff = bracket_gm1(sig, a, apply_m(b))
+            if coeff != 0:
+                out = out + (sgn * coeff) * apply_m(c)
+        return out
+
+    acc = acc + term(xi, eta, zeta) + term(eta, zeta, xi) + term(zeta, xi, eta)
+    return ev.scale * acc
+
+
+def test_tensor_matches_the_matrix_formula():
+    rng = random.Random(85)
+    for sig in ORACLE_SIGS:
+        std = STensorEval.standard(sig)
+        evs = (std, std.rescaled(Fraction(-7, 3)),
+               std.basis_changed(samplers.rand_gl2(rng)),
+               std.basis_changed(samplers.rand_gl2(rng)).rescaled(5))
+        zero = Mat.zeros(sig.n, 2)
+        for ev in evs:
+            for _ in range(4):
+                a = samplers.rand_gm1(sig, rng)
+                b = samplers.rand_gm1(sig, rng)
+                c = samplers.rand_mixed_gm1(sig, rng)
+                for args in ((a, b, c), (a, a, a), (a, zero, c),
+                             (zero, zero, zero)):
+                    got = s_tensor(ev, *args)
+                    assert got == _s_tensor_by_matrices(ev, *args)
+                    assert all(type(x) is Fraction for r in got.data
+                               for x in r)
+        a = samplers.rand_gm1(sig, rng)
+        assert s_tensor(_ZeroEval(sig), a, a, a).is_zero()
+
+
+def test_tensor_reads_integer_entries_and_refuses_floats():
+    sig = Signature(2, 1)
+    ev = STensorEval.standard(sig)
+    ints = Mat([[1, 2], [0, -3], [4, 1]])
+    frac = ints.map(Fraction)
+    assert s_tensor(ev, ints, frac, ints) == s_tensor(ev, frac, frac, frac)
+    with pytest.raises(TypeError, match="float"):
+        s_tensor(ev, ints.map(float), frac, frac)
 
 
 def test_tensor_is_totally_symmetric():

@@ -169,6 +169,46 @@ def test_exp_nilpotent_inverse_property():
         assert prod == Mat.identity(n)
 
 
+def test_exp_nilpotent_matches_the_explicit_sum():
+    # dense nilpotent matrices P N P^-1 with N strictly upper triangular,
+    # against sum_{j<k} m^j / j! with each power built by its own products
+    rng = random.Random(4)
+    for _ in range(30):
+        n = rng.randrange(1, 6)
+        upper = Mat([[Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+                      if j > i else Fraction(0) for j in range(n)]
+                     for i in range(n)])
+        while True:
+            p = Mat([[Fraction(rng.randrange(-3, 4)) for _ in range(n)]
+                     for _ in range(n)])
+            if det(p) != 0:
+                break
+        m = p * upper * invert(p)
+        k = next(j for j in range(1, n + 1)
+                 if _mat_power(m, j) == Mat.zeros(n, n))
+        expected = Mat.identity(n)
+        for j in range(1, k):
+            expected = expected + Fraction(1, math.factorial(j)) * _mat_power(m, j)
+        for bound in range(k, n + 2):
+            assert exp_nilpotent(m, bound) == expected
+        if k > 1:
+            with pytest.raises(ValueError, match=r"m\^%d != 0, not nilpotent"
+                               % (k - 1)):
+                exp_nilpotent(m, k - 1)
+
+
+def test_exp_nilpotent_bound_zero_always_raises():
+    with pytest.raises(ValueError, match=r"m\^0 != 0"):
+        exp_nilpotent(Mat.zeros(2, 2), 0)
+
+
+def _mat_power(m, j):
+    out = m
+    for _ in range(j - 1):
+        out = Mat(_ref_product(out, m))
+    return out
+
+
 def test_exp_float_matches_scalar_exponential():
     assert exp_float(Mat.zeros(2, 2, zero=0.0)) == Mat.identity(2, one=1.0)
     m = Mat([[math.log(2.0), 0.0], [0.0, 0.0]])

@@ -144,6 +144,24 @@ def test_cli_usage_errors():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("bad,message", [
+    (["--steps", "1"], "steps must be at least 2"),
+    (["--t-min", "abc"], "Invalid literal for Fraction: 'abc'"),
+    (["--t-max", "1/0/2"], "Invalid literal for Fraction: '1/0/2'"),
+])
+def test_cli_export_errors_come_before_any_work(tmp_path, capsys, bad,
+                                                message):
+    out = tmp_path / "r.json"
+    csv_path = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["--p", "2", "--q", "1", "--suite", "algebra", "--trials", "2",
+              "--out", str(out), "--export-chain", str(csv_path)] + bad)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert not csv_path.exists()
+
+
 def test_cli_timings_break_nothing(tmp_path):
     out = tmp_path / "t.json"
     assert main(["--p", "2", "--q", "1", "--trials", "2", "--suite",

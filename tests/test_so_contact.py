@@ -8,7 +8,7 @@ import pytest
 from liecontact import samplers
 from liecontact.linalg import Mat, commutator, det, invert
 from liecontact.so_contact import (G0Element, QGroupElement, Signature,
-                                   SoElement, ad_g0, bracket, bracket_gm1,
+                                   SoElement, _is_so_pq, ad_g0, bracket, bracket_gm1,
                                    equivariance_checks, grading_check,
                                    inner, jacobi_check, rank_one_bracket,
                                    segre_rank, so_basis, so_basis_degrees,
@@ -41,6 +41,37 @@ def test_so_element_rejects_bad_middle_block():
     bad = Mat.identity(3)
     with pytest.raises(ValueError):
         SoElement(sig, D=bad)
+
+
+def _is_so_pq_by_products(sig, d):
+    ipq = sig.ipq()
+    return (d.T * ipq + ipq * d).is_zero()
+
+
+def test_entrywise_so_pq_test_matches_the_product_form():
+    rng = random.Random(5)
+    for sig in (Signature(1, 0), Signature(2, 1), Signature(3, 0),
+                Signature(2, 2), Signature(3, 3)):
+        n = sig.n
+        for _ in range(10):
+            d = samplers.rand_so_pq(sig, rng)
+            assert _is_so_pq(sig, d) and _is_so_pq_by_products(sig, d)
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows = [list(r) for r in d.data]
+            rows[i][j] += samplers.rand_nonzero_fraction(rng)
+            bad = Mat(rows)
+            assert not _is_so_pq(sig, bad)
+            assert not _is_so_pq_by_products(sig, bad)
+            generic = samplers.rand_mat(rng, n, n)
+            assert _is_so_pq(sig, generic) == _is_so_pq_by_products(sig, generic)
+
+
+def test_signature_constants_are_built_once():
+    for p, q in ((1, 0), (2, 1), (2, 2)):
+        sig = Signature(p, q)
+        assert sig.ipq() is Signature(p, q).ipq()
+        assert sig.form_s() is Signature(p, q).form_s()
+    assert Signature(2, 1).ipq() is not Signature(1, 2).ipq()
 
 
 def test_assembled_matrices_lie_in_the_algebra():
