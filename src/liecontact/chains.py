@@ -108,7 +108,9 @@ class ChainCurve:
         return self.g + rat(t) * self.vel
 
     def at(self, t) -> ModelPoint:
-        return ModelPoint(self.sig, self.frame(t) * origin(self.sig).span)
+        """The frame applied to the origin [e1 e2]: its first two columns."""
+        frame = self.frame(t)
+        return ModelPoint(self.sig, frame.submat(0, frame.rows, 0, 2))
 
     def velocity_class(self, t) -> SoElement:
         """Velocity of the curve of frames pulled back to the identity; its

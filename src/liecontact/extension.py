@@ -166,7 +166,9 @@ def alpha_restriction_matrix(sig: Signature) -> Mat:
     return Mat(cols).T
 
 
-_LIFT_CACHE: dict = {}
+@functools.cache
+def _lift_inverse(sig: Signature) -> Mat:
+    return invert(alpha_restriction_matrix(sig))
 
 
 def hat_lift(sig: Signature, z: SlElement) -> SoElement:
@@ -177,12 +179,7 @@ def hat_lift(sig: Signature, z: SlElement) -> SoElement:
         raise ValueError("dimension mismatch between signature and element")
     if not z.in_slots(("m2", "m1E", "m1V")):
         raise ValueError("hat lift needs an element of the negative slots")
-    key = (sig.p, sig.q)
-    inv = _LIFT_CACHE.get(key)
-    if inv is None:
-        inv = invert(alpha_restriction_matrix(sig))
-        _LIFT_CACHE[key] = inv
-    coords = inv * Mat.col(sl_neg_coordinates(z))
+    coords = _lift_inverse(sig) * Mat.col(sl_neg_coordinates(z))
     n = sig.n
     x = Mat([[coords[1 + j * n + i, 0] for j in range(2)] for i in range(n)])
     u = Mat([[coords[1 + 2 * n + i * n + j, 0] for j in range(n)]

@@ -13,12 +13,18 @@ integer kernel: each factor is scaled to integers over the lcm of its entry
 denominators and read as sparse rows, the sums run over Python ints, and
 one Fraction is built per nonzero output entry. Matrices of floats,
 `DualRat` or mixed types are multiplied entry by entry (`_dot`).
+
+Commutators have one integer loop, `_commutator_rows`. `commutator` runs it
+on the scaled rows of two matrices, and `structure_table` runs it on every
+pair of an integer basis to build the structure-constant table of either
+algebra (so(p+2, q+2) and sl(2n+2)) that `jacobi_failures` checks.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 Rat = Fraction
 
@@ -318,6 +324,18 @@ def _from_ints(rows, d):
     return Mat([[Fraction(x, d) if x else _ZERO for x in r] for r in rows])
 
 
+def _commutator_rows(rows_a, rows_b, n):
+    """Dense integer rows of A·B − B·A for the sparse integer rows of two
+    n x n matrices A and B: the one commutator loop of the package."""
+    out = []
+    for ra, rb in zip(rows_a, rows_b):
+        acc = [0] * n
+        _addmul(acc, ra, rows_b, 1)
+        _addmul(acc, rb, rows_a, -1)
+        out.append(acc)
+    return out
+
+
 def commutator(a: Mat, b: Mat) -> Mat:
     n = a.rows
     sa = n == a.cols == b.rows == b.cols and _scaled_rows(a)
@@ -326,13 +344,34 @@ def commutator(a: Mat, b: Mat) -> Mat:
         return a * b - b * a
     # a*b and b*a share the denominator da*db: one integer array holds both
     (rows_a, da), (rows_b, db) = sa, sb
-    out = []
-    for ra, rb in zip(rows_a, rows_b):
-        acc = [0] * n
-        _addmul(acc, ra, rows_b, 1)
-        _addmul(acc, rb, rows_a, -1)
-        out.append(acc)
-    return _from_ints(out, da * db)
+    return _from_ints(_commutator_rows(rows_a, rows_b, n), da * db)
+
+
+def structure_table(basis, coordinates):
+    """Structure constants of the Lie algebra spanned by the integer square
+    matrices `basis`: a read-only mapping (a, b) -> {c: coeff} over all
+    pairs a != b, with [x_a, x_b] = sum coeff * x_c. `coordinates` maps
+    the dense integer rows of a commutator to its integer coordinates in
+    the basis order (and raises when the commutator leaves the algebra).
+    Each unordered pair is bracketed once; its reverse is the negation.
+    Neither level of the mapping is writable."""
+    n = basis[0].rows
+    rows = []
+    for m in basis:
+        scaled = m.rows == m.cols == n and _scaled_rows(m)
+        if not scaled or scaled[1] != 1:
+            raise ValueError("structure constants need square integer basis "
+                             "matrices of one size")
+        rows.append(scaled[0])
+    table = {}
+    for a, ra in enumerate(rows):
+        for b in range(a + 1, len(rows)):
+            comm = _commutator_rows(ra, rows[b], n)
+            sparse = {c: v for c, v in enumerate(coordinates(comm)) if v}
+            table[(a, b)] = MappingProxyType(sparse)
+            table[(b, a)] = MappingProxyType(
+                {c: -v for c, v in sparse.items()})
+    return MappingProxyType(table)
 
 
 def _pivot_key(e):
@@ -505,9 +544,10 @@ def max_abs(m: Mat) -> float:
 
 def jacobi_failures(table, dim: int) -> int:
     """Number of ordered basis triples (a, b, c) on which the Jacobi
-    identity fails for the structure-constant table, a dict
-    (a, b) -> {c: coeff} with [x_a, x_b] = sum coeff * x_c over a basis of
-    size dim (missing pairs bracket to zero)."""
+    identity fails for the structure-constant table, a mapping
+    (a, b) -> {c: coeff} (as `structure_table` builds it) with
+    [x_a, x_b] = sum coeff * x_c over a basis of size dim (missing pairs
+    bracket to zero)."""
     failures = 0
     for a in range(dim):
         for b in range(dim):

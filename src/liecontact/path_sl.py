@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, commutator, jacobi_failures, rat
-
-SLOTS = ("m2", "m1E", "m1V", "g0", "p1E", "p1V", "p2")
+from .linalg import Mat, commutator, jacobi_failures, rat, structure_table
 
 _SLOT_DEGREE = {"m2": -2, "m1E": -1, "m1V": -1, "g0": 0,
                 "p1E": 1, "p1V": 1, "p2": 2}
@@ -74,14 +72,6 @@ class SlElement:
         for i in range(2 * n):
             rows[2 + i][0] = rat(v[i, 0])
         return cls(n, Mat(rows))
-
-    def slot_project(self, slot: str) -> "SlElement":
-        if slot not in SLOTS:
-            raise ValueError("unknown slot %r" % slot)
-        n = self.n
-        rows = [[e if _slot_of(i, j, n) == slot else Fraction(0)
-                 for j, e in enumerate(r)] for i, r in enumerate(self.mat.data)]
-        return SlElement(n, Mat(rows))
 
     def grade_project(self, d: int) -> "SlElement":
         if d not in (-2, -1, 0, 1, 2):
@@ -207,62 +197,43 @@ def _unit(m, i, j):
 
 
 # ---------------------------------------------------------------------------
-# structure constants and Jacobi, over the sparse elementary basis
+# structure constants and Jacobi, over the elementary basis
 
 
-def sl_full_basis_sparse(m: int):
-    """Basis of sl(m) as sparse {(i,j): coeff} dicts: off-diagonal units
-    E_(a,b) in row-major order, then H_i = E_(i,i) - E_(i+1,i+1)."""
-    basis = []
-    for a in range(m):
-        for b in range(m):
-            if a != b:
-                basis.append({(a, b): 1})
+def sl_full_basis(n: int):
+    """Basis of sl(2n+2): off-diagonal units E_(a,b) in row-major order,
+    then H_i = E_(i,i) - E_(i+1,i+1)."""
+    m = 2 * n + 2
+    basis = [_unit(m, a, b) for a in range(m) for b in range(m) if a != b]
     for i in range(m - 1):
-        basis.append({(i, i): 1, (i + 1, i + 1): -1})
-    return basis
+        basis.append(_unit(m, i, i) - _unit(m, i + 1, i + 1))
+    return [SlElement(n, b) for b in basis]
 
 
-def _sparse_comm(x, y):
-    acc = {}
-    for (r, c), v in x.items():
-        for (r2, c2), u in y.items():
-            if c == r2:
-                acc[(r, c2)] = acc.get((r, c2), 0) + v * u
-            if c2 == r:
-                acc[(r2, c)] = acc.get((r2, c), 0) - u * v
-    return {k: v for k, v in acc.items() if v}
-
-
-def _sparse_coordinates(m: int, x):
-    """Coordinates in the sl_full_basis_sparse order; the diagonal part is
-    expanded over the H_i by prefix sums (the trace must vanish)."""
-    coords = []
-    for a in range(m):
-        for b in range(m):
-            if a != b:
-                coords.append(x.get((a, b), 0))
-    diag = [x.get((i, i), 0) for i in range(m)]
+def _sl_coordinates(rows):
+    """Coordinates of a trace-free integer matrix, given as rows, in the
+    sl_full_basis order; the diagonal part is expanded over the H_i by
+    prefix sums."""
+    m = len(rows)
+    coords = [rows[a][b] for a in range(m) for b in range(m) if a != b]
+    diag = [rows[i][i] for i in range(m)]
     if sum(diag) != 0:
         raise ValueError("diagonal part has nonzero trace")
     prefix = 0
-    for i in range(m - 1):
-        prefix += diag[i]
+    for d in diag[:-1]:
+        prefix += d
         coords.append(prefix)
     return coords
 
 
+def sl_structure_constants(n: int):
+    """Structure-constant table of sl(2n+2) over sl_full_basis, a read-only
+    mapping (a, b) -> {c: coeff} (see `linalg.structure_table`)."""
+    return structure_table([b.mat for b in sl_full_basis(n)], _sl_coordinates)
+
+
 def sl_jacobi_check(n: int):
-    """Jacobi identity on the full sl(2n+2) basis via the sparse
-    structure-constant table. Returns (triples_checked, failures)."""
-    m = 2 * n + 2
-    basis = sl_full_basis_sparse(m)
-    dim = len(basis)
-    table = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            coords = _sparse_coordinates(m, _sparse_comm(basis[a], basis[b]))
-            sparse = {c: v for c, v in enumerate(coords) if v}
-            table[(a, b)] = sparse
-            table[(b, a)] = {c: -v for c, v in sparse.items()}
-    return dim ** 3, jacobi_failures(table, dim)
+    """Jacobi identity on the full sl(2n+2) basis via its structure-constant
+    table. Returns (triples_checked, failures)."""
+    dim = (2 * n + 2) ** 2 - 1
+    return dim ** 3, jacobi_failures(sl_structure_constants(n), dim)

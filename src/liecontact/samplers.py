@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .linalg import Mat, det, exp_nilpotent, invert
 from .path_sl import SlElement
-from .so_contact import G0Element, QGroupElement, Signature, SoElement
+from .so_contact import QGroupElement, Signature, SoElement
 
 
 def rand_fraction(rng, span=6, den=4) -> Fraction:
@@ -86,10 +86,6 @@ def rand_gl2(rng, span=4, den=3) -> Mat:
         b = rand_mat(rng, 2, 2, span, den)
         if det(b) != 0:
             return b
-
-
-def rand_g0(sig: Signature, rng) -> G0Element:
-    return G0Element(sig, rand_gl2(rng), rand_opq(sig, rng))
 
 
 def rand_q_element(sig: Signature, rng) -> QGroupElement:

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from types import MappingProxyType
 
 from .linalg import (Mat, commutator, det, invert, jacobi_failures,
-                     rank_kernel, rat)
+                     rank_kernel, rat, structure_table)
 
 J2 = Mat([[0, 1], [-1, 0]]).map(Fraction)
 
@@ -446,33 +445,17 @@ def so_coordinates(x: SoElement):
 
 @functools.cache
 def structure_constants(sig: Signature):
-    """Sparse integer structure-constant table over the so_basis:
-    a read-only mapping (a, b) -> {c: coeff} with [x_a, x_b] =
-    sum coeff * x_c. Runs over plain ints for speed; all basis brackets
-    have integer coordinates in this basis. Built once per signature and
-    shared by every caller, so neither level of the mapping is writable."""
-    basis = so_basis(sig)
-    mats = [[[int(e) for e in row] for row in b.assemble().data] for b in basis]
-    dim = len(basis)
-    size = sig.n + 4
-    idx = range(size)
-    table = {}
-    for a in range(dim):
-        ma = mats[a]
-        for b in range(a + 1, dim):
-            mb = mats[b]
-            comm = [[sum(ma[i][k] * mb[k][j] - mb[i][k] * ma[k][j] for k in idx)
-                     for j in idx] for i in idx]
-            coords = _int_coordinates(sig, comm)
-            sparse = {c: v for c, v in enumerate(coords) if v}
-            table[(a, b)] = MappingProxyType(sparse)
-            table[(b, a)] = MappingProxyType(
-                {c: -v for c, v in sparse.items()})
-    return MappingProxyType(table)
+    """Sparse integer structure-constant table over the so_basis, a
+    read-only mapping (a, b) -> {c: coeff} with [x_a, x_b] =
+    sum coeff * x_c (see `linalg.structure_table`). All basis brackets have
+    integer coordinates in this basis. Built once per signature and shared
+    by every caller."""
+    return structure_table([b.assemble() for b in so_basis(sig)],
+                           functools.partial(_int_coordinates, sig))
 
 
 def _int_coordinates(sig: Signature, m):
-    """Integer coordinate extraction from an assembled integer matrix,
+    """Integer coordinates of an assembled matrix, given as integer rows,
     with consistency checks on all redundant blocks."""
     n = sig.n
     signs = sig.signs()

@@ -141,9 +141,6 @@ class QuatStructureOnH:
     def apply_k(self, x: Mat) -> Mat:
         return x * self.mk
 
-    def apply_imag(self, a, b, c, x: Mat) -> Mat:
-        return x * (rat(a) * self.mi + rat(b) * self.mj + rat(c) * self.mk)
-
 
 def stack_columns(x: Mat) -> Mat:
     """n x 2 -> 2n x 1, first column on top of the second."""

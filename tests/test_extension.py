@@ -193,8 +193,7 @@ def test_hat_lift_inverts_alpha_on_negative_slots():
                           X=samplers.rand_mat(rng, n, 2),
                           U=samplers.rand_mat(rng, 2, n))
             img = alpha(x)
-            neg = (img.slot_project("m2") + img.slot_project("m1E")
-                   + img.slot_project("m1V"))
+            neg = img.grade_project(-2) + img.grade_project(-1)
             assert hat_lift(sig, neg) == x
 
 

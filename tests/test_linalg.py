@@ -9,7 +9,7 @@ import pytest
 from liecontact.linalg import (DualRat, Mat, commutator, det, exp_float,
                                exp_nilpotent, invert, jacobi_failures,
                                max_abs, rank_kernel, rat, rat_sqrt,
-                               solve_linear)
+                               solve_linear, structure_table)
 
 
 def test_rat_accepts_exact_inputs():
@@ -354,3 +354,38 @@ def test_jacobi_failures_on_sl2_tables():
 
     assert jacobi_failures(table(2), 3) == 0
     assert jacobi_failures(table(3), 3) > 0
+
+
+def test_structure_table_on_sl2():
+    # basis (e, f, h) of sl(2); the coordinates read e, f and h off a
+    # trace-free integer matrix
+    e, f, h = (Mat(r).map(Fraction) for r in ([[0, 1], [0, 0]],
+                                              [[0, 0], [1, 0]],
+                                              [[1, 0], [0, -1]]))
+
+    def coordinates(rows):
+        assert rows[0][0] == -rows[1][1]
+        return [rows[0][1], rows[1][0], rows[0][0]]
+
+    table = structure_table([e, f, h], coordinates)
+    assert dict(table) == {(0, 1): {2: 1}, (1, 0): {2: -1},
+                           (0, 2): {0: -2}, (2, 0): {0: 2},
+                           (1, 2): {1: 2}, (2, 1): {1: -2}}
+    assert jacobi_failures(table, 3) == 0
+    with pytest.raises(TypeError):
+        table[(0, 1)][2] = 5
+    with pytest.raises(TypeError):
+        table[(0, 0)] = {}
+
+
+def test_structure_table_needs_integer_square_matrices_of_one_size():
+    e = Mat([[0, 1], [0, 0]]).map(Fraction)
+    with pytest.raises(ValueError):
+        structure_table([e, Fraction(1, 2) * e], lambda rows: [])
+    with pytest.raises(ValueError):
+        structure_table([e, Mat.identity(3)], lambda rows: [])
+    with pytest.raises(ValueError):
+        structure_table([e, Mat([[0, 1, 0], [0, 0, 0]]).map(Fraction)],
+                        lambda rows: [])
+    with pytest.raises(ValueError):
+        structure_table([e, Mat([[0, 1], [0, 0]])], lambda rows: [])

@@ -7,10 +7,11 @@ import pytest
 
 from liecontact import samplers
 from liecontact.linalg import Mat
-from liecontact.path_sl import (SlElement, sl_bracket, sl_jacobi_check,
-                                sl_neg_basis, sl_neg_coordinates,
-                                sl_neg_degrees, sl_neg_duals, sl_neg_slots,
-                                w0)
+from liecontact.path_sl import (SlElement, sl_bracket, sl_full_basis,
+                                sl_jacobi_check, sl_neg_basis,
+                                sl_neg_coordinates, sl_neg_degrees,
+                                sl_neg_duals, sl_neg_slots,
+                                sl_structure_constants, w0)
 
 
 def test_trace_free_enforced():
@@ -101,6 +102,21 @@ def test_negative_coordinates_round_trip():
         for c, b in zip(coords, basis):
             x = x + c * b
         assert sl_neg_coordinates(x) == coords
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_structure_constants_match_brackets(n):
+    basis = sl_full_basis(n)
+    dim = (2 * n + 2) ** 2 - 1
+    assert len(basis) == dim
+    table = sl_structure_constants(n)
+    assert set(table) == {(a, b) for a in range(dim) for b in range(dim)
+                          if a != b}
+    for (a, b), sparse in table.items():
+        expanded = SlElement.zero(n)
+        for c, coeff in sparse.items():
+            expanded = expanded + coeff * basis[c]
+        assert expanded == sl_bracket(basis[a], basis[b]), (a, b)
 
 
 def test_jacobi_identity_exact():

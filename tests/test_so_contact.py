@@ -176,7 +176,8 @@ def test_g0_adjoint_oracle_and_scaling_law():
     assert x_out == Fraction(1, 2) * x
     rng = random.Random(17)
     for _ in range(30):
-        g = samplers.rand_g0(sig, rng)
+        g = G0Element(sig, samplers.rand_gl2(rng),
+                       samplers.rand_opq(sig, rng))
         x = samplers.rand_gm1(sig, rng)
         y = samplers.rand_gm1(sig, rng)
         _, gx = ad_g0(g, 0, x)
@@ -243,7 +244,8 @@ def test_q_adjoint_on_negative_part_matches_g0_formula():
     rng = random.Random(21)
     sig = Signature(2, 1)
     for _ in range(25):
-        g = samplers.rand_g0(sig, rng)
+        g = G0Element(sig, samplers.rand_gl2(rng),
+                       samplers.rand_opq(sig, rng))
         h = QGroupElement(sig, g.B, g.C)
         x = samplers.rand_gm1(sig, rng)
         z = samplers.rand_fraction(rng)
@@ -269,19 +271,23 @@ def test_basis_coordinates_round_trip():
 
 
 def test_structure_constants_match_brackets():
-    sig = Signature(2, 1)
-    basis = so_basis(sig)
-    table = structure_constants(sig)
-    rng = random.Random(23)
-    for _ in range(40):
-        a = rng.randrange(len(basis))
-        b = rng.randrange(len(basis))
-        if a == b:
-            continue
-        expected = so_coordinates(bracket(basis[a], basis[b]))
-        sparse = table[(a, b)]
-        for c, coeff in enumerate(expected):
-            assert sparse.get(c, 0) == coeff
+    for pq in ((1, 1), (2, 1), (3, 0), (0, 3), (2, 2), (3, 3)):
+        sig = Signature(*pq)
+        basis = so_basis(sig)
+        table = structure_constants(sig)
+        dim = len(basis)
+        assert set(table) == {(a, b) for a in range(dim) for b in range(dim)
+                              if a != b}
+        assert all(type(v) is int and v
+                   for sparse in table.values() for v in sparse.values())
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                # bracket(x_b, x_a) is exactly -bracket(x_a, x_b)
+                expected = so_coordinates(bracket(basis[a], basis[b]))
+                for pair, sign in (((a, b), 1), ((b, a), -1)):
+                    sparse = table[pair]
+                    got = [sign * sparse.get(c, 0) for c in range(dim)]
+                    assert got == expected, (pq, pair)
 
 
 def test_structure_constants_are_cached_and_read_only():

@@ -80,7 +80,7 @@ def test_action_through_quaternion_values():
                                  for _ in range(3)))
         direct = act_on_h(q, x)
         st = QuatStructureOnH.standard(sig)
-        composed = st.apply_imag(q.a, q.b, q.c, x)
+        composed = x * (q.a * st.mi + q.b * st.mj + q.c * st.mk)
         assert direct == composed
 
 
