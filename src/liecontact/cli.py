@@ -86,8 +86,9 @@ def main(argv=None) -> int:
             parser.error("steps must be at least 2")
         try:
             t_min, t_max = rat(args.t_min), rat(args.t_max)
-        except ValueError as exc:
-            parser.error(str(exc))
+        except (ValueError, ZeroDivisionError) as exc:
+            parser.error("--t-min and --t-max must be rationals p/q with "
+                         "q != 0: %s" % exc)
     ok = True
     if args.suite:
         try:

@@ -5,8 +5,9 @@ Every identity asserted anywhere in this package runs over
 `fractions.Fraction`. Floats appear only in `exp_float` and in trajectory
 export. Matrices are immutable, dense and row-major; the largest are the
 (2n+2) x (2n+2) matrices of sl(2n+2), 14 x 14 at n = 6 (signature (3, 3),
-the largest the CI smoke run covers), so elimination (`_rref`, `det`) is
-plain cubic Gauss-Jordan over Fraction with exact pivoting.
+the largest the CI smoke run covers). Rank, kernel, solve, inverse and
+determinant share one fraction-free Gauss-Jordan elimination on rows of
+Fractions scaled to integers, `_eliminate`.
 
 Products and commutators of all-Fraction matrices go through one exact
 integer kernel: each factor is scaled to integers over the lcm of its entry
@@ -374,48 +375,49 @@ def structure_table(basis, coordinates):
     return MappingProxyType(table)
 
 
-def _pivot_key(e):
-    # partial pivot by smallest numerator magnitude, ties by denominator;
-    # keeps coefficient growth tame without full fraction-free bookkeeping
-    if isinstance(e, Fraction):
-        return (abs(e.numerator), e.denominator)
-    return (abs(e), 1)
-
-
-def _rref(rows, nr, nc):
-    """In-place reduced row echelon form. Returns list of pivot columns."""
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the rows of
+    Fractions `rows`, each first scaled to integers by its lcm. A pivot p
+    sets every other row to (p * row - row[c] * pivot row) / p_prev, exact
+    by Sylvester's identity. Returns (rows, pivots, d, sign, scale): the
+    integer rows are d times the reduced row echelon form, d the last pivot
+    (1 if none), sign the parity of the row swaps and scale the product of
+    the row lcms, so a square full-rank input has determinant
+    sign * d / scale. TypeError on any entry that is not a Fraction."""
+    out = []
+    scale = 1
+    for r in rows:
+        if any(type(e) is not Fraction for e in r):
+            raise TypeError("elimination needs Fraction entries: %r" % (r,))
+        lcm = math.lcm(*[e.denominator for e in r])
+        out.append([e.numerator * (lcm // e.denominator) for e in r])
+        scale *= lcm
     pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        best = None
-        for i in range(r, nr):
-            e = rows[i][c]
-            if e != 0:
-                key = _pivot_key(e)
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
+    sign = prev = 1
+    for c in range(len(out[0])):
+        r = len(pivots)
+        i = next((i for i in range(r, len(out)) if out[i][c]), None)
+        if i is None:
             continue
-        i = best[1]
-        rows[r], rows[i] = rows[i], rows[r]
-        piv = rows[r][c]
-        rows[r] = [e / piv for e in rows[r]]
-        for i2 in range(nr):
-            if i2 != r and rows[i2][c] != 0:
-                f = rows[i2][c]
-                rows[i2] = [a - f * b for a, b in zip(rows[i2], rows[r])]
+        if i != r:
+            out[r], out[i] = out[i], out[r]
+            sign = -sign
+        prow = out[r]
+        piv = prow[c]
+        for k, row in enumerate(out):
+            f = row[c]
+            if k != r and f:
+                out[k] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+            elif k != r and piv != prev:
+                out[k] = [piv * x // prev for x in row]
         pivots.append(c)
-        r += 1
-    return pivots
+        prev = piv
+    return out, pivots, prev, sign, scale
 
 
 def rank_kernel(m: Mat):
     """Exact rank and a basis of the right kernel, as column matrices."""
-    rows = [list(r) for r in m.data]
-    pivots = _rref(rows, m.rows, m.cols)
-    rank = len(pivots)
+    rows, pivots, d, _, _ = _eliminate(m.data)
     pivset = set(pivots)
     basis = []
     for fc in range(m.cols):
@@ -424,9 +426,9 @@ def rank_kernel(m: Mat):
         v = [Fraction(0)] * m.cols
         v[fc] = Fraction(1)
         for pr, pc in enumerate(pivots):
-            v[pc] = -rows[pr][fc]
+            v[pc] = Fraction(-rows[pr][fc], d)
         basis.append(Mat.col(v))
-    return rank, basis
+    return len(pivots), basis
 
 
 def solve_linear(a: Mat, b: Mat):
@@ -436,13 +438,13 @@ def solve_linear(a: Mat, b: Mat):
         raise ValueError("right hand side must be a column")
     if a.rows != b.rows:
         raise ValueError("a has %d rows but b has %d" % (a.rows, b.rows))
-    rows = [list(ra) + [rb[0]] for ra, rb in zip(a.data, b.data)]
-    pivots = _rref(rows, a.rows, a.cols + 1)
+    rows, pivots, d, _, _ = _eliminate(
+        [ra + rb for ra, rb in zip(a.data, b.data)])
     if a.cols in pivots:
         return None
     x = [Fraction(0)] * a.cols
     for pr, pc in enumerate(pivots):
-        x[pc] = rows[pr][a.cols]
+        x[pc] = Fraction(rows[pr][a.cols], d)
     return Mat.col(x)
 
 
@@ -451,39 +453,21 @@ def invert(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    rows = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i, r in enumerate(m.data)]
-    pivots = _rref(rows, n, 2 * n)
-    if pivots[:n] != list(range(n)):
+    rows, pivots, d, _, _ = _eliminate(
+        [r + e for r, e in zip(m.data, Mat.identity(n).data)])
+    if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    return Mat([r[n:] for r in rows])
+    return _from_ints([r[n:] for r in rows], d)
 
 
 def det(m: Mat) -> Fraction:
     """Exact determinant by elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    rows = [list(r) for r in m.data]
-    n = m.rows
-    d = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            d = -d
-        d *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return d
+    _, pivots, d, sign, scale = _eliminate(m.data)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * d, scale)
 
 
 def exp_nilpotent(m: Mat, nilpotency_bound: int) -> Mat:

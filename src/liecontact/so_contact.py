@@ -248,13 +248,25 @@ def bracket_gm1(sig: Signature, x: Mat, y: Mat) -> Fraction:
     return inner(sig, x.column(0), y.column(1)) - inner(sig, x.column(1), y.column(0))
 
 
+def _check_orthogonal(sig: Signature, c: Mat) -> None:
+    """ValueError unless C^t Ipq C = Ipq, i.e. C lies in O(p, q)."""
+    ipq = sig.ipq()
+    if (c.T * ipq * c) != ipq:
+        raise ValueError("C is not orthogonal for the (p,q) form")
+
+
+def _check_g0(sig: Signature, b: Mat, c: Mat) -> None:
+    """ValueError unless B is invertible and C lies in O(p, q)."""
+    if det(b) == 0:
+        raise ValueError("B must be invertible")
+    _check_orthogonal(sig, c)
+
+
 def equivariance_checks(sig: Signature, c: Mat, a: Mat, x: Mat, y: Mat):
     """Residuals of the two compatibility laws of the g_{-1} bracket:
     [Cx, Cy] - [x, y] for orthogonal C, and [xA, yA] - det(A) [x, y].
     Both must be exactly zero."""
-    ipq = sig.ipq()
-    if (c.T * ipq * c) != ipq:
-        raise ValueError("C is not orthogonal for the (p,q) form")
+    _check_orthogonal(sig, c)
     r1 = bracket_gm1(sig, c * x, c * y) - bracket_gm1(sig, x, y)
     r2 = bracket_gm1(sig, x * a, y * a) - det(a) * bracket_gm1(sig, x, y)
     return r1, r2
@@ -267,11 +279,7 @@ class G0Element:
     __slots__ = ("sig", "B", "C")
 
     def __init__(self, sig: Signature, b: Mat, c: Mat):
-        if det(b) == 0:
-            raise ValueError("B must be invertible")
-        ipq = sig.ipq()
-        if (c.T * ipq * c) != ipq:
-            raise ValueError("C is not orthogonal for the (p,q) form")
+        _check_g0(sig, b, c)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
@@ -323,11 +331,7 @@ class QGroupElement:
     __slots__ = ("sig", "B", "C", "w")
 
     def __init__(self, sig: Signature, b: Mat, c: Mat, w=0):
-        if det(b) == 0:
-            raise ValueError("B must be invertible")
-        ipq = sig.ipq()
-        if (c.T * ipq * c) != ipq:
-            raise ValueError("C is not orthogonal for the (p,q) form")
+        _check_g0(sig, b, c)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)

@@ -389,3 +389,191 @@ def test_structure_table_needs_integer_square_matrices_of_one_size():
                         lambda rows: [])
     with pytest.raises(ValueError):
         structure_table([e, Mat([[0, 1], [0, 0]])], lambda rows: [])
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination against the Fraction loops it replaced
+
+
+def _ref_rref(rows):
+    """Gauss-Jordan over Fraction, pivoting on the smallest numerator:
+    (reduced rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    nr, nc = len(rows), len(rows[0])
+    pivots = []
+    for c in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
+        cands = [((abs(rows[i][c].numerator), rows[i][c].denominator), i)
+                 for i in range(r, nr) if rows[i][c] != 0]
+        if not cands:
+            continue
+        i = min(cands)[1]
+        rows[r], rows[i] = rows[i], rows[r]
+        piv = rows[r][c]
+        rows[r] = [e / piv for e in rows[r]]
+        for i2 in range(nr):
+            if i2 != r and rows[i2][c] != 0:
+                f = rows[i2][c]
+                rows[i2] = [a - f * b for a, b in zip(rows[i2], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _ref_det(m):
+    """Forward elimination over Fraction on the first nonzero pivot."""
+    rows = [list(r) for r in m.data]
+    n = m.rows
+    d = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            d = -d
+        d *= rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return d
+
+
+def _ref_kernel(rows, pivots, cols):
+    """Kernel basis read off a reduced row echelon form: one vector per
+    free column, 1 there and minus the reduced column at the pivots."""
+    basis = []
+    for fc in range(cols):
+        if fc not in pivots:
+            v = [Fraction(0)] * cols
+            v[fc] = Fraction(1)
+            for pr, pc in enumerate(pivots):
+                v[pc] = -rows[pr][fc]
+            basis.append(v)
+    return basis
+
+
+def _elimination_cases(rng):
+    """Seeded matrices for the elimination tests: zero, 1 x 1, square,
+    wide, tall, rank-deficient and 100-bit ones, plus hand-picked ones
+    that need row swaps or whose smallest pivot in the first column is not
+    in row 0."""
+    cases = [Mat.zeros(1, 1), Mat.zeros(3, 3), Mat.zeros(2, 4),
+             Mat([[Fraction(5, 3)]]), Mat.identity(4),
+             Mat([[5, 1], [1, 2]]).map(Fraction),
+             Mat([[7, 2, 1], [-3, 0, 4], [1, 5, 6]]).map(Fraction),
+             Mat([[0, 0, 1], [0, 2, 0], [3, 0, 0]]).map(Fraction),
+             Mat([[Fraction(1, 2), Fraction(1, 3)],
+                  [Fraction(1, 4), Fraction(1, 5)]])]
+    for n in (1, 2, 5):  # every entry of 100 bits and more
+        cases.append(Mat([[Fraction(rng.randrange(1 << 100, 1 << 130)
+                                    * rng.choice((-1, 1)),
+                                    rng.randrange(1 << 100, 1 << 110))
+                           for _ in range(n)] for _ in range(n)]))
+    for _ in range(40):
+        for density in (0.3, 0.7, 1):
+            r, c = rng.randrange(1, 7), rng.randrange(1, 7)
+            if rng.random() < 0.4:
+                c = r
+            m = _rand_fraction_mat(rng, r, c, density)
+            cases.append(m)
+            if min(r, c) > 1:  # rank at most k < min(r, c)
+                k = rng.randrange(1, min(r, c))
+                cases.append(_rand_fraction_mat(rng, r, k, density)
+                             * _rand_fraction_mat(rng, k, c, density))
+    return cases
+
+
+def _check_against_reference(m, rhs):
+    rows, pivots = _ref_rref(m.data)
+    rank, kernel = rank_kernel(m)
+    assert rank == len(pivots)
+    assert [list(v.column(0)) for v in kernel] == _ref_kernel(rows, pivots,
+                                                              m.cols)
+    for v in kernel:
+        _assert_fraction_entries(v)
+    aug_rows, aug_pivots = _ref_rref([r + (e,) for r, e in zip(m.data, rhs)])
+    x = solve_linear(m, Mat.col(rhs))
+    if m.cols in aug_pivots:
+        assert x is None
+        return "inconsistent"
+    expected = [Fraction(0)] * m.cols
+    for pr, pc in enumerate(aug_pivots):
+        expected[pc] = aug_rows[pr][m.cols]
+    assert list(x.column(0)) == expected
+    _assert_fraction_entries(x)
+    if m.rows == m.cols:
+        d = det(m)
+        assert type(d) is Fraction and d == _ref_det(m)
+        n = m.rows
+        inv_rows, inv_pivots = _ref_rref(
+            [r + e for r, e in zip(m.data, Mat.identity(n).data)])
+        if inv_pivots != list(range(n)):
+            assert d == 0
+            with pytest.raises(ValueError, match="singular"):
+                invert(m)
+        else:
+            inv = invert(m)
+            assert [list(r) for r in inv.data] == [r[n:] for r in inv_rows]
+            _assert_fraction_entries(inv)
+    return "solved"
+
+
+def test_elimination_matches_the_fraction_loops():
+    rng = random.Random(21)
+    outcomes = []
+    for m in _elimination_cases(rng):
+        rhs = [_rand_entry(rng, 0.8) for _ in range(m.rows)]
+        outcomes.append(_check_against_reference(m, rhs))
+        # a right hand side in the column space is always solvable
+        hidden = _rand_fraction_mat(rng, m.cols, 1, 0.8)
+        outcomes.append(_check_against_reference(m, (m * hidden).column(0)))
+    assert "inconsistent" in outcomes and "solved" in outcomes
+
+
+@pytest.mark.parametrize("bad", [1, 0.5, DualRat(1)])
+def test_elimination_refuses_non_fraction_entries(bad):
+    m = Mat([[Fraction(1), bad], [Fraction(0), Fraction(1)]])
+    for fn in (det, invert, rank_kernel):
+        with pytest.raises(TypeError, match="Fraction entries"):
+            fn(m)
+    with pytest.raises(TypeError, match="Fraction entries"):
+        solve_linear(m, Mat.col([Fraction(1), Fraction(1)]))
+    with pytest.raises(TypeError, match="Fraction entries"):
+        solve_linear(Mat.identity(2), Mat.col([Fraction(1), bad]))
+
+
+def test_elimination_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(m):
+        return sympy.Matrix([[sympy.Rational(e.numerator, e.denominator)
+                              for e in r] for r in m.data])
+
+    def from_sympy(v):
+        return [Fraction(int(e.p), int(e.q)) for e in v]
+
+    rng = random.Random(23)
+    for m in _elimination_cases(rng)[:150]:
+        s = to_sympy(m)
+        rank, kernel = rank_kernel(m)
+        assert rank == s.rank()
+        assert [list(v.column(0)) for v in kernel] == [
+            from_sympy(v) for v in s.nullspace()]
+        rhs = Mat.col([_rand_entry(rng, 0.8) for _ in range(m.rows)])
+        red, pivots = s.row_join(to_sympy(rhs)).rref()
+        x = solve_linear(m, rhs)
+        if m.cols in pivots:
+            assert x is None
+        else:
+            expected = [Fraction(0)] * m.cols
+            for pr, pc in enumerate(pivots):
+                expected[pc] = from_sympy([red[pr, m.cols]])[0]
+            assert list(x.column(0)) == expected
+        if m.rows == m.cols:
+            assert det(m) == from_sympy([s.det()])[0]
+            if rank == m.rows:
+                assert [list(r) for r in invert(m).data] == [
+                    from_sympy(s.inv().row(i)) for i in range(m.rows)]

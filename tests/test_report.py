@@ -148,6 +148,7 @@ def test_cli_usage_errors():
     (["--steps", "1"], "steps must be at least 2"),
     (["--t-min", "abc"], "Invalid literal for Fraction: 'abc'"),
     (["--t-max", "1/0/2"], "Invalid literal for Fraction: '1/0/2'"),
+    (["--t-max", "1/0"], "q != 0: Fraction(1, 0)"),
 ])
 def test_cli_export_errors_come_before_any_work(tmp_path, capsys, bad,
                                                 message):

@@ -152,6 +152,18 @@ def test_equivariance_rejects_non_orthogonal_c():
         equivariance_checks(sig, 2 * Mat.identity(3), Mat.identity(2), x, x)
 
 
+@pytest.mark.parametrize("cls", [G0Element, QGroupElement])
+def test_group_elements_reject_singular_b_and_non_orthogonal_c(cls):
+    sig = Signature(2, 1)
+    singular = Mat([[1, 2], [2, 4]]).map(Fraction)
+    with pytest.raises(ValueError, match="B must be invertible"):
+        cls(sig, singular, Mat.identity(3))
+    with pytest.raises(ValueError, match="C is not orthogonal"):
+        cls(sig, Mat.identity(2), 2 * Mat.identity(3))
+    flip = Mat.diag([Fraction(1), Fraction(-1), Fraction(1)])
+    assert cls(sig, Mat.identity(2), flip).C == flip
+
+
 def test_rank_one_bracket_closed_form():
     rng = random.Random(16)
     for sig in SIGS:
