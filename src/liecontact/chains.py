@@ -363,13 +363,17 @@ def _normalized_span(span: Mat):
 
 def emit_trajectory(sig: Signature, g: Mat | None, t_min, t_max,
                     steps: int):
-    """Samples the chain on an even rational grid and returns float rows
-    (t, then the normalized span entries row-major). The span is exact
-    until the final cast, so isotropy residuals are float noise only."""
+    """Samples the chain on an even rational grid from t_min up to t_max
+    (ValueError unless t_min < t_max) and returns float rows (t, then the
+    normalized span entries row-major). The span is exact until the final
+    cast, so isotropy residuals are float noise only."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
     t0 = rat(t_min)
     t1 = rat(t_max)
+    if t0 >= t1:
+        raise ValueError("t_min must be less than t_max, got %s and %s"
+                         % (t0, t1))
     curve = ChainCurve(sig, g)
     rows = []
     for k in range(steps):

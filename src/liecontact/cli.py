@@ -89,6 +89,9 @@ def main(argv=None) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             parser.error("--t-min and --t-max must be rationals p/q with "
                          "q != 0: %s" % exc)
+        if t_min >= t_max:
+            parser.error("--t-min must be less than --t-max, got %s and %s"
+                         % (t_min, t_max))
     ok = True
     if args.suite:
         try:

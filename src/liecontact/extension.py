@@ -195,7 +195,14 @@ def psi_gq(x: SoElement, y: SoElement) -> SlElement:
     """[alpha(x), alpha(y)] - alpha([x, y]); insensitive to shifts of either
     argument by A-, D- or w-directions, which is what makes the factorized
     map below well defined."""
-    return sl_bracket(alpha(x), alpha(y)) - alpha(bracket(x, y))
+    return _psi(x, y, alpha(x), alpha(y))
+
+
+def _psi(x: SoElement, y: SoElement, ax: SlElement,
+         ay: SlElement) -> SlElement:
+    """Psi(x, y) given ax = alpha(x) and ay = alpha(y): the one formula
+    behind `psi_gq` and the obstruction cochain."""
+    return sl_bracket(ax, ay) - alpha(bracket(x, y))
 
 
 def psi_alpha(sig: Signature, z1: SlElement, z2: SlElement) -> SlElement:
@@ -344,13 +351,14 @@ class Cochain1:
 def build_psi_cochain(sig: Signature) -> Cochain2:
     """The obstruction cochain: Psi on every basis pair a < b, evaluated
     once per signature. The support, equivariance and normality checks all
-    read this one cached table."""
+    read this one cached table. Each lift is mapped by alpha once."""
     basis = sl_neg_basis(sig.n)
     lifts = [hat_lift(sig, zb) for zb in basis]
+    images = [alpha(x) for x in lifts]
     table = {}
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
-            v = psi_gq(lifts[a], lifts[b])
+            v = _psi(lifts[a], lifts[b], images[a], images[b])
             if not v.is_zero():
                 table[(a, b)] = v
     return Cochain2(sig.n, table)

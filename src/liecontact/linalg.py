@@ -19,6 +19,16 @@ Commutators have one integer loop, `_commutator_rows`. `commutator` runs it
 on the scaled rows of two matrices, and `structure_table` runs it on every
 pair of an integer basis to build the structure-constant table of either
 algebra (so(p+2, q+2) and sl(2n+2)) that `jacobi_failures` checks.
+
+The linear operations `+`, `-`, unary `-` and scalar `*` skip exact zeros,
+which most entries of the package's matrices are. Where both entries of a
+sum or difference are Fractions and one is zero, the result is the other
+entry (or its negation) without any Fraction arithmetic; unary `-` keeps
+a zero Fraction entry as it is, and a Fraction or int scalar times a zero
+Fraction entry gives the shared zero. Every other entry (float, `DualRat`,
+int, or a Fraction beside one of those) and every other scalar type take
+the plain arithmetic, so result types, signed float zeros, inf and nan
+are exactly what the entrywise operation gives.
 """
 
 from __future__ import annotations
@@ -201,16 +211,17 @@ class Mat:
 
     def __add__(self, other):
         _same_shape(self, other)
-        return Mat([[a + b for a, b in zip(ra, rb)]
+        return Mat([map(_plus, ra, rb)
                     for ra, rb in zip(self.data, other.data)])
 
     def __sub__(self, other):
         _same_shape(self, other)
-        return Mat([[a - b for a, b in zip(ra, rb)]
+        return Mat([map(_minus, ra, rb)
                     for ra, rb in zip(self.data, other.data)])
 
     def __neg__(self):
-        return Mat([[-a for a in r] for r in self.data])
+        return Mat([[a if type(a) is Fraction and not a else -a for a in r]
+                    for r in self.data])
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -229,9 +240,13 @@ class Mat:
                 return _from_ints(out, da * db)
             cols = [other.column(j) for j in range(other.cols)]
             return Mat([[_dot(r, c) for c in cols] for r in self.data])
+        if type(other) in _EXACT_SCALARS:
+            return _scale(self, other)
         return Mat([[a * other for a in r] for r in self.data])
 
     def __rmul__(self, scalar):
+        if type(scalar) in _EXACT_SCALARS:
+            return _scale(self, scalar)
         return Mat([[scalar * a for a in r] for r in self.data])
 
     @property
@@ -272,6 +287,41 @@ def _same_shape(a, b):
                          % (a.rows, a.cols, b.rows, b.cols))
 
 
+# Entrywise linear operations that skip exact zeros (module docstring).
+# _ZERO is the kernel's shared zero, here and in the product kernel below.
+
+_ZERO = Fraction(0)
+_EXACT_SCALARS = (Fraction, int)
+
+
+def _plus(a, b):
+    """a + b, or the other entry when both are Fractions and one is zero."""
+    if type(a) is Fraction is type(b):
+        if not a:
+            return b
+        if not b:
+            return a
+    return a + b
+
+
+def _minus(a, b):
+    """a - b, or a or -b when both are Fractions and one is zero."""
+    if type(a) is Fraction is type(b):
+        if not b:
+            return a
+        if not a:
+            return -b
+    return a - b
+
+
+def _scale(m: Mat, s) -> Mat:
+    """s * m for a Fraction or int scalar s; a zero Fraction entry gives
+    the shared zero. s * a = a * s for these scalars, so one helper serves
+    both sides."""
+    return Mat([[_ZERO if type(a) is Fraction and not a else s * a for a in r]
+                for r in m.data])
+
+
 def _dot(r, c):
     acc = r[0] * c[0]
     for a, b in zip(r[1:], c[1:]):
@@ -285,8 +335,6 @@ def _dot(r, c):
 # product costs one Python int multiply-add per pair of nonzero entries
 # that meet and one Fraction per nonzero output entry. Any other element
 # type (float, DualRat, int, a mix) takes the entrywise `_dot` path.
-
-_ZERO = Fraction(0)
 
 
 def _scaled_rows(m: Mat):
@@ -531,22 +579,36 @@ def jacobi_failures(table, dim: int) -> int:
     identity fails for the structure-constant table, a mapping
     (a, b) -> {c: coeff} (as `structure_table` builds it) with
     [x_a, x_b] = sum coeff * x_c over a basis of size dim (missing pairs
-    bracket to zero)."""
+    bracket to zero).
+
+    The table must be antisymmetric, (b, a) = -(a, b) for every key, else
+    ValueError names the first key that breaks it. The Jacobiator of an
+    antisymmetric bracket is then totally antisymmetric, term by term: it
+    vanishes on a triple with a repeated index, and the six orders of
+    a < b < c give it up to sign. So each such triple is evaluated once
+    and a failure counts 6."""
+    empty = {}
+    for (a, b), coeffs in table.items():
+        reverse = table.get((b, a), empty)
+        if ({c: -v for c, v in coeffs.items() if v}
+                != {c: v for c, v in reverse.items() if v}):
+            raise ValueError("structure-constant table is not antisymmetric "
+                             "at the pair %r" % ((a, b),))
+
+    def nested(i, j, k, acc):
+        # acc += the coordinates of [[x_i, x_j], x_k]
+        for e, v in table.get((i, j), empty).items():
+            for f, u in table.get((e, k), empty).items():
+                acc[f] = acc.get(f, 0) + v * u
+
     failures = 0
     for a in range(dim):
-        for b in range(dim):
-            tab_ab = table.get((a, b), {})
-            for c in range(dim):
+        for b in range(a + 1, dim):
+            for c in range(b + 1, dim):
                 acc = {}
-                for e, v in tab_ab.items():
-                    for f, u in table.get((e, c), {}).items():
-                        acc[f] = acc.get(f, 0) + v * u
-                for e, v in table.get((b, c), {}).items():
-                    for f, u in table.get((e, a), {}).items():
-                        acc[f] = acc.get(f, 0) + v * u
-                for e, v in table.get((c, a), {}).items():
-                    for f, u in table.get((e, b), {}).items():
-                        acc[f] = acc.get(f, 0) + v * u
-                if any(val != 0 for val in acc.values()):
-                    failures += 1
+                nested(a, b, c, acc)
+                nested(b, c, a, acc)
+                nested(c, a, b, acc)
+                if any(acc.values()):
+                    failures += 6
     return failures

@@ -105,7 +105,7 @@ def _is_so_pq(sig: Signature, d: Mat) -> bool:
 class SoElement:
     """Element of so(p+2, q+2) stored by blocks. Immutable."""
 
-    __slots__ = ("sig", "z", "X", "A", "D", "U", "w")
+    __slots__ = ("sig", "z", "X", "A", "D", "U", "w", "_matrix")
 
     def __init__(self, sig: Signature, z=0, X: Mat | None = None,
                  A: Mat | None = None, D: Mat | None = None,
@@ -132,6 +132,7 @@ class SoElement:
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "w", rat(w))
+        object.__setattr__(self, "_matrix", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SoElement is immutable")
@@ -145,17 +146,21 @@ class SoElement:
         return cls(sig, z=1)
 
     def assemble(self) -> Mat:
-        sig = self.sig
-        ipq = sig.ipq()
-        return Mat.block([
-            [self.A, self.U, self.w * J2],
-            [self.X, self.D, ipq * self.U.T],
-            [self.z * J2, self.X.T * ipq, -self.A.T],
-        ])
+        """The matrix of the module docstring. The element is immutable, so
+        it is built on the first call and kept in a slot of this element."""
+        if self._matrix is None:
+            ipq = self.sig.ipq()
+            object.__setattr__(self, "_matrix", Mat.block([
+                [self.A, self.U, self.w * J2],
+                [self.X, self.D, ipq * self.U.T],
+                [self.z * J2, self.X.T * ipq, -self.A.T],
+            ]))
+        return self._matrix
 
     @classmethod
     def from_matrix(cls, sig: Signature, m: Mat) -> "SoElement":
-        """Decompose an (n+4)x(n+4) matrix, checking every redundant block."""
+        """Decompose an (n+4)x(n+4) matrix, checking every redundant block.
+        The check assembles the new element, which keeps that matrix."""
         n = sig.n
         if m.rows != n + 4 or m.cols != n + 4:
             raise ValueError("expected a %dx%d matrix" % (n + 4, n + 4))

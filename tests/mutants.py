@@ -49,6 +49,16 @@ PRODUCT = (T_LINALG + "test_kernel_product_matches_triple_loop",
            T_LINALG + "test_kernel_commutator_matches_reference")
 G0_TESTS = (T_SO + "test_group_elements_reject_singular_b_and_"
             "non_orthogonal_c",)
+LINEAR = (T_LINALG + "test_linear_operations_match_the_entrywise_reference",
+          T_LINALG + "test_scalar_products_match_the_entrywise_reference")
+JACOBI = (T_LINALG + "test_jacobi_failures_match_the_ordered_triple_loop",
+          T_LINALG + "test_jacobi_failures_refuse_a_table_that_is_not_"
+          "antisymmetric")
+EXP = (T_LINALG + "test_exp_nilpotent_matches_the_explicit_sum",)
+SO_PQ = (T_SO + "test_entrywise_so_pq_test_matches_the_product_form",
+         T_SO + "test_so_element_rejects_bad_middle_block")
+EXPORT_ERRORS = ("tests/test_report.py::"
+                 "test_cli_export_errors_come_before_any_work",)
 
 MUTANTS = (
     # the fraction-free elimination
@@ -84,6 +94,70 @@ MUTANTS = (
     Mutant("product: drop the division by d", LINALG,
            "Fraction(x, d) if x else _ZERO", "Fraction(x) if x else _ZERO",
            PRODUCT),
+    # the linear operations that skip exact zeros
+    Mutant("sum: 0 + b gives the zero, not b", LINALG,
+           "if not a:\n            return b", "if not a:\n            return a",
+           LINEAR),
+    Mutant("difference: 0 - b gives b, not -b", LINALG,
+           "return -b", "return b", LINEAR),
+    Mutant("sum: zero skip applied to floats", LINALG,
+           "the other entry when both are Fractions and one is zero.\"\"\"\n"
+           "    if type(a) is Fraction is type(b):",
+           "the other entry when both are Fractions and one is zero.\"\"\"\n"
+           "    if {type(a), type(b)} <= {Fraction, float}:",
+           LINEAR),
+    Mutant("negation: zero skip applied to floats", LINALG,
+           "a if type(a) is Fraction and not a else -a",
+           "a if not a else -a", LINEAR),
+    Mutant("scalar product: zero skip applied to float scalars", LINALG,
+           "_EXACT_SCALARS = (Fraction, int)",
+           "_EXACT_SCALARS = (Fraction, int, float)", LINEAR),
+    Mutant("scalar product: zero skip applied to float entries", LINALG,
+           "_ZERO if type(a) is Fraction and not a else s * a",
+           "_ZERO if not a else s * a", LINEAR),
+    # the Jacobi checker on unordered triples
+    Mutant("jacobi: drop the antisymmetry check", LINALG,
+           "!= {c: v for c, v in reverse.items() if v}):",
+           "!= {c: v for c, v in reverse.items() if v}) and False:", JACOBI),
+    Mutant("jacobi: weight 1 for a failing unordered triple", LINALG,
+           "failures += 6", "failures += 1", JACOBI),
+    # the nilpotent exponential
+    Mutant("exp_nilpotent: 1/j for 1/j!", LINALG,
+           "Fraction(1, math.factorial(j))", "Fraction(1, j)", EXP),
+    Mutant("exp_nilpotent: one power beyond the stated bound", LINALG,
+           "for _ in range(nilpotency_bound):",
+           "for _ in range(nilpotency_bound + 1):",
+           EXP + (T_LINALG + "test_exp_nilpotent_bound_zero_always_raises",)),
+    # the so(p, q) test and the per-element matrix
+    Mutant("so(p,q): skip the diagonal", "liecontact/so_contact.py",
+           "for j in range(i, sig.n))", "for j in range(i + 1, sig.n))",
+           SO_PQ),
+    Mutant("so(p,q): wrong sign between the mirrored entries",
+           "liecontact/so_contact.py",
+           "signs[i] * rows[i][j] + signs[j] * rows[j][i] == 0",
+           "signs[i] * rows[i][j] - signs[j] * rows[j][i] == 0", SO_PQ),
+    Mutant("assemble: one memo shared by every element",
+           "liecontact/so_contact.py",
+           "return self._matrix",
+           "return SoElement.assemble.__dict__.setdefault(\"m\", "
+           "self._matrix)",
+           (T_SO + "test_assemble_builds_one_matrix_per_element",)),
+    # the obstruction cochain
+    Mutant("cochain: alpha images of the pair swapped",
+           "liecontact/extension.py",
+           "images[a], images[b])", "images[b], images[a])",
+           ("tests/test_extension.py::"
+            "test_obstruction_cochain_matches_psi_on_every_pair",)),
+    # the chain generator
+    Mutant("chain_matrix: no E^2 = 0 check", "liecontact/chains.py",
+           "if not (e * e).is_zero():", "if False:",
+           ("tests/test_chains.py::test_chain_matrix_rejects_a_generator_"
+            "that_does_not_square_to_zero",)),
+    Mutant("emit_trajectory: accept an empty or descending range",
+           "liecontact/chains.py",
+           "if t0 >= t1:", "if False:",
+           ("tests/test_chains.py::"
+            "test_emit_trajectory_needs_an_increasing_range",)),
     # the group-element checks and the CLI
     Mutant("G0: skip the invertibility check", "liecontact/so_contact.py",
            "if det(b) == 0:", "if False:", G0_TESTS),
@@ -93,9 +167,9 @@ MUTANTS = (
     Mutant("cli: a zero denominator in --t-max escapes as a traceback",
            "liecontact/cli.py",
            "except (ValueError, ZeroDivisionError) as exc:",
-           "except ValueError as exc:",
-           ("tests/test_report.py::"
-            "test_cli_export_errors_come_before_any_work",)),
+           "except ValueError as exc:", EXPORT_ERRORS),
+    Mutant("cli: no check that --t-min < --t-max", "liecontact/cli.py",
+           "if t_min >= t_max:", "if False:", EXPORT_ERRORS),
 )
 
 PIVOT_SEARCH = "next((i for i in range(r, len(out)) if out[i][c]), None)"

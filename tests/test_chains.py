@@ -396,6 +396,13 @@ def test_emit_trajectory_shape_and_validation():
     assert all(len(r) == 1 + 2 * 7 for r in rows)
 
 
+def test_emit_trajectory_needs_an_increasing_range():
+    sig = Signature(2, 1)
+    for t_min, t_max in ((1, 1), (2, 1), (Fraction(1, 2), Fraction(-3, 2))):
+        with pytest.raises(ValueError, match="t_min must be less than t_max"):
+            emit_trajectory(sig, None, t_min, t_max, 5)
+
+
 def test_emit_trajectory_identity_row():
     sig = Signature(2, 1)
     rows = emit_trajectory(sig, None, 0, 1, 2)

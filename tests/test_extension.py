@@ -405,6 +405,16 @@ def test_obstruction_cochain_is_cached_and_read_only():
     assert list(phi.table) == sorted(phi.table)
 
 
+@pytest.mark.parametrize("p,q", [(2, 1), (2, 2), (3, 3)])
+def test_obstruction_cochain_matches_psi_on_every_pair(p, q):
+    sig = Signature(p, q)
+    phi = build_psi_cochain(sig)
+    lifts = [hat_lift(sig, zb) for zb in sl_neg_basis(sig.n)]
+    for a in range(len(lifts)):
+        for b in range(a + 1, len(lifts)):
+            assert phi.value(a, b) == psi_gq(lifts[a], lifts[b]), (a, b)
+
+
 def test_obstruction_cochain_is_normal():
     for sig in SIGS:
         phi = build_psi_cochain(sig)

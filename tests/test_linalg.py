@@ -306,6 +306,10 @@ def test_kernel_rejects_shape_mismatch():
         Mat.identity(2) * Mat.identity(3)
     with pytest.raises(ValueError, match="shape mismatch"):
         commutator(Mat.zeros(2, 3), Mat.zeros(3, 2))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat.zeros(2, 2) + Mat.zeros(2, 3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat.zeros(2, 2) - Mat.zeros(3, 2)
 
 
 def _signed(m):
@@ -343,6 +347,86 @@ def test_dual_and_mixed_products_are_unchanged():
     assert all(type(e) is int for r in (ints * ints).data for e in r)
 
 
+# ---------------------------------------------------------------------------
+# the zero-skipping linear operations against the entrywise reference
+
+
+def _key(x):
+    # type and repr tell apart 0 from Fraction(0), 0.0 from -0.0, and nan
+    return type(x), repr(x)
+
+
+def _entrywise(m, fn):
+    return [[_key(fn(a)) for a in r] for r in m.data]
+
+
+def _pairwise(a, b, fn):
+    return [[_key(fn(x, y)) for x, y in zip(ra, rb)]
+            for ra, rb in zip(a.data, b.data)]
+
+
+def _keys(m):
+    return [[_key(x) for x in r] for r in m.data]
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan)
+
+
+def _rand_linear_operand(rng, kind, rows, cols):
+    def entry():
+        if kind == "fraction":
+            return _rand_entry(rng, 0.4)
+        if kind == "int":
+            return rng.choice((0, 0, 1, -3))
+        if kind == "float":
+            return rng.choice(_SPECIAL_FLOATS)
+        if kind == "dual":
+            return DualRat(rng.choice((0, 0, 2)), rng.choice((0, 1)))
+        return rng.choice((Fraction(0), Fraction(0), Fraction(-5, 3), 0, 2,
+                           0.0, -0.0, math.nan))
+    return Mat([[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+_LINEAR_KINDS = ("fraction", "int", "float", "dual", "mixed")
+# a DualRat cannot meet a float, so those pairs are left out
+_LINEAR_PAIRS = [(ka, kb) for ka in _LINEAR_KINDS for kb in _LINEAR_KINDS
+                 if "dual" not in (ka, kb)
+                 or {ka, kb} <= {"fraction", "int", "dual"}]
+
+
+@pytest.mark.parametrize("kind_a,kind_b", _LINEAR_PAIRS)
+def test_linear_operations_match_the_entrywise_reference(kind_a, kind_b):
+    rng = random.Random(_LINEAR_KINDS.index(kind_a) * 5
+                        + _LINEAR_KINDS.index(kind_b))
+    for _ in range(10):
+        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+        a = _rand_linear_operand(rng, kind_a, rows, cols)
+        b = _rand_linear_operand(rng, kind_b, rows, cols)
+        assert _keys(a + b) == _pairwise(a, b, lambda x, y: x + y)
+        assert _keys(a - b) == _pairwise(a, b, lambda x, y: x - y)
+        assert _keys(-a) == _entrywise(a, lambda x: -x)
+
+
+_SCALARS = (Fraction(0), Fraction(-7, 2), 0, 3, -1, True, 0.0, -0.0, 2.5,
+            -1.0, math.inf, math.nan)
+
+
+@pytest.mark.parametrize("kind", _LINEAR_KINDS)
+def test_scalar_products_match_the_entrywise_reference(kind):
+    rng = random.Random(_LINEAR_KINDS.index(kind) + 40)
+    for _ in range(6):
+        m = _rand_linear_operand(rng, kind, rng.randrange(1, 5),
+                                 rng.randrange(1, 5))
+        for s in _SCALARS:
+            if kind == "dual" and type(s) is float:
+                continue
+            assert _keys(m * s) == _entrywise(m, lambda x: x * s)
+            assert _keys(s * m) == _entrywise(m, lambda x: s * x)
+        dual = DualRat(Fraction(1, 2), 3)
+        if kind in ("fraction", "int", "dual"):
+            assert _keys(m * dual) == _entrywise(m, lambda x: x * dual)
+
+
 def test_jacobi_failures_on_sl2_tables():
     # basis (e, f, h): [e, f] = h, [h, e] = 2e, [h, f] = -2f
     def table(he):
@@ -354,6 +438,69 @@ def test_jacobi_failures_on_sl2_tables():
 
     assert jacobi_failures(table(2), 3) == 0
     assert jacobi_failures(table(3), 3) > 0
+
+
+def _ordered_jacobi_failures(table, dim):
+    # the ordered triple loop that jacobi_failures replaced, kept as its
+    # oracle: every (a, b, c) in dim^3, each evaluated on its own
+    failures = 0
+    for a in range(dim):
+        for b in range(dim):
+            tab_ab = table.get((a, b), {})
+            for c in range(dim):
+                acc = {}
+                for e, v in tab_ab.items():
+                    for f, u in table.get((e, c), {}).items():
+                        acc[f] = acc.get(f, 0) + v * u
+                for e, v in table.get((b, c), {}).items():
+                    for f, u in table.get((e, a), {}).items():
+                        acc[f] = acc.get(f, 0) + v * u
+                for e, v in table.get((c, a), {}).items():
+                    for f, u in table.get((e, b), {}).items():
+                        acc[f] = acc.get(f, 0) + v * u
+                if any(val != 0 for val in acc.values()):
+                    failures += 1
+    return failures
+
+
+def _rand_antisymmetric_table(rng, dim):
+    table = {}
+    for a in range(dim):
+        if rng.random() < 0.2:
+            table[(a, a)] = {}  # an explicit empty diagonal is allowed
+        for b in range(a + 1, dim):
+            if rng.random() < 0.3:
+                continue
+            coeffs = {c: rng.choice((-2, -1, 1, 3, Fraction(1, 2)))
+                      for c in rng.sample(range(dim), rng.randrange(0, 3))}
+            if coeffs and rng.random() < 0.2:
+                coeffs[next(iter(coeffs))] = 0  # a stored zero coefficient
+            table[(a, b)] = coeffs
+            table[(b, a)] = {c: -v for c, v in coeffs.items()}
+    return table
+
+
+def test_jacobi_failures_match_the_ordered_triple_loop():
+    rng = random.Random(12)
+    failing = 0
+    for _ in range(300):
+        dim = rng.randrange(1, 7)
+        table = _rand_antisymmetric_table(rng, dim)
+        expected = _ordered_jacobi_failures(table, dim)
+        assert jacobi_failures(table, dim) == expected
+        failing += expected > 0
+    assert failing > 150
+
+
+def test_jacobi_failures_refuse_a_table_that_is_not_antisymmetric():
+    with pytest.raises(ValueError, match=r"at the pair \(0, 1\)"):
+        jacobi_failures({(0, 1): {2: 1}}, 3)
+    with pytest.raises(ValueError, match=r"at the pair \(2, 0\)"):
+        jacobi_failures({(2, 0): {0: 2}, (0, 2): {0: 2}}, 3)
+    with pytest.raises(ValueError, match=r"at the pair \(1, 1\)"):
+        jacobi_failures({(1, 1): {0: 1}}, 3)
+    # zero coefficients do not count, stored or missing
+    assert jacobi_failures({(0, 1): {2: 0}, (1, 0): {}}, 3) == 0
 
 
 def test_structure_table_on_sl2():

@@ -149,6 +149,10 @@ def test_cli_usage_errors():
     (["--t-min", "abc"], "Invalid literal for Fraction: 'abc'"),
     (["--t-max", "1/0/2"], "Invalid literal for Fraction: '1/0/2'"),
     (["--t-max", "1/0"], "q != 0: Fraction(1, 0)"),
+    (["--t-min", "1", "--t-max", "1"],
+     "--t-min must be less than --t-max, got 1 and 1"),
+    (["--t-min", "2", "--t-max", "1/2"],
+     "--t-min must be less than --t-max, got 2 and 1/2"),
 ])
 def test_cli_export_errors_come_before_any_work(tmp_path, capsys, bad,
                                                 message):

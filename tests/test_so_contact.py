@@ -91,6 +91,37 @@ def test_assemble_from_matrix_round_trip():
             assert SoElement.from_matrix(sig, x.assemble()) == x
 
 
+def _block_assembly(x):
+    # the assembled matrix of the module docstring, built here on its own
+    ipq = x.sig.ipq()
+    j2 = Mat([[0, 1], [-1, 0]]).map(Fraction)
+    return Mat.block([[x.A, x.U, x.w * j2],
+                      [x.X, x.D, ipq * x.U.T],
+                      [x.z * j2, x.X.T * ipq, -1 * x.A.T]])
+
+
+def test_assemble_builds_one_matrix_per_element():
+    rng = random.Random(12)
+    for sig in SIGS:
+        xs = [samplers.rand_so_element(sig, rng) for _ in range(6)]
+        xs += [SoElement.generator_e(sig), SoElement.zero(sig)]
+        for x in xs:
+            m = x.assemble()
+            assert x.assemble() is m
+            assert m == _block_assembly(x)
+        # equal elements keep their own matrices: no memo is shared
+        twin = SoElement(sig, z=xs[0].z, X=xs[0].X, A=xs[0].A, D=xs[0].D,
+                         U=xs[0].U, w=xs[0].w)
+        assert twin == xs[0] and twin.assemble() is not xs[0].assemble()
+        # an element built from a matrix keeps the matrix it was checked
+        # against, which is its own
+        for x in reversed(xs):
+            y = SoElement.from_matrix(sig, x.assemble())
+            assert y.assemble() is y.assemble()
+            assert y.assemble() == x.assemble() == _block_assembly(y)
+            assert y.assemble() is not x.assemble()
+
+
 def test_bracket_antisymmetry_and_signature_guard():
     sig = Signature(2, 1)
     rng = random.Random(12)
