@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 
@@ -80,8 +81,13 @@ def main(argv=None) -> int:
         sig = Signature(args.p, args.q)
     except ValueError as exc:
         parser.error(str(exc))
+    # usage errors come before any suite runs or any file is written
+    for flag, path in (("--out", args.out),
+                       ("--export-chain", args.export_chain)):
+        folder = os.path.dirname(path) if path else ""
+        if folder and not os.path.isdir(folder):
+            parser.error("%s: directory %s does not exist" % (flag, folder))
     if args.export_chain is not None:
-        # usage errors come before any suite runs or any file is written
         if args.steps < 2:
             parser.error("steps must be at least 2")
         try:

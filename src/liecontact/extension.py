@@ -41,35 +41,53 @@ HALF = Fraction(1, 2)
 
 
 def alpha(x: SoElement) -> SlElement:
+    """The matrix of the module docstring. Each entry costs at most one
+    product: the form signs s = +-1 enter as negations or as the constants
+    +-s/2, and an exact zero Fraction entry of X or U leaves the shared zero
+    in place."""
     sig = x.sig
     n = sig.n
-    signs = sig.signs()
     a, b = x.A[0, 0], x.A[0, 1]
     c, d = x.A[1, 0], x.A[1, 1]
     m = 2 * n + 2
-    rows = [[Fraction(0)] * m for _ in range(m)]
+    zero = Fraction(0)
+    rows = [[zero] * m for _ in range(m)]
     rows[0][0] = HALF * (a + d)
     rows[0][1] = -x.w
     rows[1][0] = x.z
     rows[1][1] = -HALF * (a + d)
-    for j in range(n):
-        rows[0][2 + j] = HALF * x.U[0, j]
-        rows[0][2 + n + j] = HALF * x.U[1, j]
-        rows[1][2 + j] = -HALF * signs[j] * x.X[j, 1]
-        rows[1][2 + n + j] = HALF * signs[j] * x.X[j, 0]
-    for i in range(n):
-        rows[2 + i][0] = x.X[i, 0]
-        rows[2 + n + i][0] = x.X[i, 1]
-        rows[2 + i][1] = -signs[i] * x.U[1, i]
-        rows[2 + n + i][1] = signs[i] * x.U[0, i]
-        rows[2 + i][2 + n + i] = -c
-        rows[2 + n + i][2 + i] = -b
-        for j in range(n):
-            rows[2 + i][2 + j] = x.D[i, j]
-            rows[2 + n + i][2 + n + j] = x.D[i, j]
-        rows[2 + i][2 + i] += HALF * (d - a)
-        rows[2 + n + i][2 + n + i] += HALF * (a - d)
+    top, mid = rows[0], rows[1]
+    minus_half, neg_b, neg_c = -HALF, -b, -c
+    shift0, shift1 = HALF * (d - a), HALF * (a - d)
+    for i, (s, u0, u1, (x0, x1)) in enumerate(zip(sig.signs(), *x.U.data,
+                                                   x.X.data)):
+        # the constants s/2 and -s/2
+        sh, msh = (HALF, minus_half) if s > 0 else (minus_half, HALF)
+        r0, r1 = rows[2 + i], rows[2 + n + i]
+        if not _exact_zero(u0):
+            top[2 + i] = HALF * u0
+            r1[1] = u0 if s > 0 else -u0
+        if not _exact_zero(u1):
+            top[2 + n + i] = HALF * u1
+            r0[1] = -u1 if s > 0 else u1
+        if not _exact_zero(x1):
+            mid[2 + i] = msh * x1
+        if not _exact_zero(x0):
+            mid[2 + n + i] = sh * x0
+        r0[0] = x0
+        r1[0] = x1
+        r0[2 + n + i] = neg_c
+        r1[2 + i] = neg_b
+        for j, e in enumerate(x.D.data[i]):
+            r0[2 + j] = e
+            r1[2 + n + j] = e
+        r0[2 + i] += shift0
+        r1[2 + n + i] += shift1
     return SlElement(n, Mat(rows))
+
+
+def _exact_zero(e) -> bool:
+    return type(e) is Fraction and not e
 
 
 def i_map(h: QGroupElement) -> Mat:
@@ -406,11 +424,10 @@ def curvature_report(phi: Cochain2) -> dict:
         if wv.is_zero():
             continue
         nonzero = True
-        for d in (-2, -1, 0, 1, 2):
-            if not wv.grade_project(d).is_zero():
-                homog.add(d - degrees[a] - degrees[b])
-                if d < 0:
-                    torsion_free = False
+        for d in wv.degrees():
+            homog.add(d - degrees[a] - degrees[b])
+            if d < 0:
+                torsion_free = False
     return {
         "homogeneities": sorted(homog),
         "torsion_free": torsion_free,

@@ -18,6 +18,8 @@ positive part.
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 from .linalg import Mat, commutator, jacobi_failures, rat, structure_table
@@ -41,6 +43,26 @@ def _slot_of(i: int, j: int, n: int) -> str:
     return "p1E" if (i, j) == (0, 1) else "p1V"
 
 
+@functools.cache
+def _slot_table(n: int):
+    """The `_slot_of` name of every entry position, as rows, built once per
+    n; the degree of a position is `_SLOT_DEGREE` of its name."""
+    m = 2 * n + 2
+    return tuple(tuple(_slot_of(i, j, n) for j in range(m)) for i in range(m))
+
+
+def _is_trace_free(mat: Mat) -> bool:
+    """mat.trace() == 0. A diagonal of Fractions is summed as integers over
+    the lcm of the denominators of its nonzero entries; any other entry
+    type takes Mat.trace()."""
+    diag = [r[i] for i, r in enumerate(mat.data)]
+    if any(type(e) is not Fraction for e in diag):
+        return mat.trace() == 0
+    diag = [e for e in diag if e]
+    d = math.lcm(*[e.denominator for e in diag])
+    return sum(e.numerator * (d // e.denominator) for e in diag) == 0
+
+
 class SlElement:
     """Trace-free (2n+2) x (2n+2) matrix with slot accessors."""
 
@@ -50,7 +72,7 @@ class SlElement:
         m = 2 * n + 2
         if mat.rows != m or mat.cols != m:
             raise ValueError("expected a %dx%d matrix" % (m, m))
-        if mat.trace() != 0:
+        if not _is_trace_free(mat):
             raise ValueError("matrix must be trace free")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mat", mat)
@@ -76,10 +98,16 @@ class SlElement:
     def grade_project(self, d: int) -> "SlElement":
         if d not in (-2, -1, 0, 1, 2):
             raise ValueError("degree must be in -2..2")
-        n = self.n
-        rows = [[e if _SLOT_DEGREE[_slot_of(i, j, n)] == d else Fraction(0)
-                 for j, e in enumerate(r)] for i, r in enumerate(self.mat.data)]
-        return SlElement(n, Mat(rows))
+        zero = Fraction(0)
+        rows = [[e if _SLOT_DEGREE[s] == d else zero for s, e in zip(sr, r)]
+                for sr, r in zip(_slot_table(self.n), self.mat.data)]
+        return SlElement(self.n, Mat(rows))
+
+    def degrees(self) -> set:
+        """The degrees of the slots that hold a nonzero entry."""
+        return {_SLOT_DEGREE[s]
+                for sr, r in zip(_slot_table(self.n), self.mat.data)
+                for s, e in zip(sr, r) if e != 0}
 
     # vector views
 
@@ -92,12 +120,9 @@ class SlElement:
 
     def in_slots(self, slots) -> bool:
         """True when every nonzero entry lies in one of the given slots."""
-        n = self.n
-        for i, r in enumerate(self.mat.data):
-            for j, e in enumerate(r):
-                if e != 0 and _slot_of(i, j, n) not in slots:
-                    return False
-        return True
+        return all(s in slots
+                   for sr, r in zip(_slot_table(self.n), self.mat.data)
+                   for s, e in zip(sr, r) if e != 0)
 
     def __add__(self, other):
         _check_n(self, other)

@@ -95,10 +95,12 @@ def inner(sig: Signature, u, v) -> Fraction:
 
 
 def _is_so_pq(sig: Signature, d: Mat) -> bool:
-    """D^t Ipq + Ipq D = 0, read entrywise: s_i D_ij + s_j D_ji = 0."""
+    """D^t Ipq + Ipq D = 0, read entrywise: D_ji = -s_i s_j D_ij. The signs
+    are +-1, so D_ji is compared with D_ij or its negation."""
     signs = sig.signs()
     rows = d.data
-    return all(signs[i] * rows[i][j] + signs[j] * rows[j][i] == 0
+    return all(rows[j][i] == (-rows[i][j] if signs[i] == signs[j]
+                              else rows[i][j])
                for i in range(sig.n) for j in range(i, sig.n))
 
 
@@ -147,36 +149,38 @@ class SoElement:
 
     def assemble(self) -> Mat:
         """The matrix of the module docstring. The element is immutable, so
-        it is built on the first call and kept in a slot of this element."""
+        it is built on the first call and kept in a slot of this element.
+        Ipq is +-1 on the diagonal, so Ipq*U^t and X^t*Ipq are U^t and X^t
+        with the rows, resp. columns, of negative sign negated."""
         if self._matrix is None:
-            ipq = self.sig.ipq()
+            signs = self.sig.signs()
+            ipq_ut = Mat([[e if s > 0 else -e for e in col]
+                          for s, col in zip(signs, zip(*self.U.data))])
+            xt_ipq = Mat([[e if s > 0 else -e for e, s in zip(col, signs)]
+                          for col in zip(*self.X.data)])
             object.__setattr__(self, "_matrix", Mat.block([
                 [self.A, self.U, self.w * J2],
-                [self.X, self.D, ipq * self.U.T],
-                [self.z * J2, self.X.T * ipq, -self.A.T],
+                [self.X, self.D, ipq_ut],
+                [self.z * J2, xt_ipq, -self.A.T],
             ]))
         return self._matrix
 
     @classmethod
     def from_matrix(cls, sig: Signature, m: Mat) -> "SoElement":
-        """Decompose an (n+4)x(n+4) matrix, checking every redundant block.
-        The check assembles the new element, which keeps that matrix."""
+        """Decompose an (n+4)x(n+4) matrix. The blocks A, U, X, D and the
+        entries z, w are read off, and every redundant entry is compared
+        with the one it repeats (`_block_mismatch`); the new element keeps
+        the checked matrix as its own."""
         n = sig.n
         if m.rows != n + 4 or m.cols != n + 4:
             raise ValueError("expected a %dx%d matrix" % (n + 4, n + 4))
-        ipq = sig.ipq()
-        a = m.submat(0, 2, 0, 2)
-        u = m.submat(0, 2, 2, n + 2)
-        wj = m.submat(0, 2, n + 2, n + 4)
-        x = m.submat(2, n + 2, 0, 2)
-        d = m.submat(2, n + 2, 2, n + 2)
-        zj = m.submat(n + 2, n + 4, 0, 2)
-        w = wj[0, 1]
-        z = zj[0, 1]
-        elt = cls(sig, z=z, X=x, A=a, D=d, U=u, w=w)
-        if m != elt.assemble():
+        elt = cls(sig, z=m[n + 2, 1], X=m.submat(2, n + 2, 0, 2),
+                  A=m.submat(0, 2, 0, 2), D=m.submat(2, n + 2, 2, n + 2),
+                  U=m.submat(0, 2, 2, n + 2), w=m[0, n + 3])
+        if _block_mismatch(sig, m.data):
             raise ValueError("matrix is not in the orthogonal algebra "
                              "of the standard form")
+        object.__setattr__(elt, "_matrix", m)
         return elt
 
     def __add__(self, other):
@@ -463,40 +467,68 @@ def structure_constants(sig: Signature):
                            functools.partial(_int_coordinates, sig))
 
 
-def _int_coordinates(sig: Signature, m):
-    """Integer coordinates of an assembled matrix, given as integer rows,
-    with consistency checks on all redundant blocks."""
+def _block_mismatch(sig: Signature, m):
+    """Which redundant block of the (n+4)x(n+4) matrix with rows m (exact
+    entries: ints or Fractions) disagrees with the block it repeats in the
+    assembled form of the module docstring, or None when every one agrees.
+    The blocks are w*J, z*J, -A^t, Ipq*U^t and X^t*Ipq, and D must lie in
+    so(p,q). The signs are +-1, so each test compares an entry with another
+    entry or its negation. The one check behind `SoElement.from_matrix`
+    and the structure-constant table."""
     n = sig.n
     signs = sig.signs()
-    size = n + 4
-    z = m[size - 2][1]
-    w = m[0][size - 2 + 1]
-    if (m[size - 2][0], m[size - 2][1], m[size - 1][0], m[size - 1][1]) != (0, z, -z, 0):
-        raise ValueError("z block is not a multiple of J")
-    if (m[0][size - 2], m[0][size - 1], m[1][size - 2], m[1][size - 1]) != (0, w, -w, 0):
-        raise ValueError("w block is not a multiple of J")
-    coords = [z]
+    lo = n + 2  # first row and column of the last block band
+    z = m[lo][1]
+    w = m[0][lo + 1]
+    if (m[lo][0], m[lo + 1][0], m[lo + 1][1]) != (0, -z, 0):
+        return "z block is not a multiple of J"
+    if (m[0][lo], m[1][lo], m[1][lo + 1]) != (0, -w, 0):
+        return "w block is not a multiple of J"
+    for i in range(2):
+        for j in range(2):
+            if m[lo + j][lo + i] != -m[i][j]:
+                return "lower-right block is not -A^t"
+    for i in range(n):
+        for j in range(i, n):
+            mirror = m[2 + i][2 + j]
+            if m[2 + j][2 + i] != (-mirror if signs[i] == signs[j]
+                                   else mirror):
+                return "middle block is not in so(p,q)"
+    for i in range(2):
+        for j, s in enumerate(signs):
+            u = m[i][2 + j]
+            if m[2 + j][lo + i] != (u if s > 0 else -u):
+                return "U companion block mismatch"
+            x = m[2 + j][i]
+            if m[lo + i][2 + j] != (x if s > 0 else -x):
+                return "X companion block mismatch"
+    return None
+
+
+def _int_coordinates(sig: Signature, m):
+    """Coordinates in the so_basis order of an assembled matrix given as
+    rows of exact entries (the integer rows of `linalg.structure_table`);
+    ValueError naming the first redundant block that `_block_mismatch`
+    finds inconsistent."""
+    bad = _block_mismatch(sig, m)
+    if bad:
+        raise ValueError(bad)
+    n = sig.n
+    signs = sig.signs()
+    coords = [m[n + 2][1]]
     for j in range(2):
         for i in range(n):
             coords.append(m[2 + i][j])
     for i in range(2):
         for j in range(2):
             coords.append(m[i][j])
-            if m[size - 2 + j][size - 2 + i] != -m[i][j]:
-                raise ValueError("lower-right block is not -A^t")
     for i in range(n):
-        for j in range(n):
-            lhs = m[2 + i][2 + j] * signs[i]
-            if lhs != -m[2 + j][2 + i] * signs[j]:
-                raise ValueError("middle block is not in so(p,q)")
-            if i < j:
-                coords.append(m[2 + i][2 + j] * signs[i])
+        for j in range(i + 1, n):
+            coords.append(m[2 + i][2 + j] * signs[i])
     for i in range(2):
         for j in range(n):
             coords.append(m[i][2 + j])
-            if m[2 + j][size - 2 + i] != signs[j] * m[i][2 + j]:
-                raise ValueError("U companion block mismatch")
-    coords.append(w)
+    coords.append(m[0][n + 3])
     return coords
 
 

@@ -59,6 +59,16 @@ SO_PQ = (T_SO + "test_entrywise_so_pq_test_matches_the_product_form",
          T_SO + "test_so_element_rejects_bad_middle_block")
 EXPORT_ERRORS = ("tests/test_report.py::"
                  "test_cli_export_errors_come_before_any_work",)
+SO = "liecontact/so_contact.py"
+EXT = "liecontact/extension.py"
+SL = "liecontact/path_sl.py"
+T_EXT = "tests/test_extension.py::"
+T_SL = "tests/test_path_sl.py::"
+ALPHA = (T_EXT + "test_alpha_matches_the_two_product_reference",)
+BLOCKS = (T_SO + "test_from_matrix_refuses_what_reassembly_refuses",
+          T_SO + "test_table_coordinates_refuse_every_corrupted_entry")
+SO_TABLE = (T_SO + "test_structure_constants_match_brackets",)
+SL_TABLE = (T_SL + "test_structure_constants_match_brackets",)
 
 MUTANTS = (
     # the fraction-free elimination
@@ -129,19 +139,76 @@ MUTANTS = (
            "for _ in range(nilpotency_bound + 1):",
            EXP + (T_LINALG + "test_exp_nilpotent_bound_zero_always_raises",)),
     # the so(p, q) test and the per-element matrix
-    Mutant("so(p,q): skip the diagonal", "liecontact/so_contact.py",
+    Mutant("so(p,q): skip the diagonal", SO,
            "for j in range(i, sig.n))", "for j in range(i + 1, sig.n))",
            SO_PQ),
-    Mutant("so(p,q): wrong sign between the mirrored entries",
-           "liecontact/so_contact.py",
-           "signs[i] * rows[i][j] + signs[j] * rows[j][i] == 0",
-           "signs[i] * rows[i][j] - signs[j] * rows[j][i] == 0", SO_PQ),
-    Mutant("assemble: one memo shared by every element",
-           "liecontact/so_contact.py",
+    Mutant("so(p,q): wrong sign between the mirrored entries", SO,
+           "(-rows[i][j] if signs[i] == signs[j]",
+           "(-rows[i][j] if signs[i] != signs[j]", SO_PQ),
+    Mutant("assemble: one memo shared by every element", SO,
            "return self._matrix",
            "return SoElement.assemble.__dict__.setdefault(\"m\", "
            "self._matrix)",
            (T_SO + "test_assemble_builds_one_matrix_per_element",)),
+    Mutant("assemble: Ipq*U^t without the sign flip", SO,
+           "[[e if s > 0 else -e for e in col]", "[[e for e in col]",
+           (T_SO + "test_assemble_matches_the_block_products",)),
+    Mutant("assemble: X^t*Ipq without the sign flip", SO,
+           "[[e if s > 0 else -e for e, s in zip(col, signs)]",
+           "[[e for e, s in zip(col, signs)]",
+           (T_SO + "test_assemble_matches_the_block_products",)),
+    # the one redundant-block check, behind from_matrix and the so table
+    Mutant("from_matrix: block check removed", SO,
+           "if _block_mismatch(sig, m.data):", "if False:", BLOCKS),
+    Mutant("block check: z block not compared", SO,
+           "!= (0, -z, 0):", "!= (0, -z, 0) and False:", BLOCKS),
+    Mutant("block check: D not tested for so(p,q)", SO,
+           "if m[2 + j][2 + i] != (-mirror", "if False and m[2 + j][2 + i] "
+           "!= (-mirror", BLOCKS),
+    Mutant("block check: U companion without the sign", SO,
+           "!= (u if s > 0 else -u):", "!= u:",
+           BLOCKS + (T_SO + "test_assemble_from_matrix_round_trip",)),
+    Mutant("block check: X companion not compared", SO,
+           "if m[lo + i][2 + j] != (x if s > 0 else -x):", "if False:",
+           BLOCKS),
+    # the structure-constant tables
+    Mutant("table: the reverse pair not negated", LINALG,
+           "{c: -v for c, v in sparse.items()})",
+           "{c: v for c, v in sparse.items()})",
+           SO_TABLE + (T_LINALG + "test_structure_table_on_sl2",)),
+    Mutant("table: basis matrices of another size accepted", LINALG,
+           "scaled = m.rows == m.cols == n and _scaled_rows(m)",
+           "scaled = _scaled_rows(m)",
+           (T_LINALG + "test_structure_table_needs_integer_square_matrices_"
+            "of_one_size",)),
+    Mutant("table: basis matrices with denominators accepted", LINALG,
+           "if not scaled or scaled[1] != 1:", "if not scaled:",
+           (T_LINALG + "test_structure_table_needs_integer_square_matrices_"
+            "of_one_size",)),
+    Mutant("so table: D coordinates without the form sign", SO,
+           "coords.append(m[2 + i][2 + j] * signs[i])",
+           "coords.append(m[2 + i][2 + j])", SO_TABLE),
+    Mutant("sl table: H coordinates without the prefix sums", SL,
+           "prefix += d", "prefix = d", SL_TABLE),
+    Mutant("sl table: basis units in transposed order", SL,
+           "[_unit(m, a, b) for a in range(m)",
+           "[_unit(m, b, a) for a in range(m)", SL_TABLE),
+    # the slot table, the trace check and alpha
+    Mutant("slot table: every slot read one column to the right", SL,
+           "_slot_of(i, j, n) for j in range(m)",
+           "_slot_of(i, j + 1, n) for j in range(m)",
+           (T_SL + "test_slot_table_reads_match_slot_of",)),
+    Mutant("trace check: numerators summed without the lcm scale", SL,
+           "sum(e.numerator * (d // e.denominator) for e in diag)",
+           "sum(e.numerator for e in diag)",
+           (T_SL + "test_trace_free_check_matches_the_trace",)),
+    Mutant("alpha: s*U_0 without the sign on negative forms", EXT,
+           "r1[1] = u0 if s > 0 else -u0", "r1[1] = u0", ALPHA),
+    Mutant("alpha: the halves +-s/2 swapped on negative forms", EXT,
+           "if s > 0 else (minus_half, HALF)",
+           "if s > 0 else (HALF, minus_half)", ALPHA),
+    Mutant("alpha: float zeros left as the shared Fraction zero", EXT,
+           "return type(e) is Fraction and not e", "return not e", ALPHA),
     # the obstruction cochain
     Mutant("cochain: alpha images of the pair swapped",
            "liecontact/extension.py",
@@ -153,6 +220,12 @@ MUTANTS = (
            "if not (e * e).is_zero():", "if False:",
            ("tests/test_chains.py::test_chain_matrix_rejects_a_generator_"
             "that_does_not_square_to_zero",)),
+    Mutant("ChainCurve.at: the frame's third and fourth columns",
+           "liecontact/chains.py",
+           "frame.submat(0, frame.rows, 0, 2)",
+           "frame.submat(0, frame.rows, 2, 4)",
+           ("tests/test_chains.py::test_chain_through_origin_has_linear_span",
+            "tests/test_chains.py::test_chain_equivariance")),
     Mutant("emit_trajectory: accept an empty or descending range",
            "liecontact/chains.py",
            "if t0 >= t1:", "if False:",
@@ -170,6 +243,11 @@ MUTANTS = (
            "except ValueError as exc:", EXPORT_ERRORS),
     Mutant("cli: no check that --t-min < --t-max", "liecontact/cli.py",
            "if t_min >= t_max:", "if False:", EXPORT_ERRORS),
+    Mutant("cli: no check that the output directories exist",
+           "liecontact/cli.py",
+           "if folder and not os.path.isdir(folder):", "if False:",
+           ("tests/test_report.py::test_cli_missing_output_directory_comes_"
+            "before_any_work",)),
 )
 
 PIVOT_SEARCH = "next((i for i in range(r, len(out)) if out[i][c]), None)"

@@ -17,12 +17,16 @@ from liecontact.extension import (Cochain2, alpha, alpha_restriction_matrix,
                                   psi_support_report, psi_trilinear,
                                   q_tangent_basis, r_block_path,
                                   symmetrized_reference)
-from liecontact.linalg import Mat, max_abs, solve_linear
+from liecontact.linalg import DualRat, Mat, max_abs, solve_linear
 from liecontact.path_sl import (SlElement, sl_bracket, sl_neg_basis,
                                 sl_neg_coordinates, sl_neg_slots, w0)
-from liecontact.so_contact import QGroupElement, Signature, SoElement, bracket
+from liecontact.so_contact import (QGroupElement, Signature, SoElement,
+                                   bracket, so_basis)
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
+# the oracle comparisons below run where the form has negative signs too
+ORACLE_SIGS = (Signature(2, 1), Signature(3, 0), Signature(1, 2),
+               Signature(2, 2), Signature(3, 3))
 
 
 def _diag2(a, d):
@@ -74,6 +78,77 @@ def test_alpha_is_equivariant_for_stabilizer_directions():
                 lhs = alpha(bracket(q, x))
                 rhs = sl_bracket(alpha(q), alpha(x))
                 assert lhs == rhs
+
+
+def _alpha_by_products(x):
+    # the entrywise reference: two Fraction products per entry, zeros too
+    sig = x.sig
+    n = sig.n
+    signs = sig.signs()
+    a, b = x.A[0, 0], x.A[0, 1]
+    c, d = x.A[1, 0], x.A[1, 1]
+    half = Fraction(1, 2)
+    m = 2 * n + 2
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    rows[0][0] = half * (a + d)
+    rows[0][1] = -x.w
+    rows[1][0] = x.z
+    rows[1][1] = -half * (a + d)
+    for j in range(n):
+        rows[0][2 + j] = half * x.U[0, j]
+        rows[0][2 + n + j] = half * x.U[1, j]
+        rows[1][2 + j] = -half * signs[j] * x.X[j, 1]
+        rows[1][2 + n + j] = half * signs[j] * x.X[j, 0]
+    for i in range(n):
+        rows[2 + i][0] = x.X[i, 0]
+        rows[2 + n + i][0] = x.X[i, 1]
+        rows[2 + i][1] = -signs[i] * x.U[1, i]
+        rows[2 + n + i][1] = signs[i] * x.U[0, i]
+        rows[2 + i][2 + n + i] = -c
+        rows[2 + n + i][2 + i] = -b
+        for j in range(n):
+            rows[2 + i][2 + j] = x.D[i, j]
+            rows[2 + n + i][2 + n + j] = x.D[i, j]
+        rows[2 + i][2 + i] += half * (d - a)
+        rows[2 + n + i][2 + n + i] += half * (a - d)
+    return Mat(rows)
+
+
+def _typed_entries(m):
+    return [(type(e), repr(e)) for r in m.data for e in r]
+
+
+def _oracle_elements(sig, rng):
+    # basis elements, graded pieces and dense elements: zero and nonzero
+    # entries of X and U on both sign branches
+    out = list(so_basis(sig))
+    for _ in range(4):
+        x = samplers.rand_so_element(sig, rng)
+        out += [x] + [x.grade(d) for d in (-2, -1, 0, 1, 2)]
+    return out
+
+
+@pytest.mark.parametrize("entries", ["Fraction", "int", "float", "DualRat"])
+def test_alpha_matches_the_two_product_reference(entries):
+    # 12 * e is an integer for the sampled entries, so float sums are exact
+    # and the trace check passes on every entry type
+    convert = {"Fraction": lambda e: e, "int": lambda e: int(12 * e),
+               "float": lambda e: float(12 * e),
+               "DualRat": lambda e: DualRat(e, 2 * e)}[entries]
+    rng = random.Random(58)
+    for sig in ORACLE_SIGS:
+        for x in _oracle_elements(sig, rng):
+            x = SoElement(sig, z=x.z, X=x.X.map(convert), A=x.A.map(convert),
+                          D=x.D.map(convert), U=x.U.map(convert), w=x.w)
+            got = alpha(x).mat
+            assert _typed_entries(got) == _typed_entries(
+                _alpha_by_products(x)), (sig, x)
+            if entries == "Fraction":
+                assert all(type(e) is Fraction for r in got.data for e in r)
+            if entries == "int":
+                n = sig.n
+                halved = [got[r, 2 + j] for r in (0, 1) for j in range(2 * n)]
+                assert all(type(e) is Fraction for e in halved)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +505,53 @@ def test_tampered_cochain_is_not_normal():
     assert key not in table
     table[key] = sl_neg_basis(n)[0]
     assert not is_normal(Cochain2(n, table))
+
+
+def _curvature_by_projections(phi):
+    # the reference: five grade projections of every value
+    degrees = [-2] * (2 * phi.n) + [-1] * (2 * phi.n + 1)
+    homog = set()
+    torsion_free = True
+    nonzero = False
+    for (a, b), wv in phi.table.items():
+        if wv.is_zero():
+            continue
+        nonzero = True
+        for d in (-2, -1, 0, 1, 2):
+            if not wv.grade_project(d).is_zero():
+                homog.add(d - degrees[a] - degrees[b])
+                if d < 0:
+                    torsion_free = False
+    return {"homogeneities": sorted(homog), "torsion_free": torsion_free,
+            "regular": all(h > 0 for h in homog), "nonzero": nonzero}
+
+
+def _rand_sparse_sl(n, rng):
+    # a few off-diagonal units, sometimes a trace-free diagonal pair, and
+    # sometimes nothing at all
+    m = 2 * n + 2
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(m), 2)
+        rows[i][j] = samplers.rand_nonzero_fraction(rng)
+    if rng.random() < 0.3:
+        i, j = rng.sample(range(m), 2)
+        rows[i][i] = samplers.rand_nonzero_fraction(rng)
+        rows[j][j] = -rows[i][i]
+    return SlElement(n, Mat(rows))
+
+
+def test_curvature_report_matches_the_projection_reference():
+    rng = random.Random(59)
+    for sig in ORACLE_SIGS:
+        n = sig.n
+        phi = build_psi_cochain(sig)
+        assert curvature_report(phi) == _curvature_by_projections(phi)
+        for _ in range(20):
+            keys = [tuple(sorted(rng.sample(range(4 * n + 1), 2)))
+                    for _ in range(rng.randint(0, 4))]
+            phi = Cochain2(n, {k: _rand_sparse_sl(n, rng) for k in keys})
+            assert curvature_report(phi) == _curvature_by_projections(phi)
 
 
 def test_curvature_profile():

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from liecontact import samplers
-from liecontact.linalg import Mat
-from liecontact.path_sl import (SlElement, sl_bracket, sl_full_basis,
+from liecontact.linalg import DualRat, Mat
+from liecontact.path_sl import (_SLOT_DEGREE, SlElement, _is_trace_free,
+                                _slot_of, sl_bracket, sl_full_basis,
                                 sl_jacobi_check, sl_neg_basis,
                                 sl_neg_coordinates, sl_neg_degrees,
                                 sl_neg_duals, sl_neg_slots,
@@ -19,6 +20,74 @@ def test_trace_free_enforced():
         SlElement(2, Mat.identity(6))
     x = SlElement.zero(2)
     assert x.is_zero()
+
+
+@pytest.mark.parametrize("entries", ["Fraction", "int", "float", "DualRat"])
+def test_trace_free_check_matches_the_trace(entries):
+    convert = {"Fraction": lambda e: e, "int": lambda e: int(12 * e),
+               "float": lambda e: float(12 * e),
+               "DualRat": lambda e: DualRat(e, 3 * e)}[entries]
+    rng = random.Random(43)
+    diagonals = [
+        # trace free, but the numerators alone do not sum to zero
+        [Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6)],
+        # numerators summing to zero over a nonzero trace
+        [Fraction(1, 2), Fraction(-1, 3), Fraction(0)],
+        [Fraction(0)] * 3,
+        [Fraction(3, 4), Fraction(-3, 4), Fraction(0)],
+    ]
+    for n in (1, 2, 3):
+        size = 2 * n + 2
+        cases = []
+        for diag in diagonals:
+            rows = [[Fraction(0)] * size for _ in range(size)]
+            for i, e in enumerate(diag):
+                rows[i][i] = e
+            rows[0][size - 1] = samplers.rand_fraction(rng)
+            cases.append(Mat(rows))
+        for _ in range(20):
+            m = samplers.rand_mat(rng, size, size)
+            if rng.random() < 0.5:
+                m = m - Fraction(m.trace(), size) * Mat.identity(size)
+            cases.append(m)
+        for m in cases:
+            m = m.map(convert)
+            # the reference: Mat.trace(), in the entries' own arithmetic
+            nonzero_trace = m.trace() != 0
+            assert _is_trace_free(m) == (not nonzero_trace), m
+            if nonzero_trace:
+                with pytest.raises(ValueError, match="trace free"):
+                    SlElement(n, m)
+            else:
+                assert SlElement(n, m).mat is m
+
+
+def _grade_project_by_slot_of(x, d):
+    # the reference: the slot of every entry derived afresh
+    return Mat([[e if _SLOT_DEGREE[_slot_of(i, j, x.n)] == d else Fraction(0)
+                 for j, e in enumerate(r)] for i, r in enumerate(x.mat.data)])
+
+
+def test_slot_table_reads_match_slot_of():
+    rng = random.Random(44)
+    for n in (1, 2, 3):
+        size = 2 * n + 2
+        for _ in range(15):
+            rows = [[samplers.rand_fraction(rng) if rng.random() < 0.3
+                     else Fraction(0) for _ in range(size)]
+                    for _ in range(size)]
+            for i in range(size):
+                rows[i][i] = Fraction(0)
+            x = SlElement(n, Mat(rows))
+            used = {_slot_of(i, j, n) for i in range(size)
+                    for j in range(size) if rows[i][j] != 0}
+            assert x.degrees() == {_SLOT_DEGREE[s] for s in used}
+            for d in (-2, -1, 0, 1, 2):
+                expected = _grade_project_by_slot_of(x, d)
+                assert x.grade_project(d).mat == expected
+            for slot in _SLOT_DEGREE:
+                assert x.in_slots(tuple(used - {slot})) == (slot not in used)
+            assert x.in_slots(tuple(used))
 
 
 def test_slot_constructors_and_extractors():

@@ -167,6 +167,26 @@ def test_cli_export_errors_come_before_any_work(tmp_path, capsys, bad,
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("missing", ["--out", "--export-chain"])
+def test_cli_missing_output_directory_comes_before_any_work(
+        tmp_path, capsys, monkeypatch, missing):
+    def no_suite_may_run(config):
+        raise AssertionError("a suite ran before the usage error")
+
+    monkeypatch.setattr("liecontact.cli.run", no_suite_may_run)
+    paths = {"--out": tmp_path / "r.json",
+             "--export-chain": tmp_path / "c.csv"}
+    paths[missing] = tmp_path / "nodir" / paths[missing].name
+    with pytest.raises(SystemExit) as err:
+        main(["--p", "2", "--q", "1", "--suite", "algebra", "--trials", "2",
+              "--out", str(paths["--out"]),
+              "--export-chain", str(paths["--export-chain"])])
+    assert err.value.code == 2
+    assert ("%s: directory %s does not exist" % (missing, tmp_path / "nodir")
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_timings_break_nothing(tmp_path):
     out = tmp_path / "t.json"
     assert main(["--p", "2", "--q", "1", "--trials", "2", "--suite",

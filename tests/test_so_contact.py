@@ -8,7 +8,8 @@ import pytest
 from liecontact import samplers
 from liecontact.linalg import Mat, commutator, det, invert
 from liecontact.so_contact import (G0Element, QGroupElement, Signature,
-                                   SoElement, _is_so_pq, ad_g0, bracket, bracket_gm1,
+                                   SoElement, _int_coordinates, _is_so_pq,
+                                   ad_g0, bracket, bracket_gm1,
                                    equivariance_checks, grading_check,
                                    inner, jacobi_check, rank_one_bracket,
                                    segre_rank, so_basis, so_basis_degrees,
@@ -114,12 +115,88 @@ def test_assemble_builds_one_matrix_per_element():
                          U=xs[0].U, w=xs[0].w)
         assert twin == xs[0] and twin.assemble() is not xs[0].assemble()
         # an element built from a matrix keeps the matrix it was checked
-        # against, which is its own
+        # against as its own
         for x in reversed(xs):
-            y = SoElement.from_matrix(sig, x.assemble())
+            m = x.assemble()
+            y = SoElement.from_matrix(sig, m)
             assert y.assemble() is y.assemble()
-            assert y.assemble() == x.assemble() == _block_assembly(y)
-            assert y.assemble() is not x.assemble()
+            assert y.assemble() == _block_assembly(y)
+            assert y.assemble() is m
+
+
+ORACLE_SIGS = (Signature(2, 1), Signature(3, 0), Signature(1, 2),
+               Signature(2, 2), Signature(3, 3))
+
+
+def _from_matrix_by_reassembly(sig, m):
+    # the reference: read the blocks, reassemble them and compare
+    n = sig.n
+    elt = SoElement(sig, z=m[n + 2, 1], X=m.submat(2, n + 2, 0, 2),
+                    A=m.submat(0, 2, 0, 2), D=m.submat(2, n + 2, 2, n + 2),
+                    U=m.submat(0, 2, 2, n + 2), w=m[0, n + 3])
+    if m != _block_assembly(elt):
+        raise ValueError("matrix is not in the orthogonal algebra "
+                         "of the standard form")
+    return elt
+
+
+def _outcome(decompose, sig, m):
+    try:
+        return decompose(sig, m)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_assemble_matches_the_block_products():
+    rng = random.Random(23)
+    for sig in ORACLE_SIGS:
+        xs = so_basis(sig) + [samplers.rand_so_element(sig, rng)
+                              for _ in range(10)]
+        for x in xs:
+            got, expected = x.assemble(), _block_assembly(x)
+            assert [(type(e), repr(e)) for r in got.data for e in r] == \
+                [(type(e), repr(e)) for r in expected.data for e in r]
+
+
+def test_from_matrix_refuses_what_reassembly_refuses():
+    # every entry of an assembled matrix corrupted in turn: the entrywise
+    # block check accepts and refuses exactly what reassembly does, with
+    # the same message
+    rng = random.Random(24)
+    for sig in ORACLE_SIGS:
+        size = sig.n + 4
+        for x in (samplers.rand_so_element(sig, rng),
+                  SoElement.generator_e(sig), SoElement.zero(sig)):
+            m = x.assemble()
+            assert SoElement.from_matrix(sig, m) == x
+            refused = 0
+            for r in range(size):
+                for c in range(size):
+                    rows = [list(row) for row in m.data]
+                    rows[r][c] += samplers.rand_nonzero_fraction(rng)
+                    bad = Mat(rows)
+                    got = _outcome(SoElement.from_matrix, sig, bad)
+                    expected = _outcome(_from_matrix_by_reassembly, sig, bad)
+                    assert got == expected, (sig, r, c)
+                    refused += isinstance(got, str)
+            # each entry repeats another one up to sign or must vanish
+            assert refused == size * size
+
+
+def test_table_coordinates_refuse_every_corrupted_entry():
+    # the structure-table side of the same block check, on integer rows
+    for sig in ORACLE_SIGS:
+        size = sig.n + 4
+        for x in (so_basis(sig)[1], 2 * so_basis(sig)[-2] - so_basis(sig)[0]):
+            m = x.assemble()
+            rows = [[int(e) for e in r] for r in m.data]
+            assert _int_coordinates(sig, rows) == so_coordinates(x)
+            for r in range(size):
+                for c in range(size):
+                    bad = [list(row) for row in rows]
+                    bad[r][c] += 3
+                    with pytest.raises(ValueError):
+                        _int_coordinates(sig, bad)
 
 
 def test_bracket_antisymmetry_and_signature_guard():
