@@ -27,7 +27,7 @@ from .report import SUITE_NAMES, SuiteConfig, run
 from .so_contact import (G0Element, QGroupElement, Signature, SoElement,
                          ad_g0, bracket, bracket_gm1, equivariance_checks,
                          grading_check, inner, jacobi_check, segre_rank,
-                         so_basis, so_coordinates)
+                         so_basis)
 from .split_quat import (QuatStructureOnH, SplitQuaternion, act_on_h,
                          eigenspace_decompose, max_subspace_for_line,
                          norm_sq, quat_mul, rank_one_witness, stack_columns,

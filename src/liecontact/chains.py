@@ -12,7 +12,8 @@ from fractions import Fraction
 from .extension import psi_trilinear
 from .linalg import (Mat, _from_ints, _scaled_rows, exp_nilpotent,
                      rank_kernel, rat, solve_linear)
-from .so_contact import Signature, SoElement, bracket_gm1, segre_rank
+from .so_contact import (Signature, SoElement, _ambient_inverse, bracket_gm1,
+                         segre_rank)
 from .split_quat import QuatStructureOnH, stack_columns, unstack_columns
 
 
@@ -66,12 +67,6 @@ def _check_ambient(sig: Signature, g: Mat):
 def act(sig: Signature, g: Mat, pt: ModelPoint) -> ModelPoint:
     _check_ambient(sig, g)
     return ModelPoint(sig, g * pt.span)
-
-
-def _ambient_inverse(sig: Signature, g: Mat) -> Mat:
-    """g^-1 = S g^T S for g preserving the ambient form S, since S^2 = I."""
-    s = sig.form_s()
-    return s * g.T * s
 
 
 @functools.cache

@@ -87,6 +87,13 @@ def main(argv=None) -> int:
         folder = os.path.dirname(path) if path else ""
         if folder and not os.path.isdir(folder):
             parser.error("%s: directory %s does not exist" % (flag, folder))
+        if path and os.path.isdir(path):
+            parser.error("%s: %s is a directory" % (flag, path))
+    if (args.out and args.export_chain
+            and os.path.realpath(args.out)
+            == os.path.realpath(args.export_chain)):
+        parser.error("--out and --export-chain name the same file %s"
+                     % args.export_chain)
     if args.export_chain is not None:
         if args.steps < 2:
             parser.error("steps must be at least 2")

@@ -31,9 +31,11 @@ from types import MappingProxyType
 
 from .linalg import (DualRat, Mat, commutator, exp_float, invert, max_abs,
                      rank_kernel, rat_sqrt)
-from .path_sl import (SlElement, sl_bracket, sl_neg_basis, sl_neg_coordinates,
-                      sl_neg_degrees, sl_neg_duals, sl_neg_slots, w0)
-from .so_contact import (QGroupElement, Signature, SoElement, bracket, inner,
+from .path_sl import (SlElement, _neg_positions, sl_bracket, sl_neg_basis,
+                      sl_neg_coordinates, sl_neg_degrees, sl_neg_duals,
+                      sl_neg_slots, w0)
+from .so_contact import (QGroupElement, Signature, SoElement,
+                         _basis_positions, _from_coordinates, bracket, inner,
                          so_basis, so_basis_degrees)
 from . import samplers
 
@@ -169,11 +171,19 @@ def i_prime_float(sig: Signature, a: Mat, d: Mat, w, step=1e-5) -> Mat:
 # hat lifts
 
 
+def _lift_positions(sig: Signature):
+    """The `so_contact._basis_positions` entries of g_- + g_1 (the z, X and
+    U coordinates), in the global basis order."""
+    return [pos for pos, deg in zip(_basis_positions(sig),
+                                    so_basis_degrees(sig))
+            if deg in (-2, -1, 1)]
+
+
 def negative_part_basis(sig: Signature):
     """Basis of g_- + g_1 (z, X, U slots) in the global basis order."""
-    out = [b for b, deg in zip(so_basis(sig), so_basis_degrees(sig))
-           if deg in (-2, -1, 1)]
-    return out
+    one = Fraction(1)
+    return [_from_coordinates(sig, ((pos, one),))
+            for pos in _lift_positions(sig)]
 
 
 def alpha_restriction_matrix(sig: Signature) -> Mat:
@@ -198,11 +208,7 @@ def hat_lift(sig: Signature, z: SlElement) -> SoElement:
     if not z.in_slots(("m2", "m1E", "m1V")):
         raise ValueError("hat lift needs an element of the negative slots")
     coords = _lift_inverse(sig) * Mat.col(sl_neg_coordinates(z))
-    n = sig.n
-    x = Mat([[coords[1 + j * n + i, 0] for j in range(2)] for i in range(n)])
-    u = Mat([[coords[1 + 2 * n + i * n + j, 0] for j in range(n)]
-             for i in range(2)])
-    return SoElement(sig, z=coords[0, 0], X=x, U=u)
+    return _from_coordinates(sig, zip(_lift_positions(sig), coords.column(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +393,7 @@ def codifferential(phi: Cochain2) -> Cochain1:
     Z1 ^ Z2 (x) W  |->  Z2 (x) [Z1,W] - Z1 (x) [Z2,W] - [Z1,Z2] (x) W,
     where the Z's are the trace-form duals of the negative basis."""
     n = phi.n
-    basis = sl_neg_basis(n)
     duals = sl_neg_duals(n)
-    positions = ([(2 + k, 0) for k in range(2 * n)] + [(1, 0)]
-                 + [(2 + k, 1) for k in range(2 * n)])
     zero = SlElement.zero(n)
     vals: dict = {}
 
@@ -401,7 +404,7 @@ def codifferential(phi: Cochain2) -> Cochain1:
         bump(b, sl_bracket(duals[a], wv))
         bump(a, -sl_bracket(duals[b], wv))
         pm = commutator(duals[a].mat, duals[b].mat)
-        for c, (r, s) in enumerate(positions):
+        for c, (r, s) in enumerate(_neg_positions(n)):
             coeff = pm[s, r]
             if coeff != 0:
                 bump(c, -coeff * wv)
@@ -474,25 +477,11 @@ def psi_support_report(sig: Signature) -> dict:
 
 
 def q_tangent_basis(sig: Signature):
-    """Basis directions (A, D, w) of the stabilizer subalgebra."""
-    n = sig.n
-    signs = sig.signs()
-    zero_a = Mat.zeros(2, 2)
-    zero_d = Mat.zeros(n, n)
-    out = []
-    for i in range(2):
-        for j in range(2):
-            rows = [[Fraction(0)] * 2 for _ in range(2)]
-            rows[i][j] = Fraction(1)
-            out.append((Mat(rows), zero_d, Fraction(0)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            rows[i][j] = Fraction(signs[i])
-            rows[j][i] = Fraction(-signs[j])
-            out.append((zero_a, Mat(rows), Fraction(0)))
-    out.append((zero_a, zero_d, Fraction(1)))
-    return out
+    """Basis directions (A, D, w) of the stabilizer subalgebra: the degree
+    0 and degree 2 elements of the so_basis."""
+    return [(b.A, b.D, b.w)
+            for b, deg in zip(so_basis(sig), so_basis_degrees(sig))
+            if deg in (0, 2)]
 
 
 def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:

@@ -13,7 +13,9 @@ The ordered basis of the negative part g~_-, used for every cochain table
 and for the codifferential, is: the -2 column (rows 2 .. 2n+1), then the
 single -1 E entry, then the -1 V column (rows 2 .. 2n+1). Dual elements
 with respect to the trace form are the transposed units and sit in the
-positive part.
+positive part. This order is written once, in `_neg_positions`; the
+basis, its duals, slots, degrees and coordinates and the codifferential of
+`extension` all read it from there.
 """
 
 from __future__ import annotations
@@ -175,44 +177,39 @@ def w0(n: int) -> SlElement:
 # negative-part basis, duals, coordinates
 
 
+@functools.cache
+def _neg_positions(n: int):
+    """The ordered basis of g~_- of the module docstring, the one place it
+    is written: the (row, column) of each basis unit. Built once per n."""
+    return (*((2 + k, 0) for k in range(2 * n)), (1, 0),
+            *((2 + k, 1) for k in range(2 * n)))
+
+
 def sl_neg_basis(n: int):
     m = 2 * n + 2
-    out = []
-    for k in range(2 * n):
-        out.append(SlElement(n, _unit(m, 2 + k, 0)))
-    out.append(SlElement(n, _unit(m, 1, 0)))
-    for k in range(2 * n):
-        out.append(SlElement(n, _unit(m, 2 + k, 1)))
-    return out
+    return [SlElement(n, _unit(m, r, c)) for r, c in _neg_positions(n)]
 
 
 def sl_neg_duals(n: int):
-    """Trace-form duals of sl_neg_basis, inside the positive part."""
+    """Trace-form duals of sl_neg_basis, inside the positive part: the
+    transposed units."""
     m = 2 * n + 2
-    out = []
-    for k in range(2 * n):
-        out.append(SlElement(n, _unit(m, 0, 2 + k)))
-    out.append(SlElement(n, _unit(m, 0, 1)))
-    for k in range(2 * n):
-        out.append(SlElement(n, _unit(m, 1, 2 + k)))
-    return out
+    return [SlElement(n, _unit(m, c, r)) for r, c in _neg_positions(n)]
 
 
 def sl_neg_slots(n: int):
-    return ["m2"] * (2 * n) + ["m1E"] + ["m1V"] * (2 * n)
+    slots = _slot_table(n)
+    return [slots[r][c] for r, c in _neg_positions(n)]
 
 
 def sl_neg_degrees(n: int):
-    return [-2] * (2 * n) + [-1] + [-1] * (2 * n)
+    return [_SLOT_DEGREE[s] for s in sl_neg_slots(n)]
 
 
 def sl_neg_coordinates(x: SlElement):
     """Coordinates of the negative part of x in the sl_neg_basis order."""
-    n = x.n
-    coords = [x.mat[2 + i, 0] for i in range(2 * n)]
-    coords.append(x.mat[1, 0])
-    coords.extend(x.mat[2 + i, 1] for i in range(2 * n))
-    return coords
+    rows = x.mat.data
+    return [rows[r][c] for r, c in _neg_positions(x.n)]
 
 
 def _unit(m, i, j):

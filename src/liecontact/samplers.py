@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import Mat, det, exp_nilpotent, invert
-from .path_sl import SlElement
+from .path_sl import SlElement, _neg_positions
 from .so_contact import QGroupElement, Signature, SoElement
 
 
@@ -172,8 +172,6 @@ def rand_mixed_gm1(sig: Signature, rng) -> Mat:
 def rand_sl_neg(n: int, rng) -> SlElement:
     m = 2 * n + 2
     rows = [[Fraction(0)] * m for _ in range(m)]
-    for k in range(2 * n):
-        rows[2 + k][0] = rand_fraction(rng)
-        rows[2 + k][1] = rand_fraction(rng)
-    rows[1][0] = rand_fraction(rng)
+    for r, c in _neg_positions(n):
+        rows[r][c] = rand_fraction(rng)
     return SlElement(n, Mat(rows))

@@ -24,8 +24,10 @@ Conventions, fixed once for the whole package:
 * the ordered basis of the algebra is: e, then X entries column by column
   (first column top to bottom, then second column), then A entries row by
   row, then D_(i,j) = s_i E_(i,j) - s_j E_(j,i) for i < j row by row
-  (s_i the form signs), then U entries row by row, then w. Cochain
-  coefficient tables elsewhere depend on this order; do not reshuffle.
+  (s_i the form signs), then U entries row by row, then w. This order is
+  written once, in `_basis_positions`; the basis, its degrees, the
+  coordinates of the structure-constant table and the hat lift of
+  `extension` all read it from there.
 """
 
 from __future__ import annotations
@@ -83,6 +85,12 @@ class Signature:
 
     def __repr__(self):
         return "Signature(%d, %d)" % (self.p, self.q)
+
+
+def _ambient_inverse(sig: Signature, g: Mat) -> Mat:
+    """g^-1 = S g^T S for g preserving the ambient form S, since S^2 = I."""
+    s = sig.form_s()
+    return s * g.T * s
 
 
 def inner(sig: Signature, u, v) -> Fraction:
@@ -174,9 +182,7 @@ class SoElement:
         n = sig.n
         if m.rows != n + 4 or m.cols != n + 4:
             raise ValueError("expected a %dx%d matrix" % (n + 4, n + 4))
-        elt = cls(sig, z=m[n + 2, 1], X=m.submat(2, n + 2, 0, 2),
-                  A=m.submat(0, 2, 0, 2), D=m.submat(2, n + 2, 2, n + 2),
-                  U=m.submat(0, 2, 2, n + 2), w=m[0, n + 3])
+        elt = _read_blocks(sig, m)
         if _block_mismatch(sig, m.data):
             raise ValueError("matrix is not in the orthogonal algebra "
                              "of the standard form")
@@ -236,6 +242,15 @@ class SoElement:
     def __repr__(self):
         return ("SoElement(%r, z=%s, X=%r, A=%r, D=%r, U=%r, w=%s)"
                 % (self.sig, self.z, self.X, self.A, self.D, self.U, self.w))
+
+
+def _read_blocks(sig: Signature, m: Mat) -> SoElement:
+    """The element with the blocks z, X, A, D, U, w of the (n+4)x(n+4)
+    matrix m; the redundant blocks are not read."""
+    n = sig.n
+    return SoElement(sig, z=m[n + 2, 1], X=m.submat(2, n + 2, 0, 2),
+                     A=m.submat(0, 2, 0, 2), D=m.submat(2, n + 2, 2, n + 2),
+                     U=m.submat(0, 2, 2, n + 2), w=m[0, n + 3])
 
 
 def _check_sig(x, y):
@@ -377,10 +392,11 @@ class QGroupElement:
                              -self.w * det(self.B))
 
     def ad_so(self, x: SoElement) -> SoElement:
-        """Adjoint action h x h^-1 on the algebra."""
+        """Adjoint action h x h^-1 on the algebra; h preserves S, so its
+        inverse is S h^T S."""
         h = self.assemble()
-        hinv = self.inverse().assemble()
-        return SoElement.from_matrix(self.sig, h * x.assemble() * hinv)
+        return SoElement.from_matrix(
+            self.sig, h * x.assemble() * _ambient_inverse(self.sig, h))
 
     def __eq__(self, other):
         if not isinstance(other, QGroupElement):
@@ -399,61 +415,54 @@ class QGroupElement:
 # basis enumeration and structure constants
 
 
+@functools.cache
+def _basis_positions(sig: Signature):
+    """The ordered basis of the module docstring, the one place it is
+    written: entry k is the (row, column, sign) of the k-th coordinate in
+    the assembled matrix, the coordinate being sign * entry. Built once
+    per signature."""
+    n = sig.n
+    return ((n + 2, 1, 1),
+            *((2 + i, j, 1) for j in range(2) for i in range(n)),
+            *((i, j, 1) for i in range(2) for j in range(2)),
+            *((2 + i, 2 + j, s) for i, s in enumerate(sig.signs())
+              for j in range(i + 1, n)),
+            *((i, 2 + j, 1) for i in range(2) for j in range(n)),
+            (0, n + 3, 1))
+
+
+def _from_coordinates(sig: Signature, entries) -> SoElement:
+    """The element with the given coordinates, as pairs ((row, column,
+    sign), value) of `_basis_positions` entries and values; every other
+    coordinate is zero. A D coordinate fills its mirror entry too:
+    D_ji = -s_i s_j D_ij."""
+    size = sig.n + 4
+    signs = sig.signs()
+    g = [[Fraction(0)] * size for _ in range(size)]
+    for (r, c, s), v in entries:
+        e = g[r][c] = v if s > 0 else -v
+        if 2 <= r < c < size - 2:
+            g[c][r] = -e if signs[r - 2] == signs[c - 2] else e
+    return _read_blocks(sig, Mat(g))
+
+
 def so_basis(sig: Signature):
     """Ordered basis, see the module docstring. Length (n+3)(n+4)/2."""
-    n = sig.n
-    signs = sig.signs()
-    out = [SoElement.generator_e(sig)]
-    for j in range(2):
-        for i in range(n):
-            out.append(SoElement(sig, X=_unit(n, 2, i, j)))
-    for i in range(2):
-        for j in range(2):
-            out.append(SoElement(sig, A=_unit(2, 2, i, j)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = [[Fraction(0)] * n for _ in range(n)]
-            d[i][j] = Fraction(signs[i])
-            d[j][i] = Fraction(-signs[j])
-            out.append(SoElement(sig, D=Mat(d)))
-    for i in range(2):
-        for j in range(n):
-            out.append(SoElement(sig, U=_unit(2, n, i, j)))
-    out.append(SoElement(sig, w=1))
-    return out
-
-
-def _unit(r, c, i, j):
-    m = [[Fraction(0)] * c for _ in range(r)]
-    m[i][j] = Fraction(1)
-    return Mat(m)
+    one = Fraction(1)
+    return [_from_coordinates(sig, ((pos, one),))
+            for pos in _basis_positions(sig)]
 
 
 def so_basis_degrees(sig: Signature):
+    """The degree of each basis element: with the row and column groups
+    (2, n, 2) numbered 0, 1, 2, the entry at (row, column) has degree
+    group(column) - group(row), the rule of `path_sl._slot_of`."""
     n = sig.n
-    return ([-2] + [-1] * (2 * n) + [0] * (4 + n * (n - 1) // 2)
-            + [1] * (2 * n) + [2])
 
+    def group(k):
+        return 0 if k < 2 else (1 if k < n + 2 else 2)
 
-def so_coordinates(x: SoElement):
-    """Coordinates in the so_basis order."""
-    n = x.sig.n
-    signs = x.sig.signs()
-    coords = [x.z]
-    for j in range(2):
-        for i in range(n):
-            coords.append(x.X[i, j])
-    for i in range(2):
-        for j in range(2):
-            coords.append(x.A[i, j])
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords.append(x.D[i, j] / signs[i])
-    for i in range(2):
-        for j in range(n):
-            coords.append(x.U[i, j])
-    coords.append(x.w)
-    return coords
+    return [group(c) - group(r) for r, c, _ in _basis_positions(sig)]
 
 
 @functools.cache
@@ -513,23 +522,8 @@ def _int_coordinates(sig: Signature, m):
     bad = _block_mismatch(sig, m)
     if bad:
         raise ValueError(bad)
-    n = sig.n
-    signs = sig.signs()
-    coords = [m[n + 2][1]]
-    for j in range(2):
-        for i in range(n):
-            coords.append(m[2 + i][j])
-    for i in range(2):
-        for j in range(2):
-            coords.append(m[i][j])
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords.append(m[2 + i][2 + j] * signs[i])
-    for i in range(2):
-        for j in range(n):
-            coords.append(m[i][2 + j])
-    coords.append(m[0][n + 3])
-    return coords
+    return [m[r][c] if s > 0 else -m[r][c]
+            for r, c, s in _basis_positions(sig)]
 
 
 def jacobi_check(sig: Signature):

@@ -69,6 +69,8 @@ BLOCKS = (T_SO + "test_from_matrix_refuses_what_reassembly_refuses",
           T_SO + "test_table_coordinates_refuse_every_corrupted_entry")
 SO_TABLE = (T_SO + "test_structure_constants_match_brackets",)
 SL_TABLE = (T_SL + "test_structure_constants_match_brackets",)
+SO_ORDER = (T_SO + "test_table_basis_matches_the_block_by_block_oracle",)
+SL_ORDER = (T_SL + "test_negative_basis_sits_at_the_documented_positions",)
 
 MUTANTS = (
     # the fraction-free elimination
@@ -145,6 +147,22 @@ MUTANTS = (
     Mutant("so(p,q): wrong sign between the mirrored entries", SO,
            "(-rows[i][j] if signs[i] == signs[j]",
            "(-rows[i][j] if signs[i] != signs[j]", SO_PQ),
+    Mutant("ad_so: h^T as the inverse, without the form S", SO,
+           "h * x.assemble() * _ambient_inverse(self.sig, h))",
+           "h * x.assemble() * h.T)",
+           (T_SO + "test_q_adjoint_matches_matrix_conjugation",)),
+    # the per-signature caches
+    Mutant("ipq: rebuilt on every call", SO,
+           "    @functools.cache\n    def ipq(self)", "    def ipq(self)",
+           (T_SO + "test_signature_constants_are_built_once",)),
+    Mutant("form_s: rebuilt on every call", SO,
+           "    @functools.cache\n    def form_s(self)",
+           "    def form_s(self)",
+           (T_SO + "test_signature_constants_are_built_once",)),
+    Mutant("chain_matrix: rebuilt on every call", "liecontact/chains.py",
+           "@functools.cache\ndef chain_matrix(", "def chain_matrix(",
+           ("tests/test_chains.py::test_chain_matrix_is_built_once_per_"
+            "signature",)),
     Mutant("assemble: one memo shared by every element", SO,
            "return self._matrix",
            "return SoElement.assemble.__dict__.setdefault(\"m\", "
@@ -186,13 +204,32 @@ MUTANTS = (
            (T_LINALG + "test_structure_table_needs_integer_square_matrices_"
             "of_one_size",)),
     Mutant("so table: D coordinates without the form sign", SO,
-           "coords.append(m[2 + i][2 + j] * signs[i])",
-           "coords.append(m[2 + i][2 + j])", SO_TABLE),
+           "(2 + i, 2 + j, s) for i, s in enumerate(sig.signs())",
+           "(2 + i, 2 + j, 1) for i, s in enumerate(sig.signs())",
+           SO_TABLE + SO_ORDER),
     Mutant("sl table: H coordinates without the prefix sums", SL,
            "prefix += d", "prefix = d", SL_TABLE),
     Mutant("sl table: basis units in transposed order", SL,
            "[_unit(m, a, b) for a in range(m)",
            "[_unit(m, b, a) for a in range(m)", SL_TABLE),
+    # the two basis-order tables and what reads them
+    Mutant("so order: the X entries read row by row", SO,
+           "for j in range(2) for i in range(n)),",
+           "for i in range(n) for j in range(2)),", SO_ORDER + SO_TABLE),
+    Mutant("so basis: D mirror entry without the form signs", SO,
+           "g[c][r] = -e if signs[r - 2] == signs[c - 2] else e",
+           "g[c][r] = -e", SO_ORDER),
+    Mutant("sl order: the E entry ahead of the -2 column", SL,
+           "return (*((2 + k, 0) for k in range(2 * n)), (1, 0),",
+           "return ((1, 0), *((2 + k, 0) for k in range(2 * n)),", SL_ORDER),
+    Mutant("sl duals: units at the basis positions, not transposed", SL,
+           "_unit(m, c, r)) for r, c in _neg_positions(n)",
+           "_unit(m, r, c)) for r, c in _neg_positions(n)",
+           SL_ORDER + (T_SL + "test_duals_pair_by_trace",)),
+    Mutant("codifferential: [Z_a, Z_b] read at the basis positions", EXT,
+           "coeff = pm[s, r]", "coeff = pm[r, s]",
+           (T_EXT + "test_codifferential_matches_the_trace_pairing_"
+            "reference",)),
     # the slot table, the trace check and alpha
     Mutant("slot table: every slot read one column to the right", SL,
            "_slot_of(i, j, n) for j in range(m)",
@@ -243,6 +280,13 @@ MUTANTS = (
            "except ValueError as exc:", EXPORT_ERRORS),
     Mutant("cli: no check that --t-min < --t-max", "liecontact/cli.py",
            "if t_min >= t_max:", "if False:", EXPORT_ERRORS),
+    Mutant("cli: an existing directory accepted as an output file",
+           "liecontact/cli.py",
+           "if path and os.path.isdir(path):", "if False:", EXPORT_ERRORS),
+    Mutant("cli: one file accepted for both outputs", "liecontact/cli.py",
+           "== os.path.realpath(args.export_chain)):",
+           "== os.path.realpath(args.export_chain) and False):",
+           EXPORT_ERRORS),
     Mutant("cli: no check that the output directories exist",
            "liecontact/cli.py",
            "if folder and not os.path.isdir(folder):", "if False:",

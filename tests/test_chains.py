@@ -8,15 +8,15 @@ import pytest
 
 from liecontact import samplers
 from liecontact import chains
-from liecontact.chains import (ChainCurve, ModelPoint, STensorEval,
-                               _ambient_inverse, act, chain_eval, chain_matrix,
+from liecontact.chains import (ChainCurve, ModelPoint, STensorEval, act,
+                               chain_eval, chain_matrix,
                                chain_transversality, emit_trajectory,
                                fit_pipeline_constant, flow_transversality,
                                gm1_units, origin, pipeline_s, rank_one_by_S,
                                reconstruct_cone, s_tensor)
 from liecontact.linalg import Mat, exp_nilpotent, invert
-from liecontact.so_contact import (Signature, SoElement, bracket_gm1,
-                                   segre_rank)
+from liecontact.so_contact import (Signature, SoElement, _ambient_inverse,
+                                   bracket_gm1, segre_rank)
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 ORACLE_SIGS = (Signature(1, 0), Signature(2, 1), Signature(3, 0),
@@ -103,8 +103,11 @@ def test_ambient_inverse_matches_elimination():
     rng = random.Random(82)
     for sig in ORACLE_SIGS:
         s = sig.form_s()
-        for _ in range(6):
-            g = samplers.rand_oform(sig, rng)
+        # frames of the model and the assembled elements of Q, whose
+        # adjoint action inverts them the same way
+        gs = [samplers.rand_oform(sig, rng) for _ in range(6)]
+        gs += [samplers.rand_q_element(sig, rng).assemble() for _ in range(6)]
+        for g in gs:
             inv = _ambient_inverse(sig, g)
             assert inv == s * g.T * s
             assert inv == invert(g)

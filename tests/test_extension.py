@@ -19,7 +19,8 @@ from liecontact.extension import (Cochain2, alpha, alpha_restriction_matrix,
                                   symmetrized_reference)
 from liecontact.linalg import DualRat, Mat, max_abs, solve_linear
 from liecontact.path_sl import (SlElement, sl_bracket, sl_neg_basis,
-                                sl_neg_coordinates, sl_neg_slots, w0)
+                                sl_neg_coordinates, sl_neg_duals,
+                                sl_neg_slots, w0)
 from liecontact.so_contact import (QGroupElement, Signature, SoElement,
                                    bracket, so_basis)
 
@@ -505,6 +506,36 @@ def test_tampered_cochain_is_not_normal():
     assert key not in table
     table[key] = sl_neg_basis(n)[0]
     assert not is_normal(Cochain2(n, table))
+
+
+def _codifferential_by_trace_pairing(phi):
+    # the reference: [Z_a, Z_b] expanded over the duals Z_c by pairing it
+    # with each basis element under the trace form
+    n = phi.n
+    basis, duals = sl_neg_basis(n), sl_neg_duals(n)
+    vals = {}
+    for (a, b), wv in phi.table.items():
+        terms = [(b, sl_bracket(duals[a], wv)),
+                 (a, -sl_bracket(duals[b], wv))]
+        pm = sl_bracket(duals[a], duals[b]).mat
+        for c, xc in enumerate(basis):
+            terms.append((c, -(pm * xc.mat).trace() * wv))
+        for c, v in terms:
+            vals[c] = vals.get(c, SlElement.zero(n)) + v
+    return {c: v for c, v in vals.items() if not v.is_zero()}
+
+
+def test_codifferential_matches_the_trace_pairing_reference():
+    rng = random.Random(58)
+    for n in (2, 3):
+        dim = 4 * n + 1
+        for _ in range(3):
+            table = {(a, b): _rand_sparse_sl(n, rng)
+                     for a in range(dim) for b in range(a + 1, dim)
+                     if rng.random() < 0.5}
+            phi = Cochain2(n, table)
+            assert (codifferential(phi).values
+                    == _codifferential_by_trace_pairing(phi))
 
 
 def _curvature_by_projections(phi):

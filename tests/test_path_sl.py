@@ -161,6 +161,34 @@ def test_duals_pair_by_trace():
             assert (da.mat * xb.mat).trace() == expected
 
 
+# the documented order of the negative-part basis, written out by hand
+NEG_POSITIONS = {
+    1: [(2, 0), (3, 0), (1, 0), (2, 1), (3, 1)],
+    2: [(2, 0), (3, 0), (4, 0), (5, 0), (1, 0),
+        (2, 1), (3, 1), (4, 1), (5, 1)],
+}
+
+
+def _unit_position(x):
+    nonzero = [(i, j, e) for i, r in enumerate(x.mat.data)
+               for j, e in enumerate(r) if e != 0]
+    assert len(nonzero) == 1 and nonzero[0][2] == 1
+    return nonzero[0][:2]
+
+
+@pytest.mark.parametrize("n", sorted(NEG_POSITIONS))
+def test_negative_basis_sits_at_the_documented_positions(n):
+    positions = NEG_POSITIONS[n]
+    assert [_unit_position(b) for b in sl_neg_basis(n)] == positions
+    assert ([_unit_position(d) for d in sl_neg_duals(n)]
+            == [(j, i) for i, j in positions])
+    m = 2 * n + 2
+    # every entry distinct, so a coordinate read from a wrong position shows
+    x = SlElement(n, Mat([[Fraction(i * m + j) if i != j else Fraction(0)
+                           for j in range(m)] for i in range(m)]))
+    assert sl_neg_coordinates(x) == [x.mat[i, j] for i, j in positions]
+
+
 def test_negative_coordinates_round_trip():
     rng = random.Random(42)
     n = 3

@@ -153,16 +153,28 @@ def test_cli_usage_errors():
      "--t-min must be less than --t-max, got 1 and 1"),
     (["--t-min", "2", "--t-max", "1/2"],
      "--t-min must be less than --t-max, got 2 and 1/2"),
+    # output paths; {tmp} is the test's own empty directory
+    (["--out", "{tmp}"], "--out: {tmp} is a directory"),
+    (["--export-chain", "{tmp}"], "--export-chain: {tmp} is a directory"),
+    (["--export-chain", "{tmp}/r.json"],
+     "--out and --export-chain name the same file {tmp}/r.json"),
+    (["--export-chain", "{tmp}/./r.json"],
+     "--out and --export-chain name the same file {tmp}/./r.json"),
 ])
-def test_cli_export_errors_come_before_any_work(tmp_path, capsys, bad,
-                                                message):
+def test_cli_export_errors_come_before_any_work(tmp_path, capsys,
+                                                monkeypatch, bad, message):
+    def no_suite_may_run(config):
+        raise AssertionError("a suite ran before the usage error")
+
+    monkeypatch.setattr("liecontact.cli.run", no_suite_may_run)
     out = tmp_path / "r.json"
     csv_path = tmp_path / "c.csv"
+    bad = [arg.format(tmp=tmp_path) for arg in bad]
     with pytest.raises(SystemExit) as err:
         main(["--p", "2", "--q", "1", "--suite", "algebra", "--trials", "2",
               "--out", str(out), "--export-chain", str(csv_path)] + bad)
     assert err.value.code == 2
-    assert message in capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
     assert not out.exists()
     assert not csv_path.exists()
 

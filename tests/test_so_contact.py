@@ -13,7 +13,7 @@ from liecontact.so_contact import (G0Element, QGroupElement, Signature,
                                    equivariance_checks, grading_check,
                                    inner, jacobi_check, rank_one_bracket,
                                    segre_rank, so_basis, so_basis_degrees,
-                                   so_coordinates, structure_constants)
+                                   structure_constants)
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 
@@ -183,6 +183,81 @@ def test_from_matrix_refuses_what_reassembly_refuses():
             assert refused == size * size
 
 
+def _unit(r, c, i, j):
+    m = [[Fraction(0)] * c for _ in range(r)]
+    m[i][j] = Fraction(1)
+    return Mat(m)
+
+
+def _so_basis_by_blocks(sig):
+    # the documented order spelled out block by block: the reference for
+    # the table-driven basis
+    n = sig.n
+    signs = sig.signs()
+    out = [SoElement.generator_e(sig)]
+    for j in range(2):
+        for i in range(n):
+            out.append(SoElement(sig, X=_unit(n, 2, i, j)))
+    for i in range(2):
+        for j in range(2):
+            out.append(SoElement(sig, A=_unit(2, 2, i, j)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = [[Fraction(0)] * n for _ in range(n)]
+            d[i][j] = Fraction(signs[i])
+            d[j][i] = Fraction(-signs[j])
+            out.append(SoElement(sig, D=Mat(d)))
+    for i in range(2):
+        for j in range(n):
+            out.append(SoElement(sig, U=_unit(2, n, i, j)))
+    out.append(SoElement(sig, w=1))
+    return out
+
+
+def _so_coordinates_by_blocks(x):
+    # coordinates in the documented order, read block by block
+    n = x.sig.n
+    signs = x.sig.signs()
+    coords = [x.z]
+    for j in range(2):
+        for i in range(n):
+            coords.append(x.X[i, j])
+    for i in range(2):
+        for j in range(2):
+            coords.append(x.A[i, j])
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords.append(x.D[i, j] / signs[i])
+    for i in range(2):
+        for j in range(n):
+            coords.append(x.U[i, j])
+    coords.append(x.w)
+    return coords
+
+
+def _typed_blocks(x):
+    return [(type(e), repr(e)) for e in (x.z, x.w)] + [
+        (type(e), repr(e)) for m in (x.X, x.A, x.D, x.U)
+        for r in m.data for e in r]
+
+
+def test_table_basis_matches_the_block_by_block_oracle():
+    rng = random.Random(25)
+    for sig in ORACLE_SIGS:
+        n = sig.n
+        basis, expected = so_basis(sig), _so_basis_by_blocks(sig)
+        assert len(basis) == len(expected) == (n + 3) * (n + 4) // 2
+        for got, want in zip(basis, expected):
+            assert _typed_blocks(got) == _typed_blocks(want)
+        assert so_basis_degrees(sig) == (
+            [-2] + [-1] * (2 * n) + [0] * (4 + n * (n - 1) // 2)
+            + [1] * (2 * n) + [2])
+        for x in basis + [samplers.rand_so_element(sig, rng)
+                          for _ in range(10)]:
+            assert (_int_coordinates(sig, x.assemble().data)
+                    == _so_coordinates_by_blocks(x))
+
+
 def test_table_coordinates_refuse_every_corrupted_entry():
     # the structure-table side of the same block check, on integer rows
     for sig in ORACLE_SIGS:
@@ -190,7 +265,7 @@ def test_table_coordinates_refuse_every_corrupted_entry():
         for x in (so_basis(sig)[1], 2 * so_basis(sig)[-2] - so_basis(sig)[0]):
             m = x.assemble()
             rows = [[int(e) for e in r] for r in m.data]
-            assert _int_coordinates(sig, rows) == so_coordinates(x)
+            assert _int_coordinates(sig, rows) == _so_coordinates_by_blocks(x)
             for r in range(size):
                 for c in range(size):
                     bad = [list(row) for row in rows]
@@ -385,7 +460,7 @@ def test_basis_coordinates_round_trip():
         for _ in range(10):
             x = samplers.rand_so_element(sig, rng)
             acc = SoElement.zero(sig)
-            for c, b in zip(so_coordinates(x), basis):
+            for c, b in zip(_int_coordinates(sig, x.assemble().data), basis):
                 acc = acc + c * b
             assert acc == x
 
@@ -403,7 +478,8 @@ def test_structure_constants_match_brackets():
         for a in range(dim):
             for b in range(a + 1, dim):
                 # bracket(x_b, x_a) is exactly -bracket(x_a, x_b)
-                expected = so_coordinates(bracket(basis[a], basis[b]))
+                expected = _so_coordinates_by_blocks(
+                    bracket(basis[a], basis[b]))
                 for pair, sign in (((a, b), 1), ((b, a), -1)):
                     sparse = table[pair]
                     got = [sign * sparse.get(c, 0) for c in range(dim)]
