@@ -23,20 +23,22 @@ in the (0,1) entry whenever det B < 0 and w != 0).
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import random
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linalg import (DualRat, Mat, commutator, exp_float, invert, max_abs,
-                     rank_kernel, rat_sqrt)
+from .linalg import (DualRat, Mat, _addmul, _common_rows, _commutator_rows,
+                     _from_ints, exp_float, invert, max_abs, rank_kernel,
+                     rat_sqrt)
 from .path_sl import (SlElement, _neg_positions, sl_bracket, sl_neg_basis,
                       sl_neg_coordinates, sl_neg_degrees, sl_neg_duals,
                       sl_neg_slots, w0)
 from .so_contact import (QGroupElement, Signature, SoElement,
-                         _basis_positions, _from_coordinates, bracket, inner,
-                         so_basis, so_basis_degrees)
+                         _basis_positions, _from_coordinates, _int_coordinates,
+                         bracket, inner, so_basis, so_basis_degrees)
 from . import samplers
 
 HALF = Fraction(1, 2)
@@ -218,15 +220,9 @@ def hat_lift(sig: Signature, z: SlElement) -> SoElement:
 def psi_gq(x: SoElement, y: SoElement) -> SlElement:
     """[alpha(x), alpha(y)] - alpha([x, y]); insensitive to shifts of either
     argument by A-, D- or w-directions, which is what makes the factorized
-    map below well defined."""
-    return _psi(x, y, alpha(x), alpha(y))
-
-
-def _psi(x: SoElement, y: SoElement, ax: SlElement,
-         ay: SlElement) -> SlElement:
-    """Psi(x, y) given ax = alpha(x) and ay = alpha(y): the one formula
-    behind `psi_gq` and the obstruction cochain."""
-    return sl_bracket(ax, ay) - alpha(bracket(x, y))
+    map below well defined. The obstruction cochain evaluates the same
+    formula on integer rows and is tested against this one."""
+    return sl_bracket(alpha(x), alpha(y)) - alpha(bracket(x, y))
 
 
 def psi_alpha(sig: Signature, z1: SlElement, z2: SlElement) -> SlElement:
@@ -372,43 +368,88 @@ class Cochain1:
 
 
 @functools.cache
+def _basis_lifts(sig: Signature):
+    """The hat lifts of the sl_neg_basis, in its order, built once per
+    signature for the cochain and the equivariance check."""
+    return tuple(hat_lift(sig, zb) for zb in sl_neg_basis(sig.n))
+
+
+@functools.cache
 def build_psi_cochain(sig: Signature) -> Cochain2:
     """The obstruction cochain: Psi on every basis pair a < b, evaluated
     once per signature. The support, equivariance and normality checks all
-    read this one cached table. Each lift is mapped by alpha once."""
-    basis = sl_neg_basis(sig.n)
-    lifts = [hat_lift(sig, zb) for zb in basis]
-    images = [alpha(x) for x in lifts]
+    read this one cached table.
+
+    The formula of `psi_gq` runs here on integer rows. Three tables are
+    each scaled to integers over one denominator (`linalg._common_rows`):
+    the alpha images of the lifts, the lifts' assembled matrices and the
+    alpha images of the so_basis. For each pair, both brackets are integer
+    commutators (`linalg._commutator_rows`). The so bracket is read in
+    coordinates by `so_contact._int_coordinates`, which raises when it
+    leaves so(p+2, q+2); alpha of it is the same integer combination of the
+    so_basis images, alpha being linear. The difference is taken over the
+    lcm of the two denominators, and Fractions are built only for a
+    nonzero value."""
+    n = sig.n
+    m = 2 * n + 2
+    lifts = _basis_lifts(sig)
+    images, d_img = _common_rows([alpha(x).mat for x in lifts])
+    mats, d_so = _common_rows([x.assemble() for x in lifts])
+    basis_images, d_b = _common_rows([alpha(e).mat for e in so_basis(sig)])
+    # row i of every so_basis image, indexed by the basis position
+    basis_rows = list(zip(*basis_images))
+    d_sl, d_al = d_img * d_img, d_so * d_so * d_b
+    d = math.lcm(d_sl, d_al)
+    f_sl, f_al = d // d_sl, d // d_al
     table = {}
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            v = _psi(lifts[a], lifts[b], images[a], images[b])
-            if not v.is_zero():
-                table[(a, b)] = v
-    return Cochain2(sig.n, table)
+    for a in range(len(lifts)):
+        for b in range(a + 1, len(lifts)):
+            coords = _int_coordinates(
+                sig, _commutator_rows(mats[a], mats[b], n + 4))
+            coeffs = [(k, c * f_al) for k, c in enumerate(coords) if c]
+            rows = []
+            for r, alpha_r in zip(
+                    _commutator_rows(images[a], images[b], m), basis_rows):
+                acc = [x * f_sl for x in r]
+                _addmul(acc, coeffs, alpha_r, -1)
+                rows.append(acc)
+            if any(map(any, rows)):
+                table[(a, b)] = SlElement(n, _from_ints(rows, d))
+    return Cochain2(n, table)
 
 
 def codifferential(phi: Cochain2) -> Cochain1:
     """Image of the 2-cochain under
     Z1 ^ Z2 (x) W  |->  Z2 (x) [Z1,W] - Z1 (x) [Z2,W] - [Z1,Z2] (x) W,
-    where the Z's are the trace-form duals of the negative basis."""
+    where the Z's are the trace-form duals of the negative basis.
+
+    Runs on integer rows: the values of phi are scaled to integers over one
+    common denominator d (`linalg._common_rows`), every bracket is an
+    integer commutator (`linalg._commutator_rows`) with the duals, which
+    are integer units, and the 4n+1 outputs accumulate as integer rows
+    over d. Fractions are built only for a nonzero output. TypeError when
+    a value has an entry that is not a Fraction."""
     n = phi.n
-    duals = sl_neg_duals(n)
-    zero = SlElement.zero(n)
-    vals: dict = {}
-
-    def bump(c, dv):
-        vals[c] = vals.get(c, zero) + dv
-
-    for (a, b), wv in phi.table.items():
-        bump(b, sl_bracket(duals[a], wv))
-        bump(a, -sl_bracket(duals[b], wv))
-        pm = commutator(duals[a].mat, duals[b].mat)
+    m = 2 * n + 2
+    duals, _ = _common_rows([z.mat for z in sl_neg_duals(n)])
+    values, d = _common_rows([v.mat for v in phi.table.values()])
+    acc = collections.defaultdict(lambda: [[0] * m for _ in range(m)])
+    for (a, b), w in zip(phi.table, values):
+        # -[Z_b, W] = [W, Z_b]
+        for c, comm in ((b, _commutator_rows(duals[a], w, m)),
+                        (a, _commutator_rows(w, duals[b], m))):
+            rows = acc[c]
+            for i, r in enumerate(comm):
+                rows[i] = [x + y for x, y in zip(rows[i], r)]
+        pm = _commutator_rows(duals[a], duals[b], m)
         for c, (r, s) in enumerate(_neg_positions(n)):
-            coeff = pm[s, r]
-            if coeff != 0:
-                bump(c, -coeff * wv)
-    return Cochain1(n, {c: v for c, v in vals.items() if not v.is_zero()})
+            coeff = pm[s][r]
+            if coeff:
+                for row, wr in zip(acc[c], w):
+                    for j, x in wr:
+                        row[j] -= coeff * x
+    return Cochain1(n, {c: SlElement(n, _from_ints(rows, d))
+                        for c, rows in acc.items() if any(map(any, rows))})
 
 
 def is_normal(phi: Cochain2) -> bool:
@@ -566,7 +607,7 @@ def psi_equivariance_check(sig: Signature, trials=25, seed=0) -> int:
     the obstruction cochain, the right side is evaluated afresh."""
     rng = random.Random(seed)
     phi = build_psi_cochain(sig)
-    basis = sl_neg_basis(sig.n)
+    lifts = _basis_lifts(sig)
     slots = sl_neg_slots(sig.n)
     vert = [k for k, s in enumerate(slots) if s == "m1V"]
     bottom = [k for k, s in enumerate(slots) if s == "m2"]
@@ -577,8 +618,7 @@ def psi_equivariance_check(sig: Signature, trials=25, seed=0) -> int:
         b = rng.choice(bottom)
         ih = i_map(h)
         lhs = ih * phi.value(a, b).mat * invert(ih)
-        rhs = psi_gq(h.ad_so(hat_lift(sig, basis[a])),
-                     h.ad_so(hat_lift(sig, basis[b]))).mat
+        rhs = psi_gq(h.ad_so(lifts[a]), h.ad_so(lifts[b])).mat
         if lhs != rhs:
             failures += 1
     return failures

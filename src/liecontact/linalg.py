@@ -18,7 +18,10 @@ one Fraction is built per nonzero output entry. Matrices of floats,
 Commutators have one integer loop, `_commutator_rows`. `commutator` runs it
 on the scaled rows of two matrices, and `structure_table` runs it on every
 pair of an integer basis to build the structure-constant table of either
-algebra (so(p+2, q+2) and sl(2n+2)) that `jacobi_failures` checks.
+algebra (so(p+2, q+2) and sl(2n+2)) that `jacobi_failures` checks. The
+obstruction cochain and the codifferential of `extension` run it on
+matrices scaled to integers over one common denominator per table
+(`_common_rows`).
 
 The linear operations `+`, `-`, unary `-` and scalar `*` skip exact zeros,
 which most entries of the package's matrices are. Where both entries of a
@@ -356,6 +359,19 @@ def _scaled_rows(m: Mat):
                 row.append((j, x, q))
         rows.append(row)
     return [[(j, x * (d // q)) for j, x, q in r] for r in rows], d
+
+
+def _common_rows(mats):
+    """(tables, d) with mats[k] equal to tables[k] / d for one common
+    denominator d (the lcm of the matrices' own), tables[k] the sparse
+    integer rows of `_scaled_rows`; TypeError unless every entry of every
+    matrix is a Fraction."""
+    scaled = [_scaled_rows(m) for m in mats]
+    if None in scaled:
+        raise TypeError("common integer rows need Fraction entries")
+    d = math.lcm(*[dk for _, dk in scaled])
+    return [[[(j, x * (d // dk)) for j, x in r] for r in rows]
+            for rows, dk in scaled], d
 
 
 def _addmul(acc, row, rows, sign):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import Mat, det, exp_nilpotent, invert
-from .path_sl import SlElement, _neg_positions
 from .so_contact import QGroupElement, Signature, SoElement
 
 
@@ -168,10 +167,3 @@ def rand_mixed_gm1(sig: Signature, rng) -> Mat:
         return rand_isotropic_plane(sig, rng)
     return rand_gm1(sig, rng)
 
-
-def rand_sl_neg(n: int, rng) -> SlElement:
-    m = 2 * n + 2
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for r, c in _neg_positions(n):
-        rows[r][c] = rand_fraction(rng)
-    return SlElement(n, Mat(rows))

@@ -352,7 +352,7 @@ class QGroupElement:
     would not even be 2x2 for n != 2). Equality is up to an overall sign,
     realized as (B, C, w) ~ (-B, -C, w)."""
 
-    __slots__ = ("sig", "B", "C", "w")
+    __slots__ = ("sig", "B", "C", "w", "_matrix")
 
     def __init__(self, sig: Signature, b: Mat, c: Mat, w=0):
         _check_g0(sig, b, c)
@@ -360,6 +360,7 @@ class QGroupElement:
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "w", rat(w))
+        object.__setattr__(self, "_matrix", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QGroupElement is immutable")
@@ -372,12 +373,18 @@ class QGroupElement:
         return det(self.B)
 
     def assemble(self) -> Mat:
-        n = self.sig.n
-        return Mat.block([
-            [self.B, Mat.zeros(2, n), self.w * (self.B * J2)],
-            [Mat.zeros(n, 2), self.C, Mat.zeros(n, 2)],
-            [Mat.zeros(2, 2), Mat.zeros(2, n), invert(self.B).T],
-        ])
+        """The matrix of the class docstring, built on the first call and
+        kept in a slot of this element, as `SoElement.assemble` does."""
+        h = self._matrix
+        if h is None:
+            n = self.sig.n
+            h = Mat.block([
+                [self.B, Mat.zeros(2, n), self.w * (self.B * J2)],
+                [Mat.zeros(n, 2), self.C, Mat.zeros(n, 2)],
+                [Mat.zeros(2, 2), Mat.zeros(2, n), invert(self.B).T],
+            ])
+            object.__setattr__(self, "_matrix", h)
+        return h
 
     def compose(self, other: "QGroupElement") -> "QGroupElement":
         """Group law in block data; matches the assembled matrix product."""

@@ -201,7 +201,9 @@ def rank_one_witness(x: Mat):
     The witness comes from the kernel: if x v = 0 with v != 0, the trace
     free 2x2 matrix m with m v = -v exists, is unique up to the remaining
     +1 eigendirection, and x(m - id) = 0 since the image of m - id is the
-    kernel line; det m = -1 makes |A|^2 = -1 automatic."""
+    kernel line; det m = -1 makes |A|^2 = -1 automatic. Both facts are
+    checked on every call: ValueError when the linear system for (a, b, c)
+    is inconsistent or when A(x) != x."""
     if x.is_zero():
         raise ValueError("rank-one test needs a nonzero element")
     rank, kernel = rank_kernel(x)
@@ -212,10 +214,13 @@ def rank_one_witness(x: Mat):
     system = Mat([[v1, v2, v2], [-v2, v1, -v1]])
     rhs = Mat.col([-v1, -v2])
     sol = solve_linear(system, rhs)
-    assert sol is not None, "the reflection system is always consistent"
+    if sol is None:
+        raise ValueError("the reflection system has no solution for the "
+                         "kernel vector (%s, %s)" % (v1, v2))
     a, b, c = sol.column(0)
     m = a * M_I + b * M_J + c * M_K
-    assert x * m == x
+    if x * m != x:
+        raise ValueError("the reflection does not fix x: A(x) != x")
     return (a, b, c)
 
 

@@ -44,6 +44,8 @@ class Mutant(NamedTuple):
 LINALG = "liecontact/linalg.py"
 T_LINALG = "tests/test_linalg.py::"
 T_SO = "tests/test_so_contact.py::"
+COCHAIN = ("tests/test_extension.py::"
+           "test_obstruction_cochain_matches_psi_on_every_pair",)
 ELIMINATION = (T_LINALG + "test_elimination_matches_the_fraction_loops",)
 PRODUCT = (T_LINALG + "test_kernel_product_matches_triple_loop",
            T_LINALG + "test_kernel_commutator_matches_reference")
@@ -103,6 +105,10 @@ MUTANTS = (
     Mutant("commutator: da for da*db", LINALG,
            "_commutator_rows(rows_a, rows_b, n), da * db)",
            "_commutator_rows(rows_a, rows_b, n), da)", PRODUCT),
+    Mutant("common rows: each matrix kept over its own denominator", LINALG,
+           "[[(j, x * (d // dk)) for j, x in r]", "[[(j, x) for j, x in r]",
+           (T_LINALG + "test_common_rows_put_every_matrix_over_one_"
+            "denominator",) + COCHAIN),
     Mutant("product: drop the division by d", LINALG,
            "Fraction(x, d) if x else _ZERO", "Fraction(x) if x else _ZERO",
            PRODUCT),
@@ -168,6 +174,10 @@ MUTANTS = (
            "return SoElement.assemble.__dict__.setdefault(\"m\", "
            "self._matrix)",
            (T_SO + "test_assemble_builds_one_matrix_per_element",)),
+    Mutant("Q assemble: one memo shared by every element", SO,
+           "return h\n",
+           "return QGroupElement.assemble.__dict__.setdefault(\"m\", h)\n",
+           (T_SO + "test_q_assemble_builds_one_matrix_per_element",)),
     Mutant("assemble: Ipq*U^t without the sign flip", SO,
            "[[e if s > 0 else -e for e in col]", "[[e for e in col]",
            (T_SO + "test_assemble_matches_the_block_products",)),
@@ -227,7 +237,7 @@ MUTANTS = (
            "_unit(m, r, c)) for r, c in _neg_positions(n)",
            SL_ORDER + (T_SL + "test_duals_pair_by_trace",)),
     Mutant("codifferential: [Z_a, Z_b] read at the basis positions", EXT,
-           "coeff = pm[s, r]", "coeff = pm[r, s]",
+           "coeff = pm[s][r]", "coeff = pm[r][s]",
            (T_EXT + "test_codifferential_matches_the_trace_pairing_"
             "reference",)),
     # the slot table, the trace check and alpha
@@ -246,12 +256,20 @@ MUTANTS = (
            "if s > 0 else (HALF, minus_half)", ALPHA),
     Mutant("alpha: float zeros left as the shared Fraction zero", EXT,
            "return type(e) is Fraction and not e", "return not e", ALPHA),
-    # the obstruction cochain
-    Mutant("cochain: alpha images of the pair swapped",
-           "liecontact/extension.py",
-           "images[a], images[b])", "images[b], images[a])",
-           ("tests/test_extension.py::"
-            "test_obstruction_cochain_matches_psi_on_every_pair",)),
+    # the obstruction cochain on integer rows
+    Mutant("cochain: alpha images of the pair swapped", EXT,
+           "_commutator_rows(images[a], images[b], m)",
+           "_commutator_rows(images[b], images[a], m)", COCHAIN),
+    Mutant("cochain: one table's denominator where the lcm belongs", EXT,
+           "d = math.lcm(d_sl, d_al)", "d = d_al", COCHAIN),
+    Mutant("cochain: alpha of the bracket not rescaled to the lcm", EXT,
+           "coeffs = [(k, c * f_al) for", "coeffs = [(k, c) for", COCHAIN),
+    Mutant("cochain: bracket coordinates read without the block check", EXT,
+           "coords = _int_coordinates(",
+           "coords = (lambda s, g: [g[r][c] * t for r, c, t\n"
+           "                             in _basis_positions(s)])(",
+           (T_EXT + "test_obstruction_cochain_refuses_a_bracket_outside_the_"
+            "algebra",)),
     # the chain generator
     Mutant("chain_matrix: no E^2 = 0 check", "liecontact/chains.py",
            "if not (e * e).is_zero():", "if False:",

@@ -18,9 +18,9 @@ from liecontact.extension import (Cochain2, alpha, alpha_restriction_matrix,
                                   q_tangent_basis, r_block_path,
                                   symmetrized_reference)
 from liecontact.linalg import DualRat, Mat, max_abs, solve_linear
-from liecontact.path_sl import (SlElement, sl_bracket, sl_neg_basis,
-                                sl_neg_coordinates, sl_neg_duals,
-                                sl_neg_slots, w0)
+from liecontact.path_sl import (SlElement, _neg_positions, sl_bracket,
+                                sl_neg_basis, sl_neg_coordinates,
+                                sl_neg_duals, sl_neg_slots, w0)
 from liecontact.so_contact import (QGroupElement, Signature, SoElement,
                                    bracket, so_basis)
 
@@ -279,12 +279,30 @@ def test_hat_lift_unit_oracle():
         assert lift == SoElement.generator_e(sig)
 
 
+def _rand_sl_neg(n, rng):
+    # an element of the negative slots with random entries in basis order
+    m = 2 * n + 2
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for r, c in _neg_positions(n):
+        rows[r][c] = samplers.rand_fraction(rng)
+    return SlElement(n, Mat(rows))
+
+
+def test_rand_sl_neg_lands_in_negative_slots():
+    rng = random.Random(97)
+    for n in (2, 3, 4):
+        for _ in range(10):
+            z = _rand_sl_neg(n, rng)
+            assert z.in_slots(("m2", "m1E", "m1V"))
+            assert not z.is_zero()
+
+
 def test_hat_lift_matches_direct_solve():
     rng = random.Random(56)
     sig = Signature(2, 2)
     mat = alpha_restriction_matrix(sig)
     for _ in range(10):
-        z = samplers.rand_sl_neg(sig.n, rng)
+        z = _rand_sl_neg(sig.n, rng)
         coords = solve_linear(mat, Mat.col(sl_neg_coordinates(z)))
         assert coords is not None
         lift = hat_lift(sig, z)
@@ -481,7 +499,9 @@ def test_obstruction_cochain_is_cached_and_read_only():
     assert list(phi.table) == sorted(phi.table)
 
 
-@pytest.mark.parametrize("p,q", [(2, 1), (2, 2), (3, 3)])
+# every signature with 2 <= n <= 4, both sign orders, and n = 6
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in (2, 3, 4)
+                                 for p in range(n, -1, -1)] + [(3, 3)])
 def test_obstruction_cochain_matches_psi_on_every_pair(p, q):
     sig = Signature(p, q)
     phi = build_psi_cochain(sig)
@@ -489,6 +509,27 @@ def test_obstruction_cochain_matches_psi_on_every_pair(p, q):
     for a in range(len(lifts)):
         for b in range(a + 1, len(lifts)):
             assert phi.value(a, b) == psi_gq(lifts[a], lifts[b]), (a, b)
+
+
+def test_obstruction_cochain_refuses_a_bracket_outside_the_algebra(
+        monkeypatch):
+    # one lift's matrix gets an X companion entry that no longer repeats its
+    # X entry, so its brackets leave so(p+2, q+2): the block check of the
+    # integer route must refuse them
+    sig = Signature(2, 1)
+    n = sig.n
+    lifts = list(extension._basis_lifts(sig))
+    x = lifts[0]
+    rows = [list(r) for r in x.assemble().data]
+    assert rows[2][0] != 0
+    rows[n + 2][2] += 1
+    bad = SoElement(sig, z=x.z, X=x.X, A=x.A, D=x.D, U=x.U, w=x.w)
+    object.__setattr__(bad, "_matrix", Mat(rows))
+    lifts[0] = bad
+    build_psi_cochain.cache_clear()
+    monkeypatch.setattr(extension, "_basis_lifts", lambda s: tuple(lifts))
+    with pytest.raises(ValueError, match="block"):
+        build_psi_cochain(sig)
 
 
 def test_obstruction_cochain_is_normal():
@@ -534,6 +575,10 @@ def test_codifferential_matches_the_trace_pairing_reference():
                      for a in range(dim) for b in range(a + 1, dim)
                      if rng.random() < 0.5}
             phi = Cochain2(n, table)
+            # nonzero entries with several denominators, so the codifferential
+            # works over a common denominator that is not every entry's own
+            assert len({e.denominator for v in table.values()
+                        for r in v.mat.data for e in r if e}) > 1
             assert (codifferential(phi).values
                     == _codifferential_by_trace_pairing(phi))
 

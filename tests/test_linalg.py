@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from liecontact.linalg import (DualRat, Mat, commutator, det, exp_float,
-                               exp_nilpotent, invert, jacobi_failures,
-                               max_abs, rank_kernel, rat, rat_sqrt,
-                               solve_linear, structure_table)
+from liecontact.linalg import (DualRat, Mat, _common_rows, commutator, det,
+                               exp_float, exp_nilpotent, invert,
+                               jacobi_failures, max_abs, rank_kernel, rat,
+                               rat_sqrt, solve_linear, structure_table)
 
 
 def test_rat_accepts_exact_inputs():
@@ -299,6 +299,25 @@ def test_kernel_commutator_matches_reference(density):
             comm = commutator(a, b)
             assert [list(row) for row in comm.data] == ref
             _assert_fraction_entries(comm)
+
+
+def test_common_rows_put_every_matrix_over_one_denominator():
+    rng = random.Random(13)
+    mats = [_rand_fraction_mat(rng, 3, 4, density) for density in
+            (0, 0.3, 1, 0.5)] + [Mat.identity(3)]
+    tables, d = _common_rows(mats)
+    assert d == math.lcm(*[e.denominator for m in mats for r in m.data
+                           for e in r])
+    for m, rows in zip(mats, tables):
+        dense = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+        for i, r in enumerate(rows):
+            assert all(type(x) is int and x for _, x in r)
+            for j, x in r:
+                dense[i][j] = Fraction(x, d)
+        assert Mat(dense) == m
+    assert _common_rows([]) == ([], 1)
+    with pytest.raises(TypeError, match="Fraction entries"):
+        _common_rows([Mat.identity(2), Mat.identity(2, one=1.0)])
 
 
 def test_kernel_rejects_shape_mismatch():

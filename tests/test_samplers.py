@@ -84,11 +84,3 @@ def test_rand_isotropic_plane():
     with pytest.raises(ValueError):
         samplers.rand_isotropic_plane(Signature(2, 1), rng)
 
-
-def test_rand_sl_neg_lands_in_negative_slots():
-    rng = random.Random(97)
-    for n in (2, 3, 4):
-        for _ in range(10):
-            z = samplers.rand_sl_neg(n, rng)
-            assert z.in_slots(("m2", "m1E", "m1V"))
-            assert not z.is_zero()

@@ -424,6 +424,30 @@ def test_q_group_composition_against_assembled_product():
             assert inv.assemble() == invert(h1.assemble())
 
 
+def _q_block_assembly(h):
+    # the assembled matrix of the QGroupElement docstring, built here
+    n = h.sig.n
+    j2 = Mat([[0, 1], [-1, 0]]).map(Fraction)
+    return Mat.block([[h.B, Mat.zeros(2, n), h.w * (h.B * j2)],
+                      [Mat.zeros(n, 2), h.C, Mat.zeros(n, 2)],
+                      [Mat.zeros(2, 2), Mat.zeros(2, n), invert(h.B).T]])
+
+
+def test_q_assemble_builds_one_matrix_per_element():
+    rng = random.Random(22)
+    for sig in SIGS:
+        hs = [samplers.rand_q_element(sig, rng) for _ in range(4)]
+        hs.append(QGroupElement.identity(sig))
+        for h in hs:
+            m = h.assemble()
+            assert h.assemble() is m
+        # once every element has been used, each still has its own matrix
+        for h in hs:
+            assert h.assemble() == _q_block_assembly(h)
+        twin = QGroupElement(sig, hs[0].B, hs[0].C, hs[0].w)
+        assert twin == hs[0] and twin.assemble() is not hs[0].assemble()
+
+
 def test_q_adjoint_matches_matrix_conjugation():
     rng = random.Random(20)
     for sig in SIGS:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liecontact import samplers
+from liecontact import samplers, split_quat
 from liecontact.linalg import Mat, rank_kernel
 from liecontact.so_contact import Signature, bracket_gm1, segre_rank
 from liecontact.split_quat import (M_I, M_J, M_K, QuatStructureOnH,
@@ -161,6 +161,20 @@ def test_rank_one_witness_oracles():
     assert rank_one_witness(Mat([[1, 0], [0, 1], [0, 0]]).map(Fraction)) is None
     with pytest.raises(ValueError):
         rank_one_witness(Mat.zeros(3, 2))
+
+
+@pytest.mark.parametrize("solution,message", [
+    (None, "reflection system has no solution"),
+    ((0, 0, 0), "does not fix x")], ids=["inconsistent", "not-fixed"])
+def test_rank_one_witness_raises_when_a_check_fails(monkeypatch, solution,
+                                                     message):
+    # the checks raise instead of asserting, so they hold under python -O
+    x = Mat([[2, 0], [1, 0], [3, 0]]).map(Fraction)
+    fake = None if solution is None else Mat.col(
+        [Fraction(t) for t in solution])
+    monkeypatch.setattr(split_quat, "solve_linear", lambda a, b: fake)
+    with pytest.raises(ValueError, match=message):
+        rank_one_witness(x)
 
 
 def test_rank_one_witness_matches_rank_on_mixed_samples():
