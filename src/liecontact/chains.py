@@ -10,8 +10,8 @@ import math
 from fractions import Fraction
 
 from .extension import psi_trilinear
-from .linalg import (Mat, _from_ints, _scaled_rows, exp_nilpotent,
-                     rank_kernel, rat, solve_linear)
+from .linalg import (Mat, _from_ints, _gram_equals, _int_rows, _product_rows,
+                     exp_nilpotent, rank_kernel, rat, solve_linear)
 from .so_contact import (Signature, SoElement, _ambient_inverse, bracket_gm1,
                          segre_rank)
 from .split_quat import QuatStructureOnH, stack_columns, unstack_columns
@@ -30,8 +30,7 @@ class ModelPoint:
         rank, _ = rank_kernel(span)
         if rank != 2:
             raise ValueError("span must have rank 2")
-        s = sig.form_s()
-        if not (span.T * s * span).is_zero():
+        if not _gram_equals(span, sig.form_s()):
             raise ValueError("span must be isotropic for the ambient form")
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "span", span)
@@ -60,7 +59,7 @@ def origin(sig: Signature) -> ModelPoint:
 
 def _check_ambient(sig: Signature, g: Mat):
     s = sig.form_s()
-    if g.T * s * g != s:
+    if not _gram_equals(g, s, s):
         raise ValueError("the acting matrix must preserve the ambient form")
 
 
@@ -175,12 +174,6 @@ class STensorEval:
         return STensorEval(self.sig, self.structure.conjugated(g), self.scale)
 
 
-def _int_rows(x: Mat):
-    """x as sparse integer rows over one denominator (the product kernel's
-    scaling); integer entries are read as rationals, floats are refused."""
-    return _scaled_rows(x) or _scaled_rows(x.map(rat))
-
-
 def _pairing(signs, a, b) -> int:
     """bracket_gm1 of two n x 2 matrices given as sparse integer rows,
     without their denominators: sum_i s_i (a_i0 b_i1 - a_i1 b_i0)."""
@@ -198,17 +191,19 @@ def s_tensor(ev: STensorEval, xi: Mat, eta: Mat, zeta: Mat) -> Mat:
     times the stored scale, where L is the bottom-grade bracket. Totally
     symmetric, with values back among the contact directions.
 
-    Each argument and its images under I, J, K are scaled to integers once;
-    the nine pairings and the sum run over Python ints on one common
-    denominator, and one Fraction is built per output entry."""
+    Each argument is scaled to integers once, and so is each of the
+    structure's 2x2 matrices M = mi, mj, mk; the image a·M of an argument
+    a = A / da is the integer product A·(dm·M) over da·dm. The nine
+    pairings and the sum run over Python ints on one common denominator,
+    and one Fraction is built per output entry."""
     sig = ev.sig
     st = ev.structure
     signs = sig.signs()
-    args = (xi, eta, zeta)
-    plain = [_int_rows(a) for a in args]
+    plain = [_int_rows(a) for a in (xi, eta, zeta)]
     terms = []
-    for apply_m, sgn in ((st.apply_i, 1), (st.apply_j, 1), (st.apply_k, -1)):
-        images = [_int_rows(apply_m(a)) for a in args]
+    for m, sgn in ((st.mi, 1), (st.mj, 1), (st.mk, -1)):
+        rows_m, dm = _int_rows(m)
+        images = [(_product_rows(ra, rows_m, 2), da * dm) for ra, da in plain]
         for r in range(3):  # the cyclic terms (a, b, c) of (xi, eta, zeta)
             (ra, da), (rb, db), (rc, dc) = (plain[r], images[(r + 1) % 3],
                                             images[(r + 2) % 3])

@@ -361,6 +361,12 @@ def _scaled_rows(m: Mat):
     return [[(j, x * (d // q)) for j, x, q in r] for r in rows], d
 
 
+def _int_rows(x: Mat):
+    """x as the sparse integer rows of `_scaled_rows` over one denominator;
+    integer entries are read as rationals, floats are refused (TypeError)."""
+    return _scaled_rows(x) or _scaled_rows(x.map(rat))
+
+
 def _common_rows(mats):
     """(tables, d) with mats[k] equal to tables[k] / d for one common
     denominator d (the lcm of the matrices' own), tables[k] the sparse
@@ -380,6 +386,17 @@ def _addmul(acc, row, rows, sign):
         x *= sign
         for j, y in rows[k]:
             acc[j] += x * y
+
+
+def _product_rows(rows_a, rows_b, cols):
+    """Sparse integer rows of A·B for the sparse integer rows of A and of
+    B, B with `cols` columns."""
+    out = []
+    for ra in rows_a:
+        acc = [0] * cols
+        _addmul(acc, ra, rows_b, 1)
+        out.append([(j, x) for j, x in enumerate(acc) if x])
+    return out
 
 
 def _from_ints(rows, d):
@@ -410,6 +427,41 @@ def commutator(a: Mat, b: Mat) -> Mat:
     # a*b and b*a share the denominator da*db: one integer array holds both
     (rows_a, da), (rows_b, db) = sa, sb
     return _from_ints(_commutator_rows(rows_a, rows_b, n), da * db)
+
+
+def _gram_equals(a: Mat, s: Mat, target: Mat | None = None) -> bool:
+    """Whether the Gram matrix a^T·s·a of the columns of a under the form s
+    equals target, or is zero when target is None, decided on integer rows
+    without building a Fraction: with a = A / da, s = S / ds and target =
+    T / dt it compares dt·A^T·S·A with da²·ds·T entry by entry, and S·A
+    reads only the nonzero entries of S. Integer entries are read as
+    rationals and floats are refused (TypeError); shapes that do not fit
+    are a ValueError."""
+    n = a.cols
+    if (not a.rows == s.rows == s.cols
+            or target is not None and not target.rows == target.cols == n):
+        raise ValueError("shape mismatch: a^T·s·a needs a square s with as "
+                         "many rows as a and an %dx%d target" % (n, n))
+    rows_a, da = _int_rows(a)
+    rows_s, ds = _int_rows(s)
+    sa = _product_rows(rows_s, rows_a, n)
+    gram = [[0] * n for _ in range(n)]
+    for ra, rsa in zip(rows_a, sa):  # A^T·(S·A) as a sum of outer products
+        for k, x in ra:
+            gk = gram[k]
+            for j, y in rsa:
+                gk[j] += x * y
+    if target is None:
+        return not any(map(any, gram))
+    rows_t, dt = _int_rows(target)
+    scale = da * da * ds
+    for g, rt in zip(gram, rows_t):
+        want = [0] * n
+        for j, t in rt:
+            want[j] = t * scale
+        if [x * dt for x in g] != want:
+            return False
+    return True
 
 
 def structure_table(basis, coordinates):
@@ -539,23 +591,36 @@ def exp_nilpotent(m: Mat, nilpotency_bound: int) -> Mat:
 
     Raises ValueError naming the power that failed to vanish when m is not
     nilpotent within the stated bound.
+
+    m is scaled to integers once, m = M / d (integer entries are read as
+    rationals, floats are refused with TypeError). Each power m^j = M^j / d^j
+    is kept as the sparse integer rows of M^j, and the vanishing test runs
+    on them; the sum is taken over the one denominator L!·d^L of the last
+    nonzero power L, and one Fraction is built per nonzero entry.
     """
     if m.rows != m.cols:
         raise ValueError("exp of a non-square matrix")
-    powers = []  # m, m^2, ... up to the last nonzero power
-    p = m
+    n = m.rows
+    rows, d = _int_rows(m)
+    powers = []  # (M^j, d^j) for j = 1, 2, ... up to the last nonzero power
+    p, dp = rows, d
     for _ in range(nilpotency_bound):
-        if p.is_zero():
+        if not any(p):
             break
-        powers.append(p)
-        p = p * m
+        powers.append((p, dp))
+        p, dp = _product_rows(p, rows, n), dp * d
     else:
         raise ValueError("m^%d != 0, not nilpotent within the stated bound"
                          % nilpotency_bound)
-    result = Mat.identity(m.rows)
-    for j, p in enumerate(powers, 1):
-        result = result + p * Fraction(1, math.factorial(j))
-    return result
+    top = len(powers)
+    den = math.factorial(top) * d ** top
+    acc = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    for j, (p, dp) in enumerate(powers, 1):
+        f = den // (math.factorial(j) * dp)  # den · m^j / j! = f · M^j
+        for out, row in zip(acc, p):
+            for k, x in row:
+                out[k] += f * x
+    return _from_ints(acc, den)
 
 
 def exp_float(m: Mat) -> Mat:

@@ -35,8 +35,8 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .linalg import (Mat, commutator, det, invert, jacobi_failures,
-                     rank_kernel, rat, structure_table)
+from .linalg import (Mat, _gram_equals, commutator, det, invert,
+                     jacobi_failures, rank_kernel, rat, structure_table)
 
 J2 = Mat([[0, 1], [-1, 0]]).map(Fraction)
 
@@ -275,7 +275,7 @@ def bracket_gm1(sig: Signature, x: Mat, y: Mat) -> Fraction:
 def _check_orthogonal(sig: Signature, c: Mat) -> None:
     """ValueError unless C^t Ipq C = Ipq, i.e. C lies in O(p, q)."""
     ipq = sig.ipq()
-    if (c.T * ipq * c) != ipq:
+    if not _gram_equals(c, ipq, ipq):
         raise ValueError("C is not orthogonal for the (p,q) form")
 
 

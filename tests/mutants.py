@@ -57,6 +57,7 @@ JACOBI = (T_LINALG + "test_jacobi_failures_match_the_ordered_triple_loop",
           T_LINALG + "test_jacobi_failures_refuse_a_table_that_is_not_"
           "antisymmetric")
 EXP = (T_LINALG + "test_exp_nilpotent_matches_the_explicit_sum",)
+GRAM = (T_LINALG + "test_gram_check_matches_the_product_form",)
 SO_PQ = (T_SO + "test_entrywise_so_pq_test_matches_the_product_form",
          T_SO + "test_so_element_rejects_bad_middle_block")
 EXPORT_ERRORS = ("tests/test_report.py::"
@@ -141,11 +142,21 @@ MUTANTS = (
            "failures += 6", "failures += 1", JACOBI),
     # the nilpotent exponential
     Mutant("exp_nilpotent: 1/j for 1/j!", LINALG,
-           "Fraction(1, math.factorial(j))", "Fraction(1, j)", EXP),
+           "den // (math.factorial(j) * dp)", "den // (j * dp)", EXP),
     Mutant("exp_nilpotent: one power beyond the stated bound", LINALG,
            "for _ in range(nilpotency_bound):",
            "for _ in range(nilpotency_bound + 1):",
            EXP + (T_LINALG + "test_exp_nilpotent_bound_zero_always_raises",)),
+    Mutant("exp_nilpotent: a power step that drops a factor of d", LINALG,
+           "_product_rows(p, rows, n), dp * d",
+           "_product_rows(p, rows, n), dp", EXP),
+    # the Gram check a^T·s·a on integer rows
+    Mutant("Gram check: compared without its denominator scale", LINALG,
+           "scale = da * da * ds", "scale = 1", GRAM),
+    Mutant("Gram check: the sign of S dropped", LINALG,
+           "sa = _product_rows(rows_s, rows_a, n)",
+           "sa = _product_rows([[(j, abs(x)) for j, x in r] for r in rows_s],"
+           "\n                        rows_a, n)", GRAM),
     # the so(p, q) test and the per-element matrix
     Mutant("so(p,q): skip the diagonal", SO,
            "for j in range(i, sig.n))", "for j in range(i + 1, sig.n))",
@@ -286,11 +297,16 @@ MUTANTS = (
            "if t0 >= t1:", "if False:",
            ("tests/test_chains.py::"
             "test_emit_trajectory_needs_an_increasing_range",)),
+    # the cubic tensor on integer rows
+    Mutant("s_tensor: an image kept over the argument's denominator",
+           "liecontact/chains.py",
+           "da * dm) for ra, da in plain]", "da) for ra, da in plain]",
+           ("tests/test_chains.py::test_tensor_matches_the_matrix_formula",)),
     # the group-element checks and the CLI
     Mutant("G0: skip the invertibility check", "liecontact/so_contact.py",
            "if det(b) == 0:", "if False:", G0_TESTS),
     Mutant("G0: skip the orthogonality check", "liecontact/so_contact.py",
-           "if (c.T * ipq * c) != ipq:", "if False:",
+           "if not _gram_equals(c, ipq, ipq):", "if False:",
            G0_TESTS + (T_SO + "test_equivariance_rejects_non_orthogonal_c",)),
     Mutant("cli: a zero denominator in --t-max escapes as a traceback",
            "liecontact/cli.py",

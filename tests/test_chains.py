@@ -17,6 +17,7 @@ from liecontact.chains import (ChainCurve, ModelPoint, STensorEval, act,
 from liecontact.linalg import Mat, exp_nilpotent, invert
 from liecontact.so_contact import (Signature, SoElement, _ambient_inverse,
                                    bracket_gm1, segre_rank)
+from test_linalg import _corrupted, _sign_swap
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 ORACLE_SIGS = (Signature(1, 0), Signature(2, 1), Signature(3, 0),
@@ -59,6 +60,34 @@ def test_act_requires_form_preservation():
     sig = Signature(2, 1)
     with pytest.raises(ValueError, match="preserve the ambient form"):
         act(sig, 2 * Mat.identity(7), origin(sig))
+
+
+def test_form_checks_refuse_near_misses():
+    # a corrupted element of O(S), one with g^T S g = -S and multiples c·g
+    # are refused wherever g acts, and a corrupted isotropic plane where a
+    # point is made, each with its check's message
+    rng = random.Random(88)
+    for sig in (Signature(2, 1), Signature(2, 2), Signature(3, 3)):
+        s = sig.form_s()
+        g = samplers.rand_oform(sig, rng)
+        bad = [_corrupted(g, rng), 2 * Mat.identity(sig.n + 4),
+               Fraction(1, 3) * g]
+        if sig.p == sig.q:
+            bad.append(g * _sign_swap(sig)[0])
+        for b in bad:
+            assert b.T * s * b != s
+            for make in (lambda: act(sig, b, origin(sig)),
+                         lambda: ChainCurve(sig, b)):
+                with pytest.raises(ValueError, match="the acting matrix must "
+                                   "preserve the ambient form"):
+                    make()
+        span = g.submat(0, sig.n + 4, 0, 2)
+        assert ModelPoint(sig, span).span == span
+        skew = _corrupted(span, rng)
+        assert not (skew.T * s * skew).is_zero()
+        with pytest.raises(ValueError, match="span must be isotropic for the "
+                           "ambient form"):
+            ModelPoint(sig, skew)
 
 
 def test_act_moves_points_and_keeps_them_valid():
@@ -334,6 +363,11 @@ def test_rank_one_test_rejects_zero():
 
 
 class _ZeroStructure:
+    """The zero operator in place of I, J and K, both as the maps and as
+    their right-multiplication matrices."""
+
+    mi = mj = mk = Mat.zeros(2, 2)
+
     def __init__(self, sig):
         self.sig = sig
 

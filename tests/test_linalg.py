@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from liecontact.linalg import (DualRat, Mat, _common_rows, commutator, det,
-                               exp_float, exp_nilpotent, invert,
-                               jacobi_failures, max_abs, rank_kernel, rat,
-                               rat_sqrt, solve_linear, structure_table)
+from liecontact import samplers
+from liecontact.linalg import (DualRat, Mat, _common_rows, _gram_equals,
+                               commutator, det, exp_float, exp_nilpotent,
+                               invert, jacobi_failures, max_abs, rank_kernel,
+                               rat, rat_sqrt, solve_linear, structure_table)
+from liecontact.so_contact import Signature
 
 
 def test_rat_accepts_exact_inputs():
@@ -202,6 +204,17 @@ def test_exp_nilpotent_bound_zero_always_raises():
         exp_nilpotent(Mat.zeros(2, 2), 0)
 
 
+def test_exp_nilpotent_reads_integer_entries_and_refuses_floats():
+    ints = Mat([[0, 2, -1], [0, 0, 3], [0, 0, 0]])
+    frac = ints.map(Fraction)
+    out = exp_nilpotent(ints, 3)
+    assert out == exp_nilpotent(frac, 3)
+    assert out == Mat.identity(3) + frac + Fraction(1, 2) * (frac * frac)
+    assert all(type(e) is Fraction for r in out.data for e in r)
+    with pytest.raises(TypeError, match="float"):
+        exp_nilpotent(frac.map(float), 3)
+
+
 def _mat_power(m, j):
     out = m
     for _ in range(j - 1):
@@ -318,6 +331,97 @@ def test_common_rows_put_every_matrix_over_one_denominator():
     assert _common_rows([]) == ([], 1)
     with pytest.raises(TypeError, match="Fraction entries"):
         _common_rows([Mat.identity(2), Mat.identity(2, one=1.0)])
+
+
+# ---------------------------------------------------------------------------
+# the Gram check a^T·s·a on integer rows against the product form
+
+FORM_SIGS = (Signature(2, 1), Signature(3, 0), Signature(1, 1),
+             Signature(2, 2), Signature(3, 3))
+
+
+def _corrupted(m, rng):
+    """m with one entry moved by a nonzero rational."""
+    rows = [list(r) for r in m.data]
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    rows[i][j] += Fraction(rng.choice((-1, 1)) * rng.randrange(1, 5),
+                           rng.randrange(1, 4))
+    return Mat(rows)
+
+
+def _sign_swap(sig):
+    """For p = q, the g with g^T S g = -S and the c with c^T Ipq c = -Ipq:
+    c swaps the positive and negative coordinates, and g is c between I2
+    and -I2."""
+    p, n = sig.p, sig.n
+    c = Mat([[Fraction(int(j == (i + p) % n)) for j in range(n)]
+             for i in range(n)])
+    zero = Mat.zeros
+    g = Mat.block([[Mat.identity(2), zero(2, n), zero(2, 2)],
+                   [zero(n, 2), c, zero(n, 2)],
+                   [zero(2, 2), zero(2, n), -Mat.identity(2)]])
+    return g, c
+
+
+def _gram_cases(sig, rng):
+    """(a, s, expected) with expected whether a^T·s·a = s: elements of O(S)
+    and O(p, q), copies with one entry corrupted, and near misses."""
+    s, ipq = sig.form_s(), sig.ipq()
+    cases = []
+    for _ in range(3):
+        g = samplers.rand_oform(sig, rng)
+        c = samplers.rand_opq(sig, rng)
+        cases += [(g, s, True), (c, ipq, True),
+                  (_corrupted(g, rng), s, False),
+                  (_corrupted(c, rng), ipq, False)]
+    if sig.p == sig.q:
+        g, c = _sign_swap(sig)
+        cases += [(g, s, False), (c, ipq, False),
+                  (samplers.rand_oform(sig, rng) * g, s, False),
+                  (samplers.rand_opq(sig, rng) * c, ipq, False)]
+    for form in (s, ipq):
+        one = Mat.identity(form.rows)
+        cases += [(k * one, form, k in (1, -1))
+                  for k in (2, Fraction(-1, 3), -1)]
+    return cases
+
+
+@pytest.mark.parametrize("sig", FORM_SIGS, ids=repr)
+def test_gram_check_matches_the_product_form(sig):
+    rng = random.Random(31 + 7 * sig.p + sig.q)
+    planes = []
+    for a, s, expected in _gram_cases(sig, rng):
+        assert (a.T * s * a == s) is expected
+        assert _gram_equals(a, s, s) is expected
+        if s.rows == sig.n + 4:
+            # the first two columns of an element of O(S) span an isotropic
+            # plane, the other columns need not
+            planes += [a.submat(0, a.rows, 0, 2), a.submat(0, a.rows, 1, 3),
+                       _corrupted(a.submat(0, a.rows, 0, 2), rng)]
+    isotropic = [(p.T * sig.form_s() * p).is_zero() for p in planes]
+    assert [_gram_equals(p, sig.form_s()) for p in planes] == isotropic
+    assert True in isotropic and False in isotropic
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _gram_equals(Mat.identity(3), sig.form_s())
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _gram_equals(Mat.identity(sig.n), sig.ipq(), Mat.identity(sig.n + 1))
+
+
+def test_gram_check_reads_integer_entries_and_refuses_floats():
+    sig = Signature(2, 1)
+    ipq = sig.ipq()
+    ints = Mat([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    assert _gram_equals(ints, ipq.map(int), ipq)
+    assert _gram_equals(ints.map(Fraction), ipq, ipq.map(int))
+    assert not _gram_equals(2 * ints, ipq, ipq)
+    plane = Mat([[1, 0], [1, 0], [0, 1]])
+    assert not _gram_equals(plane, ipq)
+    assert _gram_equals(Mat([[1, 0], [0, 0], [1, 0]]), ipq)
+    for a, s in ((ints.map(float), ipq), (ints, ipq.map(float))):
+        with pytest.raises(TypeError, match="float"):
+            _gram_equals(a, s, ipq)
+    with pytest.raises(TypeError, match="float"):
+        _gram_equals(ints, ipq, ipq.map(float))
 
 
 def test_kernel_rejects_shape_mismatch():

@@ -14,6 +14,7 @@ from liecontact.so_contact import (G0Element, QGroupElement, Signature,
                                    inner, jacobi_check, rank_one_bracket,
                                    segre_rank, so_basis, so_basis_degrees,
                                    structure_constants)
+from test_linalg import _corrupted, _sign_swap
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 
@@ -333,6 +334,29 @@ def test_equivariance_rejects_non_orthogonal_c():
     x = samplers.rand_gm1(sig, rng)
     with pytest.raises(ValueError):
         equivariance_checks(sig, 2 * Mat.identity(3), Mat.identity(2), x, x)
+
+
+def test_orthogonality_check_refuses_near_misses():
+    # a corrupted element of O(p, q), one with C^T Ipq C = -Ipq and
+    # multiples c·C are refused by every caller, with the check's message
+    rng = random.Random(17)
+    for sig in (Signature(2, 1), Signature(2, 2), Signature(3, 3)):
+        c = samplers.rand_opq(sig, rng)
+        bad = [_corrupted(c, rng), 2 * Mat.identity(sig.n),
+               Fraction(-1, 3) * c]
+        if sig.p == sig.q:
+            bad.append(c * _sign_swap(sig)[1])
+        x = samplers.rand_gm1(sig, rng)
+        one = Mat.identity(2)
+        for b in bad:
+            assert b.T * sig.ipq() * b != sig.ipq()
+            for make in (lambda: G0Element(sig, one, b),
+                         lambda: QGroupElement(sig, one, b),
+                         lambda: equivariance_checks(sig, b, one, x, x)):
+                with pytest.raises(ValueError, match=r"C is not orthogonal "
+                                   r"for the \(p,q\) form"):
+                    make()
+        assert G0Element(sig, one, c).C == c
 
 
 @pytest.mark.parametrize("cls", [G0Element, QGroupElement])
