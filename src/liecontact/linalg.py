@@ -23,6 +23,16 @@ obstruction cochain and the codifferential of `extension` run it on
 matrices scaled to integers over one common denominator per table
 (`_common_rows`).
 
+Three compound operations run on the same integer rows and build no
+intermediate Fraction matrix. `exp_nilpotent` scales m once, keeps each
+power as sparse integer rows over d^j, tests the vanishing power on
+integers and sums over one denominator. `_gram_equals` decides whether
+a^T·s·a equals a target, or is zero, by comparing integers; the ambient
+form and isotropy checks of `chains` and the orthogonality check of
+`so_contact` go through it. The cubic tensor of `chains` forms its I, J,
+K images as integer products (`_product_rows`). All three read integer
+entries as rationals and refuse floats (`_int_rows`).
+
 The linear operations `+`, `-`, unary `-` and scalar `*` skip exact zeros,
 which most entries of the package's matrices are. Where both entries of a
 sum or difference are Fractions and one is zero, the result is the other

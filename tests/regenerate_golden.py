@@ -17,6 +17,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+from liecontact.cli import main as cli_main
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 ALL_SUITES = ("algebra", "quaternion", "extension", "normality", "chains",
@@ -56,8 +58,6 @@ def argv(case, path) -> list:
 
 
 def main() -> int:
-    from liecontact.cli import main as cli_main
-
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
         path = GOLDEN / case[0]
