@@ -30,7 +30,7 @@ class ModelPoint:
         rank, _ = rank_kernel(span)
         if rank != 2:
             raise ValueError("span must have rank 2")
-        if not _gram_equals(span, sig.form_s()):
+        if not _gram_equals(span, sig.form_s_perm()):
             raise ValueError("span must be isotropic for the ambient form")
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "span", span)
@@ -58,7 +58,7 @@ def origin(sig: Signature) -> ModelPoint:
 
 
 def _check_ambient(sig: Signature, g: Mat):
-    s = sig.form_s()
+    s = sig.form_s_perm()
     if not _gram_equals(g, s, s):
         raise ValueError("the acting matrix must preserve the ambient form")
 
@@ -102,9 +102,11 @@ class ChainCurve:
         return self.g + rat(t) * self.vel
 
     def at(self, t) -> ModelPoint:
-        """The frame applied to the origin [e1 e2]: its first two columns."""
-        frame = self.frame(t)
-        return ModelPoint(self.sig, frame.submat(0, frame.rows, 0, 2))
+        """The frame applied to the origin [e1 e2]: its first two columns,
+        g[:, :2] + t·vel[:, :2]. The other columns are not formed."""
+        rows = self.g.rows
+        return ModelPoint(self.sig, self.g.submat(0, rows, 0, 2)
+                          + rat(t) * self.vel.submat(0, rows, 0, 2))
 
     def velocity_class(self, t) -> SoElement:
         """Velocity of the curve of frames pulled back to the identity; its

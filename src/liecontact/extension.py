@@ -299,14 +299,14 @@ def r_block_path(sig: Signature, x: Mat, y: Mat) -> Mat:
     rank-two matrices R_ab = (X_a Y_b^t + Y_a X_b^t) Ipq; the second
     computation path for the trilinear map."""
     n = sig.n
-    ipq = sig.ipq()
+    ipq = sig.ipq_perm()
     x1, x2 = _halves(x)
     y1, y2 = _halves(y)
     c = [Mat.col(x1), Mat.col(x2)]
     d = [Mat.col(y1), Mat.col(y2)]
 
     def rr(i, j):
-        return (c[i] * d[j].T + d[i] * c[j].T) * ipq
+        return ipq.right(c[i] * d[j].T + d[i] * c[j].T)
 
     r11 = rr(0, 0)
     r22 = rr(1, 1)

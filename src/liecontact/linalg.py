@@ -7,7 +7,8 @@ export. Matrices are immutable, dense and row-major; the largest are the
 (2n+2) x (2n+2) matrices of sl(2n+2), 14 x 14 at n = 6 (signature (3, 3),
 the largest the CI smoke run covers). Rank, kernel, solve, inverse and
 determinant share one fraction-free Gauss-Jordan elimination on rows of
-Fractions scaled to integers, `_eliminate`.
+Fractions scaled to integers, `_eliminate`; its integer core, `_bareiss`,
+also solves the Cayley transform of `samplers.rand_opq`.
 
 Products and commutators of all-Fraction matrices go through one exact
 integer kernel: each factor is scaled to integers over the lcm of its entry
@@ -33,6 +34,13 @@ form and isotropy checks of `chains` and the orthogonality check of
 K images as integer products (`_product_rows`). All three read integer
 entries as rationals and refuse floats (`_int_rows`).
 
+The forms S and Ipq are symmetric signed permutations, kept per signature
+as `SignedPerm` tables. A product with one (`left`, `right`,
+`conjugate_transpose`) moves entries and flips signs, and `_gram_equals`
+reads a table as the sparse integer rows it already is, so the form
+checks of `chains` and `so_contact` do not scan the form; a form given as
+a Mat is scanned on each call.
+
 The linear operations `+`, `-`, unary `-` and scalar `*` skip exact zeros,
 which most entries of the package's matrices are. Where both entries of a
 sum or difference are Fractions and one is zero, the result is the other
@@ -55,7 +63,10 @@ Rat = Fraction
 
 def rat(x) -> Fraction:
     """Coerce to Fraction. Floats are rejected on purpose: silent
-    binary-to-rational conversion is how exactness dies."""
+    binary-to-rational conversion is how exactness dies. A Fraction comes
+    back as it is (Fractions are immutable)."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("refusing to coerce float %r to a rational" % x)
     return Fraction(x)
@@ -439,21 +450,90 @@ def commutator(a: Mat, b: Mat) -> Mat:
     return _from_ints(_commutator_rows(rows_a, rows_b, n), da * db)
 
 
-def _gram_equals(a: Mat, s: Mat, target: Mat | None = None) -> bool:
+class SignedPerm:
+    """A symmetric signed permutation matrix P, given by its rows: P has
+    signs[i] = +-1 at (i, perm[i]) and zeros elsewhere, and P = P^T (perm
+    is an involution and signs[perm[i]] = signs[i]), so P^2 = I. Products
+    with P move entries and flip signs and do no other arithmetic. The
+    forms S and Ipq of `so_contact` are of this kind. Immutable; `rows`
+    and `cols` give its shape as a Mat's do."""
+
+    __slots__ = ("perm", "signs")
+
+    def __init__(self, perm, signs):
+        perm, signs = tuple(perm), tuple(signs)
+        if (sorted(perm) != list(range(len(perm))) or len(signs) != len(perm)
+                or any(s not in (1, -1) for s in signs)
+                or any(perm[k] != i or signs[k] != signs[i]
+                       for i, k in enumerate(perm))):
+            raise ValueError("not a symmetric signed permutation: %r, %r"
+                             % (perm, signs))
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "signs", signs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SignedPerm is immutable")
+
+    @property
+    def rows(self):
+        return len(self.perm)
+
+    cols = rows
+
+    def _fits(self, side):
+        k = len(self.perm)
+        if side != k:
+            raise ValueError("shape mismatch: a %dx%d signed permutation "
+                             "against a side of %d" % (k, k, side))
+
+    def left(self, m: Mat) -> Mat:
+        """P·m: row i is signs[i] times row perm[i] of m."""
+        self._fits(m.rows)
+        data = m.data
+        return Mat([data[k] if s > 0 else [-e for e in data[k]]
+                    for k, s in zip(self.perm, self.signs)])
+
+    def right(self, m: Mat) -> Mat:
+        """m·P: column j is signs[j] times column perm[j] of m."""
+        self._fits(m.cols)
+        cols = tuple(zip(self.perm, self.signs))
+        return Mat([[r[k] if s > 0 else -r[k] for k, s in cols]
+                    for r in m.data])
+
+    def conjugate_transpose(self, m: Mat) -> Mat:
+        """P·m^T·P: entry (i, j) is signs[i]·signs[j]·m[perm j][perm i]."""
+        self._fits(m.rows)
+        self._fits(m.cols)
+        data = m.data
+        cols = tuple(zip(self.perm, self.signs))
+        return Mat([[data[k][l] if s * t > 0 else -data[k][l]
+                     for k, s in cols] for l, t in cols])
+
+
+def _form_rows(s):
+    """(rows, d) of a form for `_gram_equals`: a SignedPerm's one +-1 per
+    row as it stands, over d = 1; a Mat's `_int_rows`."""
+    if isinstance(s, SignedPerm):
+        return [[(k, x)] for k, x in zip(s.perm, s.signs)], 1
+    return _int_rows(s)
+
+
+def _gram_equals(a: Mat, s, target=None) -> bool:
     """Whether the Gram matrix a^T·s·a of the columns of a under the form s
     equals target, or is zero when target is None, decided on integer rows
     without building a Fraction: with a = A / da, s = S / ds and target =
     T / dt it compares dt·A^T·S·A with da²·ds·T entry by entry, and S·A
-    reads only the nonzero entries of S. Integer entries are read as
-    rationals and floats are refused (TypeError); shapes that do not fit
-    are a ValueError."""
+    reads only the nonzero entries of S. The form and the target are each
+    a Mat or a SignedPerm; a SignedPerm is read as it stands, a Mat is
+    scanned on every call. Integer entries are read as rationals and floats
+    are refused (TypeError); shapes that do not fit are a ValueError."""
     n = a.cols
     if (not a.rows == s.rows == s.cols
             or target is not None and not target.rows == target.cols == n):
         raise ValueError("shape mismatch: a^T·s·a needs a square s with as "
                          "many rows as a and an %dx%d target" % (n, n))
     rows_a, da = _int_rows(a)
-    rows_s, ds = _int_rows(s)
+    rows_s, ds = _form_rows(s)
     sa = _product_rows(rows_s, rows_a, n)
     gram = [[0] * n for _ in range(n)]
     for ra, rsa in zip(rows_a, sa):  # A^T·(S·A) as a sum of outer products
@@ -463,7 +543,7 @@ def _gram_equals(a: Mat, s: Mat, target: Mat | None = None) -> bool:
                 gk[j] += x * y
     if target is None:
         return not any(map(any, gram))
-    rows_t, dt = _int_rows(target)
+    rows_t, dt = _form_rows(target)
     scale = da * da * ds
     for g, rt in zip(gram, rows_t):
         want = [0] * n
@@ -502,14 +582,13 @@ def structure_table(basis, coordinates):
 
 
 def _eliminate(rows):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the rows of
-    Fractions `rows`, each first scaled to integers by its lcm. A pivot p
-    sets every other row to (p * row - row[c] * pivot row) / p_prev, exact
-    by Sylvester's identity. Returns (rows, pivots, d, sign, scale): the
-    integer rows are d times the reduced row echelon form, d the last pivot
-    (1 if none), sign the parity of the row swaps and scale the product of
-    the row lcms, so a square full-rank input has determinant
-    sign * d / scale. TypeError on any entry that is not a Fraction."""
+    """Fraction-free Gauss-Jordan elimination (`_bareiss`) of the rows of
+    Fractions `rows`, each first scaled to integers by its lcm. Returns
+    (rows, pivots, d, sign, scale): the integer rows are d times the
+    reduced row echelon form, d the last pivot (1 if none), sign the parity
+    of the row swaps and scale the product of the row lcms, so a square
+    full-rank input has determinant sign * d / scale. TypeError on any
+    entry that is not a Fraction."""
     out = []
     scale = 1
     for r in rows:
@@ -518,6 +597,16 @@ def _eliminate(rows):
         lcm = math.lcm(*[e.denominator for e in r])
         out.append([e.numerator * (lcm // e.denominator) for e in r])
         scale *= lcm
+    return (*_bareiss(out), scale)
+
+
+def _bareiss(out):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the integer
+    rows `out`, which it overwrites. A pivot p sets every other row to
+    (p * row - row[c] * pivot row) / p_prev, exact by Sylvester's identity.
+    Returns (rows, pivots, d, sign): the rows are d times the reduced row
+    echelon form of the input, d the last pivot (1 if none) and sign the
+    parity of the row swaps."""
     pivots = []
     sign = prev = 1
     for c in range(len(out[0])):
@@ -538,7 +627,7 @@ def _eliminate(rows):
                 out[k] = [piv * x // prev for x in row]
         pivots.append(c)
         prev = piv
-    return out, pivots, prev, sign, scale
+    return out, pivots, prev, sign
 
 
 def rank_kernel(m: Mat):

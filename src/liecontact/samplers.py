@@ -3,21 +3,44 @@
 Every sampler takes an explicit random.Random and returns exact rational
 data, so a fixed seed reproduces the same samples everywhere. Orthogonal
 matrices come from Cayley transforms of so(p,q) elements times sign flips,
-which reaches all components of O(p,q); orthogonal-form group elements are
-products exp(nilpotent) * block-diagonal * exp(nilpotent), each factor
-exactly in the group.
+which reaches all components of O(p,q); `rand_opq` solves the transform
+by one integer elimination and flips the signs on its integer rows, and
+the product with Ipq in `rand_so_pq` is a signed permutation
+(`linalg.SignedPerm`), so neither multiplies Fraction matrices.
+
+Elements of the orthogonal group of the big form S come from its big cell,
+g = exp(N-)·diag(B, C, B^-T)·exp(N+), with N- the assembled (z, X) and N+
+the assembled (U, w) of `so_contact`. Each factor is exactly in the group.
+`rand_oform` builds the three factors from their blocks as integer rows,
+each over one denominator: N-² and N+² are zero outside the corner block,
+so exp(N-) has the corner zJ + ½XᵀIpqX and exp(N+) the corner
+wJ + ½UIpqUᵀ, and B^-T is the adjugate of B over its determinant. Two
+integer products and one Fraction per nonzero entry of g follow.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .linalg import Mat, det, exp_nilpotent, invert
+from .linalg import Mat, _addmul, _bareiss, _from_ints, _product_rows, det
 from .so_contact import QGroupElement, Signature, SoElement
 
 
+def _rand_ratio(rng, span=6, den=4):
+    """The numerator and denominator that `rand_fraction` draws, as ints."""
+    return rng.randint(-span, span), rng.randint(1, den)
+
+
+def _ratio_rows(ratios):
+    """(rows, d): dense integer rows over one denominator d, the lcm of the
+    denominators, for rows of (numerator, denominator) pairs."""
+    d = math.lcm(*(q for r in ratios for _, q in r))
+    return [[x * (d // q) for x, q in r] for r in ratios], d
+
+
 def rand_fraction(rng, span=6, den=4) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+    return Fraction(*_rand_ratio(rng, span, den))
 
 
 def rand_nonzero_fraction(rng, span=6, den=4) -> Fraction:
@@ -43,19 +66,24 @@ def rand_nonzero_col(rng, n, span=6, den=4) -> Mat:
             return v
 
 
-def rand_antisym(rng, n, span=3, den=3) -> Mat:
-    rows = [[Fraction(0)] * n for _ in range(n)]
+def _antisym_ratio_rows(rng, n, span=3, den=3):
+    """(rows, d): the antisymmetric matrix `rand_antisym` draws, with the
+    same draws, as dense integer rows over one denominator d."""
+    rows = [[(0, 1)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            x = rand_fraction(rng, span, den)
-            rows[i][j] = x
-            rows[j][i] = -x
-    return Mat(rows)
+            x, q = _rand_ratio(rng, span, den)
+            rows[i][j], rows[j][i] = (x, q), (-x, q)
+    return _ratio_rows(rows)
+
+
+def rand_antisym(rng, n, span=3, den=3) -> Mat:
+    return _from_ints(*_antisym_ratio_rows(rng, n, span, den))
 
 
 def rand_so_pq(sig: Signature, rng) -> Mat:
     """Random element of so(p,q): Ipq times an antisymmetric matrix."""
-    return sig.ipq() * rand_antisym(rng, sig.n)
+    return sig.ipq_perm().left(rand_antisym(rng, sig.n))
 
 
 def rand_so_element(sig: Signature, rng) -> SoElement:
@@ -66,18 +94,27 @@ def rand_so_element(sig: Signature, rng) -> SoElement:
 
 
 def rand_opq(sig: Signature, rng) -> Mat:
-    """Random element of O(p,q), in any of its components."""
+    """Random element of O(p,q), in any of its components: the Cayley
+    transform C = (I - D)^-1 (I + D) of a `rand_so_pq` draw D, drawn again
+    while I - D is singular, times a diagonal of random signs. With
+    D = Di / d, C solves (d·I - Di)·C = d·I + Di, and one integer
+    elimination of [d·I - Di | d·I + Di] gives it; D is never built as a
+    Fraction matrix."""
     n = sig.n
-    eye = Mat.identity(n)
     while True:
-        d = rand_so_pq(sig, rng)
-        try:
-            c = invert(eye - d) * (eye + d)
+        a, d = _antisym_ratio_rows(rng, n)
+        rows = []
+        for i, (s, r) in enumerate(zip(sig.signs(), a)):
+            di = [s * x for x in r]  # row i of Di = Ipq·A
+            rows.append([-x for x in di] + di)
+            rows[i][i] += d
+            rows[i][n + i] += d
+        rows, pivots, den, _ = _bareiss(rows)
+        if pivots[:n] == list(range(n)):
             break
-        except ValueError:
-            continue
-    signs = Mat.diag([Fraction(rng.choice((1, -1))) for _ in range(n)])
-    return c * signs
+    signs = [rng.choice((1, -1)) for _ in range(n)]  # C times diag(signs)
+    return _from_ints([[x if s > 0 else -x for x, s in zip(r[n:], signs)]
+                       for r in rows], den)
 
 
 def rand_gl2(rng, span=4, den=3) -> Mat:
@@ -108,14 +145,76 @@ def rand_q_tangent(sig: Signature, rng):
     return rand_mat(rng, 2, 2), rand_so_pq(sig, rng), rand_fraction(rng)
 
 
+def _corner(signs, v, dv, z):
+    """(k, d): the corner block zJ + ½·(v_a^T Ipq v_b)_ab of exp(N-) or
+    exp(N+) as 2x2 integers over d = lcm(zd, 2·dv²), for the two vectors
+    v / dv (the columns of X, or the rows of U) and z = (zn, zd), zn / zd."""
+    zn, zd = z
+    d = math.lcm(zd, 2 * dv * dv)
+    half, fz = d // (2 * dv * dv), zn * (d // zd)
+    k = [[half * sum(s * x * y for s, x, y in zip(signs, va, vb)) for vb in v]
+         for va in v]
+    k[0][1] += fz
+    k[1][0] -= fz
+    return k, d
+
+
 def rand_oform(sig: Signature, rng) -> Mat:
-    """Random rational element of the orthogonal group of the big form."""
+    """Random rational element of the orthogonal group of the big form,
+    g = exp(N-)·diag(B, C, B^-T)·exp(N+), built on integer rows (module
+    docstring). B and C are checked as for a `QGroupElement`."""
     n = sig.n
-    neg = SoElement(sig, z=rand_fraction(rng), X=rand_mat(rng, n, 2))
-    pos = SoElement(sig, U=rand_mat(rng, 2, n), w=rand_fraction(rng))
-    mid = QGroupElement(sig, rand_gl2(rng), rand_opq(sig, rng)).assemble()
-    return (exp_nilpotent(neg.assemble(), 3) * mid
-            * exp_nilpotent(pos.assemble(), 3))
+    lo = n + 2  # first row and column of the last block band
+    signs = sig.signs()
+    z = _rand_ratio(rng)
+    x, dx = _ratio_rows([[_rand_ratio(rng) for _ in range(2)]
+                         for _ in range(n)])
+    u, du = _ratio_rows([[_rand_ratio(rng) for _ in range(n)]
+                         for _ in range(2)])
+    w = _rand_ratio(rng)
+    b, c = rand_gl2(rng), rand_opq(sig, rng)
+    QGroupElement(sig, b, c)  # B invertible and C in O(p, q), or ValueError
+
+    # exp(N-) = [[I, 0, 0], [X, I, 0], [zJ + ½XᵀIpqX, XᵀIpq, I]] over d1
+    xt = list(zip(*x))  # the two columns of X
+    corner, d1 = _corner(signs, xt, dx, z)
+    f = d1 // dx
+    lower = [[(0, d1)], [(1, d1)]]
+    lower += [[(0, f * r[0]), (1, f * r[1]), (2 + i, d1)]
+              for i, r in enumerate(x)]
+    lower += [[(0, k[0]), (1, k[1]),
+               *((2 + i, f * s * e) for i, s, e in zip(range(n), signs, col)),
+               (lo + a, d1)] for a, (k, col) in enumerate(zip(corner, xt))]
+
+    # diag(B, C, B^-T) over d2, with B^-T = adj(B)^T / det B
+    (bi, db), (ci, dc) = [_ratio_rows([[(e.numerator, e.denominator)
+                                        for e in r] for r in m.data])
+                          for m in (b, c)]
+    (b00, b01), (b10, b11) = bi
+    det_b = b00 * b11 - b01 * b10
+    d2 = math.lcm(db, dc, abs(det_b))
+    fb, fc, fi = d2 // db, d2 // dc, db * (d2 // det_b)
+    middle = [[(0, fb * b00), (1, fb * b01)], [(0, fb * b10), (1, fb * b11)]]
+    middle += [[(2 + j, fc * e) for j, e in enumerate(r)] for r in ci]
+    middle += [[(lo, fi * b11), (lo + 1, -fi * b10)],
+               [(lo, -fi * b01), (lo + 1, fi * b00)]]
+
+    # exp(N+) = [[I, U, wJ + ½UIpqUᵀ], [0, I, IpqUᵀ], [0, 0, I]] over d3
+    corner, d3 = _corner(signs, u, du, w)
+    f = d3 // du
+    upper = [[(a, d3), *((2 + j, f * e) for j, e in enumerate(r)),
+              (lo, k[0]), (lo + 1, k[1])]
+             for a, (r, k) in enumerate(zip(u, corner))]
+    upper += [[(2 + i, d3), (lo, f * s * u[0][i]), (lo + 1, f * s * u[1][i])]
+              for i, s in enumerate(signs)]
+    upper += [[(lo, d3)], [(lo + 1, d3)]]
+
+    rows = []
+    for r in _product_rows(lower, middle, n + 4):
+        acc = [0] * (n + 4)
+        _addmul(acc, r, upper, 1)
+        rows.append(acc)
+    return _from_ints(rows, d1 * d2 * d3)
 
 
 def rand_rank_one(sig: Signature, rng) -> Mat:

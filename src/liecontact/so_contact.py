@@ -8,7 +8,13 @@ Conventions, fixed once for the whole package:
            [ 0,  Ipq,    0 ],
            [-I2,   0,    0 ]]
 
-  with Ipq = diag(1,...,1,-1,...,-1) of signature (p, q);
+  with Ipq = diag(1,...,1,-1,...,-1) of signature (p, q). Both S and Ipq
+  are symmetric signed permutations (`linalg.SignedPerm`): S swaps the
+  first and last pairs of coordinates with a sign -1 and keeps the middle
+  ones with the signs of Ipq. Each signature keeps one such table for
+  each form (`Signature.form_s_perm`, `Signature.ipq_perm`), and every
+  product with S or Ipq, the form checks included, moves entries and
+  flips signs instead of multiplying;
 
 * an algebra element is stored by its blocks (z, X, A, D, U, w) and
   assembles to
@@ -35,7 +41,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .linalg import (Mat, _gram_equals, commutator, det, invert,
+from .linalg import (Mat, SignedPerm, _gram_equals, commutator, det, invert,
                      jacobi_failures, rank_kernel, rat, structure_table)
 
 J2 = Mat([[0, 1], [-1, 0]]).map(Fraction)
@@ -77,6 +83,20 @@ class Signature:
             [mi2, z2n, Mat.zeros(2, 2)],
         ])
 
+    @functools.cache
+    def ipq_perm(self) -> SignedPerm:
+        """Ipq as a signed permutation: every coordinate in place, with its
+        form sign."""
+        return SignedPerm(range(self.n), self.signs())
+
+    @functools.cache
+    def form_s_perm(self) -> SignedPerm:
+        """S as a signed permutation: coordinates 0, 1 and n+2, n+3 swapped
+        with the sign -1, the middle n in place with the signs of Ipq."""
+        n = self.n
+        return SignedPerm((n + 2, n + 3, *range(2, n + 2), 0, 1),
+                          (-1, -1, *self.signs(), -1, -1))
+
     def __eq__(self, other):
         return isinstance(other, Signature) and (self.p, self.q) == (other.p, other.q)
 
@@ -88,9 +108,9 @@ class Signature:
 
 
 def _ambient_inverse(sig: Signature, g: Mat) -> Mat:
-    """g^-1 = S g^T S for g preserving the ambient form S, since S^2 = I."""
-    s = sig.form_s()
-    return s * g.T * s
+    """g^-1 = S g^T S for g preserving the ambient form S, since S^2 = I;
+    S is a signed permutation, so this moves entries and flips signs."""
+    return sig.form_s_perm().conjugate_transpose(g)
 
 
 def inner(sig: Signature, u, v) -> Fraction:
@@ -274,7 +294,7 @@ def bracket_gm1(sig: Signature, x: Mat, y: Mat) -> Fraction:
 
 def _check_orthogonal(sig: Signature, c: Mat) -> None:
     """ValueError unless C^t Ipq C = Ipq, i.e. C lies in O(p, q)."""
-    ipq = sig.ipq()
+    ipq = sig.ipq_perm()
     if not _gram_equals(c, ipq, ipq):
         raise ValueError("C is not orthogonal for the (p,q) form")
 
@@ -393,8 +413,7 @@ class QGroupElement:
         return QGroupElement(self.sig, self.B * other.B, self.C * other.C, w)
 
     def inverse(self) -> "QGroupElement":
-        ipq = self.sig.ipq()
-        cinv = ipq * self.C.T * ipq
+        cinv = self.sig.ipq_perm().conjugate_transpose(self.C)  # Ipq C^T Ipq
         return QGroupElement(self.sig, invert(self.B), cinv,
                              -self.w * det(self.B))
 

@@ -74,6 +74,13 @@ SO_TABLE = (T_SO + "test_structure_constants_match_brackets",)
 SL_TABLE = (T_SL + "test_structure_constants_match_brackets",)
 SO_ORDER = (T_SO + "test_table_basis_matches_the_block_by_block_oracle",)
 SL_ORDER = (T_SL + "test_negative_basis_sits_at_the_documented_positions",)
+SAMPLERS = "liecontact/samplers.py"
+T_SAMPLERS = "tests/test_samplers.py::"
+OFORM = (T_SAMPLERS + "test_rand_oform_matches_the_three_factor_product",)
+OPQ = (T_SAMPLERS + "test_rand_so_pq_and_rand_opq_match_their_diagonal_"
+       "products",)
+TABLES = (T_SO + "test_signed_permutation_tables_multiply_as_the_forms",
+          "tests/test_chains.py::test_ambient_inverse_matches_elimination")
 
 MUTANTS = (
     # the fraction-free elimination
@@ -288,10 +295,18 @@ MUTANTS = (
             "that_does_not_square_to_zero",)),
     Mutant("ChainCurve.at: the frame's third and fourth columns",
            "liecontact/chains.py",
-           "frame.submat(0, frame.rows, 0, 2)",
-           "frame.submat(0, frame.rows, 2, 4)",
+           "self.g.submat(0, rows, 0, 2)\n"
+           "                          + rat(t) * self.vel.submat(0, rows, 0, 2)",
+           "self.g.submat(0, rows, 2, 4)\n"
+           "                          + rat(t) * self.vel.submat(0, rows, 2, 4)",
            ("tests/test_chains.py::test_chain_through_origin_has_linear_span",
-            "tests/test_chains.py::test_chain_equivariance")),
+            "tests/test_chains.py::test_chain_equivariance",
+            "tests/test_chains.py::test_chain_point_is_the_frame_first_two_"
+            "columns")),
+    Mutant("ChainCurve.at: the velocity without t", "liecontact/chains.py",
+           "+ rat(t) * self.vel.submat(", "+ self.vel.submat(",
+           ("tests/test_chains.py::test_chain_point_is_the_frame_first_two_"
+            "columns",)),
     Mutant("emit_trajectory: accept an empty or descending range",
            "liecontact/chains.py",
            "if t0 >= t1:", "if False:",
@@ -302,6 +317,77 @@ MUTANTS = (
            "liecontact/chains.py",
            "da * dm) for ra, da in plain]", "da) for ra, da in plain]",
            ("tests/test_chains.py::test_tensor_matches_the_matrix_formula",)),
+    # the big-cell sampler on integer rows
+    Mutant("rand_oform: the sign of z in the zJ corner", SAMPLERS,
+           "corner, d1 = _corner(signs, xt, dx, z)",
+           "corner, d1 = _corner(signs, xt, dx, (-z[0], z[1]))", OFORM),
+    Mutant("rand_oform: the sign of z, seen by the seed 1 chain CSV",
+           SAMPLERS, "corner, d1 = _corner(signs, xt, dx, z)",
+           "corner, d1 = _corner(signs, xt, dx, (-z[0], z[1]))",
+           ("tests/test_golden.py::test_output_matches_its_golden_file["
+            "chain-2-2-seed1.csv]",)),
+    Mutant("rand_oform: XᵀIpqX and UIpqUᵀ without the ½", SAMPLERS,
+           "half, fz = d // (2 * dv * dv),", "half, fz = d // (dv * dv),",
+           OFORM),
+    Mutant("rand_oform: B^-T without the determinant", SAMPLERS,
+           "fi = d2 // db, d2 // dc, db * (d2 // det_b)",
+           "fi = d2 // db, d2 // dc, db * d2", OFORM),
+    Mutant("rand_oform: the IpqUᵀ block without the form signs", SAMPLERS,
+           "(lo, f * s * u[0][i]), (lo + 1, f * s * u[1][i])",
+           "(lo, f * u[0][i]), (lo + 1, f * u[1][i])", OFORM),
+    Mutant("rand_opq: row signs instead of column signs", SAMPLERS,
+           "[[x if s > 0 else -x for x, s in zip(r[n:], signs)]\n"
+           "                       for r in rows]",
+           "[[x if s > 0 else -x for x in r[n:]]\n"
+           "                       for r, s in zip(rows, signs)]", OPQ),
+    Mutant("rand_opq: D = A, without Ipq", SAMPLERS,
+           "di = [s * x for x in r]", "di = list(r)", OPQ),
+    Mutant("rand_opq: a singular I - D accepted", SAMPLERS,
+           "if pivots[:n] == list(range(n)):", "if True:", OPQ),
+    # S and Ipq as signed permutations
+    Mutant("S table: one sign", SO,
+           "(-1, -1, *self.signs(), -1, -1)", "(-1, 1, *self.signs(), -1, -1)",
+           TABLES),
+    Mutant("S table: the signs of one swapped pair", SO,
+           "(-1, -1, *self.signs(), -1, -1)", "(1, -1, *self.signs(), 1, -1)",
+           TABLES),
+    Mutant("S table: a swapped pair in the permutation", SO,
+           "(n + 2, n + 3, *range(2, n + 2), 0, 1)",
+           "(n + 3, n + 2, *range(2, n + 2), 1, 0)", TABLES),
+    Mutant("signed permutation: P·m^T·P without the transpose", LINALG,
+           "[[data[k][l] if s * t > 0 else -data[k][l]",
+           "[[data[l][k] if s * t > 0 else -data[l][k]", TABLES),
+    Mutant("signed permutation: m·P with the row's sign", LINALG,
+           "[[r[k] if s > 0 else -r[k] for k, s in cols]\n"
+           "                    for r in m.data])",
+           "[[r[k] if t > 0 else -r[k] for k, s in cols]\n"
+           "                    for r, t in zip(m.data, self.signs)])",
+           (T_SO + "test_signed_permutation_tables_multiply_as_the_forms",
+            T_EXT + "test_r_block_matches_the_product_form")),
+    Mutant("signed permutation: asymmetric tables accepted", LINALG,
+           "or any(perm[k] != i or signs[k] != signs[i]\n"
+           "                       for i, k in enumerate(perm))):",
+           "):", (T_SO + "test_signed_permutations_must_be_symmetric",)),
+    Mutant("Gram check: a signed permutation read without its signs",
+           LINALG, "return [[(k, x)] for k, x in zip(s.perm, s.signs)], 1",
+           "return [[(k, 1)] for k, x in zip(s.perm, s.signs)], 1",
+           (T_LINALG + "test_gram_check_reads_signed_permutation_forms",)),
+    Mutant("Q inverse: C^T without Ipq", SO,
+           "cinv = self.sig.ipq_perm().conjugate_transpose(self.C)",
+           "cinv = self.C.T",
+           (T_SO + "test_q_group_composition_against_assembled_product",)),
+    Mutant("ipq_perm: rebuilt on every call", SO,
+           "    @functools.cache\n    def ipq_perm(self)",
+           "    def ipq_perm(self)",
+           (T_SO + "test_signature_constants_are_built_once",)),
+    Mutant("form_s_perm: rebuilt on every call", SO,
+           "    @functools.cache\n    def form_s_perm(self)",
+           "    def form_s_perm(self)",
+           (T_SO + "test_signature_constants_are_built_once",)),
+    Mutant("rat: a Fraction subclass returned as it is", LINALG,
+           "if type(x) is Fraction:\n        return x",
+           "if isinstance(x, Fraction):\n        return x",
+           (T_LINALG + "test_rat_returns_a_fraction_as_it_is",)),
     # the group-element checks and the CLI
     Mutant("G0: skip the invertibility check", "liecontact/so_contact.py",
            "if det(b) == 0:", "if False:", G0_TESTS),

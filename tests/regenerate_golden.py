@@ -35,10 +35,11 @@ def _report(p, q, seed, suites):
     return ("report-%d-%d-seed%d.json" % (p, q, seed), args, "--out")
 
 
-def _chain(p, q):
-    return ("chain-%d-%d.csv" % (p, q),
-            ["--p", str(p), "--q", str(q), "--chain-g", "random",
-             "--steps", "129"], "--export-chain")
+def _chain(p, q, seed=0):
+    # seed 0, the CLI default, keeps the name without a seed
+    name = "chain-%d-%d%s.csv" % (p, q, "-seed%d" % seed if seed else "")
+    return (name, ["--p", str(p), "--q", str(q), "--seed", str(seed),
+                   "--chain-g", "random", "--steps", "129"], "--export-chain")
 
 
 # (file name, arguments, the output flag that names the file)
@@ -48,7 +49,9 @@ CASES = tuple(
      for seed in (0, 1)]
     + [_report(p, q, seed, N1_SUITES)
        for p, q in ((1, 0), (0, 1)) for seed in (0, 1)]
-    + [_chain(p, q) for p, q in ((1, 0), (2, 2), (3, 3))])
+    + [_chain(p, q) for p, q in ((1, 0), (2, 2), (3, 3))]
+    # seed 1 draws z != 0, so the z·J corner of the frame shows
+    + [_chain(2, 2, seed=1)])
 
 
 def argv(case, path) -> list:

@@ -130,7 +130,9 @@ def test_chain_matrix_rejects_a_generator_that_does_not_square_to_zero(
 
 def test_ambient_inverse_matches_elimination():
     rng = random.Random(82)
-    for sig in ORACLE_SIGS:
+    # n = 1 to 6
+    for sig in ORACLE_SIGS + (Signature(0, 1), Signature(1, 1),
+                              Signature(3, 1), Signature(3, 2)):
         s = sig.form_s()
         # frames of the model and the assembled elements of Q, whose
         # adjoint action inverts them the same way
@@ -140,6 +142,9 @@ def test_ambient_inverse_matches_elimination():
             inv = _ambient_inverse(sig, g)
             assert inv == s * g.T * s
             assert inv == invert(g)
+        # S·m^T·S on a matrix outside the group is still the product
+        m = samplers.rand_mat(rng, sig.n + 4, sig.n + 4)
+        assert _ambient_inverse(sig, m) == s * m.T * s
 
 
 def test_affine_frame_matches_the_exponential():
@@ -181,6 +186,21 @@ def test_chain_through_origin_has_linear_span():
         [1, 0], [0, 1], [0, 0], [0, 0], [0, 0], [0, t], [-t, 0]])
     assert pt == ModelPoint(sig, expected)
     assert chain_eval(sig, 0) == origin(sig)
+
+
+def test_chain_point_is_the_frame_first_two_columns():
+    rng = random.Random(73)
+    for sig in ORACLE_SIGS:
+        size = sig.n + 4
+        for curve in (ChainCurve(sig),
+                      ChainCurve(sig, samplers.rand_oform(sig, rng)),
+                      ChainCurve(sig, samplers.rand_oform(sig, rng))):
+            for t in (0, 1, Fraction(-7, 3), samplers.rand_fraction(rng),
+                      "5/4"):
+                span = curve.at(t).span
+                want = curve.frame(t).submat(0, size, 0, 2)
+                assert span.data == want.data
+                assert {type(e) for r in span.data for e in r} == {Fraction}
 
 
 def test_chain_equivariance():

@@ -449,6 +449,38 @@ def test_trilinear_is_totally_symmetric():
         assert psi_trilinear(sig, x, z, y) == base
 
 
+def _r_block_product_form(sig, x, y):
+    # r_block_path with each R_ab formed by a product with the matrix Ipq
+    n = sig.n
+    half = Fraction(1, 2)
+    c = [Mat.col([x[i, 0] for i in range(k * n, (k + 1) * n)])
+         for k in range(2)]
+    d = [Mat.col([y[i, 0] for i in range(k * n, (k + 1) * n)])
+         for k in range(2)]
+
+    def rr(i, j):
+        return (c[i] * d[j].T + d[i] * c[j].T) * sig.ipq()
+
+    r11, r22, r12, r21 = rr(0, 0), rr(1, 1), rr(0, 1), rr(1, 0)
+    tr12 = r12.trace()
+    eye = Mat.identity(n)
+    return Mat.block([
+        [-half * r12 + r21 - half * tr12 * eye,
+         -half * (r11 - r11.trace() * eye)],
+        [half * (r22 - r22.trace() * eye),
+         half * r21 - r12 + half * tr12 * eye]])
+
+
+def test_r_block_matches_the_product_form():
+    rng = random.Random(61)
+    for sig in SIGS + (Signature(1, 1), Signature(0, 3), Signature(3, 3)):
+        for _ in range(6):
+            x = samplers.rand_col(rng, 2 * sig.n)
+            y = samplers.rand_col(rng, 2 * sig.n)
+            assert (r_block_path(sig, x, y).data
+                    == _r_block_product_form(sig, x, y).data)
+
+
 def test_r_block_closed_form():
     rng = random.Random(60)
     for sig in SIGS:

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from liecontact import samplers
-from liecontact.linalg import (DualRat, Mat, _common_rows, _gram_equals,
-                               commutator, det, exp_float, exp_nilpotent,
-                               invert, jacobi_failures, max_abs, rank_kernel,
-                               rat, rat_sqrt, solve_linear, structure_table)
+from liecontact.linalg import (DualRat, Mat, SignedPerm, _common_rows,
+                               _gram_equals, commutator, det, exp_float,
+                               exp_nilpotent, invert, jacobi_failures,
+                               max_abs, rank_kernel, rat, rat_sqrt,
+                               solve_linear, structure_table)
 from liecontact.so_contact import Signature
 
 
@@ -405,6 +406,47 @@ def test_gram_check_matches_the_product_form(sig):
         _gram_equals(Mat.identity(3), sig.form_s())
     with pytest.raises(ValueError, match="shape mismatch"):
         _gram_equals(Mat.identity(sig.n), sig.ipq(), Mat.identity(sig.n + 1))
+
+
+@pytest.mark.parametrize("sig", FORM_SIGS, ids=repr)
+def test_gram_check_reads_signed_permutation_forms(sig):
+    rng = random.Random(41 + 7 * sig.p + sig.q)
+    tables = {id(sig.form_s()): sig.form_s_perm(),
+              id(sig.ipq()): sig.ipq_perm()}
+    for a, s, expected in _gram_cases(sig, rng):
+        table = tables[id(s)]
+        assert _gram_equals(a, table, table) is expected
+        assert _gram_equals(a, table, s) is expected
+        assert _gram_equals(a, s, table) is expected
+        plane = a.submat(0, a.rows, 0, 2)
+        assert (_gram_equals(plane, table)
+                is (plane.T * s * plane).is_zero())
+    for table in tables.values():
+        size = table.rows
+        with pytest.raises(TypeError, match="float"):
+            _gram_equals(Mat.identity(size, one=1.0), table, table)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            _gram_equals(Mat.identity(size + 1), table)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            _gram_equals(Mat.identity(size), table, Mat.identity(size + 1))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            _gram_equals(Mat.identity(size + 1), sig.ipq(),
+                         SignedPerm(range(size + 1), [1] * (size + 1)))
+
+
+def test_rat_returns_a_fraction_as_it_is():
+    x = Fraction(-7, 3)
+    assert rat(x) is x
+
+    class Half(Fraction):
+        pass
+
+    for arg, want in ((5, Fraction(5)), ("-7/3", x), (Half(1, 2),
+                                                      Fraction(1, 2))):
+        got = rat(arg)
+        assert got == want and type(got) is Fraction
+    with pytest.raises(TypeError, match="float"):
+        rat(0.5)
 
 
 def test_gram_check_reads_integer_entries_and_refuses_floats():

@@ -1,14 +1,102 @@
 """Tests that the random generators deliver the structures they promise."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from liecontact import samplers
-from liecontact.linalg import Mat, det, rat_sqrt
-from liecontact.so_contact import Signature, segre_rank
+from liecontact.linalg import Mat, det, exp_nilpotent, invert, rat_sqrt
+from liecontact.so_contact import (QGroupElement, Signature, SoElement,
+                                   segre_rank)
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
+# n = 1 to 6; I - D is singular for some draws at (1, 1), so the Cayley
+# transform's redraw runs there
+DRAW_SIGS = (Signature(1, 0), Signature(0, 1), Signature(1, 1),
+             Signature(2, 1), Signature(3, 0), Signature(2, 2),
+             Signature(3, 3))
+
+
+# The samplers as products of Fraction matrices, the reference for the
+# integer-row samplers: the same draws in the same order, multiplied out.
+
+def _product_antisym(rng, n, span=3, den=3):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = samplers.rand_fraction(rng, span, den)
+            rows[i][j] = x
+            rows[j][i] = -x
+    return Mat(rows)
+
+
+def _product_so_pq(sig, rng):
+    return sig.ipq() * _product_antisym(rng, sig.n)
+
+
+def _product_opq(sig, rng, redraws=None):
+    n = sig.n
+    eye = Mat.identity(n)
+    while True:
+        d = _product_so_pq(sig, rng)
+        try:
+            c = invert(eye - d) * (eye + d)
+            break
+        except ValueError:
+            if redraws is not None:
+                redraws.append(d)
+    signs = Mat.diag([Fraction(rng.choice((1, -1))) for _ in range(n)])
+    return c * signs
+
+
+def _product_oform(sig, rng):
+    n = sig.n
+    neg = SoElement(sig, z=samplers.rand_fraction(rng),
+                    X=samplers.rand_mat(rng, n, 2))
+    pos = SoElement(sig, U=samplers.rand_mat(rng, 2, n),
+                    w=samplers.rand_fraction(rng))
+    mid = QGroupElement(sig, samplers.rand_gl2(rng),
+                        _product_opq(sig, rng)).assemble()
+    return (exp_nilpotent(neg.assemble(), 3) * mid
+            * exp_nilpotent(pos.assemble(), 3))
+
+
+def _same_draw(sampler, reference, sig, seed):
+    """Both samplers from one seed: every entry equal, with its type, and
+    the generator left in the same state."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        got, want = sampler(sig, rng), reference(sig, ref_rng)
+        assert got.data == want.data, (sig, seed)
+        assert [list(map(type, r)) for r in got.data] == \
+            [list(map(type, r)) for r in want.data]
+        assert rng.getstate() == ref_rng.getstate(), (sig, seed)
+
+
+@pytest.mark.parametrize("sig", DRAW_SIGS, ids=repr)
+def test_rand_oform_matches_the_three_factor_product(sig):
+    for seed in range(4):
+        _same_draw(samplers.rand_oform, _product_oform, sig, seed)
+
+
+@pytest.mark.parametrize("sig", DRAW_SIGS, ids=repr)
+def test_rand_so_pq_and_rand_opq_match_their_diagonal_products(sig):
+    for seed in range(6):
+        _same_draw(samplers.rand_so_pq, _product_so_pq, sig, seed)
+        _same_draw(samplers.rand_opq, _product_opq, sig, seed)
+        _same_draw(lambda s, rng: samplers.rand_antisym(rng, s.n),
+                   lambda s, rng: _product_antisym(rng, s.n), sig, seed)
+
+
+def test_rand_opq_redraws_while_i_minus_d_is_singular():
+    sig = Signature(1, 1)
+    redraws = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        for _ in range(3):
+            _product_opq(sig, rng, redraws)
+    assert redraws  # so the comparison above covers the redraw
 
 
 def test_rand_opq_is_orthogonal():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liecontact import samplers
-from liecontact.linalg import Mat, commutator, det, invert
+from liecontact.linalg import Mat, SignedPerm, commutator, det, invert
 from liecontact.so_contact import (G0Element, QGroupElement, Signature,
                                    SoElement, _int_coordinates, _is_so_pq,
                                    ad_g0, bracket, bracket_gm1,
@@ -73,7 +73,54 @@ def test_signature_constants_are_built_once():
         sig = Signature(p, q)
         assert sig.ipq() is Signature(p, q).ipq()
         assert sig.form_s() is Signature(p, q).form_s()
+        assert sig.ipq_perm() is Signature(p, q).ipq_perm()
+        assert sig.form_s_perm() is Signature(p, q).form_s_perm()
     assert Signature(2, 1).ipq() is not Signature(1, 2).ipq()
+    assert Signature(2, 1).ipq_perm() is not Signature(1, 2).ipq_perm()
+    assert Signature(2, 1).form_s_perm() is not Signature(1, 2).form_s_perm()
+
+
+# n = 1 to 6
+TABLE_SIGS = (Signature(1, 0), Signature(0, 1), Signature(1, 1),
+              Signature(2, 1), Signature(0, 3), Signature(2, 2),
+              Signature(3, 2), Signature(3, 3))
+
+
+@pytest.mark.parametrize("sig", TABLE_SIGS, ids=repr)
+def test_signed_permutation_tables_multiply_as_the_forms(sig):
+    rng = random.Random(23 + 7 * sig.p + sig.q)
+    for table, form in ((sig.form_s_perm(), sig.form_s()),
+                        (sig.ipq_perm(), sig.ipq())):
+        size = form.rows
+        assert (table.rows, table.cols) == (size, size)
+        assert table.left(Mat.identity(size)) == form
+        for m in (samplers.rand_mat(rng, size, size),
+                  samplers.rand_mat(rng, size, size).map(float),
+                  samplers.rand_mat(rng, size, 2) * Mat.zeros(2, size)):
+            assert table.left(m) == form * m
+            assert table.right(m) == m * form
+            assert table.conjugate_transpose(m) == form * m.T * form
+        tall = samplers.rand_mat(rng, size, size + 1)
+        assert table.left(tall) == form * tall
+        assert table.right(tall.T) == tall.T * form
+        for product in (lambda: table.left(tall.T),
+                        lambda: table.right(tall),
+                        lambda: table.conjugate_transpose(tall),
+                        lambda: table.left(Mat.identity(size + 1))):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                product()
+
+
+def test_signed_permutations_must_be_symmetric():
+    for perm, signs in (((1, 0), (1, -1)), ((1, 2, 0), (1, 1, 1)),
+                        ((0, 0), (1, 1)), ((0, 1), (1, 2)),
+                        ((0, 1), (1,))):
+        with pytest.raises(ValueError, match="symmetric signed"):
+            SignedPerm(perm, signs)
+    p = SignedPerm((2, 1, 0), (-1, 1, -1))
+    assert (p.perm, p.signs) == ((2, 1, 0), (-1, 1, -1))
+    with pytest.raises(AttributeError):
+        p.perm = (0, 1, 2)
 
 
 def test_assembled_matrices_lie_in_the_algebra():
@@ -446,6 +493,10 @@ def test_q_group_composition_against_assembled_product():
             inv = h1.inverse()
             assert h1.compose(inv) == QGroupElement.identity(sig)
             assert inv.assemble() == invert(h1.assemble())
+            # the data of the inverse as products, with the form Ipq
+            ipq = sig.ipq()
+            assert (inv.B, inv.C, inv.w) == (
+                invert(h1.B), ipq * h1.C.T * ipq, -h1.w * det(h1.B))
 
 
 def _q_block_assembly(h):
