@@ -11,8 +11,8 @@ from liecontact.so_contact import (QGroupElement, Signature, SoElement,
                                    segre_rank)
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
-# n = 1 to 6; I - D is singular for some draws at (1, 1), so the Cayley
-# transform's redraw runs there
+# the signatures of the golden outputs; I - D is singular for some draws
+# at (1, 1), so the Cayley transform's redraw runs there
 DRAW_SIGS = (Signature(1, 0), Signature(0, 1), Signature(1, 1),
              Signature(2, 1), Signature(3, 0), Signature(2, 2),
              Signature(3, 3))
