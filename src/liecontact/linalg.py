@@ -28,18 +28,18 @@ Three compound operations run on the same integer rows and build no
 intermediate Fraction matrix. `exp_nilpotent` scales m once, keeps each
 power as sparse integer rows over d^j, tests the vanishing power on
 integers and sums over one denominator. `_gram_equals` decides whether
-a^T·s·a equals a target, or is zero, by comparing integers; the ambient
-form and isotropy checks of `chains` and the orthogonality check of
-`so_contact` go through it. The cubic tensor of `chains` forms its I, J,
-K images as integer products (`_product_rows`). All three read integer
-entries as rationals and refuse floats (`_int_rows`).
+a^T·s·a equals a target, or is zero, by comparing integers, for a form
+and a target given as signed permutations; the ambient form and
+isotropy checks of `chains` and the orthogonality check of `so_contact`
+go through it. The cubic tensor of `chains` forms its I, J, K images as
+integer products (`_product_rows`). All three read integer entries as
+rationals and refuse floats (`_int_rows`).
 
 The forms S and Ipq are symmetric signed permutations, kept per signature
 as `SignedPerm` tables. A product with one (`left`, `right`,
 `conjugate_transpose`) moves entries and flips signs, and `_gram_equals`
-reads a table as the sparse integer rows it already is, so the form
-checks of `chains` and `so_contact` do not scan the form; a form given as
-a Mat is scanned on each call.
+reads a table as the sparse integer rows it already is, so no form check
+of `chains` or `so_contact` scans a form.
 
 The linear operations `+`, `-`, unary `-` and scalar `*` skip exact zeros,
 which most entries of the package's matrices are. Where both entries of a
@@ -510,30 +510,21 @@ class SignedPerm:
                      for k, s in cols] for l, t in cols])
 
 
-def _form_rows(s):
-    """(rows, d) of a form for `_gram_equals`: a SignedPerm's one +-1 per
-    row as it stands, over d = 1; a Mat's `_int_rows`."""
-    if isinstance(s, SignedPerm):
-        return [[(k, x)] for k, x in zip(s.perm, s.signs)], 1
-    return _int_rows(s)
-
-
-def _gram_equals(a: Mat, s, target=None) -> bool:
+def _gram_equals(a: Mat, s: SignedPerm,
+                 target: SignedPerm | None = None) -> bool:
     """Whether the Gram matrix a^T·s·a of the columns of a under the form s
     equals target, or is zero when target is None, decided on integer rows
-    without building a Fraction: with a = A / da, s = S / ds and target =
-    T / dt it compares dt·A^T·S·A with da²·ds·T entry by entry, and S·A
-    reads only the nonzero entries of S. The form and the target are each
-    a Mat or a SignedPerm; a SignedPerm is read as it stands, a Mat is
-    scanned on every call. Integer entries are read as rationals and floats
-    are refused (TypeError); shapes that do not fit are a ValueError."""
+    without building a Fraction: with a = A / da it compares A^T·S·A with
+    da²·T entry by entry. The form and the target are signed permutations,
+    read as the one +-1 per row they are. Integer entries of a are read
+    as rationals and floats are refused (TypeError); shapes that do not fit
+    are a ValueError."""
     n = a.cols
-    if (not a.rows == s.rows == s.cols
-            or target is not None and not target.rows == target.cols == n):
-        raise ValueError("shape mismatch: a^T·s·a needs a square s with as "
-                         "many rows as a and an %dx%d target" % (n, n))
+    if a.rows != s.rows or target is not None and target.rows != n:
+        raise ValueError("shape mismatch: a^T·s·a needs an s with as many "
+                         "rows as a and an %dx%d target" % (n, n))
     rows_a, da = _int_rows(a)
-    rows_s, ds = _form_rows(s)
+    rows_s = [[(k, x)] for k, x in zip(s.perm, s.signs)]
     sa = _product_rows(rows_s, rows_a, n)
     gram = [[0] * n for _ in range(n)]
     for ra, rsa in zip(rows_a, sa):  # A^T·(S·A) as a sum of outer products
@@ -543,13 +534,11 @@ def _gram_equals(a: Mat, s, target=None) -> bool:
                 gk[j] += x * y
     if target is None:
         return not any(map(any, gram))
-    rows_t, dt = _form_rows(target)
-    scale = da * da * ds
-    for g, rt in zip(gram, rows_t):
+    scale = da * da
+    for g, k, t in zip(gram, target.perm, target.signs):
         want = [0] * n
-        for j, t in rt:
-            want[j] = t * scale
-        if [x * dt for x in g] != want:
+        want[k] = t * scale
+        if g != want:
             return False
     return True
 

@@ -2,12 +2,15 @@
 
 Every check is declared once, in `CHECKS`: its suite, name, claim,
 trial-count rule and a function of (sig, rng, trials) returning
-(ok, witness). `run_checks` turns entries into records {name, claim,
-status, trials, witness, wall_time}; the command line and the acceptance
-criteria both go through it. Suites draw their randomness from a seed
-folded with the suite name, so selecting a subset of suites never shifts
-the random streams of the others and reports stay byte-identical across
-subset choices.
+(ok, witness). A randomized check is declared with `_trials` as a claim
+on named inputs, and one trial loop runs every such claim: it draws each
+trial's inputs, stops at the first trial whose claim fails and writes
+that trial's inputs as the witness. `run_checks` turns entries into
+records {name, claim, status, trials, witness, wall_time}; the command
+line and the acceptance criteria both go through it. Suites draw their
+randomness from a seed folded with the suite name, so selecting a subset
+of suites never shifts the random streams of the others and reports stay
+byte-identical across subset choices.
 """
 
 from __future__ import annotations
@@ -33,11 +36,12 @@ from .split_quat import (QuatStructureOnH, eigenspace_decompose,
 
 class Check(NamedTuple):
     """One registry entry. `rule(sig, trials)` is the trial count the
-    record reports and the function receives. Entries that name the same
-    `draws(sig, rng, trials)` share its value within one `run_checks`
-    call; it is drawn by the first of them and passed as a fourth
-    argument. `needs_psi` marks checks that fit a constant to Psi or need
-    it nonzero, which fails at n = 1."""
+    record reports and `fn(sig, rng, trials)` receives; for a check
+    declared with `_trials`, `fn` is the trial loop around its claim.
+    Entries that name the same `draws(sig, rng, trials)` share its value
+    within one `run_checks` call; it is drawn by the first of them and
+    passed as a fourth argument. `needs_psi` marks checks that fit a
+    constant to Psi or need it nonzero, which fails at n = 1."""
 
     suite: str
     name: str
@@ -51,13 +55,64 @@ class Check(NamedTuple):
 _TABLE = []
 
 
-def _declare(suite, name, claim, rule=lambda sig, trials: trials, **kw):
+def _configured(sig, trials):
+    return trials
+
+
+def _declare(suite, name, claim, rule=_configured, **kw):
     """Append the decorated function to the table; by default a check
     runs the configured number of trials."""
     def add(fn):
         _TABLE.append(Check(suite, name, claim, rule, fn, **kw))
         return fn
     return add
+
+
+def _trials(suite, name, claim, draw, rule=_configured, setup=None, **kw):
+    """Declare the decorated claim `fn(sig, **constants, **inputs)` as a
+    randomized check. `setup(sig)` gives the named constants once per
+    record; each trial draws its named inputs, in order, with
+    `draw(sig, rng)`. The claim returns True, False, or a string naming
+    the part of the claim that failed. The first trial that does not
+    return True fails the record; its witness is that trial's inputs as
+    name=repr pairs in draw order, after "<reason>: " when there is one."""
+    def add(fn):
+        def run(sig, rng, trials):
+            constants = setup(sig) if setup else {}
+            for _ in range(trials):
+                inputs = draw(sig, rng)
+                verdict = fn(sig, **constants, **inputs)
+                if verdict is not True:
+                    reason = verdict + ": " if isinstance(verdict, str) else ""
+                    return False, reason + " ".join(
+                        "%s=%r" % item for item in inputs.items())
+            return True, None
+        _declare(suite, name, claim, rule, **kw)(run)
+        return fn
+    return add
+
+
+def _draw(**samplers_by_name):
+    """A draw of named inputs, each from its sampler (sig, rng), in
+    keyword order."""
+    return lambda sig, rng: {name: sample(sig, rng)
+                             for name, sample in samplers_by_name.items()}
+
+
+def _fractions(k):
+    return lambda sig, rng: tuple(samplers.rand_fraction(rng)
+                                  for _ in range(k))
+
+
+def _row(sig, rng):
+    return [samplers.rand_fraction(rng) for _ in range(sig.n)]
+
+
+def _fraction(sig, rng):
+    return samplers.rand_fraction(rng)
+
+
+_gm1 = samplers.rand_gm1
 
 
 def _at_most(cap):
@@ -121,105 +176,74 @@ def _grading(sig, rng, trials):
     return failures == 0, "%d pairs break the grading" % failures
 
 
-@_declare("algebra", "levi-closed-form",
-          "closed-form bottom bracket matches the matrix commutator")
-def _levi_closed(sig, rng, trials):
-    for _ in range(trials):
-        x = samplers.rand_gm1(sig, rng)
-        y = samplers.rand_gm1(sig, rng)
-        closed = bracket_gm1(sig, x, y)
-        full = bracket(SoElement(sig, X=x), SoElement(sig, X=y))
-        if full != closed * SoElement.generator_e(sig):
-            return False, "x=%r y=%r" % (x, y)
-    return True, None
+@_trials("algebra", "levi-closed-form",
+         "closed-form bottom bracket matches the matrix commutator",
+         _draw(x=_gm1, y=_gm1))
+def _levi_closed(sig, x, y):
+    full = bracket(SoElement(sig, X=x), SoElement(sig, X=y))
+    return full == bracket_gm1(sig, x, y) * SoElement.generator_e(sig)
 
 
-@_declare("algebra", "orthogonal-invariance",
-          "bottom bracket is invariant under the orthogonal factor")
-def _orth_invariance(sig, rng, trials):
-    for _ in range(trials):
-        c = samplers.rand_opq(sig, rng)
-        x = samplers.rand_gm1(sig, rng)
-        y = samplers.rand_gm1(sig, rng)
-        r1, _ = equivariance_checks(sig, c, Mat.identity(2), x, y)
-        if r1 != 0:
-            return False, "C=%r x=%r y=%r" % (c, x, y)
-    return True, None
+@_trials("algebra", "orthogonal-invariance",
+         "bottom bracket is invariant under the orthogonal factor",
+         _draw(C=samplers.rand_opq, x=_gm1, y=_gm1))
+def _orth_invariance(sig, C, x, y):
+    return equivariance_checks(sig, C, Mat.identity(2), x, y)[0] == 0
 
 
-@_declare("algebra", "determinant-scaling",
-          "bottom bracket scales by det A under the GL(2) factor")
-def _det_scaling(sig, rng, trials):
-    for _ in range(trials):
-        a = samplers.rand_mat(rng, 2, 2)
-        x = samplers.rand_gm1(sig, rng)
-        y = samplers.rand_gm1(sig, rng)
-        _, r2 = equivariance_checks(sig, Mat.identity(sig.n), a, x, y)
-        if r2 != 0:
-            return False, "A=%r x=%r y=%r" % (a, x, y)
-    return True, None
+@_trials("algebra", "determinant-scaling",
+         "bottom bracket scales by det A under the GL(2) factor",
+         _draw(A=lambda sig, rng: samplers.rand_mat(rng, 2, 2), x=_gm1,
+               y=_gm1))
+def _det_scaling(sig, A, x, y):
+    return equivariance_checks(sig, Mat.identity(sig.n), A, x, y)[1] == 0
 
 
-@_declare("algebra", "rank-one-bracket",
-          "bracket of rank-one elements matches its closed form")
-def _rank_one_closed(sig, rng, trials):
-    n = sig.n
-    for _ in range(trials):
-        f1 = (samplers.rand_fraction(rng), samplers.rand_fraction(rng))
-        f2 = (samplers.rand_fraction(rng), samplers.rand_fraction(rng))
-        u1 = [samplers.rand_fraction(rng) for _ in range(n)]
-        u2 = [samplers.rand_fraction(rng) for _ in range(n)]
-        x = Mat([[u1[i] * f1[0], u1[i] * f1[1]] for i in range(n)])
-        y = Mat([[u2[i] * f2[0], u2[i] * f2[1]] for i in range(n)])
-        closed = rank_one_bracket(sig, f1, f2, u1, u2)
-        if bracket_gm1(sig, x, y) != closed:
-            return False, "f1=%r f2=%r u1=%r u2=%r" % (f1, f2, u1, u2)
-    return True, None
+@_trials("algebra", "rank-one-bracket",
+         "bracket of rank-one elements matches its closed form",
+         _draw(f1=_fractions(2), f2=_fractions(2), u1=_row, u2=_row))
+def _rank_one_closed(sig, f1, f2, u1, u2):
+    x = Mat([[u * f1[0], u * f1[1]] for u in u1])
+    y = Mat([[u * f2[0], u * f2[1]] for u in u2])
+    return bracket_gm1(sig, x, y) == rank_one_bracket(sig, f1, f2, u1, u2)
 
 
-@_declare("quaternion", "split-relations",
-          "split-quaternion basis relations and norm multiplicativity")
-def _relations(sig, rng, trials):
+def _quaternion(sig, rng):
+    return SplitQuaternion(*(samplers.rand_fraction(rng) for _ in range(4)))
+
+
+@_trials("quaternion", "split-relations",
+         "split-quaternion basis relations and norm multiplicativity",
+         _draw(p=_quaternion, q=_quaternion))
+def _relations(sig, p, q):
     one = SplitQuaternion(1)
     i = SplitQuaternion(0, 1)
     j = SplitQuaternion(0, 0, 1)
     k = SplitQuaternion(0, 0, 0, 1)
-    ok = (quat_mul(i, i) == one and quat_mul(j, j) == one
-          and quat_mul(k, k) == -one and quat_mul(i, j) == k)
-    for _ in range(trials):
-        p = SplitQuaternion(*(samplers.rand_fraction(rng) for _ in range(4)))
-        q = SplitQuaternion(*(samplers.rand_fraction(rng) for _ in range(4)))
-        if norm_sq(quat_mul(p, q)) != norm_sq(p) * norm_sq(q):
-            return False, "p=%r q=%r" % (p, q)
-    return ok, "basis relations broken"
+    if not (quat_mul(i, i) == one and quat_mul(j, j) == one
+            and quat_mul(k, k) == -one and quat_mul(i, j) == k):
+        return "basis relations broken"
+    return norm_sq(quat_mul(p, q)) == norm_sq(p) * norm_sq(q)
 
 
-@_declare("quaternion", "pairing-compatibility",
-          "imaginary actions rescale the bottom bracket by their norm")
-def _pairing_compat(sig, rng, trials):
-    for _ in range(trials):
-        coeffs = tuple(samplers.rand_fraction(rng) for _ in range(3))
-        x = samplers.rand_gm1(sig, rng)
-        y = samplers.rand_gm1(sig, rng)
-        if levi_compat_residual(sig, coeffs, x, y) != 0:
-            return False, "coeffs=%r x=%r y=%r" % (coeffs, x, y)
-    return True, None
+@_trials("quaternion", "pairing-compatibility",
+         "imaginary actions rescale the bottom bracket by their norm",
+         _draw(coeffs=_fractions(3), x=_gm1, y=_gm1))
+def _pairing_compat(sig, coeffs, x, y):
+    return levi_compat_residual(sig, coeffs, x, y) == 0
 
 
-@_declare("quaternion", "rank-one-witness",
-          "skew reflections certify exactly the rank-one directions")
-def _witness_vs_rank(sig, rng, trials):
-    for _ in range(trials):
-        x = samplers.rand_mixed_gm1(sig, rng)
-        w = rank_one_witness(x)
-        rank = segre_rank(x)
-        if (w is None) != (rank == 2):
-            return False, "x=%r" % (x,)
-        if w is not None:
-            a, b, c = w
-            if -a * a - b * b + c * c != -1:
-                return False, "x=%r witness=%r" % (x, w)
-    return True, None
+@_trials("quaternion", "rank-one-witness",
+         "skew reflections certify exactly the rank-one directions",
+         _draw(x=samplers.rand_mixed_gm1))
+def _witness_vs_rank(sig, x):
+    w = rank_one_witness(x)
+    if (w is None) != (segre_rank(x) == 2):
+        return "witness %r against the rank" % (w,)
+    if w is None:
+        return True
+    a, b, c = w
+    return -a * a - b * b + c * c == -1 or "witness %r has norm != -1" % (w,)
 
 
 @_declare("quaternion", "eigenspace-swap",
@@ -238,24 +262,21 @@ def _eigensplit(sig, rng, trials):
     return True, None
 
 
-@_declare("quaternion", "null-subspaces",
-          "kernel-line subspaces are rank-at-most-one and bracket-null")
-def _max_subspaces(sig, rng, trials):
-    for _ in range(trials):
-        l = (samplers.rand_fraction(rng), samplers.rand_fraction(rng))
-        if l == (0, 0):
-            l = (Fraction(1), Fraction(0))
-        basis = max_subspace_for_line(l, sig.n)
-        combo = Mat.zeros(sig.n, 2)
-        for m in basis:
-            combo = combo + samplers.rand_fraction(rng) * m
-        if segre_rank(combo) > 1:
-            return False, "l=%r" % (l,)
-        for m1 in basis:
-            for m2 in basis:
-                if bracket_gm1(sig, m1, m2) != 0:
-                    return False, "l=%r" % (l,)
-    return True, None
+def _line(sig, rng):
+    l = (samplers.rand_fraction(rng), samplers.rand_fraction(rng))
+    return (Fraction(1), Fraction(0)) if l == (0, 0) else l
+
+
+@_trials("quaternion", "null-subspaces",
+         "kernel-line subspaces are rank-at-most-one and bracket-null",
+         _draw(l=_line, coeffs=_row))
+def _max_subspaces(sig, l, coeffs):
+    basis = max_subspace_for_line(l, sig.n)
+    combo = sum((c * m for c, m in zip(coeffs, basis)), Mat.zeros(sig.n, 2))
+    if segre_rank(combo) > 1:
+        return "combination of rank two"
+    return all(bracket_gm1(sig, m1, m2) == 0
+               for m1 in basis for m2 in basis) or "nonzero basis bracket"
 
 
 @_declare("extension", "embedding-product-exact",
@@ -303,26 +324,25 @@ def _psi_equivariance(sig, rng, trials):
     return failures == 0, "%d failing conjugations" % failures
 
 
-@_declare("extension", "trilinear-symmetrization",
-          "trilinear obstruction value is one constant times the "
-          "symmetrized pairing form, and the block path agrees",
-          needs_psi=True)
-def _symmetrization(sig, rng, trials):
+def _m2_col(sig, rng):
+    return samplers.rand_col(rng, 2 * sig.n)
+
+
+@_trials("extension", "trilinear-symmetrization",
+         "trilinear obstruction value is one constant times the "
+         "symmetrized pairing form, and the block path agrees",
+         _draw(x=_m2_col, y=_m2_col, z=_m2_col),
+         setup=lambda sig: {"cst": extension.fit_trilinear_constant(sig)},
+         needs_psi=True)
+def _symmetrization(sig, cst, x, y, z):
     n = sig.n
-    cst = extension.fit_trilinear_constant(sig)
-    for _ in range(trials):
-        x = samplers.rand_col(rng, 2 * n)
-        y = samplers.rand_col(rng, 2 * n)
-        z = samplers.rand_col(rng, 2 * n)
-        # psi_trilinear, keeping Psi(x, [y, W0]) to compare whole blocks
-        psi = extension.psi_alpha(sig, SlElement.from_m2(n, x),
-                                  sl_bracket(SlElement.from_m2(n, y), w0(n)))
-        val = sl_bracket(psi, SlElement.from_m2(n, z)).m2_vector()
-        if val != cst * extension.symmetrized_reference(sig, x, y, z):
-            return False, "x=%r y=%r z=%r" % (x, y, z)
-        if psi.ss_block() != extension.r_block_path(sig, x, y):
-            return False, "block path: x=%r y=%r z=%r" % (x, y, z)
-    return True, None
+    # psi_trilinear, keeping Psi(x, [y, W0]) to compare whole blocks
+    psi = extension.psi_alpha(sig, SlElement.from_m2(n, x),
+                              sl_bracket(SlElement.from_m2(n, y), w0(n)))
+    val = sl_bracket(psi, SlElement.from_m2(n, z)).m2_vector()
+    if val != cst * extension.symmetrized_reference(sig, x, y, z):
+        return False
+    return psi.ss_block() == extension.r_block_path(sig, x, y) or "block path"
 
 
 @_declare("normality", "codifferential-vanishes",
@@ -343,72 +363,47 @@ def _curvature(sig, rng, trials):
     return ok, repr(rep)
 
 
-@_declare("chains", "chain-exactness",
-          "chain frames are exactly degree one in the parameter")
-def _degree_one(sig, rng, trials):
-    e_mat = chains.chain_matrix(sig)
+@_trials("chains", "chain-exactness",
+         "chain frames are exactly degree one in the parameter",
+         _draw(t=_fraction),
+         setup=lambda sig: {"e_mat": chains.chain_matrix(sig)})
+def _degree_one(sig, e_mat, t):
     if not (e_mat * e_mat).is_zero():
-        return False, "generator squares to a nonzero matrix"
-    for _ in range(trials):
-        t = samplers.rand_fraction(rng)
-        if exp_nilpotent(t * e_mat, 2) != Mat.identity(sig.n + 4) + t * e_mat:
-            return False, "t=%r" % (t,)
-    return True, None
+        return "generator squares to a nonzero matrix"
+    return exp_nilpotent(t * e_mat, 2) == Mat.identity(sig.n + 4) + t * e_mat
 
 
-@_declare("chains", "chain-isotropy",
-          "every chain point is an exactly isotropic plane")
-def _isotropy(sig, rng, trials):
-    for _ in range(trials):
-        g = samplers.rand_oform(sig, rng)
-        t = samplers.rand_fraction(rng)
-        try:
-            ok = chains.chain_eval(sig, t, g).span.rows == sig.n + 4
-        except ValueError:
-            ok = False
-        if not ok:
-            return False, "t=%r g=%r" % (t, g)
-    return True, None
+@_trials("chains", "chain-isotropy",
+         "every chain point is an exactly isotropic plane",
+         _draw(g=samplers.rand_oform, t=_fraction))
+def _isotropy(sig, g, t):
+    return chains.chain_eval(sig, t, g).span.rows == sig.n + 4
 
 
-@_declare("chains", "chain-equivariance",
-          "group action commutes with chain evaluation")
-def _equivariance(sig, rng, trials):
-    for _ in range(trials):
-        g = samplers.rand_oform(sig, rng)
-        h = samplers.rand_oform(sig, rng)
-        t = samplers.rand_fraction(rng)
-        lhs = chains.chain_eval(sig, t, g * h)
-        rhs = chains.act(sig, g, chains.chain_eval(sig, t, h))
-        if lhs != rhs:
-            return False, "t=%r" % (t,)
-    return True, None
+@_trials("chains", "chain-equivariance",
+         "group action commutes with chain evaluation",
+         _draw(g=samplers.rand_oform, h=samplers.rand_oform, t=_fraction))
+def _equivariance(sig, g, h, t):
+    return (chains.chain_eval(sig, t, g * h)
+            == chains.act(sig, g, chains.chain_eval(sig, t, h)))
 
 
-@_declare("chains", "chain-transversality",
-          "chain velocities leave the contact distribution, contact "
-          "flows do not")
-def _transversality(sig, rng, trials):
-    for _ in range(trials):
-        g = samplers.rand_oform(sig, rng)
-        t = samplers.rand_fraction(rng)
-        if not chains.chain_transversality(sig, t, g):
-            return False, "t=%r" % (t,)
-        x = SoElement(sig, X=samplers.rand_gm1(sig, rng))
-        if chains.flow_transversality(sig, x, t):
-            return False, "contact flow reported transverse, t=%r" % (t,)
-    return True, None
+@_trials("chains", "chain-transversality",
+         "chain velocities leave the contact distribution, contact "
+         "flows do not", _draw(g=samplers.rand_oform, t=_fraction, x=_gm1))
+def _transversality(sig, g, t, x):
+    if not chains.chain_transversality(sig, t, g):
+        return "chain velocity inside the contact distribution"
+    return (not chains.flow_transversality(sig, SoElement(sig, X=x), t)
+            or "contact flow reported transverse")
 
 
-@_declare("chains", "origin-stabilizer",
-          "stabilizer subgroup fixes the origin plane")
-def _stabilizer(sig, rng, trials):
-    o = chains.origin(sig)
-    for _ in range(trials):
-        h = samplers.rand_q_element(sig, rng)
-        if chains.act(sig, h.assemble(), o) != o:
-            return False, repr(h)
-    return True, None
+@_trials("chains", "origin-stabilizer",
+         "stabilizer subgroup fixes the origin plane",
+         _draw(h=samplers.rand_q_element),
+         setup=lambda sig: {"o": chains.origin(sig)})
+def _stabilizer(sig, o, h):
+    return chains.act(sig, h.assemble(), o) == o
 
 
 def _rand_sl2pm(rng):
@@ -427,35 +422,31 @@ def _cone_samples(sig, rng, trials):
     return [samplers.rand_mixed_gm1(sig, rng) for _ in range(trials)]
 
 
-@_declare("reconstruction", "tensor-dual-path",
-          "closed-form cubic tensor is one constant times the pipeline value",
-          needs_psi=True)
-def _dual_path(sig, rng, trials):
-    ev = chains.STensorEval.standard(sig)
-    cst = chains.fit_pipeline_constant(ev)
-    for _ in range(trials):
-        xi = samplers.rand_gm1(sig, rng)
-        eta = samplers.rand_gm1(sig, rng)
-        zeta = samplers.rand_gm1(sig, rng)
-        closed = chains.s_tensor(ev, xi, eta, zeta)
-        pipe = chains.pipeline_s(sig, xi, eta, zeta)
-        if closed != cst * pipe:
-            return False, "xi=%r eta=%r zeta=%r" % (xi, eta, zeta)
-    return True, None
+def _tensor(sig):
+    return {"ev": chains.STensorEval.standard(sig)}
 
 
-@_declare("reconstruction", "tensor-symmetry",
-          "cubic tensor is totally symmetric", _at_most(200))
-def _symmetry(sig, rng, trials):
+def _tensor_and_constant(sig):
     ev = chains.STensorEval.standard(sig)
-    for _ in range(trials):
-        abc = (samplers.rand_gm1(sig, rng), samplers.rand_gm1(sig, rng),
-               samplers.rand_gm1(sig, rng))
-        base = chains.s_tensor(ev, *abc)
-        for perm in itertools.permutations(abc):
-            if chains.s_tensor(ev, *perm) != base:
-                return False, repr(abc)
-    return True, None
+    return {"ev": ev, "cst": chains.fit_pipeline_constant(ev)}
+
+
+@_trials("reconstruction", "tensor-dual-path",
+         "closed-form cubic tensor is one constant times the pipeline value",
+         _draw(xi=_gm1, eta=_gm1, zeta=_gm1), setup=_tensor_and_constant,
+         needs_psi=True)
+def _dual_path(sig, ev, cst, xi, eta, zeta):
+    return (chains.s_tensor(ev, xi, eta, zeta)
+            == cst * chains.pipeline_s(sig, xi, eta, zeta))
+
+
+@_trials("reconstruction", "tensor-symmetry",
+         "cubic tensor is totally symmetric", _draw(a=_gm1, b=_gm1, c=_gm1),
+         _at_most(200), setup=_tensor)
+def _symmetry(sig, ev, a, b, c):
+    base = chains.s_tensor(ev, a, b, c)
+    return all(chains.s_tensor(ev, *perm) == base
+               for perm in itertools.permutations((a, b, c)))
 
 
 @_declare("reconstruction", "cone-classification",

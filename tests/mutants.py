@@ -62,6 +62,11 @@ SO_PQ = (T_SO + "test_entrywise_so_pq_test_matches_the_product_form",
          T_SO + "test_so_element_rejects_bad_middle_block")
 EXPORT_ERRORS = ("tests/test_report.py::"
                  "test_cli_export_errors_come_before_any_work",)
+REPORT = "liecontact/report.py"
+TRIAL_LOOP = tuple("tests/test_report.py::test_trial_loop_" + name
+                   for name in ("draws_every_trial_and_sets_up_once",
+                                "stops_at_the_first_failing_trial",
+                                "keeps_the_exception_witness"))
 SO = "liecontact/so_contact.py"
 EXT = "liecontact/extension.py"
 SL = "liecontact/path_sl.py"
@@ -159,7 +164,7 @@ MUTANTS = (
            "_product_rows(p, rows, n), dp", EXP),
     # the Gram check a^T·s·a on integer rows
     Mutant("Gram check: compared without its denominator scale", LINALG,
-           "scale = da * da * ds", "scale = 1", GRAM),
+           "scale = da * da", "scale = 1", GRAM),
     Mutant("Gram check: the sign of S dropped", LINALG,
            "sa = _product_rows(rows_s, rows_a, n)",
            "sa = _product_rows([[(j, abs(x)) for j, x in r] for r in rows_s],"
@@ -368,9 +373,8 @@ MUTANTS = (
            "or any(perm[k] != i or signs[k] != signs[i]\n"
            "                       for i, k in enumerate(perm))):",
            "):", (T_SO + "test_signed_permutations_must_be_symmetric",)),
-    Mutant("Gram check: a signed permutation read without its signs",
-           LINALG, "return [[(k, x)] for k, x in zip(s.perm, s.signs)], 1",
-           "return [[(k, 1)] for k, x in zip(s.perm, s.signs)], 1",
+    Mutant("Gram check: a signed-permutation target read without its signs",
+           LINALG, "want[k] = t * scale", "want[k] = scale",
            (T_LINALG + "test_gram_check_reads_signed_permutation_forms",)),
     Mutant("Q inverse: C^T without Ipq", SO,
            "cinv = self.sig.ipq_perm().conjugate_transpose(self.C)",
@@ -388,6 +392,21 @@ MUTANTS = (
            "if type(x) is Fraction:\n        return x",
            "if isinstance(x, Fraction):\n        return x",
            (T_LINALG + "test_rat_returns_a_fraction_as_it_is",)),
+    # the registry's trial loop
+    Mutant("trial loop: one trial fewer", REPORT,
+           "for _ in range(trials):", "for _ in range(trials - 1):",
+           TRIAL_LOOP),
+    Mutant("trial loop: a reason string taken for a pass", REPORT,
+           "if verdict is not True:", "if verdict is False:", TRIAL_LOOP),
+    Mutant("trial loop: setup run on every trial", REPORT,
+           "constants = setup(sig) if setup else {}\n"
+           "            for _ in range(trials):\n",
+           "for _ in range(trials):\n"
+           "                constants = setup(sig) if setup else {}\n",
+           TRIAL_LOOP),
+    Mutant("trial loop: a witness without its inputs", REPORT,
+           "for item in inputs.items())", "for item in {}.items())",
+           TRIAL_LOOP),
     # the group-element checks and the CLI
     Mutant("G0: skip the invertibility check", "liecontact/so_contact.py",
            "if det(b) == 0:", "if False:", G0_TESTS),

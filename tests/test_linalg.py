@@ -365,72 +365,73 @@ def _sign_swap(sig):
 
 
 def _gram_cases(sig, rng):
-    """(a, s, expected) with expected whether a^T·s·a = s: elements of O(S)
-    and O(p, q), copies with one entry corrupted, and near misses."""
-    s, ipq = sig.form_s(), sig.ipq()
+    """(a, s, table, expected) with s a form as a Mat, table the same form
+    as the signed permutation the check reads, and expected whether
+    a^T·s·a = s: elements of O(S) and O(p, q), copies with one entry
+    corrupted, and near misses."""
+    forms = {"s": (sig.form_s(), sig.form_s_perm()),
+             "ipq": (sig.ipq(), sig.ipq_perm())}
     cases = []
     for _ in range(3):
         g = samplers.rand_oform(sig, rng)
         c = samplers.rand_opq(sig, rng)
-        cases += [(g, s, True), (c, ipq, True),
-                  (_corrupted(g, rng), s, False),
-                  (_corrupted(c, rng), ipq, False)]
+        cases += [(g, "s", True), (c, "ipq", True),
+                  (_corrupted(g, rng), "s", False),
+                  (_corrupted(c, rng), "ipq", False)]
     if sig.p == sig.q:
         g, c = _sign_swap(sig)
-        cases += [(g, s, False), (c, ipq, False),
-                  (samplers.rand_oform(sig, rng) * g, s, False),
-                  (samplers.rand_opq(sig, rng) * c, ipq, False)]
-    for form in (s, ipq):
-        one = Mat.identity(form.rows)
+        cases += [(g, "s", False), (c, "ipq", False),
+                  (samplers.rand_oform(sig, rng) * g, "s", False),
+                  (samplers.rand_opq(sig, rng) * c, "ipq", False)]
+    for form in forms:
+        one = Mat.identity(forms[form][0].rows)
         cases += [(k * one, form, k in (1, -1))
                   for k in (2, Fraction(-1, 3), -1)]
-    return cases
+    return [(a, *forms[form], expected) for a, form, expected in cases]
 
 
 @pytest.mark.parametrize("sig", FORM_SIGS, ids=repr)
 def test_gram_check_matches_the_product_form(sig):
     rng = random.Random(31 + 7 * sig.p + sig.q)
     planes = []
-    for a, s, expected in _gram_cases(sig, rng):
+    for a, s, table, expected in _gram_cases(sig, rng):
         assert (a.T * s * a == s) is expected
-        assert _gram_equals(a, s, s) is expected
+        assert _gram_equals(a, table, table) is expected
         if s.rows == sig.n + 4:
             # the first two columns of an element of O(S) span an isotropic
             # plane, the other columns need not
             planes += [a.submat(0, a.rows, 0, 2), a.submat(0, a.rows, 1, 3),
                        _corrupted(a.submat(0, a.rows, 0, 2), rng)]
     isotropic = [(p.T * sig.form_s() * p).is_zero() for p in planes]
-    assert [_gram_equals(p, sig.form_s()) for p in planes] == isotropic
+    assert [_gram_equals(p, sig.form_s_perm()) for p in planes] == isotropic
     assert True in isotropic and False in isotropic
-    with pytest.raises(ValueError, match="shape mismatch"):
-        _gram_equals(Mat.identity(3), sig.form_s())
-    with pytest.raises(ValueError, match="shape mismatch"):
-        _gram_equals(Mat.identity(sig.n), sig.ipq(), Mat.identity(sig.n + 1))
 
 
 @pytest.mark.parametrize("sig", FORM_SIGS, ids=repr)
 def test_gram_check_reads_signed_permutation_forms(sig):
+    """Targets other than the form, each against the product a^T·s·a with
+    the target written out as a Mat: the form, its negation (reached by
+    the sign swaps when p = q) and the identity."""
     rng = random.Random(41 + 7 * sig.p + sig.q)
-    tables = {id(sig.form_s()): sig.form_s_perm(),
-              id(sig.ipq()): sig.ipq_perm()}
-    for a, s, expected in _gram_cases(sig, rng):
-        table = tables[id(s)]
-        assert _gram_equals(a, table, table) is expected
-        assert _gram_equals(a, table, s) is expected
-        assert _gram_equals(a, s, table) is expected
+    for a, s, table, _ in _gram_cases(sig, rng):
+        size = table.rows
+        gram = a.T * s * a
+        for target in (table, SignedPerm(table.perm, [-x for x in
+                                                      table.signs]),
+                       SignedPerm(range(size), [1] * size)):
+            assert (_gram_equals(a, table, target)
+                    is (gram == target.left(Mat.identity(size))))
         plane = a.submat(0, a.rows, 0, 2)
         assert (_gram_equals(plane, table)
                 is (plane.T * s * plane).is_zero())
-    for table in tables.values():
+    for table in (sig.form_s_perm(), sig.ipq_perm()):
         size = table.rows
         with pytest.raises(TypeError, match="float"):
             _gram_equals(Mat.identity(size, one=1.0), table, table)
         with pytest.raises(ValueError, match="shape mismatch"):
             _gram_equals(Mat.identity(size + 1), table)
         with pytest.raises(ValueError, match="shape mismatch"):
-            _gram_equals(Mat.identity(size), table, Mat.identity(size + 1))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            _gram_equals(Mat.identity(size + 1), sig.ipq(),
+            _gram_equals(Mat.identity(size), table,
                          SignedPerm(range(size + 1), [1] * (size + 1)))
 
 
@@ -450,20 +451,16 @@ def test_rat_returns_a_fraction_as_it_is():
 
 
 def test_gram_check_reads_integer_entries_and_refuses_floats():
-    sig = Signature(2, 1)
-    ipq = sig.ipq()
+    ipq = Signature(2, 1).ipq_perm()
     ints = Mat([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
-    assert _gram_equals(ints, ipq.map(int), ipq)
-    assert _gram_equals(ints.map(Fraction), ipq, ipq.map(int))
+    assert _gram_equals(ints, ipq, ipq)
+    assert _gram_equals(ints.map(Fraction), ipq, ipq)
     assert not _gram_equals(2 * ints, ipq, ipq)
     plane = Mat([[1, 0], [1, 0], [0, 1]])
     assert not _gram_equals(plane, ipq)
     assert _gram_equals(Mat([[1, 0], [0, 0], [1, 0]]), ipq)
-    for a, s in ((ints.map(float), ipq), (ints, ipq.map(float))):
-        with pytest.raises(TypeError, match="float"):
-            _gram_equals(a, s, ipq)
     with pytest.raises(TypeError, match="float"):
-        _gram_equals(ints, ipq, ipq.map(float))
+        _gram_equals(ints.map(float), ipq, ipq)
 
 
 def test_kernel_rejects_shape_mismatch():

@@ -6,10 +6,11 @@ import json
 import math
 import random
 import zlib
+from fractions import Fraction
 
 import pytest
 
-from liecontact import chains, extension
+from liecontact import chains, extension, report
 from liecontact.cli import main
 from liecontact.report import (CHECKS, SUITE_NAMES, Check, SuiteConfig, run,
                                run_checks)
@@ -338,6 +339,79 @@ def test_checks_sharing_a_draw_draw_it_once():
                          [check, check])
     assert calls == [3]
     assert [r["status"] for r in records] == ["pass", "pass"]
+
+
+# ---------------------------------------------------------------------------
+# the trial loop, on a synthetic check that stays out of CHECKS
+
+
+def _trial_check(monkeypatch, claim, fail_in=None):
+    """A `_trials` check of `claim(sig, scale, x, y)` with x = 1, 2, ... and
+    y = x/2, and the calls it makes; `fail_in` names a part that raises."""
+    calls = {"setup": 0, "draw": 0}
+
+    def setup(sig):
+        calls["setup"] += 1
+        if fail_in == "setup":
+            raise RuntimeError("no unit triple found")
+        return {"scale": 2}
+
+    def draw(sig, rng):
+        calls["draw"] += 1
+        if fail_in == "draw":
+            raise ValueError("singular sample")
+        k = calls["draw"]
+        return {"x": k, "y": Fraction(k, 2)}
+
+    monkeypatch.setattr(report, "_TABLE", [])
+    report._trials("algebra", "synthetic", "a claim", draw,
+                   setup=setup)(claim)
+    check, = report._TABLE
+    return check, calls
+
+
+def _record(check, trials=5):
+    record, = run_checks(Signature(2, 1), random.Random(0), trials, [check])
+    return record["status"], record["witness"]
+
+
+def test_trial_loop_draws_every_trial_and_sets_up_once(monkeypatch):
+    seen = []
+
+    def claim(sig, scale, x, y):
+        seen.append((scale, x, y))
+        return scale * y == x
+
+    check, calls = _trial_check(monkeypatch, claim)
+    assert _record(check) == ("pass", None)
+    assert calls == {"setup": 1, "draw": 5}
+    assert seen == [(2, k, Fraction(k, 2)) for k in range(1, 6)]
+
+
+@pytest.mark.parametrize("verdict,reason", [(False, ""),
+                                            ("y is off", "y is off: ")])
+def test_trial_loop_stops_at_the_first_failing_trial(monkeypatch, verdict,
+                                                      reason):
+    def claim(sig, scale, x, y):
+        return verdict if x == 3 else True
+
+    check, calls = _trial_check(monkeypatch, claim)
+    assert _record(check) == ("fail", reason + "x=3 y=Fraction(3, 2)")
+    assert calls == {"setup": 1, "draw": 3}
+
+
+@pytest.mark.parametrize("fail_in,witness", [
+    ("setup", "RuntimeError: no unit triple found"),
+    ("draw", "ValueError: singular sample"),
+    ("claim", "ZeroDivisionError: Fraction(1, 0)"),
+])
+def test_trial_loop_keeps_the_exception_witness(monkeypatch, fail_in,
+                                                witness):
+    def claim(sig, scale, x, y):
+        return Fraction(1, x - 1) > 0
+
+    check, _ = _trial_check(monkeypatch, claim, fail_in)
+    assert _record(check) == ("fail", witness)
 
 
 # ---------------------------------------------------------------------------
