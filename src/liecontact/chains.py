@@ -10,8 +10,7 @@ import math
 from fractions import Fraction
 
 from .extension import psi_trilinear
-from .linalg import (Mat, _from_ints, _gram_equals, _int_rows, _product_rows,
-                     exp_nilpotent, rank_kernel, rat, solve_linear)
+from .linalg import IntMat, Mat, exp_nilpotent, rank_kernel, rat, solve_linear
 from .so_contact import (Signature, SoElement, _ambient_inverse, bracket_gm1,
                          segre_rank)
 from .split_quat import QuatStructureOnH, stack_columns, unstack_columns
@@ -30,7 +29,7 @@ class ModelPoint:
         rank, _ = rank_kernel(span)
         if rank != 2:
             raise ValueError("span must have rank 2")
-        if not _gram_equals(span, sig.form_s_perm()):
+        if not IntMat.of(span).gram_equals(sig.form_s_perm()):
             raise ValueError("span must be isotropic for the ambient form")
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "span", span)
@@ -59,7 +58,7 @@ def origin(sig: Signature) -> ModelPoint:
 
 def _check_ambient(sig: Signature, g: Mat):
     s = sig.form_s_perm()
-    if not _gram_equals(g, s, s):
+    if not IntMat.of(g).gram_equals(s, s):
         raise ValueError("the acting matrix must preserve the ambient form")
 
 
@@ -193,35 +192,22 @@ def s_tensor(ev: STensorEval, xi: Mat, eta: Mat, zeta: Mat) -> Mat:
     times the stored scale, where L is the bottom-grade bracket. Totally
     symmetric, with values back among the contact directions.
 
-    Each argument is scaled to integers once, and so is each of the
-    structure's 2x2 matrices M = mi, mj, mk; the image a·M of an argument
-    a = A / da is the integer product A·(dm·M) over da·dm. The nine
-    pairings and the sum run over Python ints on one common denominator,
-    and one Fraction is built per output entry."""
-    sig = ev.sig
-    st = ev.structure
-    signs = sig.signs()
-    plain = [_int_rows(a) for a in (xi, eta, zeta)]
+    The arguments and the structure's 2x2 matrices M = mi, mj, mk are each
+    read as an `IntMat` once, and the images a·M are integer products. With
+    scale = num/den, a term ±scale·L(a, b)·c is the integer ±num·L(A, B)
+    times the rows of c over den·a.d·b.d·c.d: one integer combination."""
+    st, signs = ev.structure, ev.sig.signs()
+    num, den = ev.scale.numerator, ev.scale.denominator
+    plain = [IntMat.of(a) for a in (xi, eta, zeta)]
     terms = []
-    for m, sgn in ((st.mi, 1), (st.mj, 1), (st.mk, -1)):
-        rows_m, dm = _int_rows(m)
-        images = [(_product_rows(ra, rows_m, 2), da * dm) for ra, da in plain]
+    for m, sgn in ((st.mi, num), (st.mj, num), (st.mk, -num)):
+        im = IntMat.of(m)
+        images = [a * im for a in plain]
         for r in range(3):  # the cyclic terms (a, b, c) of (xi, eta, zeta)
-            (ra, da), (rb, db), (rc, dc) = (plain[r], images[(r + 1) % 3],
-                                            images[(r + 2) % 3])
-            coeff = sgn * _pairing(signs, ra, rb)
-            if coeff:
-                terms.append((coeff, rc, da * db * dc))
-    d = math.lcm(*(den for _, _, den in terms))
-    acc = [[0, 0] for _ in range(sig.n)]
-    for coeff, rc, den in terms:
-        f = coeff * (d // den)
-        for out, row in zip(acc, rc):
-            for k, y in row:
-                out[k] += f * y
-    scale = ev.scale
-    return _from_ints([[scale.numerator * x for x in r] for r in acc],
-                      scale.denominator * d)
+            a, b, c = plain[r], images[(r + 1) % 3], images[(r + 2) % 3]
+            over = IntMat(den * a.d * b.d * c.d, 2, None, c.sparse)
+            terms.append((sgn * _pairing(signs, a.sparse, b.sparse), over))
+    return IntMat.combination(terms).to_mat()
 
 
 def pipeline_s(sig: Signature, xi: Mat, eta: Mat, zeta: Mat) -> Mat:

@@ -30,9 +30,8 @@ import random
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linalg import (DualRat, Mat, _addmul, _common_rows, _commutator_rows,
-                     _from_ints, exp_float, invert, max_abs, rank_kernel,
-                     rat_sqrt)
+from .linalg import (DualRat, IntMat, Mat, exp_float, invert, max_abs,
+                     rank_kernel, rat_sqrt)
 from .path_sl import (SlElement, _neg_positions, sl_bracket, sl_neg_basis,
                       sl_neg_coordinates, sl_neg_degrees, sl_neg_duals,
                       sl_neg_slots, w0)
@@ -380,42 +379,27 @@ def build_psi_cochain(sig: Signature) -> Cochain2:
     once per signature. The support, equivariance and normality checks all
     read this one cached table.
 
-    The formula of `psi_gq` runs here on integer rows. Three tables are
-    each scaled to integers over one denominator (`linalg._common_rows`):
-    the alpha images of the lifts, the lifts' assembled matrices and the
-    alpha images of the so_basis. For each pair, both brackets are integer
-    commutators (`linalg._commutator_rows`). The so bracket is read in
-    coordinates by `so_contact._int_coordinates`, which raises when it
-    leaves so(p+2, q+2); alpha of it is the same integer combination of the
-    so_basis images, alpha being linear. The difference is taken over the
-    lcm of the two denominators, and Fractions are built only for a
-    nonzero value."""
-    n = sig.n
-    m = 2 * n + 2
+    The formula of `psi_gq` runs here on `IntMat`s, each table over one
+    denominator. Both brackets of a pair are integer commutators; the so
+    bracket is read in coordinates by `so_contact._int_coordinates`, which
+    raises when it leaves so(p+2, q+2), and alpha of it is the same
+    combination of the alpha images of the so_basis, alpha being linear."""
     lifts = _basis_lifts(sig)
-    images, d_img = _common_rows([alpha(x).mat for x in lifts])
-    mats, d_so = _common_rows([x.assemble() for x in lifts])
-    basis_images, d_b = _common_rows([alpha(e).mat for e in so_basis(sig)])
-    # row i of every so_basis image, indexed by the basis position
-    basis_rows = list(zip(*basis_images))
-    d_sl, d_al = d_img * d_img, d_so * d_so * d_b
-    d = math.lcm(d_sl, d_al)
-    f_sl, f_al = d // d_sl, d // d_al
+    images = IntMat.common([alpha(x).mat for x in lifts])
+    mats = IntMat.common([x.assemble() for x in lifts])
+    basis_images = IntMat.common([alpha(e).mat for e in so_basis(sig)])
     table = {}
     for a in range(len(lifts)):
         for b in range(a + 1, len(lifts)):
-            coords = _int_coordinates(
-                sig, _commutator_rows(mats[a], mats[b], n + 4))
-            coeffs = [(k, c * f_al) for k, c in enumerate(coords) if c]
-            rows = []
-            for r, alpha_r in zip(
-                    _commutator_rows(images[a], images[b], m), basis_rows):
-                acc = [x * f_sl for x in r]
-                _addmul(acc, coeffs, alpha_r, -1)
-                rows.append(acc)
-            if any(map(any, rows)):
-                table[(a, b)] = SlElement(n, _from_ints(rows, d))
-    return Cochain2(n, table)
+            comm = mats[a].commutator(mats[b])
+            coords = _int_coordinates(sig, comm.dense)
+            value = IntMat.combination(
+                [(1, images[a].commutator(images[b]))]
+                + [(Fraction(-c, comm.d), basis_images[k])
+                   for k, c in enumerate(coords) if c])
+            if not value.is_zero():
+                table[(a, b)] = SlElement(sig.n, value.to_mat())
+    return Cochain2(sig.n, table)
 
 
 def codifferential(phi: Cochain2) -> Cochain1:
@@ -423,33 +407,27 @@ def codifferential(phi: Cochain2) -> Cochain1:
     Z1 ^ Z2 (x) W  |->  Z2 (x) [Z1,W] - Z1 (x) [Z2,W] - [Z1,Z2] (x) W,
     where the Z's are the trace-form duals of the negative basis.
 
-    Runs on integer rows: the values of phi are scaled to integers over one
-    common denominator d (`linalg._common_rows`), every bracket is an
-    integer commutator (`linalg._commutator_rows`) with the duals, which
-    are integer units, and the 4n+1 outputs accumulate as integer rows
-    over d. Fractions are built only for a nonzero output. TypeError when
-    a value has an entry that is not a Fraction."""
+    Each output is one combination of `IntMat`s, the values of phi and
+    their brackets with the duals, which are formed only when it is
+    summed. TypeError when a value has an entry that is not rational."""
     n = phi.n
-    m = 2 * n + 2
-    duals, _ = _common_rows([z.mat for z in sl_neg_duals(n)])
-    values, d = _common_rows([v.mat for v in phi.table.values()])
-    acc = collections.defaultdict(lambda: [[0] * m for _ in range(m)])
+    duals = IntMat.common([z.mat for z in sl_neg_duals(n)])
+    values = IntMat.common([v.mat for v in phi.table.values()])
+    terms = collections.defaultdict(list)  # (k, x, y): k·[x, y], or k·x
     for (a, b), w in zip(phi.table, values):
         # -[Z_b, W] = [W, Z_b]
-        for c, comm in ((b, _commutator_rows(duals[a], w, m)),
-                        (a, _commutator_rows(w, duals[b], m))):
-            rows = acc[c]
-            for i, r in enumerate(comm):
-                rows[i] = [x + y for x, y in zip(rows[i], r)]
-        pm = _commutator_rows(duals[a], duals[b], m)
+        terms[b].append((1, duals[a], w))
+        terms[a].append((1, w, duals[b]))
+        pm = duals[a].commutator(duals[b]).dense
         for c, (r, s) in enumerate(_neg_positions(n)):
             coeff = pm[s][r]
             if coeff:
-                for row, wr in zip(acc[c], w):
-                    for j, x in wr:
-                        row[j] -= coeff * x
-    return Cochain1(n, {c: SlElement(n, _from_ints(rows, d))
-                        for c, rows in acc.items() if any(map(any, rows))})
+                terms[c].append((-coeff, w, None))
+    outputs = {c: IntMat.combination([(k, x if y is None else
+                                        x.commutator(y)) for k, x, y in t])
+               for c, t in terms.items()}
+    return Cochain1(n, {c: SlElement(n, v.to_mat())
+                        for c, v in outputs.items() if not v.is_zero()})
 
 
 def is_normal(phi: Cochain2) -> bool:

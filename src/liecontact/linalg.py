@@ -5,41 +5,27 @@ Every identity asserted anywhere in this package runs over
 `fractions.Fraction`. Floats appear only in `exp_float` and in trajectory
 export. Matrices are immutable, dense and row-major; the largest are the
 (2n+2) x (2n+2) matrices of sl(2n+2), 14 x 14 at n = 6 (signature (3, 3),
-the largest the CI smoke run covers). Rank, kernel, solve, inverse and
+the largest the CI smoke run covers).
+
+The exact arithmetic runs on one integer type, `IntMat`: a rational matrix
+held as integers over one positive denominator. Every exact product,
+commutator, sum and Gram check of the package runs on it, and it builds
+one Fraction per nonzero entry only when it goes back to a `Mat`.
+Matrices of floats, `DualRat` or mixed types are multiplied entry by
+entry (`_dot`).
+
+`structure_table` brackets every pair of an integer basis to build the
+structure-constant table of either algebra (so(p+2, q+2) and sl(2n+2))
+that `jacobi_failures` checks. Rank, kernel, solve, inverse and
 determinant share one fraction-free Gauss-Jordan elimination on rows of
-Fractions scaled to integers, `_eliminate`; its integer core, `_bareiss`,
+Fractions scaled to integers, `_eliminate`; its integer core, `bareiss`,
 also solves the Cayley transform of `samplers.rand_opq`.
-
-Products and commutators of all-Fraction matrices go through one exact
-integer kernel: each factor is scaled to integers over the lcm of its entry
-denominators and read as sparse rows, the sums run over Python ints, and
-one Fraction is built per nonzero output entry. Matrices of floats,
-`DualRat` or mixed types are multiplied entry by entry (`_dot`).
-
-Commutators have one integer loop, `_commutator_rows`. `commutator` runs it
-on the scaled rows of two matrices, and `structure_table` runs it on every
-pair of an integer basis to build the structure-constant table of either
-algebra (so(p+2, q+2) and sl(2n+2)) that `jacobi_failures` checks. The
-obstruction cochain and the codifferential of `extension` run it on
-matrices scaled to integers over one common denominator per table
-(`_common_rows`).
-
-Three compound operations run on the same integer rows and build no
-intermediate Fraction matrix. `exp_nilpotent` scales m once, keeps each
-power as sparse integer rows over d^j, tests the vanishing power on
-integers and sums over one denominator. `_gram_equals` decides whether
-a^T·s·a equals a target, or is zero, by comparing integers, for a form
-and a target given as signed permutations; the ambient form and
-isotropy checks of `chains` and the orthogonality check of `so_contact`
-go through it. The cubic tensor of `chains` forms its I, J, K images as
-integer products (`_product_rows`). All three read integer entries as
-rationals and refuse floats (`_int_rows`).
 
 The forms S and Ipq are symmetric signed permutations, kept per signature
 as `SignedPerm` tables. A product with one (`left`, `right`,
-`conjugate_transpose`) moves entries and flips signs, and `_gram_equals`
-reads a table as the sparse integer rows it already is, so no form check
-of `chains` or `so_contact` scans a form.
+`conjugate_transpose`) moves entries and flips signs, and the Gram check
+reads a table as the one +-1 per row it is, so no form check scans a
+form.
 
 The linear operations `+`, `-`, unary `-` and scalar `*` skip exact zeros,
 which most entries of the package's matrices are. Where both entries of a
@@ -255,13 +241,7 @@ class Mat:
             sa = _scaled_rows(self)
             sb = sa and _scaled_rows(other)
             if sb:
-                (rows_a, da), (rows_b, db) = sa, sb
-                out = []
-                for ra in rows_a:
-                    acc = [0] * other.cols
-                    _addmul(acc, ra, rows_b, 1)
-                    out.append(acc)
-                return _from_ints(out, da * db)
+                return (sa * sb).to_mat()
             cols = [other.column(j) for j in range(other.cols)]
             return Mat([[_dot(r, c) for c in cols] for r in self.data])
         if type(other) in _EXACT_SCALARS:
@@ -353,18 +333,172 @@ def _dot(r, c):
     return acc
 
 
-# The exact product kernel. A matrix whose entries are all Fractions is
-# scaled to integers over one common denominator d (the lcm of its entry
-# denominators) and kept as sparse rows of (column, int) pairs, so a
-# product costs one Python int multiply-add per pair of nonzero entries
-# that meet and one Fraction per nonzero output entry. Any other element
-# type (float, DualRat, int, a mix) takes the entrywise `_dot` path.
+class IntMat:
+    """A rational matrix held as integers over one positive denominator d:
+    entry (i, j) is the integer at (i, j) divided by d.
+
+    The integers keep the form that made them: `sparse` rows of (column,
+    int) pairs of the nonzero entries when read from a `Mat`, `dense` rows
+    from a product, a commutator or a combination; the other form is
+    derived once, on first use. Immutable by contract: nothing sets its
+    fields after it is made or writes the rows it hands out. Assignment is
+    not blocked: a guarded constructor costs three times as much, and a
+    product makes three."""
+
+    __slots__ = ("d", "rows", "cols", "_dense", "_sparse")
+
+    def __init__(self, d, cols, dense=None, sparse=None):
+        """The rows of one form, taken as they are, over d: dense rows over a
+        nonzero d (its sign moves into them), or sparse rows over d > 0,
+        whose (column, int) pairs cover every nonzero entry."""
+        if d < 0:
+            dense, d = [[-x for x in r] for r in dense], -d
+        if not d:
+            raise ValueError("the denominator must be nonzero")
+        self.d = d
+        self.rows = len(dense if sparse is None else sparse)
+        self.cols = cols
+        self._dense = dense
+        self._sparse = sparse
+
+    @classmethod
+    def of(cls, m: Mat) -> IntMat:
+        """m over the lcm of its entry denominators. Integer entries are
+        read as rationals, and floats are refused (TypeError)."""
+        return _scaled_rows(m) or _scaled_rows(m.map(rat))
+
+    @classmethod
+    def common(cls, mats):
+        """The matrices mats, each read as by `of`, over one common
+        denominator: the lcm of their own."""
+        scaled = [cls.of(m) for m in mats]
+        d = math.lcm(*[s.d for s in scaled])
+        return [s if s.d == d else
+                cls(d, s.cols, sparse=[[(j, x * (d // s.d)) for j, x in r]
+                                       for r in s.sparse])
+                for s in scaled]
+
+    @property
+    def dense(self):
+        """The integers, row by row."""
+        if self._dense is None:
+            self._dense = [[0] * self.cols for _ in self._sparse]
+            for row, r in zip(self._dense, self._sparse):
+                for j, x in r:
+                    row[j] = x
+        return self._dense
+
+    @property
+    def sparse(self):
+        """Each row as (column, int) pairs that cover its nonzero integers."""
+        if self._sparse is None:
+            self._sparse = [[(j, x) for j, x in enumerate(r) if x]
+                            for r in self._dense]
+        return self._sparse
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.dense))
+
+    def to_mat(self) -> Mat:
+        """The Mat of the Fractions, one built per nonzero entry; the zero
+        entries share one zero."""
+        d = self.d
+        if d == 1:  # Fraction(x) skips the gcd that Fraction(x, 1) pays for
+            return Mat([[Fraction(x) if x else _ZERO for x in r]
+                        for r in self.dense])
+        return Mat([[Fraction(x, d) if x else _ZERO for x in r]
+                    for r in self.dense])
+
+    def __mul__(self, other: IntMat) -> IntMat:
+        """The product, over the product of the two denominators."""
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch %sx%s * %sx%s"
+                             % (self.rows, self.cols, other.rows, other.cols))
+        rows_b = other.sparse
+        out = []
+        for ra in self.sparse:
+            acc = [0] * other.cols
+            _addmul(acc, ra, rows_b, 1)
+            out.append(acc)
+        return IntMat(self.d * other.d, other.cols, out)
+
+    def commutator(self, other: IntMat) -> IntMat:
+        """self·other − other·self of two square matrices of one size, over
+        the product of the two denominators."""
+        n = self.cols
+        if not n == self.rows == other.rows == other.cols:
+            raise ValueError("a commutator needs square matrices of one size")
+        rows_a, rows_b = self.sparse, other.sparse
+        out = []
+        for ra, rb in zip(rows_a, rows_b):
+            acc = [0] * n
+            _addmul(acc, ra, rows_b, 1)
+            _addmul(acc, rb, rows_a, -1)
+            out.append(acc)
+        return IntMat(self.d * other.d, n, out)
+
+    @staticmethod
+    def combination(terms) -> IntMat:
+        """The sum of c·m over a nonempty list of terms (c, m), each c an int
+        or a Fraction and every m of one shape, taken over the lcm of
+        c.denominator·m.d for the terms with c != 0. After the first term,
+        a term adds its sparse rows when it has them, else its dense rows."""
+        rows, cols = terms[0][1].rows, terms[0][1].cols
+        if any(m.rows != rows or m.cols != cols for _, m in terms):
+            raise ValueError("a combination needs matrices of one shape")
+        live = [(c, m) for c, m in terms if c]
+        d = math.lcm(*[c.denominator * m.d for c, m in live])
+        acc = [[0] * cols for _ in range(rows)] if not live else None
+        for c, m in live:
+            f = c.numerator * (d // (c.denominator * m.d))
+            if acc is None:  # the first term starts the sum
+                acc = [r[:] if f == 1 else [f * x for x in r] for r in m.dense]
+            elif m._sparse is not None:
+                for out, row in zip(acc, m._sparse):
+                    for j, x in row:
+                        out[j] += f * x
+            elif f == 1:
+                acc = [[x + y for x, y in zip(a, r)]
+                       for a, r in zip(acc, m._dense)]
+            else:
+                acc = [[x + f * y for x, y in zip(a, r)]
+                       for a, r in zip(acc, m._dense)]
+        return IntMat(d, cols, acc)
+
+    def gram_equals(self, s: SignedPerm,
+                    target: SignedPerm | None = None) -> bool:
+        """Whether a^T·s·a, for this matrix a and the form s, equals target,
+        or is zero when target is None: with a = A / d it compares A^T·S·A
+        with d²·T entry by entry. s and target are `SignedPerm`s, read as
+        the one +-1 per row they are; ValueError on shapes that misfit."""
+        n = self.cols
+        if self.rows != s.rows or target is not None and target.rows != n:
+            raise ValueError("shape mismatch: a^T·s·a needs an s with as "
+                             "many rows as a and an %dx%d target" % (n, n))
+        rows = self.sparse
+        gram = [[0] * n for _ in range(n)]
+        # A^T·(S·A) by outer products; row i of S·A is signs[i]·A[perm[i]]
+        for ra, k, t in zip(rows, s.perm, s.signs):
+            rk = rows[k]
+            for i, x in ra:
+                gi = gram[i]
+                x *= t
+                for j, y in rk:
+                    gi[j] += x * y
+        if target is None:
+            return not any(map(any, gram))
+        scale = self.d * self.d
+        for g, k, t in zip(gram, target.perm, target.signs):
+            want = [0] * n
+            want[k] = t * scale
+            if g != want:
+                return False
+        return True
 
 
 def _scaled_rows(m: Mat):
-    """(rows, d) with row i of m equal to rows[i] / d, rows[i] the
-    (column, int) pairs of its nonzero entries; None unless every entry
-    of m is a Fraction."""
+    """m as an IntMat over the lcm of its entry denominators; None unless
+    every entry of m is a Fraction."""
     d = 1
     rows = []
     for r in m.data:
@@ -379,26 +513,8 @@ def _scaled_rows(m: Mat):
                     d = math.lcm(d, q)
                 row.append((j, x, q))
         rows.append(row)
-    return [[(j, x * (d // q)) for j, x, q in r] for r in rows], d
-
-
-def _int_rows(x: Mat):
-    """x as the sparse integer rows of `_scaled_rows` over one denominator;
-    integer entries are read as rationals, floats are refused (TypeError)."""
-    return _scaled_rows(x) or _scaled_rows(x.map(rat))
-
-
-def _common_rows(mats):
-    """(tables, d) with mats[k] equal to tables[k] / d for one common
-    denominator d (the lcm of the matrices' own), tables[k] the sparse
-    integer rows of `_scaled_rows`; TypeError unless every entry of every
-    matrix is a Fraction."""
-    scaled = [_scaled_rows(m) for m in mats]
-    if None in scaled:
-        raise TypeError("common integer rows need Fraction entries")
-    d = math.lcm(*[dk for _, dk in scaled])
-    return [[[(j, x * (d // dk)) for j, x in r] for r in rows]
-            for rows, dk in scaled], d
+    return IntMat(d, m.cols, None,
+                  [[(j, x * (d // q)) for j, x, q in r] for r in rows])
 
 
 def _addmul(acc, row, rows, sign):
@@ -409,45 +525,13 @@ def _addmul(acc, row, rows, sign):
             acc[j] += x * y
 
 
-def _product_rows(rows_a, rows_b, cols):
-    """Sparse integer rows of A·B for the sparse integer rows of A and of
-    B, B with `cols` columns."""
-    out = []
-    for ra in rows_a:
-        acc = [0] * cols
-        _addmul(acc, ra, rows_b, 1)
-        out.append([(j, x) for j, x in enumerate(acc) if x])
-    return out
-
-
-def _from_ints(rows, d):
-    """Mat of the Fractions x / d for the integer rows, sharing one zero."""
-    if d == 1:  # Fraction(x) skips the gcd that Fraction(x, 1) pays for
-        return Mat([[Fraction(x) if x else _ZERO for x in r] for r in rows])
-    return Mat([[Fraction(x, d) if x else _ZERO for x in r] for r in rows])
-
-
-def _commutator_rows(rows_a, rows_b, n):
-    """Dense integer rows of A·B − B·A for the sparse integer rows of two
-    n x n matrices A and B: the one commutator loop of the package."""
-    out = []
-    for ra, rb in zip(rows_a, rows_b):
-        acc = [0] * n
-        _addmul(acc, ra, rows_b, 1)
-        _addmul(acc, rb, rows_a, -1)
-        out.append(acc)
-    return out
-
-
 def commutator(a: Mat, b: Mat) -> Mat:
     n = a.rows
     sa = n == a.cols == b.rows == b.cols and _scaled_rows(a)
     sb = sa and _scaled_rows(b)
     if not sb:
         return a * b - b * a
-    # a*b and b*a share the denominator da*db: one integer array holds both
-    (rows_a, da), (rows_b, db) = sa, sb
-    return _from_ints(_commutator_rows(rows_a, rows_b, n), da * db)
+    return sa.commutator(sb).to_mat()
 
 
 class SignedPerm:
@@ -510,59 +594,21 @@ class SignedPerm:
                      for k, s in cols] for l, t in cols])
 
 
-def _gram_equals(a: Mat, s: SignedPerm,
-                 target: SignedPerm | None = None) -> bool:
-    """Whether the Gram matrix a^T·s·a of the columns of a under the form s
-    equals target, or is zero when target is None, decided on integer rows
-    without building a Fraction: with a = A / da it compares A^T·S·A with
-    da²·T entry by entry. The form and the target are signed permutations,
-    read as the one +-1 per row they are. Integer entries of a are read
-    as rationals and floats are refused (TypeError); shapes that do not fit
-    are a ValueError."""
-    n = a.cols
-    if a.rows != s.rows or target is not None and target.rows != n:
-        raise ValueError("shape mismatch: a^T·s·a needs an s with as many "
-                         "rows as a and an %dx%d target" % (n, n))
-    rows_a, da = _int_rows(a)
-    rows_s = [[(k, x)] for k, x in zip(s.perm, s.signs)]
-    sa = _product_rows(rows_s, rows_a, n)
-    gram = [[0] * n for _ in range(n)]
-    for ra, rsa in zip(rows_a, sa):  # A^T·(S·A) as a sum of outer products
-        for k, x in ra:
-            gk = gram[k]
-            for j, y in rsa:
-                gk[j] += x * y
-    if target is None:
-        return not any(map(any, gram))
-    scale = da * da
-    for g, k, t in zip(gram, target.perm, target.signs):
-        want = [0] * n
-        want[k] = t * scale
-        if g != want:
-            return False
-    return True
-
-
 def structure_table(basis, coordinates):
     """Structure constants of the Lie algebra spanned by the integer square
-    matrices `basis`: a read-only mapping (a, b) -> {c: coeff} over all
-    pairs a != b, with [x_a, x_b] = sum coeff * x_c. `coordinates` maps
-    the dense integer rows of a commutator to its integer coordinates in
-    the basis order (and raises when the commutator leaves the algebra).
-    Each unordered pair is bracketed once; its reverse is the negation.
-    Neither level of the mapping is writable."""
-    n = basis[0].rows
-    rows = []
-    for m in basis:
-        scaled = m.rows == m.cols == n and _scaled_rows(m)
-        if not scaled or scaled[1] != 1:
-            raise ValueError("structure constants need square integer basis "
-                             "matrices of one size")
-        rows.append(scaled[0])
+    matrices `basis`: a mapping (a, b) -> {c: coeff}, read-only at both
+    levels, over all pairs a != b, with [x_a, x_b] = sum coeff * x_c; each
+    unordered pair is bracketed once and its reverse negated. `coordinates`
+    maps the dense integer rows of a commutator to its integer coordinates
+    in the basis order (and raises when the commutator leaves the algebra).
+    ValueError unless the basis matrices are integer and square of one size."""
+    ints = [_scaled_rows(m) for m in basis]
+    if not all(ints) or any(m.d != 1 for m in ints):
+        raise ValueError("structure constants need integer basis matrices")
     table = {}
-    for a, ra in enumerate(rows):
-        for b in range(a + 1, len(rows)):
-            comm = _commutator_rows(ra, rows[b], n)
+    for a, ia in enumerate(ints):
+        for b in range(a + 1, len(ints)):
+            comm = ia.commutator(ints[b]).dense
             sparse = {c: v for c, v in enumerate(coordinates(comm)) if v}
             table[(a, b)] = MappingProxyType(sparse)
             table[(b, a)] = MappingProxyType(
@@ -571,7 +617,7 @@ def structure_table(basis, coordinates):
 
 
 def _eliminate(rows):
-    """Fraction-free Gauss-Jordan elimination (`_bareiss`) of the rows of
+    """Fraction-free Gauss-Jordan elimination (`bareiss`) of the rows of
     Fractions `rows`, each first scaled to integers by its lcm. Returns
     (rows, pivots, d, sign, scale): the integer rows are d times the
     reduced row echelon form, d the last pivot (1 if none), sign the parity
@@ -586,10 +632,10 @@ def _eliminate(rows):
         lcm = math.lcm(*[e.denominator for e in r])
         out.append([e.numerator * (lcm // e.denominator) for e in r])
         scale *= lcm
-    return (*_bareiss(out), scale)
+    return (*bareiss(out), scale)
 
 
-def _bareiss(out):
+def bareiss(out):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the integer
     rows `out`, which it overwrites. A pivot p sets every other row to
     (p * row - row[c] * pivot row) / p_prev, exact by Sylvester's identity.
@@ -661,7 +707,7 @@ def invert(m: Mat) -> Mat:
         [r + e for r, e in zip(m.data, Mat.identity(n).data)])
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    return _from_ints([r[n:] for r in rows], d)
+    return IntMat(d, n, dense=[r[n:] for r in rows]).to_mat()
 
 
 def det(m: Mat) -> Fraction:
@@ -678,37 +724,22 @@ def exp_nilpotent(m: Mat, nilpotency_bound: int) -> Mat:
     """Exact exp of a nilpotent matrix: sum_{j<k} m^j / j! where m^k = 0.
 
     Raises ValueError naming the power that failed to vanish when m is not
-    nilpotent within the stated bound.
-
-    m is scaled to integers once, m = M / d (integer entries are read as
-    rationals, floats are refused with TypeError). Each power m^j = M^j / d^j
-    is kept as the sparse integer rows of M^j, and the vanishing test runs
-    on them; the sum is taken over the one denominator L!·d^L of the last
-    nonzero power L, and one Fraction is built per nonzero entry.
-    """
+    nilpotent within the stated bound. Integer entries of m are read as
+    rationals, and floats are refused (TypeError)."""
     if m.rows != m.cols:
         raise ValueError("exp of a non-square matrix")
     n = m.rows
-    rows, d = _int_rows(m)
-    powers = []  # (M^j, d^j) for j = 1, 2, ... up to the last nonzero power
-    p, dp = rows, d
-    for _ in range(nilpotency_bound):
-        if not any(p):
+    p = mi = IntMat.of(m)
+    terms = [(1, IntMat(1, n, sparse=[[(i, 1)] for i in range(n)]))]
+    for j in range(1, nilpotency_bound + 1):
+        if p.is_zero():
             break
-        powers.append((p, dp))
-        p, dp = _product_rows(p, rows, n), dp * d
+        terms.append((Fraction(1, math.factorial(j)), p))
+        p = p * mi
     else:
         raise ValueError("m^%d != 0, not nilpotent within the stated bound"
                          % nilpotency_bound)
-    top = len(powers)
-    den = math.factorial(top) * d ** top
-    acc = [[den if i == j else 0 for j in range(n)] for i in range(n)]
-    for j, (p, dp) in enumerate(powers, 1):
-        f = den // (math.factorial(j) * dp)  # den · m^j / j! = f · M^j
-        for out, row in zip(acc, p):
-            for k, x in row:
-                out[k] += f * x
-    return _from_ints(acc, den)
+    return IntMat.combination(terms).to_mat()
 
 
 def exp_float(m: Mat) -> Mat:

@@ -212,16 +212,17 @@ def _quaternion(sig, rng):
     return SplitQuaternion(*(samplers.rand_fraction(rng) for _ in range(4)))
 
 
+def _basis_relations(sig):
+    one, i, j, k = (SplitQuaternion(*[0] * t, 1) for t in range(4))
+    return {"basis_ok": quat_mul(i, i) == one and quat_mul(j, j) == one
+            and quat_mul(k, k) == -one and quat_mul(i, j) == k}
+
+
 @_trials("quaternion", "split-relations",
          "split-quaternion basis relations and norm multiplicativity",
-         _draw(p=_quaternion, q=_quaternion))
-def _relations(sig, p, q):
-    one = SplitQuaternion(1)
-    i = SplitQuaternion(0, 1)
-    j = SplitQuaternion(0, 0, 1)
-    k = SplitQuaternion(0, 0, 0, 1)
-    if not (quat_mul(i, i) == one and quat_mul(j, j) == one
-            and quat_mul(k, k) == -one and quat_mul(i, j) == k):
+         _draw(p=_quaternion, q=_quaternion), setup=_basis_relations)
+def _relations(sig, basis_ok, p, q):
+    if not basis_ok:
         return "basis relations broken"
     return norm_sq(quat_mul(p, q)) == norm_sq(p) * norm_sq(q)
 
@@ -363,12 +364,16 @@ def _curvature(sig, rng, trials):
     return ok, repr(rep)
 
 
+def _chain_generator(sig):
+    e = chains.chain_matrix(sig)
+    return {"e_mat": e, "square_zero": (e * e).is_zero()}
+
+
 @_trials("chains", "chain-exactness",
          "chain frames are exactly degree one in the parameter",
-         _draw(t=_fraction),
-         setup=lambda sig: {"e_mat": chains.chain_matrix(sig)})
-def _degree_one(sig, e_mat, t):
-    if not (e_mat * e_mat).is_zero():
+         _draw(t=_fraction), setup=_chain_generator)
+def _degree_one(sig, e_mat, square_zero, t):
+    if not square_zero:
         return "generator squares to a nonzero matrix"
     return exp_nilpotent(t * e_mat, 2) == Mat.identity(sig.n + 4) + t * e_mat
 

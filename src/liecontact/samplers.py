@@ -11,11 +11,11 @@ the product with Ipq in `rand_so_pq` is a signed permutation
 Elements of the orthogonal group of the big form S come from its big cell,
 g = exp(N-)·diag(B, C, B^-T)·exp(N+), with N- the assembled (z, X) and N+
 the assembled (U, w) of `so_contact`. Each factor is exactly in the group.
-`rand_oform` builds the three factors from their blocks as integer rows,
-each over one denominator: N-² and N+² are zero outside the corner block,
-so exp(N-) has the corner zJ + ½XᵀIpqX and exp(N+) the corner
-wJ + ½UIpqUᵀ, and B^-T is the adjugate of B over its determinant. Two
-integer products and one Fraction per nonzero entry of g follow.
+`rand_oform` builds the three factors from their blocks as
+`linalg.IntMat`s: N-² and N+² are zero outside the corner block, so
+exp(N-) has the corner zJ + ½XᵀIpqX and exp(N+) the corner
+wJ + ½UIpqUᵀ, and B^-T is the adjugate of B over its determinant. g is
+their product.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import Mat, _addmul, _bareiss, _from_ints, _product_rows, det
+from .linalg import IntMat, Mat, bareiss, det
 from .so_contact import QGroupElement, Signature, SoElement
 
 
@@ -78,7 +78,8 @@ def _antisym_ratio_rows(rng, n, span=3, den=3):
 
 
 def rand_antisym(rng, n, span=3, den=3) -> Mat:
-    return _from_ints(*_antisym_ratio_rows(rng, n, span, den))
+    rows, d = _antisym_ratio_rows(rng, n, span, den)
+    return IntMat(d, n, dense=rows).to_mat()
 
 
 def rand_so_pq(sig: Signature, rng) -> Mat:
@@ -109,12 +110,12 @@ def rand_opq(sig: Signature, rng) -> Mat:
             rows.append([-x for x in di] + di)
             rows[i][i] += d
             rows[i][n + i] += d
-        rows, pivots, den, _ = _bareiss(rows)
+        rows, pivots, den, _ = bareiss(rows)
         if pivots[:n] == list(range(n)):
             break
     signs = [rng.choice((1, -1)) for _ in range(n)]  # C times diag(signs)
-    return _from_ints([[x if s > 0 else -x for x, s in zip(r[n:], signs)]
-                       for r in rows], den)
+    rows = [[x if s > 0 else -x for x, s in zip(r[n:], signs)] for r in rows]
+    return IntMat(den, n, dense=rows).to_mat()
 
 
 def rand_gl2(rng, span=4, den=3) -> Mat:
@@ -209,12 +210,8 @@ def rand_oform(sig: Signature, rng) -> Mat:
               for i, s in enumerate(signs)]
     upper += [[(lo, d3)], [(lo + 1, d3)]]
 
-    rows = []
-    for r in _product_rows(lower, middle, n + 4):
-        acc = [0] * (n + 4)
-        _addmul(acc, r, upper, 1)
-        rows.append(acc)
-    return _from_ints(rows, d1 * d2 * d3)
+    return (IntMat(d1, n + 4, sparse=lower) * IntMat(d2, n + 4, sparse=middle)
+            * IntMat(d3, n + 4, sparse=upper)).to_mat()
 
 
 def rand_rank_one(sig: Signature, rng) -> Mat:

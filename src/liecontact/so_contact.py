@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .linalg import (Mat, SignedPerm, _gram_equals, commutator, det, invert,
+from .linalg import (IntMat, Mat, SignedPerm, commutator, det, invert,
                      jacobi_failures, rank_kernel, rat, structure_table)
 
 J2 = Mat([[0, 1], [-1, 0]]).map(Fraction)
@@ -295,7 +295,7 @@ def bracket_gm1(sig: Signature, x: Mat, y: Mat) -> Fraction:
 def _check_orthogonal(sig: Signature, c: Mat) -> None:
     """ValueError unless C^t Ipq C = Ipq, i.e. C lies in O(p, q)."""
     ipq = sig.ipq_perm()
-    if not _gram_equals(c, ipq, ipq):
+    if not IntMat.of(c).gram_equals(ipq, ipq):
         raise ValueError("C is not orthogonal for the (p,q) form")
 
 

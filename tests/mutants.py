@@ -6,8 +6,9 @@ A mutant names a file under src/, an exact snippet of its text, the text
 that replaces it and the pytest node ids that must catch the change. For
 each mutant the script copies src/ to a temporary directory, replaces the
 snippet (it must occur exactly once) and runs the named tests against the
-copy, with PYTHONPATH pointing at it. The tests kill the mutant when they
-fail.
+copy, with PYTHONPATH pointing at it and pytest's plugin autoloading
+off: the tests use no plugin, and an installed one can cost each run a
+second of start-up. The tests kill the mutant when they fail.
 
 Equivalent mutants change the code without changing any result. They are
 applied the same way, and their tests must still pass, so the claim of
@@ -58,6 +59,8 @@ JACOBI = (T_LINALG + "test_jacobi_failures_match_the_ordered_triple_loop",
           "antisymmetric")
 EXP = (T_LINALG + "test_exp_nilpotent_matches_the_explicit_sum",)
 GRAM = (T_LINALG + "test_gram_check_matches_the_product_form",)
+COMBINATION = (T_LINALG + "test_int_mat_combination_matches_fraction_"
+               "arithmetic",)
 SO_PQ = (T_SO + "test_entrywise_so_pq_test_matches_the_product_form",
          T_SO + "test_so_element_rejects_bad_middle_block")
 EXPORT_ERRORS = ("tests/test_report.py::"
@@ -113,15 +116,25 @@ MUTANTS = (
            "_addmul(acc, rb, rows_a, -1)", "_addmul(acc, rb, rows_a, 1)",
            PRODUCT),
     Mutant("product: da for da*db", LINALG,
-           "return _from_ints(out, da * db)", "return _from_ints(out, da)",
-           PRODUCT),
+           "IntMat(self.d * other.d, other.cols,",
+           "IntMat(self.d, other.cols,", PRODUCT),
     Mutant("commutator: da for da*db", LINALG,
-           "_commutator_rows(rows_a, rows_b, n), da * db)",
-           "_commutator_rows(rows_a, rows_b, n), da)", PRODUCT),
+           "IntMat(self.d * other.d, n,", "IntMat(self.d, n,", PRODUCT),
     Mutant("common rows: each matrix kept over its own denominator", LINALG,
-           "[[(j, x * (d // dk)) for j, x in r]", "[[(j, x) for j, x in r]",
+           "[[(j, x * (d // s.d)) for j, x in r]", "[[(j, x) for j, x in r]",
            (T_LINALG + "test_common_rows_put_every_matrix_over_one_"
             "denominator",) + COCHAIN),
+    # the integer combination sum c·m
+    Mutant("combination: the first term's denominator where the lcm "
+           "belongs", LINALG,
+           "d = math.lcm(*[c.denominator * m.d for c, m in live])",
+           "d = live[0][0].denominator * live[0][1].d if live else 1",
+           COMBINATION + COCHAIN),
+    Mutant("combination: a term not rescaled to the lcm", LINALG,
+           "f = c.numerator * (d // (c.denominator * m.d))",
+           "f = c.numerator", COMBINATION + COCHAIN),
+    Mutant("combination: the first term taken unscaled", LINALG,
+           "r[:] if f == 1", "r[:] if True", COMBINATION),
     Mutant("product: drop the division by d", LINALG,
            "Fraction(x, d) if x else _ZERO", "Fraction(x) if x else _ZERO",
            PRODUCT),
@@ -154,21 +167,18 @@ MUTANTS = (
            "failures += 6", "failures += 1", JACOBI),
     # the nilpotent exponential
     Mutant("exp_nilpotent: 1/j for 1/j!", LINALG,
-           "den // (math.factorial(j) * dp)", "den // (j * dp)", EXP),
+           "Fraction(1, math.factorial(j))", "Fraction(1, j)", EXP),
     Mutant("exp_nilpotent: one power beyond the stated bound", LINALG,
-           "for _ in range(nilpotency_bound):",
-           "for _ in range(nilpotency_bound + 1):",
+           "for j in range(1, nilpotency_bound + 1):",
+           "for j in range(1, nilpotency_bound + 2):",
            EXP + (T_LINALG + "test_exp_nilpotent_bound_zero_always_raises",)),
     Mutant("exp_nilpotent: a power step that drops a factor of d", LINALG,
-           "_product_rows(p, rows, n), dp * d",
-           "_product_rows(p, rows, n), dp", EXP),
+           "p = p * mi", "p = IntMat(p.d, n, dense=(p * mi).dense)", EXP),
     # the Gram check a^T·s·a on integer rows
     Mutant("Gram check: compared without its denominator scale", LINALG,
-           "scale = da * da", "scale = 1", GRAM),
+           "scale = self.d * self.d", "scale = 1", GRAM),
     Mutant("Gram check: the sign of S dropped", LINALG,
-           "sa = _product_rows(rows_s, rows_a, n)",
-           "sa = _product_rows([[(j, abs(x)) for j, x in r] for r in rows_s],"
-           "\n                        rows_a, n)", GRAM),
+           "x *= t", "x *= 1", GRAM),
     # the so(p, q) test and the per-element matrix
     Mutant("so(p,q): skip the diagonal", SO,
            "for j in range(i, sig.n))", "for j in range(i + 1, sig.n))",
@@ -227,13 +237,15 @@ MUTANTS = (
            "{c: -v for c, v in sparse.items()})",
            "{c: v for c, v in sparse.items()})",
            SO_TABLE + (T_LINALG + "test_structure_table_on_sl2",)),
-    Mutant("table: basis matrices of another size accepted", LINALG,
-           "scaled = m.rows == m.cols == n and _scaled_rows(m)",
-           "scaled = _scaled_rows(m)",
+    Mutant("commutator: matrices of another size accepted", LINALG,
+           "if not n == self.rows == other.rows == other.cols:", "if False:",
            (T_LINALG + "test_structure_table_needs_integer_square_matrices_"
-            "of_one_size",)),
+            "of_one_size",
+            T_LINALG + "test_int_mat_product_and_commutator_match_fraction_"
+            "arithmetic")),
     Mutant("table: basis matrices with denominators accepted", LINALG,
-           "if not scaled or scaled[1] != 1:", "if not scaled:",
+           "if not all(ints) or any(m.d != 1 for m in ints):",
+           "if not all(ints):",
            (T_LINALG + "test_structure_table_needs_integer_square_matrices_"
             "of_one_size",)),
     Mutant("so table: D coordinates without the form sign", SO,
@@ -281,12 +293,11 @@ MUTANTS = (
            "return type(e) is Fraction and not e", "return not e", ALPHA),
     # the obstruction cochain on integer rows
     Mutant("cochain: alpha images of the pair swapped", EXT,
-           "_commutator_rows(images[a], images[b], m)",
-           "_commutator_rows(images[b], images[a], m)", COCHAIN),
-    Mutant("cochain: one table's denominator where the lcm belongs", EXT,
-           "d = math.lcm(d_sl, d_al)", "d = d_al", COCHAIN),
-    Mutant("cochain: alpha of the bracket not rescaled to the lcm", EXT,
-           "coeffs = [(k, c * f_al) for", "coeffs = [(k, c) for", COCHAIN),
+           "images[a].commutator(images[b])",
+           "images[b].commutator(images[a])", COCHAIN),
+    Mutant("cochain: alpha of the bracket added, not subtracted", EXT,
+           "(Fraction(-c, comm.d), basis_images[k])",
+           "(Fraction(c, comm.d), basis_images[k])", COCHAIN),
     Mutant("cochain: bracket coordinates read without the block check", EXT,
            "coords = _int_coordinates(",
            "coords = (lambda s, g: [g[r][c] * t for r, c, t\n"
@@ -318,9 +329,9 @@ MUTANTS = (
            ("tests/test_chains.py::"
             "test_emit_trajectory_needs_an_increasing_range",)),
     # the cubic tensor on integer rows
-    Mutant("s_tensor: an image kept over the argument's denominator",
+    Mutant("s_tensor: a pairing without the image's denominator",
            "liecontact/chains.py",
-           "da * dm) for ra, da in plain]", "da) for ra, da in plain]",
+           "den * a.d * b.d * c.d", "den * a.d * c.d",
            ("tests/test_chains.py::test_tensor_matches_the_matrix_formula",)),
     # the big-cell sampler on integer rows
     Mutant("rand_oform: the sign of z in the zJ corner", SAMPLERS,
@@ -341,10 +352,10 @@ MUTANTS = (
            "(lo, f * s * u[0][i]), (lo + 1, f * s * u[1][i])",
            "(lo, f * u[0][i]), (lo + 1, f * u[1][i])", OFORM),
     Mutant("rand_opq: row signs instead of column signs", SAMPLERS,
-           "[[x if s > 0 else -x for x, s in zip(r[n:], signs)]\n"
-           "                       for r in rows]",
-           "[[x if s > 0 else -x for x in r[n:]]\n"
-           "                       for r, s in zip(rows, signs)]", OPQ),
+           "[[x if s > 0 else -x for x, s in zip(r[n:], signs)]"
+           " for r in rows]",
+           "[[x if s > 0 else -x for x in r[n:]]"
+           " for r, s in zip(rows, signs)]", OPQ),
     Mutant("rand_opq: D = A, without Ipq", SAMPLERS,
            "di = [s * x for x in r]", "di = list(r)", OPQ),
     Mutant("rand_opq: a singular I - D accepted", SAMPLERS,
@@ -411,7 +422,7 @@ MUTANTS = (
     Mutant("G0: skip the invertibility check", "liecontact/so_contact.py",
            "if det(b) == 0:", "if False:", G0_TESTS),
     Mutant("G0: skip the orthogonality check", "liecontact/so_contact.py",
-           "if not _gram_equals(c, ipq, ipq):", "if False:",
+           "if not IntMat.of(c).gram_equals(ipq, ipq):", "if False:",
            G0_TESTS + (T_SO + "test_equivariance_rejects_non_orthogonal_c",)),
     Mutant("cli: a zero denominator in --t-max escapes as a traceback",
            "liecontact/cli.py",
@@ -447,17 +458,21 @@ EQUIVALENTS = (
     # L(a, Mb) = L(b, Ma) for M = I, J, K, so the cyclic sum is unchanged
     Mutant("s_tensor: b and c swapped in the cyclic terms",
            "liecontact/chains.py",
-           "images[(r + 1) % 3],\n"
-           "                                            images[(r + 2) % 3])",
-           "images[(r + 2) % 3],\n"
-           "                                            images[(r + 1) % 3])",
+           "images[(r + 1) % 3], images[(r + 2) % 3]",
+           "images[(r + 2) % 3], images[(r + 1) % 3]",
            ("tests/test_chains.py::test_tensor_matches_the_matrix_formula",)),
+    # the basis lifts assemble to integer matrices at every signature, so
+    # the so bracket of two of them has denominator 1
+    Mutant("cochain: the so bracket's denominator dropped", EXT,
+           "(Fraction(-c, comm.d), basis_images[k])",
+           "(-c, basis_images[k])", COCHAIN),
 )
 
 
 def run_tests(src: Path, tests) -> bool:
     """True when the tests pass against the package under src."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          *tests], cwd=ROOT, env=env, stdout=subprocess.DEVNULL,

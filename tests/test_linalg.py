@@ -1,14 +1,17 @@
 """Tests for the exact linear algebra layer."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import liecontact
 from liecontact import samplers
-from liecontact.linalg import (DualRat, Mat, SignedPerm, _common_rows,
-                               _gram_equals, commutator, det, exp_float,
+from liecontact.linalg import (DualRat, IntMat, Mat, SignedPerm,
+                               commutator, det, exp_float,
                                exp_nilpotent, invert, jacobi_failures,
                                max_abs, rank_kernel, rat, rat_sqrt,
                                solve_linear, structure_table)
@@ -319,19 +322,146 @@ def test_common_rows_put_every_matrix_over_one_denominator():
     rng = random.Random(13)
     mats = [_rand_fraction_mat(rng, 3, 4, density) for density in
             (0, 0.3, 1, 0.5)] + [Mat.identity(3)]
-    tables, d = _common_rows(mats)
-    assert d == math.lcm(*[e.denominator for m in mats for r in m.data
-                           for e in r])
-    for m, rows in zip(mats, tables):
+    tables = IntMat.common(mats)
+    d = math.lcm(*[e.denominator for m in mats for r in m.data for e in r])
+    for m, t in zip(mats, tables):
+        assert t.d == d
         dense = [[Fraction(0)] * m.cols for _ in range(m.rows)]
-        for i, r in enumerate(rows):
+        for i, r in enumerate(t.sparse):
             assert all(type(x) is int and x for _, x in r)
             for j, x in r:
                 dense[i][j] = Fraction(x, d)
         assert Mat(dense) == m
-    assert _common_rows([]) == ([], 1)
-    with pytest.raises(TypeError, match="Fraction entries"):
-        _common_rows([Mat.identity(2), Mat.identity(2, one=1.0)])
+    assert IntMat.common([]) == []
+    with pytest.raises(TypeError, match="float"):
+        IntMat.common([Mat.identity(2), Mat.identity(2, one=1.0)])
+
+
+# ---------------------------------------------------------------------------
+# IntMat against Fraction arithmetic
+
+
+def _rand_rational_mat(rng, rows, cols, integer):
+    """A random Fraction matrix with one zero row: integer entries (d = 1)
+    or mixed denominators, some of them wide."""
+    if integer:
+        data = [[Fraction(rng.randrange(-9, 10)) for _ in range(cols)]
+                for _ in range(rows)]
+    else:
+        density = rng.choice((0.3, 1))
+        data = [list(r) for r in
+                _rand_fraction_mat(rng, rows, cols, density).data]
+    data[rng.randrange(rows)] = [Fraction(0)] * cols
+    return Mat(data)
+
+
+def _dense_only(im):
+    """im as the product im·I, which keeps dense rows only."""
+    return im * IntMat.of(Mat.identity(im.cols))
+
+
+INT_MAT_SHAPES = ((1, 1), (3, 4), (5, 5), (6, 2))
+
+
+def test_int_mat_round_trips_to_and_from_mat():
+    rng = random.Random(61)
+    for rows, cols in INT_MAT_SHAPES:
+        for integer in (True, False):
+            m = _rand_rational_mat(rng, rows, cols, integer)
+            im = IntMat.of(m)
+            assert im.d == math.lcm(*[e.denominator for r in m.data
+                                      for e in r])
+            assert (im.rows, im.cols) == (rows, cols)
+            assert im.dense == [[e * im.d for e in r] for r in m.data]
+            assert im.sparse == [[(j, e * im.d) for j, e in enumerate(r)
+                                  if e] for r in m.data]
+            for back in (im.to_mat(), _dense_only(im).to_mat(),
+                         IntMat(im.d, cols, dense=im.dense).to_mat(),
+                         IntMat(-im.d, cols, dense=[[-x for x in r]
+                                                    for r in im.dense]
+                                ).to_mat(),
+                         IntMat(im.d, cols, sparse=im.sparse).to_mat()):
+                assert back == m
+                _assert_fraction_entries(back)
+    ints = Mat([[0, 2], [-3, 0]])
+    assert IntMat.of(ints).d == 1
+    assert IntMat.of(ints).to_mat() == ints.map(Fraction)
+    with pytest.raises(TypeError, match="float"):
+        IntMat.of(Mat([[Fraction(1), 0.5]]))
+    with pytest.raises(ValueError, match="denominator"):
+        IntMat(0, 1, dense=[[1]])
+
+
+def test_int_mat_product_and_commutator_match_fraction_arithmetic():
+    rng = random.Random(67)
+    for rows, k, cols in ((1, 1, 1), (3, 4, 2), (5, 5, 5), (2, 6, 3)):
+        for integer in (True, False):
+            a = _rand_rational_mat(rng, rows, k, integer)
+            b = _rand_rational_mat(rng, k, cols, not integer)
+            ia, ib = IntMat.of(a), IntMat.of(b)
+            for left in (ia, _dense_only(ia)):
+                prod = left * ib
+                assert prod.d == ia.d * ib.d
+                assert ([list(r) for r in prod.to_mat().data]
+                        == _ref_product(a, b))
+    for n in (1, 2, 5):
+        for integer in (True, False):
+            a = _rand_rational_mat(rng, n, n, integer)
+            b = _rand_rational_mat(rng, n, n, not integer)
+            ref = [[x - y for x, y in zip(r1, r2)] for r1, r2
+                   in zip(_ref_product(a, b), _ref_product(b, a))]
+            ia, ib = IntMat.of(a), IntMat.of(b)
+            for left in (ia, _dense_only(ia)):
+                comm = left.commutator(ib)
+                assert comm.d == ia.d * ib.d
+                assert [list(r) for r in comm.to_mat().data] == ref
+    with pytest.raises(ValueError, match="shape mismatch"):
+        IntMat.of(Mat.identity(2)) * IntMat.of(Mat.identity(3))
+    with pytest.raises(ValueError, match="square"):
+        IntMat.of(Mat.zeros(2, 3)).commutator(IntMat.of(Mat.zeros(2, 3)))
+
+
+def test_int_mat_combination_matches_fraction_arithmetic():
+    rng = random.Random(71)
+    coefficients = (0, 1, -3, Fraction(2, 5), Fraction(-7, 6))
+    step = 0
+    for rows, cols in INT_MAT_SHAPES:
+        for size in (1, 2, 4):
+            mats, terms = [], []
+            for _ in range(size):
+                m = _rand_rational_mat(rng, rows, cols, rng.random() < 0.4)
+                im = IntMat.of(m)
+                mats.append(m)
+                terms.append((coefficients[step % len(coefficients)],
+                              _dense_only(im) if step % 3 else im))
+                step += 1
+            got = IntMat.combination(terms)
+            assert got.d == math.lcm(*[c.denominator * im.d
+                                       for c, im in terms if c])
+            want = [[sum((c * m[i, j] for (c, _), m in zip(terms, mats)),
+                         Fraction(0)) for j in range(cols)]
+                    for i in range(rows)]
+            assert [list(r) for r in got.to_mat().data] == want
+    third = IntMat.of(Mat.identity(2, Fraction(1, 3)))
+    zero = IntMat.combination([(0, third)])
+    assert zero.is_zero() and zero.d == 1
+    assert zero.to_mat() == Mat.zeros(2, 2)
+    with pytest.raises(ValueError, match="one shape"):
+        IntMat.combination([(1, IntMat.of(Mat.identity(2))),
+                            (1, IntMat.of(Mat.identity(3)))])
+
+
+def test_no_module_imports_a_private_name_of_linalg():
+    """The integer rows of `linalg` are reached through `IntMat` only."""
+    found = []
+    for path in sorted(Path(liecontact.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and (node.level, node.module)
+                    in ((1, "linalg"), (0, "liecontact.linalg"))):
+                found += ["%s imports %s" % (path.name, alias.name)
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +526,15 @@ def test_gram_check_matches_the_product_form(sig):
     planes = []
     for a, s, table, expected in _gram_cases(sig, rng):
         assert (a.T * s * a == s) is expected
-        assert _gram_equals(a, table, table) is expected
+        assert IntMat.of(a).gram_equals(table, table) is expected
         if s.rows == sig.n + 4:
             # the first two columns of an element of O(S) span an isotropic
             # plane, the other columns need not
             planes += [a.submat(0, a.rows, 0, 2), a.submat(0, a.rows, 1, 3),
                        _corrupted(a.submat(0, a.rows, 0, 2), rng)]
     isotropic = [(p.T * sig.form_s() * p).is_zero() for p in planes]
-    assert [_gram_equals(p, sig.form_s_perm()) for p in planes] == isotropic
+    assert ([IntMat.of(p).gram_equals(sig.form_s_perm()) for p in planes]
+            == isotropic)
     assert True in isotropic and False in isotropic
 
 
@@ -419,20 +550,40 @@ def test_gram_check_reads_signed_permutation_forms(sig):
         for target in (table, SignedPerm(table.perm, [-x for x in
                                                       table.signs]),
                        SignedPerm(range(size), [1] * size)):
-            assert (_gram_equals(a, table, target)
+            assert (IntMat.of(a).gram_equals(table, target)
                     is (gram == target.left(Mat.identity(size))))
         plane = a.submat(0, a.rows, 0, 2)
-        assert (_gram_equals(plane, table)
+        assert (IntMat.of(plane).gram_equals(table)
                 is (plane.T * s * plane).is_zero())
     for table in (sig.form_s_perm(), sig.ipq_perm()):
         size = table.rows
         with pytest.raises(TypeError, match="float"):
-            _gram_equals(Mat.identity(size, one=1.0), table, table)
+            IntMat.of(Mat.identity(size, one=1.0)).gram_equals(table, table)
         with pytest.raises(ValueError, match="shape mismatch"):
-            _gram_equals(Mat.identity(size + 1), table)
+            IntMat.of(Mat.identity(size + 1)).gram_equals(table)
         with pytest.raises(ValueError, match="shape mismatch"):
-            _gram_equals(Mat.identity(size), table,
-                         SignedPerm(range(size + 1), [1] * (size + 1)))
+            IntMat.of(Mat.identity(size)).gram_equals(
+                table, SignedPerm(range(size + 1), [1] * (size + 1)))
+
+
+@pytest.mark.parametrize("sig", FORM_SIGS[:3], ids=repr)
+def test_int_mat_gram_check_matches_the_fraction_loops(sig):
+    """The Gram check against a^T·s·a in Fraction loops, on elements of
+    O(S) and O(p, q), their first two columns, and random matrices with a
+    zero row."""
+    rng = random.Random(73 + 7 * sig.p + sig.q)
+    for a, s, table, _ in _gram_cases(sig, rng):
+        size = table.rows
+        for x in (a, a.submat(0, size, 0, 2),
+                  _rand_rational_mat(rng, size, 2, True),
+                  _rand_rational_mat(rng, size, size, False)):
+            gram = _ref_product(Mat(_ref_product(x.T, s)), x)
+            ix = IntMat.of(x)
+            assert ix.gram_equals(table) is all(v == 0 for r in gram
+                                                for v in r)
+            if x.cols == size:
+                assert (ix.gram_equals(table, table)
+                        is (gram == [list(r) for r in s.data]))
 
 
 def test_rat_returns_a_fraction_as_it_is():
@@ -453,14 +604,14 @@ def test_rat_returns_a_fraction_as_it_is():
 def test_gram_check_reads_integer_entries_and_refuses_floats():
     ipq = Signature(2, 1).ipq_perm()
     ints = Mat([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
-    assert _gram_equals(ints, ipq, ipq)
-    assert _gram_equals(ints.map(Fraction), ipq, ipq)
-    assert not _gram_equals(2 * ints, ipq, ipq)
+    assert IntMat.of(ints).gram_equals(ipq, ipq)
+    assert IntMat.of(ints.map(Fraction)).gram_equals(ipq, ipq)
+    assert not IntMat.of(2 * ints).gram_equals(ipq, ipq)
     plane = Mat([[1, 0], [1, 0], [0, 1]])
-    assert not _gram_equals(plane, ipq)
-    assert _gram_equals(Mat([[1, 0], [0, 0], [1, 0]]), ipq)
+    assert not IntMat.of(plane).gram_equals(ipq)
+    assert IntMat.of(Mat([[1, 0], [0, 0], [1, 0]])).gram_equals(ipq)
     with pytest.raises(TypeError, match="float"):
-        _gram_equals(ints.map(float), ipq, ipq)
+        IntMat.of(ints.map(float)).gram_equals(ipq, ipq)
 
 
 def test_kernel_rejects_shape_mismatch():

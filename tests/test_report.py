@@ -12,10 +12,11 @@ import pytest
 
 from liecontact import chains, extension, report
 from liecontact.cli import main
+from liecontact.linalg import Mat
 from liecontact.report import (CHECKS, SUITE_NAMES, Check, SuiteConfig, run,
                                run_checks)
 from liecontact.so_contact import Signature
-from liecontact.split_quat import QuatStructureOnH
+from liecontact.split_quat import QuatStructureOnH, SplitQuaternion, quat_mul
 
 
 def test_config_validation():
@@ -412,6 +413,37 @@ def test_trial_loop_keeps_the_exception_witness(monkeypatch, fail_in,
 
     check, _ = _trial_check(monkeypatch, claim, fail_in)
     assert _record(check) == ("fail", witness)
+
+
+def _registry_record(name, trials=5):
+    check, = [c for c in CHECKS if c.name == name]
+    record, = run_checks(Signature(2, 1), random.Random(0), trials, [check])
+    return record["status"], record["witness"]
+
+
+def test_split_relations_checks_the_basis_once_per_record(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return quat_mul(a, b)
+
+    monkeypatch.setattr(report, "quat_mul", counted)
+    assert _registry_record("split-relations") == ("pass", None)
+    assert len(calls) == 4 + 5  # the four basis relations, one per trial
+    monkeypatch.setattr(report, "quat_mul", lambda a, b: SplitQuaternion(0))
+    status, witness = _registry_record("split-relations")
+    assert status == "fail"
+    assert witness.startswith("basis relations broken: p=SplitQuaternion(")
+
+
+def test_chain_exactness_names_a_generator_that_does_not_square_to_zero(
+        monkeypatch):
+    monkeypatch.setattr(chains, "chain_matrix",
+                        lambda sig: Mat.identity(sig.n + 4))
+    status, witness = _registry_record("chain-exactness")
+    assert status == "fail"
+    assert witness.startswith("generator squares to a nonzero matrix: t=")
 
 
 # ---------------------------------------------------------------------------
