@@ -16,9 +16,9 @@ from .extension import (Cochain1, Cochain2, alpha, alpha_restriction_matrix,
                         build_psi_cochain, check_pair_conditions,
                         codifferential, curvature_report,
                         fit_trilinear_constant, hat_lift, i_map, i_map_float,
-                        i_prime, i_prime_float, is_normal, psi_alpha, psi_gq,
-                        psi_support_report, psi_trilinear,
-                        symmetrized_reference)
+                        i_prime, i_prime_float, is_normal, psi_alpha,
+                        psi_from_cochain, psi_gq, psi_support_report,
+                        psi_trilinear, symmetrized_reference)
 from .linalg import (DualRat, Mat, Rat, det, exp_float, exp_nilpotent,
                      invert, rank_kernel, rat, rat_sqrt, solve_linear)
 from .path_sl import (SlElement, sl_bracket, sl_jacobi_check, sl_neg_basis,

@@ -78,11 +78,24 @@ def chain_matrix(sig: Signature) -> Mat:
     return e
 
 
+def _chain_moves(sig: Signature):
+    """The nonzero entries (row, column, sign) of chain_matrix(sig), which
+    must be one +-1 per column: g·E is then the column `row` of g moved to
+    `column`, times `sign`, for each entry."""
+    moves = tuple((k, j, e) for k, r in enumerate(chain_matrix(sig).data)
+                  for j, e in enumerate(r) if e)
+    if (any(e not in (1, -1) for _, _, e in moves)
+            or len({j for _, j, _ in moves}) != len(moves)):
+        raise ValueError("the chain generator must have one +-1 per column")
+    return moves
+
+
 class ChainCurve:
     """The exact chain t -> g (I + tE) . origin.
 
     The frame g (I + tE) = g + t gE is affine in t, so every value is an
-    exact rational point of the model; gE is formed once per curve."""
+    exact rational point of the model; gE is formed once per curve, as
+    columns of g moved and signed (`_chain_moves`)."""
 
     __slots__ = ("sig", "g", "vel")
 
@@ -92,7 +105,12 @@ class ChainCurve:
         _check_ambient(sig, g)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "vel", g * chain_matrix(sig))
+        zero = Fraction(0)
+        vel = [[zero] * g.cols for _ in range(g.rows)]
+        for k, j, sign in _chain_moves(sig):
+            for out, r in zip(vel, g.data):
+                out[j] = r[k] if sign > 0 else -r[k]
+        object.__setattr__(self, "vel", Mat(vel))
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainCurve is immutable")
@@ -146,7 +164,7 @@ class STensorEval:
     overall scale. Robustness tests swap in conjugated structures and
     rescaled copies; classifications must not move."""
 
-    __slots__ = ("sig", "structure", "scale")
+    __slots__ = ("sig", "structure", "scale", "_units")
 
     def __init__(self, sig: Signature, structure: QuatStructureOnH | None = None,
                  scale=1):
@@ -160,6 +178,9 @@ class STensorEval:
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "scale", scale)
+        # the structure's matrices as s_tensor reads them, once per instance
+        object.__setattr__(self, "_units", tuple(
+            IntMat.of(m) for m in (structure.mi, structure.mj, structure.mk)))
 
     def __setattr__(self, name, value):
         raise AttributeError("STensorEval is immutable")
@@ -192,16 +213,16 @@ def s_tensor(ev: STensorEval, xi: Mat, eta: Mat, zeta: Mat) -> Mat:
     times the stored scale, where L is the bottom-grade bracket. Totally
     symmetric, with values back among the contact directions.
 
-    The arguments and the structure's 2x2 matrices M = mi, mj, mk are each
-    read as an `IntMat` once, and the images a·M are integer products. With
+    The arguments are each read as an `IntMat` once, the structure's 2x2
+    matrices M = mi, mj, mk are read once per `STensorEval`
+    (`_units`), and the images a·M are integer products. With
     scale = num/den, a term ±scale·L(a, b)·c is the integer ±num·L(A, B)
     times the rows of c over den·a.d·b.d·c.d: one integer combination."""
-    st, signs = ev.structure, ev.sig.signs()
+    signs = ev.sig.signs()
     num, den = ev.scale.numerator, ev.scale.denominator
     plain = [IntMat.of(a) for a in (xi, eta, zeta)]
     terms = []
-    for m, sgn in ((st.mi, num), (st.mj, num), (st.mk, -num)):
-        im = IntMat.of(m)
+    for im, sgn in zip(ev._units, (num, num, -num)):
         images = [a * im for a in plain]
         for r in range(3):  # the cyclic terms (a, b, c) of (xi, eta, zeta)
             a, b, c = plain[r], images[(r + 1) % 3], images[(r + 2) % 3]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -33,11 +34,10 @@ from types import MappingProxyType
 from .linalg import (DualRat, IntMat, Mat, exp_float, invert, max_abs,
                      rank_kernel, rat_sqrt)
 from .path_sl import (SlElement, _neg_positions, sl_bracket, sl_neg_basis,
-                      sl_neg_coordinates, sl_neg_degrees, sl_neg_duals,
-                      sl_neg_slots, w0)
+                      sl_neg_coordinates, sl_neg_degrees, sl_neg_slots, w0)
 from .so_contact import (QGroupElement, Signature, SoElement,
                          _basis_positions, _from_coordinates, _int_coordinates,
-                         bracket, inner, so_basis, so_basis_degrees)
+                         bracket, so_basis, so_basis_degrees)
 from . import samplers
 
 HALF = Fraction(1, 2)
@@ -200,14 +200,20 @@ def _lift_inverse(sig: Signature) -> Mat:
     return invert(alpha_restriction_matrix(sig))
 
 
-def hat_lift(sig: Signature, z: SlElement) -> SoElement:
-    """The unique element of g_- + g_1 that alpha sends to z modulo the
-    nonnegative slots; solves the restriction system exactly (the inverse is
-    factored once per signature and reused)."""
+def _check_negative(sig: Signature, z: SlElement):
+    """ValueError unless z is an element of the negative slots for sig, the
+    domain of the hat lift."""
     if z.n != sig.n:
         raise ValueError("dimension mismatch between signature and element")
     if not z.in_slots(("m2", "m1E", "m1V")):
         raise ValueError("hat lift needs an element of the negative slots")
+
+
+def hat_lift(sig: Signature, z: SlElement) -> SoElement:
+    """The unique element of g_- + g_1 that alpha sends to z modulo the
+    nonnegative slots; solves the restriction system exactly (the inverse is
+    factored once per signature and reused)."""
+    _check_negative(sig, z)
     coords = _lift_inverse(sig) * Mat.col(sl_neg_coordinates(z))
     return _from_coordinates(sig, zip(_lift_positions(sig), coords.column(0)))
 
@@ -228,6 +234,28 @@ def psi_alpha(sig: Signature, z1: SlElement, z2: SlElement) -> SlElement:
     return psi_gq(hat_lift(sig, z1), hat_lift(sig, z2))
 
 
+def psi_from_cochain(sig: Signature, z1: SlElement,
+                     z2: SlElement) -> SlElement:
+    """psi_alpha(sig, z1, z2), read off the obstruction cochain by
+    bilinearity: the sum over its keys a < b of
+    (x1_a x2_b - x1_b x2_a) Psi(e_a, e_b), for the coordinates x1, x2 of
+    z1, z2 in the sl_neg_basis. The coordinates are scaled to integers and
+    summed against the table's integer rows (`Cochain2.int_rows`), so
+    one Fraction is built per nonzero entry of the value. The arguments
+    are checked as `hat_lift` checks them."""
+    for z in (z1, z2):
+        _check_negative(sig, z)
+    c1, c2 = (IntMat.of(Mat([sl_neg_coordinates(z)])) for z in (z1, z2))
+    (x1,), (x2,) = c1.dense, c2.dense
+    phi = build_psi_cochain(sig)
+    d, values = phi.int_rows
+    m = 2 * sig.n + 2
+    acc = [[0] * m for _ in range(m)]
+    for (a, b), rows in zip(phi.table, values):
+        _add_rows(acc, rows, x1[a] * x2[b] - x1[b] * x2[a])
+    return SlElement(sig.n, IntMat(d * c1.d * c2.d, m, acc).to_mat())
+
+
 def psi_trilinear(sig: Signature, x: Mat, y: Mat, z: Mat) -> SlElement:
     """[Psi(x, [y, W0]), z] for 2n-columns x, y, z read as bottom-left
     column slots; the value lands back in that slot."""
@@ -237,35 +265,32 @@ def psi_trilinear(sig: Signature, x: Mat, y: Mat, z: Mat) -> SlElement:
     return sl_bracket(psi_alpha(sig, xe, yv), SlElement.from_m2(n, z))
 
 
-def _halves(v: Mat):
-    n = v.rows // 2
-    return ([v[i, 0] for i in range(n)], [v[n + i, 0] for i in range(n)])
+def _int_column(v: Mat):
+    """The entries of a column as integers, and their one denominator."""
+    s = IntMat.of(v)
+    return [r[0] for r in s.dense], s.d
 
 
 def symmetrized_reference(sig: Signature, x: Mat, y: Mat, z: Mat) -> Mat:
     """Sum over all six argument orders of
-    (<X1,Y2>Z1 - <X1,Y1>Z2 ; <X2,Y2>Z1 - <X1,Y2>Z2)."""
+    (<X1,Y2>Z1 - <X1,Y1>Z2 ; <X2,Y2>Z1 - <X1,Y2>Z2), with <,> the Ipq
+    pairing. The columns are scaled to integers and the sum, trilinear in
+    them, is taken over the product of their denominators."""
     n = sig.n
-    acc = [Fraction(0)] * (2 * n)
+    signs = sig.signs()
+    (xs, dx), (ys, dy), (zs, dz) = (_int_column(v) for v in (x, y, z))
+    acc = [0] * (2 * n)
 
-    def add(xc, yc, zc):
-        x1, x2 = _halves(xc)
-        y1, y2 = _halves(yc)
-        z1, z2 = _halves(zc)
-        c12 = inner(sig, x1, y2)
-        c11 = inner(sig, x1, y1)
-        c22 = inner(sig, x2, y2)
+    def inner(u, v):
+        return sum(s * a * b for s, a, b in zip(signs, u, v))
+
+    for xc, yc, zc in itertools.permutations((xs, ys, zs)):
+        x1, x2, y1, y2 = xc[:n], xc[n:], yc[:n], yc[n:]
+        c12, c11, c22 = inner(x1, y2), inner(x1, y1), inner(x2, y2)
         for i in range(n):
-            acc[i] += c12 * z1[i] - c11 * z2[i]
-            acc[n + i] += c22 * z1[i] - c12 * z2[i]
-
-    add(x, y, z)
-    add(x, z, y)
-    add(y, x, z)
-    add(y, z, x)
-    add(z, x, y)
-    add(z, y, x)
-    return Mat.col(acc)
+            acc[i] += c12 * zc[i] - c11 * zc[n + i]
+            acc[n + i] += c22 * zc[i] - c12 * zc[n + i]
+    return IntMat(dx * dy * dz, 1, [[e] for e in acc]).to_mat()
 
 
 def fit_trilinear_constant(sig: Signature) -> Fraction:
@@ -296,28 +321,38 @@ def fit_trilinear_constant(sig: Signature) -> Fraction:
 def r_block_path(sig: Signature, x: Mat, y: Mat) -> Mat:
     """Closed-form 2n x 2n block of Psi(x, [y, W0]) built from the four
     rank-two matrices R_ab = (X_a Y_b^t + Y_a X_b^t) Ipq; the second
-    computation path for the trilinear map."""
+    computation path for the trilinear map. The block is
+
+        [[ -R12/2 + R21 - tr(R12)/2 I,  -(R11 - tr(R11) I)/2         ],
+         [ (R22 - tr(R22) I)/2,          R21/2 - R12 + tr(R12)/2 I ]],
+
+    formed twice over on the columns scaled to integers, and divided once
+    by twice the product of their denominators."""
     n = sig.n
-    ipq = sig.ipq_perm()
-    x1, x2 = _halves(x)
-    y1, y2 = _halves(y)
-    c = [Mat.col(x1), Mat.col(x2)]
-    d = [Mat.col(y1), Mat.col(y2)]
+    signs = sig.signs()
+    (xs, dx), (ys, dy) = _int_column(x), _int_column(y)
+    c = (xs[:n], xs[n:])
+    d = (ys[:n], ys[n:])
 
-    def rr(i, j):
-        return ipq.right(c[i] * d[j].T + d[i] * c[j].T)
+    def rr(a, b):
+        return [[(c[a][i] * d[b][j] + d[a][i] * c[b][j]) * s
+                 for j, s in enumerate(signs)] for i in range(n)]
 
-    r11 = rr(0, 0)
-    r22 = rr(1, 1)
-    r12 = rr(0, 1)
-    r21 = rr(1, 0)
-    tr12 = r12.trace()
-    eye = Mat.identity(n)
-    b11 = -HALF * r12 + r21 - HALF * tr12 * eye
-    b12 = -HALF * (r11 - r11.trace() * eye)
-    b21 = HALF * (r22 - r22.trace() * eye)
-    b22 = HALF * r21 - r12 + HALF * tr12 * eye
-    return Mat.block([[b11, b12], [b21, b22]])
+    r11, r22, r12, r21 = rr(0, 0), rr(1, 1), rr(0, 1), rr(1, 0)
+    t11, t22, t12 = (sum(r[i][i] for i in range(n)) for r in (r11, r22, r12))
+    rows = []
+    for i in range(n):
+        row = ([2 * a - b for a, b in zip(r21[i], r12[i])]
+               + [-a for a in r11[i]])
+        row[i] -= t12
+        row[n + i] += t11
+        rows.append(row)
+    for i in range(n):
+        row = r22[i] + [a - 2 * b for a, b in zip(r21[i], r12[i])]
+        row[i] -= t22
+        row[n + i] += t12
+        rows.append(row)
+    return IntMat(2 * dx * dy, 2 * n, rows).to_mat()
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +364,7 @@ class Cochain2:
     table of values on ordered basis pairs (a < b) in the sl_neg_basis
     order, keys sorted lexicographically."""
 
-    __slots__ = ("n", "table")
+    __slots__ = ("n", "table", "_ints")
 
     def __init__(self, n: int, table: dict):
         for (a, b), v in table.items():
@@ -340,9 +375,24 @@ class Cochain2:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", MappingProxyType(
             {k: table[k] for k in sorted(table)}))
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cochain2 is immutable")
+
+    @property
+    def int_rows(self):
+        """(d, rows): the table's values, in key order, as integer matrices
+        over one common denominator d, each given by its sparse rows of
+        (column, int) pairs (as `IntMat.sparse`); read from this table on
+        first use. TypeError when a value has an entry that is not
+        rational."""
+        if self._ints is None:
+            values = IntMat.common([v.mat for v in self.table.values()])
+            object.__setattr__(self, "_ints", (
+                values[0].d if values else 1,
+                tuple(v.sparse for v in values)))
+        return self._ints
 
     def value(self, a: int, b: int) -> SlElement:
         if a == b:
@@ -407,27 +457,53 @@ def codifferential(phi: Cochain2) -> Cochain1:
     Z1 ^ Z2 (x) W  |->  Z2 (x) [Z1,W] - Z1 (x) [Z2,W] - [Z1,Z2] (x) W,
     where the Z's are the trace-form duals of the negative basis.
 
-    Each output is one combination of `IntMat`s, the values of phi and
-    their brackets with the duals, which are formed only when it is
-    summed. TypeError when a value has an entry that is not rational."""
+    Each output is one sum of integer rows over the common denominator of
+    phi's values (`Cochain2.int_rows`). A dual is the unit at the
+    transposed position of its basis unit, so a bracket [Z, W] is one row
+    of W moved in and one column moved out (`_add_dual_bracket`), and
+    [Z1, Z2] is a dual, minus a dual, or zero. TypeError when a value has
+    an entry that is not rational."""
     n = phi.n
-    duals = IntMat.common([z.mat for z in sl_neg_duals(n)])
-    values = IntMat.common([v.mat for v in phi.table.values()])
-    terms = collections.defaultdict(list)  # (k, x, y): k·[x, y], or k·x
+    m = 2 * n + 2
+    positions = _neg_positions(n)
+    index = {pos: c for c, pos in enumerate(positions)}
+    outputs = collections.defaultdict(lambda: [[0] * m for _ in range(m)])
+    d, values = phi.int_rows
     for (a, b), w in zip(phi.table, values):
-        # -[Z_b, W] = [W, Z_b]
-        terms[b].append((1, duals[a], w))
-        terms[a].append((1, w, duals[b]))
-        pm = duals[a].commutator(duals[b]).dense
-        for c, (r, s) in enumerate(_neg_positions(n)):
-            coeff = pm[s][r]
-            if coeff:
-                terms[c].append((-coeff, w, None))
-    outputs = {c: IntMat.combination([(k, x if y is None else
-                                        x.commutator(y)) for k, x, y in t])
-               for c, t in terms.items()}
-    return Cochain1(n, {c: SlElement(n, v.to_mat())
-                        for c, v in outputs.items() if not v.is_zero()})
+        _add_dual_bracket(outputs[b], positions[a], w, 1)
+        _add_dual_bracket(outputs[a], positions[b], w, -1)
+        # the term -[Z_a, Z_b] (x) W: [Z_a, Z_b] is the unit at (s_a, r_b)
+        # when r_a = s_b, minus the unit at (s_b, r_a) when s_a = r_b, and
+        # the unit at (s, r) is the dual of the basis unit at (r, s), when
+        # that is one
+        (ra, sa), (rb, sb) = positions[a], positions[b]
+        for hit, pos, k in ((ra == sb, (rb, sa), -1), (sa == rb, (ra, sb), 1)):
+            if hit and pos in index:
+                _add_rows(outputs[index[pos]], w, k)
+    return Cochain1(n, {c: SlElement(n, IntMat(d, m, rows).to_mat())
+                        for c, rows in outputs.items() if any(map(any, rows))})
+
+
+def _add_rows(acc, rows, k: int):
+    """acc += k·W, for the integer matrix W given by its sparse rows."""
+    if k:
+        for out, row in zip(acc, rows):
+            for j, x in row:
+                out[j] += k * x
+
+
+def _add_dual_bracket(acc, pos, rows, k: int):
+    """acc += k·[Z, W], for the integer matrix W given by its sparse rows
+    and Z the dual of the basis unit at pos = (r, s): Z is the unit at
+    (s, r), so Z·W is row r of W moved to row s, and W·Z is column s of W
+    moved to column r."""
+    r, s = pos
+    for i, row in enumerate(rows):
+        for j, x in row:
+            if i == r:
+                acc[s][j] += k * x
+            if j == s:
+                acc[i][r] -= k * x
 
 
 def is_normal(phi: Cochain2) -> bool:
@@ -473,16 +549,20 @@ def psi_support_report(sig: Signature) -> dict:
     support_exact = True
     values_in_ss = True
     witness = None
-    for (a, b), v in build_psi_cochain(sig).table.items():
-        if v.is_zero():
+    phi = build_psi_cochain(sig)
+    for (a, b), rows in zip(phi.table, phi.int_rows[1]):
+        entries = [(i, j, x) for i, row in enumerate(rows)
+                   for j, x in row if x]
+        if not entries:
             continue
         if {slots[a], slots[b]} != {"m1V", "m2"}:
             support_exact = False
             witness = witness or (slots[a], slots[b])
             continue
         nonzero_pairs += 2
-        ok = (v.in_slots(("g0",)) and v.mat[0, 0] == 0
-              and v.mat[1, 1] == 0 and v.ss_block().trace() == 0)
+        # inside the 2n block, which lies in g0, with a zero trace there
+        ok = (all(i >= 2 and j >= 2 for i, j, _ in entries)
+              and sum(x for i, j, x in entries if i == j) == 0)
         if not ok:
             values_in_ss = False
             witness = witness or (slots[a], slots[b])
@@ -507,7 +587,13 @@ def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
     """Verifies the three compatibility conditions of the pair (i, alpha):
     conjugation equivariance on random group elements, agreement of the
     derivative of i with alpha on the stabilizer subalgebra (exact jets and
-    central differences), and full rank of the restricted alpha."""
+    central differences), and full rank of the restricted alpha.
+
+    Equivariance, alpha(Ad_h x) = +-i(h) alpha(x) i(h)^-1, is checked as
+    the product alpha(Ad_h x)·i(h) = +-i(h)·alpha(x). The two agree because
+    i(h) is invertible: det i(h) = sgn(beta)^(n+1)·det(C)^2 = +-1, C being
+    in O(p, q) (the top block has determinant beta/|beta|, the lower one
+    beta^n det(C)^2/|beta|^n)."""
     rng = random.Random(seed)
     equivariance_failures = 0
     witness = None
@@ -515,8 +601,8 @@ def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
         h = samplers.rand_q_square(sig, rng)
         x = samplers.rand_so_element(sig, rng)
         ih = i_map(h)
-        lhs = alpha(h.ad_so(x)).mat
-        rhs = ih * alpha(x).mat * invert(ih)
+        lhs = alpha(h.ad_so(x)).mat * ih
+        rhs = ih * alpha(x).mat
         if lhs != rhs and lhs != -rhs:
             equivariance_failures += 1
             witness = witness or repr(h)
@@ -582,7 +668,9 @@ def i_homomorphism_float(sig: Signature, trials=100, seed=0) -> float:
 def psi_equivariance_check(sig: Signature, trials=25, seed=0) -> int:
     """Failures of Ad(i(h)) Psi(z1, z2) = Psi(Ad(h) lift1, Ad(h) lift2) on
     random group elements and basis slot pairs; the left side is read from
-    the obstruction cochain, the right side is evaluated afresh."""
+    the obstruction cochain, the right side is evaluated afresh. Checked as
+    the product i(h)·Psi(z1, z2) = Psi(Ad(h) lift1, Ad(h) lift2)·i(h), which
+    is the same claim since det i(h) = +-1 (see `check_pair_conditions`)."""
     rng = random.Random(seed)
     phi = build_psi_cochain(sig)
     lifts = _basis_lifts(sig)
@@ -595,8 +683,8 @@ def psi_equivariance_check(sig: Signature, trials=25, seed=0) -> int:
         a = rng.choice(vert)
         b = rng.choice(bottom)
         ih = i_map(h)
-        lhs = ih * phi.value(a, b).mat * invert(ih)
-        rhs = psi_gq(h.ad_so(lifts[a]), h.ad_so(lifts[b])).mat
+        lhs = ih * phi.value(a, b).mat
+        rhs = psi_gq(h.ad_so(lifts[a]), h.ad_so(lifts[b])).mat * ih
         if lhs != rhs:
             failures += 1
     return failures

@@ -22,7 +22,7 @@ Fractions scaled to integers, `_eliminate`; its integer core, `bareiss`,
 also solves the Cayley transform of `samplers.rand_opq`.
 
 The forms S and Ipq are symmetric signed permutations, kept per signature
-as `SignedPerm` tables. A product with one (`left`, `right`,
+as `SignedPerm` tables. A product with one (`left`,
 `conjugate_transpose`) moves entries and flips signs, and the Gram check
 reads a table as the one +-1 per row it is, so no form check scans a
 form.
@@ -576,13 +576,6 @@ class SignedPerm:
         data = m.data
         return Mat([data[k] if s > 0 else [-e for e in data[k]]
                     for k, s in zip(self.perm, self.signs)])
-
-    def right(self, m: Mat) -> Mat:
-        """m·P: column j is signs[j] times column perm[j] of m."""
-        self._fits(m.cols)
-        cols = tuple(zip(self.perm, self.signs))
-        return Mat([[r[k] if s > 0 else -r[k] for k, s in cols]
-                    for r in m.data])
 
     def conjugate_transpose(self, m: Mat) -> Mat:
         """P·m^T·P: entry (i, j) is signs[i]·signs[j]·m[perm j][perm i]."""

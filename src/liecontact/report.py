@@ -338,8 +338,9 @@ def _m2_col(sig, rng):
 def _symmetrization(sig, cst, x, y, z):
     n = sig.n
     # psi_trilinear, keeping Psi(x, [y, W0]) to compare whole blocks
-    psi = extension.psi_alpha(sig, SlElement.from_m2(n, x),
-                              sl_bracket(SlElement.from_m2(n, y), w0(n)))
+    psi = extension.psi_from_cochain(
+        sig, SlElement.from_m2(n, x),
+        sl_bracket(SlElement.from_m2(n, y), w0(n)))
     val = sl_bracket(psi, SlElement.from_m2(n, z)).m2_vector()
     if val != cst * extension.symmetrized_reference(sig, x, y, z):
         return False

@@ -76,6 +76,10 @@ SL = "liecontact/path_sl.py"
 T_EXT = "tests/test_extension.py::"
 T_SL = "tests/test_path_sl.py::"
 ALPHA = (T_EXT + "test_alpha_matches_the_two_product_reference",)
+CONTRACTION = (T_EXT + "test_psi_from_cochain_matches_psi_of_the_hat_lifts"
+               "[2-2]",)
+CODIFFERENTIAL = (T_EXT + "test_codifferential_matches_the_trace_pairing_"
+                  "reference",)
 BLOCKS = (T_SO + "test_from_matrix_refuses_what_reassembly_refuses",
           T_SO + "test_table_coordinates_refuse_every_corrupted_entry")
 SO_TABLE = (T_SO + "test_structure_constants_match_brackets",)
@@ -272,9 +276,12 @@ MUTANTS = (
            "_unit(m, r, c)) for r, c in _neg_positions(n)",
            SL_ORDER + (T_SL + "test_duals_pair_by_trace",)),
     Mutant("codifferential: [Z_a, Z_b] read at the basis positions", EXT,
-           "coeff = pm[s][r]", "coeff = pm[r][s]",
-           (T_EXT + "test_codifferential_matches_the_trace_pairing_"
-            "reference",)),
+           "(ra == sb, (rb, sa), -1)", "(ra == sb, (sa, rb), -1)",
+           CODIFFERENTIAL),
+    Mutant("codifferential: the column of [Z, W] moved in, not out", EXT,
+           "acc[i][r] -= k * x", "acc[i][r] += k * x", CODIFFERENTIAL),
+    Mutant("codifferential: the row of [Z, W] moved to row r", EXT,
+           "acc[s][j] += k * x", "acc[r][j] += k * x", CODIFFERENTIAL),
     # the slot table, the trace check and alpha
     Mutant("slot table: every slot read one column to the right", SL,
            "_slot_of(i, j, n) for j in range(m)",
@@ -304,6 +311,33 @@ MUTANTS = (
            "                             in _basis_positions(s)])(",
            (T_EXT + "test_obstruction_cochain_refuses_a_bracket_outside_the_"
             "algebra",)),
+    # Psi read off the cochain, and the integer references beside it
+    Mutant("psi_from_cochain: without its antisymmetric term", EXT,
+           "x1[a] * x2[b] - x1[b] * x2[a]", "x1[a] * x2[b]", CONTRACTION),
+    Mutant("psi_from_cochain: the argument denominators dropped", EXT,
+           "IntMat(d * c1.d * c2.d, m, acc)", "IntMat(d, m, acc)",
+           CONTRACTION),
+    Mutant("symmetrized_reference: one column's denominator dropped", EXT,
+           "IntMat(dx * dy * dz, 1,", "IntMat(dx * dy, 1,",
+           (T_EXT + "test_symmetrized_reference_matches_the_fraction_loops",)),
+    Mutant("r_block_path: the block not halved", EXT,
+           "IntMat(2 * dx * dy, 2 * n, rows)", "IntMat(dx * dy, 2 * n, rows)",
+           (T_EXT + "test_r_block_matches_the_product_form",)),
+    Mutant("r_block_path: R_ab without the form signs", EXT,
+           "* s\n                 for j, s in enumerate(signs)]",
+           "\n                 for j, s in enumerate(signs)]",
+           (T_EXT + "test_r_block_matches_the_product_form",)),
+    # the equivariance claims as products with i(h)
+    Mutant("pair conditions: the two sides of alpha(Ad_h x)·i(h) swapped",
+           EXT, "lhs = alpha(h.ad_so(x)).mat * ih",
+           "lhs = ih * alpha(h.ad_so(x)).mat",
+           (T_EXT + "test_pair_conditions_summary",)),
+    Mutant("Psi equivariance: the two sides of i(h)·Psi(a, b) swapped", EXT,
+           "lhs = ih * phi.value(a, b).mat", "lhs = phi.value(a, b).mat * ih",
+           (T_EXT + "test_psi_equivariance",)),
+    Mutant("support: the trace read over every entry, not the diagonal",
+           EXT, "sum(x for i, j, x in entries if i == j)",
+           "sum(x for i, j, x in entries)", (T_EXT + "test_psi_support",)),
     # the chain generator
     Mutant("chain_matrix: no E^2 = 0 check", "liecontact/chains.py",
            "if not (e * e).is_zero():", "if False:",
@@ -319,6 +353,11 @@ MUTANTS = (
             "tests/test_chains.py::test_chain_equivariance",
             "tests/test_chains.py::test_chain_point_is_the_frame_first_two_"
             "columns")),
+    Mutant("ChainCurve: gE with the moved columns unsigned",
+           "liecontact/chains.py",
+           "out[j] = r[k] if sign > 0 else -r[k]", "out[j] = r[k]",
+           ("tests/test_chains.py::test_affine_frame_matches_the_"
+            "exponential",)),
     Mutant("ChainCurve.at: the velocity without t", "liecontact/chains.py",
            "+ rat(t) * self.vel.submat(", "+ self.vel.submat(",
            ("tests/test_chains.py::test_chain_point_is_the_frame_first_two_"
@@ -373,13 +412,6 @@ MUTANTS = (
     Mutant("signed permutation: P·m^T·P without the transpose", LINALG,
            "[[data[k][l] if s * t > 0 else -data[k][l]",
            "[[data[l][k] if s * t > 0 else -data[l][k]", TABLES),
-    Mutant("signed permutation: m·P with the row's sign", LINALG,
-           "[[r[k] if s > 0 else -r[k] for k, s in cols]\n"
-           "                    for r in m.data])",
-           "[[r[k] if t > 0 else -r[k] for k, s in cols]\n"
-           "                    for r, t in zip(m.data, self.signs)])",
-           (T_SO + "test_signed_permutation_tables_multiply_as_the_forms",
-            T_EXT + "test_r_block_matches_the_product_form")),
     Mutant("signed permutation: asymmetric tables accepted", LINALG,
            "or any(perm[k] != i or signs[k] != signs[i]\n"
            "                       for i, k in enumerate(perm))):",

@@ -14,7 +14,7 @@ from liecontact.chains import (ChainCurve, ModelPoint, STensorEval, act,
                                fit_pipeline_constant, flow_transversality,
                                gm1_units, origin, pipeline_s, rank_one_by_S,
                                reconstruct_cone, s_tensor)
-from liecontact.linalg import Mat, exp_nilpotent, invert
+from liecontact.linalg import IntMat, Mat, exp_nilpotent, invert
 from liecontact.so_contact import (Signature, SoElement, _ambient_inverse,
                                    bracket_gm1, segre_rank)
 from test_linalg import _corrupted, _sign_swap
@@ -154,7 +154,11 @@ def test_affine_frame_matches_the_exponential():
         for _ in range(6):
             g = samplers.rand_oform(sig, rng)
             t = samplers.rand_fraction(rng)
-            assert ChainCurve(sig, g).frame(t) == g * exp_nilpotent(t * e, 2)
+            curve = ChainCurve(sig, g)
+            assert curve.frame(t) == g * exp_nilpotent(t * e, 2)
+            # the velocity gE, formed by moving columns, against the product
+            assert curve.vel.data == (g * e).data
+            assert {type(x) for r in curve.vel.data for x in r} == {Fraction}
         assert ChainCurve(sig).frame(0) == Mat.identity(sig.n + 4)
 
 
@@ -288,7 +292,23 @@ def test_tensor_matches_the_matrix_formula():
                     assert all(type(x) is Fraction for r in got.data
                                for x in r)
         a = samplers.rand_gm1(sig, rng)
-        assert s_tensor(_ZeroEval(sig), a, a, a).is_zero()
+        assert s_tensor(_zero_eval(sig), a, a, a).is_zero()
+
+
+def test_tensor_reads_the_structure_once_per_evaluator(monkeypatch):
+    rng = random.Random(86)
+    sig = Signature(2, 2)
+    ev = STensorEval.standard(sig).basis_changed(samplers.rand_gl2(rng))
+    st = ev.structure
+    read = []
+    of = IntMat.of.__func__
+    monkeypatch.setattr(IntMat, "of", classmethod(
+        lambda cls, m: read.append(m) or of(cls, m)))
+    args = [samplers.rand_gm1(sig, rng) for _ in range(3)]
+    for _ in range(4):
+        s_tensor(ev, *args)
+    assert len(read) == 12
+    assert not any(m is x for m in read for x in (st.mi, st.mj, st.mk))
 
 
 def test_tensor_reads_integer_entries_and_refuses_floats():
@@ -397,17 +417,16 @@ class _ZeroStructure:
     apply_i = apply_j = apply_k = _zero
 
 
-class _ZeroEval:
-    def __init__(self, sig):
-        self.sig = sig
-        self.structure = _ZeroStructure(sig)
-        self.scale = Fraction(1)
+def _zero_eval(sig):
+    # STensorEval checks only the structure's signature, so it takes the
+    # zero structure as it is
+    return STensorEval(sig, _ZeroStructure(sig))
 
 
 def test_reconstruct_cone_rejects_degenerate_tensor():
     sig = Signature(2, 1)
     with pytest.raises(ValueError, match="degenerate"):
-        reconstruct_cone(_ZeroEval(sig), [])
+        reconstruct_cone(_zero_eval(sig), [])
 
 
 def test_reconstruct_cone_on_mixed_samples():

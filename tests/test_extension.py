@@ -13,21 +13,24 @@ from liecontact.extension import (Cochain2, alpha, alpha_restriction_matrix,
                                   i_map_float, i_homomorphism_exact,
                                   i_homomorphism_float, i_prime,
                                   i_prime_float, is_normal, psi_alpha,
-                                  psi_equivariance_check, psi_gq,
-                                  psi_support_report, psi_trilinear,
+                                  psi_equivariance_check, psi_from_cochain,
+                                  psi_gq, psi_support_report, psi_trilinear,
                                   q_tangent_basis, r_block_path,
                                   symmetrized_reference)
-from liecontact.linalg import DualRat, Mat, max_abs, solve_linear
+from liecontact.linalg import DualRat, Mat, det, max_abs, solve_linear
 from liecontact.path_sl import (SlElement, _neg_positions, sl_bracket,
                                 sl_neg_basis, sl_neg_coordinates,
                                 sl_neg_duals, sl_neg_slots, w0)
 from liecontact.so_contact import (QGroupElement, Signature, SoElement,
-                                   bracket, so_basis)
+                                   bracket, inner, so_basis)
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 # the oracle comparisons below run where the form has negative signs too
 ORACLE_SIGS = (Signature(2, 1), Signature(3, 0), Signature(1, 2),
                Signature(2, 2), Signature(3, 3))
+# every signature with 2 <= n <= 6
+DOMAIN_SIGS = tuple(Signature(p, n - p) for n in range(2, 7)
+                    for p in range(n, -1, -1))
 
 
 def _diag2(a, d):
@@ -256,6 +259,37 @@ def test_pair_conditions_summary():
         assert out["witness"] is None
 
 
+def test_i_map_determinant_is_a_sign():
+    # the equivariance loops check products with i(h) in place of its
+    # conjugation, which needs det i(h) = sgn(beta)^(n+1) det(C)^2 = +-1
+    rng = random.Random(62)
+    for sig in (Signature(2, 1), Signature(2, 2), Signature(3, 0),
+                Signature(3, 3)):
+        signs = set()
+        for _ in range(8):
+            h = samplers.rand_q_square(sig, rng)
+            beta = h.det_b()
+            value = det(i_map(h))
+            assert value == (1 if beta > 0 else -1) ** (sig.n + 1), h
+            assert det(h.C) ** 2 == 1
+            signs.add(value)
+        # both orientations of det B are drawn where n + 1 is odd
+        assert signs == ({1} if sig.n % 2 else {1, -1})
+
+
+@pytest.mark.parametrize("wrong", ["identity", "transpose"])
+def test_product_form_loops_fail_on_a_wrong_embedding(monkeypatch, wrong):
+    exact = extension.i_map
+    monkeypatch.setattr(extension, "i_map", {
+        "identity": lambda h: Mat.identity(2 * h.sig.n + 2),
+        "transpose": lambda h: exact(h).T}[wrong])
+    for sig in SIGS:
+        out = check_pair_conditions(sig, trials=10, seed=0)
+        assert out["equivariance_failures"] > 0
+        assert out["witness"] is not None
+        assert psi_equivariance_check(sig, trials=10, seed=1) > 0
+
+
 # ---------------------------------------------------------------------------
 # hat lifts
 
@@ -319,6 +353,37 @@ def test_hat_lift_rejects_bad_input():
         hat_lift(sig, SlElement.zero(5))
     with pytest.raises(ValueError, match="negative slots"):
         hat_lift(sig, w0(sig.n))
+
+
+@pytest.mark.parametrize("sig", DOMAIN_SIGS,
+                         ids=lambda sig: "%d-%d" % (sig.p, sig.q))
+def test_psi_from_cochain_matches_psi_of_the_hat_lifts(sig):
+    # the oracle is psi_alpha: psi_gq of the two hat lifts
+    rng = random.Random(63 + 7 * sig.p + sig.q)
+    basis = sl_neg_basis(sig.n)
+    lifts = [hat_lift(sig, z) for z in basis]
+    picks = range(len(basis)) if sig.n <= 3 else rng.sample(
+        range(len(basis)), 8)
+    for a in picks:
+        for b in picks:
+            assert psi_from_cochain(sig, basis[a], basis[b]) == psi_gq(
+                lifts[a], lifts[b]), (a, b)
+    for _ in range(3):
+        z1, z2 = _rand_sl_neg(sig.n, rng), _rand_sl_neg(sig.n, rng)
+        got = psi_from_cochain(sig, z1, z2)
+        assert got == psi_gq(hat_lift(sig, z1), hat_lift(sig, z2))
+        assert not got.is_zero()
+
+
+def test_psi_from_cochain_rejects_what_the_hat_lift_rejects():
+    sig = Signature(2, 1)
+    z = sl_neg_basis(sig.n)[0]
+    for args in ((SlElement.zero(5), z), (z, SlElement.zero(5))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            psi_from_cochain(sig, *args)
+    for args in ((w0(sig.n), z), (z, z + w0(sig.n))):
+        with pytest.raises(ValueError, match="negative slots"):
+            psi_from_cochain(sig, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +500,39 @@ def test_trilinear_matches_scaled_reference():
                 sig, x, y, z)
 
 
+def _symmetrized_by_fractions(sig, x, y, z):
+    # symmetrized_reference as scalar Fraction loops over the Ipq pairing
+    n = sig.n
+    acc = [Fraction(0)] * (2 * n)
+    cols = [[v[i, 0] for i in range(2 * n)] for v in (x, y, z)]
+    for xc, yc, zc in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0),
+                       (2, 0, 1), (2, 1, 0)):
+        x1, x2 = cols[xc][:n], cols[xc][n:]
+        y1, y2 = cols[yc][:n], cols[yc][n:]
+        z1, z2 = cols[zc][:n], cols[zc][n:]
+        c12 = inner(sig, x1, y2)
+        c11 = inner(sig, x1, y1)
+        c22 = inner(sig, x2, y2)
+        for i in range(n):
+            acc[i] += c12 * z1[i] - c11 * z2[i]
+            acc[n + i] += c22 * z1[i] - c12 * z2[i]
+    return Mat.col(acc)
+
+
+def test_symmetrized_reference_matches_the_fraction_loops():
+    rng = random.Random(64)
+    for sig in ORACLE_SIGS + (Signature(1, 1), Signature(0, 3)):
+        n = sig.n
+        zero = Mat.col([Fraction(0)] * (2 * n))
+        for _ in range(8):
+            # denominators up to 4, some columns with integer entries only
+            x, y, z = (samplers.rand_col(rng, 2 * n, den=rng.choice((1, 4)))
+                       for _ in range(3))
+            for args in ((x, y, z), (x, x, z), (x, y, zero)):
+                assert (symmetrized_reference(sig, *args).data
+                        == _symmetrized_by_fractions(sig, *args).data)
+
+
 def test_trilinear_is_totally_symmetric():
     rng = random.Random(59)
     sig = Signature(2, 2)
@@ -472,10 +570,12 @@ def _r_block_product_form(sig, x, y):
 
 
 def test_r_block_matches_the_product_form():
+    # the Fraction version of r_block_path, on columns with and without
+    # denominators
     rng = random.Random(61)
     for sig in SIGS + (Signature(1, 1), Signature(0, 3), Signature(3, 3)):
         for _ in range(6):
-            x = samplers.rand_col(rng, 2 * sig.n)
+            x = samplers.rand_col(rng, 2 * sig.n, den=rng.choice((1, 4)))
             y = samplers.rand_col(rng, 2 * sig.n)
             assert (r_block_path(sig, x, y).data
                     == _r_block_product_form(sig, x, y).data)
@@ -600,9 +700,13 @@ def _codifferential_by_trace_pairing(phi):
 
 def test_codifferential_matches_the_trace_pairing_reference():
     rng = random.Random(58)
-    for n in (2, 3):
+    for sig in SIGS:
+        phi = build_psi_cochain(sig)
+        assert (codifferential(phi).values
+                == _codifferential_by_trace_pairing(phi) == {})
+    for n, count in ((2, 3), (3, 3), (4, 1)):
         dim = 4 * n + 1
-        for _ in range(3):
+        for _ in range(count):
             table = {(a, b): _rand_sparse_sl(n, rng)
                      for a in range(dim) for b in range(a + 1, dim)
                      if rng.random() < 0.5}
