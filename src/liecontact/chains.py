@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .extension import psi_trilinear
 from .linalg import IntMat, Mat, exp_nilpotent, rank_kernel, rat, solve_linear
-from .so_contact import (Signature, SoElement, _ambient_inverse, bracket_gm1,
+from .so_contact import (Signature, SoElement, ambient_inverse, bracket_gm1,
                          segre_rank)
 from .split_quat import QuatStructureOnH, stack_columns, unstack_columns
 
@@ -129,7 +129,7 @@ class ChainCurve:
         """Velocity of the curve of frames pulled back to the identity; its
         grade -2 part is what transversality reads. The frame preserves the
         ambient form, so it is inverted in closed form."""
-        pullback = _ambient_inverse(self.sig, self.frame(t)) * self.vel
+        pullback = ambient_inverse(self.sig, self.frame(t)) * self.vel
         return SoElement.from_matrix(self.sig, pullback)
 
 
@@ -150,7 +150,7 @@ def flow_transversality(sig: Signature, x: SoElement, t) -> bool:
     X in the middle slot come out non-transverse."""
     m = x.assemble()
     frame = exp_nilpotent(rat(t) * m, 4)  # exp of an element of so(S)
-    pullback = _ambient_inverse(sig, frame) * (m * frame)
+    pullback = ambient_inverse(sig, frame) * (m * frame)
     return SoElement.from_matrix(sig, pullback).z != 0
 
 

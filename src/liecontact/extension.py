@@ -31,13 +31,13 @@ import random
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linalg import (DualRat, IntMat, Mat, exp_float, invert, max_abs,
+from .linalg import (DualRat, IntMat, Mat, det, exp_float, invert, max_abs,
                      rank_kernel, rat_sqrt)
-from .path_sl import (SlElement, _neg_positions, sl_bracket, sl_neg_basis,
+from .path_sl import (SlElement, neg_positions, sl_bracket, sl_neg_basis,
                       sl_neg_coordinates, sl_neg_degrees, sl_neg_slots, w0)
 from .so_contact import (QGroupElement, Signature, SoElement,
-                         _basis_positions, _from_coordinates, _int_coordinates,
-                         bracket, so_basis, so_basis_degrees)
+                         basis_positions, bracket, from_coordinates,
+                         int_coordinates, so_basis, so_basis_degrees)
 from . import samplers
 
 HALF = Fraction(1, 2)
@@ -99,13 +99,30 @@ def i_map(h: QGroupElement) -> Mat:
     Needs |det B| to be a perfect rational square; use i_map_float for
     generic determinants.
     """
+    return _i_exact(h).to_mat()
+
+
+def _i_exact(h: QGroupElement) -> IntMat:
+    """i(h) as integers over one denominator, the exact route behind
+    `i_map`. The entries of beta, -w·beta, 1 and of B and C are scaled to
+    integers over L, the lcm of the denominators of beta and w·beta and of
+    den(B)·den(C), and put in `_i_layout`; the factor 1/sbar = sd/sn
+    multiplies the rows by sd and the denominator, L, by sn."""
     beta = h.det_b()
     try:
         sbar = rat_sqrt(abs(beta))
     except ValueError:
         raise ValueError("i_map needs |det B| to be a perfect rational "
                          "square, got %s" % beta) from None
-    return _i_assemble(h.sig.n, h.B, h.C, h.w, beta, sbar, Fraction(0))
+    b, c = IntMat.of(h.B), IntMat.of(h.C)
+    top = (beta, -h.w * beta, Fraction(1))
+    den = math.lcm(b.d * c.d, *(e.denominator for e in top))
+    sd = sbar.denominator
+    f = sd * (den // (b.d * c.d))
+    rows = _i_layout(h.sig.n,
+                     [e.numerator * (den // e.denominator) * sd for e in top],
+                     [[f * x for x in r] for r in b.dense], c.dense, 0)
+    return IntMat(den * sbar.numerator, len(rows), rows)
 
 
 def i_map_float(b: Mat, c: Mat, w: float) -> Mat:
@@ -117,23 +134,35 @@ def i_map_float(b: Mat, c: Mat, w: float) -> Mat:
 
 
 def _i_assemble(n, b, c, w, beta, sbar, zero):
+    """i(h) on the entries of B, C and w as they are: floats, jets, or
+    Fractions for an exact reference. The entries of the top block and of
+    C are divided by sbar before they enter `_i_layout`."""
+    top = (beta / sbar, -w * beta / sbar, (beta / beta) / sbar)
+    return Mat(_i_layout(n, top, b.data, [[e / sbar for e in r]
+                                          for r in c.data], zero))
+
+
+def _i_layout(n, top, b, c, zero):
+    """The rows of the block-diagonal matrix of the module docstring, the
+    one place its layout is written: top = (t0, t1, t2) gives the top block
+    [[t0, t1], [0, t2]], and B = [[p, r], [s, q]] and C, both given by
+    their rows, give the lower block [[q C, -s C], [-r C, p C]]. An entry
+    of C equal to zero leaves zero in place. i(h) has top = (beta,
+    -w·beta, 1) / sbar and C / sbar in place of C."""
     m = 2 * n + 2
     rows = [[zero] * m for _ in range(m)]
-    rows[0][0] = beta / sbar
-    rows[0][1] = -w * beta / sbar
-    rows[1][1] = (beta / beta) / sbar
-    p_, r_ = b[0, 0], b[0, 1]
-    s_, q_ = b[1, 0], b[1, 1]
-    for i in range(n):
-        for j in range(n):
-            cij = c[i, j] / sbar
+    rows[0][0], rows[0][1], rows[1][1] = top
+    (p_, r_), (s_, q_) = b
+    neg_s, neg_r = -s_, -r_
+    for i, ci in enumerate(c):
+        for j, cij in enumerate(ci):
             if cij == zero:
                 continue
             rows[2 + i][2 + j] = q_ * cij
-            rows[2 + i][2 + n + j] = -s_ * cij
-            rows[2 + n + i][2 + j] = -r_ * cij
+            rows[2 + i][2 + n + j] = neg_s * cij
+            rows[2 + n + i][2 + j] = neg_r * cij
             rows[2 + n + i][2 + n + j] = p_ * cij
-    return Mat(rows)
+    return rows
 
 
 def i_prime(sig: Signature, a: Mat, d: Mat, w) -> Mat:
@@ -143,8 +172,8 @@ def i_prime(sig: Signature, a: Mat, d: Mat, w) -> Mat:
     result."""
 
     def jet(m):
-        return (Mat.identity(m.rows, DualRat(1))
-                + m.map(lambda e: DualRat(0, e)))
+        return Mat([[DualRat(1 if i == j else 0, e) for j, e in enumerate(r)]
+                    for i, r in enumerate(m.data)])
 
     b = jet(a)
     beta = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
@@ -173,9 +202,9 @@ def i_prime_float(sig: Signature, a: Mat, d: Mat, w, step=1e-5) -> Mat:
 
 
 def _lift_positions(sig: Signature):
-    """The `so_contact._basis_positions` entries of g_- + g_1 (the z, X and
+    """The `so_contact.basis_positions` entries of g_- + g_1 (the z, X and
     U coordinates), in the global basis order."""
-    return [pos for pos, deg in zip(_basis_positions(sig),
+    return [pos for pos, deg in zip(basis_positions(sig),
                                     so_basis_degrees(sig))
             if deg in (-2, -1, 1)]
 
@@ -183,14 +212,16 @@ def _lift_positions(sig: Signature):
 def negative_part_basis(sig: Signature):
     """Basis of g_- + g_1 (z, X, U slots) in the global basis order."""
     one = Fraction(1)
-    return [_from_coordinates(sig, ((pos, one),))
+    return [from_coordinates(sig, ((pos, one),))
             for pos in _lift_positions(sig)]
 
 
+@functools.cache
 def alpha_restriction_matrix(sig: Signature) -> Mat:
     """Matrix of alpha restricted to g_- + g_1, read in the negative-slot
     coordinates of sl(2n+2). Square of size 4n+1; full rank by the pair
-    condition on the induced quotient map."""
+    condition on the induced quotient map. Built once per signature (a Mat
+    is immutable) for the hat lift and the rank check."""
     cols = [sl_neg_coordinates(alpha(b)) for b in negative_part_basis(sig)]
     return Mat(cols).T
 
@@ -215,7 +246,7 @@ def hat_lift(sig: Signature, z: SlElement) -> SoElement:
     factored once per signature and reused)."""
     _check_negative(sig, z)
     coords = _lift_inverse(sig) * Mat.col(sl_neg_coordinates(z))
-    return _from_coordinates(sig, zip(_lift_positions(sig), coords.column(0)))
+    return from_coordinates(sig, zip(_lift_positions(sig), coords.column(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +462,7 @@ def build_psi_cochain(sig: Signature) -> Cochain2:
 
     The formula of `psi_gq` runs here on `IntMat`s, each table over one
     denominator. Both brackets of a pair are integer commutators; the so
-    bracket is read in coordinates by `so_contact._int_coordinates`, which
+    bracket is read in coordinates by `so_contact.int_coordinates`, which
     raises when it leaves so(p+2, q+2), and alpha of it is the same
     combination of the alpha images of the so_basis, alpha being linear."""
     lifts = _basis_lifts(sig)
@@ -442,7 +473,7 @@ def build_psi_cochain(sig: Signature) -> Cochain2:
     for a in range(len(lifts)):
         for b in range(a + 1, len(lifts)):
             comm = mats[a].commutator(mats[b])
-            coords = _int_coordinates(sig, comm.dense)
+            coords = int_coordinates(sig, comm.dense)
             value = IntMat.combination(
                 [(1, images[a].commutator(images[b]))]
                 + [(Fraction(-c, comm.d), basis_images[k])
@@ -465,7 +496,7 @@ def codifferential(phi: Cochain2) -> Cochain1:
     an entry that is not rational."""
     n = phi.n
     m = 2 * n + 2
-    positions = _neg_positions(n)
+    positions = neg_positions(n)
     index = {pos: c for c, pos in enumerate(positions)}
     outputs = collections.defaultdict(lambda: [[0] * m for _ in range(m)])
     d, values = phi.int_rows
@@ -583,6 +614,13 @@ def q_tangent_basis(sig: Signature):
             if deg in (0, 2)]
 
 
+def _det_is_a_sign(h: QGroupElement, ih: IntMat) -> bool:
+    """Whether det i(h) = sgn(beta)^(n+1), the closed form on which the
+    product-form loops rest; each loop checks it on its first trial."""
+    sign = 1 if h.det_b() > 0 else -1
+    return det(ih.to_mat()) == sign ** (h.sig.n + 1)
+
+
 def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
     """Verifies the three compatibility conditions of the pair (i, alpha):
     conjugation equivariance on random group elements, agreement of the
@@ -590,20 +628,22 @@ def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
     central differences), and full rank of the restricted alpha.
 
     Equivariance, alpha(Ad_h x) = +-i(h) alpha(x) i(h)^-1, is checked as
-    the product alpha(Ad_h x)·i(h) = +-i(h)·alpha(x). The two agree because
-    i(h) is invertible: det i(h) = sgn(beta)^(n+1)·det(C)^2 = +-1, C being
-    in O(p, q) (the top block has determinant beta/|beta|, the lower one
-    beta^n det(C)^2/|beta|^n)."""
+    the product alpha(Ad_h x)·i(h) = +-i(h)·alpha(x), on integer rows. The
+    two agree because i(h) is invertible: det i(h) = sgn(beta)^(n+1)·
+    det(C)^2 = +-1, C being in O(p, q) (the top block has determinant
+    beta/|beta|, the lower one beta^n det(C)^2/|beta|^n). The first
+    trial's h checks that determinant and fails the trial when it is off."""
     rng = random.Random(seed)
     equivariance_failures = 0
     witness = None
-    for _ in range(trials):
+    for trial in range(trials):
         h = samplers.rand_q_square(sig, rng)
         x = samplers.rand_so_element(sig, rng)
-        ih = i_map(h)
-        lhs = alpha(h.ad_so(x)).mat * ih
-        rhs = ih * alpha(x).mat
-        if lhs != rhs and lhs != -rhs:
+        ih = _i_exact(h)
+        lhs = IntMat.of(alpha(h.ad_so(x)).mat) * ih
+        rhs = ih * IntMat.of(alpha(x).mat)
+        ok = lhs.equals(rhs, up_to_sign=True)
+        if not (ok and (trial or _det_is_a_sign(h, ih))):
             equivariance_failures += 1
             witness = witness or repr(h)
     derivative_failures = 0
@@ -634,16 +674,17 @@ def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
 
 def i_homomorphism_exact(sig: Signature, trials=100, seed=0):
     """Failures of i(h1 h2) = +- i(h1) i(h2) on exact square-determinant
-    pairs, both orientations of det B included."""
+    pairs, both orientations of det B included; compared on integer
+    rows."""
     rng = random.Random(seed)
     failures = 0
     witness = None
     for _ in range(trials):
         h1 = samplers.rand_q_square(sig, rng)
         h2 = samplers.rand_q_square(sig, rng)
-        lhs = i_map(h1.compose(h2))
-        rhs = i_map(h1) * i_map(h2)
-        if lhs != rhs and lhs != -rhs:
+        lhs = _i_exact(h1.compose(h2))
+        rhs = _i_exact(h1) * _i_exact(h2)
+        if not lhs.equals(rhs, up_to_sign=True):
             failures += 1
             witness = witness or (repr(h1), repr(h2))
     return failures, witness
@@ -668,23 +709,34 @@ def i_homomorphism_float(sig: Signature, trials=100, seed=0) -> float:
 def psi_equivariance_check(sig: Signature, trials=25, seed=0) -> int:
     """Failures of Ad(i(h)) Psi(z1, z2) = Psi(Ad(h) lift1, Ad(h) lift2) on
     random group elements and basis slot pairs; the left side is read from
-    the obstruction cochain, the right side is evaluated afresh. Checked as
-    the product i(h)·Psi(z1, z2) = Psi(Ad(h) lift1, Ad(h) lift2)·i(h), which
-    is the same claim since det i(h) = +-1 (see `check_pair_conditions`)."""
+    the obstruction cochain's integer rows (`Cochain2.int_rows`), the right
+    side is evaluated afresh. Checked as the product
+    i(h)·Psi(z1, z2) = Psi(Ad(h) lift1, Ad(h) lift2)·i(h) on integer rows,
+    strictly, with no sign to spare; this is the same claim since
+    det i(h) = +-1, which the first trial checks (see
+    `check_pair_conditions`)."""
     rng = random.Random(seed)
     phi = build_psi_cochain(sig)
+    d, values = phi.int_rows
+    rows = dict(zip(phi.table, values))
     lifts = _basis_lifts(sig)
     slots = sl_neg_slots(sig.n)
     vert = [k for k, s in enumerate(slots) if s == "m1V"]
     bottom = [k for k, s in enumerate(slots) if s == "m2"]
+    m = 2 * sig.n + 2
     failures = 0
-    for _ in range(trials):
+    for trial in range(trials):
         h = samplers.rand_q_square(sig, rng)
         a = rng.choice(vert)
         b = rng.choice(bottom)
-        ih = i_map(h)
-        lhs = ih * phi.value(a, b).mat
-        rhs = psi_gq(h.ad_so(lifts[a]), h.ad_so(lifts[b])).mat * ih
-        if lhs != rhs:
+        ih = _i_exact(h)
+        # Psi(e_a, e_b) = -Psi(e_b, e_a); a pair off the table is zero
+        key, sign = ((a, b), 1) if a < b else ((b, a), -1)
+        value = IntMat(d, m, sparse=[[(j, sign * x) for j, x in r]
+                                     for r in rows.get(key, [()] * m)])
+        lhs = ih * value
+        rhs = IntMat.of(psi_gq(h.ad_so(lifts[a]), h.ad_so(lifts[b])).mat) * ih
+        ok = lhs.equals(rhs)
+        if not (ok and (trial or _det_is_a_sign(h, ih))):
             failures += 1
     return failures

@@ -76,6 +76,11 @@ class DualRat:
     Just enough calculus to differentiate matrix expressions built from
     rational operations and square roots at rational base points; used for
     the exact derivative path of the group embedding.
+
+    The constructor coerces both parts with `rat`, so it refuses floats.
+    The arithmetic builds its results from parts that are Fractions
+    already (`_jet`), and a term with an exact zero factor is skipped, not
+    multiplied: most jets of the embedding's derivative have a zero part.
     """
 
     __slots__ = ("re", "du")
@@ -86,12 +91,13 @@ class DualRat:
 
     def __add__(self, other):
         other = _dual(other)
-        return DualRat(self.re + other.re, self.du + other.du)
+        return _jet(_plus(self.re, other.re), _plus(self.du, other.du))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DualRat(-self.re, -self.du)
+        re, du = self.re, self.du
+        return _jet(-re if re else re, -du if du else du)
 
     def __sub__(self, other):
         return self + (-_dual(other))
@@ -100,8 +106,14 @@ class DualRat:
         return _dual(other) + (-self)
 
     def __mul__(self, other):
+        # (a + eps da)(b + eps db) = ab + eps (a db + da b)
         other = _dual(other)
-        return DualRat(self.re * other.re, self.re * other.du + self.du * other.re)
+        a, da = self.re, self.du
+        b, db = other.re, other.du
+        du = a * db if a and db else _ZERO
+        if da and b:
+            du = du + da * b if du else da * b
+        return _jet(a * b if a and b else _ZERO, du)
 
     __rmul__ = __mul__
 
@@ -109,8 +121,9 @@ class DualRat:
         other = _dual(other)
         if other.re == 0:
             raise ZeroDivisionError("dual number with zero base point")
-        re = self.re / other.re
-        return DualRat(re, (self.du - re * other.du) / other.re)
+        re = self.re / other.re if self.re else _ZERO
+        du = _minus(self.du, re * other.du if re and other.du else _ZERO)
+        return _jet(re, du / other.re if du else _ZERO)
 
     def __rtruediv__(self, other):
         return _dual(other) / self
@@ -126,7 +139,7 @@ class DualRat:
         s = rat_sqrt(self.re)
         if s == 0:
             raise ValueError("sqrt of a dual number at base point 0 is not smooth")
-        return DualRat(s, self.du / (2 * s))
+        return _jet(s, self.du / (2 * s) if self.du else _ZERO)
 
     def __eq__(self, other):
         other = _dual(other)
@@ -143,6 +156,14 @@ def _dual(x):
     if isinstance(x, DualRat):
         return x
     return DualRat(x)
+
+
+def _jet(re: Fraction, du: Fraction) -> DualRat:
+    """The jet re + eps*du from two Fractions, taken as they are."""
+    out = DualRat.__new__(DualRat)
+    out.re = re
+    out.du = du
+    return out
 
 
 class Mat:
@@ -465,6 +486,25 @@ class IntMat:
                        for a, r in zip(acc, m._dense)]
         return IntMat(d, cols, acc)
 
+    def equals(self, other: IntMat, up_to_sign: bool = False) -> bool:
+        """Whether this matrix equals other, or with up_to_sign, equals
+        other or -other. For self = A/a and other = B/b it compares b·A
+        with a·B row by row and builds no Fraction. ValueError on shapes
+        that differ."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch %sx%s vs %sx%s"
+                             % (self.rows, self.cols, other.rows, other.cols))
+        a, b = self.d, other.d
+        plus, minus = True, up_to_sign
+        for ra, rb in zip(self.dense, other.dense):
+            left = [b * x for x in ra]
+            right = [a * y for y in rb]
+            plus = plus and left == right
+            minus = minus and left == [-y for y in right]
+            if not (plus or minus):
+                return False
+        return True
+
     def gram_equals(self, s: SignedPerm,
                     target: SignedPerm | None = None) -> bool:
         """Whether a^T·s·a, for this matrix a and the form s, equals target,
@@ -577,14 +617,17 @@ class SignedPerm:
         return Mat([data[k] if s > 0 else [-e for e in data[k]]
                     for k, s in zip(self.perm, self.signs)])
 
-    def conjugate_transpose(self, m: Mat) -> Mat:
-        """P·m^T·P: entry (i, j) is signs[i]·signs[j]·m[perm j][perm i]."""
+    def conjugate_transpose(self, m):
+        """P·m^T·P, for a Mat m or an IntMat m (then over m's denominator):
+        entry (i, j) is signs[i]·signs[j]·m[perm j][perm i]."""
         self._fits(m.rows)
         self._fits(m.cols)
-        data = m.data
+        exact = isinstance(m, IntMat)
+        data = m.dense if exact else m.data
         cols = tuple(zip(self.perm, self.signs))
-        return Mat([[data[k][l] if s * t > 0 else -data[k][l]
-                     for k, s in cols] for l, t in cols])
+        rows = [[data[k][l] if s * t > 0 else -data[k][l]
+                 for k, s in cols] for l, t in cols]
+        return IntMat(m.d, m.cols, rows) if exact else Mat(rows)
 
 
 def structure_table(basis, coordinates):
@@ -737,30 +780,39 @@ def exp_nilpotent(m: Mat, nilpotency_bound: int) -> Mat:
 
 def exp_float(m: Mat) -> Mat:
     """Matrix exponential of a float matrix by scaling and squaring with a
-    Taylor tail summed to machine precision."""
+    Taylor tail summed to machine precision. Runs on rows of floats; each
+    product sums its terms in column order, as `Mat.__mul__` does on
+    floats."""
     if m.rows != m.cols:
         raise ValueError("exp of a non-square matrix")
-    fm = m.map(float)
-    if not all(math.isfinite(e) for r in fm.data for e in r):
+    fm = [[float(e) for e in r] for r in m.data]
+    if not all(math.isfinite(e) for r in fm for e in r):
         raise OverflowError("non-finite entries in exp_float input")
-    norm = max(sum(abs(e) for e in r) for r in fm.data)
+    norm = max(sum(abs(e) for e in r) for r in fm)
     s = 0
     if norm > 0.5:
         s = max(0, math.ceil(math.log2(norm / 0.5)))
-    a = fm.map(lambda e: e / float(2 ** s))
+    scale = float(2 ** s)
+    a = [[e / scale for e in r] for r in fm]
     n = m.rows
-    result = Mat.identity(n, one=1.0)
-    term = Mat.identity(n, one=1.0)
+    result = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    term = result
     for j in range(1, 40):
-        term = (term * a).map(lambda e: e / j)
-        result = result + term
-        if max(abs(e) for r in term.data for e in r) < 1e-20:
+        term = [[e / j for e in r] for r in _float_product(term, a)]
+        result = [[x + y for x, y in zip(r, t)] for r, t in zip(result, term)]
+        if max(abs(e) for r in term for e in r) < 1e-20:
             break
     for _ in range(s):
-        result = result * result
-    if not all(math.isfinite(e) for r in result.data for e in r):
+        result = _float_product(result, result)
+    if not all(math.isfinite(e) for r in result for e in r):
         raise OverflowError("overflow in exp_float")
-    return result
+    return Mat(result)
+
+
+def _float_product(a, b):
+    """The product of two square matrices given as rows of floats."""
+    cols = list(zip(*b))
+    return [[_dot(r, c) for c in cols] for r in a]
 
 
 def max_abs(m: Mat) -> float:

@@ -13,7 +13,7 @@ The ordered basis of the negative part g~_-, used for every cochain table
 and for the codifferential, is: the -2 column (rows 2 .. 2n+1), then the
 single -1 E entry, then the -1 V column (rows 2 .. 2n+1). Dual elements
 with respect to the trace form are the transposed units and sit in the
-positive part. This order is written once, in `_neg_positions`; the
+positive part. This order is written once, in `neg_positions`; the
 basis, its duals, slots, degrees and coordinates and the codifferential of
 `extension` all read it from there.
 """
@@ -178,7 +178,7 @@ def w0(n: int) -> SlElement:
 
 
 @functools.cache
-def _neg_positions(n: int):
+def neg_positions(n: int):
     """The ordered basis of g~_- of the module docstring, the one place it
     is written: the (row, column) of each basis unit. Built once per n."""
     return (*((2 + k, 0) for k in range(2 * n)), (1, 0),
@@ -187,19 +187,19 @@ def _neg_positions(n: int):
 
 def sl_neg_basis(n: int):
     m = 2 * n + 2
-    return [SlElement(n, _unit(m, r, c)) for r, c in _neg_positions(n)]
+    return [SlElement(n, _unit(m, r, c)) for r, c in neg_positions(n)]
 
 
 def sl_neg_duals(n: int):
     """Trace-form duals of sl_neg_basis, inside the positive part: the
     transposed units."""
     m = 2 * n + 2
-    return [SlElement(n, _unit(m, c, r)) for r, c in _neg_positions(n)]
+    return [SlElement(n, _unit(m, c, r)) for r, c in neg_positions(n)]
 
 
 def sl_neg_slots(n: int):
     slots = _slot_table(n)
-    return [slots[r][c] for r, c in _neg_positions(n)]
+    return [slots[r][c] for r, c in neg_positions(n)]
 
 
 def sl_neg_degrees(n: int):
@@ -209,7 +209,7 @@ def sl_neg_degrees(n: int):
 def sl_neg_coordinates(x: SlElement):
     """Coordinates of the negative part of x in the sl_neg_basis order."""
     rows = x.mat.data
-    return [rows[r][c] for r, c in _neg_positions(x.n)]
+    return [rows[r][c] for r, c in neg_positions(x.n)]
 
 
 def _unit(m, i, j):

@@ -31,7 +31,7 @@ Conventions, fixed once for the whole package:
   (first column top to bottom, then second column), then A entries row by
   row, then D_(i,j) = s_i E_(i,j) - s_j E_(j,i) for i < j row by row
   (s_i the form signs), then U entries row by row, then w. This order is
-  written once, in `_basis_positions`; the basis, its degrees, the
+  written once, in `basis_positions`; the basis, its degrees, the
   coordinates of the structure-constant table and the hat lift of
   `extension` all read it from there.
 """
@@ -107,9 +107,10 @@ class Signature:
         return "Signature(%d, %d)" % (self.p, self.q)
 
 
-def _ambient_inverse(sig: Signature, g: Mat) -> Mat:
+def ambient_inverse(sig: Signature, g):
     """g^-1 = S g^T S for g preserving the ambient form S, since S^2 = I;
-    S is a signed permutation, so this moves entries and flips signs."""
+    S is a signed permutation, so this moves entries and flips signs. g is
+    a Mat or an IntMat, and the inverse is of the same type."""
     return sig.form_s_perm().conjugate_transpose(g)
 
 
@@ -202,10 +203,7 @@ class SoElement:
         n = sig.n
         if m.rows != n + 4 or m.cols != n + 4:
             raise ValueError("expected a %dx%d matrix" % (n + 4, n + 4))
-        elt = _read_blocks(sig, m)
-        if _block_mismatch(sig, m.data):
-            raise ValueError("matrix is not in the orthogonal algebra "
-                             "of the standard form")
+        elt = _checked_blocks(sig, m.data)
         object.__setattr__(elt, "_matrix", m)
         return elt
 
@@ -264,13 +262,32 @@ class SoElement:
                 % (self.sig, self.z, self.X, self.A, self.D, self.U, self.w))
 
 
-def _read_blocks(sig: Signature, m: Mat) -> SoElement:
+def _read_blocks(sig: Signature, rows, d=None) -> SoElement:
     """The element with the blocks z, X, A, D, U, w of the (n+4)x(n+4)
-    matrix m; the redundant blocks are not read."""
+    matrix with the given rows: its entries, or, with d, integers to be
+    read over d. The redundant blocks are not read."""
     n = sig.n
-    return SoElement(sig, z=m[n + 2, 1], X=m.submat(2, n + 2, 0, 2),
-                     A=m.submat(0, 2, 0, 2), D=m.submat(2, n + 2, 2, n + 2),
-                     U=m.submat(0, 2, 2, n + 2), w=m[0, n + 3])
+    zero = Fraction(0)
+
+    def entry(x):
+        return x if d is None else Fraction(x, d) if x else zero
+
+    def block(r0, r1, c0, c1):
+        return Mat([[entry(x) for x in r[c0:c1]] for r in rows[r0:r1]])
+
+    return SoElement(sig, z=entry(rows[n + 2][1]), X=block(2, n + 2, 0, 2),
+                     A=block(0, 2, 0, 2), D=block(2, n + 2, 2, n + 2),
+                     U=block(0, 2, 2, n + 2), w=entry(rows[0][n + 3]))
+
+
+def _checked_blocks(sig: Signature, rows, d=None) -> SoElement:
+    """`_read_blocks`, once `_block_mismatch` finds every redundant block
+    in agreement; ValueError otherwise."""
+    elt = _read_blocks(sig, rows, d)
+    if _block_mismatch(sig, rows):
+        raise ValueError("matrix is not in the orthogonal algebra "
+                         "of the standard form")
+    return elt
 
 
 def _check_sig(x, y):
@@ -372,7 +389,7 @@ class QGroupElement:
     would not even be 2x2 for n != 2). Equality is up to an overall sign,
     realized as (B, C, w) ~ (-B, -C, w)."""
 
-    __slots__ = ("sig", "B", "C", "w", "_matrix")
+    __slots__ = ("sig", "B", "C", "w", "_matrix", "_ints")
 
     def __init__(self, sig: Signature, b: Mat, c: Mat, w=0):
         _check_g0(sig, b, c)
@@ -381,6 +398,7 @@ class QGroupElement:
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "w", rat(w))
         object.__setattr__(self, "_matrix", None)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QGroupElement is immutable")
@@ -417,12 +435,24 @@ class QGroupElement:
         return QGroupElement(self.sig, invert(self.B), cinv,
                              -self.w * det(self.B))
 
+    def _int_pair(self):
+        """(h, h^-1) as IntMats over one denominator: the assembled matrix
+        and its inverse S h^T S (h preserves S). Built on the first call
+        and kept in a slot of this element, as `assemble` does."""
+        pair = self._ints
+        if pair is None:
+            h = IntMat.of(self.assemble())
+            pair = (h, ambient_inverse(self.sig, h))
+            object.__setattr__(self, "_ints", pair)
+        return pair
+
     def ad_so(self, x: SoElement) -> SoElement:
-        """Adjoint action h x h^-1 on the algebra; h preserves S, so its
-        inverse is S h^T S."""
-        h = self.assemble()
-        return SoElement.from_matrix(
-            self.sig, h * x.assemble() * _ambient_inverse(self.sig, h))
+        """Adjoint action h x h^-1 on the algebra, formed as two integer
+        products and read back by blocks over their denominator, after the
+        check of every redundant block (`_block_mismatch`)."""
+        h, h_inv = self._int_pair()
+        g = h * IntMat.of(x.assemble()) * h_inv
+        return _checked_blocks(self.sig, g.dense, g.d)
 
     def __eq__(self, other):
         if not isinstance(other, QGroupElement):
@@ -442,7 +472,7 @@ class QGroupElement:
 
 
 @functools.cache
-def _basis_positions(sig: Signature):
+def basis_positions(sig: Signature):
     """The ordered basis of the module docstring, the one place it is
     written: entry k is the (row, column, sign) of the k-th coordinate in
     the assembled matrix, the coordinate being sign * entry. Built once
@@ -457,9 +487,9 @@ def _basis_positions(sig: Signature):
             (0, n + 3, 1))
 
 
-def _from_coordinates(sig: Signature, entries) -> SoElement:
+def from_coordinates(sig: Signature, entries) -> SoElement:
     """The element with the given coordinates, as pairs ((row, column,
-    sign), value) of `_basis_positions` entries and values; every other
+    sign), value) of `basis_positions` entries and values; every other
     coordinate is zero. A D coordinate fills its mirror entry too:
     D_ji = -s_i s_j D_ij."""
     size = sig.n + 4
@@ -469,14 +499,14 @@ def _from_coordinates(sig: Signature, entries) -> SoElement:
         e = g[r][c] = v if s > 0 else -v
         if 2 <= r < c < size - 2:
             g[c][r] = -e if signs[r - 2] == signs[c - 2] else e
-    return _read_blocks(sig, Mat(g))
+    return _read_blocks(sig, g)
 
 
 def so_basis(sig: Signature):
     """Ordered basis, see the module docstring. Length (n+3)(n+4)/2."""
     one = Fraction(1)
-    return [_from_coordinates(sig, ((pos, one),))
-            for pos in _basis_positions(sig)]
+    return [from_coordinates(sig, ((pos, one),))
+            for pos in basis_positions(sig)]
 
 
 def so_basis_degrees(sig: Signature):
@@ -488,7 +518,7 @@ def so_basis_degrees(sig: Signature):
     def group(k):
         return 0 if k < 2 else (1 if k < n + 2 else 2)
 
-    return [group(c) - group(r) for r, c, _ in _basis_positions(sig)]
+    return [group(c) - group(r) for r, c, _ in basis_positions(sig)]
 
 
 @functools.cache
@@ -499,7 +529,7 @@ def structure_constants(sig: Signature):
     integer coordinates in this basis. Built once per signature and shared
     by every caller."""
     return structure_table([b.assemble() for b in so_basis(sig)],
-                           functools.partial(_int_coordinates, sig))
+                           functools.partial(int_coordinates, sig))
 
 
 def _block_mismatch(sig: Signature, m):
@@ -540,7 +570,7 @@ def _block_mismatch(sig: Signature, m):
     return None
 
 
-def _int_coordinates(sig: Signature, m):
+def int_coordinates(sig: Signature, m):
     """Coordinates in the so_basis order of an assembled matrix given as
     rows of exact entries (the integer rows of `linalg.structure_table`);
     ValueError naming the first redundant block that `_block_mismatch`
@@ -549,7 +579,7 @@ def _int_coordinates(sig: Signature, m):
     if bad:
         raise ValueError(bad)
     return [m[r][c] if s > 0 else -m[r][c]
-            for r, c, s in _basis_positions(sig)]
+            for r, c, s in basis_positions(sig)]
 
 
 def jacobi_check(sig: Signature):

@@ -59,6 +59,9 @@ JACOBI = (T_LINALG + "test_jacobi_failures_match_the_ordered_triple_loop",
           "antisymmetric")
 EXP = (T_LINALG + "test_exp_nilpotent_matches_the_explicit_sum",)
 GRAM = (T_LINALG + "test_gram_check_matches_the_product_form",)
+JETS = (T_LINALG + "test_dual_arithmetic_skips_zero_parts_and_matches_the_"
+        "jet_formulas",)
+EQUALS = (T_LINALG + "test_int_mat_equality_matches_fraction_comparisons",)
 COMBINATION = (T_LINALG + "test_int_mat_combination_matches_fraction_"
                "arithmetic",)
 SO_PQ = (T_SO + "test_entrywise_so_pq_test_matches_the_product_form",
@@ -76,6 +79,7 @@ SL = "liecontact/path_sl.py"
 T_EXT = "tests/test_extension.py::"
 T_SL = "tests/test_path_sl.py::"
 ALPHA = (T_EXT + "test_alpha_matches_the_two_product_reference",)
+EXACT_I = (T_EXT + "test_exact_embedding_matches_the_fraction_assembly",)
 CONTRACTION = (T_EXT + "test_psi_from_cochain_matches_psi_of_the_hat_lifts"
                "[2-2]",)
 CODIFFERENTIAL = (T_EXT + "test_codifferential_matches_the_trace_pairing_"
@@ -169,6 +173,18 @@ MUTANTS = (
            "!= {c: v for c, v in reverse.items() if v}) and False:", JACOBI),
     Mutant("jacobi: weight 1 for a failing unordered triple", LINALG,
            "failures += 6", "failures += 1", JACOBI),
+    # jets that skip exact zeros
+    Mutant("jet product: re·du' dropped when du is zero", LINALG,
+           "du = a * db if a and db else _ZERO",
+           "du = a * db if a and db and da else _ZERO", JETS),
+    Mutant("jet quotient: the term re·du' of the divisor dropped", LINALG,
+           "re * other.du if re and other.du else _ZERO", "_ZERO", JETS),
+    # the +- comparison on integer rows
+    Mutant("IntMat.equals: the sign accepted when not asked for", LINALG,
+           "plus, minus = True, up_to_sign", "plus, minus = True, True",
+           EQUALS),
+    Mutant("IntMat.equals: rows compared without the cross denominators",
+           LINALG, "left = [b * x for x in ra]", "left = list(ra)", EQUALS),
     # the nilpotent exponential
     Mutant("exp_nilpotent: 1/j for 1/j!", LINALG,
            "Fraction(1, math.factorial(j))", "Fraction(1, j)", EXP),
@@ -191,9 +207,11 @@ MUTANTS = (
            "(-rows[i][j] if signs[i] == signs[j]",
            "(-rows[i][j] if signs[i] != signs[j]", SO_PQ),
     Mutant("ad_so: h^T as the inverse, without the form S", SO,
-           "h * x.assemble() * _ambient_inverse(self.sig, h))",
-           "h * x.assemble() * h.T)",
-           (T_SO + "test_q_adjoint_matches_matrix_conjugation",)),
+           "pair = (h, ambient_inverse(self.sig, h))",
+           "pair = (h, IntMat(h.d, h.cols,\n"
+           "                              [list(c) for c in zip(*h.dense)]))",
+           (T_SO + "test_q_adjoint_matches_matrix_conjugation",
+            T_SO + "test_q_integer_pair_is_the_matrix_and_its_inverse")),
     # the per-signature caches
     Mutant("ipq: rebuilt on every call", SO,
            "    @functools.cache\n    def ipq(self)", "    def ipq(self)",
@@ -224,7 +242,7 @@ MUTANTS = (
            (T_SO + "test_assemble_matches_the_block_products",)),
     # the one redundant-block check, behind from_matrix and the so table
     Mutant("from_matrix: block check removed", SO,
-           "if _block_mismatch(sig, m.data):", "if False:", BLOCKS),
+           "if _block_mismatch(sig, rows):", "if False:", BLOCKS),
     Mutant("block check: z block not compared", SO,
            "!= (0, -z, 0):", "!= (0, -z, 0) and False:", BLOCKS),
     Mutant("block check: D not tested for so(p,q)", SO,
@@ -272,8 +290,8 @@ MUTANTS = (
            "return (*((2 + k, 0) for k in range(2 * n)), (1, 0),",
            "return ((1, 0), *((2 + k, 0) for k in range(2 * n)),", SL_ORDER),
     Mutant("sl duals: units at the basis positions, not transposed", SL,
-           "_unit(m, c, r)) for r, c in _neg_positions(n)",
-           "_unit(m, r, c)) for r, c in _neg_positions(n)",
+           "_unit(m, c, r)) for r, c in neg_positions(n)",
+           "_unit(m, r, c)) for r, c in neg_positions(n)",
            SL_ORDER + (T_SL + "test_duals_pair_by_trace",)),
     Mutant("codifferential: [Z_a, Z_b] read at the basis positions", EXT,
            "(ra == sb, (rb, sa), -1)", "(ra == sb, (sa, rb), -1)",
@@ -306,9 +324,9 @@ MUTANTS = (
            "(Fraction(-c, comm.d), basis_images[k])",
            "(Fraction(c, comm.d), basis_images[k])", COCHAIN),
     Mutant("cochain: bracket coordinates read without the block check", EXT,
-           "coords = _int_coordinates(",
+           "coords = int_coordinates(",
            "coords = (lambda s, g: [g[r][c] * t for r, c, t\n"
-           "                             in _basis_positions(s)])(",
+           "                             in basis_positions(s)])(",
            (T_EXT + "test_obstruction_cochain_refuses_a_bracket_outside_the_"
             "algebra",)),
     # Psi read off the cochain, and the integer references beside it
@@ -329,12 +347,33 @@ MUTANTS = (
            (T_EXT + "test_r_block_matches_the_product_form",)),
     # the equivariance claims as products with i(h)
     Mutant("pair conditions: the two sides of alpha(Ad_h x)·i(h) swapped",
-           EXT, "lhs = alpha(h.ad_so(x)).mat * ih",
-           "lhs = ih * alpha(h.ad_so(x)).mat",
+           EXT, "lhs = IntMat.of(alpha(h.ad_so(x)).mat) * ih",
+           "lhs = ih * IntMat.of(alpha(h.ad_so(x)).mat)",
            (T_EXT + "test_pair_conditions_summary",)),
     Mutant("Psi equivariance: the two sides of i(h)·Psi(a, b) swapped", EXT,
-           "lhs = ih * phi.value(a, b).mat", "lhs = phi.value(a, b).mat * ih",
+           "lhs = ih * value", "lhs = value * ih",
            (T_EXT + "test_psi_equivariance",)),
+    Mutant("Psi equivariance: compared up to sign", EXT,
+           "ok = lhs.equals(rhs)\n", "ok = lhs.equals(rhs, up_to_sign=True)\n",
+           (T_EXT + "test_psi_equivariance_is_strict_about_the_sign",)),
+    Mutant("product-form loops: det i(h) not checked", EXT,
+           "return det(ih.to_mat()) == sign ** (h.sig.n + 1)",
+           "return True", (T_EXT + "test_product_form_loops_fail_on_a_wrong_"
+                           "embedding[zero]",)),
+    # i(h) on integer rows, and the one layout of its blocks
+    Mutant("i(h): the denominator without sbar", EXT,
+           "IntMat(den * sbar.numerator, len(rows), rows)",
+           "IntMat(den, len(rows), rows)", EXACT_I),
+    Mutant("i(h): the integers of B not rescaled to the lcm", EXT,
+           "f = sd * (den // (b.d * c.d))", "f = sd", EXACT_I),
+    Mutant("i(h) layout: one sign of the lower block", EXT,
+           "neg_s, neg_r = -s_, -r_", "neg_s, neg_r = s_, -r_",
+           (T_EXT + "test_pair_conditions_summary",
+            T_EXT + "test_i_prime_agrees_with_alpha_on_stabilizer")),
+    Mutant("alpha_restriction_matrix: rebuilt on every call", EXT,
+           "@functools.cache\ndef alpha_restriction_matrix(",
+           "def alpha_restriction_matrix(",
+           (T_EXT + "test_restriction_matrix_is_built_once_per_signature",)),
     Mutant("support: the trace read over every entry, not the diagonal",
            EXT, "sum(x for i, j, x in entries if i == j)",
            "sum(x for i, j, x in entries)", (T_EXT + "test_psi_support",)),

@@ -15,7 +15,7 @@ from liecontact.chains import (ChainCurve, ModelPoint, STensorEval, act,
                                gm1_units, origin, pipeline_s, rank_one_by_S,
                                reconstruct_cone, s_tensor)
 from liecontact.linalg import IntMat, Mat, exp_nilpotent, invert
-from liecontact.so_contact import (Signature, SoElement, _ambient_inverse,
+from liecontact.so_contact import (Signature, SoElement, ambient_inverse,
                                    bracket_gm1, segre_rank)
 from test_linalg import _corrupted, _sign_swap
 
@@ -139,12 +139,12 @@ def test_ambient_inverse_matches_elimination():
         gs = [samplers.rand_oform(sig, rng) for _ in range(6)]
         gs += [samplers.rand_q_element(sig, rng).assemble() for _ in range(6)]
         for g in gs:
-            inv = _ambient_inverse(sig, g)
+            inv = ambient_inverse(sig, g)
             assert inv == s * g.T * s
             assert inv == invert(g)
         # S·m^T·S on a matrix outside the group is still the product
         m = samplers.rand_mat(rng, sig.n + 4, sig.n + 4)
-        assert _ambient_inverse(sig, m) == s * m.T * s
+        assert ambient_inverse(sig, m) == s * m.T * s
 
 
 def test_affine_frame_matches_the_exponential():

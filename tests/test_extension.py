@@ -17,8 +17,9 @@ from liecontact.extension import (Cochain2, alpha, alpha_restriction_matrix,
                                   psi_gq, psi_support_report, psi_trilinear,
                                   q_tangent_basis, r_block_path,
                                   symmetrized_reference)
-from liecontact.linalg import DualRat, Mat, det, max_abs, solve_linear
-from liecontact.path_sl import (SlElement, _neg_positions, sl_bracket,
+from liecontact.linalg import (DualRat, IntMat, Mat, det, max_abs, rat_sqrt,
+                               solve_linear)
+from liecontact.path_sl import (SlElement, neg_positions, sl_bracket,
                                 sl_neg_basis, sl_neg_coordinates,
                                 sl_neg_duals, sl_neg_slots, w0)
 from liecontact.so_contact import (QGroupElement, Signature, SoElement,
@@ -232,6 +233,25 @@ def test_i_map_float_matches_exact_on_square_determinants():
             assert max_abs(exact - approx) < 1e-9
 
 
+def test_exact_embedding_matches_the_fraction_assembly():
+    # the integer route of i(h) against the shared assembly run on
+    # Fractions, at every signature with 2 <= n <= 6 and both orientations
+    # of det B
+    rng = random.Random(63)
+    for sig in DOMAIN_SIGS:
+        orientations = set()
+        while len(orientations) < 2:
+            h = samplers.rand_q_square(sig, rng)
+            beta = h.det_b()
+            orientations.add(beta > 0)
+            ref = extension._i_assemble(sig.n, h.B, h.C, h.w, beta,
+                                        rat_sqrt(abs(beta)), Fraction(0))
+            exact = extension._i_exact(h)
+            assert exact.to_mat() == ref, h
+            assert i_map(h) == ref
+            assert exact.equals(IntMat.of(ref))
+
+
 def test_i_prime_agrees_with_alpha_on_stabilizer():
     for sig in SIGS:
         for a, d, w in q_tangent_basis(sig):
@@ -277,12 +297,21 @@ def test_i_map_determinant_is_a_sign():
         assert signs == ({1} if sig.n % 2 else {1, -1})
 
 
-@pytest.mark.parametrize("wrong", ["identity", "transpose"])
+def _identity_rows(m):
+    return IntMat(1, m, sparse=[[(i, 1)] for i in range(m)])
+
+
+@pytest.mark.parametrize("wrong", ["identity", "transpose", "zero"])
 def test_product_form_loops_fail_on_a_wrong_embedding(monkeypatch, wrong):
-    exact = extension.i_map
-    monkeypatch.setattr(extension, "i_map", {
-        "identity": lambda h: Mat.identity(2 * h.sig.n + 2),
-        "transpose": lambda h: exact(h).T}[wrong])
+    # the loops read i(h) from the exact route, so the wrong one goes there;
+    # the zero matrix passes every product and fails only the determinant
+    exact = extension._i_exact
+    monkeypatch.setattr(extension, "_i_exact", {
+        "identity": lambda h: _identity_rows(2 * h.sig.n + 2),
+        "transpose": lambda h: IntMat(exact(h).d, 2 * h.sig.n + 2,
+                                      [list(c) for c in zip(*exact(h).dense)]),
+        "zero": lambda h: IntMat(1, 2 * h.sig.n + 2,
+                                 sparse=[[]] * (2 * h.sig.n + 2))}[wrong])
     for sig in SIGS:
         out = check_pair_conditions(sig, trials=10, seed=0)
         assert out["equivariance_failures"] > 0
@@ -317,7 +346,7 @@ def _rand_sl_neg(n, rng):
     # an element of the negative slots with random entries in basis order
     m = 2 * n + 2
     rows = [[Fraction(0)] * m for _ in range(m)]
-    for r, c in _neg_positions(n):
+    for r, c in neg_positions(n):
         rows[r][c] = samplers.rand_fraction(rng)
     return SlElement(n, Mat(rows))
 
@@ -329,6 +358,11 @@ def test_rand_sl_neg_lands_in_negative_slots():
             z = _rand_sl_neg(n, rng)
             assert z.in_slots(("m2", "m1E", "m1V"))
             assert not z.is_zero()
+
+
+def test_restriction_matrix_is_built_once_per_signature():
+    for sig in SIGS:
+        assert alpha_restriction_matrix(sig) is alpha_restriction_matrix(sig)
 
 
 def test_hat_lift_matches_direct_solve():
@@ -479,6 +513,15 @@ def test_psi_support_flags_a_value_outside_the_block(monkeypatch):
 def test_psi_equivariance():
     for sig in SIGS:
         assert psi_equivariance_check(sig, trials=8, seed=1) == 0
+
+
+def test_psi_equivariance_is_strict_about_the_sign(monkeypatch):
+    # -Psi meets the product form up to sign only, so the loop fails it
+    cochain = extension.build_psi_cochain
+    monkeypatch.setattr(extension, "build_psi_cochain", lambda sig: Cochain2(
+        sig.n, {k: -v for k, v in cochain(sig).table.items()}))
+    for sig in SIGS:
+        assert psi_equivariance_check(sig, trials=4, seed=1) == 4
 
 
 def test_trilinear_constant_value():

@@ -57,6 +57,39 @@ def test_dual_mixes_with_fractions():
     assert (y.re, y.du) == (2, 1)
 
 
+JET_PARTS = (Fraction(0), Fraction(0), Fraction(2, 3), Fraction(-5),
+             Fraction(7, 4))
+
+
+def _jets(rng, count):
+    return [DualRat(rng.choice(JET_PARTS), rng.choice(JET_PARTS))
+            for _ in range(count)]
+
+
+def test_dual_arithmetic_skips_zero_parts_and_matches_the_jet_formulas():
+    # every part is a Fraction, and zero parts give the plain formulas too
+    rng = random.Random(59)
+    for x, y in zip(_jets(rng, 200), _jets(rng, 200)):
+        a, da, b, db = x.re, x.du, y.re, y.du
+        cases = [(x + y, (a + b, da + db)), (x - y, (a - b, da - db)),
+                 (-x, (-a, -da)), (x * y, (a * b, a * db + da * b)),
+                 (3 * x, (3 * a, 3 * da)), (x + 2, (a + 2, da))]
+        if b:
+            cases.append((x / y, (a / b, (da * b - a * db) / (b * b))))
+        for got, want in cases:
+            assert (got.re, got.du) == want, (x, y)
+            assert type(got.re) is Fraction and type(got.du) is Fraction
+    for root in (Fraction(1), Fraction(3, 2)):
+        for du in JET_PARTS:
+            s = DualRat(root * root, du).sqrt()
+            assert (s.re, s.du) == (root, du / (2 * root))
+            assert type(s.du) is Fraction
+    with pytest.raises(TypeError, match="float"):
+        DualRat(0.5)
+    with pytest.raises(TypeError, match="float"):
+        DualRat(1, 0.5)
+
+
 def test_mat_basic_operations():
     a = Mat([[1, 2], [3, 4]]).map(Fraction)
     b = Mat.identity(2)
@@ -451,14 +484,40 @@ def test_int_mat_combination_matches_fraction_arithmetic():
                             (1, IntMat.of(Mat.identity(3)))])
 
 
-def test_no_module_imports_a_private_name_of_linalg():
-    """The integer rows of `linalg` are reached through `IntMat` only."""
+def _int_mat_over(im, k):
+    """im with its integers and its denominator multiplied by k."""
+    return IntMat(k * im.d, im.cols, [[k * x for x in r] for r in im.dense])
+
+
+def test_int_mat_equality_matches_fraction_comparisons():
+    rng = random.Random(73)
+    for rows, cols in INT_MAT_SHAPES:
+        for integer in (True, False):
+            a = _rand_rational_mat(rng, rows, cols, integer)
+            moved = [list(r) for r in a.data]
+            moved[rng.randrange(rows)][rng.randrange(cols)] += Fraction(1, 3)
+            zero = Mat.zeros(rows, cols)
+            for b in (a, -a, Mat(moved), -Mat(moved), zero, 2 * a):
+                for x, y in ((a, b), (b, a), (zero, b)):
+                    ix = IntMat.of(x)
+                    iy = _int_mat_over(IntMat.of(y), rng.choice((1, 2, 15)))
+                    assert ix.equals(iy) == (x == y)
+                    assert ix.equals(iy, up_to_sign=True) == (x == y
+                                                              or x == -y)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        IntMat.of(Mat.zeros(2, 3)).equals(IntMat.of(Mat.zeros(3, 2)))
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A module reaches another only through its public names."""
     found = []
     for path in sorted(Path(liecontact.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.ImportFrom) and (node.level, node.module)
-                    in ((1, "linalg"), (0, "liecontact.linalg"))):
-                found += ["%s imports %s" % (path.name, alias.name)
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level == 1 or node.module == "liecontact"
+                         or (node.module or "").startswith("liecontact."))):
+                found += ["%s imports %s from %s" % (path.name, alias.name,
+                                                     node.module)
                           for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []

@@ -8,7 +8,7 @@ import pytest
 from liecontact import samplers
 from liecontact.linalg import Mat, SignedPerm, commutator, det, invert
 from liecontact.so_contact import (G0Element, QGroupElement, Signature,
-                                   SoElement, _int_coordinates, _is_so_pq,
+                                   SoElement, int_coordinates, _is_so_pq,
                                    ad_g0, bracket, bracket_gm1,
                                    equivariance_checks, grading_check,
                                    inner, jacobi_check, rank_one_bracket,
@@ -299,7 +299,7 @@ def test_table_basis_matches_the_block_by_block_oracle():
             + [1] * (2 * n) + [2])
         for x in basis + [samplers.rand_so_element(sig, rng)
                           for _ in range(10)]:
-            assert (_int_coordinates(sig, x.assemble().data)
+            assert (int_coordinates(sig, x.assemble().data)
                     == _so_coordinates_by_blocks(x))
 
 
@@ -310,13 +310,13 @@ def test_table_coordinates_refuse_every_corrupted_entry():
         for x in (so_basis(sig)[1], 2 * so_basis(sig)[-2] - so_basis(sig)[0]):
             m = x.assemble()
             rows = [[int(e) for e in r] for r in m.data]
-            assert _int_coordinates(sig, rows) == _so_coordinates_by_blocks(x)
+            assert int_coordinates(sig, rows) == _so_coordinates_by_blocks(x)
             for r in range(size):
                 for c in range(size):
                     bad = [list(row) for row in rows]
                     bad[r][c] += 3
                     with pytest.raises(ValueError):
-                        _int_coordinates(sig, bad)
+                        int_coordinates(sig, bad)
 
 
 def test_bracket_antisymmetry_and_signature_guard():
@@ -531,6 +531,17 @@ def test_q_adjoint_matches_matrix_conjugation():
             assert lhs == m * x.assemble() * invert(m)
 
 
+def test_q_integer_pair_is_the_matrix_and_its_inverse():
+    rng = random.Random(23)
+    for sig in SIGS:
+        for _ in range(5):
+            h = samplers.rand_q_element(sig, rng)
+            pair = h._int_pair()
+            assert h._int_pair() is pair
+            m = h.assemble()
+            assert [x.to_mat() for x in pair] == [m, invert(m)]
+
+
 def test_q_adjoint_on_negative_part_matches_g0_formula():
     rng = random.Random(21)
     sig = Signature(2, 1)
@@ -556,7 +567,7 @@ def test_basis_coordinates_round_trip():
         for _ in range(10):
             x = samplers.rand_so_element(sig, rng)
             acc = SoElement.zero(sig)
-            for c, b in zip(_int_coordinates(sig, x.assemble().data), basis):
+            for c, b in zip(int_coordinates(sig, x.assemble().data), basis):
                 acc = acc + c * b
             assert acc == x
 
