@@ -38,8 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None,
                         help="write the JSON report here instead of stdout")
     parser.add_argument("--timings", action="store_true",
-                        help="fill wall_time fields (breaks byte-identical "
-                             "reports)")
+                        help="fill wall_time fields and keep every suite in "
+                             "this process, so that each time is its "
+                             "record's own (breaks byte-identical reports)")
     parser.add_argument("--export-chain", metavar="PATH", default=None,
                         help="write a sampled chain trajectory CSV")
     parser.add_argument("--chain-g", choices=("identity", "random"),

@@ -32,7 +32,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .linalg import (DualRat, IntMat, Mat, det, exp_float, invert, max_abs,
-                     rank_kernel, rat_sqrt)
+                     rank_kernel, rat, rat_sqrt)
 from .path_sl import (SlElement, neg_positions, sl_bracket, sl_neg_basis,
                       sl_neg_coordinates, sl_neg_degrees, sl_neg_slots, w0)
 from .so_contact import (QGroupElement, Signature, SoElement,
@@ -40,57 +40,45 @@ from .so_contact import (QGroupElement, Signature, SoElement,
                          int_coordinates, so_basis, so_basis_degrees)
 from . import samplers
 
-HALF = Fraction(1, 2)
-
 
 def alpha(x: SoElement) -> SlElement:
-    """The matrix of the module docstring. Each entry costs at most one
-    product: the form signs s = +-1 enter as negations or as the constants
-    +-s/2, and an exact zero Fraction entry of X or U leaves the shared zero
-    in place."""
+    """The matrix of the module docstring, the Mat view of `_alpha_int`."""
+    return SlElement(x.sig.n, _alpha_int(x).to_mat())
+
+
+def _alpha_int(x: SoElement) -> IntMat:
+    """alpha(x) as integers over 2L, L the lcm of the denominators of x's
+    blocks: an entry e of x is the integer k = e·L over L, so e is 2k over
+    2L and e/2 is k. The form signs s = +-1 enter as negations. Integer
+    entries are read as rationals, and floats are refused (TypeError)."""
     sig = x.sig
     n = sig.n
-    a, b = x.A[0, 0], x.A[0, 1]
-    c, d = x.A[1, 0], x.A[1, 1]
+    blocks = [[[rat(e) for e in r] for r in m.data]
+              for m in (x.A, x.X, x.U, x.D)]
+    big = math.lcm(x.z.denominator, x.w.denominator,
+                   *[e.denominator for m in blocks for r in m for e in r])
+    ((a, b), (c, d)), xs, (u0, u1), ds = [
+        [[e.numerator * (big // e.denominator) for e in r] for r in m]
+        for m in blocks]
+    z, w = (e.numerator * (big // e.denominator) for e in (x.z, x.w))
     m = 2 * n + 2
-    zero = Fraction(0)
-    rows = [[zero] * m for _ in range(m)]
-    rows[0][0] = HALF * (a + d)
-    rows[0][1] = -x.w
-    rows[1][0] = x.z
-    rows[1][1] = -HALF * (a + d)
+    rows = [[0] * m for _ in range(m)]
     top, mid = rows[0], rows[1]
-    minus_half, neg_b, neg_c = -HALF, -b, -c
-    shift0, shift1 = HALF * (d - a), HALF * (a - d)
-    for i, (s, u0, u1, (x0, x1)) in enumerate(zip(sig.signs(), *x.U.data,
-                                                   x.X.data)):
-        # the constants s/2 and -s/2
-        sh, msh = (HALF, minus_half) if s > 0 else (minus_half, HALF)
+    top[0], top[1] = a + d, -2 * w
+    mid[0], mid[1] = 2 * z, -(a + d)
+    for i, (s, (x0, x1), dr) in enumerate(zip(sig.signs(), xs, ds)):
         r0, r1 = rows[2 + i], rows[2 + n + i]
-        if not _exact_zero(u0):
-            top[2 + i] = HALF * u0
-            r1[1] = u0 if s > 0 else -u0
-        if not _exact_zero(u1):
-            top[2 + n + i] = HALF * u1
-            r0[1] = -u1 if s > 0 else u1
-        if not _exact_zero(x1):
-            mid[2 + i] = msh * x1
-        if not _exact_zero(x0):
-            mid[2 + n + i] = sh * x0
-        r0[0] = x0
-        r1[0] = x1
-        r0[2 + n + i] = neg_c
-        r1[2 + i] = neg_b
-        for j, e in enumerate(x.D.data[i]):
-            r0[2 + j] = e
-            r1[2 + n + j] = e
-        r0[2 + i] += shift0
-        r1[2 + n + i] += shift1
-    return SlElement(n, Mat(rows))
-
-
-def _exact_zero(e) -> bool:
-    return type(e) is Fraction and not e
+        top[2 + i], top[2 + n + i] = u0[i], u1[i]
+        mid[2 + i], mid[2 + n + i] = (-x1, x0) if s > 0 else (x1, -x0)
+        r0[0], r1[0] = 2 * x0, 2 * x1
+        r0[1], r1[1] = ((-2 * u1[i], 2 * u0[i]) if s > 0
+                        else (2 * u1[i], -2 * u0[i]))
+        r0[2 + n + i], r1[2 + i] = -2 * c, -2 * b
+        for j, e in enumerate(dr):
+            r0[2 + j] = r1[2 + n + j] = 2 * e
+        r0[2 + i] += d - a
+        r1[2 + n + i] += a - d
+    return IntMat(2 * big, m, rows)
 
 
 def i_map(h: QGroupElement) -> Mat:
@@ -466,9 +454,9 @@ def build_psi_cochain(sig: Signature) -> Cochain2:
     raises when it leaves so(p+2, q+2), and alpha of it is the same
     combination of the alpha images of the so_basis, alpha being linear."""
     lifts = _basis_lifts(sig)
-    images = IntMat.common([alpha(x).mat for x in lifts])
+    images = IntMat.aligned([_alpha_int(x) for x in lifts])
     mats = IntMat.common([x.assemble() for x in lifts])
-    basis_images = IntMat.common([alpha(e).mat for e in so_basis(sig)])
+    basis_images = IntMat.aligned([_alpha_int(e) for e in so_basis(sig)])
     table = {}
     for a in range(len(lifts)):
         for b in range(a + 1, len(lifts)):
@@ -640,8 +628,8 @@ def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
         h = samplers.rand_q_square(sig, rng)
         x = samplers.rand_so_element(sig, rng)
         ih = _i_exact(h)
-        lhs = IntMat.of(alpha(h.ad_so(x)).mat) * ih
-        rhs = ih * IntMat.of(alpha(x).mat)
+        lhs = _alpha_int(h.ad_so(x)) * ih
+        rhs = ih * _alpha_int(x)
         ok = lhs.equals(rhs, up_to_sign=True)
         if not (ok and (trial or _det_is_a_sign(h, ih))):
             equivariance_failures += 1

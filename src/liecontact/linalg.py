@@ -392,12 +392,17 @@ class IntMat:
     def common(cls, mats):
         """The matrices mats, each read as by `of`, over one common
         denominator: the lcm of their own."""
-        scaled = [cls.of(m) for m in mats]
-        d = math.lcm(*[s.d for s in scaled])
+        return cls.aligned([cls.of(m) for m in mats])
+
+    @classmethod
+    def aligned(cls, ints):
+        """The IntMats ints over one common denominator: the lcm of their
+        own."""
+        d = math.lcm(*[s.d for s in ints])
         return [s if s.d == d else
                 cls(d, s.cols, sparse=[[(j, x * (d // s.d)) for j, x in r]
                                        for r in s.sparse])
-                for s in scaled]
+                for s in ints]
 
     @property
     def dense(self):

@@ -10,12 +10,16 @@ records {name, claim, status, trials, witness, wall_time}; the command
 line and the acceptance criteria both go through it. Suites draw their
 randomness from a seed folded with the suite name, so selecting a subset
 of suites never shifts the random streams of the others and reports stay
-byte-identical across subset choices.
+byte-identical across subset choices. It also lets `run` give each suite
+after the first to a forked worker process, so that the suites of one
+report run concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
 import time
 import zlib
@@ -148,16 +152,21 @@ def run_checks(sig: Signature, rng, trials: int, checks, timings=False):
             ok, witness = check.fn(*args)
         except Exception as exc:
             ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-        records.append({
-            "name": check.name,
-            "claim": check.claim,
-            "status": "pass" if ok else "fail",
-            "trials": count,
-            "witness": None if ok else (witness or
-                                        "counterexample not captured"),
-            "wall_time": (time.perf_counter() - started) if timings else None,
-        })
+        records.append(_record(
+            check, count, ok, witness,
+            (time.perf_counter() - started) if timings else None))
     return records
+
+
+def _record(check, count, ok, witness, wall_time):
+    return {
+        "name": check.name,
+        "claim": check.claim,
+        "status": "pass" if ok else "fail",
+        "trials": count,
+        "witness": None if ok else (witness or "counterexample not captured"),
+        "wall_time": wall_time,
+    }
 
 
 @_declare("algebra", "jacobi-basis-triples",
@@ -524,15 +533,17 @@ class SuiteConfig:
 
 
 def run(config: SuiteConfig) -> dict:
-    """Execute the selected suites in declaration order and assemble the
-    report dictionary (JSON-ready)."""
+    """Execute the selected suites and assemble the report dictionary
+    (JSON-ready), its records in declaration order. A run of more than one
+    suite runs them concurrently (`_run_forked`), unless it fills
+    wall_time: then every suite runs in this process, so that each
+    wall_time is its record's own time and not the contention between
+    suites."""
     suites = [s for s in SUITE_NAMES if s in config.suites]
-    records = []
-    for suite in suites:
-        rng = random.Random(config.seed ^ zlib.crc32(suite.encode("ascii")))
-        records.extend(run_checks(
-            config.sig, rng, config.trials,
-            [c for c in CHECKS if c.suite == suite], config.timings))
+    if config.timings or len(suites) == 1:
+        records = [r for s in suites for r in _suite_records(config, s)]
+    else:
+        records = _run_forked(config, suites)
     ok = all(r["status"] == "pass" for r in records)
     return {
         "schema": 1,
@@ -544,3 +555,86 @@ def run(config: SuiteConfig) -> dict:
         "status": "pass" if ok else "fail",
         "records": records,
     }
+
+
+def _suite_checks(suite):
+    return [c for c in CHECKS if c.suite == suite]
+
+
+def _suite_records(config: SuiteConfig, suite: str):
+    """The suite's records, on its own stream: the seed folded with the
+    suite name."""
+    rng = random.Random(config.seed ^ zlib.crc32(suite.encode("ascii")))
+    return run_checks(config.sig, rng, config.trials, _suite_checks(suite),
+                      config.timings)
+
+
+def _run_forked(config: SuiteConfig, suites):
+    """The records of `suites`, in order. Each suite after the first runs in
+    an os.fork()ed worker that writes its records as JSON to a pipe, while
+    this process runs the first suite; the workers' records are then read
+    in suite order. A worker that ends before it reports gives each check
+    of its suite a failing record whose witness says how it ended. Every
+    worker still running when this returns or raises is killed, and every
+    worker is reaped."""
+    pids, pipes = {}, {}
+    try:
+        for suite in suites[1:]:
+            pids[suite], pipes[suite] = _fork(config, suite,
+                                              list(pipes.values()))
+        records = _suite_records(config, suites[0])
+        for suite in suites[1:]:
+            with open(pipes.pop(suite), "rb") as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(suite),
+                                                        0)[1])
+            if code == 0 and data:
+                records += json.loads(data)
+            else:
+                records += _unreported(config, suite, code)
+        return records
+    finally:
+        for fd in pipes.values():
+            os.close(fd)
+        if pids:
+            import signal  # only here: the import costs start-up time
+            for pid in pids.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork(config: SuiteConfig, suite: str, inherited):
+    """(pid, read end of its pipe) of a worker that writes the suite's
+    records to the pipe and leaves through os._exit, with status 0 once
+    they are written. `inherited` are the read ends of the earlier
+    workers' pipes, which the worker closes."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for fd in (read, *inherited):
+                os.close(fd)
+            data = json.dumps(_suite_records(config, suite)).encode()
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _unreported(config: SuiteConfig, suite: str, code: int):
+    """Failing records for the checks of a suite whose worker ended with
+    exit code `code`, or by signal -code, before it reported."""
+    how = ("was killed by signal %d" % -code if code < 0
+           else "exited with status %d" % code)
+    witness = "the %s worker %s before it reported" % (suite, how)
+    return [_record(c, c.rule(config.sig, config.trials), False, witness,
+                    None) for c in _suite_checks(suite)]

@@ -316,9 +316,20 @@ def _check_orthogonal(sig: Signature, c: Mat) -> None:
         raise ValueError("C is not orthogonal for the (p,q) form")
 
 
+def _det2(m: Mat) -> Fraction:
+    """ad - bc of the 2x2 matrix m = [[a, b], [c, d]]."""
+    (a, b), (c, d) = m.data
+    return a * d - b * c
+
+
 def _check_g0(sig: Signature, b: Mat, c: Mat) -> None:
-    """ValueError unless B is invertible and C lies in O(p, q)."""
-    if det(b) == 0:
+    """ValueError unless B is an invertible 2x2 matrix and C lies in
+    O(p, q); TypeError unless the entries of B are Fractions."""
+    if b.rows != 2 or b.cols != 2:
+        raise ValueError("B must be 2x2")
+    if any(type(e) is not Fraction for r in b.data for e in r):
+        raise TypeError("B needs Fraction entries: %r" % (b,))
+    if _det2(b) == 0:
         raise ValueError("B must be invertible")
     _check_orthogonal(sig, c)
 
@@ -408,7 +419,13 @@ class QGroupElement:
         return cls(sig, Mat.identity(2), Mat.identity(sig.n), 0)
 
     def det_b(self) -> Fraction:
-        return det(self.B)
+        return _det2(self.B)
+
+    def _b_inverse(self) -> Mat:
+        """B^-1, the adjugate of B over its determinant."""
+        (a, b), (c, d) = self.B.data
+        beta = self.det_b()
+        return Mat([[d / beta, -b / beta], [-c / beta, a / beta]])
 
     def assemble(self) -> Mat:
         """The matrix of the class docstring, built on the first call and
@@ -419,7 +436,7 @@ class QGroupElement:
             h = Mat.block([
                 [self.B, Mat.zeros(2, n), self.w * (self.B * J2)],
                 [Mat.zeros(n, 2), self.C, Mat.zeros(n, 2)],
-                [Mat.zeros(2, 2), Mat.zeros(2, n), invert(self.B).T],
+                [Mat.zeros(2, 2), Mat.zeros(2, n), self._b_inverse().T],
             ])
             object.__setattr__(self, "_matrix", h)
         return h
@@ -427,13 +444,13 @@ class QGroupElement:
     def compose(self, other: "QGroupElement") -> "QGroupElement":
         """Group law in block data; matches the assembled matrix product."""
         _check_sig(self, other)
-        w = other.w + self.w / det(other.B)
+        w = other.w + self.w / other.det_b()
         return QGroupElement(self.sig, self.B * other.B, self.C * other.C, w)
 
     def inverse(self) -> "QGroupElement":
         cinv = self.sig.ipq_perm().conjugate_transpose(self.C)  # Ipq C^T Ipq
-        return QGroupElement(self.sig, invert(self.B), cinv,
-                             -self.w * det(self.B))
+        return QGroupElement(self.sig, self._b_inverse(), cinv,
+                             -self.w * self.det_b())
 
     def _int_pair(self):
         """(h, h^-1) as IntMats over one denominator: the assembled matrix

@@ -52,6 +52,7 @@ PRODUCT = (T_LINALG + "test_kernel_product_matches_triple_loop",
            T_LINALG + "test_kernel_commutator_matches_reference")
 G0_TESTS = (T_SO + "test_group_elements_reject_singular_b_and_"
             "non_orthogonal_c",)
+Q_BLOCK = (T_SO + "test_q_closed_form_block_matches_elimination",)
 LINEAR = (T_LINALG + "test_linear_operations_match_the_entrywise_reference",
           T_LINALG + "test_scalar_products_match_the_entrywise_reference")
 JACOBI = (T_LINALG + "test_jacobi_failures_match_the_ordered_triple_loop",
@@ -69,6 +70,7 @@ SO_PQ = (T_SO + "test_entrywise_so_pq_test_matches_the_product_form",
 EXPORT_ERRORS = ("tests/test_report.py::"
                  "test_cli_export_errors_come_before_any_work",)
 REPORT = "liecontact/report.py"
+T_REPORT = "tests/test_report.py::"
 TRIAL_LOOP = tuple("tests/test_report.py::test_trial_loop_" + name
                    for name in ("draws_every_trial_and_sets_up_once",
                                 "stops_at_the_first_failing_trial",
@@ -78,7 +80,8 @@ EXT = "liecontact/extension.py"
 SL = "liecontact/path_sl.py"
 T_EXT = "tests/test_extension.py::"
 T_SL = "tests/test_path_sl.py::"
-ALPHA = (T_EXT + "test_alpha_matches_the_two_product_reference",)
+ALPHA = (T_EXT + "test_alpha_matches_the_two_product_reference",
+         T_EXT + "test_integer_alpha_matches_the_fraction_formula")
 EXACT_I = (T_EXT + "test_exact_embedding_matches_the_fraction_assembly",)
 CONTRACTION = (T_EXT + "test_psi_from_cochain_matches_psi_of_the_hat_lifts"
                "[2-2]",)
@@ -310,12 +313,16 @@ MUTANTS = (
            "sum(e.numerator for e in diag)",
            (T_SL + "test_trace_free_check_matches_the_trace",)),
     Mutant("alpha: s*U_0 without the sign on negative forms", EXT,
-           "r1[1] = u0 if s > 0 else -u0", "r1[1] = u0", ALPHA),
-    Mutant("alpha: the halves +-s/2 swapped on negative forms", EXT,
-           "if s > 0 else (minus_half, HALF)",
-           "if s > 0 else (HALF, minus_half)", ALPHA),
-    Mutant("alpha: float zeros left as the shared Fraction zero", EXT,
-           "return type(e) is Fraction and not e", "return not e", ALPHA),
+           "else (2 * u1[i], -2 * u0[i]))", "else (2 * u1[i], 2 * u0[i]))",
+           ALPHA),
+    Mutant("alpha: the form sign of the X_1, X_2 entries flipped", EXT,
+           "(-x1, x0) if s > 0 else (x1, -x0)",
+           "(x1, -x0) if s > 0 else (-x1, x0)", ALPHA),
+    Mutant("alpha: U/2 in the top row without its 1/2", EXT,
+           "top[2 + i], top[2 + n + i] = u0[i], u1[i]",
+           "top[2 + i], top[2 + n + i] = 2 * u0[i], 2 * u1[i]", ALPHA),
+    Mutant("alpha: the integers over L, not 2L", EXT,
+           "IntMat(2 * big, m, rows)", "IntMat(big, m, rows)", ALPHA),
     # the obstruction cochain on integer rows
     Mutant("cochain: alpha images of the pair swapped", EXT,
            "images[a].commutator(images[b])",
@@ -347,8 +354,8 @@ MUTANTS = (
            (T_EXT + "test_r_block_matches_the_product_form",)),
     # the equivariance claims as products with i(h)
     Mutant("pair conditions: the two sides of alpha(Ad_h x)·i(h) swapped",
-           EXT, "lhs = IntMat.of(alpha(h.ad_so(x)).mat) * ih",
-           "lhs = ih * IntMat.of(alpha(h.ad_so(x)).mat)",
+           EXT, "lhs = _alpha_int(h.ad_so(x)) * ih",
+           "lhs = ih * _alpha_int(h.ad_so(x))",
            (T_EXT + "test_pair_conditions_summary",)),
     Mutant("Psi equivariance: the two sides of i(h)·Psi(a, b) swapped", EXT,
            "lhs = ih * value", "lhs = value * ih",
@@ -489,9 +496,34 @@ MUTANTS = (
     Mutant("trial loop: a witness without its inputs", REPORT,
            "for item in inputs.items())", "for item in {}.items())",
            TRIAL_LOOP),
+    # the suites of one run in forked workers
+    Mutant("runner: the workers' records read in reverse suite order",
+           REPORT, "for suite in suites[1:]:\n            with open(",
+           "for suite in reversed(suites[1:]):\n            with open(",
+           (T_REPORT + "test_concurrent_report_equals_the_in_process_"
+            "report",)),
+    Mutant("runner: a dead worker's suite dropped, not failed", REPORT,
+           "records += _unreported(config, suite, code)", "records += []",
+           (T_REPORT + "test_a_worker_that_ends_early_fails_its_suite",)),
+    Mutant("runner: --timings no longer keeps the suites in process", REPORT,
+           "if config.timings or len(suites) == 1:",
+           "if len(suites) == 1:",
+           (T_REPORT + "test_only_a_run_without_timings_leaves_this_"
+            "process",)),
     # the group-element checks and the CLI
     Mutant("G0: skip the invertibility check", "liecontact/so_contact.py",
-           "if det(b) == 0:", "if False:", G0_TESTS),
+           "if _det2(b) == 0:", "if False:", G0_TESTS),
+    Mutant("G0: accept a B that is not 2x2", SO,
+           "if b.rows != 2 or b.cols != 2:", "if False:",
+           (T_SO + "test_group_elements_reject_a_b_that_is_not_2x2",)),
+    # the closed form of the 2x2 block B
+    Mutant("det_b: ad + bc", SO, "return a * d - b * c",
+           "return a * d + b * c", Q_BLOCK),
+    Mutant("B^-1: the adjugate without its signs", SO,
+           "[[d / beta, -b / beta], [-c / beta, a / beta]]",
+           "[[d / beta, b / beta], [c / beta, a / beta]]", Q_BLOCK),
+    Mutant("Q assemble: B^-1 where (B^-1)^T belongs", SO,
+           "self._b_inverse().T]", "self._b_inverse()]", Q_BLOCK),
     Mutant("G0: skip the orthogonality check", "liecontact/so_contact.py",
            "if not IntMat.of(c).gram_equals(ipq, ipq):", "if False:",
            G0_TESTS + (T_SO + "test_equivariance_rejects_non_orthogonal_c",)),

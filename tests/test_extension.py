@@ -1,5 +1,6 @@
 """Tests for the embedding of the stabilizer group and the obstruction map."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -133,27 +134,81 @@ def _oracle_elements(sig, rng):
     return out
 
 
-@pytest.mark.parametrize("entries", ["Fraction", "int", "float", "DualRat"])
+@pytest.mark.parametrize("entries", ["Fraction", "int"])
 def test_alpha_matches_the_two_product_reference(entries):
-    # 12 * e is an integer for the sampled entries, so float sums are exact
-    # and the trace check passes on every entry type
-    convert = {"Fraction": lambda e: e, "int": lambda e: int(12 * e),
-               "float": lambda e: float(12 * e),
-               "DualRat": lambda e: DualRat(e, 2 * e)}[entries]
+    # integer entries are read as rationals, so every entry is a Fraction
+    convert = {"Fraction": lambda e: e, "int": lambda e: int(12 * e)}[entries]
     rng = random.Random(58)
     for sig in ORACLE_SIGS:
         for x in _oracle_elements(sig, rng):
             x = SoElement(sig, z=x.z, X=x.X.map(convert), A=x.A.map(convert),
                           D=x.D.map(convert), U=x.U.map(convert), w=x.w)
             got = alpha(x).mat
-            assert _typed_entries(got) == _typed_entries(
-                _alpha_by_products(x)), (sig, x)
-            if entries == "Fraction":
-                assert all(type(e) is Fraction for r in got.data for e in r)
-            if entries == "int":
-                n = sig.n
-                halved = [got[r, 2 + j] for r in (0, 1) for j in range(2 * n)]
-                assert all(type(e) is Fraction for e in halved)
+            assert got == _alpha_by_products(x), (sig, x)
+            assert all(type(e) is Fraction for r in got.data for e in r)
+
+
+@pytest.mark.parametrize("entry", [0.5, DualRat(Fraction(1), Fraction(2))],
+                         ids=["float", "DualRat"])
+def test_alpha_refuses_entries_that_are_not_rational(entry):
+    sig = Signature(2, 1)
+    zero = Fraction(0)
+    x = SoElement(sig, X=Mat([[entry, zero], [zero, zero], [zero, zero]]))
+    with pytest.raises(TypeError):
+        alpha(x)
+
+
+def _alpha_fractions(x):
+    # the Fraction formula alpha had before it ran on integer rows: at most
+    # one product per entry, the form signs as negations or as +-s/2
+    sig = x.sig
+    n = sig.n
+    a, b = x.A[0, 0], x.A[0, 1]
+    c, d = x.A[1, 0], x.A[1, 1]
+    half = Fraction(1, 2)
+    m = 2 * n + 2
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    rows[0][0] = half * (a + d)
+    rows[0][1] = -x.w
+    rows[1][0] = x.z
+    rows[1][1] = -half * (a + d)
+    top, mid = rows[0], rows[1]
+    for i, (s, u0, u1, (x0, x1)) in enumerate(zip(sig.signs(), *x.U.data,
+                                                   x.X.data)):
+        sh, msh = (half, -half) if s > 0 else (-half, half)
+        r0, r1 = rows[2 + i], rows[2 + n + i]
+        top[2 + i] = half * u0
+        r1[1] = u0 if s > 0 else -u0
+        top[2 + n + i] = half * u1
+        r0[1] = -u1 if s > 0 else u1
+        mid[2 + i] = msh * x1
+        mid[2 + n + i] = sh * x0
+        r0[0] = x0
+        r1[0] = x1
+        r0[2 + n + i] = -c
+        r1[2 + i] = -b
+        for j, e in enumerate(x.D.data[i]):
+            r0[2 + j] = e
+            r1[2 + n + j] = e
+        r0[2 + i] += half * (d - a)
+        r1[2 + n + i] += half * (a - d)
+    return Mat(rows)
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (2, 2), (3, 3), (1, 0)])
+def test_integer_alpha_matches_the_fraction_formula(pq):
+    sig = Signature(*pq)
+    rng = random.Random(59)
+    xs = list(so_basis(sig))
+    while len(xs) < 200:
+        x = samplers.rand_so_element(sig, rng)
+        xs += [x] + [x.grade(d) for d in (-2, -1, 0, 1, 2)]
+    for x in xs:
+        got = extension._alpha_int(x)
+        assert got.to_mat() == _alpha_fractions(x), x
+        den = [e.denominator for m in (x.A, x.X, x.U, x.D)
+               for r in m.data for e in r] + [x.z.denominator, x.w.denominator]
+        assert got.d == 2 * math.lcm(*den)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import random
+import signal
+import time
 import zlib
 from fractions import Fraction
 
@@ -66,6 +69,103 @@ def test_timings_fill_wall_time():
     for record in report["records"]:
         assert isinstance(record["wall_time"], float)
         assert record["wall_time"] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# suites in forked workers
+
+
+def _nulled(report):
+    for record in report["records"]:
+        assert isinstance(record["wall_time"], float)
+        record["wall_time"] = None
+    return report
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("pq", [(2, 1), (3, 0), (2, 2)])
+def test_concurrent_report_equals_the_in_process_report(pq, seed):
+    concurrent = run(SuiteConfig(*pq, seed=seed, trials=3))
+    in_process = _nulled(run(SuiteConfig(*pq, seed=seed, trials=3,
+                                         timings=True)))
+    assert json.dumps(concurrent) == json.dumps(in_process)
+
+
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _patched_check(monkeypatch, name, fn):
+    """report.CHECKS with the function of the check `name` replaced by
+    fn."""
+    monkeypatch.setattr(report, "CHECKS", tuple(
+        c._replace(fn=fn) if c.name == name else c for c in report.CHECKS))
+
+
+@pytest.mark.parametrize("end,how", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     "was killed by signal %d" % signal.SIGKILL),
+])
+def test_a_worker_that_ends_early_fails_its_suite(monkeypatch, end, how):
+    serial = _nulled(run(SuiteConfig(2, 1, trials=3, timings=True)))
+
+    # chains runs in a worker; the first suite, algebra, runs here
+    def chain_isotropy(sig, rng, trials):
+        end()
+
+    _patched_check(monkeypatch, "chain-isotropy", chain_isotropy)
+    got = run(SuiteConfig(2, 1, trials=3))
+    _no_child_is_left()
+    assert got["status"] == "fail"
+    chains_checks = [c.name for c in CHECKS if c.suite == "chains"]
+    for want, record in zip(serial["records"], got["records"],
+                            strict=True):
+        if record["name"] in chains_checks:
+            assert record == dict(
+                want, status="fail", witness="the chains worker %s before "
+                "it reported" % how)
+        else:
+            assert record == want
+
+
+class _Abort(BaseException):
+    pass
+
+
+def test_workers_are_killed_and_reaped_when_the_run_raises(monkeypatch):
+    def stuck(sig, rng, trials):
+        time.sleep(60)
+
+    def abort(sig, rng, trials):
+        raise _Abort()
+
+    _patched_check(monkeypatch, "chain-isotropy", stuck)
+    _patched_check(monkeypatch, "jacobi-basis-triples", abort)
+    started = time.perf_counter()
+    with pytest.raises(_Abort):
+        run(SuiteConfig(2, 1, trials=3))
+    _no_child_is_left()
+    assert time.perf_counter() - started < 30
+
+
+@pytest.mark.parametrize("timings", [True, False])
+def test_only_a_run_without_timings_leaves_this_process(monkeypatch,
+                                                         timings):
+    calls = []
+    chain_matrix = chains.chain_matrix
+
+    def counted(sig):
+        calls.append(sig)
+        return chain_matrix(sig)
+
+    monkeypatch.setattr(chains, "chain_matrix", counted)
+    got = run(SuiteConfig(2, 1, trials=2, suites=("algebra", "chains"),
+                          timings=timings))
+    assert got["status"] == "pass"
+    # chains, the later suite, calls chain_matrix here only with timings
+    assert bool(calls) == timings
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +412,18 @@ def _raise_runtime_error(*args, **kwargs):
 def test_raising_setup_becomes_failing_records(monkeypatch, suite, target,
                                                attr, failing):
     monkeypatch.setattr(target, attr, _raise_runtime_error)
-    report = run(SuiteConfig(2, 1, trials=3, suites=(suite,)))
-    assert report["status"] == "fail"
-    assert [r["name"] for r in report["records"]] == [
-        c.name for c in CHECKS if c.suite == suite]
-    for r in report["records"]:
-        if r["name"] in failing:
-            assert r["status"] == "fail"
-            assert r["witness"] == "RuntimeError: setup failed"
-        else:
-            assert r["status"] == "pass"
+    # alone, the suite runs in this process; after algebra, in a worker
+    for suites in ((suite,), ("algebra", suite)):
+        report = run(SuiteConfig(2, 1, trials=3, suites=suites))
+        assert report["status"] == "fail"
+        assert [r["name"] for r in report["records"]] == [
+            c.name for c in CHECKS if c.suite in suites]
+        for r in report["records"]:
+            if r["name"] in failing:
+                assert r["status"] == "fail"
+                assert r["witness"] == "RuntimeError: setup failed"
+            else:
+                assert r["status"] == "pass"
 
 
 def test_checks_sharing_a_draw_draw_it_once():

@@ -496,6 +496,30 @@ def test_q_group_composition_against_assembled_product():
                 invert(h1.B), ipq * h1.C.T * ipq, -h1.w * det(h1.B))
 
 
+@pytest.mark.parametrize("sampler", [samplers.rand_q_element,
+                                     samplers.rand_q_square])
+def test_q_closed_form_block_matches_elimination(sampler):
+    # det_b and the blocks B^-1 and (B^-1)^T against linalg's elimination
+    rng = random.Random(23)
+    for sig in SIGS + (Signature(3, 3),):
+        for _ in range(30):
+            h = sampler(sig, rng)
+            n = sig.n
+            assert h.det_b() == det(h.B)
+            assert h.assemble().submat(n + 2, n + 4, n + 2, n + 4) == (
+                invert(h.B).T)
+            assert h.inverse().B == invert(h.B)
+
+
+def test_group_elements_reject_a_b_that_is_not_2x2():
+    sig = Signature(2, 1)
+    for cls in (G0Element, QGroupElement):
+        with pytest.raises(ValueError, match="B must be 2x2"):
+            cls(sig, Mat.identity(3), Mat.identity(3))
+        with pytest.raises(TypeError, match="B needs Fraction entries"):
+            cls(sig, Mat([[1, 0], [0, 1]]), Mat.identity(3))
+
+
 def _q_block_assembly(h):
     # the assembled matrix of the QGroupElement docstring, built here
     n = h.sig.n
