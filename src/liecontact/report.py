@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 from . import chains, extension, samplers
 from .linalg import Mat, exp_nilpotent, rank_kernel
-from .path_sl import SlElement, sl_bracket, w0
+from .path_sl import SlElement, sl_bracket, sl_neg_slots, w0
 from .so_contact import (Signature, SoElement, bracket, bracket_gm1,
                          equivariance_checks, grading_check, jacobi_check,
                          rank_one_bracket, segre_rank, so_basis_degrees)
@@ -289,19 +289,19 @@ def _max_subspaces(sig, l, coeffs):
                for m1 in basis for m2 in basis) or "nonzero basis bracket"
 
 
-@_declare("extension", "embedding-product-exact",
-          "group embedding is multiplicative up to sign on exact pairs")
-def _hom_exact(sig, rng, trials):
-    failures, witness = extension.i_homomorphism_exact(
-        sig, trials, rng.randrange(1 << 30))
-    return failures == 0, repr(witness)
+@_trials("extension", "embedding-product-exact",
+         "group embedding is multiplicative up to sign on exact pairs",
+         _draw(h1=samplers.rand_q_square, h2=samplers.rand_q_square))
+def _hom_exact(sig, h1, h2):
+    return extension.i_product_rule(h1, h2)
 
 
-@_declare("extension", "embedding-product-float",
-          "float path of the embedding is multiplicative within 1e-10")
-def _hom_float(sig, rng, trials):
-    err = extension.i_homomorphism_float(sig, trials, rng.randrange(1 << 30))
-    return err <= 1e-10, "max defect %.3e" % err
+@_trials("extension", "embedding-product-float",
+         "float path of the embedding is multiplicative within 1e-10",
+         _draw(h1=samplers.rand_q_element, h2=samplers.rand_q_element))
+def _hom_float(sig, h1, h2):
+    err = extension.i_product_defect(h1, h2)
+    return err <= 1e-10 or "defect %.3e" % err
 
 
 @_declare("extension", "pair-conditions",
@@ -326,12 +326,18 @@ def _support(sig, rng, trials):
     return ok, repr(rep)
 
 
-@_declare("extension", "obstruction-equivariance",
-          "obstruction map intertwines the stabilizer actions", _at_most(25))
-def _psi_equivariance(sig, rng, trials):
-    failures = extension.psi_equivariance_check(sig, trials,
-                                                rng.randrange(1 << 30))
-    return failures == 0, "%d failing conjugations" % failures
+def _slot_index(slot):
+    """A draw of one sl_neg_basis index of the given slot."""
+    return lambda sig, rng: rng.choice(
+        [k for k, s in enumerate(sl_neg_slots(sig.n)) if s == slot])
+
+
+@_trials("extension", "obstruction-equivariance",
+         "obstruction map intertwines the stabilizer actions",
+         _draw(h=samplers.rand_q_square, a=_slot_index("m1V"),
+               b=_slot_index("m2")), _at_most(25))
+def _psi_equivariance(sig, h, a, b):
+    return extension.psi_equivariance_check(sig, h, a, b)
 
 
 def _m2_col(sig, rng):

@@ -41,8 +41,8 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .linalg import (IntMat, Mat, SignedPerm, commutator, det, invert,
-                     jacobi_failures, rank_kernel, rat, structure_table)
+from .linalg import (IntMat, Mat, SignedPerm, commutator, jacobi_failures,
+                     rank_kernel, rat, structure_table)
 
 J2 = Mat([[0, 1], [-1, 0]]).map(Fraction)
 
@@ -322,6 +322,14 @@ def _det2(m: Mat) -> Fraction:
     return a * d - b * c
 
 
+def _inv2(m: Mat) -> Mat:
+    """The inverse of the invertible 2x2 matrix m, its adjugate over
+    `_det2`."""
+    (a, b), (c, d) = m.data
+    beta = _det2(m)
+    return Mat([[d / beta, -b / beta], [-c / beta, a / beta]])
+
+
 def _check_g0(sig: Signature, b: Mat, c: Mat) -> None:
     """ValueError unless B is an invertible 2x2 matrix and C lies in
     O(p, q); TypeError unless the entries of B are Fractions."""
@@ -340,7 +348,7 @@ def equivariance_checks(sig: Signature, c: Mat, a: Mat, x: Mat, y: Mat):
     Both must be exactly zero."""
     _check_orthogonal(sig, c)
     r1 = bracket_gm1(sig, c * x, c * y) - bracket_gm1(sig, x, y)
-    r2 = bracket_gm1(sig, x * a, y * a) - det(a) * bracket_gm1(sig, x, y)
+    r2 = bracket_gm1(sig, x * a, y * a) - _det2(a) * bracket_gm1(sig, x, y)
     return r1, r2
 
 
@@ -374,8 +382,7 @@ class G0Element:
 def ad_g0(g: G0Element, z, x: Mat):
     """Adjoint action on g_{-2} + g_{-1}: (z, X) -> (z / det B, C X B^-1).
     Independent of the sign representative."""
-    binv = invert(g.B)
-    return rat(z) / det(g.B), g.C * x * binv
+    return rat(z) / _det2(g.B), g.C * x * _inv2(g.B)
 
 
 def segre_rank(x: Mat) -> int:
@@ -421,12 +428,6 @@ class QGroupElement:
     def det_b(self) -> Fraction:
         return _det2(self.B)
 
-    def _b_inverse(self) -> Mat:
-        """B^-1, the adjugate of B over its determinant."""
-        (a, b), (c, d) = self.B.data
-        beta = self.det_b()
-        return Mat([[d / beta, -b / beta], [-c / beta, a / beta]])
-
     def assemble(self) -> Mat:
         """The matrix of the class docstring, built on the first call and
         kept in a slot of this element, as `SoElement.assemble` does."""
@@ -436,7 +437,7 @@ class QGroupElement:
             h = Mat.block([
                 [self.B, Mat.zeros(2, n), self.w * (self.B * J2)],
                 [Mat.zeros(n, 2), self.C, Mat.zeros(n, 2)],
-                [Mat.zeros(2, 2), Mat.zeros(2, n), self._b_inverse().T],
+                [Mat.zeros(2, 2), Mat.zeros(2, n), _inv2(self.B).T],
             ])
             object.__setattr__(self, "_matrix", h)
         return h
@@ -449,7 +450,7 @@ class QGroupElement:
 
     def inverse(self) -> "QGroupElement":
         cinv = self.sig.ipq_perm().conjugate_transpose(self.C)  # Ipq C^T Ipq
-        return QGroupElement(self.sig, self._b_inverse(), cinv,
+        return QGroupElement(self.sig, _inv2(self.B), cinv,
                              -self.w * self.det_b())
 
     def _int_pair(self):

@@ -361,12 +361,13 @@ MUTANTS = (
            "lhs = ih * value", "lhs = value * ih",
            (T_EXT + "test_psi_equivariance",)),
     Mutant("Psi equivariance: compared up to sign", EXT,
-           "ok = lhs.equals(rhs)\n", "ok = lhs.equals(rhs, up_to_sign=True)\n",
+           "return lhs.equals(rhs)\n",
+           "return lhs.equals(rhs, up_to_sign=True)\n",
            (T_EXT + "test_psi_equivariance_is_strict_about_the_sign",)),
-    Mutant("product-form loops: det i(h) not checked", EXT,
-           "return det(ih.to_mat()) == sign ** (h.sig.n + 1)",
-           "return True", (T_EXT + "test_product_form_loops_fail_on_a_wrong_"
-                           "embedding[zero]",)),
+    Mutant("product-form claims: invertibility of i(h) not checked", EXT,
+           "m = ih.rows\n    return (", "m = ih.rows\n    return True or (",
+           (T_EXT + "test_product_form_loops_fail_on_a_wrong_"
+            "embedding[zero]",)),
     # i(h) on integer rows, and the one layout of its blocks
     Mutant("i(h): the denominator without sbar", EXT,
            "IntMat(den * sbar.numerator, len(rows), rows)",
@@ -469,6 +470,11 @@ MUTANTS = (
            "cinv = self.sig.ipq_perm().conjugate_transpose(self.C)",
            "cinv = self.C.T",
            (T_SO + "test_q_group_composition_against_assembled_product",)),
+    Mutant("Q inverse: C^T without Ipq, seen by obstruction-equivariance",
+           SO, "cinv = self.sig.ipq_perm().conjugate_transpose(self.C)",
+           "cinv = self.C.T",
+           (T_EXT + "test_obstruction_equivariance_sees_a_wrong_group_"
+            "inverse",)),
     Mutant("ipq_perm: rebuilt on every call", SO,
            "    @functools.cache\n    def ipq_perm(self)",
            "    def ipq_perm(self)",
@@ -523,7 +529,7 @@ MUTANTS = (
            "[[d / beta, -b / beta], [-c / beta, a / beta]]",
            "[[d / beta, b / beta], [c / beta, a / beta]]", Q_BLOCK),
     Mutant("Q assemble: B^-1 where (B^-1)^T belongs", SO,
-           "self._b_inverse().T]", "self._b_inverse()]", Q_BLOCK),
+           "_inv2(self.B).T]", "_inv2(self.B)]", Q_BLOCK),
     Mutant("G0: skip the orthogonality check", "liecontact/so_contact.py",
            "if not IntMat.of(c).gram_equals(ipq, ipq):", "if False:",
            G0_TESTS + (T_SO + "test_equivariance_rejects_non_orthogonal_c",)),

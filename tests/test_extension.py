@@ -2,18 +2,19 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from liecontact import extension, samplers
+from liecontact import extension, report, samplers
 from liecontact.extension import (Cochain2, alpha, alpha_restriction_matrix,
                                   build_psi_cochain, check_pair_conditions,
                                   codifferential, curvature_report,
                                   fit_trilinear_constant, hat_lift, i_map,
-                                  i_map_float, i_homomorphism_exact,
-                                  i_homomorphism_float, i_prime,
-                                  i_prime_float, is_normal, psi_alpha,
+                                  i_map_float, i_prime, i_prime_float,
+                                  i_product_defect, i_product_rule,
+                                  is_normal, psi_alpha,
                                   psi_equivariance_check, psi_from_cochain,
                                   psi_gq, psi_support_report, psi_trilinear,
                                   q_tangent_basis, r_block_path,
@@ -37,6 +38,13 @@ DOMAIN_SIGS = tuple(Signature(p, n - p) for n in range(2, 7)
 
 def _diag2(a, d):
     return Mat([[Fraction(a), Fraction(0)], [Fraction(0), Fraction(d)]])
+
+
+def _record(sig, name, trials, seed=0):
+    """(status, witness) of the registry record `name`, run alone."""
+    check, = [c for c in report.CHECKS if c.name == name]
+    record, = report.run_checks(sig, random.Random(seed), trials, [check])
+    return record["status"], record["witness"]
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +275,25 @@ def test_i_map_rejects_non_square_determinant():
 
 
 def test_i_map_product_rule_exact():
+    rng = random.Random(3)
     for sig in SIGS:
-        failures, witness = i_homomorphism_exact(sig, trials=60, seed=3)
-        assert failures == 0
-        assert witness is None
+        orientations = set()
+        for _ in range(60):
+            h1 = samplers.rand_q_square(sig, rng)
+            h2 = samplers.rand_q_square(sig, rng)
+            assert i_product_rule(h1, h2), (h1, h2)
+            orientations.add(h1.det_b() > 0)
+        # both orientations of det B are drawn
+        assert orientations == {True, False}
 
 
 def test_i_map_product_rule_float():
+    rng = random.Random(4)
     for sig in SIGS:
-        assert i_homomorphism_float(sig, trials=40, seed=4) < 1e-10
+        for _ in range(40):
+            h1 = samplers.rand_q_element(sig, rng)
+            h2 = samplers.rand_q_element(sig, rng)
+            assert i_product_defect(h1, h2) < 1e-10, (h1, h2)
 
 
 def test_i_map_float_matches_exact_on_square_determinants():
@@ -335,8 +353,9 @@ def test_pair_conditions_summary():
 
 
 def test_i_map_determinant_is_a_sign():
-    # the equivariance loops check products with i(h) in place of its
-    # conjugation, which needs det i(h) = sgn(beta)^(n+1) det(C)^2 = +-1
+    # the equivariance claims check products with i(h) in place of its
+    # conjugation, which needs i(h) invertible: det i(h) =
+    # sgn(beta)^(n+1) det(C)^2 = +-1
     rng = random.Random(62)
     for sig in (Signature(2, 1), Signature(2, 2), Signature(3, 0),
                 Signature(3, 3)):
@@ -356,10 +375,21 @@ def _identity_rows(m):
     return IntMat(1, m, sparse=[[(i, 1)] for i in range(m)])
 
 
+def test_i_of_the_group_inverse_inverts_i():
+    # the invertibility check of the equivariance claims, at every
+    # signature with 2 <= n <= 6
+    rng = random.Random(64)
+    for sig in DOMAIN_SIGS:
+        for _ in range(3):
+            h = samplers.rand_q_square(sig, rng)
+            assert extension._i_invertible(h, extension._i_exact(h)), h
+
+
 @pytest.mark.parametrize("wrong", ["identity", "transpose", "zero"])
 def test_product_form_loops_fail_on_a_wrong_embedding(monkeypatch, wrong):
-    # the loops read i(h) from the exact route, so the wrong one goes there;
-    # the zero matrix passes every product and fails only the determinant
+    # the claims read i(h) from the exact route, so the wrong one goes
+    # there; the zero matrix passes every product and fails only the
+    # invertibility check
     exact = extension._i_exact
     monkeypatch.setattr(extension, "_i_exact", {
         "identity": lambda h: _identity_rows(2 * h.sig.n + 2),
@@ -371,7 +401,10 @@ def test_product_form_loops_fail_on_a_wrong_embedding(monkeypatch, wrong):
         out = check_pair_conditions(sig, trials=10, seed=0)
         assert out["equivariance_failures"] > 0
         assert out["witness"] is not None
-        assert psi_equivariance_check(sig, trials=10, seed=1) > 0
+        status, witness = _record(sig, "obstruction-equivariance", 10, 1)
+        assert status == "fail"
+        assert witness.startswith("i(h)·i(h^-1) is not +-I: h=" if
+                                  wrong == "zero" else "h=")
 
 
 # ---------------------------------------------------------------------------
@@ -565,18 +598,86 @@ def test_psi_support_flags_a_value_outside_the_block(monkeypatch):
     assert out["witness"] == ("m2", "m1V")
 
 
+def _vertical_bottom_pairs(sig):
+    slots = sl_neg_slots(sig.n)
+    return [(a, b) for a, sa in enumerate(slots) if sa == "m1V"
+            for b, sb in enumerate(slots) if sb == "m2"]
+
+
 def test_psi_equivariance():
+    rng = random.Random(1)
     for sig in SIGS:
-        assert psi_equivariance_check(sig, trials=8, seed=1) == 0
+        for _ in range(2):
+            h = samplers.rand_q_square(sig, rng)
+            for a, b in _vertical_bottom_pairs(sig):
+                assert psi_equivariance_check(sig, h, a, b) is True, (h, a, b)
 
 
 def test_psi_equivariance_is_strict_about_the_sign(monkeypatch):
-    # -Psi meets the product form up to sign only, so the loop fails it
+    # -Psi meets the product form up to sign only, so the claim fails it
     cochain = extension.build_psi_cochain
     monkeypatch.setattr(extension, "build_psi_cochain", lambda sig: Cochain2(
         sig.n, {k: -v for k, v in cochain(sig).table.items()}))
+    rng = random.Random(1)
     for sig in SIGS:
-        assert psi_equivariance_check(sig, trials=4, seed=1) == 4
+        pairs = _vertical_bottom_pairs(sig)
+        for _ in range(4):
+            a, b = rng.choice(pairs)
+            h = samplers.rand_q_square(sig, rng)
+            assert psi_equivariance_check(sig, h, a, b) is False, (h, a, b)
+
+
+# the repr of a QGroupElement
+_Q = r"QGroupElement\(Signature\(\d, \d\), B=Mat\(.*\), C=Mat\(.*\), w=\S+\)"
+
+
+def test_embedding_witnesses_name_the_pair(monkeypatch):
+    # i(h)^T reverses the order of every product, on either route
+    sig = Signature(2, 2)
+    exact, float_route = extension._i_exact, extension.i_map_float
+    monkeypatch.setattr(extension, "_i_exact", lambda h: IntMat(
+        exact(h).d, 2 * h.sig.n + 2, [list(c) for c in zip(*exact(h).dense)]))
+    monkeypatch.setattr(extension, "i_map_float",
+                        lambda b, c, w: float_route(b, c, w).T)
+    status, witness = _record(sig, "embedding-product-exact", 5)
+    assert status == "fail"
+    assert re.fullmatch("h1=%s h2=%s" % (_Q, _Q), witness), witness
+    status, witness = _record(sig, "embedding-product-float", 5)
+    assert status == "fail"
+    assert re.fullmatch(r"defect \S+: h1=%s h2=%s" % (_Q, _Q),
+                        witness), witness
+    assert float(witness.split()[1][:-1]) > 1e-10
+
+
+def test_psi_equivariance_witness_names_the_element_and_the_pair(
+        monkeypatch):
+    sig = Signature(2, 2)
+    cochain = extension.build_psi_cochain
+    monkeypatch.setattr(extension, "build_psi_cochain", lambda sig: Cochain2(
+        sig.n, {k: -v for k, v in cochain(sig).table.items()}))
+    status, witness = _record(sig, "obstruction-equivariance", 5)
+    assert status == "fail"
+    match = re.fullmatch(r"h=%s a=(\d+) b=(\d+)" % _Q, witness)
+    assert match, witness
+    assert tuple(map(int, match.groups())) in _vertical_bottom_pairs(sig)
+
+
+def test_obstruction_equivariance_sees_a_wrong_group_inverse(monkeypatch):
+    # the record passes with the group inverse, and fails when the inverse
+    # takes C^T in place of Ipq C^T Ipq: i(h)·i(h^-1) is then not +-I
+    sig = Signature(2, 2)
+    assert _record(sig, "obstruction-equivariance", 3) == ("pass", None)
+
+    group_inverse = QGroupElement.inverse
+
+    def inverse(h):
+        inv = group_inverse(h)
+        return QGroupElement(h.sig, inv.B, h.C.T, inv.w)
+
+    monkeypatch.setattr(QGroupElement, "inverse", inverse)
+    status, witness = _record(sig, "obstruction-equivariance", 3)
+    assert status == "fail"
+    assert witness.startswith("i(h)·i(h^-1) is not +-I: h=")
 
 
 def test_trilinear_constant_value():

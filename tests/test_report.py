@@ -560,8 +560,8 @@ STREAMS = {
                    "d4c66b82c3",
         "quaternion": "437044b56f f5f83c0689 a553354ef0 a553354ef0 "
                       "80484b587f",
-        "extension": "43e03d5a77 7cde50012f b31f9d26bd b31f9d26bd "
-                     "0a7690fb40 8453445efb",
+        "extension": "4dc1114878 5c9ffd150a 76adfd5866 76adfd5866 "
+                     "8b662827ae b137aaaadb",
         "normality": "e3572b4ce8 e3572b4ce8",
         "chains": "d7686489d2 d2975d3290 30c0d4ef4a f474844801 d926e0520c",
         "reconstruction": "11aa29d383 ee2e7281fe 4d543089bc 1a76b05bcb",
@@ -571,8 +571,8 @@ STREAMS = {
                    "ab56d3d958",
         "quaternion": "437044b56f 841c566c33 634dd5d100 634dd5d100 "
                       "3b5ded15e3",
-        "extension": "43e03d5a77 7cde50012f b31f9d26bd b31f9d26bd "
-                     "0a7690fb40 85575e0c0b",
+        "extension": "fc47116e5d 1c915a904c 828ed61ed6 828ed61ed6 "
+                     "e4f549f276 7a35f7ba3a",
         "normality": "e3572b4ce8 e3572b4ce8",
         "chains": "d7686489d2 20358ff89f 55ea6afa9a f2ef403781 0fcf005877",
         "reconstruction": "f2d1eec6a1 8a5835fc67 d3bbd5e4b4 76565eaf1d",
