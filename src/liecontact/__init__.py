@@ -21,16 +21,15 @@ from .extension import (Cochain1, Cochain2, alpha, alpha_restriction_matrix,
                         psi_equivariance_check, psi_from_cochain, psi_gq,
                         psi_support_report, psi_trilinear,
                         symmetrized_reference)
-from .linalg import (DualRat, Mat, Rat, det, exp_float, exp_nilpotent,
-                     invert, rank_kernel, rat, rat_sqrt, solve_linear)
-from .path_sl import (SlElement, sl_bracket, sl_jacobi_check, sl_neg_basis,
-                      sl_neg_coordinates, w0)
+from .linalg import (DualRat, Mat, det, exp_float, exp_nilpotent, invert,
+                     rank_kernel, rat, rat_sqrt, solve_linear)
+from .path_sl import (SlElement, sl_bracket, sl_neg_basis, sl_neg_coordinates,
+                      w0)
 from .report import SUITE_NAMES, SuiteConfig, run
-from .so_contact import (G0Element, QGroupElement, Signature, SoElement,
-                         ad_g0, bracket, bracket_gm1, equivariance_checks,
-                         grading_check, inner, jacobi_check, segre_rank,
-                         so_basis)
-from .split_quat import (QuatStructureOnH, SplitQuaternion, act_on_h,
+from .so_contact import (QGroupElement, Signature, SoElement, bracket,
+                         bracket_gm1, equivariance_checks, grading_check,
+                         inner, jacobi_check, segre_rank, so_basis)
+from .split_quat import (QuatStructureOnH, SplitQuaternion,
                          eigenspace_decompose, max_subspace_for_line,
                          norm_sq, quat_mul, rank_one_witness, stack_columns,
                          unstack_columns)

@@ -44,8 +44,6 @@ import math
 from fractions import Fraction
 from types import MappingProxyType
 
-Rat = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce to Fraction. Floats are rejected on purpose: silent

@@ -24,7 +24,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .linalg import Mat, commutator, jacobi_failures, rat, structure_table
+from .linalg import Mat, commutator, rat, structure_table
 
 _SLOT_DEGREE = {"m2": -2, "m1E": -1, "m1V": -1, "g0": 0,
                 "p1E": 1, "p1V": 1, "p2": 2}
@@ -219,7 +219,7 @@ def _unit(m, i, j):
 
 
 # ---------------------------------------------------------------------------
-# structure constants and Jacobi, over the elementary basis
+# structure constants over the elementary basis
 
 
 def sl_full_basis(n: int):
@@ -253,9 +253,3 @@ def sl_structure_constants(n: int):
     mapping (a, b) -> {c: coeff} (see `linalg.structure_table`)."""
     return structure_table([b.mat for b in sl_full_basis(n)], _sl_coordinates)
 
-
-def sl_jacobi_check(n: int):
-    """Jacobi identity on the full sl(2n+2) basis via its structure-constant
-    table. Returns (triples_checked, failures)."""
-    dim = (2 * n + 2) ** 2 - 1
-    return dim ** 3, jacobi_failures(sl_structure_constants(n), dim)

@@ -391,7 +391,10 @@ def _chain_generator(sig):
 def _degree_one(sig, e_mat, square_zero, t):
     if not square_zero:
         return "generator squares to a nonzero matrix"
-    return exp_nilpotent(t * e_mat, 2) == Mat.identity(sig.n + 4) + t * e_mat
+    frame = Mat.identity(sig.n + 4) + t * e_mat
+    if chains.chain_eval(sig, t).span != frame.submat(0, sig.n + 4, 0, 2):
+        return "chain point is not the first two columns of I + tE"
+    return exp_nilpotent(t * e_mat, 2) == frame
 
 
 @_trials("chains", "chain-isotropy",

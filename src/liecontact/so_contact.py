@@ -352,39 +352,6 @@ def equivariance_checks(sig: Signature, c: Mat, a: Mat, x: Mat, y: Mat):
     return r1, r2
 
 
-class G0Element:
-    """Pair (B, C) with B in GL(2), C in O(p,q); equality is up to a
-    simultaneous sign, no canonical representative is chosen."""
-
-    __slots__ = ("sig", "B", "C")
-
-    def __init__(self, sig: Signature, b: Mat, c: Mat):
-        _check_g0(sig, b, c)
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("G0Element is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, G0Element):
-            return NotImplemented
-        if self.sig != other.sig:
-            return False
-        return ((self.B == other.B and self.C == other.C)
-                or (self.B == -other.B and self.C == -other.C))
-
-    def __repr__(self):
-        return "G0Element(%r, B=%r, C=%r)" % (self.sig, self.B, self.C)
-
-
-def ad_g0(g: G0Element, z, x: Mat):
-    """Adjoint action on g_{-2} + g_{-1}: (z, X) -> (z / det B, C X B^-1).
-    Independent of the sign representative."""
-    return rat(z) / _det2(g.B), g.C * x * _inv2(g.B)
-
-
 def segre_rank(x: Mat) -> int:
     rank, _ = rank_kernel(x)
     return rank

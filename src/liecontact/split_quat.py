@@ -94,11 +94,6 @@ def norm_sq(q: SplitQuaternion) -> Fraction:
     return q.a0 ** 2 - q.a ** 2 - q.b ** 2 + q.c ** 2
 
 
-def act_on_h(q: SplitQuaternion, x: Mat) -> Mat:
-    """Right action of the imaginary part aI + bJ + cK on g_{-1}."""
-    return x * to_matrix(q.imag())
-
-
 class QuatStructureOnH:
     """The triple of operators (I, J, K) on g_{-1}, stored through their
     right-multiplication matrices. Admissible bases other than the standard

@@ -409,6 +409,11 @@ MUTANTS = (
            "+ rat(t) * self.vel.submat(", "+ self.vel.submat(",
            ("tests/test_chains.py::test_chain_point_is_the_frame_first_two_"
             "columns",)),
+    Mutant("ChainCurve.at: the velocity without t, seen by chain-exactness",
+           "liecontact/chains.py",
+           "+ rat(t) * self.vel.submat(", "+ self.vel.submat(",
+           ("tests/test_golden.py::test_output_matches_its_golden_file["
+            "report-2-2-seed0.json]",)),
     Mutant("emit_trajectory: accept an empty or descending range",
            "liecontact/chains.py",
            "if t0 >= t1:", "if False:",

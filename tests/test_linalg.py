@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -521,6 +522,39 @@ def test_no_module_imports_a_private_name_of_another():
                           for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []
+
+
+# the exports with no use in the package that name an object of the paper
+PAPER_OBJECTS = {"i_map": "the embedding i of the stabilizer group Q"}
+
+
+def _loads(node, name):
+    """Whether the syntax tree reads `name`, as a name or an attribute,
+    outside the body of a def or class of that name."""
+    if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                          ast.ClassDef)) and node.name == name):
+        return False
+    if (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name):
+        return isinstance(node.ctx, ast.Load)
+    return any(_loads(child, name) for child in ast.iter_child_nodes(node))
+
+
+def test_every_export_is_used_in_the_package():
+    """Each public name of the package namespace, other than a module, is
+    read by some module of the package outside its own def or class, or
+    names an object of the paper: no export serves the tests alone."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(liecontact.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"]
+    exports = sorted(name for name, value in vars(liecontact).items()
+                     if not name.startswith("_")
+                     and not isinstance(value, types.ModuleType))
+    assert set(PAPER_OBJECTS) <= set(exports)
+    unused = [name for name in exports if name not in PAPER_OBJECTS
+              and not any(_loads(tree, name) for tree in trees)]
+    assert unused == [], ("exported by liecontact but read nowhere in its "
+                          "modules: " + ", ".join(unused))
 
 
 # ---------------------------------------------------------------------------

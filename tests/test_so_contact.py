@@ -7,13 +7,12 @@ import pytest
 
 from liecontact import samplers
 from liecontact.linalg import Mat, SignedPerm, commutator, det, invert
-from liecontact.so_contact import (G0Element, QGroupElement, Signature,
-                                   SoElement, int_coordinates, _is_so_pq,
-                                   ad_g0, bracket, bracket_gm1,
-                                   equivariance_checks, grading_check,
-                                   inner, jacobi_check, rank_one_bracket,
-                                   segre_rank, so_basis, so_basis_degrees,
-                                   structure_constants)
+from liecontact.so_contact import (QGroupElement, Signature, SoElement,
+                                   int_coordinates, _is_so_pq, bracket,
+                                   bracket_gm1, equivariance_checks,
+                                   grading_check, inner, jacobi_check,
+                                   rank_one_bracket, segre_rank, so_basis,
+                                   so_basis_degrees, structure_constants)
 from test_linalg import _corrupted, _sign_swap
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
@@ -394,25 +393,24 @@ def test_orthogonality_check_refuses_near_misses():
         one = Mat.identity(2)
         for b in bad:
             assert b.T * sig.ipq() * b != sig.ipq()
-            for make in (lambda: G0Element(sig, one, b),
-                         lambda: QGroupElement(sig, one, b),
+            for make in (lambda: QGroupElement(sig, one, b),
                          lambda: equivariance_checks(sig, b, one, x, x)):
                 with pytest.raises(ValueError, match=r"C is not orthogonal "
                                    r"for the \(p,q\) form"):
                     make()
-        assert G0Element(sig, one, c).C == c
+        assert QGroupElement(sig, one, c).C == c
 
 
-@pytest.mark.parametrize("cls", [G0Element, QGroupElement])
-def test_group_elements_reject_singular_b_and_non_orthogonal_c(cls):
+def test_group_elements_reject_singular_b_and_non_orthogonal_c():
     sig = Signature(2, 1)
     singular = Mat([[1, 2], [2, 4]]).map(Fraction)
-    with pytest.raises(ValueError, match="B must be invertible"):
-        cls(sig, singular, Mat.identity(3))
-    with pytest.raises(ValueError, match="C is not orthogonal"):
-        cls(sig, Mat.identity(2), 2 * Mat.identity(3))
     flip = Mat.diag([Fraction(1), Fraction(-1), Fraction(1)])
-    assert cls(sig, Mat.identity(2), flip).C == flip
+    for w in (0, Fraction(3, 2)):
+        with pytest.raises(ValueError, match="B must be invertible"):
+            QGroupElement(sig, singular, Mat.identity(3), w)
+        with pytest.raises(ValueError, match="C is not orthogonal"):
+            QGroupElement(sig, Mat.identity(2), 2 * Mat.identity(3), w)
+        assert QGroupElement(sig, Mat.identity(2), flip, w).C == flip
 
 
 def test_rank_one_bracket_closed_form():
@@ -431,29 +429,34 @@ def test_rank_one_bracket_closed_form():
 
 
 def test_g0_adjoint_oracle_and_scaling_law():
+    # the elements of Q with w = 0 make up G0
     sig = Signature(2, 1)
-    g = G0Element(sig, 2 * Mat.identity(2), Mat.identity(3))
+    h = QGroupElement(sig, 2 * Mat.identity(2), Mat.identity(3))
     x = Mat([[1, 2], [3, 4], [5, 6]]).map(Fraction)
-    z_out, x_out = ad_g0(g, Fraction(1), x)
-    assert z_out == Fraction(1, 4)
-    assert x_out == Fraction(1, 2) * x
+    out = h.ad_so(SoElement(sig, z=1, X=x))
+    assert out.z == Fraction(1, 4)
+    assert out.X == Fraction(1, 2) * x
     rng = random.Random(17)
     for _ in range(30):
-        g = G0Element(sig, samplers.rand_gl2(rng),
-                       samplers.rand_opq(sig, rng))
+        h = QGroupElement(sig, samplers.rand_gl2(rng),
+                          samplers.rand_opq(sig, rng))
         x = samplers.rand_gm1(sig, rng)
         y = samplers.rand_gm1(sig, rng)
-        _, gx = ad_g0(g, 0, x)
-        _, gy = ad_g0(g, 0, y)
-        assert bracket_gm1(sig, gx, gy) == bracket_gm1(sig, x, y) / det(g.B)
+        gx = h.ad_so(SoElement(sig, X=x)).X
+        gy = h.ad_so(SoElement(sig, X=y)).X
+        assert bracket_gm1(sig, gx, gy) == bracket_gm1(sig, x, y) / det(h.B)
 
 
-def test_g0_element_sign_classes():
+@pytest.mark.parametrize("w", [0, 3])
+def test_q_group_element_equality_is_up_to_sign(w):
     sig = Signature(2, 1)
     b = Mat([[1, 2], [0, 1]]).map(Fraction)
     c = Mat.identity(3)
-    assert G0Element(sig, b, c) == G0Element(sig, -1 * b, -1 * c)
-    assert not (G0Element(sig, b, c) == G0Element(sig, -1 * b, c))
+    h = QGroupElement(sig, b, c, w)
+    assert h == QGroupElement(sig, -1 * b, -1 * c, w)
+    assert h != QGroupElement(sig, -1 * b, c, w)
+    assert h != QGroupElement(sig, b, -1 * c, w)
+    assert h != QGroupElement(sig, b, c, w + 1)
 
 
 def test_segre_rank():
@@ -513,11 +516,10 @@ def test_q_closed_form_block_matches_elimination(sampler):
 
 def test_group_elements_reject_a_b_that_is_not_2x2():
     sig = Signature(2, 1)
-    for cls in (G0Element, QGroupElement):
-        with pytest.raises(ValueError, match="B must be 2x2"):
-            cls(sig, Mat.identity(3), Mat.identity(3))
-        with pytest.raises(TypeError, match="B needs Fraction entries"):
-            cls(sig, Mat([[1, 0], [0, 1]]), Mat.identity(3))
+    with pytest.raises(ValueError, match="B must be 2x2"):
+        QGroupElement(sig, Mat.identity(3), Mat.identity(3))
+    with pytest.raises(TypeError, match="B needs Fraction entries"):
+        QGroupElement(sig, Mat([[1, 0], [0, 1]]), Mat.identity(3))
 
 
 def _q_block_assembly(h):
@@ -568,16 +570,16 @@ def test_q_integer_pair_is_the_matrix_and_its_inverse():
 
 def test_q_adjoint_on_negative_part_matches_g0_formula():
     rng = random.Random(21)
-    sig = Signature(2, 1)
-    for _ in range(25):
-        g = G0Element(sig, samplers.rand_gl2(rng),
-                       samplers.rand_opq(sig, rng))
-        h = QGroupElement(sig, g.B, g.C)
-        x = samplers.rand_gm1(sig, rng)
-        z = samplers.rand_fraction(rng)
-        out = h.ad_so(SoElement(sig, z=z, X=x))
-        z2, x2 = ad_g0(g, z, x)
-        assert out.z == z2 and out.X == x2
+    for sig in SIGS:
+        for _ in range(25):
+            h = QGroupElement(sig, samplers.rand_gl2(rng),
+                              samplers.rand_opq(sig, rng))
+            x = samplers.rand_gm1(sig, rng)
+            z = samplers.rand_fraction(rng)
+            out = h.ad_so(SoElement(sig, z=z, X=x))
+            # the action of G0 on g_-2 + g_-1: (z, X) -> (z / det B, C X B^-1)
+            assert out.z == z / det(h.B)
+            assert out.X == h.C * x * invert(h.B)
 
 
 def test_basis_coordinates_round_trip():
