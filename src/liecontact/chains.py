@@ -6,12 +6,13 @@ induces, and cone reconstruction plus trajectory export."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 from .extension import psi_trilinear
-from .linalg import IntMat, Mat, exp_nilpotent, rank_kernel, rat, solve_linear
-from .so_contact import (Signature, SoElement, ambient_inverse, bracket_gm1,
+from .linalg import IntMat, Mat, bareiss, exp_nilpotent, rat
+from .so_contact import (Signature, SoElement, ambient_inverse, gm1_pairing,
                          segre_rank)
 from .split_quat import QuatStructureOnH, stack_columns, unstack_columns
 
@@ -19,30 +20,40 @@ from .split_quat import QuatStructureOnH, stack_columns, unstack_columns
 class ModelPoint:
     """An isotropic 2-plane in R^(n+4), stored as an (n+4) x 2 span matrix.
 
-    Two points are equal exactly when their column spans agree."""
+    The span, a Mat or an IntMat, is read once as an `IntMat`, whose rows
+    give its rank (`bareiss`) and its isotropy (`gram_equals`); a Mat
+    `span` is built from them on first use. Two points are equal exactly
+    when their column spans agree."""
 
-    __slots__ = ("sig", "span")
+    __slots__ = ("sig", "_ints", "_span")
 
-    def __init__(self, sig: Signature, span: Mat):
+    def __init__(self, sig: Signature, span):
         if span.rows != sig.n + 4 or span.cols != 2:
             raise ValueError("span must be an (n+4) x 2 matrix")
-        rank, _ = rank_kernel(span)
-        if rank != 2:
+        ints = span if isinstance(span, IntMat) else IntMat.of(span)
+        if _rank(ints.dense) != 2:
             raise ValueError("span must have rank 2")
-        if not IntMat.of(span).gram_equals(sig.form_s_perm()):
+        if not ints.gram_equals(sig.form_s_perm()):
             raise ValueError("span must be isotropic for the ambient form")
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_span", None if span is ints else span)
 
     def __setattr__(self, name, value):
         raise AttributeError("ModelPoint is immutable")
 
+    @property
+    def span(self) -> Mat:
+        if self._span is None:
+            object.__setattr__(self, "_span", self._ints.to_mat())
+        return self._span
+
     def __eq__(self, other):
         if not isinstance(other, ModelPoint) or self.sig != other.sig:
             return NotImplemented
-        joint = Mat.block([[self.span, other.span]])
-        rank, _ = rank_kernel(joint)
-        return rank == 2
+        # scaling a column keeps the rank: no common denominator is needed
+        return _rank([ra + rb for ra, rb in zip(self._ints.dense,
+                                                other._ints.dense)]) == 2
 
     def __repr__(self):
         return "ModelPoint(%r, %r)" % (self.sig, self.span)
@@ -56,15 +67,22 @@ def origin(sig: Signature) -> ModelPoint:
     return ModelPoint(sig, Mat(rows))
 
 
-def _check_ambient(sig: Signature, g: Mat):
+def _rank(rows) -> int:
+    """The rank of the integer rows, which stay as they are."""
+    return len(bareiss([list(r) for r in rows])[1])
+
+
+def _check_ambient(sig: Signature, g: Mat) -> IntMat:
+    """g as an `IntMat`; ValueError unless it preserves the ambient form."""
+    ints = IntMat.of(g)
     s = sig.form_s_perm()
-    if not IntMat.of(g).gram_equals(s, s):
+    if not ints.gram_equals(s, s):
         raise ValueError("the acting matrix must preserve the ambient form")
+    return ints
 
 
 def act(sig: Signature, g: Mat, pt: ModelPoint) -> ModelPoint:
-    _check_ambient(sig, g)
-    return ModelPoint(sig, g * pt.span)
+    return ModelPoint(sig, _check_ambient(sig, g) * pt._ints)
 
 
 @functools.cache
@@ -94,43 +112,49 @@ class ChainCurve:
     """The exact chain t -> g (I + tE) . origin.
 
     The frame g (I + tE) = g + t gE is affine in t, so every value is an
-    exact rational point of the model; gE is formed once per curve, as
-    columns of g moved and signed (`_chain_moves`)."""
+    exact rational point of the model. g is read once as an `IntMat`, by
+    `_check_ambient`, and gE is formed once per curve on its integers, as
+    columns moved and signed (`_chain_moves`)."""
 
-    __slots__ = ("sig", "g", "vel")
+    __slots__ = ("sig", "g", "_g", "_vel")
 
     def __init__(self, sig: Signature, g: Mat | None = None):
         if g is None:
             g = Mat.identity(sig.n + 4)
-        _check_ambient(sig, g)
+        ints = _check_ambient(sig, g)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "g", g)
-        zero = Fraction(0)
-        vel = [[zero] * g.cols for _ in range(g.rows)]
+        object.__setattr__(self, "_g", ints)
+        vel = [[0] * g.cols for _ in range(g.rows)]
         for k, j, sign in _chain_moves(sig):
-            for out, r in zip(vel, g.data):
+            for out, r in zip(vel, ints.dense):
                 out[j] = r[k] if sign > 0 else -r[k]
-        object.__setattr__(self, "vel", Mat(vel))
+        object.__setattr__(self, "_vel", IntMat(ints.d, g.cols, vel))
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainCurve is immutable")
 
-    def frame(self, t) -> Mat:
-        return self.g + rat(t) * self.vel
+    def _frame(self, t, start, stop) -> IntMat:
+        """Columns start to stop of the frame g + t·gE, on the integers:
+        with t = u/v and g = G/d, v·G + u·GE over v·d."""
+        t = rat(t)
+        u, v = t.numerator, t.denominator
+        return IntMat(v * self._g.d, stop - start, [
+            [v * x + u * y for x, y in zip(r[start:stop], e[start:stop])]
+            for r, e in zip(self._g.dense, self._vel.dense)])
 
     def at(self, t) -> ModelPoint:
-        """The frame applied to the origin [e1 e2]: its first two columns,
-        g[:, :2] + t·vel[:, :2]. The other columns are not formed."""
-        rows = self.g.rows
-        return ModelPoint(self.sig, self.g.submat(0, rows, 0, 2)
-                          + rat(t) * self.vel.submat(0, rows, 0, 2))
+        """The frame applied to the origin [e1 e2]: its first two columns.
+        The other columns are not formed."""
+        return ModelPoint(self.sig, self._frame(t, 0, 2))
 
     def velocity_class(self, t) -> SoElement:
         """Velocity of the curve of frames pulled back to the identity; its
         grade -2 part is what transversality reads. The frame preserves the
         ambient form, so it is inverted in closed form."""
-        pullback = ambient_inverse(self.sig, self.frame(t)) * self.vel
-        return SoElement.from_matrix(self.sig, pullback)
+        frame = self._frame(t, 0, self.g.cols)
+        pullback = ambient_inverse(self.sig, frame) * self._vel
+        return SoElement.from_matrix(self.sig, pullback.to_mat())
 
 
 def chain_eval(sig: Signature, t, g: Mat | None = None) -> ModelPoint:
@@ -196,39 +220,33 @@ class STensorEval:
         return STensorEval(self.sig, self.structure.conjugated(g), self.scale)
 
 
-def _pairing(signs, a, b) -> int:
-    """bracket_gm1 of two n x 2 matrices given as sparse integer rows,
-    without their denominators: sum_i s_i (a_i0 b_i1 - a_i1 b_i0)."""
-    acc = 0
-    for s, ra, rb in zip(signs, a, b):
-        for j, x in ra:
-            for k, y in rb:
-                if j != k:
-                    acc += s * x * y if j == 0 else -s * x * y
-    return acc
-
-
 def s_tensor(ev: STensorEval, xi: Mat, eta: Mat, zeta: Mat) -> Mat:
     """Cyclic sum of (a, b, c) -> L(a, Ib) Ic + L(a, Jb) Jc - L(a, Kb) Kc,
     times the stored scale, where L is the bottom-grade bracket. Totally
-    symmetric, with values back among the contact directions.
+    symmetric, with values back among the contact directions."""
+    return s_tensor_int(ev, *(IntMat.of(a) for a in (xi, eta, zeta))).to_mat()
 
-    The arguments are each read as an `IntMat` once, the structure's 2x2
-    matrices M = mi, mj, mk are read once per `STensorEval`
-    (`_units`), and the images a·M are integer products. With
-    scale = num/den, a term ±scale·L(a, b)·c is the integer ±num·L(A, B)
-    times the rows of c over den·a.d·b.d·c.d: one integer combination."""
-    signs = ev.sig.signs()
+
+def s_tensor_int(ev: STensorEval, xi: IntMat, eta: IntMat,
+                 zeta: IntMat) -> IntMat:
+    """`s_tensor` on integer rows. The images a·M are integer products with
+    M = mi, mj, mk, read once per `STensorEval` (`_units`)."""
+    plain = (xi, eta, zeta)
+    return _cyclic_sum(ev, plain, [[a * m for a in plain] for m in ev._units])
+
+
+def _cyclic_sum(ev: STensorEval, plain, images) -> IntMat:
+    """The tensor on plain = (xi, eta, zeta), given the images a·M per M of
+    `_units`. With scale = num/den, a term ±scale·L(a, b)·c is ±num·L(A, B)
+    (`gm1_pairing`) times the rows of c over den·a.d·b.d·c.d."""
     num, den = ev.scale.numerator, ev.scale.denominator
-    plain = [IntMat.of(a) for a in (xi, eta, zeta)]
     terms = []
-    for im, sgn in zip(ev._units, (num, num, -num)):
-        images = [a * im for a in plain]
+    for imgs, sgn in zip(images, (num, num, -num)):
         for r in range(3):  # the cyclic terms (a, b, c) of (xi, eta, zeta)
-            a, b, c = plain[r], images[(r + 1) % 3], images[(r + 2) % 3]
+            a, b, c = plain[r], imgs[(r + 1) % 3], imgs[(r + 2) % 3]
             over = IntMat(den * a.d * b.d * c.d, 2, None, c.sparse)
-            terms.append((sgn * _pairing(signs, a.sparse, b.sparse), over))
-    return IntMat.combination(terms).to_mat()
+            terms.append((sgn * gm1_pairing(ev.sig, a, b), over))
+    return IntMat.combination(terms)
 
 
 def pipeline_s(sig: Signature, xi: Mat, eta: Mat, zeta: Mat) -> Mat:
@@ -253,17 +271,18 @@ def gm1_units(n: int):
 def fit_pipeline_constant(ev: STensorEval) -> Fraction:
     """The one constant relating the closed-form tensor to the pipeline
     value, fitted on the first unit triple where both are nonzero and
-    checked for exact proportionality there."""
+    checked for exact proportionality there; the pipeline runs only where
+    the closed form is nonzero."""
     sig = ev.sig
     units = gm1_units(sig.n)
     for u1 in units:
         for u2 in units:
             for u3 in units:
-                pipe = pipeline_s(sig, u1, u2, u3)
-                if pipe.is_zero():
-                    continue
                 closed = s_tensor(ev, u1, u2, u3)
                 if closed.is_zero():
+                    continue
+                pipe = pipeline_s(sig, u1, u2, u3)
+                if pipe.is_zero():
                     continue
                 idx = next((i, j) for i in range(sig.n) for j in range(2)
                            if pipe[i, j] != 0)
@@ -282,34 +301,35 @@ def rank_one_by_S(ev: STensorEval, xi: Mat) -> bool:
     is equivalent to S(xi, xi, xi) = 0. When all three pairings vanish the
     cubic vanishes for free, so the test asks instead whether xi is
     reachable as S(xi, xi, eta); blurring the two cases misclassifies fully
-    isotropic rank-two directions, which exist in balanced signatures."""
-    if xi.is_zero():
+    isotropic rank-two directions, which exist in balanced signatures.
+    The pairings are read off the images xi·M the tensor forms, and xi is
+    reachable when it keeps the rank of the columns S(xi, xi, e) over the
+    unit directions e, each over its own denominator."""
+    x = IntMat.of(xi)
+    if x.is_zero():
         raise ValueError("the tested element must be nonzero")
-    sig = ev.sig
-    st = ev.structure
-    pairings = (bracket_gm1(sig, xi, st.apply_i(xi)),
-                bracket_gm1(sig, xi, st.apply_j(xi)),
-                bracket_gm1(sig, xi, st.apply_k(xi)))
-    if any(c != 0 for c in pairings):
-        return s_tensor(ev, xi, xi, xi).is_zero()
-    n = sig.n
-    rows = []
-    for eta in gm1_units(n):
-        img = stack_columns(s_tensor(ev, xi, xi, eta))
-        rows.append([img[r, 0] for r in range(2 * n)])
-    system = Mat(rows).T
-    return solve_linear(system, stack_columns(xi)) is not None
+    images = [x * m for m in ev._units]
+    if any(gm1_pairing(ev.sig, x, img) for img in images):
+        return _cyclic_sum(ev, (x, x, x), [[img] * 3 for img in images]
+                           ).is_zero()
+    cols = [_stacked(_cyclic_sum(ev, (x, x, e), [
+        [img, img, e * m] for img, m in zip(images, ev._units)]))
+        for e in map(IntMat.of, gm1_units(ev.sig.n))]
+    return _rank(zip(*cols)) == _rank(zip(*cols, _stacked(x)))
+
+
+def _stacked(m: IntMat):
+    """The integers of an n x 2 matrix, first column over the second."""
+    return [r[j] for j in range(2) for r in m.dense]
 
 
 def reconstruct_cone(ev: STensorEval, samples) -> dict:
     """Classifies each sample by rank_one_by_S and compares against the
     exact factorization rank; an identically vanishing tensor is rejected
     since it certifies a broken pipeline rather than a classification."""
-    units = gm1_units(ev.sig.n)
-    degenerate = all(
-        s_tensor(ev, u1, u2, u3).is_zero()
-        for u1 in units for u2 in units for u3 in units)
-    if degenerate:
+    units = [IntMat.of(u) for u in gm1_units(ev.sig.n)]
+    if all(s_tensor_int(ev, *t).is_zero()
+           for t in itertools.product(units, repeat=3)):
         raise ValueError("degenerate evaluation: the cubic tensor vanishes "
                          "identically")
     flags = []
@@ -338,12 +358,13 @@ def reconstruct_cone(ev: STensorEval, samples) -> dict:
 # trajectory export
 
 
-def _normalized_span(span: Mat):
+def _normalized_span(span: IntMat):
     """Euclidean Gram-Schmidt on the float columns, first column's leading
-    entry made positive; returns the entries row-major."""
-    m = span.rows
-    c0 = [float(span[i, 0]) for i in range(m)]
-    c1 = [float(span[i, 1]) for i in range(m)]
+    entry made positive; returns the entries row-major. x / d rounds
+    correctly, as float(Fraction(x, d)) does."""
+    m, d = span.rows, span.d
+    c0 = [r[0] / d for r in span.dense]
+    c1 = [r[1] / d for r in span.dense]
     norm0 = math.sqrt(sum(e * e for e in c0))
     u0 = [e / norm0 for e in c0]
     lead = next((e for e in u0 if abs(e) > 1e-9), 1.0)
@@ -377,6 +398,5 @@ def emit_trajectory(sig: Signature, g: Mat | None, t_min, t_max,
     rows = []
     for k in range(steps):
         t = t0 + (t1 - t0) * Fraction(k, steps - 1)
-        span = curve.at(t).span
-        rows.append([float(t)] + _normalized_span(span))
+        rows.append([float(t)] + _normalized_span(curve.at(t)._ints))
     return rows

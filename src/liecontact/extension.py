@@ -215,8 +215,8 @@ def alpha_restriction_matrix(sig: Signature) -> Mat:
 
 
 @functools.cache
-def _lift_inverse(sig: Signature) -> Mat:
-    return invert(alpha_restriction_matrix(sig))
+def _lift_inverse(sig: Signature) -> IntMat:
+    return IntMat.of(invert(alpha_restriction_matrix(sig)))
 
 
 def _check_negative(sig: Signature, z: SlElement):
@@ -230,11 +230,12 @@ def _check_negative(sig: Signature, z: SlElement):
 
 def hat_lift(sig: Signature, z: SlElement) -> SoElement:
     """The unique element of g_- + g_1 that alpha sends to z modulo the
-    nonnegative slots; solves the restriction system exactly (the inverse is
-    factored once per signature and reused)."""
+    nonnegative slots; solves the restriction system exactly, as one integer
+    product with the inverse factored once per signature."""
     _check_negative(sig, z)
-    coords = _lift_inverse(sig) * Mat.col(sl_neg_coordinates(z))
-    return from_coordinates(sig, zip(_lift_positions(sig), coords.column(0)))
+    coords = _lift_inverse(sig) * IntMat.of(Mat.col(sl_neg_coordinates(z)))
+    return from_coordinates(sig, zip(_lift_positions(sig),
+                                     coords.to_mat().column(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +246,11 @@ def psi_gq(x: SoElement, y: SoElement) -> SlElement:
     """[alpha(x), alpha(y)] - alpha([x, y]); insensitive to shifts of either
     argument by A-, D- or w-directions, which is what makes the factorized
     map below well defined. The obstruction cochain evaluates the same
-    formula on integer rows and is tested against this one."""
-    return sl_bracket(alpha(x), alpha(y)) - alpha(bracket(x, y))
+    formula in coordinates and is tested against this one. Here it is one
+    integer combination of the alpha images (`_alpha_int`)."""
+    value = IntMat.combination([(1, _alpha_int(x).commutator(_alpha_int(y))),
+                                (-1, _alpha_int(bracket(x, y)))])
+    return SlElement(x.sig.n, value.to_mat())
 
 
 def psi_alpha(sig: Signature, z1: SlElement, z2: SlElement) -> SlElement:

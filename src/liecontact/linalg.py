@@ -226,9 +226,6 @@ class Mat:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i):
-        return self.data[i]
-
     def column(self, j):
         return tuple(r[j] for r in self.data)
 

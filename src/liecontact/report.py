@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import chains, extension, samplers
-from .linalg import Mat, exp_nilpotent, rank_kernel
+from .linalg import IntMat, Mat, exp_nilpotent, rank_kernel
 from .path_sl import SlElement, sl_bracket, sl_neg_slots, w0
 from .so_contact import (Signature, SoElement, bracket, bracket_gm1,
                          equivariance_checks, grading_check, jacobi_check,
@@ -468,9 +468,10 @@ def _dual_path(sig, ev, cst, xi, eta, zeta):
          "cubic tensor is totally symmetric", _draw(a=_gm1, b=_gm1, c=_gm1),
          _at_most(200), setup=_tensor)
 def _symmetry(sig, ev, a, b, c):
-    base = chains.s_tensor(ev, a, b, c)
-    return all(chains.s_tensor(ev, *perm) == base
-               for perm in itertools.permutations((a, b, c)))
+    plain = [IntMat.of(m) for m in (a, b, c)]
+    base = chains.s_tensor_int(ev, *plain)
+    return all(chains.s_tensor_int(ev, *perm).equals(base)
+               for perm in itertools.permutations(plain))
 
 
 @_declare("reconstruction", "cone-classification",

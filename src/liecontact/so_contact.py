@@ -169,10 +169,6 @@ class SoElement:
         raise AttributeError("SoElement is immutable")
 
     @classmethod
-    def zero(cls, sig: Signature):
-        return cls(sig)
-
-    @classmethod
     def generator_e(cls, sig: Signature):
         return cls(sig, z=1)
 
@@ -227,21 +223,6 @@ class SoElement:
         s = rat(scalar)
         return SoElement(self.sig, s * self.z, s * self.X, s * self.A,
                          s * self.D, s * self.U, s * self.w)
-
-    def grade(self, d: int) -> "SoElement":
-        """Projection onto the degree-d component."""
-        sig = self.sig
-        if d == -2:
-            return SoElement(sig, z=self.z)
-        if d == -1:
-            return SoElement(sig, X=self.X)
-        if d == 0:
-            return SoElement(sig, A=self.A, D=self.D)
-        if d == 1:
-            return SoElement(sig, U=self.U)
-        if d == 2:
-            return SoElement(sig, w=self.w)
-        raise ValueError("degree must be in -2..2")
 
     def is_zero(self):
         return (self.z == 0 and self.w == 0 and self.X.is_zero()
@@ -305,8 +286,19 @@ def bracket(x: SoElement, y: SoElement) -> SoElement:
 
 def bracket_gm1(sig: Signature, x: Mat, y: Mat) -> Fraction:
     """g_{-1} x g_{-1} -> g_{-2} in closed form: the coefficient of e is
-    <X1, Y2> - <X2, Y1>."""
-    return inner(sig, x.column(0), y.column(1)) - inner(sig, x.column(1), y.column(0))
+    <X1, Y2> - <X2, Y1>, the `gm1_pairing` of x and y read as `IntMat`s."""
+    a, b = IntMat.of(x), IntMat.of(y)
+    return Fraction(gm1_pairing(sig, a, b), a.d * b.d)
+
+
+def gm1_pairing(sig: Signature, a: IntMat, b: IntMat) -> int:
+    """sum_i s_i (A_i0 B_i1 - A_i1 B_i0) for a = A/a.d and b = B/b.d, n x 2:
+    their bottom bracket times a.d·b.d, for `bracket_gm1` and the tensor."""
+    acc = 0
+    for s, (a0, a1), (b0, b1) in zip(sig.signs(), a.dense, b.dense):
+        t = a0 * b1 - a1 * b0
+        acc += t if s > 0 else -t
+    return acc
 
 
 def _check_orthogonal(sig: Signature, c: Mat) -> None:

@@ -39,9 +39,6 @@ class SplitQuaternion:
     def __setattr__(self, name, value):
         raise AttributeError("SplitQuaternion is immutable")
 
-    def imag(self) -> "SplitQuaternion":
-        return SplitQuaternion(0, self.a, self.b, self.c)
-
     def __add__(self, other):
         return SplitQuaternion(self.a0 + other.a0, self.a + other.a,
                                self.b + other.b, self.c + other.c)
@@ -77,17 +74,6 @@ def quat_mul(p: SplitQuaternion, q: SplitQuaternion) -> SplitQuaternion:
         a0 * e + b * b0 + a * f - c * d,
         a0 * f + c * b0 + a * e - b * d,
     )
-
-
-def to_matrix(q: SplitQuaternion) -> Mat:
-    return Mat([[q.a0 + q.a, q.b + q.c], [q.b - q.c, q.a0 - q.a]])
-
-
-def from_matrix(m: Mat) -> SplitQuaternion:
-    """Inverse of to_matrix; defined on all 2x2 matrices."""
-    half = Fraction(1, 2)
-    return SplitQuaternion(half * (m[0, 0] + m[1, 1]), half * (m[0, 0] - m[1, 1]),
-                           half * (m[0, 1] + m[1, 0]), half * (m[0, 1] - m[1, 0]))
 
 
 def norm_sq(q: SplitQuaternion) -> Fraction:

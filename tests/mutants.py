@@ -337,6 +337,9 @@ MUTANTS = (
            (T_EXT + "test_obstruction_cochain_refuses_a_bracket_outside_the_"
             "algebra",)),
     # Psi read off the cochain, and the integer references beside it
+    Mutant("psi_gq: alpha([x, y]) added, not subtracted", EXT,
+           "(-1, _alpha_int(bracket(x, y)))", "(1, _alpha_int(bracket(x, y)))",
+           (T_EXT + "test_psi_gq_matches_the_fraction_formula",)),
     Mutant("psi_from_cochain: without its antisymmetric term", EXT,
            "x1[a] * x2[b] - x1[b] * x2[a]", "x1[a] * x2[b]", CONTRACTION),
     Mutant("psi_from_cochain: the argument denominators dropped", EXT,
@@ -392,10 +395,7 @@ MUTANTS = (
             "that_does_not_square_to_zero",)),
     Mutant("ChainCurve.at: the frame's third and fourth columns",
            "liecontact/chains.py",
-           "self.g.submat(0, rows, 0, 2)\n"
-           "                          + rat(t) * self.vel.submat(0, rows, 0, 2)",
-           "self.g.submat(0, rows, 2, 4)\n"
-           "                          + rat(t) * self.vel.submat(0, rows, 2, 4)",
+           "self._frame(t, 0, 2)", "self._frame(t, 2, 4)",
            ("tests/test_chains.py::test_chain_through_origin_has_linear_span",
             "tests/test_chains.py::test_chain_equivariance",
             "tests/test_chains.py::test_chain_point_is_the_frame_first_two_"
@@ -405,13 +405,13 @@ MUTANTS = (
            "out[j] = r[k] if sign > 0 else -r[k]", "out[j] = r[k]",
            ("tests/test_chains.py::test_affine_frame_matches_the_"
             "exponential",)),
-    Mutant("ChainCurve.at: the velocity without t", "liecontact/chains.py",
-           "+ rat(t) * self.vel.submat(", "+ self.vel.submat(",
+    Mutant("ChainCurve frame: the velocity without t", "liecontact/chains.py",
+           "u, v = t.numerator, t.denominator", "u, v = 1, 1",
            ("tests/test_chains.py::test_chain_point_is_the_frame_first_two_"
             "columns",)),
-    Mutant("ChainCurve.at: the velocity without t, seen by chain-exactness",
-           "liecontact/chains.py",
-           "+ rat(t) * self.vel.submat(", "+ self.vel.submat(",
+    Mutant("ChainCurve frame: the velocity without t, seen by "
+           "chain-exactness", "liecontact/chains.py",
+           "u, v = t.numerator, t.denominator", "u, v = 1, 1",
            ("tests/test_golden.py::test_output_matches_its_golden_file["
             "report-2-2-seed0.json]",)),
     Mutant("emit_trajectory: accept an empty or descending range",
@@ -419,11 +419,27 @@ MUTANTS = (
            "if t0 >= t1:", "if False:",
            ("tests/test_chains.py::"
             "test_emit_trajectory_needs_an_increasing_range",)),
-    # the cubic tensor on integer rows
+    # the cubic tensor on integer rows, and the one g_-1 pairing
     Mutant("s_tensor: a pairing without the image's denominator",
            "liecontact/chains.py",
            "den * a.d * b.d * c.d", "den * a.d * c.d",
            ("tests/test_chains.py::test_tensor_matches_the_matrix_formula",)),
+    Mutant("g_-1 pairing: the form signs dropped", SO,
+           "acc += t if s > 0 else -t", "acc += t",
+           (T_SO + "test_bracket_gm1_matches_the_inner_formula",)),
+    Mutant("g_-1 pairing: the form signs dropped, seen by the tensor", SO,
+           "acc += t if s > 0 else -t", "acc += t",
+           ("tests/test_chains.py::test_tensor_matches_the_matrix_formula",)),
+    Mutant("rank_one_by_S: every direction with vanishing pairings taken "
+           "for rank one", "liecontact/chains.py",
+           "return _rank(zip(*cols)) == _rank(zip(*cols, _stacked(x)))",
+           "return True",
+           ("tests/test_chains.py::test_rank_one_by_s_matches_the_matrix_"
+            "formula",)),
+    Mutant("ModelPoint: a span of rank one accepted", "liecontact/chains.py",
+           "if _rank(ints.dense) != 2:", "if _rank(ints.dense) == 0:",
+           ("tests/test_chains.py::test_model_point_rank_matches_rank_"
+            "kernel",)),
     # the big-cell sampler on integer rows
     Mutant("rand_oform: the sign of z in the zJ corner", SAMPLERS,
            "corner, d1 = _corner(signs, xt, dx, z)",
@@ -572,8 +588,8 @@ EQUIVALENTS = (
     # L(a, Mb) = L(b, Ma) for M = I, J, K, so the cyclic sum is unchanged
     Mutant("s_tensor: b and c swapped in the cyclic terms",
            "liecontact/chains.py",
-           "images[(r + 1) % 3], images[(r + 2) % 3]",
-           "images[(r + 2) % 3], images[(r + 1) % 3]",
+           "imgs[(r + 1) % 3], imgs[(r + 2) % 3]",
+           "imgs[(r + 2) % 3], imgs[(r + 1) % 3]",
            ("tests/test_chains.py::test_tensor_matches_the_matrix_formula",)),
     # the basis lifts assemble to integer matrices at every signature, so
     # the so bracket of two of them has denominator 1

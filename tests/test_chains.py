@@ -14,14 +14,24 @@ from liecontact.chains import (ChainCurve, ModelPoint, STensorEval, act,
                                fit_pipeline_constant, flow_transversality,
                                gm1_units, origin, pipeline_s, rank_one_by_S,
                                reconstruct_cone, s_tensor)
-from liecontact.linalg import IntMat, Mat, exp_nilpotent, invert
+from liecontact.linalg import (IntMat, Mat, exp_nilpotent, invert,
+                               rank_kernel, rat, solve_linear)
 from liecontact.so_contact import (Signature, SoElement, ambient_inverse,
                                    bracket_gm1, segre_rank)
+from liecontact.split_quat import stack_columns
 from test_linalg import _corrupted, _sign_swap
+from test_so_contact import _bracket_by_inner
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 ORACLE_SIGS = (Signature(1, 0), Signature(2, 1), Signature(3, 0),
                Signature(2, 2), Signature(3, 3))
+# every signature with 2 <= n <= 6
+DOMAIN_SIGS = tuple(Signature(p, n - p) for n in range(2, 7)
+                    for p in range(n, -1, -1))
+
+
+def _sig_id(sig):
+    return "%d-%d" % (sig.p, sig.q)
 
 
 def _mat(rows):
@@ -90,6 +100,37 @@ def test_form_checks_refuse_near_misses():
             ModelPoint(sig, skew)
 
 
+@pytest.mark.parametrize("sig", DOMAIN_SIGS, ids=_sig_id)
+def test_model_point_rank_matches_rank_kernel(sig):
+    # isotropic planes of rank two are points; a rank-one or zero span and
+    # a non-isotropic plane are refused with their messages, and equality
+    # is the rank of the joined spans
+    rng = random.Random(91 + 7 * sig.p + sig.q)
+    size = sig.n + 4
+    for _ in range(3):
+        span = samplers.rand_oform(sig, rng).submat(0, size, 0, 2)
+        col = Mat.col(span.column(rng.randrange(2)))
+        thin = Mat.block([[col, samplers.rand_fraction(rng) * col]])
+        for m, rank in ((span, 2), (thin, 1), (Mat.zeros(size, 2), 0)):
+            assert rank_kernel(m)[0] == rank
+            if rank == 2:
+                assert ModelPoint(sig, m).span is m
+                continue
+            with pytest.raises(ValueError, match="span must have rank 2"):
+                ModelPoint(sig, m)
+        skew = _corrupted(span, rng)
+        assert rank_kernel(skew)[0] == 2
+        with pytest.raises(ValueError, match="span must be isotropic"):
+            ModelPoint(sig, skew)
+        pt = ModelPoint(sig, span)
+        other = samplers.rand_oform(sig, rng).submat(0, size, 0, 2)
+        for m in (span * samplers.rand_gl2(rng), other):
+            joint = rank_kernel(Mat.block([[span, m]]))[0]
+            assert (pt == ModelPoint(sig, m)) == (joint == 2)
+        assert pt == ModelPoint(sig, IntMat.of(span))
+        assert ModelPoint(sig, IntMat.of(span)).span == span
+
+
 def test_act_moves_points_and_keeps_them_valid():
     rng = random.Random(70)
     for sig in SIGS:
@@ -148,18 +189,20 @@ def test_ambient_inverse_matches_elimination():
 
 
 def test_affine_frame_matches_the_exponential():
+    # the point at t is read off the frame g·exp(tE), and its step from
+    # t = 0 to t = 1 off the velocity gE, whose columns the curve moves
     rng = random.Random(83)
     for sig in ORACLE_SIGS:
         e = chain_matrix(sig)
-        for _ in range(6):
-            g = samplers.rand_oform(sig, rng)
+        size = sig.n + 4
+        for g in [Mat.identity(size)] + [samplers.rand_oform(sig, rng)
+                                         for _ in range(6)]:
             t = samplers.rand_fraction(rng)
             curve = ChainCurve(sig, g)
-            assert curve.frame(t) == g * exp_nilpotent(t * e, 2)
-            # the velocity gE, formed by moving columns, against the product
-            assert curve.vel.data == (g * e).data
-            assert {type(x) for r in curve.vel.data for x in r} == {Fraction}
-        assert ChainCurve(sig).frame(0) == Mat.identity(sig.n + 4)
+            frame = g * exp_nilpotent(t * e, 2)
+            assert curve.at(t).span == frame.submat(0, size, 0, 2)
+            step = curve.at(1).span - curve.at(0).span
+            assert step.data == (g * e).submat(0, size, 0, 2).data
 
 
 def test_pullbacks_match_the_eliminated_inverse():
@@ -202,7 +245,9 @@ def test_chain_point_is_the_frame_first_two_columns():
             for t in (0, 1, Fraction(-7, 3), samplers.rand_fraction(rng),
                       "5/4"):
                 span = curve.at(t).span
-                want = curve.frame(t).submat(0, size, 0, 2)
+                frame = curve.g * exp_nilpotent(
+                    rat(t) * chain_matrix(sig), 2)
+                want = frame.submat(0, size, 0, 2)
                 assert span.data == want.data
                 assert {type(e) for r in span.data for e in r} == {Fraction}
 
@@ -253,8 +298,8 @@ def test_eval_validation():
 
 
 def _s_tensor_by_matrices(ev, xi, eta, zeta):
-    """The tensor as a sum of Mat terms, one bracket_gm1 and one structure
-    application per term."""
+    """The tensor as a sum of Mat terms, one bottom bracket and one
+    structure application per term."""
     sig = ev.sig
     st = ev.structure
     acc = Mat.zeros(sig.n, 2)
@@ -263,7 +308,8 @@ def _s_tensor_by_matrices(ev, xi, eta, zeta):
         out = Mat.zeros(sig.n, 2)
         for apply_m, sgn in ((st.apply_i, 1), (st.apply_j, 1),
                              (st.apply_k, -1)):
-            coeff = bracket_gm1(sig, a, apply_m(b))
+            # the Fraction formula, apart from the pairing the tensor shares
+            coeff = _bracket_by_inner(sig, a, apply_m(b))
             if coeff != 0:
                 out = out + (sgn * coeff) * apply_m(c)
         return out
@@ -393,6 +439,39 @@ def test_fully_isotropic_rank_two_plane_is_rejected():
     assert pairings == (0, 0, 0)
     assert s_tensor(ev, xi, xi, xi).is_zero()
     assert not rank_one_by_S(ev, xi)
+
+
+def _rank_one_by_matrices(ev, xi):
+    """rank_one_by_S by its Mat formula: the pairings through bracket_gm1
+    and the structure's apply_i, apply_j and apply_k, the cubic through
+    s_tensor, and reachability through solve_linear."""
+    sig, st = ev.sig, ev.structure
+    if any(bracket_gm1(sig, xi, apply_m(xi)) != 0
+           for apply_m in (st.apply_i, st.apply_j, st.apply_k)):
+        return s_tensor(ev, xi, xi, xi).is_zero()
+    cols = [stack_columns(s_tensor(ev, xi, xi, eta)).column(0)
+            for eta in gm1_units(sig.n)]
+    return solve_linear(Mat(cols).T, stack_columns(xi)) is not None
+
+
+@pytest.mark.parametrize("sig", DOMAIN_SIGS, ids=_sig_id)
+def test_rank_one_by_s_matches_the_matrix_formula(sig):
+    # mixed samples, and the isotropic shapes that make every pairing
+    # vanish, under the standard, a rescaled and a basis-changed structure
+    rng = random.Random(95 + 7 * sig.p + sig.q)
+    std = STensorEval.standard(sig)
+    evs = (std, std.rescaled(Fraction(-5, 2)),
+           std.basis_changed(samplers.rand_gl2(rng)))
+    samples = [samplers.rand_mixed_gm1(sig, rng) for _ in range(6)]
+    if sig.p and sig.q:
+        samples.append(samplers.rand_isotropic_rank_one(sig, rng))
+    if sig.p >= 2 and sig.q >= 2:
+        samples.append(samplers.rand_isotropic_plane(sig, rng))
+    for ev in evs:
+        for xi in samples:
+            got = rank_one_by_S(ev, xi)
+            assert got == _rank_one_by_matrices(ev, xi)
+            assert got == (segre_rank(xi) == 1)
 
 
 def test_rank_one_test_rejects_zero():

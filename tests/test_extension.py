@@ -26,6 +26,7 @@ from liecontact.path_sl import (SlElement, neg_positions, sl_bracket,
                                 sl_neg_duals, sl_neg_slots, w0)
 from liecontact.so_contact import (QGroupElement, Signature, SoElement,
                                    bracket, inner, so_basis)
+from test_so_contact import grade
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 # the oracle comparisons below run where the form has negative signs too
@@ -138,7 +139,7 @@ def _oracle_elements(sig, rng):
     out = list(so_basis(sig))
     for _ in range(4):
         x = samplers.rand_so_element(sig, rng)
-        out += [x] + [x.grade(d) for d in (-2, -1, 0, 1, 2)]
+        out += [x] + [grade(x, d) for d in (-2, -1, 0, 1, 2)]
     return out
 
 
@@ -210,7 +211,7 @@ def test_integer_alpha_matches_the_fraction_formula(pq):
     xs = list(so_basis(sig))
     while len(xs) < 200:
         x = samplers.rand_so_element(sig, rng)
-        xs += [x] + [x.grade(d) for d in (-2, -1, 0, 1, 2)]
+        xs += [x] + [grade(x, d) for d in (-2, -1, 0, 1, 2)]
     for x in xs:
         got = extension._alpha_int(x)
         assert got.to_mat() == _alpha_fractions(x), x
@@ -510,6 +511,32 @@ def test_psi_from_cochain_rejects_what_the_hat_lift_rejects():
 
 # ---------------------------------------------------------------------------
 # the obstruction map
+
+
+def _psi_by_fractions(x, y):
+    """psi_gq by its formula on Fraction matrices."""
+    return sl_bracket(alpha(x), alpha(y)) - alpha(bracket(x, y))
+
+
+@pytest.mark.parametrize("sig", DOMAIN_SIGS,
+                         ids=lambda sig: "%d-%d" % (sig.p, sig.q))
+def test_psi_gq_matches_the_fraction_formula(sig):
+    # on random elements of the algebra, on the hat lifts of random
+    # negative elements, and on lifts of basis units, (m1V, m2) among them
+    rng = random.Random(65 + 7 * sig.p + sig.q)
+    n = sig.n
+    basis = sl_neg_basis(n)
+    pairs = [(samplers.rand_so_element(sig, rng),
+              samplers.rand_so_element(sig, rng)) for _ in range(3)]
+    pairs += [(hat_lift(sig, _rand_sl_neg(n, rng)),
+               hat_lift(sig, _rand_sl_neg(n, rng))) for _ in range(2)]
+    pairs += [(hat_lift(sig, basis[a]), hat_lift(sig, basis[b]))
+              for a, b in ((2 * n + 1, 0), (0, 2 * n + 1), (2 * n, 1))]
+    for x, y in pairs:
+        got = psi_gq(x, y)
+        assert got == _psi_by_fractions(x, y)
+        assert {type(e) for r in got.mat.data for e in r} == {Fraction}
+    assert not psi_gq(*pairs[-3]).is_zero()
 
 
 def test_psi_ignores_stabilizer_shifts():

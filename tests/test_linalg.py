@@ -528,16 +528,43 @@ def test_no_module_imports_a_private_name_of_another():
 PAPER_OBJECTS = {"i_map": "the embedding i of the stabilizer group Q"}
 
 
-def _loads(node, name):
-    """Whether the syntax tree reads `name`, as a name or an attribute,
-    outside the body of a def or class of that name."""
-    if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                          ast.ClassDef)) and node.name == name):
-        return False
-    if (isinstance(node, ast.Name) and node.id == name
-            or isinstance(node, ast.Attribute) and node.attr == name):
-        return isinstance(node.ctx, ast.Load)
-    return any(_loads(child, name) for child in ast.iter_child_nodes(node))
+def _annotations(node):
+    """The annotations a node holds: of an argument, of a def's return, or
+    of an annotated assignment."""
+    if isinstance(node, ast.arg):
+        return [node.annotation]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.returns]
+    if isinstance(node, ast.AnnAssign):
+        return [node.annotation]
+    return []
+
+
+def _reads(node, around=frozenset()):
+    """The names the syntax tree reads, as a name or an attribute, outside
+    the body of a def or class of that name and outside every annotation:
+    a name read only to annotate is not used. `around` holds the names of
+    the defs and classes that enclose node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        around = around | {node.name}
+    found = set()
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        name = node.id if isinstance(node, ast.Name) else node.attr
+        if isinstance(node.ctx, ast.Load) and name not in around:
+            found.add(name)
+    skipped = _annotations(node)
+    for child in ast.iter_child_nodes(node):
+        if not any(child is a for a in skipped):
+            found |= _reads(child, around)
+    return found
+
+
+def _unused(exports, trees):
+    """The exports that no tree reads, other than the paper's objects."""
+    read = set().union(*(_reads(tree) for tree in trees))
+    return [name for name in exports
+            if name not in PAPER_OBJECTS and name not in read]
 
 
 def test_every_export_is_used_in_the_package():
@@ -551,10 +578,23 @@ def test_every_export_is_used_in_the_package():
                      if not name.startswith("_")
                      and not isinstance(value, types.ModuleType))
     assert set(PAPER_OBJECTS) <= set(exports)
-    unused = [name for name in exports if name not in PAPER_OBJECTS
-              and not any(_loads(tree, name) for tree in trees)]
+    unused = _unused(exports, trees)
     assert unused == [], ("exported by liecontact but read nowhere in its "
                           "modules: " + ", ".join(unused))
+
+
+def test_a_name_read_only_in_annotations_is_unused():
+    # an argument, a return and an annotated assignment; a default, a
+    # decorator and a body still read their names
+    tree = ast.parse("def f(x: Arg, *a: Star, k: Kw = Default, **kw: Kws)"
+                     " -> Ret:\n"
+                     "    y: Ann = Value\n"
+                     "    return Body\n"
+                     "@Deco\n"
+                     "def g(x: liecontact.Attr): pass\n")
+    names = ("Arg", "Star", "Kw", "Kws", "Ret", "Ann", "Attr")
+    assert _unused(names, [tree]) == list(names)
+    assert _unused(("Default", "Value", "Body", "Deco"), [tree]) == []
 
 
 # ---------------------------------------------------------------------------

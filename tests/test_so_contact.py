@@ -18,6 +18,16 @@ from test_linalg import _corrupted, _sign_swap
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 
 
+def grade(x, d):
+    """The projection of x onto the degree-d component."""
+    blocks = {-2: ("z",), -1: ("X",), 0: ("A", "D"), 1: ("U",), 2: ("w",)}
+    return SoElement(x.sig, **{k: getattr(x, k) for k in blocks[d]})
+
+# every signature with 2 <= n <= 6
+DOMAIN_SIGS = tuple(Signature(p, n - p) for n in range(2, 7)
+                    for p in range(n, -1, -1))
+
+
 def test_signature_validation():
     with pytest.raises(ValueError):
         Signature(0, 0)
@@ -149,7 +159,7 @@ def test_assemble_builds_one_matrix_per_element():
     rng = random.Random(12)
     for sig in SIGS:
         xs = [samplers.rand_so_element(sig, rng) for _ in range(6)]
-        xs += [SoElement.generator_e(sig), SoElement.zero(sig)]
+        xs += [SoElement.generator_e(sig), SoElement(sig)]
         for x in xs:
             m = x.assemble()
             assert x.assemble() is m
@@ -210,7 +220,7 @@ def test_from_matrix_refuses_what_reassembly_refuses():
     for sig in ORACLE_SIGS:
         size = sig.n + 4
         for x in (samplers.rand_so_element(sig, rng),
-                  SoElement.generator_e(sig), SoElement.zero(sig)):
+                  SoElement.generator_e(sig), SoElement(sig)):
             m = x.assemble()
             assert SoElement.from_matrix(sig, m) == x
             refused = 0
@@ -351,12 +361,37 @@ def test_levi_bracket_matches_matrix_commutator():
             assert full == expected
 
 
+def _bracket_by_inner(sig, x, y):
+    """bracket_gm1 by its formula on Fractions: <X1, Y2> - <X2, Y1>."""
+    return (inner(sig, x.column(0), y.column(1))
+            - inner(sig, x.column(1), y.column(0)))
+
+
+@pytest.mark.parametrize("sig", DOMAIN_SIGS,
+                         ids=lambda sig: "%d-%d" % (sig.p, sig.q))
+def test_bracket_gm1_matches_the_inner_formula(sig):
+    rng = random.Random(14 + 7 * sig.p + sig.q)
+    zero = Mat.zeros(sig.n, 2)
+    for _ in range(12):
+        x = samplers.rand_gm1(sig, rng)
+        y = samplers.rand_mixed_gm1(sig, rng)
+        for a, b in ((x, y), (y, x), (x, x), (x, zero)):
+            got = bracket_gm1(sig, a, b)
+            assert type(got) is Fraction
+            assert got == _bracket_by_inner(sig, a, b)
+    # integer entries are read as rationals, and floats are refused
+    ints = Mat([[i - 2 * j for j in range(2)] for i in range(sig.n)])
+    assert bracket_gm1(sig, ints, x) == _bracket_by_inner(sig, ints, x)
+    with pytest.raises(TypeError, match="float"):
+        bracket_gm1(sig, ints.map(float), x)
+
+
 def test_generator_bracket_with_top_grade_lands_in_middle():
     sig = Signature(2, 1)
     e = SoElement.generator_e(sig)
     w = SoElement(sig, w=1)
     out = bracket(e, w)
-    assert out.grade(0) == out and not out.is_zero()
+    assert grade(out, 0) == out and not out.is_zero()
 
 
 def test_equivariance_residuals_vanish():
@@ -589,10 +624,10 @@ def test_basis_coordinates_round_trip():
         degrees = so_basis_degrees(sig)
         assert len(basis) == len(degrees)
         for b, d in zip(basis, degrees):
-            assert b.grade(d) == b
+            assert grade(b, d) == b
         for _ in range(10):
             x = samplers.rand_so_element(sig, rng)
-            acc = SoElement.zero(sig)
+            acc = SoElement(sig)
             for c, b in zip(int_coordinates(sig, x.assemble().data), basis):
                 acc = acc + c * b
             assert acc == x

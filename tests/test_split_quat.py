@@ -10,12 +10,32 @@ from liecontact.linalg import Mat, rank_kernel
 from liecontact.so_contact import Signature, bracket_gm1, segre_rank
 from liecontact.split_quat import (M_I, M_J, M_K, QuatStructureOnH,
                                    SplitQuaternion, eigenspace_decompose,
-                                   from_matrix, levi_compat_residual,
+                                   levi_compat_residual,
                                    max_subspace_for_line, norm_sq, quat_mul,
                                    rank_one_witness, stack_columns,
-                                   to_matrix, unstack_columns)
+                                   unstack_columns)
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
+
+
+# the matrix model of the module docstring, as references for the tests
+
+
+def to_matrix(q: SplitQuaternion) -> Mat:
+    return Mat([[q.a0 + q.a, q.b + q.c], [q.b - q.c, q.a0 - q.a]])
+
+
+def from_matrix(m: Mat) -> SplitQuaternion:
+    """Inverse of to_matrix; defined on all 2x2 matrices."""
+    half = Fraction(1, 2)
+    return SplitQuaternion(half * (m[0, 0] + m[1, 1]),
+                           half * (m[0, 0] - m[1, 1]),
+                           half * (m[0, 1] + m[1, 0]),
+                           half * (m[0, 1] - m[1, 0]))
+
+
+def imag(q: SplitQuaternion) -> SplitQuaternion:
+    return SplitQuaternion(0, q.a, q.b, q.c)
 
 
 def test_basis_relations():
@@ -77,7 +97,7 @@ def test_action_through_quaternion_values():
         x = samplers.rand_gm1(sig, rng)
         q = SplitQuaternion(0, *(samplers.rand_fraction(rng)
                                  for _ in range(3)))
-        direct = x * to_matrix(q.imag())
+        direct = x * to_matrix(imag(q))
         st = QuatStructureOnH.standard(sig)
         composed = x * (q.a * st.mi + q.b * st.mj + q.c * st.mk)
         assert direct == composed
