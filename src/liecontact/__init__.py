@@ -23,12 +23,12 @@ from .extension import (Cochain1, Cochain2, alpha, alpha_restriction_matrix,
                         symmetrized_reference)
 from .linalg import (DualRat, Mat, det, exp_float, exp_nilpotent, invert,
                      rank_kernel, rat, rat_sqrt, solve_linear)
-from .path_sl import (SlElement, sl_bracket, sl_neg_basis, sl_neg_coordinates,
-                      w0)
+from .path_sl import SlElement, sl_bracket, sl_neg_coordinates, w0
 from .report import SUITE_NAMES, SuiteConfig, run
 from .so_contact import (QGroupElement, Signature, SoElement, bracket,
-                         bracket_gm1, equivariance_checks, grading_check,
-                         inner, jacobi_check, segre_rank, so_basis)
+                         bracket_gm1, grading_check, inner, jacobi_check,
+                         orthogonal_residual, scaling_residual, segre_rank,
+                         so_basis)
 from .split_quat import (QuatStructureOnH, SplitQuaternion,
                          eigenspace_decompose, max_subspace_for_line,
                          norm_sq, quat_mul, rank_one_witness, stack_columns,

@@ -33,7 +33,7 @@ from types import MappingProxyType
 
 from .linalg import (DualRat, IntMat, Mat, exp_float, invert, max_abs,
                      rank_kernel, rat, rat_sqrt)
-from .path_sl import (SlElement, neg_positions, sl_bracket, sl_neg_basis,
+from .path_sl import (SlElement, entry_degrees, neg_positions, sl_bracket,
                       sl_neg_coordinates, sl_neg_degrees, sl_neg_slots, w0)
 from .so_contact import (QGroupElement, Signature, SoElement,
                          basis_positions, bracket, from_coordinates,
@@ -92,17 +92,18 @@ def i_map(h: QGroupElement) -> Mat:
 
 def _i_exact(h: QGroupElement) -> IntMat:
     """i(h) as integers over one denominator, the exact route behind
-    `i_map`. The entries of beta, -w·beta, 1 and of B and C are scaled to
-    integers over L, the lcm of the denominators of beta and w·beta and of
-    den(B)·den(C), and put in `_i_layout`; the factor 1/sbar = sd/sn
-    multiplies the rows by sd and the denominator, L, by sn."""
+    `i_map`. The entries of beta, -w·beta, 1 and of B and C (the integer
+    rows of h) are scaled to integers over L, the lcm of the denominators
+    of beta and w·beta and of den(B)·den(C), and put in `_i_layout`; the
+    factor 1/sbar = sd/sn multiplies the rows by sd and the denominator, L,
+    by sn."""
     beta = h.det_b()
     try:
         sbar = rat_sqrt(abs(beta))
     except ValueError:
         raise ValueError("i_map needs |det B| to be a perfect rational "
                          "square, got %s" % beta) from None
-    b, c = IntMat.of(h.B), IntMat.of(h.C)
+    b, c = h.int_b, h.int_c
     top = (beta, -h.w * beta, Fraction(1))
     den = math.lcm(b.d * c.d, *(e.denominator for e in top))
     sd = sbar.denominator
@@ -189,19 +190,17 @@ def i_prime_float(sig: Signature, a: Mat, d: Mat, w, step=1e-5) -> Mat:
 # hat lifts
 
 
-def _lift_positions(sig: Signature):
-    """The `so_contact.basis_positions` entries of g_- + g_1 (the z, X and
-    U coordinates), in the global basis order."""
-    return [pos for pos, deg in zip(basis_positions(sig),
-                                    so_basis_degrees(sig))
-            if deg in (-2, -1, 1)]
+@functools.cache
+def _lift_indices(sig: Signature):
+    """The so_basis indices of g_- + g_1: the z, X and U coordinates."""
+    return tuple(k for k, deg in enumerate(so_basis_degrees(sig))
+                 if deg in (-2, -1, 1))
 
 
-def negative_part_basis(sig: Signature):
-    """Basis of g_- + g_1 (z, X, U slots) in the global basis order."""
-    one = Fraction(1)
-    return [from_coordinates(sig, ((pos, one),))
-            for pos in _lift_positions(sig)]
+@functools.cache
+def _so_images(sig: Signature):
+    """The alpha images of the so_basis, built once per signature."""
+    return tuple(_alpha_int(e) for e in so_basis(sig))
 
 
 @functools.cache
@@ -209,14 +208,27 @@ def alpha_restriction_matrix(sig: Signature) -> Mat:
     """Matrix of alpha restricted to g_- + g_1, read in the negative-slot
     coordinates of sl(2n+2). Square of size 4n+1; full rank by the pair
     condition on the induced quotient map. Built once per signature (a Mat
-    is immutable) for the hat lift and the rank check."""
-    cols = [sl_neg_coordinates(alpha(b)) for b in negative_part_basis(sig)]
-    return Mat(cols).T
+    is immutable) for the hat lift and the rank check, from the alpha
+    images of `_so_images`."""
+    im, ks = _so_images(sig), _lift_indices(sig)
+    return Mat([[Fraction(im[k].dense[r][c], im[k].d) for k in ks]
+                for r, c in neg_positions(sig.n)])
 
 
 @functools.cache
 def _lift_inverse(sig: Signature) -> IntMat:
     return IntMat.of(invert(alpha_restriction_matrix(sig)))
+
+
+@functools.cache
+def _lift_columns(sig: Signature):
+    """The hat lift of each negative basis element, as the pairs (so_basis
+    index, coordinate) of its nonzero coordinates: a column of
+    `_lift_inverse`."""
+    inv, indices = _lift_inverse(sig), _lift_indices(sig)
+    return tuple(tuple((indices[k], Fraction(x, inv.d))
+                       for k, x in enumerate(col) if x)
+                 for col in zip(*inv.dense))
 
 
 def _check_negative(sig: Signature, z: SlElement):
@@ -234,8 +246,8 @@ def hat_lift(sig: Signature, z: SlElement) -> SoElement:
     product with the inverse factored once per signature."""
     _check_negative(sig, z)
     coords = _lift_inverse(sig) * IntMat.of(Mat.col(sl_neg_coordinates(z)))
-    return from_coordinates(sig, zip(_lift_positions(sig),
-                                     coords.to_mat().column(0)))
+    positions = [basis_positions(sig)[k] for k in _lift_indices(sig)]
+    return from_coordinates(sig, zip(positions, coords.to_mat().column(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +274,7 @@ def psi_from_cochain(sig: Signature, z1: SlElement,
     """psi_alpha(sig, z1, z2), read off the obstruction cochain by
     bilinearity: the sum over its keys a < b of
     (x1_a x2_b - x1_b x2_a) Psi(e_a, e_b), for the coordinates x1, x2 of
-    z1, z2 in the sl_neg_basis. The coordinates are scaled to integers and
+    z1, z2 in the negative basis. The coordinates are scaled to integers and
     summed against the table's integer rows (`Cochain2.int_rows`), so
     one Fraction is built per nonzero entry of the value. The arguments
     are checked as `hat_lift` checks them."""
@@ -274,7 +286,7 @@ def psi_from_cochain(sig: Signature, z1: SlElement,
     d, values = phi.int_rows
     m = 2 * sig.n + 2
     acc = [[0] * m for _ in range(m)]
-    for (a, b), rows in zip(phi.table, values):
+    for (a, b), rows in values.items():
         _add_rows(acc, rows, x1[a] * x2[b] - x1[b] * x2[a])
     return SlElement(sig.n, IntMat(d * c1.d * c2.d, m, acc).to_mat())
 
@@ -383,46 +395,53 @@ def r_block_path(sig: Signature, x: Mat, y: Mat) -> Mat:
 
 
 class Cochain2:
-    """Antisymmetric 2-cochain on the negative slots, stored as a read-only
-    table of values on ordered basis pairs (a < b) in the sl_neg_basis
-    order, keys sorted lexicographically."""
+    """Antisymmetric 2-cochain on the negative slots, given by its values on
+    ordered basis pairs (a < b) of the negative basis. It keeps them as
+    `int_rows` (d, rows): integer matrices over one denominator d, rows
+    mapping each key, in sorted order, to the sparse rows of its value (as
+    `IntMat.sparse`); `table` reads them as a mapping of SlElements."""
 
-    __slots__ = ("n", "table", "_ints")
+    __slots__ = ("n", "int_rows")
 
-    def __init__(self, n: int, table: dict):
+    def __init__(self, n: int, table: dict | None = None, ints=None):
+        """From a table of SlElements, or from ints, the values as IntMats by
+        sorted key; TypeError when a value has an entry that isn't rational."""
+        table = table or {}
         for (a, b), v in table.items():
             if not a < b:
                 raise ValueError("table keys must be ordered pairs a < b")
             if v.n != n:
                 raise ValueError("value dimension mismatch")
+        if ints is None:
+            keys = sorted(table)
+            ints = dict(zip(keys, IntMat.common([table[k].mat for k in keys])))
+        common = IntMat.aligned(list(ints.values()))
+        rows = MappingProxyType({k: v.sparse for k, v in zip(ints, common)})
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", MappingProxyType(
-            {k: table[k] for k in sorted(table)}))
-        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "int_rows", (common[0].d if common else 1,
+                                              rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cochain2 is immutable")
 
     @property
-    def int_rows(self):
-        """(d, rows): the table's values, in key order, as integer matrices
-        over one common denominator d, each given by its sparse rows of
-        (column, int) pairs (as `IntMat.sparse`); read from this table on
-        first use. TypeError when a value has an entry that is not
-        rational."""
-        if self._ints is None:
-            values = IntMat.common([v.mat for v in self.table.values()])
-            object.__setattr__(self, "_ints", (
-                values[0].d if values else 1,
-                tuple(v.sparse for v in values)))
-        return self._ints
+    def table(self):
+        d, rows = self.int_rows
+        m = 2 * self.n + 2
+        return MappingProxyType({k: SlElement(self.n, IntMat(
+            d, m, sparse=r).to_mat()) for k, r in rows.items()})
 
     def value(self, a: int, b: int) -> SlElement:
-        if a == b:
-            return SlElement.zero(self.n)
-        if a < b:
-            return self.table.get((a, b), SlElement.zero(self.n))
-        return -self.table.get((b, a), SlElement.zero(self.n))
+        return SlElement(self.n, self.int_value(a, b).to_mat())
+
+    def int_value(self, a: int, b: int) -> IntMat:
+        """value(a, b) as an IntMat over the denominator of `int_rows`."""
+        d, values = self.int_rows
+        m = 2 * self.n + 2
+        sign = 1 if a < b else -1
+        rows = values.get((a, b) if a < b else (b, a)) or [()] * m
+        return IntMat(d, m, sparse=[[(j, sign * x) for j, x in r]
+                                    for r in rows])
 
 
 class Cochain1:
@@ -441,9 +460,10 @@ class Cochain1:
 
 @functools.cache
 def _basis_lifts(sig: Signature):
-    """The hat lifts of the sl_neg_basis, in its order, built once per
-    signature for the cochain and the equivariance check."""
-    return tuple(hat_lift(sig, zb) for zb in sl_neg_basis(sig.n))
+    """The hat lifts of the negative basis, read off `_lift_columns`."""
+    positions = basis_positions(sig)
+    return tuple(from_coordinates(sig, [(positions[k], v) for k, v in col])
+                 for col in _lift_columns(sig))
 
 
 @functools.cache
@@ -452,27 +472,31 @@ def build_psi_cochain(sig: Signature) -> Cochain2:
     once per signature. The support, equivariance and normality checks all
     read this one cached table.
 
-    The formula of `psi_gq` runs here on `IntMat`s, each table over one
-    denominator. Both brackets of a pair are integer commutators; the so
-    bracket is read in coordinates by `so_contact.int_coordinates`, which
-    raises when it leaves so(p+2, q+2), and alpha of it is the same
-    combination of the alpha images of the so_basis, alpha being linear."""
-    lifts = _basis_lifts(sig)
-    images = IntMat.aligned([_alpha_int(x) for x in lifts])
-    mats = IntMat.common([x.assemble() for x in lifts])
-    basis_images = IntMat.aligned([_alpha_int(e) for e in so_basis(sig)])
-    table = {}
-    for a in range(len(lifts)):
+    The formula of `psi_gq` runs here on `IntMat`s. A hat lift and its
+    alpha image are combinations of so_basis matrices and their images
+    (`_so_images`), with the lift's coordinates (`_lift_columns`). Both
+    brackets of a pair are integer commutators; the so bracket is read in
+    coordinates by `so_contact.int_coordinates`, which raises when it
+    leaves so(p+2, q+2), and alpha of it is the same combination of the
+    images. The cochain keeps the integer rows it is built from."""
+    basis, images = so_basis(sig), _so_images(sig)
+    lifts = [(IntMat.combination([(v, IntMat.of(basis[k].assemble()))
+                                  for k, v in col]),
+              IntMat.combination([(v, images[k]) for k, v in col]))
+             for col in _lift_columns(sig)]
+    values = {}
+    for a, (ma, ia) in enumerate(lifts):
         for b in range(a + 1, len(lifts)):
-            comm = mats[a].commutator(mats[b])
+            mb, ib = lifts[b]
+            comm = ma.commutator(mb)
             coords = int_coordinates(sig, comm.dense)
             value = IntMat.combination(
-                [(1, images[a].commutator(images[b]))]
-                + [(Fraction(-c, comm.d), basis_images[k])
+                [(1, ia.commutator(ib))]
+                + [(Fraction(-c, comm.d), images[k])
                    for k, c in enumerate(coords) if c])
             if not value.is_zero():
-                table[(a, b)] = SlElement(sig.n, value.to_mat())
-    return Cochain2(sig.n, table)
+                values[(a, b)] = value
+    return Cochain2(sig.n, ints=values)
 
 
 def codifferential(phi: Cochain2) -> Cochain1:
@@ -492,7 +516,7 @@ def codifferential(phi: Cochain2) -> Cochain1:
     index = {pos: c for c, pos in enumerate(positions)}
     outputs = collections.defaultdict(lambda: [[0] * m for _ in range(m)])
     d, values = phi.int_rows
-    for (a, b), w in zip(phi.table, values):
+    for (a, b), w in values.items():
         _add_dual_bracket(outputs[b], positions[a], w, 1)
         _add_dual_bracket(outputs[a], positions[b], w, -1)
         # the term -[Z_a, Z_b] (x) W: [Z_a, Z_b] is the unit at (s_a, r_b)
@@ -535,17 +559,19 @@ def is_normal(phi: Cochain2) -> bool:
 
 def curvature_report(phi: Cochain2) -> dict:
     """Homogeneity multiset of the nonzero components plus the torsion and
-    regularity flags, all exact."""
+    regularity flags, all exact; the degrees of a component are read off
+    the positions of its nonzero integers (`Cochain2.int_rows`)."""
     n = phi.n
     degrees = sl_neg_degrees(n)
+    slot_degrees = entry_degrees(n)
     homog = set()
     torsion_free = True
     nonzero = False
-    for (a, b), wv in phi.table.items():
-        if wv.is_zero():
-            continue
-        nonzero = True
-        for d in wv.degrees():
+    for (a, b), rows in phi.int_rows[1].items():
+        found = {slot_degrees[i][j] for i, r in enumerate(rows)
+                 for j, x in r if x}
+        nonzero = nonzero or bool(found)
+        for d in found:
             homog.add(d - degrees[a] - degrees[b])
             if d < 0:
                 torsion_free = False
@@ -575,7 +601,7 @@ def psi_support_report(sig: Signature) -> dict:
     values_in_ss = True
     witness = None
     phi = build_psi_cochain(sig)
-    for (a, b), rows in zip(phi.table, phi.int_rows[1]):
+    for (a, b), rows in phi.int_rows[1].items():
         entries = [(i, j, x) for i, row in enumerate(rows)
                    for j, x in row if x]
         if not entries:
@@ -689,7 +715,7 @@ def i_product_defect(h1: QGroupElement, h2: QGroupElement) -> float:
 def psi_equivariance_check(sig: Signature, h: QGroupElement, a: int,
                            b: int):
     """Whether Ad(i(h)) Psi(e_a, e_b) = Psi(Ad(h) lift_a, Ad(h) lift_b)
-    for the sl_neg_basis indices a, b: True, False, or the reason when i(h)
+    for the negative basis indices a, b: True, False, or the reason when i(h)
     is not invertible. The left side is read from the obstruction cochain,
     the right side is evaluated afresh. Checked as the product
     i(h)·Psi(e_a, e_b) = Psi(Ad(h) lift_a, Ad(h) lift_b)·i(h) on integer
@@ -698,7 +724,7 @@ def psi_equivariance_check(sig: Signature, h: QGroupElement, a: int,
     ih = _i_exact(h)
     if not _i_invertible(h, ih):
         return "i(h)·i(h^-1) is not +-I"
-    value = IntMat.of(build_psi_cochain(sig).value(a, b).mat)
+    value = build_psi_cochain(sig).int_value(a, b)
     lifts = _basis_lifts(sig)
     lhs = ih * value
     rhs = IntMat.of(psi_gq(h.ad_so(lifts[a]), h.ad_so(lifts[b])).mat) * ih

@@ -24,7 +24,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .linalg import Mat, commutator, rat, structure_table
+from .linalg import Mat, commutator, rat
 
 _SLOT_DEGREE = {"m2": -2, "m1E": -1, "m1V": -1, "g0": 0,
                 "p1E": 1, "p1V": 1, "p2": 2}
@@ -51,6 +51,12 @@ def _slot_table(n: int):
     n; the degree of a position is `_SLOT_DEGREE` of its name."""
     m = 2 * n + 2
     return tuple(tuple(_slot_of(i, j, n) for j in range(m)) for i in range(m))
+
+
+@functools.cache
+def entry_degrees(n: int):
+    """The degree of every entry position, as rows, built once per n."""
+    return tuple(tuple(_SLOT_DEGREE[s] for s in r) for r in _slot_table(n))
 
 
 def _is_trace_free(mat: Mat) -> bool:
@@ -101,15 +107,9 @@ class SlElement:
         if d not in (-2, -1, 0, 1, 2):
             raise ValueError("degree must be in -2..2")
         zero = Fraction(0)
-        rows = [[e if _SLOT_DEGREE[s] == d else zero for s, e in zip(sr, r)]
-                for sr, r in zip(_slot_table(self.n), self.mat.data)]
+        rows = [[e if s == d else zero for s, e in zip(sr, r)]
+                for sr, r in zip(entry_degrees(self.n), self.mat.data)]
         return SlElement(self.n, Mat(rows))
-
-    def degrees(self) -> set:
-        """The degrees of the slots that hold a nonzero entry."""
-        return {_SLOT_DEGREE[s]
-                for sr, r in zip(_slot_table(self.n), self.mat.data)
-                for s, e in zip(sr, r) if e != 0}
 
     # vector views
 
@@ -185,18 +185,6 @@ def neg_positions(n: int):
             *((2 + k, 1) for k in range(2 * n)))
 
 
-def sl_neg_basis(n: int):
-    m = 2 * n + 2
-    return [SlElement(n, _unit(m, r, c)) for r, c in neg_positions(n)]
-
-
-def sl_neg_duals(n: int):
-    """Trace-form duals of sl_neg_basis, inside the positive part: the
-    transposed units."""
-    m = 2 * n + 2
-    return [SlElement(n, _unit(m, c, r)) for r, c in neg_positions(n)]
-
-
 def sl_neg_slots(n: int):
     slots = _slot_table(n)
     return [slots[r][c] for r, c in neg_positions(n)]
@@ -207,49 +195,6 @@ def sl_neg_degrees(n: int):
 
 
 def sl_neg_coordinates(x: SlElement):
-    """Coordinates of the negative part of x in the sl_neg_basis order."""
+    """Coordinates of the negative part of x in the `neg_positions` order."""
     rows = x.mat.data
     return [rows[r][c] for r, c in neg_positions(x.n)]
-
-
-def _unit(m, i, j):
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    rows[i][j] = Fraction(1)
-    return Mat(rows)
-
-
-# ---------------------------------------------------------------------------
-# structure constants over the elementary basis
-
-
-def sl_full_basis(n: int):
-    """Basis of sl(2n+2): off-diagonal units E_(a,b) in row-major order,
-    then H_i = E_(i,i) - E_(i+1,i+1)."""
-    m = 2 * n + 2
-    basis = [_unit(m, a, b) for a in range(m) for b in range(m) if a != b]
-    for i in range(m - 1):
-        basis.append(_unit(m, i, i) - _unit(m, i + 1, i + 1))
-    return [SlElement(n, b) for b in basis]
-
-
-def _sl_coordinates(rows):
-    """Coordinates of a trace-free integer matrix, given as rows, in the
-    sl_full_basis order; the diagonal part is expanded over the H_i by
-    prefix sums."""
-    m = len(rows)
-    coords = [rows[a][b] for a in range(m) for b in range(m) if a != b]
-    diag = [rows[i][i] for i in range(m)]
-    if sum(diag) != 0:
-        raise ValueError("diagonal part has nonzero trace")
-    prefix = 0
-    for d in diag[:-1]:
-        prefix += d
-        coords.append(prefix)
-    return coords
-
-
-def sl_structure_constants(n: int):
-    """Structure-constant table of sl(2n+2) over sl_full_basis, a read-only
-    mapping (a, b) -> {c: coeff} (see `linalg.structure_table`)."""
-    return structure_table([b.mat for b in sl_full_basis(n)], _sl_coordinates)
-

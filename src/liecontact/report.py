@@ -30,8 +30,9 @@ from . import chains, extension, samplers
 from .linalg import IntMat, Mat, exp_nilpotent, rank_kernel
 from .path_sl import SlElement, sl_bracket, sl_neg_slots, w0
 from .so_contact import (Signature, SoElement, bracket, bracket_gm1,
-                         equivariance_checks, grading_check, jacobi_check,
-                         rank_one_bracket, segre_rank, so_basis_degrees)
+                         grading_check, jacobi_check,
+                         orthogonal_residual, rank_one_bracket,
+                         scaling_residual, segre_rank, so_basis_degrees)
 from .split_quat import (QuatStructureOnH, eigenspace_decompose,
                          levi_compat_residual, max_subspace_for_line,
                          norm_sq, quat_mul, rank_one_witness, stack_columns,
@@ -197,7 +198,7 @@ def _levi_closed(sig, x, y):
          "bottom bracket is invariant under the orthogonal factor",
          _draw(C=samplers.rand_opq, x=_gm1, y=_gm1))
 def _orth_invariance(sig, C, x, y):
-    return equivariance_checks(sig, C, Mat.identity(2), x, y)[0] == 0
+    return orthogonal_residual(sig, C, x, y) == 0
 
 
 @_trials("algebra", "determinant-scaling",
@@ -205,7 +206,7 @@ def _orth_invariance(sig, C, x, y):
          _draw(A=lambda sig, rng: samplers.rand_mat(rng, 2, 2), x=_gm1,
                y=_gm1))
 def _det_scaling(sig, A, x, y):
-    return equivariance_checks(sig, Mat.identity(sig.n), A, x, y)[1] == 0
+    return scaling_residual(sig, A, x, y) == 0
 
 
 @_trials("algebra", "rank-one-bracket",
@@ -327,7 +328,7 @@ def _support(sig, rng, trials):
 
 
 def _slot_index(slot):
-    """A draw of one sl_neg_basis index of the given slot."""
+    """A draw of one negative basis index of the given slot."""
     return lambda sig, rng: rng.choice(
         [k for k, s in enumerate(sl_neg_slots(sig.n)) if s == slot])
 

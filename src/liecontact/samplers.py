@@ -14,8 +14,9 @@ the assembled (U, w) of `so_contact`. Each factor is exactly in the group.
 `rand_oform` builds the three factors from their blocks as
 `linalg.IntMat`s: N-² and N+² are zero outside the corner block, so
 exp(N-) has the corner zJ + ½XᵀIpqX and exp(N+) the corner
-wJ + ½UIpqUᵀ, and B^-T is the adjugate of B over its determinant. g is
-their product.
+wJ + ½UIpqUᵀ, and diag(B, C, B^-T) is the stabilizer-group element
+(B, C, 0) (`QGroupElement.int_pair`). g is their product. The samplers
+hand B and C to a group element as the integer rows they were built on.
 """
 
 from __future__ import annotations
@@ -95,12 +96,17 @@ def rand_so_element(sig: Signature, rng) -> SoElement:
 
 
 def rand_opq(sig: Signature, rng) -> Mat:
-    """Random element of O(p,q), in any of its components: the Cayley
-    transform C = (I - D)^-1 (I + D) of a `rand_so_pq` draw D, drawn again
-    while I - D is singular, times a diagonal of random signs. With
-    D = Di / d, C solves (d·I - Di)·C = d·I + Di, and one integer
-    elimination of [d·I - Di | d·I + Di] gives it; D is never built as a
-    Fraction matrix."""
+    """Random element of O(p,q), in any of its components: `_opq_int`."""
+    return _opq_int(sig, rng).to_mat()
+
+
+def _opq_int(sig: Signature, rng) -> IntMat:
+    """The draw of `rand_opq` as an IntMat: the Cayley transform
+    C = (I - D)^-1 (I + D) of a `rand_so_pq` draw D, drawn again while
+    I - D is singular, times a diagonal of random signs. With D = Di / d,
+    C solves (d·I - Di)·C = d·I + Di, and one integer elimination of
+    [d·I - Di | d·I + Di] gives it; D is never built as a Fraction
+    matrix."""
     n = sig.n
     while True:
         a, d = _antisym_ratio_rows(rng, n)
@@ -115,7 +121,7 @@ def rand_opq(sig: Signature, rng) -> Mat:
             break
     signs = [rng.choice((1, -1)) for _ in range(n)]  # C times diag(signs)
     rows = [[x if s > 0 else -x for x, s in zip(r[n:], signs)] for r in rows]
-    return IntMat(den, n, dense=rows).to_mat()
+    return IntMat(den, n, dense=rows)
 
 
 def rand_gl2(rng, span=4, den=3) -> Mat:
@@ -127,18 +133,18 @@ def rand_gl2(rng, span=4, den=3) -> Mat:
 
 def rand_q_element(sig: Signature, rng) -> QGroupElement:
     """Generic stabilizer-group element; det B can be anything nonzero."""
-    return QGroupElement(sig, rand_gl2(rng), rand_opq(sig, rng),
+    return QGroupElement(sig, rand_gl2(rng), _opq_int(sig, rng),
                          rand_fraction(rng))
 
 
 def rand_q_square(sig: Signature, rng) -> QGroupElement:
     """Stabilizer-group element with |det B| a perfect rational square,
     mixing both signs of det B."""
-    m = rand_gl2(rng)
+    m = IntMat.of(rand_gl2(rng))
     b = m * m
-    if rng.choice((True, False)):
-        b = b * Mat([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]])
-    return QGroupElement(sig, b, rand_opq(sig, rng), rand_fraction(rng))
+    if rng.choice((True, False)):  # B times diag(1, -1)
+        b = IntMat(b.d, 2, [[x, -y] for x, y in b.dense])
+    return QGroupElement(sig, b, _opq_int(sig, rng), rand_fraction(rng))
 
 
 def rand_q_tangent(sig: Signature, rng):
@@ -173,8 +179,9 @@ def rand_oform(sig: Signature, rng) -> Mat:
     u, du = _ratio_rows([[_rand_ratio(rng) for _ in range(n)]
                          for _ in range(2)])
     w = _rand_ratio(rng)
-    b, c = rand_gl2(rng), rand_opq(sig, rng)
-    QGroupElement(sig, b, c)  # B invertible and C in O(p, q), or ValueError
+    # diag(B, C, B^-T) is the stabilizer-group element (B, C, 0), which
+    # checks B invertible and C in O(p, q), or raises ValueError
+    middle = QGroupElement(sig, rand_gl2(rng), _opq_int(sig, rng))
 
     # exp(N-) = [[I, 0, 0], [X, I, 0], [zJ + ½XᵀIpqX, XᵀIpq, I]] over d1
     xt = list(zip(*x))  # the two columns of X
@@ -187,19 +194,6 @@ def rand_oform(sig: Signature, rng) -> Mat:
                *((2 + i, f * s * e) for i, s, e in zip(range(n), signs, col)),
                (lo + a, d1)] for a, (k, col) in enumerate(zip(corner, xt))]
 
-    # diag(B, C, B^-T) over d2, with B^-T = adj(B)^T / det B
-    (bi, db), (ci, dc) = [_ratio_rows([[(e.numerator, e.denominator)
-                                        for e in r] for r in m.data])
-                          for m in (b, c)]
-    (b00, b01), (b10, b11) = bi
-    det_b = b00 * b11 - b01 * b10
-    d2 = math.lcm(db, dc, abs(det_b))
-    fb, fc, fi = d2 // db, d2 // dc, db * (d2 // det_b)
-    middle = [[(0, fb * b00), (1, fb * b01)], [(0, fb * b10), (1, fb * b11)]]
-    middle += [[(2 + j, fc * e) for j, e in enumerate(r)] for r in ci]
-    middle += [[(lo, fi * b11), (lo + 1, -fi * b10)],
-               [(lo, -fi * b01), (lo + 1, fi * b00)]]
-
     # exp(N+) = [[I, U, wJ + ½UIpqUᵀ], [0, I, IpqUᵀ], [0, 0, I]] over d3
     corner, d3 = _corner(signs, u, du, w)
     f = d3 // du
@@ -210,7 +204,7 @@ def rand_oform(sig: Signature, rng) -> Mat:
               for i, s in enumerate(signs)]
     upper += [[(lo, d3)], [(lo + 1, d3)]]
 
-    return (IntMat(d1, n + 4, sparse=lower) * IntMat(d2, n + 4, sparse=middle)
+    return (IntMat(d1, n + 4, sparse=lower) * middle.int_pair()[0]
             * IntMat(d3, n + 4, sparse=upper)).to_mat()
 
 

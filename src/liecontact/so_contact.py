@@ -39,6 +39,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .linalg import (IntMat, Mat, SignedPerm, commutator, jacobi_failures,
@@ -284,10 +285,11 @@ def bracket(x: SoElement, y: SoElement) -> SoElement:
     return SoElement.from_matrix(x.sig, commutator(x.assemble(), y.assemble()))
 
 
-def bracket_gm1(sig: Signature, x: Mat, y: Mat) -> Fraction:
+def bracket_gm1(sig: Signature, x, y) -> Fraction:
     """g_{-1} x g_{-1} -> g_{-2} in closed form: the coefficient of e is
-    <X1, Y2> - <X2, Y1>, the `gm1_pairing` of x and y read as `IntMat`s."""
-    a, b = IntMat.of(x), IntMat.of(y)
+    <X1, Y2> - <X2, Y1>, the `gm1_pairing` of x and y, Mats read as
+    `IntMat`s or IntMats."""
+    a, b = (IntMat.of(m) if isinstance(m, Mat) else m for m in (x, y))
     return Fraction(gm1_pairing(sig, a, b), a.d * b.d)
 
 
@@ -301,47 +303,59 @@ def gm1_pairing(sig: Signature, a: IntMat, b: IntMat) -> int:
     return acc
 
 
-def _check_orthogonal(sig: Signature, c: Mat) -> None:
+def _check_orthogonal(sig: Signature, c: IntMat) -> None:
     """ValueError unless C^t Ipq C = Ipq, i.e. C lies in O(p, q)."""
     ipq = sig.ipq_perm()
-    if not IntMat.of(c).gram_equals(ipq, ipq):
+    if not c.gram_equals(ipq, ipq):
         raise ValueError("C is not orthogonal for the (p,q) form")
 
 
-def _det2(m: Mat) -> Fraction:
-    """ad - bc of the 2x2 matrix m = [[a, b], [c, d]]."""
-    (a, b), (c, d) = m.data
+def _det2(rows):
+    """ad - bc of the 2x2 matrix with rows [[a, b], [c, d]]."""
+    (a, b), (c, d) = rows
     return a * d - b * c
 
 
-def _inv2(m: Mat) -> Mat:
-    """The inverse of the invertible 2x2 matrix m, its adjugate over
-    `_det2`."""
-    (a, b), (c, d) = m.data
-    beta = _det2(m)
-    return Mat([[d / beta, -b / beta], [-c / beta, a / beta]])
+def _inv2(b: IntMat) -> IntMat:
+    """The inverse of the invertible 2x2 matrix b: its adjugate over its
+    determinant, adj(B)·d / det(B) for b = B / d."""
+    (p, r), (s, q) = b.dense
+    d = b.d
+    return IntMat(_det2(b.dense), 2, [[q * d, -r * d], [-s * d, p * d]])
 
 
-def _check_g0(sig: Signature, b: Mat, c: Mat) -> None:
-    """ValueError unless B is an invertible 2x2 matrix and C lies in
-    O(p, q); TypeError unless the entries of B are Fractions."""
+def _check_g0(sig: Signature, b, c):
+    """B and C, Mats or IntMats, as IntMats; ValueError unless B is an
+    invertible 2x2 matrix and C lies in O(p, q), TypeError unless a B given
+    as a Mat has Fraction entries."""
     if b.rows != 2 or b.cols != 2:
         raise ValueError("B must be 2x2")
-    if any(type(e) is not Fraction for r in b.data for e in r):
-        raise TypeError("B needs Fraction entries: %r" % (b,))
-    if _det2(b) == 0:
+    if isinstance(b, Mat):
+        if any(type(e) is not Fraction for r in b.data for e in r):
+            raise TypeError("B needs Fraction entries: %r" % (b,))
+        b = IntMat.of(b)
+    if _det2(b.dense) == 0:
         raise ValueError("B must be invertible")
+    c = IntMat.of(c) if isinstance(c, Mat) else c
     _check_orthogonal(sig, c)
+    return b, c
 
 
-def equivariance_checks(sig: Signature, c: Mat, a: Mat, x: Mat, y: Mat):
-    """Residuals of the two compatibility laws of the g_{-1} bracket:
-    [Cx, Cy] - [x, y] for orthogonal C, and [xA, yA] - det(A) [x, y].
-    Both must be exactly zero."""
-    _check_orthogonal(sig, c)
-    r1 = bracket_gm1(sig, c * x, c * y) - bracket_gm1(sig, x, y)
-    r2 = bracket_gm1(sig, x * a, y * a) - _det2(a) * bracket_gm1(sig, x, y)
-    return r1, r2
+def orthogonal_residual(sig: Signature, c: Mat, x: Mat, y: Mat) -> Fraction:
+    """[Cx, Cy] - [x, y], exactly zero for C in O(p, q), on integer rows
+    (`gm1_pairing`); ValueError unless C is orthogonal."""
+    ci, xi, yi = IntMat.of(c), IntMat.of(x), IntMat.of(y)
+    _check_orthogonal(sig, ci)
+    return bracket_gm1(sig, ci * xi, ci * yi) - bracket_gm1(sig, xi, yi)
+
+
+def scaling_residual(sig: Signature, m: Mat, x: Mat, y: Mat,
+                     factor=None) -> Fraction:
+    """[xM, yM] - factor·[x, y] for a 2x2 M, on integer rows; exactly zero
+    for the default factor det M, by which the g_{-1} bracket scales."""
+    mi, xi, yi = IntMat.of(m), IntMat.of(x), IntMat.of(y)
+    f = _det2(m.data) if factor is None else rat(factor)
+    return bracket_gm1(sig, xi * mi, yi * mi) - f * bracket_gm1(sig, xi, yi)
 
 
 def segre_rank(x: Mat) -> int:
@@ -364,40 +378,43 @@ class QGroupElement:
     The upper-right block has to be w*B*J (it is the only 2x2 block linear
     in w for which the assembled matrix preserves the form S; a w*C*J block
     would not even be 2x2 for n != 2). Equality is up to an overall sign,
-    realized as (B, C, w) ~ (-B, -C, w)."""
+    realized as (B, C, w) ~ (-B, -C, w). B and C, given as Mats or IntMats,
+    are kept as the IntMats `int_b` and `int_c`, which every method reads."""
 
-    __slots__ = ("sig", "B", "C", "w", "_matrix", "_ints")
+    __slots__ = ("sig", "int_b", "int_c", "w", "_views", "_matrix", "_ints")
 
-    def __init__(self, sig: Signature, b: Mat, c: Mat, w=0):
-        _check_g0(sig, b, c)
+    def __init__(self, sig: Signature, b, c, w=0):
+        b, c = _check_g0(sig, b, c)
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
+        object.__setattr__(self, "int_b", b)
+        object.__setattr__(self, "int_c", c)
         object.__setattr__(self, "w", rat(w))
+        object.__setattr__(self, "_views", None)
         object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QGroupElement is immutable")
 
-    @classmethod
-    def identity(cls, sig: Signature):
-        return cls(sig, Mat.identity(2), Mat.identity(sig.n), 0)
+    def _mats(self):
+        if self._views is None:
+            object.__setattr__(self, "_views", (self.int_b.to_mat(),
+                                                self.int_c.to_mat()))
+        return self._views
+
+    B = property(lambda self: self._mats()[0])  # Mat views, made once
+    C = property(lambda self: self._mats()[1])
 
     def det_b(self) -> Fraction:
-        return _det2(self.B)
+        return Fraction(_det2(self.int_b.dense), self.int_b.d ** 2)
 
     def assemble(self) -> Mat:
-        """The matrix of the class docstring, built on the first call and
-        kept in a slot of this element, as `SoElement.assemble` does."""
+        """The matrix of the class docstring, the Mat view of `int_pair`,
+        built on the first call and kept in a slot of this element, as
+        `SoElement.assemble` does."""
         h = self._matrix
         if h is None:
-            n = self.sig.n
-            h = Mat.block([
-                [self.B, Mat.zeros(2, n), self.w * (self.B * J2)],
-                [Mat.zeros(n, 2), self.C, Mat.zeros(n, 2)],
-                [Mat.zeros(2, 2), Mat.zeros(2, n), _inv2(self.B).T],
-            ])
+            h = self.int_pair()[0].to_mat()
             object.__setattr__(self, "_matrix", h)
         return h
 
@@ -405,20 +422,34 @@ class QGroupElement:
         """Group law in block data; matches the assembled matrix product."""
         _check_sig(self, other)
         w = other.w + self.w / other.det_b()
-        return QGroupElement(self.sig, self.B * other.B, self.C * other.C, w)
+        return QGroupElement(self.sig, self.int_b * other.int_b,
+                             self.int_c * other.int_c, w)
 
     def inverse(self) -> "QGroupElement":
-        cinv = self.sig.ipq_perm().conjugate_transpose(self.C)  # Ipq C^T Ipq
-        return QGroupElement(self.sig, _inv2(self.B), cinv,
+        cinv = self.sig.ipq_perm().conjugate_transpose(self.int_c)  # IpqCᵀIpq
+        return QGroupElement(self.sig, _inv2(self.int_b), cinv,
                              -self.w * self.det_b())
 
-    def _int_pair(self):
-        """(h, h^-1) as IntMats over one denominator: the assembled matrix
-        and its inverse S h^T S (h preserves S). Built on the first call
-        and kept in a slot of this element, as `assemble` does."""
+    def int_pair(self):
+        """(h, h^-1) as IntMats over one denominator: the matrix of the class
+        docstring, filled in place from the integer rows of B, C, w·B·J and
+        (B^-1)^t, and its inverse S h^T S (h preserves S). Built on the
+        first call and kept in a slot of this element, as `assemble` does."""
         pair = self._ints
         if pair is None:
-            h = IntMat.of(self.assemble())
+            n, lo = self.sig.n, self.sig.n + 2  # lo: the last block band
+            b, c, bi, w = self.int_b, self.int_c, _inv2(self.int_b), self.w
+            d = math.lcm(b.d * w.denominator, c.d, bi.d)
+            fb, fc, fi = d // b.d, d // c.d, d // bi.d
+            fw = w.numerator * (d // (b.d * w.denominator))
+            rows = [[0] * (n + 4) for _ in range(n + 4)]
+            for i, (x0, x1) in enumerate(b.dense):
+                rows[i][:2] = fb * x0, fb * x1
+                rows[i][lo:] = -fw * x1, fw * x0  # row i of w·B·J
+                rows[lo + i][lo:] = (fi * bi.dense[0][i], fi * bi.dense[1][i])
+            for i, r in enumerate(c.dense):
+                rows[2 + i][2:lo] = [fc * x for x in r]
+            h = IntMat(d, n + 4, rows)
             pair = (h, ambient_inverse(self.sig, h))
             object.__setattr__(self, "_ints", pair)
         return pair
@@ -427,7 +458,7 @@ class QGroupElement:
         """Adjoint action h x h^-1 on the algebra, formed as two integer
         products and read back by blocks over their denominator, after the
         check of every redundant block (`_block_mismatch`)."""
-        h, h_inv = self._int_pair()
+        h, h_inv = self.int_pair()
         g = h * IntMat.of(x.assemble()) * h_inv
         return _checked_blocks(self.sig, g.dense, g.d)
 
@@ -436,8 +467,10 @@ class QGroupElement:
             return NotImplemented
         if self.sig != other.sig or self.w != other.w:
             return False
-        return ((self.B == other.B and self.C == other.C)
-                or (self.B == -other.B and self.C == -other.C))
+        b, c = other.int_b, other.int_c  # compared as they are, or negated
+        return any(self.int_b.equals(IntMat(s * b.d, 2, b.dense))
+                   and self.int_c.equals(IntMat(s * c.d, c.cols, c.dense))
+                   for s in (1, -1))
 
     def __repr__(self):
         return ("QGroupElement(%r, B=%r, C=%r, w=%s)"
@@ -479,11 +512,13 @@ def from_coordinates(sig: Signature, entries) -> SoElement:
     return _read_blocks(sig, g)
 
 
+@functools.cache
 def so_basis(sig: Signature):
-    """Ordered basis, see the module docstring. Length (n+3)(n+4)/2."""
+    """Ordered basis, see the module docstring, as a tuple of length
+    (n+3)(n+4)/2. Built once per signature and shared by every caller."""
     one = Fraction(1)
-    return [from_coordinates(sig, ((pos, one),))
-            for pos in basis_positions(sig)]
+    return tuple(from_coordinates(sig, ((pos, one),))
+                 for pos in basis_positions(sig))
 
 
 def so_basis_degrees(sig: Signature):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import Mat, invert, rank_kernel, rat, solve_linear
-from .so_contact import Signature, bracket_gm1
+from .so_contact import Signature, scaling_residual
 
 M_I = Mat([[1, 0], [0, -1]]).map(Fraction)
 M_J = Mat([[0, 1], [1, 0]]).map(Fraction)
@@ -209,5 +209,4 @@ def levi_compat_residual(sig: Signature, coeffs, x: Mat, y: Mat) -> Fraction:
     """[Ax, Ay] - |A|^2 [x, y] for A = aI + bJ + cK; must be zero."""
     a, b, c = (rat(t) for t in coeffs)
     m = a * M_I + b * M_J + c * M_K
-    norm = -a * a - b * b + c * c
-    return bracket_gm1(sig, x * m, y * m) - norm * bracket_gm1(sig, x, y)
+    return scaling_residual(sig, m, x, y, -a * a - b * b + c * c)

@@ -53,6 +53,13 @@ PRODUCT = (T_LINALG + "test_kernel_product_matches_triple_loop",
 G0_TESTS = (T_SO + "test_group_elements_reject_singular_b_and_"
             "non_orthogonal_c",)
 Q_BLOCK = (T_SO + "test_q_closed_form_block_matches_elimination",)
+Q_FRACTION = tuple(T_SO + "test_integer_q_matches_the_fraction_block_"
+                   "formulas[%s]" % s for s in ("rand_q_element",
+                                                "rand_q_square"))
+Q_INVERSE = "cinv = self.sig.ipq_perm().conjugate_transpose(self.int_c)"
+C_T = "cinv = IntMat(self.int_c.d, self.sig.n, list(zip(*self.int_c.dense)))"
+B_INV_T = "(fi * bi.dense[0][i], fi * bi.dense[1][i])"
+B_INV = "(fi * bi.dense[i][0], fi * bi.dense[i][1])"
 LINEAR = (T_LINALG + "test_linear_operations_match_the_entrywise_reference",
           T_LINALG + "test_scalar_products_match_the_entrywise_reference")
 JACOBI = (T_LINALG + "test_jacobi_failures_match_the_ordered_triple_loop",
@@ -90,7 +97,6 @@ CODIFFERENTIAL = (T_EXT + "test_codifferential_matches_the_trace_pairing_"
 BLOCKS = (T_SO + "test_from_matrix_refuses_what_reassembly_refuses",
           T_SO + "test_table_coordinates_refuse_every_corrupted_entry")
 SO_TABLE = (T_SO + "test_structure_constants_match_brackets",)
-SL_TABLE = (T_SL + "test_structure_constants_match_brackets",)
 SO_ORDER = (T_SO + "test_table_basis_matches_the_block_by_block_oracle",)
 SL_ORDER = (T_SL + "test_negative_basis_sits_at_the_documented_positions",)
 SAMPLERS = "liecontact/samplers.py"
@@ -277,11 +283,6 @@ MUTANTS = (
            "(2 + i, 2 + j, s) for i, s in enumerate(sig.signs())",
            "(2 + i, 2 + j, 1) for i, s in enumerate(sig.signs())",
            SO_TABLE + SO_ORDER),
-    Mutant("sl table: H coordinates without the prefix sums", SL,
-           "prefix += d", "prefix = d", SL_TABLE),
-    Mutant("sl table: basis units in transposed order", SL,
-           "[_unit(m, a, b) for a in range(m)",
-           "[_unit(m, b, a) for a in range(m)", SL_TABLE),
     # the two basis-order tables and what reads them
     Mutant("so order: the X entries read row by row", SO,
            "for j in range(2) for i in range(n)),",
@@ -292,10 +293,6 @@ MUTANTS = (
     Mutant("sl order: the E entry ahead of the -2 column", SL,
            "return (*((2 + k, 0) for k in range(2 * n)), (1, 0),",
            "return ((1, 0), *((2 + k, 0) for k in range(2 * n)),", SL_ORDER),
-    Mutant("sl duals: units at the basis positions, not transposed", SL,
-           "_unit(m, c, r)) for r, c in neg_positions(n)",
-           "_unit(m, r, c)) for r, c in neg_positions(n)",
-           SL_ORDER + (T_SL + "test_duals_pair_by_trace",)),
     Mutant("codifferential: [Z_a, Z_b] read at the basis positions", EXT,
            "(ra == sb, (rb, sa), -1)", "(ra == sb, (sa, rb), -1)",
            CODIFFERENTIAL),
@@ -325,11 +322,14 @@ MUTANTS = (
            "IntMat(2 * big, m, rows)", "IntMat(big, m, rows)", ALPHA),
     # the obstruction cochain on integer rows
     Mutant("cochain: alpha images of the pair swapped", EXT,
-           "images[a].commutator(images[b])",
-           "images[b].commutator(images[a])", COCHAIN),
+           "ia.commutator(ib)", "ib.commutator(ia)", COCHAIN),
     Mutant("cochain: alpha of the bracket added, not subtracted", EXT,
-           "(Fraction(-c, comm.d), basis_images[k])",
-           "(Fraction(c, comm.d), basis_images[k])", COCHAIN),
+           "(Fraction(-c, comm.d), images[k])",
+           "(Fraction(c, comm.d), images[k])", COCHAIN),
+    Mutant("cochain: the sign of a lift's z coordinate in its matrix", EXT,
+           "IntMat.combination([(v, IntMat.of(basis[k].assemble()))",
+           "IntMat.combination([(v if k else -v, "
+           "IntMat.of(basis[k].assemble()))", COCHAIN),
     Mutant("cochain: bracket coordinates read without the block check", EXT,
            "coords = int_coordinates(",
            "coords = (lambda s, g: [g[r][c] * t for r, c, t\n"
@@ -452,9 +452,8 @@ MUTANTS = (
     Mutant("rand_oform: XᵀIpqX and UIpqUᵀ without the ½", SAMPLERS,
            "half, fz = d // (2 * dv * dv),", "half, fz = d // (dv * dv),",
            OFORM),
-    Mutant("rand_oform: B^-T without the determinant", SAMPLERS,
-           "fi = d2 // db, d2 // dc, db * (d2 // det_b)",
-           "fi = d2 // db, d2 // dc, db * d2", OFORM),
+    Mutant("rand_oform: B^-T without the determinant", SO,
+           "return IntMat(_det2(b.dense), 2,", "return IntMat(1, 2,", OFORM),
     Mutant("rand_oform: the IpqUᵀ block without the form signs", SAMPLERS,
            "(lo, f * s * u[0][i]), (lo + 1, f * s * u[1][i])",
            "(lo, f * u[0][i]), (lo + 1, f * u[1][i])", OFORM),
@@ -487,13 +486,10 @@ MUTANTS = (
     Mutant("Gram check: a signed-permutation target read without its signs",
            LINALG, "want[k] = t * scale", "want[k] = scale",
            (T_LINALG + "test_gram_check_reads_signed_permutation_forms",)),
-    Mutant("Q inverse: C^T without Ipq", SO,
-           "cinv = self.sig.ipq_perm().conjugate_transpose(self.C)",
-           "cinv = self.C.T",
+    Mutant("Q inverse: C^T without Ipq", SO, Q_INVERSE, C_T,
            (T_SO + "test_q_group_composition_against_assembled_product",)),
     Mutant("Q inverse: C^T without Ipq, seen by obstruction-equivariance",
-           SO, "cinv = self.sig.ipq_perm().conjugate_transpose(self.C)",
-           "cinv = self.C.T",
+           SO, Q_INVERSE, C_T,
            (T_EXT + "test_obstruction_equivariance_sees_a_wrong_group_"
             "inverse",)),
     Mutant("ipq_perm: rebuilt on every call", SO,
@@ -539,7 +535,7 @@ MUTANTS = (
             "process",)),
     # the group-element checks and the CLI
     Mutant("G0: skip the invertibility check", "liecontact/so_contact.py",
-           "if _det2(b) == 0:", "if False:", G0_TESTS),
+           "if _det2(b.dense) == 0:", "if False:", G0_TESTS),
     Mutant("G0: accept a B that is not 2x2", SO,
            "if b.rows != 2 or b.cols != 2:", "if False:",
            (T_SO + "test_group_elements_reject_a_b_that_is_not_2x2",)),
@@ -547,12 +543,17 @@ MUTANTS = (
     Mutant("det_b: ad + bc", SO, "return a * d - b * c",
            "return a * d + b * c", Q_BLOCK),
     Mutant("B^-1: the adjugate without its signs", SO,
-           "[[d / beta, -b / beta], [-c / beta, a / beta]]",
-           "[[d / beta, b / beta], [c / beta, a / beta]]", Q_BLOCK),
-    Mutant("Q assemble: B^-1 where (B^-1)^T belongs", SO,
-           "_inv2(self.B).T]", "_inv2(self.B)]", Q_BLOCK),
+           "[[q * d, -r * d], [-s * d, p * d]]",
+           "[[q * d, r * d], [s * d, p * d]]", Q_BLOCK),
+    Mutant("Q assemble: B^-1 where (B^-1)^T belongs", SO, B_INV_T, B_INV,
+           Q_BLOCK),
+    Mutant("integer h: the B^-T block untransposed, seen by the Fraction "
+           "block formulas", SO, B_INV_T, B_INV, Q_FRACTION),
+    Mutant("integer h: the sign of the w·B·J block", SO,
+           "rows[i][lo:] = -fw * x1, fw * x0",
+           "rows[i][lo:] = fw * x1, -fw * x0", Q_FRACTION),
     Mutant("G0: skip the orthogonality check", "liecontact/so_contact.py",
-           "if not IntMat.of(c).gram_equals(ipq, ipq):", "if False:",
+           "if not c.gram_equals(ipq, ipq):", "if False:",
            G0_TESTS + (T_SO + "test_equivariance_rejects_non_orthogonal_c",)),
     Mutant("cli: a zero denominator in --t-max escapes as a traceback",
            "liecontact/cli.py",
@@ -594,8 +595,7 @@ EQUIVALENTS = (
     # the basis lifts assemble to integer matrices at every signature, so
     # the so bracket of two of them has denominator 1
     Mutant("cochain: the so bracket's denominator dropped", EXT,
-           "(Fraction(-c, comm.d), basis_images[k])",
-           "(-c, basis_images[k])", COCHAIN),
+           "(Fraction(-c, comm.d), images[k])", "(-c, images[k])", COCHAIN),
 )
 
 

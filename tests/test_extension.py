@@ -21,12 +21,13 @@ from liecontact.extension import (Cochain2, alpha, alpha_restriction_matrix,
                                   symmetrized_reference)
 from liecontact.linalg import (DualRat, IntMat, Mat, det, max_abs, rat_sqrt,
                                solve_linear)
-from liecontact.path_sl import (SlElement, neg_positions, sl_bracket,
-                                sl_neg_basis, sl_neg_coordinates,
-                                sl_neg_duals, sl_neg_slots, w0)
+from liecontact.path_sl import (_SLOT_DEGREE, SlElement, _slot_of,
+                                neg_positions, sl_bracket,
+                                sl_neg_coordinates, sl_neg_slots, w0)
 from liecontact.so_contact import (QGroupElement, Signature, SoElement,
                                    bracket, inner, so_basis)
-from test_so_contact import grade
+from test_path_sl import sl_neg_basis, sl_neg_duals
+from test_so_contact import grade, q_identity
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 # the oracle comparisons below run where the form has negative signs too
@@ -226,7 +227,7 @@ def test_integer_alpha_matches_the_fraction_formula(pq):
 
 def test_i_map_identity():
     for sig in SIGS:
-        h = QGroupElement.identity(sig)
+        h = q_identity(sig)
         assert i_map(h) == Mat.identity(2 * sig.n + 2)
 
 
@@ -843,6 +844,8 @@ def test_cochain_antisymmetric_lookup():
     assert phi.value(3, 1) == -v
     assert phi.value(2, 2).is_zero()
     assert phi.value(0, 5).is_zero()
+    assert phi.int_value(3, 1).equals(IntMat.of(-v.mat))
+    assert phi.int_value(0, 5).is_zero()
 
 
 def test_codifferential_of_empty_cochain():
@@ -864,6 +867,9 @@ def test_obstruction_cochain_matches_psi_on_every_pair(p, q):
     sig = Signature(p, q)
     phi = build_psi_cochain(sig)
     lifts = [hat_lift(sig, zb) for zb in sl_neg_basis(sig.n)]
+    # the build reads the lifts off the columns of the inverse, as does the
+    # equivariance check
+    assert list(extension._basis_lifts(sig)) == lifts
     for a in range(len(lifts)):
         for b in range(a + 1, len(lifts)):
             assert phi.value(a, b) == psi_gq(lifts[a], lifts[b]), (a, b)
@@ -871,21 +877,22 @@ def test_obstruction_cochain_matches_psi_on_every_pair(p, q):
 
 def test_obstruction_cochain_refuses_a_bracket_outside_the_algebra(
         monkeypatch):
-    # one lift's matrix gets an X companion entry that no longer repeats its
-    # X entry, so its brackets leave so(p+2, q+2): the block check of the
-    # integer route must refuse them
+    # the so_basis element that the first lift reads gets an X companion
+    # entry that no longer repeats its X entry, so the lift's brackets leave
+    # so(p+2, q+2): the block check of the integer route must refuse them
     sig = Signature(2, 1)
     n = sig.n
-    lifts = list(extension._basis_lifts(sig))
-    x = lifts[0]
+    basis = list(so_basis(sig))
+    (k, _), = extension._lift_columns(sig)[0]
+    x = basis[k]
     rows = [list(r) for r in x.assemble().data]
     assert rows[2][0] != 0
     rows[n + 2][2] += 1
     bad = SoElement(sig, z=x.z, X=x.X, A=x.A, D=x.D, U=x.U, w=x.w)
     object.__setattr__(bad, "_matrix", Mat(rows))
-    lifts[0] = bad
+    basis[k] = bad
     build_psi_cochain.cache_clear()
-    monkeypatch.setattr(extension, "_basis_lifts", lambda s: tuple(lifts))
+    monkeypatch.setattr(extension, "so_basis", lambda s: tuple(basis))
     with pytest.raises(ValueError, match="block"):
         build_psi_cochain(sig)
 
@@ -964,6 +971,22 @@ def _curvature_by_projections(phi):
             "regular": all(h > 0 for h in homog), "nonzero": nonzero}
 
 
+def _curvature_by_slot_degrees(phi):
+    # the reference: the slot degrees of the nonzero entries of every value
+    # read as a Fraction matrix, slot by slot
+    degrees = [-2] * (2 * phi.n) + [-1] * (2 * phi.n + 1)
+    homog, used = set(), set()
+    for (a, b), wv in phi.table.items():
+        found = {_SLOT_DEGREE[_slot_of(i, j, phi.n)]
+                 for i, r in enumerate(wv.mat.data)
+                 for j, e in enumerate(r) if e != 0}
+        used |= found
+        homog |= {d - degrees[a] - degrees[b] for d in found}
+    return {"homogeneities": sorted(homog),
+            "torsion_free": all(d >= 0 for d in used),
+            "regular": all(h > 0 for h in homog), "nonzero": bool(used)}
+
+
 def _rand_sparse_sl(n, rng):
     # a few off-diagonal units, sometimes a trace-free diagonal pair, and
     # sometimes nothing at all
@@ -984,12 +1007,14 @@ def test_curvature_report_matches_the_projection_reference():
     for sig in ORACLE_SIGS:
         n = sig.n
         phi = build_psi_cochain(sig)
-        assert curvature_report(phi) == _curvature_by_projections(phi)
+        assert (curvature_report(phi) == _curvature_by_projections(phi)
+                == _curvature_by_slot_degrees(phi))
         for _ in range(20):
             keys = [tuple(sorted(rng.sample(range(4 * n + 1), 2)))
                     for _ in range(rng.randint(0, 4))]
             phi = Cochain2(n, {k: _rand_sparse_sl(n, rng) for k in keys})
-            assert curvature_report(phi) == _curvature_by_projections(phi)
+            assert (curvature_report(phi) == _curvature_by_projections(phi)
+                    == _curvature_by_slot_degrees(phi))
 
 
 def test_curvature_profile():

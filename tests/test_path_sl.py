@@ -6,12 +6,61 @@ from fractions import Fraction
 import pytest
 
 from liecontact import samplers
-from liecontact.linalg import DualRat, Mat, jacobi_failures
+from liecontact.linalg import DualRat, Mat, jacobi_failures, structure_table
 from liecontact.path_sl import (_SLOT_DEGREE, SlElement, _is_trace_free,
-                                _slot_of, sl_bracket, sl_full_basis,
-                                sl_neg_basis, sl_neg_coordinates,
-                                sl_neg_degrees, sl_neg_duals, sl_neg_slots,
-                                sl_structure_constants, w0)
+                                _slot_of, entry_degrees, neg_positions,
+                                sl_bracket, sl_neg_coordinates,
+                                sl_neg_degrees, sl_neg_slots, w0)
+
+
+def _unit(m, i, j):
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    rows[i][j] = Fraction(1)
+    return Mat(rows)
+
+
+def sl_neg_basis(n):
+    # the units at the negative-basis positions, in their order
+    m = 2 * n + 2
+    return [SlElement(n, _unit(m, r, c)) for r, c in neg_positions(n)]
+
+
+def sl_neg_duals(n):
+    # the trace-form duals of sl_neg_basis, in the positive part: the
+    # transposed units
+    m = 2 * n + 2
+    return [SlElement(n, _unit(m, c, r)) for r, c in neg_positions(n)]
+
+
+def sl_full_basis(n):
+    # a basis of sl(2n+2): the off-diagonal units E_(a,b) in row-major
+    # order, then H_i = E_(i,i) - E_(i+1,i+1)
+    m = 2 * n + 2
+    basis = [_unit(m, a, b) for a in range(m) for b in range(m) if a != b]
+    for i in range(m - 1):
+        basis.append(_unit(m, i, i) - _unit(m, i + 1, i + 1))
+    return [SlElement(n, b) for b in basis]
+
+
+def _sl_coordinates(rows):
+    # the coordinates of a trace-free integer matrix, given as rows, in the
+    # sl_full_basis order; the diagonal is expanded over the H_i by prefix
+    # sums
+    m = len(rows)
+    coords = [rows[a][b] for a in range(m) for b in range(m) if a != b]
+    diag = [rows[i][i] for i in range(m)]
+    if sum(diag) != 0:
+        raise ValueError("diagonal part has nonzero trace")
+    prefix = 0
+    for d in diag[:-1]:
+        prefix += d
+        coords.append(prefix)
+    return coords
+
+
+def sl_structure_constants(n):
+    # the structure-constant table of sl(2n+2) over sl_full_basis
+    return structure_table([b.mat for b in sl_full_basis(n)], _sl_coordinates)
 
 
 def test_trace_free_enforced():
@@ -71,6 +120,9 @@ def test_slot_table_reads_match_slot_of():
     rng = random.Random(44)
     for n in (1, 2, 3):
         size = 2 * n + 2
+        assert entry_degrees(n) == tuple(
+            tuple(_SLOT_DEGREE[_slot_of(i, j, n)] for j in range(size))
+            for i in range(size))
         for _ in range(15):
             rows = [[samplers.rand_fraction(rng) if rng.random() < 0.3
                      else Fraction(0) for _ in range(size)]
@@ -80,7 +132,9 @@ def test_slot_table_reads_match_slot_of():
             x = SlElement(n, Mat(rows))
             used = {_slot_of(i, j, n) for i in range(size)
                     for j in range(size) if rows[i][j] != 0}
-            assert x.degrees() == {_SLOT_DEGREE[s] for s in used}
+            assert ({entry_degrees(n)[i][j] for i in range(size)
+                     for j in range(size) if rows[i][j] != 0}
+                    == {_SLOT_DEGREE[s] for s in used})
             for d in (-2, -1, 0, 1, 2):
                 expected = _grade_project_by_slot_of(x, d)
                 assert x.grade_project(d).mat == expected

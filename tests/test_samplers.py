@@ -7,8 +7,7 @@ import pytest
 
 from liecontact import samplers
 from liecontact.linalg import Mat, det, exp_nilpotent, invert, rat_sqrt
-from liecontact.so_contact import (QGroupElement, Signature, SoElement,
-                                   segre_rank)
+from liecontact.so_contact import Signature, SoElement, segre_rank
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 # the signatures of the golden outputs; I - D is singular for some draws
@@ -56,10 +55,25 @@ def _product_oform(sig, rng):
                     X=samplers.rand_mat(rng, n, 2))
     pos = SoElement(sig, U=samplers.rand_mat(rng, 2, n),
                     w=samplers.rand_fraction(rng))
-    mid = QGroupElement(sig, samplers.rand_gl2(rng),
-                        _product_opq(sig, rng)).assemble()
+    b, c = samplers.rand_gl2(rng), _product_opq(sig, rng)
+    mid = Mat.block([[b, Mat.zeros(2, n), Mat.zeros(2, 2)],
+                     [Mat.zeros(n, 2), c, Mat.zeros(n, 2)],
+                     [Mat.zeros(2, 2), Mat.zeros(2, n), invert(b).T]])
     return (exp_nilpotent(neg.assemble(), 3) * mid
             * exp_nilpotent(pos.assemble(), 3))
+
+
+def _product_q_element(sig, rng):
+    return (samplers.rand_gl2(rng), _product_opq(sig, rng),
+            samplers.rand_fraction(rng))
+
+
+def _product_q_square(sig, rng):
+    m = samplers.rand_gl2(rng)
+    b = m * m
+    if rng.choice((True, False)):
+        b = b * Mat.diag([Fraction(1), Fraction(-1)])
+    return b, _product_opq(sig, rng), samplers.rand_fraction(rng)
 
 
 def _same_draw(sampler, reference, sig, seed):
@@ -87,6 +101,28 @@ def test_rand_so_pq_and_rand_opq_match_their_diagonal_products(sig):
         _same_draw(samplers.rand_opq, _product_opq, sig, seed)
         _same_draw(lambda s, rng: samplers.rand_antisym(rng, s.n),
                    lambda s, rng: _product_antisym(rng, s.n), sig, seed)
+
+
+# every signature with 2 <= n <= 6
+Q_SIGS = tuple(Signature(p, n - p) for n in range(2, 7)
+               for p in range(n, -1, -1))
+
+
+@pytest.mark.parametrize("sampler,reference", [
+    (samplers.rand_q_element, _product_q_element),
+    (samplers.rand_q_square, _product_q_square)], ids=["element", "square"])
+def test_q_samplers_match_their_fraction_draws(sampler, reference):
+    # the integer rows handed to the group element hold the data that the
+    # Fraction products give, drawn in the same order, and the witness
+    # text of an element is that of the Fraction data
+    for sig in Q_SIGS:
+        rng, ref_rng = random.Random(sig.n), random.Random(sig.n)
+        for _ in range(3):
+            h, (b, c, w) = sampler(sig, rng), reference(sig, ref_rng)
+            assert (h.B, h.C, h.w) == (b, c, w)
+            assert repr(h) == ("QGroupElement(%r, B=%r, C=%r, w=%s)"
+                               % (sig, b, c, w))
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def test_rand_opq_redraws_while_i_minus_d_is_singular():

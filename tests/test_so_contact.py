@@ -9,13 +9,19 @@ from liecontact import samplers
 from liecontact.linalg import Mat, SignedPerm, commutator, det, invert
 from liecontact.so_contact import (QGroupElement, Signature, SoElement,
                                    int_coordinates, _is_so_pq, bracket,
-                                   bracket_gm1, equivariance_checks,
-                                   grading_check, inner, jacobi_check,
-                                   rank_one_bracket, segre_rank, so_basis,
-                                   so_basis_degrees, structure_constants)
+                                   bracket_gm1, grading_check, inner,
+                                   jacobi_check, orthogonal_residual,
+                                   rank_one_bracket, scaling_residual,
+                                   segre_rank, so_basis, so_basis_degrees,
+                                   structure_constants)
 from test_linalg import _corrupted, _sign_swap
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
+
+
+def q_identity(sig):
+    """The identity of the stabilizer group Q."""
+    return QGroupElement(sig, Mat.identity(2), Mat.identity(sig.n), 0)
 
 
 def grade(x, d):
@@ -204,8 +210,8 @@ def _outcome(decompose, sig, m):
 def test_assemble_matches_the_block_products():
     rng = random.Random(23)
     for sig in ORACLE_SIGS:
-        xs = so_basis(sig) + [samplers.rand_so_element(sig, rng)
-                              for _ in range(10)]
+        xs = [*so_basis(sig), *(samplers.rand_so_element(sig, rng)
+                                for _ in range(10))]
         for x in xs:
             got, expected = x.assemble(), _block_assembly(x)
             assert [(type(e), repr(e)) for r in got.data for e in r] == \
@@ -306,8 +312,8 @@ def test_table_basis_matches_the_block_by_block_oracle():
         assert so_basis_degrees(sig) == (
             [-2] + [-1] * (2 * n) + [0] * (4 + n * (n - 1) // 2)
             + [1] * (2 * n) + [2])
-        for x in basis + [samplers.rand_so_element(sig, rng)
-                          for _ in range(10)]:
+        for x in [*basis, *(samplers.rand_so_element(sig, rng)
+                            for _ in range(10))]:
             assert (int_coordinates(sig, x.assemble().data)
                     == _so_coordinates_by_blocks(x))
 
@@ -402,8 +408,12 @@ def test_equivariance_residuals_vanish():
             a = samplers.rand_mat(rng, 2, 2)
             x = samplers.rand_gm1(sig, rng)
             y = samplers.rand_gm1(sig, rng)
-            r1, r2 = equivariance_checks(sig, c, a, x, y)
-            assert r1 == 0 and r2 == 0
+            assert orthogonal_residual(sig, c, x, y) == 0
+            assert scaling_residual(sig, a, x, y) == 0
+            # the same residuals through Fraction products
+            assert bracket_gm1(sig, c * x, c * y) == bracket_gm1(sig, x, y)
+            assert (bracket_gm1(sig, x * a, y * a)
+                    == det(a) * bracket_gm1(sig, x, y))
 
 
 def test_equivariance_rejects_non_orthogonal_c():
@@ -411,7 +421,7 @@ def test_equivariance_rejects_non_orthogonal_c():
     rng = random.Random(15)
     x = samplers.rand_gm1(sig, rng)
     with pytest.raises(ValueError):
-        equivariance_checks(sig, 2 * Mat.identity(3), Mat.identity(2), x, x)
+        orthogonal_residual(sig, 2 * Mat.identity(3), x, x)
 
 
 def test_orthogonality_check_refuses_near_misses():
@@ -429,7 +439,7 @@ def test_orthogonality_check_refuses_near_misses():
         for b in bad:
             assert b.T * sig.ipq() * b != sig.ipq()
             for make in (lambda: QGroupElement(sig, one, b),
-                         lambda: equivariance_checks(sig, b, one, x, x)):
+                         lambda: orthogonal_residual(sig, b, x, x)):
                 with pytest.raises(ValueError, match=r"C is not orthogonal "
                                    r"for the \(p,q\) form"):
                     make()
@@ -526,7 +536,7 @@ def test_q_group_composition_against_assembled_product():
             combined = h1.compose(h2)
             assert combined.assemble() == h1.assemble() * h2.assemble()
             inv = h1.inverse()
-            assert h1.compose(inv) == QGroupElement.identity(sig)
+            assert h1.compose(inv) == q_identity(sig)
             assert inv.assemble() == invert(h1.assemble())
             # the data of the inverse as products, with the form Ipq
             ipq = sig.ipq()
@@ -547,6 +557,36 @@ def test_q_closed_form_block_matches_elimination(sampler):
             assert h.assemble().submat(n + 2, n + 4, n + 2, n + 4) == (
                 invert(h.B).T)
             assert h.inverse().B == invert(h.B)
+
+
+@pytest.mark.parametrize("sampler", [samplers.rand_q_element,
+                                     samplers.rand_q_square])
+def test_integer_q_matches_the_fraction_block_formulas(sampler):
+    # the element on integer rows against its block formulas on Fractions:
+    # the assembled matrix, det B, the group law, the inverse, the integer
+    # pair and equality up to sign
+    rng = random.Random(26)
+    for sig in DOMAIN_SIGS:
+        ipq = sig.ipq()
+        hs = [sampler(sig, rng) for _ in range(3)]
+        for h, g in zip(hs, hs[1:] + hs[:1]):
+            b, c, w = h.B, h.C, h.w
+            m = h.assemble()
+            assert m == _q_block_assembly(h)
+            assert h.det_b() == det(b)
+            assert [x.to_mat() for x in h.int_pair()] == [m, invert(m)]
+            hg = h.compose(g)
+            assert (hg.B, hg.C, hg.w) == (b * g.B, c * g.C,
+                                          g.w + w / det(g.B))
+            inv = h.inverse()
+            assert (inv.B, inv.C, inv.w) == (invert(b), ipq * c.T * ipq,
+                                             -w * det(b))
+            for other, equal in ((QGroupElement(sig, -1 * b, -1 * c, w), True),
+                                 (QGroupElement(sig, -1 * b, c, w), False),
+                                 (QGroupElement(sig, b, -1 * c, w), False),
+                                 (QGroupElement(sig, b, c, w + 1), False),
+                                 (hg.compose(g.inverse()), True), (g, False)):
+                assert (h == other) == equal
 
 
 def test_group_elements_reject_a_b_that_is_not_2x2():
@@ -570,7 +610,7 @@ def test_q_assemble_builds_one_matrix_per_element():
     rng = random.Random(22)
     for sig in SIGS:
         hs = [samplers.rand_q_element(sig, rng) for _ in range(4)]
-        hs.append(QGroupElement.identity(sig))
+        hs.append(q_identity(sig))
         for h in hs:
             m = h.assemble()
             assert h.assemble() is m
@@ -597,8 +637,8 @@ def test_q_integer_pair_is_the_matrix_and_its_inverse():
     for sig in SIGS:
         for _ in range(5):
             h = samplers.rand_q_element(sig, rng)
-            pair = h._int_pair()
-            assert h._int_pair() is pair
+            pair = h.int_pair()
+            assert h.int_pair() is pair
             m = h.assemble()
             assert [x.to_mat() for x in pair] == [m, invert(m)]
 
