@@ -32,12 +32,13 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .linalg import (DualRat, IntMat, Mat, exp_float, invert, max_abs,
-                     rank_kernel, rat, rat_sqrt)
+                     rank_kernel, rat_sqrt)
 from .path_sl import (SlElement, entry_degrees, neg_positions, sl_bracket,
                       sl_neg_coordinates, sl_neg_degrees, sl_neg_slots, w0)
 from .so_contact import (QGroupElement, Signature, SoElement,
-                         basis_positions, bracket, from_coordinates,
-                         int_coordinates, so_basis, so_basis_degrees)
+                         basis_positions, bracket, coordinate_rows,
+                         from_coordinates, int_coordinates, so_basis,
+                         so_basis_degrees)
 from . import samplers
 
 
@@ -47,34 +48,34 @@ def alpha(x: SoElement) -> SlElement:
 
 
 def _alpha_int(x: SoElement) -> IntMat:
-    """alpha(x) as integers over 2L, L the lcm of the denominators of x's
-    blocks: an entry e of x is the integer k = e·L over L, so e is 2k over
-    2L and e/2 is k. The form signs s = +-1 enter as negations. Integer
-    entries are read as rationals, and floats are refused (TypeError)."""
-    sig = x.sig
+    """alpha(x), read off the integer rows of x's matrix; integer entries are
+    read as rationals, and floats are refused (TypeError)."""
+    return _alpha_assembled(x.sig, IntMat.of(x.assemble()))
+
+
+def _alpha_assembled(sig: Signature, g: IntMat) -> IntMat:
+    """alpha of the algebra element with the assembled matrix g = G / L, as
+    integers over 2L: an entry e of a block (z, X, A, D, U, w) is k = e·L
+    over L, so e is 2k over 2L and e/2 is k. The form signs s = +-1 enter
+    as negations; the redundant blocks of g are not read."""
     n = sig.n
-    blocks = [[[rat(e) for e in r] for r in m.data]
-              for m in (x.A, x.X, x.U, x.D)]
-    big = math.lcm(x.z.denominator, x.w.denominator,
-                   *[e.denominator for m in blocks for r in m for e in r])
-    ((a, b), (c, d)), xs, (u0, u1), ds = [
-        [[e.numerator * (big // e.denominator) for e in r] for r in m]
-        for m in blocks]
-    z, w = (e.numerator * (big // e.denominator) for e in (x.z, x.w))
+    big, (top_g, mid_g, *rest) = g.d, g.dense
+    (a, b, *u0), (c, d, *u1) = top_g[:n + 2], mid_g[:n + 2]
+    z, w = rest[n][1], top_g[n + 3]
     m = 2 * n + 2
     rows = [[0] * m for _ in range(m)]
     top, mid = rows[0], rows[1]
     top[0], top[1] = a + d, -2 * w
     mid[0], mid[1] = 2 * z, -(a + d)
-    for i, (s, (x0, x1), dr) in enumerate(zip(sig.signs(), xs, ds)):
-        r0, r1 = rows[2 + i], rows[2 + n + i]
+    for i, (s, r) in enumerate(zip(sig.signs(), rest)):
+        (x0, x1), r0, r1 = r[:2], rows[2 + i], rows[2 + n + i]
         top[2 + i], top[2 + n + i] = u0[i], u1[i]
         mid[2 + i], mid[2 + n + i] = (-x1, x0) if s > 0 else (x1, -x0)
         r0[0], r1[0] = 2 * x0, 2 * x1
         r0[1], r1[1] = ((-2 * u1[i], 2 * u0[i]) if s > 0
                         else (2 * u1[i], -2 * u0[i]))
         r0[2 + n + i], r1[2 + i] = -2 * c, -2 * b
-        for j, e in enumerate(dr):
+        for j, e in enumerate(r[2:n + 2]):
             r0[2 + j] = r1[2 + n + j] = 2 * e
         r0[2 + i] += d - a
         r1[2 + n + i] += a - d
@@ -198,9 +199,11 @@ def _lift_indices(sig: Signature):
 
 
 @functools.cache
-def _so_images(sig: Signature):
-    """The alpha images of the so_basis, built once per signature."""
-    return tuple(_alpha_int(e) for e in so_basis(sig))
+def _so_image(sig: Signature, k: int) -> IntMat:
+    """alpha of so_basis element k, built once, read off the integer rows of
+    its coordinate (alpha reads no redundant block)."""
+    rows = coordinate_rows(sig, [(basis_positions(sig)[k], 1)], 0)
+    return _alpha_assembled(sig, IntMat(1, sig.n + 4, rows))
 
 
 @functools.cache
@@ -209,26 +212,15 @@ def alpha_restriction_matrix(sig: Signature) -> Mat:
     coordinates of sl(2n+2). Square of size 4n+1; full rank by the pair
     condition on the induced quotient map. Built once per signature (a Mat
     is immutable) for the hat lift and the rank check, from the alpha
-    images of `_so_images`."""
-    im, ks = _so_images(sig), _lift_indices(sig)
-    return Mat([[Fraction(im[k].dense[r][c], im[k].d) for k in ks]
+    images of `_so_image`."""
+    im = [_so_image(sig, k) for k in _lift_indices(sig)]
+    return Mat([[Fraction(e.dense[r][c], e.d) for e in im]
                 for r, c in neg_positions(sig.n)])
 
 
 @functools.cache
 def _lift_inverse(sig: Signature) -> IntMat:
     return IntMat.of(invert(alpha_restriction_matrix(sig)))
-
-
-@functools.cache
-def _lift_columns(sig: Signature):
-    """The hat lift of each negative basis element, as the pairs (so_basis
-    index, coordinate) of its nonzero coordinates: a column of
-    `_lift_inverse`."""
-    inv, indices = _lift_inverse(sig), _lift_indices(sig)
-    return tuple(tuple((indices[k], Fraction(x, inv.d))
-                       for k, x in enumerate(col) if x)
-                 for col in zip(*inv.dense))
 
 
 def _check_negative(sig: Signature, z: SlElement):
@@ -459,41 +451,43 @@ class Cochain1:
 
 
 @functools.cache
-def _basis_lifts(sig: Signature):
-    """The hat lifts of the negative basis, read off `_lift_columns`."""
-    positions = basis_positions(sig)
-    return tuple(from_coordinates(sig, [(positions[k], v) for k, v in col])
-                 for col in _lift_columns(sig))
+def _lift_ints(sig: Signature):
+    """The hat lift of each negative basis element as IntMats (matrix, alpha
+    image): its coordinates, a column of `_lift_inverse`, combine the
+    so_basis matrices and their images (`_so_image`)."""
+    inv, basis = _lift_inverse(sig), so_basis(sig)
+    cols = [[(k, Fraction(x, inv.d)) for k, x in zip(_lift_indices(sig), c)
+             if x] for c in zip(*inv.dense)]
+    return tuple((IntMat.combination([(v, IntMat.of(basis[k].assemble()))
+                                      for k, v in col]),
+                  IntMat.combination([(v, _so_image(sig, k))
+                                      for k, v in col])) for col in cols)
+
+
+def _psi_int(sig: Signature, x, y) -> IntMat:
+    """The formula of `psi_gq` on `IntMat` pairs x, y = (matrix, alpha
+    image): two integer commutators. The so bracket is read in coordinates
+    by `so_contact.int_coordinates`, which raises when it leaves
+    so(p+2, q+2), and its alpha is that combination of basis images."""
+    (ma, ia), (mb, ib) = x, y
+    comm = ma.commutator(mb)
+    coords = int_coordinates(sig, comm.dense)
+    return IntMat.combination(
+        [(1, ia.commutator(ib))]
+        + [(Fraction(-c, comm.d), _so_image(sig, k))
+           for k, c in enumerate(coords) if c])
 
 
 @functools.cache
 def build_psi_cochain(sig: Signature) -> Cochain2:
-    """The obstruction cochain: Psi on every basis pair a < b, evaluated
-    once per signature. The support, equivariance and normality checks all
-    read this one cached table.
-
-    The formula of `psi_gq` runs here on `IntMat`s. A hat lift and its
-    alpha image are combinations of so_basis matrices and their images
-    (`_so_images`), with the lift's coordinates (`_lift_columns`). Both
-    brackets of a pair are integer commutators; the so bracket is read in
-    coordinates by `so_contact.int_coordinates`, which raises when it
-    leaves so(p+2, q+2), and alpha of it is the same combination of the
-    images. The cochain keeps the integer rows it is built from."""
-    basis, images = so_basis(sig), _so_images(sig)
-    lifts = [(IntMat.combination([(v, IntMat.of(basis[k].assemble()))
-                                  for k, v in col]),
-              IntMat.combination([(v, images[k]) for k, v in col]))
-             for col in _lift_columns(sig)]
+    """The obstruction cochain: Psi (`_psi_int`) on every pair a < b of the
+    hat lifts (`_lift_ints`), once per signature. The support, equivariance
+    and normality checks all read this one table and its integer rows."""
+    lifts = _lift_ints(sig)
     values = {}
-    for a, (ma, ia) in enumerate(lifts):
+    for a, la in enumerate(lifts):
         for b in range(a + 1, len(lifts)):
-            mb, ib = lifts[b]
-            comm = ma.commutator(mb)
-            coords = int_coordinates(sig, comm.dense)
-            value = IntMat.combination(
-                [(1, ia.commutator(ib))]
-                + [(Fraction(-c, comm.d), images[k])
-                   for k, c in enumerate(coords) if c])
+            value = _psi_int(sig, la, lifts[b])
             if not value.is_zero():
                 values[(a, b)] = value
     return Cochain2(sig.n, ints=values)
@@ -661,10 +655,10 @@ def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
     witness = None
     for trial in range(trials):
         h = samplers.rand_q_square(sig, rng)
-        x = samplers.rand_so_element(sig, rng)
+        x = samplers.rand_so_int(sig, rng)
         ih = _i_exact(h)
-        lhs = _alpha_int(h.ad_so(x)) * ih
-        rhs = ih * _alpha_int(x)
+        lhs = _alpha_assembled(sig, h.ad_int(x)) * ih
+        rhs = ih * _alpha_assembled(sig, x)
         ok = lhs.equals(rhs, up_to_sign=True)
         if not (ok and (trial or _i_invertible(h, ih))):
             equivariance_failures += 1
@@ -705,8 +699,10 @@ def i_product_rule(h1: QGroupElement, h2: QGroupElement) -> bool:
 def i_product_defect(h1: QGroupElement, h2: QGroupElement) -> float:
     """The entrywise defect of the product rule through the float path,
     for two elements with generic det B; the smaller of the two signs."""
-    def image(h):
-        return i_map_float(h.B.map(float), h.C.map(float), float(h.w))
+    def image(h):  # x / d is correctly rounded, as float(Fraction) is
+        b, c = (Mat([[x / m.d for x in r] for r in m.dense])
+                for m in (h.int_b, h.int_c))
+        return i_map_float(b, c, float(h.w))
 
     lhs, rhs = image(h1.compose(h2)), image(h1) * image(h2)
     return min(max_abs(lhs - rhs), max_abs(lhs + rhs))
@@ -717,15 +713,16 @@ def psi_equivariance_check(sig: Signature, h: QGroupElement, a: int,
     """Whether Ad(i(h)) Psi(e_a, e_b) = Psi(Ad(h) lift_a, Ad(h) lift_b)
     for the negative basis indices a, b: True, False, or the reason when i(h)
     is not invertible. The left side is read from the obstruction cochain,
-    the right side is evaluated afresh. Checked as the product
+    the right side is evaluated afresh (`QGroupElement.ad_int`, `_psi_int`).
+    Checked strictly, with no sign to spare, as the product
     i(h)·Psi(e_a, e_b) = Psi(Ad(h) lift_a, Ad(h) lift_b)·i(h) on integer
-    rows, strictly, with no sign to spare; this is the same claim because
-    i(h) is invertible, which is checked first (`_i_invertible`)."""
+    rows: the same claim, as i(h) is invertible (`_i_invertible`)."""
     ih = _i_exact(h)
     if not _i_invertible(h, ih):
         return "i(h)·i(h^-1) is not +-I"
     value = build_psi_cochain(sig).int_value(a, b)
-    lifts = _basis_lifts(sig)
+    moved = [(g, _alpha_assembled(sig, g)) for g in
+             (h.ad_int(_lift_ints(sig)[k][0]) for k in (a, b))]
     lhs = ih * value
-    rhs = IntMat.of(psi_gq(h.ad_so(lifts[a]), h.ad_so(lifts[b])).mat) * ih
+    rhs = _psi_int(sig, *moved) * ih
     return lhs.equals(rhs)

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .linalg import IntMat, Mat, bareiss, det
-from .so_contact import QGroupElement, Signature, SoElement
+from .so_contact import QGroupElement, Signature, SoElement, assembled_rows
 
 
 def _rand_ratio(rng, span=6, den=4):
@@ -89,10 +89,26 @@ def rand_so_pq(sig: Signature, rng) -> Mat:
 
 
 def rand_so_element(sig: Signature, rng) -> SoElement:
+    """Random element of so(p+2, q+2): the element of `rand_so_int`."""
+    return SoElement.from_matrix(sig, rand_so_int(sig, rng).to_mat())
+
+
+def rand_so_int(sig: Signature, rng) -> IntMat:
+    """The assembled matrix of a random so(p+2, q+2) element as an IntMat:
+    z, X, A, D (`rand_so_pq`), U and w drawn in this order, as ratios over
+    their lcm in the one layout (`so_contact.assembled_rows`)."""
     n = sig.n
-    return SoElement(sig, z=rand_fraction(rng), X=rand_mat(rng, n, 2),
-                     A=rand_mat(rng, 2, 2), D=rand_so_pq(sig, rng),
-                     U=rand_mat(rng, 2, n), w=rand_fraction(rng))
+    z = [[_rand_ratio(rng)]]
+    x = [[_rand_ratio(rng) for _ in range(2)] for _ in range(n)]
+    a = [[_rand_ratio(rng) for _ in range(2)] for _ in range(2)]
+    ad, dd = _antisym_ratio_rows(rng, n)
+    d = [[(s * e, dd) for e in r] for s, r in zip(sig.signs(), ad)]
+    u = [[_rand_ratio(rng) for _ in range(n)] for _ in range(2)]
+    w = [[_rand_ratio(rng)]]
+    big = math.lcm(*(q for m in (z, x, a, d, u, w) for r in m for _, q in r))
+    ((z,),), x, a, d, u, ((w,),) = ([[p * (big // q) for p, q in r]
+                                     for r in m] for m in (z, x, a, d, u, w))
+    return IntMat(big, n + 4, assembled_rows(sig, z, x, a, d, u, w, 0))
 
 
 def rand_opq(sig: Signature, rng) -> Mat:

@@ -45,7 +45,8 @@ from fractions import Fraction
 from .linalg import (IntMat, Mat, SignedPerm, commutator, jacobi_failures,
                      rank_kernel, rat, structure_table)
 
-J2 = Mat([[0, 1], [-1, 0]]).map(Fraction)
+_ZERO = Fraction(0)
+_NOT_IN_SO = "matrix is not in the orthogonal algebra of the standard form"
 
 
 class Signature:
@@ -174,21 +175,13 @@ class SoElement:
         return cls(sig, z=1)
 
     def assemble(self) -> Mat:
-        """The matrix of the module docstring. The element is immutable, so
-        it is built on the first call and kept in a slot of this element.
-        Ipq is +-1 on the diagonal, so Ipq*U^t and X^t*Ipq are U^t and X^t
-        with the rows, resp. columns, of negative sign negated."""
+        """The matrix of the module docstring (`assembled_rows`). The element
+        is immutable, so it is built on the first call and kept in a slot of
+        this element."""
         if self._matrix is None:
-            signs = self.sig.signs()
-            ipq_ut = Mat([[e if s > 0 else -e for e in col]
-                          for s, col in zip(signs, zip(*self.U.data))])
-            xt_ipq = Mat([[e if s > 0 else -e for e, s in zip(col, signs)]
-                          for col in zip(*self.X.data)])
-            object.__setattr__(self, "_matrix", Mat.block([
-                [self.A, self.U, self.w * J2],
-                [self.X, self.D, ipq_ut],
-                [self.z * J2, xt_ipq, -self.A.T],
-            ]))
+            object.__setattr__(self, "_matrix", Mat(assembled_rows(
+                self.sig, self.z, self.X.data, self.A.data, self.D.data,
+                self.U.data, self.w, _ZERO)))
         return self._matrix
 
     @classmethod
@@ -200,7 +193,10 @@ class SoElement:
         n = sig.n
         if m.rows != n + 4 or m.cols != n + 4:
             raise ValueError("expected a %dx%d matrix" % (n + 4, n + 4))
-        elt = _checked_blocks(sig, m.data)
+        rows = m.data
+        elt = _read_blocks(sig, rows)
+        if _block_mismatch(sig, rows):
+            raise ValueError(_NOT_IN_SO)
         object.__setattr__(elt, "_matrix", m)
         return elt
 
@@ -244,32 +240,34 @@ class SoElement:
                 % (self.sig, self.z, self.X, self.A, self.D, self.U, self.w))
 
 
+def assembled_rows(sig: Signature, z, x, a, d, u, w, zero):
+    """The rows of the matrix of the module docstring, the one place its
+    layout is written, from the blocks z, X, A, D, U, w (Fractions, or
+    integers over one denominator) and the zero entry. Ipq*U^t and X^t*Ipq
+    are U^t and X^t with the rows, resp. columns, of sign -1 negated."""
+    signs = sig.signs()
+    (a00, a01), (a10, a11) = a
+    xt = [[e if s > 0 else -e for e, s in zip(col, signs)] for col in zip(*x)]
+    return [[a00, a01, *u[0], zero, w], [a10, a11, *u[1], -w, zero],
+            *([*xi, *di, *((u0, u1) if s > 0 else (-u0, -u1))]
+              for s, xi, di, u0, u1 in zip(signs, x, d, *u)),
+            [zero, z, *xt[0], -a00, -a10], [-z, zero, *xt[1], -a01, -a11]]
+
+
 def _read_blocks(sig: Signature, rows, d=None) -> SoElement:
     """The element with the blocks z, X, A, D, U, w of the (n+4)x(n+4)
     matrix with the given rows: its entries, or, with d, integers to be
     read over d. The redundant blocks are not read."""
-    n = sig.n
-    zero = Fraction(0)
-
     def entry(x):
-        return x if d is None else Fraction(x, d) if x else zero
+        return x if d is None else Fraction(x, d) if x else _ZERO
 
     def block(r0, r1, c0, c1):
         return Mat([[entry(x) for x in r[c0:c1]] for r in rows[r0:r1]])
 
+    n = sig.n
     return SoElement(sig, z=entry(rows[n + 2][1]), X=block(2, n + 2, 0, 2),
                      A=block(0, 2, 0, 2), D=block(2, n + 2, 2, n + 2),
                      U=block(0, 2, 2, n + 2), w=entry(rows[0][n + 3]))
-
-
-def _checked_blocks(sig: Signature, rows, d=None) -> SoElement:
-    """`_read_blocks`, once `_block_mismatch` finds every redundant block
-    in agreement; ValueError otherwise."""
-    elt = _read_blocks(sig, rows, d)
-    if _block_mismatch(sig, rows):
-        raise ValueError("matrix is not in the orthogonal algebra "
-                         "of the standard form")
-    return elt
 
 
 def _check_sig(x, y):
@@ -381,7 +379,7 @@ class QGroupElement:
     realized as (B, C, w) ~ (-B, -C, w). B and C, given as Mats or IntMats,
     are kept as the IntMats `int_b` and `int_c`, which every method reads."""
 
-    __slots__ = ("sig", "int_b", "int_c", "w", "_views", "_matrix", "_ints")
+    __slots__ = ("sig", "int_b", "int_c", "w", "_matrix", "_ints")
 
     def __init__(self, sig: Signature, b, c, w=0):
         b, c = _check_g0(sig, b, c)
@@ -389,21 +387,14 @@ class QGroupElement:
         object.__setattr__(self, "int_b", b)
         object.__setattr__(self, "int_c", c)
         object.__setattr__(self, "w", rat(w))
-        object.__setattr__(self, "_views", None)
         object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QGroupElement is immutable")
 
-    def _mats(self):
-        if self._views is None:
-            object.__setattr__(self, "_views", (self.int_b.to_mat(),
-                                                self.int_c.to_mat()))
-        return self._views
-
-    B = property(lambda self: self._mats()[0])  # Mat views, made once
-    C = property(lambda self: self._mats()[1])
+    B = property(lambda self: self.int_b.to_mat())  # Mat views, for repr
+    C = property(lambda self: self.int_c.to_mat())
 
     def det_b(self) -> Fraction:
         return Fraction(_det2(self.int_b.dense), self.int_b.d ** 2)
@@ -454,13 +445,19 @@ class QGroupElement:
             object.__setattr__(self, "_ints", pair)
         return pair
 
-    def ad_so(self, x: SoElement) -> SoElement:
-        """Adjoint action h x h^-1 on the algebra, formed as two integer
-        products and read back by blocks over their denominator, after the
-        check of every redundant block (`_block_mismatch`)."""
+    def ad_int(self, m: IntMat) -> IntMat:
+        """Adjoint action h m h^-1 on an assembled algebra element's integer
+        rows; ValueError if a redundant block disagrees (`_block_mismatch`)."""
         h, h_inv = self.int_pair()
-        g = h * IntMat.of(x.assemble()) * h_inv
-        return _checked_blocks(self.sig, g.dense, g.d)
+        g = h * m * h_inv
+        if _block_mismatch(self.sig, g.dense):
+            raise ValueError(_NOT_IN_SO)
+        return g
+
+    def ad_so(self, x: SoElement) -> SoElement:
+        """Adjoint action h x h^-1 on the algebra: `ad_int`, read by blocks."""
+        g = self.ad_int(IntMat.of(x.assemble()))
+        return _read_blocks(self.sig, g.dense, g.d)
 
     def __eq__(self, other):
         if not isinstance(other, QGroupElement):
@@ -498,18 +495,23 @@ def basis_positions(sig: Signature):
 
 
 def from_coordinates(sig: Signature, entries) -> SoElement:
-    """The element with the given coordinates, as pairs ((row, column,
-    sign), value) of `basis_positions` entries and values; every other
-    coordinate is zero. A D coordinate fills its mirror entry too:
-    D_ji = -s_i s_j D_ij."""
+    """The element with the given coordinates (`coordinate_rows`)."""
+    return _read_blocks(sig, coordinate_rows(sig, entries))
+
+
+def coordinate_rows(sig: Signature, entries, zero=_ZERO):
+    """The rows of the blocks z, X, A, D, U, w of the element with the given
+    coordinates, as pairs ((row, column, sign), value) of `basis_positions`
+    entries and values; every other entry, and every redundant block, is
+    zero. A D coordinate fills its mirror entry too: D_ji = -s_i s_j D_ij."""
     size = sig.n + 4
     signs = sig.signs()
-    g = [[Fraction(0)] * size for _ in range(size)]
+    g = [[zero] * size for _ in range(size)]
     for (r, c, s), v in entries:
         e = g[r][c] = v if s > 0 else -v
         if 2 <= r < c < size - 2:
             g[c][r] = -e if signs[r - 2] == signs[c - 2] else e
-    return _read_blocks(sig, g)
+    return g
 
 
 @functools.cache

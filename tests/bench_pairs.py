@@ -10,11 +10,14 @@ length under --workdir, then runs `perfbench/run.py` once per seed on each
 side, the parent first on odd pairs and the change first on even ones. Each
 run's last line, the JSON result, is appended verbatim to --out as one line
 {"side", "workload", "seed", "round", "pair", "trace", "seconds",
-"result"}; a new file first gets a header line naming the command, the
-commits and the machine. --trace 1 adds one traced run per side at seed 0.
-Then, as the second form does for a whole file, it prints per round,
-workload and metric the medians and quartiles of both sides, the median of
-the paired differences and the pairs the change won (a lower value wins).
+"result", "digests"}, digests being the run's "digest <workload> <label>
+<hash>" lines, one per invocation; a new file first gets a header line
+naming the command, the commits and the machine. --trace 1 adds one traced
+run per side at seed 0. Then, as the second form does for a whole file, it
+prints per round, workload and metric the medians and quartiles of both
+sides, the median of the paired differences and the pairs the change won (a
+lower value wins), and flags every seed whose parent and change digests
+differ (the two sides did not produce the same outputs); it then exits 1.
 
 Only the standard library and git are needed; nothing under perfbench/
 changes.
@@ -66,13 +69,16 @@ def checkouts(rev, workdir):
 
 
 def run(directory, workload, seed, seconds, trace):
-    """The JSON result line of one perfbench run in directory."""
+    """The JSON result line of one perfbench run in directory, and its
+    digest lines."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
         cwd=directory, stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    return (json.loads(lines[-1]),
+            [line for line in lines if line.startswith("digest ")])
 
 
 def quartiles(values):
@@ -82,10 +88,32 @@ def quartiles(values):
     return q1, q3
 
 
+def digest_check(lines):
+    """The number of runs with digests on both sides, and (round, workload,
+    seed, trace) of each whose parent and change digest lines differ; lines
+    without digests (older files) are skipped."""
+    digests = {}
+    for line in lines:
+        if "digests" in line:
+            key = (line["round"], line["workload"], line["seed"],
+                   line["trace"])
+            digests.setdefault(key, {})[line["side"]] = line["digests"]
+    paired = {k: v for k, v in digests.items() if len(v) == 2}
+    return len(paired), sorted(k for k, v in paired.items()
+                               if v["parent"] != v["change"])
+
+
 def summarize(lines):
     """Print, per round, workload and metric of the untraced lines, both
     sides' medians and quartiles, the median paired difference in percent
-    of the parent and the pairs the change won."""
+    of the parent and the pairs the change won; first flag every seed whose
+    digests differ between the sides, and return how many do."""
+    compared, differ = digest_check(lines)
+    if compared:
+        print("digests: %d of %d paired runs differ" % (len(differ), compared))
+    for rnd, workload, seed, trace in differ:
+        print("DIGESTS DIFFER: round %s, %s, seed %d%s" % (
+            rnd, workload, seed, " (traced)" if trace else ""))
     runs = {}
     for line in lines:
         if line.get("trace") != 0:
@@ -108,6 +136,7 @@ def summarize(lines):
                      statistics.median(change), c1, c3,
                      statistics.median(diffs) if diffs else 0.0, won,
                      len(done)))
+    return len(differ)
 
 
 def main():
@@ -128,8 +157,7 @@ def main():
     args = parser.parse_args()
     if args.summary:
         with open(args.summary) as f:
-            summarize([json.loads(line) for line in f][1:])
-        return 0
+            return 1 if summarize([json.loads(line) for line in f][1:]) else 0
     if not (args.out and args.workload):
         parser.error("--out and --workload are needed to run pairs")
 
@@ -149,7 +177,8 @@ def main():
                     platform.machine(), os.cpu_count(),
                     platform.python_version()),
                 "fields": "side, workload, seed, round, pair, trace, "
-                          "seconds, result (run.py's last line, verbatim)",
+                          "seconds, result (run.py's last line, verbatim), "
+                          "digests (its digest lines)",
             }) + "\n")
     lines = []
     with open(args.out, "a") as f:
@@ -161,11 +190,12 @@ def main():
             for trace, pair, seed, seconds in plan:
                 order = SIDES if pair % 2 else SIDES[::-1]
                 for side in order:
+                    result, digests = run(dirs[side], workload, seed,
+                                          seconds, trace)
                     line = {"side": side, "workload": workload, "seed": seed,
                             "round": args.round, "pair": pair,
                             "trace": trace, "seconds": seconds,
-                            "result": run(dirs[side], workload, seed,
-                                          seconds, trace)}
+                            "result": result, "digests": digests}
                     f.write(json.dumps(line) + "\n")
                     f.flush()
                     lines.append(line)
@@ -173,8 +203,7 @@ def main():
                         side, workload, seed,
                         line["result"]["metrics"].get(
                             "wall_s", {}).get("value")), flush=True)
-    summarize(lines)
-    return 0
+    return 1 if summarize(lines) else 0
 
 
 if __name__ == "__main__":

@@ -243,7 +243,7 @@ MUTANTS = (
            "return QGroupElement.assemble.__dict__.setdefault(\"m\", h)\n",
            (T_SO + "test_q_assemble_builds_one_matrix_per_element",)),
     Mutant("assemble: Ipq*U^t without the sign flip", SO,
-           "[[e if s > 0 else -e for e in col]", "[[e for e in col]",
+           "*((u0, u1) if s > 0 else (-u0, -u1))", "*(u0, u1)",
            (T_SO + "test_assemble_matches_the_block_products",)),
     Mutant("assemble: X^t*Ipq without the sign flip", SO,
            "[[e if s > 0 else -e for e, s in zip(col, signs)]",
@@ -324,8 +324,8 @@ MUTANTS = (
     Mutant("cochain: alpha images of the pair swapped", EXT,
            "ia.commutator(ib)", "ib.commutator(ia)", COCHAIN),
     Mutant("cochain: alpha of the bracket added, not subtracted", EXT,
-           "(Fraction(-c, comm.d), images[k])",
-           "(Fraction(c, comm.d), images[k])", COCHAIN),
+           "(Fraction(-c, comm.d), _so_image(sig, k))",
+           "(Fraction(c, comm.d), _so_image(sig, k))", COCHAIN),
     Mutant("cochain: the sign of a lift's z coordinate in its matrix", EXT,
            "IntMat.combination([(v, IntMat.of(basis[k].assemble()))",
            "IntMat.combination([(v if k else -v, "
@@ -357,8 +357,8 @@ MUTANTS = (
            (T_EXT + "test_r_block_matches_the_product_form",)),
     # the equivariance claims as products with i(h)
     Mutant("pair conditions: the two sides of alpha(Ad_h x)·i(h) swapped",
-           EXT, "lhs = _alpha_int(h.ad_so(x)) * ih",
-           "lhs = ih * _alpha_int(h.ad_so(x))",
+           EXT, "lhs = _alpha_assembled(sig, h.ad_int(x)) * ih",
+           "lhs = ih * _alpha_assembled(sig, h.ad_int(x))",
            (T_EXT + "test_pair_conditions_summary",)),
     Mutant("Psi equivariance: the two sides of i(h)·Psi(a, b) swapped", EXT,
            "lhs = ih * value", "lhs = value * ih",
@@ -367,6 +367,28 @@ MUTANTS = (
            "return lhs.equals(rhs)\n",
            "return lhs.equals(rhs, up_to_sign=True)\n",
            (T_EXT + "test_psi_equivariance_is_strict_about_the_sign",)),
+    Mutant("Psi equivariance: the lifts not moved by Ad(h)", EXT,
+           "(h.ad_int(_lift_ints(sig)[k][0]) for k in (a, b))",
+           "(_lift_ints(sig)[k][0] for k in (a, b))",
+           (T_EXT + "test_integer_psi_of_moved_lifts_matches_psi_gq["
+            "Signature(2, 2)]",
+            T_EXT + "test_psi_equivariance")),
+    Mutant("ad_int: the redundant blocks not checked", SO,
+           "if _block_mismatch(self.sig, g.dense):", "if False:",
+           (T_EXT + "test_an_adjoint_action_that_leaves_the_algebra_is_"
+            "refused",)),
+    Mutant("rand_so_int: D without the form signs", SAMPLERS,
+           "[[(s * e, dd) for e in r]", "[[(e, dd) for e in r]",
+           (T_SAMPLERS + "test_so_draw_core_matches_the_fraction_draw["
+            "Signature(2, 2)]",)),
+    Mutant("i_product_defect: floats without the denominator", EXT,
+           "Mat([[x / m.d for x in r] for r in m.dense])",
+           "Mat([[float(x) for x in r] for r in m.dense])",
+           (T_EXT + "test_i_map_product_rule_float",)),
+    Mutant("entry: the heap not frozen", "liecontact/__main__.py",
+           "        gc.freeze()", "        pass",
+           (T_REPORT + "test_module_entry_matches_main_and_freezes_only_its_"
+            "own_heap",)),
     Mutant("product-form claims: invertibility of i(h) not checked", EXT,
            "m = ih.rows\n    return (", "m = ih.rows\n    return True or (",
            (T_EXT + "test_product_form_loops_fail_on_a_wrong_"
@@ -595,7 +617,8 @@ EQUIVALENTS = (
     # the basis lifts assemble to integer matrices at every signature, so
     # the so bracket of two of them has denominator 1
     Mutant("cochain: the so bracket's denominator dropped", EXT,
-           "(Fraction(-c, comm.d), images[k])", "(-c, images[k])", COCHAIN),
+           "(Fraction(-c, comm.d), _so_image(sig, k))",
+           "(-c, _so_image(sig, k))", COCHAIN),
 )
 
 

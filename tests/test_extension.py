@@ -1,5 +1,6 @@
 """Tests for the embedding of the stabilizer group and the obstruction map."""
 
+import functools
 import math
 import random
 import re
@@ -655,6 +656,64 @@ def test_psi_equivariance_is_strict_about_the_sign(monkeypatch):
             assert psi_equivariance_check(sig, h, a, b) is False, (h, a, b)
 
 
+def _hat_lifts(sig):
+    return [hat_lift(sig, zb) for zb in sl_neg_basis(sig.n)]
+
+
+@pytest.mark.parametrize("sig", DOMAIN_SIGS, ids=repr)
+def test_integer_psi_of_moved_lifts_matches_psi_gq(monkeypatch, sig):
+    # the right side of the Psi equivariance claim runs on integer rows; it
+    # equals psi_gq of the Ad(h)-moved hat lifts on every pair of slots
+    build_psi_cochain(sig)  # built before the route is recorded
+    seen, psi_int = [], extension._psi_int
+    monkeypatch.setattr(extension, "_psi_int",
+                        lambda *args: seen.append(psi_int(*args)) or seen[-1])
+    lifts = _hat_lifts(sig)
+    slots = sl_neg_slots(sig.n)
+    rng = random.Random(sig.n)
+    for _ in range(2):
+        h = samplers.rand_q_square(sig, rng)
+        for sa in ("m2", "m1E", "m1V"):
+            for sb in ("m2", "m1E", "m1V"):
+                a, b = (rng.choice([k for k, s in enumerate(slots) if s == t])
+                        for t in (sa, sb))
+                assert psi_equivariance_check(sig, h, a, b) is True
+                want = psi_gq(h.ad_so(lifts[a]), h.ad_so(lifts[b])).mat
+                assert seen.pop().to_mat() == want, (h, a, b)
+
+
+def _h_outside_the_group(monkeypatch, sig):
+    """Every QGroupElement's h becomes diag(2, 1, ..., 1), which does not
+    preserve S, so its Ad moves the z and X entries off their companions."""
+    m = sig.n + 4
+    h = IntMat(1, m, [[2 if i == j == 0 else int(i == j) for j in range(m)]
+                      for i in range(m)])
+    h_inv = IntMat(2, m, [[2 * int(i == j) - int(i == j == 0)
+                           for j in range(m)] for i in range(m)])
+    monkeypatch.setattr(QGroupElement, "int_pair", lambda self: (h, h_inv))
+
+
+def test_an_adjoint_action_that_leaves_the_algebra_is_refused(monkeypatch):
+    sig = Signature(2, 1)
+    rng = random.Random(3)
+    hs = [samplers.rand_q_square(sig, rng) for _ in range(2)]
+    pairs = _vertical_bottom_pairs(sig)
+    _h_outside_the_group(monkeypatch, sig)
+    for h in hs:
+        for a, b in pairs[:3]:
+            with pytest.raises(ValueError, match="orthogonal algebra"):
+                psi_equivariance_check(sig, h, a, b)
+        with pytest.raises(ValueError, match="orthogonal algebra"):
+            h.ad_so(_hat_lifts(sig)[0])
+    # through the registry, both equivariance claims become failing records
+    records = {r["name"]: r for r in report.run(report.SuiteConfig(
+        2, 1, trials=2, suites=("extension",)))["records"]}
+    for name in ("obstruction-equivariance", "pair-conditions"):
+        assert records[name]["status"] == "fail", name
+        assert records[name]["witness"].startswith("ValueError: matrix is "
+                                                   "not in the orthogonal")
+
+
 # the repr of a QGroupElement
 _Q = r"QGroupElement\(Signature\(\d, \d\), B=Mat\(.*\), C=Mat\(.*\), w=\S+\)"
 
@@ -867,9 +926,13 @@ def test_obstruction_cochain_matches_psi_on_every_pair(p, q):
     sig = Signature(p, q)
     phi = build_psi_cochain(sig)
     lifts = [hat_lift(sig, zb) for zb in sl_neg_basis(sig.n)]
-    # the build reads the lifts off the columns of the inverse, as does the
-    # equivariance check
-    assert list(extension._basis_lifts(sig)) == lifts
+    # the build reads the lifts and their alpha images off the columns of
+    # the inverse, as does the equivariance check
+    ints = extension._lift_ints(sig)
+    assert len(ints) == len(lifts)
+    for (m, image), lift in zip(ints, lifts):
+        assert m.to_mat() == lift.assemble()
+        assert image.to_mat() == alpha(lift).mat
     for a in range(len(lifts)):
         for b in range(a + 1, len(lifts)):
             assert phi.value(a, b) == psi_gq(lifts[a], lifts[b]), (a, b)
@@ -883,7 +946,8 @@ def test_obstruction_cochain_refuses_a_bracket_outside_the_algebra(
     sig = Signature(2, 1)
     n = sig.n
     basis = list(so_basis(sig))
-    (k, _), = extension._lift_columns(sig)[0]
+    inv = extension._lift_inverse(sig)
+    (k,) = [k for k, r in zip(extension._lift_indices(sig), inv.dense) if r[0]]
     x = basis[k]
     rows = [list(r) for r in x.assemble().data]
     assert rows[2][0] != 0
@@ -893,6 +957,11 @@ def test_obstruction_cochain_refuses_a_bracket_outside_the_algebra(
     basis[k] = bad
     build_psi_cochain.cache_clear()
     monkeypatch.setattr(extension, "so_basis", lambda s: tuple(basis))
+    # caches of their own for the lifts and images, so that none is read
+    # or left behind
+    for name in ("_lift_ints", "_so_image"):
+        monkeypatch.setattr(extension, name, functools.cache(
+            getattr(extension, name).__wrapped__))
     with pytest.raises(ValueError, match="block"):
         build_psi_cochain(sig)
 

@@ -1,12 +1,15 @@
 """Tests for the suite runner, report determinism and the command line."""
 
 import csv
+import gc
 import hashlib
 import json
 import math
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 import zlib
 from fractions import Fraction
@@ -186,6 +189,55 @@ def test_cli_report_is_byte_identical(tmp_path):
     names = [r["name"] for r in report["records"]]
     assert "jacobi-basis-triples" in names
     assert "split-relations" in names
+
+
+# `python -m liecontact` in a fresh interpreter: the package this test
+# imports, and a statement run before the module (a patch, or nothing)
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(extension.__file__))
+_AS_MODULE = """\
+import gc, runpy, sys
+{patch}
+try:
+    runpy.run_module("liecontact", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write("frozen %d" % (gc.get_freeze_count() > 0))
+"""
+
+
+def _python(args, patch=None):
+    """The exit code and stderr of `python -m liecontact args`, or with a
+    patch, of the module run by runpy after it; the stderr ends "frozen 1"
+    when the entry froze the heap."""
+    argv = (["-m", "liecontact"] if patch is None
+            else ["-c", _AS_MODULE.format(patch=patch)])
+    env = dict(os.environ, PYTHONPATH=_PACKAGE_ROOT)
+    proc = subprocess.run([sys.executable, *argv, *args], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+    return proc.returncode, proc.stderr
+
+
+def test_module_entry_matches_main_and_freezes_only_its_own_heap(tmp_path):
+    args = ["--p", "2", "--q", "1", "--trials", "3", "--suite", "algebra",
+            "--suite", "quaternion"]
+    frozen = gc.get_freeze_count()
+    assert main(args + ["--out", str(tmp_path / "main.json")]) == 0
+    assert gc.get_freeze_count() == frozen  # callers in process: no freeze
+    assert _python(args + ["--out", str(tmp_path / "module.json")]) == (0, "")
+    assert (tmp_path / "module.json").read_bytes() == \
+        (tmp_path / "main.json").read_bytes()
+    code, err = _python(args + ["--out", str(tmp_path / "runpy.json")], "")
+    assert (code, err[-8:]) == (0, "frozen 1")
+    # a usage error, and a failing report, pass their exit codes through
+    code, err = _python(["--p", "2", "--q", "1"])
+    assert code == 2 and "nothing to do" in err
+    failing = ("from liecontact import extension\n"
+               "extension.build_psi_cochain = lambda sig: 1 / 0")
+    code, err = _python(["--p", "2", "--q", "1", "--suite", "normality",
+                         "--out", str(tmp_path / "fail.json")], failing)
+    assert (code, err[-8:]) == (1, "frozen 1")
+    assert json.loads((tmp_path / "fail.json").read_text())["status"] == \
+        "fail"
 
 
 def test_cli_stdout_report(capsys):

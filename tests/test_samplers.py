@@ -125,6 +125,31 @@ def test_q_samplers_match_their_fraction_draws(sampler, reference):
             assert rng.getstate() == ref_rng.getstate()
 
 
+def _fraction_so_element(sig, rng):
+    n = sig.n
+    return SoElement(sig, z=samplers.rand_fraction(rng),
+                     X=samplers.rand_mat(rng, n, 2),
+                     A=samplers.rand_mat(rng, 2, 2),
+                     D=_product_so_pq(sig, rng),
+                     U=samplers.rand_mat(rng, 2, n),
+                     w=samplers.rand_fraction(rng))
+
+
+@pytest.mark.parametrize("sig", Q_SIGS, ids=repr)
+def test_so_draw_core_matches_the_fraction_draw(sig):
+    # the integer rows that check_pair_conditions draws are the assembled
+    # matrix of the Fraction blocks, drawn in the same order, and
+    # rand_so_element is their element; every stream ends in one state
+    for seed in range(3):
+        rng, ref_rng, elt_rng = (random.Random(seed) for _ in range(3))
+        for _ in range(2):
+            got, want = (samplers.rand_so_int(sig, rng),
+                         _fraction_so_element(sig, ref_rng))
+            assert got.to_mat() == want.assemble(), (sig, seed)
+            assert samplers.rand_so_element(sig, elt_rng) == want
+            assert rng.getstate() == ref_rng.getstate() == elt_rng.getstate()
+
+
 def test_rand_opq_redraws_while_i_minus_d_is_singular():
     sig = Signature(1, 1)
     redraws = []

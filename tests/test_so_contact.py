@@ -212,6 +212,10 @@ def test_assemble_matches_the_block_products():
     for sig in ORACLE_SIGS:
         xs = [*so_basis(sig), *(samplers.rand_so_element(sig, rng)
                                 for _ in range(10))]
+        # a drawn element keeps the matrix it was read from; the same blocks
+        # in a new element are assembled afresh
+        xs += [SoElement(sig, z=x.z, X=x.X, A=x.A, D=x.D, U=x.U, w=x.w)
+               for x in xs]
         for x in xs:
             got, expected = x.assemble(), _block_assembly(x)
             assert [(type(e), repr(e)) for r in got.data for e in r] == \
