@@ -18,11 +18,10 @@ from .extension import (Cochain1, Cochain2, alpha, alpha_restriction_matrix,
                         fit_trilinear_constant, hat_lift, i_map, i_map_float,
                         i_prime, i_prime_float, i_product_defect,
                         i_product_rule, is_normal, psi_alpha,
-                        psi_equivariance_check, psi_from_cochain, psi_gq,
-                        psi_support_report, psi_trilinear,
-                        symmetrized_reference)
-from .linalg import (DualRat, Mat, det, exp_float, exp_nilpotent, invert,
-                     rank_kernel, rat, rat_sqrt, solve_linear)
+                        psi_equivariance_check, psi_gq, psi_support_report,
+                        psi_trilinear, symmetrized_reference)
+from .linalg import (Mat, det, exp_float, exp_nilpotent, invert, rank_kernel,
+                     rat, rat_sqrt, solve_linear)
 from .path_sl import SlElement, sl_bracket, sl_neg_coordinates, w0
 from .report import SUITE_NAMES, SuiteConfig, run
 from .so_contact import (QGroupElement, Signature, SoElement, bracket,

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .extension import psi_trilinear
-from .linalg import IntMat, Mat, bareiss, exp_nilpotent, rat
+from .linalg import IntMat, Mat, bareiss, exp_nilpotent, plain_sum, rat
 from .so_contact import (Signature, SoElement, ambient_inverse, gm1_pairing,
                          segre_rank)
 from .split_quat import QuatStructureOnH, stack_columns, unstack_columns
@@ -361,18 +361,20 @@ def reconstruct_cone(ev: STensorEval, samples) -> dict:
 def _normalized_span(span: IntMat):
     """Euclidean Gram-Schmidt on the float columns, first column's leading
     entry made positive; returns the entries row-major. x / d rounds
-    correctly, as float(Fraction(x, d)) does."""
+    correctly, as float(Fraction(x, d)) does, and every sum runs left to
+    right (`plain_sum`), so the digits do not depend on the Python
+    version."""
     m, d = span.rows, span.d
     c0 = [r[0] / d for r in span.dense]
     c1 = [r[1] / d for r in span.dense]
-    norm0 = math.sqrt(sum(e * e for e in c0))
+    norm0 = math.sqrt(plain_sum(e * e for e in c0))
     u0 = [e / norm0 for e in c0]
     lead = next((e for e in u0 if abs(e) > 1e-9), 1.0)
     if lead < 0:
         u0 = [-e for e in u0]
-    proj = sum(a * b for a, b in zip(c1, u0))
+    proj = plain_sum(a * b for a, b in zip(c1, u0))
     v = [a - proj * b for a, b in zip(c1, u0)]
-    norm1 = math.sqrt(sum(e * e for e in v))
+    norm1 = math.sqrt(plain_sum(e * e for e in v))
     u1 = [e / norm1 for e in v]
     out = []
     for i in range(m):

@@ -31,13 +31,13 @@ import random
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linalg import (DualRat, IntMat, Mat, exp_float, invert, max_abs,
-                     rank_kernel, rat_sqrt)
+from .linalg import (IntMat, Mat, exp_float, invert, max_abs, rank_kernel,
+                     rat, rat_sqrt)
 from .path_sl import (SlElement, entry_degrees, neg_positions, sl_bracket,
                       sl_neg_coordinates, sl_neg_degrees, sl_neg_slots, w0)
 from .so_contact import (QGroupElement, Signature, SoElement,
-                         basis_positions, bracket, coordinate_rows,
-                         from_coordinates, int_coordinates, so_basis,
+                         assembled_rows, basis_positions, bracket,
+                         coordinate_rows, from_coordinates, int_coordinates,
                          so_basis_degrees)
 from . import samplers
 
@@ -117,19 +117,23 @@ def _i_exact(h: QGroupElement) -> IntMat:
 
 def i_map_float(b: Mat, c: Mat, w: float) -> Mat:
     """Float image for generic det B; no group membership is checked."""
-    beta = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    sbar = math.sqrt(abs(beta))
-    n = c.rows
-    return _i_assemble(n, b, c, w, beta, sbar, 0.0)
+    return Mat(_i_assemble(b.data, c.data, w, _float_root, 0.0))
 
 
-def _i_assemble(n, b, c, w, beta, sbar, zero):
-    """i(h) on the entries of B, C and w as they are: floats, jets, or
-    Fractions for an exact reference. The entries of the top block and of
-    C are divided by sbar before they enter `_i_layout`."""
+def _float_root(beta):
+    return math.sqrt(abs(beta))
+
+
+def _i_assemble(b, c, w, root, zero):
+    """The rows of i(h), on the rows of B and C and on w as they are:
+    floats, jets (`_Jet`), or Fractions for an exact reference; sbar =
+    root(beta) is the square root of |beta|. The entries of the top block
+    and of C are divided by sbar before they enter `_i_layout`."""
+    (p, r), (s, q) = b
+    beta = p * q - r * s
+    sbar = root(beta)
     top = (beta / sbar, -w * beta / sbar, (beta / beta) / sbar)
-    return Mat(_i_layout(n, top, b.data, [[e / sbar for e in r]
-                                          for r in c.data], zero))
+    return _i_layout(len(c), top, b, [[e / sbar for e in r] for r in c], zero)
 
 
 def _i_layout(n, top, b, c, zero):
@@ -155,36 +159,80 @@ def _i_layout(n, top, b, c, zero):
     return rows
 
 
+class _Jet:
+    """The first-order jet r + eps·u (eps² = 0) of an entry of i along a
+    curve through the identity, r and u integers over the one denominator
+    of `_i_prime_int`. There every base point is an integer and every
+    divisor and radicand has base 1, so products, quotients and the square
+    root stay on integers over that denominator."""
+
+    __slots__ = ("r", "u")
+
+    def __init__(self, r, u):
+        self.r, self.u = r, u
+
+    def __mul__(self, other):
+        return _Jet(self.r * other.r, self.r * other.u + self.u * other.r)
+
+    def __sub__(self, other):
+        return _Jet(self.r - other.r, self.u - other.u)
+
+    def __neg__(self):
+        return _Jet(-self.r, -self.u)
+
+    def __truediv__(self, other):
+        # (r + eps·u) / (1 + eps·v) = r + eps·(u - r·v)
+        return _Jet(self.r, self.u - self.r * other.u)
+
+    def __eq__(self, other):
+        return self.r == other.r and self.u == other.u
+
+    def sqrt(self):
+        # sqrt(1 + eps·u) = 1 + eps·u/2; u is even, as 2L·tr A is
+        return _Jet(1, self.u // 2)
+
+
 def i_prime(sig: Signature, a: Mat, d: Mat, w) -> Mat:
     """Exact derivative at the identity of i along the curve
-    (I + t*A, I + t*D, t*w), computed by running the assembly of i_map on
-    first-order jets. Any curve with these velocities gives the same
-    result."""
+    (I + t*A, I + t*D, t*w), the Mat view of `_i_prime_int`. Any curve
+    with these velocities gives the same result."""
+    return _i_prime_int(a, d, w).to_mat()
 
-    def jet(m):
-        return Mat([[DualRat(1 if i == j else 0, e) for j, e in enumerate(r)]
-                    for i, r in enumerate(m.data)])
 
-    b = jet(a)
-    beta = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    jets = _i_assemble(sig.n, b, jet(d), DualRat(0, w), beta,
-                       abs(beta).sqrt(), DualRat(0))
-    return jets.map(lambda e: e.du)
+def _i_prime_int(a: Mat, d: Mat, w) -> IntMat:
+    """i_prime as integers over 2L, L the lcm of the denominators of A, D
+    and w: `_i_assemble` run on the jets (`_Jet`) of B = I + eps·A,
+    C = I + eps·D and eps·w, each entry's velocity scaled to an integer
+    over 2L. Then beta = 1 + eps·tr A and sbar = 1 + eps·tr A/2, and the
+    velocities of the result are the integers of i'."""
+    ia, id_, w = IntMat.of(a), IntMat.of(d), rat(w)
+    big = 2 * math.lcm(ia.d, id_.d, w.denominator)
+
+    def jets(m):
+        f = big // m.d
+        return [[_Jet(int(i == j), f * x) for j, x in enumerate(r)]
+                for i, r in enumerate(m.dense)]
+
+    wj = _Jet(0, w.numerator * (big // w.denominator))
+    rows = _i_assemble(jets(ia), jets(id_), wj, _Jet.sqrt, _Jet(0, 0))
+    return IntMat(big, len(rows), [[e.u for e in r] for r in rows])
 
 
 def i_prime_float(sig: Signature, a: Mat, d: Mat, w, step=1e-5) -> Mat:
     """Central-difference derivative of i at the identity along one-parameter
-    subgroups, the second computation path for the derivative condition."""
-    af = a.map(float)
-    df = d.map(float)
+    subgroups, the second computation path for the derivative condition.
+    Runs on rows of floats (`exp_float`, `_i_assemble`)."""
+    af, df = ([[float(e) for e in r] for r in m.data] for m in (a, d))
     wf = float(w)
 
     def at(t):
-        return i_map_float(exp_float(af * t), exp_float(df * t), wf * t)
+        return _i_assemble(exp_float([[e * t for e in r] for r in af]),
+                           exp_float([[e * t for e in r] for r in df]),
+                           wf * t, _float_root, 0.0)
 
-    hi = at(step)
-    lo = at(-step)
-    return (hi - lo) * (1.0 / (2.0 * step))
+    k = 1.0 / (2.0 * step)
+    return Mat([[(x - y) * k for x, y in zip(hi, lo)]
+                for hi, lo in zip(at(step), at(-step))])
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +248,20 @@ def _lift_indices(sig: Signature):
 
 @functools.cache
 def _so_image(sig: Signature, k: int) -> IntMat:
-    """alpha of so_basis element k, built once, read off the integer rows of
-    its coordinate (alpha reads no redundant block)."""
-    rows = coordinate_rows(sig, [(basis_positions(sig)[k], 1)], 0)
-    return _alpha_assembled(sig, IntMat(1, sig.n + 4, rows))
+    """alpha of so_basis element k, built once, read off its integer rows
+    (`_basis_ints`)."""
+    return _alpha_assembled(sig, _basis_ints(sig, k))
+
+
+def _basis_ints(sig: Signature, k: int) -> IntMat:
+    """The matrix of so_basis element k as integer rows: the blocks of its
+    coordinate (`coordinate_rows`), assembled (`assembled_rows`)."""
+    n, lo = sig.n, sig.n + 2  # lo: the last block band
+    g = coordinate_rows(sig, [(basis_positions(sig)[k], 1)], 0)
+    top, mid = g[:2], g[2:lo]
+    return IntMat(1, n + 4, assembled_rows(
+        sig, g[lo][1], [r[:2] for r in mid], [r[:2] for r in top],
+        [r[2:lo] for r in mid], [r[2:lo] for r in top], g[0][lo + 1], 0))
 
 
 @functools.cache
@@ -261,18 +319,12 @@ def psi_alpha(sig: Signature, z1: SlElement, z2: SlElement) -> SlElement:
     return psi_gq(hat_lift(sig, z1), hat_lift(sig, z2))
 
 
-def psi_from_cochain(sig: Signature, z1: SlElement,
-                     z2: SlElement) -> SlElement:
-    """psi_alpha(sig, z1, z2), read off the obstruction cochain by
-    bilinearity: the sum over its keys a < b of
-    (x1_a x2_b - x1_b x2_a) Psi(e_a, e_b), for the coordinates x1, x2 of
-    z1, z2 in the negative basis. The coordinates are scaled to integers and
-    summed against the table's integer rows (`Cochain2.int_rows`), so
-    one Fraction is built per nonzero entry of the value. The arguments
-    are checked as `hat_lift` checks them."""
-    for z in (z1, z2):
-        _check_negative(sig, z)
-    c1, c2 = (IntMat.of(Mat([sl_neg_coordinates(z)])) for z in (z1, z2))
+def psi_from_coordinates(sig: Signature, c1: IntMat, c2: IntMat) -> IntMat:
+    """psi_alpha of the two negative elements with the coordinates c1, c2,
+    one row each in the negative basis, read off the obstruction cochain
+    by bilinearity: the sum over its keys a < b of
+    (x1_a x2_b - x1_b x2_a) Psi(e_a, e_b), for the integers x1, x2 of c1,
+    c2, summed against the table's integer rows (`Cochain2.int_rows`)."""
     (x1,), (x2,) = c1.dense, c2.dense
     phi = build_psi_cochain(sig)
     d, values = phi.int_rows
@@ -280,7 +332,31 @@ def psi_from_cochain(sig: Signature, z1: SlElement,
     acc = [[0] * m for _ in range(m)]
     for (a, b), rows in values.items():
         _add_rows(acc, rows, x1[a] * x2[b] - x1[b] * x2[a])
-    return SlElement(sig.n, IntMat(d * c1.d * c2.d, m, acc).to_mat())
+    return IntMat(d * c1.d * c2.d, m, acc)
+
+
+def trilinear_ints(sig: Signature, x: Mat, y: Mat, z: Mat):
+    """psi_trilinear on integer rows, with the Psi value it brackets:
+    (Psi(x, [y, W0]), [Psi(x, [y, W0]), z]) as IntMats. The m2 elements of
+    x, y, z and W0 are integer rows; [y, W0] is an integer commutator, read
+    in the negative coordinates, and Psi is read off the cochain
+    (`psi_from_coordinates`)."""
+    n, m = sig.n, 2 * sig.n + 2
+    xm, ym, zm = (_m2_ints(n, v) for v in (x, y, z))
+    unit = IntMat(1, m, sparse=[[(1, 1)]] + [[]] * (m - 1))
+    c1, c2 = (IntMat(g.d, 4 * n + 1, [[g.dense[r][c] for r, c in
+                                       neg_positions(n)]])
+              for g in (xm, ym.commutator(unit)))
+    psi = psi_from_coordinates(sig, c1, c2)
+    return psi, psi.commutator(zm)
+
+
+def _m2_ints(n: int, v: Mat) -> IntMat:
+    """The g~_{-2} element with the 2n-column v (`SlElement.from_m2`), as
+    integer rows."""
+    ints, d = _int_column(v)
+    return IntMat(d, 2 * n + 2, sparse=[[], []] + [[(0, e)] if e else []
+                                                 for e in ints])
 
 
 def psi_trilinear(sig: Signature, x: Mat, y: Mat, z: Mat) -> SlElement:
@@ -299,6 +375,11 @@ def _int_column(v: Mat):
 
 
 def symmetrized_reference(sig: Signature, x: Mat, y: Mat, z: Mat) -> Mat:
+    """The Mat view of `symmetrized_ints`."""
+    return symmetrized_ints(sig, x, y, z).to_mat()
+
+
+def symmetrized_ints(sig: Signature, x: Mat, y: Mat, z: Mat) -> IntMat:
     """Sum over all six argument orders of
     (<X1,Y2>Z1 - <X1,Y1>Z2 ; <X2,Y2>Z1 - <X1,Y2>Z2), with <,> the Ipq
     pairing. The columns are scaled to integers and the sum, trilinear in
@@ -317,7 +398,7 @@ def symmetrized_reference(sig: Signature, x: Mat, y: Mat, z: Mat) -> Mat:
         for i in range(n):
             acc[i] += c12 * zc[i] - c11 * zc[n + i]
             acc[n + i] += c22 * zc[i] - c12 * zc[n + i]
-    return IntMat(dx * dy * dz, 1, [[e] for e in acc]).to_mat()
+    return IntMat(dx * dy * dz, 1, [[e] for e in acc])
 
 
 def fit_trilinear_constant(sig: Signature) -> Fraction:
@@ -345,7 +426,7 @@ def fit_trilinear_constant(sig: Signature) -> Fraction:
                      "map appears to vanish")
 
 
-def r_block_path(sig: Signature, x: Mat, y: Mat) -> Mat:
+def r_block_path(sig: Signature, x: Mat, y: Mat) -> IntMat:
     """Closed-form 2n x 2n block of Psi(x, [y, W0]) built from the four
     rank-two matrices R_ab = (X_a Y_b^t + Y_a X_b^t) Ipq; the second
     computation path for the trilinear map. The block is
@@ -353,8 +434,8 @@ def r_block_path(sig: Signature, x: Mat, y: Mat) -> Mat:
         [[ -R12/2 + R21 - tr(R12)/2 I,  -(R11 - tr(R11) I)/2         ],
          [ (R22 - tr(R22) I)/2,          R21/2 - R12 + tr(R12)/2 I ]],
 
-    formed twice over on the columns scaled to integers, and divided once
-    by twice the product of their denominators."""
+    formed twice over on the columns scaled to integers, over twice the
+    product of their denominators."""
     n = sig.n
     signs = sig.signs()
     (xs, dx), (ys, dy) = _int_column(x), _int_column(y)
@@ -379,7 +460,7 @@ def r_block_path(sig: Signature, x: Mat, y: Mat) -> Mat:
         row[i] -= t22
         row[n + i] += t12
         rows.append(row)
-    return IntMat(2 * dx * dy, 2 * n, rows).to_mat()
+    return IntMat(2 * dx * dy, 2 * n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +535,11 @@ class Cochain1:
 def _lift_ints(sig: Signature):
     """The hat lift of each negative basis element as IntMats (matrix, alpha
     image): its coordinates, a column of `_lift_inverse`, combine the
-    so_basis matrices and their images (`_so_image`)."""
-    inv, basis = _lift_inverse(sig), so_basis(sig)
+    so_basis matrices (`_basis_ints`) and their images (`_so_image`)."""
+    inv = _lift_inverse(sig)
     cols = [[(k, Fraction(x, inv.d)) for k, x in zip(_lift_indices(sig), c)
              if x] for c in zip(*inv.dense)]
-    return tuple((IntMat.combination([(v, IntMat.of(basis[k].assemble()))
+    return tuple((IntMat.combination([(v, _basis_ints(sig, k))
                                       for k, v in col]),
                   IntMat.combination([(v, _so_image(sig, k))
                                       for k, v in col])) for col in cols)
@@ -466,11 +547,14 @@ def _lift_ints(sig: Signature):
 
 def _psi_int(sig: Signature, x, y) -> IntMat:
     """The formula of `psi_gq` on `IntMat` pairs x, y = (matrix, alpha
-    image): two integer commutators. The so bracket is read in coordinates
-    by `so_contact.int_coordinates`, which raises when it leaves
-    so(p+2, q+2), and its alpha is that combination of basis images."""
+    image): two integer commutators, or one when the so bracket is zero.
+    The so bracket is read in coordinates by `so_contact.int_coordinates`,
+    which raises when it leaves so(p+2, q+2), and its alpha is that
+    combination of basis images."""
     (ma, ia), (mb, ib) = x, y
     comm = ma.commutator(mb)
+    if comm.is_zero():
+        return ia.commutator(ib)
     coords = int_coordinates(sig, comm.dense)
     return IntMat.combination(
         [(1, ia.commutator(ib))]
@@ -620,14 +704,6 @@ def psi_support_report(sig: Signature) -> dict:
     }
 
 
-def q_tangent_basis(sig: Signature):
-    """Basis directions (A, D, w) of the stabilizer subalgebra: the degree
-    0 and degree 2 elements of the so_basis."""
-    return [(b.A, b.D, b.w)
-            for b, deg in zip(so_basis(sig), so_basis_degrees(sig))
-            if deg in (0, 2)]
-
-
 def _i_invertible(h: QGroupElement, ih: IntMat) -> bool:
     """Whether ih = i(h) has i(h^-1) for its inverse up to sign:
     i(h)·i(h^-1) = +-I, h^-1 the group inverse. It holds since i is
@@ -665,18 +741,20 @@ def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
             witness = witness or repr(h)
     derivative_failures = 0
     derivative_float_error = 0.0
-    for a, d, w in q_tangent_basis(sig):
-        exact = i_prime(sig, a, d, w)
-        target = alpha(SoElement(sig, A=a, D=d, w=w)).mat
-        if exact != target:
-            derivative_failures += 1
+    one = Fraction(1)
+    for pos, deg in zip(basis_positions(sig), so_basis_degrees(sig)):
+        if deg in (0, 2):  # the stabilizer subalgebra's basis
+            x = from_coordinates(sig, ((pos, one),))
+            if i_prime(sig, x.A, x.D, x.w) != alpha(x).mat:
+                derivative_failures += 1
     rng_f = random.Random(seed + 1)
     for _ in range(min(trials, 20)):
         a, d, w = samplers.rand_q_tangent(sig, rng_f)
-        exact = i_prime(sig, a, d, w).map(float)
+        exact = _i_prime_int(a, d, w)
         approx = i_prime_float(sig, a, d, w)
-        derivative_float_error = max(derivative_float_error,
-                                     max_abs(exact - approx))
+        derivative_float_error = max(derivative_float_error, max(
+            abs(x / exact.d - y) for rx, ry in zip(exact.dense, approx.data)
+            for x, y in zip(rx, ry)))
     rank, _ = rank_kernel(alpha_restriction_matrix(sig))
     return {
         "trials": trials,

@@ -11,8 +11,9 @@ The exact arithmetic runs on one integer type, `IntMat`: a rational matrix
 held as integers over one positive denominator. Every exact product,
 commutator, sum and Gram check of the package runs on it, and it builds
 one Fraction per nonzero entry only when it goes back to a `Mat`.
-Matrices of floats, `DualRat` or mixed types are multiplied entry by
-entry (`_dot`).
+Matrices of floats or of mixed types are multiplied entry by entry
+(`_dot`), and floats are summed left to right (`plain_sum`), so no
+Python version's `sum()` enters a float result.
 
 `structure_table` brackets every pair of an integer basis to build the
 structure-constant table of either algebra (so(p+2, q+2) and sl(2n+2))
@@ -32,14 +33,15 @@ which most entries of the package's matrices are. Where both entries of a
 sum or difference are Fractions and one is zero, the result is the other
 entry (or its negation) without any Fraction arithmetic; unary `-` keeps
 a zero Fraction entry as it is, and a Fraction or int scalar times a zero
-Fraction entry gives the shared zero. Every other entry (float, `DualRat`,
-int, or a Fraction beside one of those) and every other scalar type take
-the plain arithmetic, so result types, signed float zeros, inf and nan
-are exactly what the entrywise operation gives.
+Fraction entry gives the shared zero. Every other entry (float, int, any
+other number type, or a Fraction beside one of those) and every other
+scalar type take the plain arithmetic, so result types, signed float
+zeros, inf and nan are exactly what the entrywise operation gives.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -68,105 +70,10 @@ def rat_sqrt(x: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-class DualRat:
-    """First-order jet re + eps*du with eps^2 = 0, exact over Fraction.
-
-    Just enough calculus to differentiate matrix expressions built from
-    rational operations and square roots at rational base points; used for
-    the exact derivative path of the group embedding.
-
-    The constructor coerces both parts with `rat`, so it refuses floats.
-    The arithmetic builds its results from parts that are Fractions
-    already (`_jet`), and a term with an exact zero factor is skipped, not
-    multiplied: most jets of the embedding's derivative have a zero part.
-    """
-
-    __slots__ = ("re", "du")
-
-    def __init__(self, re, du=0):
-        self.re = rat(re)
-        self.du = rat(du)
-
-    def __add__(self, other):
-        other = _dual(other)
-        return _jet(_plus(self.re, other.re), _plus(self.du, other.du))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        re, du = self.re, self.du
-        return _jet(-re if re else re, -du if du else du)
-
-    def __sub__(self, other):
-        return self + (-_dual(other))
-
-    def __rsub__(self, other):
-        return _dual(other) + (-self)
-
-    def __mul__(self, other):
-        # (a + eps da)(b + eps db) = ab + eps (a db + da b)
-        other = _dual(other)
-        a, da = self.re, self.du
-        b, db = other.re, other.du
-        du = a * db if a and db else _ZERO
-        if da and b:
-            du = du + da * b if du else da * b
-        return _jet(a * b if a and b else _ZERO, du)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _dual(other)
-        if other.re == 0:
-            raise ZeroDivisionError("dual number with zero base point")
-        re = self.re / other.re if self.re else _ZERO
-        du = _minus(self.du, re * other.du if re and other.du else _ZERO)
-        return _jet(re, du / other.re if du else _ZERO)
-
-    def __rtruediv__(self, other):
-        return _dual(other) / self
-
-    def __abs__(self):
-        if self.re > 0:
-            return self
-        if self.re < 0:
-            return -self
-        raise ValueError("abs of a dual number with zero base point is not smooth")
-
-    def sqrt(self):
-        s = rat_sqrt(self.re)
-        if s == 0:
-            raise ValueError("sqrt of a dual number at base point 0 is not smooth")
-        return _jet(s, self.du / (2 * s) if self.du else _ZERO)
-
-    def __eq__(self, other):
-        other = _dual(other)
-        return self.re == other.re and self.du == other.du
-
-    def __hash__(self):
-        return hash((self.re, self.du))
-
-    def __repr__(self):
-        return "DualRat(%s, %s)" % (self.re, self.du)
-
-
-def _dual(x):
-    if isinstance(x, DualRat):
-        return x
-    return DualRat(x)
-
-
-def _jet(re: Fraction, du: Fraction) -> DualRat:
-    """The jet re + eps*du from two Fractions, taken as they are."""
-    out = DualRat.__new__(DualRat)
-    out.re = re
-    out.du = du
-    return out
-
-
 class Mat:
     """Immutable dense matrix over whatever field elements it is fed
-    (Fraction, float, DualRat). Arithmetic never mutates."""
+    (Fraction, float, or any number type with the field operations).
+    Arithmetic never mutates."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -343,8 +250,10 @@ def _scale(m: Mat, s) -> Mat:
 
 
 def _dot(r, c):
-    acc = r[0] * c[0]
-    for a, b in zip(r[1:], c[1:]):
+    pairs = zip(r, c)
+    a, b = next(pairs)
+    acc = a * b
+    for a, b in pairs:
         acc = acc + a * b
     return acc
 
@@ -778,35 +687,47 @@ def exp_nilpotent(m: Mat, nilpotency_bound: int) -> Mat:
     return IntMat.combination(terms).to_mat()
 
 
-def exp_float(m: Mat) -> Mat:
-    """Matrix exponential of a float matrix by scaling and squaring with a
-    Taylor tail summed to machine precision. Runs on rows of floats; each
+def exp_float(m):
+    """Matrix exponential of a square float matrix, given as a Mat or as its
+    rows, by scaling and squaring with a Taylor tail summed to machine
+    precision; the result is of the kind given. Runs on rows of floats; each
     product sums its terms in column order, as `Mat.__mul__` does on
-    floats."""
-    if m.rows != m.cols:
+    floats, and each row norm left to right (`plain_sum`)."""
+    rows = m.data if isinstance(m, Mat) else m
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("exp of a non-square matrix")
-    fm = [[float(e) for e in r] for r in m.data]
-    if not all(math.isfinite(e) for r in fm for e in r):
+    fm = [[float(e) for e in r] for r in rows]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(fm))):
         raise OverflowError("non-finite entries in exp_float input")
-    norm = max(sum(abs(e) for e in r) for r in fm)
+    norm = max(plain_sum(map(abs, r)) for r in fm)
     s = 0
     if norm > 0.5:
         s = max(0, math.ceil(math.log2(norm / 0.5)))
     scale = float(2 ** s)
     a = [[e / scale for e in r] for r in fm]
-    n = m.rows
     result = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    term = result
+    term, cols = result, list(zip(*a))
     for j in range(1, 40):
-        term = [[e / j for e in r] for r in _float_product(term, a)]
+        term = [[_dot(r, c) / j for c in cols] for r in term]  # term·a / j
         result = [[x + y for x, y in zip(r, t)] for r, t in zip(result, term)]
-        if max(abs(e) for r in term for e in r) < 1e-20:
+        if max(map(abs, itertools.chain.from_iterable(term))) < 1e-20:
             break
     for _ in range(s):
         result = _float_product(result, result)
-    if not all(math.isfinite(e) for r in result for e in r):
+    if not all(map(math.isfinite, itertools.chain.from_iterable(result))):
         raise OverflowError("overflow in exp_float")
-    return Mat(result)
+    return Mat(result) if isinstance(m, Mat) else result
+
+
+def plain_sum(values) -> float:
+    """The float sum of values, added left to right from 0.0, as `sum()` did
+    before Python 3.12; `sum()` of floats is compensated since, so its last
+    digits depend on the version."""
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
 
 
 def _float_product(a, b):

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 from . import chains, extension, samplers
 from .linalg import IntMat, Mat, exp_nilpotent, rank_kernel
-from .path_sl import SlElement, sl_bracket, sl_neg_slots, w0
+from .path_sl import sl_neg_slots
 from .so_contact import (Signature, SoElement, bracket, bracket_gm1,
                          grading_check, jacobi_check,
                          orthogonal_residual, rank_one_bracket,
@@ -352,15 +352,15 @@ def _m2_col(sig, rng):
          setup=lambda sig: {"cst": extension.fit_trilinear_constant(sig)},
          needs_psi=True)
 def _symmetrization(sig, cst, x, y, z):
-    n = sig.n
-    # psi_trilinear, keeping Psi(x, [y, W0]) to compare whole blocks
-    psi = extension.psi_from_cochain(
-        sig, SlElement.from_m2(n, x),
-        sl_bracket(SlElement.from_m2(n, y), w0(n)))
-    val = sl_bracket(psi, SlElement.from_m2(n, z)).m2_vector()
-    if val != cst * extension.symmetrized_reference(sig, x, y, z):
+    # psi_trilinear on integer rows, keeping Psi(x, [y, W0]) to compare
+    # whole blocks: the m2 column of the value and the 2n block of Psi
+    psi, val = extension.trilinear_ints(sig, x, y, z)
+    ref = extension.symmetrized_ints(sig, x, y, z)
+    if not IntMat(val.d, 1, [r[:1] for r in val.dense[2:]]).equals(
+            IntMat.combination([(cst, ref)])):
         return False
-    return psi.ss_block() == extension.r_block_path(sig, x, y) or "block path"
+    block = IntMat(psi.d, 2 * sig.n, [r[2:] for r in psi.dense[2:]])
+    return block.equals(extension.r_block_path(sig, x, y)) or "block path"
 
 
 @_declare("normality", "codifferential-vanishes",

@@ -67,8 +67,6 @@ JACOBI = (T_LINALG + "test_jacobi_failures_match_the_ordered_triple_loop",
           "antisymmetric")
 EXP = (T_LINALG + "test_exp_nilpotent_matches_the_explicit_sum",)
 GRAM = (T_LINALG + "test_gram_check_matches_the_product_form",)
-JETS = (T_LINALG + "test_dual_arithmetic_skips_zero_parts_and_matches_the_"
-        "jet_formulas",)
 EQUALS = (T_LINALG + "test_int_mat_equality_matches_fraction_comparisons",)
 COMBINATION = (T_LINALG + "test_int_mat_combination_matches_fraction_"
                "arithmetic",)
@@ -87,6 +85,7 @@ EXT = "liecontact/extension.py"
 SL = "liecontact/path_sl.py"
 T_EXT = "tests/test_extension.py::"
 T_SL = "tests/test_path_sl.py::"
+JETS = (T_EXT + "test_integer_jets_match_the_dual_rat_route[2-2]",)
 ALPHA = (T_EXT + "test_alpha_matches_the_two_product_reference",
          T_EXT + "test_integer_alpha_matches_the_fraction_formula")
 EXACT_I = (T_EXT + "test_exact_embedding_matches_the_fraction_assembly",)
@@ -182,12 +181,6 @@ MUTANTS = (
            "!= {c: v for c, v in reverse.items() if v}) and False:", JACOBI),
     Mutant("jacobi: weight 1 for a failing unordered triple", LINALG,
            "failures += 6", "failures += 1", JACOBI),
-    # jets that skip exact zeros
-    Mutant("jet product: re·du' dropped when du is zero", LINALG,
-           "du = a * db if a and db else _ZERO",
-           "du = a * db if a and db and da else _ZERO", JETS),
-    Mutant("jet quotient: the term re·du' of the divisor dropped", LINALG,
-           "re * other.du if re and other.du else _ZERO", "_ZERO", JETS),
     # the +- comparison on integer rows
     Mutant("IntMat.equals: the sign accepted when not asked for", LINALG,
            "plus, minus = True, up_to_sign", "plus, minus = True, True",
@@ -322,14 +315,23 @@ MUTANTS = (
            "IntMat(2 * big, m, rows)", "IntMat(big, m, rows)", ALPHA),
     # the obstruction cochain on integer rows
     Mutant("cochain: alpha images of the pair swapped", EXT,
-           "ia.commutator(ib)", "ib.commutator(ia)", COCHAIN),
+           "[(1, ia.commutator(ib))]", "[(1, ib.commutator(ia))]", COCHAIN),
     Mutant("cochain: alpha of the bracket added, not subtracted", EXT,
            "(Fraction(-c, comm.d), _so_image(sig, k))",
            "(Fraction(c, comm.d), _so_image(sig, k))", COCHAIN),
     Mutant("cochain: the sign of a lift's z coordinate in its matrix", EXT,
-           "IntMat.combination([(v, IntMat.of(basis[k].assemble()))",
-           "IntMat.combination([(v if k else -v, "
-           "IntMat.of(basis[k].assemble()))", COCHAIN),
+           "IntMat.combination([(v, _basis_ints(sig, k))",
+           "IntMat.combination([(v if k else -v, _basis_ints(sig, k))",
+           COCHAIN),
+    Mutant("cochain: a zero so bracket gives a zero value", EXT,
+           "        return ia.commutator(ib)\n",
+           "        return IntMat.combination([(0, ia)])\n",
+           COCHAIN + (T_EXT + "test_zero_bracket_shortcut_gives_the_full_"
+                      "cochain[2-2]",)),
+    Mutant("lift basis rows: the A block transposed", EXT,
+           "[r[:2] for r in top]", "[list(c) for c in zip(*[r[:2] for r "
+           "in top])]", (T_EXT + "test_lift_basis_rows_match_the_so_basis["
+                         "2-2]",)),
     Mutant("cochain: bracket coordinates read without the block check", EXT,
            "coords = int_coordinates(",
            "coords = (lambda s, g: [g[r][c] * t for r, c, t\n"
@@ -340,11 +342,14 @@ MUTANTS = (
     Mutant("psi_gq: alpha([x, y]) added, not subtracted", EXT,
            "(-1, _alpha_int(bracket(x, y)))", "(1, _alpha_int(bracket(x, y)))",
            (T_EXT + "test_psi_gq_matches_the_fraction_formula",)),
-    Mutant("psi_from_cochain: without its antisymmetric term", EXT,
+    Mutant("psi_from_coordinates: without its antisymmetric term", EXT,
            "x1[a] * x2[b] - x1[b] * x2[a]", "x1[a] * x2[b]", CONTRACTION),
-    Mutant("psi_from_cochain: the argument denominators dropped", EXT,
+    Mutant("psi_from_coordinates: the argument denominators dropped", EXT,
            "IntMat(d * c1.d * c2.d, m, acc)", "IntMat(d, m, acc)",
            CONTRACTION),
+    Mutant("trilinear_ints: [W0, y] for [y, W0]", EXT,
+           "ym.commutator(unit)", "unit.commutator(ym)",
+           (T_EXT + "test_trilinear_ints_match_psi_trilinear[2-2]",)),
     Mutant("symmetrized_reference: one column's denominator dropped", EXT,
            "IntMat(dx * dy * dz, 1,", "IntMat(dx * dy, 1,",
            (T_EXT + "test_symmetrized_reference_matches_the_fraction_loops",)),
@@ -399,6 +404,24 @@ MUTANTS = (
            "IntMat(den, len(rows), rows)", EXACT_I),
     Mutant("i(h): the integers of B not rescaled to the lcm", EXT,
            "f = sd * (den // (b.d * c.d))", "f = sd", EXACT_I),
+    # i' on integer jets, and the float rows of the central differences
+    Mutant("jet product: the term r·v dropped", EXT,
+           "self.r * other.u + self.u * other.r", "self.u * other.r", JETS),
+    Mutant("jet quotient: the cross term r·v dropped", EXT,
+           "_Jet(self.r, self.u - self.r * other.u)", "_Jet(self.r, self.u)",
+           JETS),
+    Mutant("jet square root: the velocity not halved", EXT,
+           "_Jet(1, self.u // 2)", "_Jet(1, self.u)", JETS),
+    Mutant("integer jets: the velocities over L, not 2L", EXT,
+           "big = 2 * math.lcm(", "big = math.lcm(", JETS),
+    Mutant("central differences: both points at +step", EXT,
+           "zip(at(step), at(-step))", "zip(at(step), at(step))",
+           (T_EXT + "test_float_rows_match_the_mat_forms_bit_for_bit[2-2]",)),
+    Mutant("plain_sum: compensated, as sum() of floats is since 3.12",
+           LINALG,
+           "    acc = 0.0\n    for x in values:\n        acc += x\n"
+           "    return acc\n", "    return math.fsum(values)\n",
+           ("tests/test_chains.py::test_normalized_span_sums_left_to_right",)),
     Mutant("i(h) layout: one sign of the lower block", EXT,
            "neg_s, neg_r = -s_, -r_", "neg_s, neg_r = s_, -r_",
            (T_EXT + "test_pair_conditions_summary",

@@ -1,6 +1,8 @@
 """Tests for model points, chain curves, the cubic tensor and cone logic."""
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -539,6 +541,36 @@ def test_classification_is_invariant_under_admissible_changes():
 
 # ---------------------------------------------------------------------------
 # trajectory export
+
+
+def _gram_schmidt(span, total):
+    # the steps of _normalized_span, with the float sum given
+    d = span.d
+    c0 = [r[0] / d for r in span.dense]
+    c1 = [r[1] / d for r in span.dense]
+    norm0 = math.sqrt(total(e * e for e in c0))
+    u0 = [e / norm0 for e in c0]
+    if next((e for e in u0 if abs(e) > 1e-9), 1.0) < 0:
+        u0 = [-e for e in u0]
+    proj = total(a * b for a, b in zip(c1, u0))
+    v = [a - proj * b for a, b in zip(c1, u0)]
+    norm1 = math.sqrt(total(e * e for e in v))
+    return [x for pair in zip(u0, [e / norm1 for e in v]) for x in pair]
+
+
+def _left_fold(values):
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def test_normalized_span_sums_left_to_right():
+    # a span on which a compensated sum, as sum() of floats is since
+    # Python 3.12, and a left-to-right sum give different digits: the
+    # exported spans must not depend on the Python version
+    span = IntMat(3, 2, [[10 ** 6, 9], [-7, 10 ** 9], [-6, 6], [5, 6],
+                         [3, -3], [-6, 6]])
+    left = _gram_schmidt(span, _left_fold)
+    assert left != _gram_schmidt(span, math.fsum)
+    assert chains._normalized_span(span) == left
 
 
 def test_emit_trajectory_shape_and_validation():

@@ -1,6 +1,7 @@
 """Tests for the embedding of the stabilizer group and the obstruction map."""
 
 import functools
+import itertools
 import math
 import random
 import re
@@ -16,19 +17,41 @@ from liecontact.extension import (Cochain2, alpha, alpha_restriction_matrix,
                                   i_map_float, i_prime, i_prime_float,
                                   i_product_defect, i_product_rule,
                                   is_normal, psi_alpha,
-                                  psi_equivariance_check, psi_from_cochain,
-                                  psi_gq, psi_support_report, psi_trilinear,
-                                  q_tangent_basis, r_block_path,
-                                  symmetrized_reference)
-from liecontact.linalg import (DualRat, IntMat, Mat, det, max_abs, rat_sqrt,
-                               solve_linear)
+                                  psi_equivariance_check,
+                                  psi_from_coordinates, psi_gq,
+                                  psi_support_report, psi_trilinear,
+                                  r_block_path, symmetrized_reference,
+                                  trilinear_ints)
+from liecontact.linalg import (IntMat, Mat, det, exp_float, max_abs,
+                               rat_sqrt, solve_linear)
 from liecontact.path_sl import (_SLOT_DEGREE, SlElement, _slot_of,
                                 neg_positions, sl_bracket,
                                 sl_neg_coordinates, sl_neg_slots, w0)
 from liecontact.so_contact import (QGroupElement, Signature, SoElement,
-                                   bracket, inner, so_basis)
+                                   bracket, inner, int_coordinates,
+                                   so_basis, so_basis_degrees)
+from test_linalg import DualRat
 from test_path_sl import sl_neg_basis, sl_neg_duals
 from test_so_contact import grade, q_identity
+
+
+def q_tangent_basis(sig):
+    # basis directions (A, D, w) of the stabilizer subalgebra: the degree 0
+    # and degree 2 elements of the so_basis
+    return [(b.A, b.D, b.w)
+            for b, deg in zip(so_basis(sig), so_basis_degrees(sig))
+            if deg in (0, 2)]
+
+
+def psi_from_cochain(sig, z1, z2):
+    # psi_alpha(sig, z1, z2) read off the obstruction cochain: the integer
+    # core on the negative coordinates of z1, z2, checked as hat_lift
+    # checks its argument
+    for z in (z1, z2):
+        extension._check_negative(sig, z)
+    c1, c2 = (IntMat.of(Mat([sl_neg_coordinates(z)])) for z in (z1, z2))
+    return SlElement(sig.n, psi_from_coordinates(sig, c1, c2).to_mat())
+
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 # the oracle comparisons below run where the form has negative signs too
@@ -320,8 +343,9 @@ def test_exact_embedding_matches_the_fraction_assembly():
             h = samplers.rand_q_square(sig, rng)
             beta = h.det_b()
             orientations.add(beta > 0)
-            ref = extension._i_assemble(sig.n, h.B, h.C, h.w, beta,
-                                        rat_sqrt(abs(beta)), Fraction(0))
+            ref = Mat(extension._i_assemble(
+                h.B.data, h.C.data, h.w, lambda b: rat_sqrt(abs(b)),
+                Fraction(0)))
             exact = extension._i_exact(h)
             assert exact.to_mat() == ref, h
             assert i_map(h) == ref
@@ -343,6 +367,80 @@ def test_i_prime_float_agrees_with_jets():
         exact = i_prime(sig, a, d, w).map(float)
         approx = i_prime_float(sig, a, d, w)
         assert max_abs(exact - approx) < 1e-6
+
+
+def _i_prime_by_dual_rats(a, d, w):
+    # the route i_prime had before it ran on integers: the assembly of i on
+    # DualRat jets of the Fractions of I + eps·A, I + eps·D and eps·w
+    def jets(m):
+        return [[DualRat(int(i == j), e) for j, e in enumerate(r)]
+                for i, r in enumerate(m.data)]
+
+    rows = extension._i_assemble(jets(a), jets(d), DualRat(0, w),
+                                 lambda beta: abs(beta).sqrt(), DualRat(0))
+    return Mat([[e.du for e in r] for r in rows])
+
+
+@pytest.mark.parametrize("sig", DOMAIN_SIGS,
+                         ids=lambda sig: "%d-%d" % (sig.p, sig.q))
+def test_integer_jets_match_the_dual_rat_route(sig):
+    rng = random.Random(71 + 7 * sig.p + sig.q)
+    tangents = q_tangent_basis(sig) + [samplers.rand_q_tangent(sig, rng)
+                                       for _ in range(4)]
+    for a, d, w in tangents:
+        got = i_prime(sig, a, d, w)
+        assert got == _i_prime_by_dual_rats(a, d, w), (a, d, w)
+        assert {type(e) for r in got.data for e in r} == {Fraction}
+
+
+def _i_map_float_by_mats(b, c, w):
+    # i_map_float as it ran on Mats, with the same operations in the same
+    # order as the row form
+    beta = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+    sbar = math.sqrt(abs(beta))
+    top = (beta / sbar, -w * beta / sbar, (beta / beta) / sbar)
+    return Mat(extension._i_layout(c.rows, top, b.data, [
+        [e / sbar for e in r] for r in c.data], 0.0))
+
+
+def _i_prime_float_by_mats(a, d, w, step=1e-5):
+    af, df, wf = a.map(float), d.map(float), float(w)
+
+    def at(t):
+        return _i_map_float_by_mats(exp_float(af * t), exp_float(df * t),
+                                    wf * t)
+
+    return (at(step) - at(-step)) * (1.0 / (2.0 * step))
+
+
+def _i_product_defect_by_mats(h1, h2):
+    def image(h):
+        return _i_map_float_by_mats(h.B.map(float), h.C.map(float),
+                                    float(h.w))
+
+    lhs, rhs = image(h1.compose(h2)), image(h1) * image(h2)
+    return min(max_abs(lhs - rhs), max_abs(lhs + rhs))
+
+
+def _bits(m):
+    # repr tells apart 0.0 from -0.0 and keeps every digit
+    return [[repr(x) for x in r] for r in m.data]
+
+
+@pytest.mark.parametrize("sig", DOMAIN_SIGS,
+                         ids=lambda sig: "%d-%d" % (sig.p, sig.q))
+def test_float_rows_match_the_mat_forms_bit_for_bit(sig):
+    rng = random.Random(73 + 7 * sig.p + sig.q)
+    for _ in range(3):
+        a, d, w = samplers.rand_q_tangent(sig, rng)
+        assert (_bits(i_prime_float(sig, a, d, w))
+                == _bits(_i_prime_float_by_mats(a, d, w)))
+        h1, h2 = (samplers.rand_q_element(sig, rng) for _ in range(2))
+        assert (_bits(i_map_float(h1.B.map(float), h1.C.map(float), 0.5))
+                == _bits(_i_map_float_by_mats(h1.B.map(float),
+                                              h1.C.map(float), 0.5)))
+        assert (repr(i_product_defect(h1, h2))
+                == repr(_i_product_defect_by_mats(h1, h2)))
 
 
 def test_pair_conditions_summary():
@@ -863,7 +961,7 @@ def test_r_block_matches_the_product_form():
         for _ in range(6):
             x = samplers.rand_col(rng, 2 * sig.n, den=rng.choice((1, 4)))
             y = samplers.rand_col(rng, 2 * sig.n)
-            assert (r_block_path(sig, x, y).data
+            assert (r_block_path(sig, x, y).to_mat().data
                     == _r_block_product_form(sig, x, y).data)
 
 
@@ -877,7 +975,7 @@ def test_r_block_closed_form():
             xe = SlElement.from_m2(n, x)
             yv = sl_bracket(SlElement.from_m2(n, y), w0(n))
             val = psi_alpha(sig, xe, yv)
-            block = r_block_path(sig, x, y)
+            block = r_block_path(sig, x, y).to_mat()
             assert val.ss_block() == block
             z = samplers.rand_col(rng, 2 * n)
             assert psi_trilinear(sig, x, y, z).m2_vector() == block * z
@@ -938,25 +1036,97 @@ def test_obstruction_cochain_matches_psi_on_every_pair(p, q):
             assert phi.value(a, b) == psi_gq(lifts[a], lifts[b]), (a, b)
 
 
+@pytest.mark.parametrize("sig", DOMAIN_SIGS,
+                         ids=lambda sig: "%d-%d" % (sig.p, sig.q))
+def test_lift_basis_rows_match_the_so_basis(sig):
+    for k, x in enumerate(so_basis(sig)):
+        rows = extension._basis_ints(sig, k)
+        assert rows.d == 1
+        assert rows.equals(IntMat.of(x.assemble())), k
+
+
+def _psi_int_in_full(sig, x, y):
+    # the formula of psi_gq on the integer pairs, with no shortcut for a
+    # zero so bracket
+    (ma, ia), (mb, ib) = x, y
+    comm = ma.commutator(mb)
+    return IntMat.combination(
+        [(1, ia.commutator(ib))]
+        + [(Fraction(-c, comm.d), extension._so_image(sig, k))
+           for k, c in enumerate(int_coordinates(sig, comm.dense)) if c])
+
+
+@pytest.mark.parametrize("sig", DOMAIN_SIGS,
+                         ids=lambda sig: "%d-%d" % (sig.p, sig.q))
+def test_zero_bracket_shortcut_gives_the_full_cochain(sig):
+    phi = build_psi_cochain(sig)
+    lifts = extension._lift_ints(sig)
+    shortcut_nonzero = 0
+    for a in range(len(lifts)):
+        for b in range(a + 1, len(lifts)):
+            full = _psi_int_in_full(sig, lifts[a], lifts[b])
+            assert phi.int_value(a, b).equals(full), (a, b)
+            zero_bracket = lifts[a][0].commutator(lifts[b][0]).is_zero()
+            shortcut_nonzero += zero_bracket and not full.is_zero()
+    # the shortcut meets pairs whose Psi is not zero
+    assert shortcut_nonzero > 0
+
+
+def _rand_in_slot(n, slot, rng):
+    # a random element of one negative slot, in the negative basis
+    basis = sl_neg_basis(n)
+    picks = [k for k, s in enumerate(sl_neg_slots(n)) if s == slot]
+    z = SlElement.zero(n)
+    for k in picks:
+        z = z + samplers.rand_fraction(rng) * basis[k]
+    return z
+
+
+@pytest.mark.parametrize("sig", DOMAIN_SIGS,
+                         ids=lambda sig: "%d-%d" % (sig.p, sig.q))
+def test_cochain_readout_matches_psi_gq_in_every_slot_order(sig):
+    # the integer core that the trilinear record reads, on arguments of
+    # every pair of slots, not only (m2, m1V)
+    rng = random.Random(79 + 7 * sig.p + sig.q)
+    slots = ("m2", "m1E", "m1V")
+    for s1, s2 in itertools.product(slots, slots):
+        z1, z2 = _rand_in_slot(sig.n, s1, rng), _rand_in_slot(sig.n, s2, rng)
+        c1, c2 = (IntMat.of(Mat([sl_neg_coordinates(z)])) for z in (z1, z2))
+        want = psi_gq(hat_lift(sig, z1), hat_lift(sig, z2))
+        got = psi_from_coordinates(sig, c1, c2)
+        assert got.equals(IntMat.of(want.mat)), (s1, s2)
+        assert got.is_zero() == ({s1, s2} != {"m2", "m1V"}), (s1, s2)
+
+
+@pytest.mark.parametrize("sig", DOMAIN_SIGS,
+                         ids=lambda sig: "%d-%d" % (sig.p, sig.q))
+def test_trilinear_ints_match_psi_trilinear(sig):
+    rng = random.Random(83 + 7 * sig.p + sig.q)
+    n = sig.n
+    x, y, z = (samplers.rand_col(rng, 2 * n) for _ in range(3))
+    psi, val = trilinear_ints(sig, x, y, z)
+    yv = sl_bracket(SlElement.from_m2(n, y), w0(n))
+    assert psi.to_mat() == psi_alpha(sig, SlElement.from_m2(n, x), yv).mat
+    assert val.to_mat() == psi_trilinear(sig, x, y, z).mat
+    assert not val.is_zero()
+
+
 def test_obstruction_cochain_refuses_a_bracket_outside_the_algebra(
         monkeypatch):
-    # the so_basis element that the first lift reads gets an X companion
+    # the so_basis matrix that the first lift reads gets an X companion
     # entry that no longer repeats its X entry, so the lift's brackets leave
     # so(p+2, q+2): the block check of the integer route must refuse them
     sig = Signature(2, 1)
     n = sig.n
-    basis = list(so_basis(sig))
     inv = extension._lift_inverse(sig)
     (k,) = [k for k, r in zip(extension._lift_indices(sig), inv.dense) if r[0]]
-    x = basis[k]
-    rows = [list(r) for r in x.assemble().data]
+    basis_ints = extension._basis_ints
+    rows = [list(r) for r in basis_ints(sig, k).dense]
     assert rows[2][0] != 0
     rows[n + 2][2] += 1
-    bad = SoElement(sig, z=x.z, X=x.X, A=x.A, D=x.D, U=x.U, w=x.w)
-    object.__setattr__(bad, "_matrix", Mat(rows))
-    basis[k] = bad
     build_psi_cochain.cache_clear()
-    monkeypatch.setattr(extension, "so_basis", lambda s: tuple(basis))
+    monkeypatch.setattr(extension, "_basis_ints", lambda s, j: IntMat(
+        1, n + 4, rows) if j == k else basis_ints(s, j))
     # caches of their own for the lifts and images, so that none is read
     # or left behind
     for name in ("_lift_ints", "_so_image"):

@@ -11,12 +11,86 @@ import pytest
 
 import liecontact
 from liecontact import samplers
-from liecontact.linalg import (DualRat, IntMat, Mat, SignedPerm,
-                               commutator, det, exp_float,
-                               exp_nilpotent, invert, jacobi_failures,
-                               max_abs, rank_kernel, rat, rat_sqrt,
-                               solve_linear, structure_table)
+from liecontact.linalg import (IntMat, Mat, SignedPerm, commutator, det,
+                               exp_float, exp_nilpotent, invert,
+                               jacobi_failures, max_abs, plain_sum,
+                               rank_kernel, rat, rat_sqrt, solve_linear,
+                               structure_table)
 from liecontact.so_contact import Signature
+
+
+class DualRat:
+    """First-order jet re + eps*du with eps^2 = 0, exact over Fraction: the
+    reference for the integer jets of the embedding's derivative, and an
+    entry type that `Mat` takes entry by entry. Both parts are coerced with
+    `rat`, so floats are refused."""
+
+    __slots__ = ("re", "du")
+
+    def __init__(self, re, du=0):
+        self.re = rat(re)
+        self.du = rat(du)
+
+    def __add__(self, other):
+        other = _dual(other)
+        return DualRat(self.re + other.re, self.du + other.du)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DualRat(-self.re, -self.du)
+
+    def __sub__(self, other):
+        return self + (-_dual(other))
+
+    def __rsub__(self, other):
+        return _dual(other) + (-self)
+
+    def __mul__(self, other):
+        # (a + eps da)(b + eps db) = ab + eps (a db + da b)
+        other = _dual(other)
+        return DualRat(self.re * other.re,
+                       self.re * other.du + self.du * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _dual(other)
+        if other.re == 0:
+            raise ZeroDivisionError("dual number with zero base point")
+        b = other.re
+        return DualRat(self.re / b,
+                       (self.du * b - self.re * other.du) / (b * b))
+
+    def __rtruediv__(self, other):
+        return _dual(other) / self
+
+    def __abs__(self):
+        if self.re == 0:
+            raise ValueError("abs of a dual number with zero base point is "
+                             "not smooth")
+        return self if self.re > 0 else -self
+
+    def sqrt(self):
+        s = rat_sqrt(self.re)
+        if s == 0:
+            raise ValueError("sqrt of a dual number at base point 0 is not "
+                             "smooth")
+        return DualRat(s, self.du / (2 * s))
+
+    def __eq__(self, other):
+        other = _dual(other)
+        return self.re == other.re and self.du == other.du
+
+    def __hash__(self):
+        return hash((self.re, self.du))
+
+    def __repr__(self):
+        return "DualRat(%s, %s)" % (self.re, self.du)
+
+
+def _dual(x):
+    return x if isinstance(x, DualRat) else DualRat(x)
 
 
 def test_rat_accepts_exact_inputs():

@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from liecontact import samplers
-from liecontact.linalg import DualRat, Mat, jacobi_failures, structure_table
+from liecontact.linalg import Mat, jacobi_failures, structure_table
 from liecontact.path_sl import (_SLOT_DEGREE, SlElement, _is_trace_free,
                                 _slot_of, entry_degrees, neg_positions,
                                 sl_bracket, sl_neg_coordinates,
                                 sl_neg_degrees, sl_neg_slots, w0)
+from test_linalg import DualRat
 
 
 def _unit(m, i, j):
