@@ -91,7 +91,8 @@ def chain_matrix(sig: Signature) -> Mat:
     so its exponential is exactly I + tE. Built and checked once per
     signature."""
     e = SoElement.generator_e(sig).assemble()
-    if not (e * e).is_zero():
+    ei = IntMat.of(e)
+    if not (ei * ei).is_zero():
         raise ValueError("the chain generator must square to zero")
     return e
 
@@ -171,11 +172,13 @@ def chain_transversality(sig: Signature, t, g: Mat | None = None) -> bool:
 def flow_transversality(sig: Signature, x: SoElement, t) -> bool:
     """Same test for the flow curve exp(tX) . origin; X must assemble to a
     nilpotent matrix (every negative-slot element does). Contact directions
-    X in the middle slot come out non-transverse."""
+    X in the middle slot come out non-transverse. The pullback is formed on
+    the integer rows of the frame."""
     m = x.assemble()
-    frame = exp_nilpotent(rat(t) * m, 4)  # exp of an element of so(S)
-    pullback = ambient_inverse(sig, frame) * (m * frame)
-    return SoElement.from_matrix(sig, pullback).z != 0
+    # exp of an element of so(S)
+    frame = IntMat.of(exp_nilpotent(rat(t) * m, 4))
+    pullback = ambient_inverse(sig, frame) * (IntMat.of(m) * frame)
+    return SoElement.from_matrix(sig, pullback.to_mat()).z != 0
 
 
 # ---------------------------------------------------------------------------

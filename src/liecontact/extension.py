@@ -192,7 +192,7 @@ class _Jet:
         return _Jet(1, self.u // 2)
 
 
-def i_prime(sig: Signature, a: Mat, d: Mat, w) -> Mat:
+def i_prime(a: Mat, d: Mat, w) -> Mat:
     """Exact derivative at the identity of i along the curve
     (I + t*A, I + t*D, t*w), the Mat view of `_i_prime_int`. Any curve
     with these velocities gives the same result."""
@@ -218,7 +218,7 @@ def _i_prime_int(a: Mat, d: Mat, w) -> IntMat:
     return IntMat(big, len(rows), [[e.u for e in r] for r in rows])
 
 
-def i_prime_float(sig: Signature, a: Mat, d: Mat, w, step=1e-5) -> Mat:
+def i_prime_float(a: Mat, d: Mat, w, step=1e-5) -> Mat:
     """Central-difference derivative of i at the identity along one-parameter
     subgroups, the second computation path for the derivative condition.
     Runs on rows of floats (`exp_float`, `_i_assemble`)."""
@@ -745,13 +745,13 @@ def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
     for pos, deg in zip(basis_positions(sig), so_basis_degrees(sig)):
         if deg in (0, 2):  # the stabilizer subalgebra's basis
             x = from_coordinates(sig, ((pos, one),))
-            if i_prime(sig, x.A, x.D, x.w) != alpha(x).mat:
+            if i_prime(x.A, x.D, x.w) != alpha(x).mat:
                 derivative_failures += 1
     rng_f = random.Random(seed + 1)
     for _ in range(min(trials, 20)):
         a, d, w = samplers.rand_q_tangent(sig, rng_f)
         exact = _i_prime_int(a, d, w)
-        approx = i_prime_float(sig, a, d, w)
+        approx = i_prime_float(a, d, w)
         derivative_float_error = max(derivative_float_error, max(
             abs(x / exact.d - y) for rx, ry in zip(exact.dense, approx.data)
             for x, y in zip(rx, ry)))

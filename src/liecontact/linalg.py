@@ -7,13 +7,15 @@ export. Matrices are immutable, dense and row-major; the largest are the
 (2n+2) x (2n+2) matrices of sl(2n+2), 14 x 14 at n = 6 (signature (3, 3),
 the largest the CI smoke run covers).
 
-The exact arithmetic runs on one integer type, `IntMat`: a rational matrix
-held as integers over one positive denominator. Every exact product,
-commutator, sum and Gram check of the package runs on it, and it builds
-one Fraction per nonzero entry only when it goes back to a `Mat`.
-Matrices of floats or of mixed types are multiplied entry by entry
-(`_dot`), and floats are summed left to right (`plain_sum`), so no
-Python version's `sum()` enters a float result.
+`Mat` is a plain entrywise matrix: each of its operations has one code
+path, which applies the entry type's own arithmetic, so a product of
+Fractions runs Fraction arithmetic and a product of floats sums its terms
+in column order (`_dot`). Exact work of any size is written on the one
+integer type, `IntMat`: a rational matrix held as integers over one
+positive denominator. Every exact product, commutator, sum and Gram check
+of the package's routes runs on it, and it builds one Fraction per nonzero
+entry only when it goes back to a `Mat`. Floats are summed left to right
+(`plain_sum`), so no Python version's `sum()` enters a float result.
 
 `structure_table` brackets every pair of an integer basis to build the
 structure-constant table of either algebra (so(p+2, q+2) and sl(2n+2))
@@ -27,16 +29,6 @@ as `SignedPerm` tables. A product with one (`left`,
 `conjugate_transpose`) moves entries and flips signs, and the Gram check
 reads a table as the one +-1 per row it is, so no form check scans a
 form.
-
-The linear operations `+`, `-`, unary `-` and scalar `*` skip exact zeros,
-which most entries of the package's matrices are. Where both entries of a
-sum or difference are Fractions and one is zero, the result is the other
-entry (or its negation) without any Fraction arithmetic; unary `-` keeps
-a zero Fraction entry as it is, and a Fraction or int scalar times a zero
-Fraction entry gives the shared zero. Every other entry (float, int, any
-other number type, or a Fraction beside one of those) and every other
-scalar type take the plain arithmetic, so result types, signed float
-zeros, inf and nan are exactly what the entrywise operation gives.
 """
 
 from __future__ import annotations
@@ -144,36 +136,27 @@ class Mat:
 
     def __add__(self, other):
         _same_shape(self, other)
-        return Mat([map(_plus, ra, rb)
+        return Mat([[a + b for a, b in zip(ra, rb)]
                     for ra, rb in zip(self.data, other.data)])
 
     def __sub__(self, other):
         _same_shape(self, other)
-        return Mat([map(_minus, ra, rb)
+        return Mat([[a - b for a, b in zip(ra, rb)]
                     for ra, rb in zip(self.data, other.data)])
 
     def __neg__(self):
-        return Mat([[a if type(a) is Fraction and not a else -a for a in r]
-                    for r in self.data])
+        return Mat([[-a for a in r] for r in self.data])
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch %sx%s * %sx%s"
                                  % (self.rows, self.cols, other.rows, other.cols))
-            sa = _scaled_rows(self)
-            sb = sa and _scaled_rows(other)
-            if sb:
-                return (sa * sb).to_mat()
             cols = [other.column(j) for j in range(other.cols)]
             return Mat([[_dot(r, c) for c in cols] for r in self.data])
-        if type(other) in _EXACT_SCALARS:
-            return _scale(self, other)
         return Mat([[a * other for a in r] for r in self.data])
 
     def __rmul__(self, scalar):
-        if type(scalar) in _EXACT_SCALARS:
-            return _scale(self, scalar)
         return Mat([[scalar * a for a in r] for r in self.data])
 
     @property
@@ -214,39 +197,8 @@ def _same_shape(a, b):
                          % (a.rows, a.cols, b.rows, b.cols))
 
 
-# Entrywise linear operations that skip exact zeros (module docstring).
-# _ZERO is the kernel's shared zero, here and in the product kernel below.
-
+# the shared zero of the Fractions that IntMat.to_mat builds
 _ZERO = Fraction(0)
-_EXACT_SCALARS = (Fraction, int)
-
-
-def _plus(a, b):
-    """a + b, or the other entry when both are Fractions and one is zero."""
-    if type(a) is Fraction is type(b):
-        if not a:
-            return b
-        if not b:
-            return a
-    return a + b
-
-
-def _minus(a, b):
-    """a - b, or a or -b when both are Fractions and one is zero."""
-    if type(a) is Fraction is type(b):
-        if not b:
-            return a
-        if not a:
-            return -b
-    return a - b
-
-
-def _scale(m: Mat, s) -> Mat:
-    """s * m for a Fraction or int scalar s; a zero Fraction entry gives
-    the shared zero. s * a = a * s for these scalars, so one helper serves
-    both sides."""
-    return Mat([[_ZERO if type(a) is Fraction and not a else s * a for a in r]
-                for r in m.data])
 
 
 def _dot(r, c):
@@ -474,15 +426,6 @@ def _addmul(acc, row, rows, sign):
             acc[j] += x * y
 
 
-def commutator(a: Mat, b: Mat) -> Mat:
-    n = a.rows
-    sa = n == a.cols == b.rows == b.cols and _scaled_rows(a)
-    sb = sa and _scaled_rows(b)
-    if not sb:
-        return a * b - b * a
-    return sa.commutator(sb).to_mat()
-
-
 class SignedPerm:
     """A symmetric signed permutation matrix P, given by its rows: P has
     signs[i] = +-1 at (i, perm[i]) and zeros elsewhere, and P = P^T (perm
@@ -546,10 +489,12 @@ def structure_table(basis, coordinates):
     unordered pair is bracketed once and its reverse negated. `coordinates`
     maps the dense integer rows of a commutator to its integer coordinates
     in the basis order (and raises when the commutator leaves the algebra).
-    ValueError unless the basis matrices are integer and square of one size."""
-    ints = [_scaled_rows(m) for m in basis]
-    if not all(ints) or any(m.d != 1 for m in ints):
+    ValueError unless the basis matrices have integer Fraction entries and
+    are square of one size."""
+    if any(type(e) is not Fraction or e.denominator != 1
+           for m in basis for r in m.data for e in r):
         raise ValueError("structure constants need integer basis matrices")
+    ints = [IntMat.of(m) for m in basis]
     table = {}
     for a, ia in enumerate(ints):
         for b in range(a + 1, len(ints)):

@@ -24,7 +24,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .linalg import Mat, commutator, rat
+from .linalg import IntMat, Mat, rat
 
 _SLOT_DEGREE = {"m2": -2, "m1E": -1, "m1V": -1, "g0": 0,
                 "p1E": 1, "p1V": 1, "p2": 2}
@@ -116,10 +116,6 @@ class SlElement:
     def m2_vector(self) -> Mat:
         return Mat.col([self.mat[2 + i, 0] for i in range(2 * self.n)])
 
-    def ss_block(self) -> Mat:
-        m = 2 * self.n + 2
-        return self.mat.submat(2, m, 2, m)
-
     def in_slots(self, slots) -> bool:
         """True when every nonzero entry lies in one of the given slots."""
         return all(s in slots
@@ -162,7 +158,8 @@ def _check_n(x, y):
 
 def sl_bracket(x: SlElement, y: SlElement) -> SlElement:
     _check_n(x, y)
-    return SlElement(x.n, commutator(x.mat, y.mat))
+    comm = IntMat.of(x.mat).commutator(IntMat.of(y.mat))
+    return SlElement(x.n, comm.to_mat())
 
 
 def w0(n: int) -> SlElement:

@@ -191,7 +191,7 @@ def _grading(sig, rng, trials):
          _draw(x=_gm1, y=_gm1))
 def _levi_closed(sig, x, y):
     full = bracket(SoElement(sig, X=x), SoElement(sig, X=y))
-    return full == bracket_gm1(sig, x, y) * SoElement.generator_e(sig)
+    return full == SoElement(sig, z=bracket_gm1(sig, x, y))
 
 
 @_trials("algebra", "orthogonal-invariance",
@@ -282,8 +282,8 @@ def _line(sig, rng):
          "kernel-line subspaces are rank-at-most-one and bracket-null",
          _draw(l=_line, coeffs=_row))
 def _max_subspaces(sig, l, coeffs):
-    basis = max_subspace_for_line(l, sig.n)
-    combo = sum((c * m for c, m in zip(coeffs, basis)), Mat.zeros(sig.n, 2))
+    basis = [IntMat.of(m) for m in max_subspace_for_line(l, sig.n)]
+    combo = IntMat.combination(list(zip(coeffs, basis))).to_mat()
     if segre_rank(combo) > 1:
         return "combination of rank two"
     return all(bracket_gm1(sig, m1, m2) == 0
@@ -382,20 +382,23 @@ def _curvature(sig, rng, trials):
 
 
 def _chain_generator(sig):
-    e = chains.chain_matrix(sig)
-    return {"e_mat": e, "square_zero": (e * e).is_zero()}
+    ei = IntMat.of(chains.chain_matrix(sig))
+    return {"e_int": ei, "square_zero": (ei * ei).is_zero()}
 
 
 @_trials("chains", "chain-exactness",
          "chain frames are exactly degree one in the parameter",
          _draw(t=_fraction), setup=_chain_generator)
-def _degree_one(sig, e_mat, square_zero, t):
+def _degree_one(sig, e_int, square_zero, t):
     if not square_zero:
         return "generator squares to a nonzero matrix"
-    frame = Mat.identity(sig.n + 4) + t * e_mat
-    if chains.chain_eval(sig, t).span != frame.submat(0, sig.n + 4, 0, 2):
+    size = sig.n + 4
+    one = IntMat(1, size, sparse=[[(i, 1)] for i in range(size)])
+    frame = IntMat.combination([(1, one), (t, e_int)]).to_mat()  # I + tE
+    if chains.chain_eval(sig, t).span != frame.submat(0, size, 0, 2):
         return "chain point is not the first two columns of I + tE"
-    return exp_nilpotent(t * e_mat, 2) == frame
+    te = IntMat.combination([(t, e_int)]).to_mat()
+    return exp_nilpotent(te, 2) == frame
 
 
 @_trials("chains", "chain-isotropy",
@@ -409,7 +412,8 @@ def _isotropy(sig, g, t):
          "group action commutes with chain evaluation",
          _draw(g=samplers.rand_oform, h=samplers.rand_oform, t=_fraction))
 def _equivariance(sig, g, h, t):
-    return (chains.chain_eval(sig, t, g * h)
+    gh = (IntMat.of(g) * IntMat.of(h)).to_mat()
+    return (chains.chain_eval(sig, t, gh)
             == chains.act(sig, g, chains.chain_eval(sig, t, h)))
 
 

@@ -6,7 +6,9 @@ matrices come from Cayley transforms of so(p,q) elements times sign flips,
 which reaches all components of O(p,q); `rand_opq` solves the transform
 by one integer elimination and flips the signs on its integer rows, and
 the product with Ipq in `rand_so_pq` is a signed permutation
-(`linalg.SignedPerm`), so neither multiplies Fraction matrices.
+(`linalg.SignedPerm`), so neither multiplies Fraction matrices. The
+isotropic samplers turn their null directions by the integer rows of the
+same draw (`_opq_int`).
 
 Elements of the orthogonal group of the big form S come from its big cell,
 g = exp(N-)·diag(B, C, B^-T)·exp(N+), with N- the assembled (z, X) and N+
@@ -25,7 +27,7 @@ import math
 from fractions import Fraction
 
 from .linalg import IntMat, Mat, bareiss, det
-from .so_contact import QGroupElement, Signature, SoElement, assembled_rows
+from .so_contact import QGroupElement, Signature, assembled_rows
 
 
 def _rand_ratio(rng, span=6, den=4):
@@ -86,11 +88,6 @@ def rand_antisym(rng, n, span=3, den=3) -> Mat:
 def rand_so_pq(sig: Signature, rng) -> Mat:
     """Random element of so(p,q): Ipq times an antisymmetric matrix."""
     return sig.ipq_perm().left(rand_antisym(rng, sig.n))
-
-
-def rand_so_element(sig: Signature, rng) -> SoElement:
-    """Random element of so(p+2, q+2): the element of `rand_so_int`."""
-    return SoElement.from_matrix(sig, rand_so_int(sig, rng).to_mat())
 
 
 def rand_so_int(sig: Signature, rng) -> IntMat:
@@ -244,7 +241,7 @@ def rand_isotropic_rank_one(sig: Signature, rng) -> Mat:
     u0 = [Fraction(0)] * sig.n
     u0[0] = Fraction(1)
     u0[sig.p] = Fraction(1)
-    u = rand_opq(sig, rng) * Mat.col(u0)
+    u = (_opq_int(sig, rng) * IntMat.of(Mat.col(u0))).to_mat()
     f = rand_nonzero_col(rng, 2)
     return u * f.T
 
@@ -258,7 +255,8 @@ def rand_isotropic_plane(sig: Signature, rng) -> Mat:
     rows = [[Fraction(0)] * 2 for _ in range(n)]
     rows[0][0] = rows[p][0] = Fraction(1)
     rows[1][1] = rows[p + 1][1] = Fraction(1)
-    return rand_opq(sig, rng) * Mat(rows) * rand_gl2(rng)
+    plane = (_opq_int(sig, rng) * IntMat.of(Mat(rows))).to_mat()
+    return plane * rand_gl2(rng)
 
 
 def rand_mixed_gm1(sig: Signature, rng) -> Mat:

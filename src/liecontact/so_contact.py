@@ -42,8 +42,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .linalg import (IntMat, Mat, SignedPerm, commutator, jacobi_failures,
-                     rank_kernel, rat, structure_table)
+from .linalg import (IntMat, Mat, SignedPerm, jacobi_failures, rank_kernel,
+                     rat, structure_table)
 
 _ZERO = Fraction(0)
 _NOT_IN_SO = "matrix is not in the orthogonal algebra of the standard form"
@@ -67,24 +67,7 @@ class Signature:
     def signs(self):
         return (1,) * self.p + (-1,) * self.q
 
-    # Mat is immutable, so each signature builds its constants once and
-    # every caller shares them
-    @functools.cache
-    def ipq(self) -> Mat:
-        return Mat.diag([Fraction(s) for s in self.signs()])
-
-    @functools.cache
-    def form_s(self) -> Mat:
-        n = self.n
-        z2n = Mat.zeros(2, n)
-        zn2 = Mat.zeros(n, 2)
-        mi2 = -Mat.identity(2)
-        return Mat.block([
-            [Mat.zeros(2, 2), z2n, mi2],
-            [zn2, self.ipq(), zn2],
-            [mi2, z2n, Mat.zeros(2, 2)],
-        ])
-
+    # each signature builds its form tables once and every caller shares them
     @functools.cache
     def ipq_perm(self) -> SignedPerm:
         """Ipq as a signed permutation: every coordinate in place, with its
@@ -254,20 +237,16 @@ def assembled_rows(sig: Signature, z, x, a, d, u, w, zero):
             [zero, z, *xt[0], -a00, -a10], [-z, zero, *xt[1], -a01, -a11]]
 
 
-def _read_blocks(sig: Signature, rows, d=None) -> SoElement:
+def _read_blocks(sig: Signature, rows) -> SoElement:
     """The element with the blocks z, X, A, D, U, w of the (n+4)x(n+4)
-    matrix with the given rows: its entries, or, with d, integers to be
-    read over d. The redundant blocks are not read."""
-    def entry(x):
-        return x if d is None else Fraction(x, d) if x else _ZERO
-
+    matrix with the given rows. The redundant blocks are not read."""
     def block(r0, r1, c0, c1):
-        return Mat([[entry(x) for x in r[c0:c1]] for r in rows[r0:r1]])
+        return Mat([r[c0:c1] for r in rows[r0:r1]])
 
     n = sig.n
-    return SoElement(sig, z=entry(rows[n + 2][1]), X=block(2, n + 2, 0, 2),
+    return SoElement(sig, z=rows[n + 2][1], X=block(2, n + 2, 0, 2),
                      A=block(0, 2, 0, 2), D=block(2, n + 2, 2, n + 2),
-                     U=block(0, 2, 2, n + 2), w=entry(rows[0][n + 3]))
+                     U=block(0, 2, 2, n + 2), w=rows[0][n + 3])
 
 
 def _check_sig(x, y):
@@ -276,11 +255,13 @@ def _check_sig(x, y):
 
 
 def bracket(x: SoElement, y: SoElement) -> SoElement:
-    """Lie bracket: commutator of the assembled matrices, decomposed back.
-    The closed forms below (bracket_gm1, rank_one_bracket) are the second
-    computation path and are tested against this one."""
+    """Lie bracket: commutator of the assembled matrices, on their integer
+    rows, decomposed back. The closed forms below (bracket_gm1,
+    rank_one_bracket) are the second computation path and are tested
+    against this one."""
     _check_sig(x, y)
-    return SoElement.from_matrix(x.sig, commutator(x.assemble(), y.assemble()))
+    comm = IntMat.of(x.assemble()).commutator(IntMat.of(y.assemble()))
+    return SoElement.from_matrix(x.sig, comm.to_mat())
 
 
 def bracket_gm1(sig: Signature, x, y) -> Fraction:
@@ -453,11 +434,6 @@ class QGroupElement:
         if _block_mismatch(self.sig, g.dense):
             raise ValueError(_NOT_IN_SO)
         return g
-
-    def ad_so(self, x: SoElement) -> SoElement:
-        """Adjoint action h x h^-1 on the algebra: `ad_int`, read by blocks."""
-        g = self.ad_int(IntMat.of(x.assemble()))
-        return _read_blocks(self.sig, g.dense, g.d)
 
     def __eq__(self, other):
         if not isinstance(other, QGroupElement):

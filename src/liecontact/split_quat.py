@@ -136,24 +136,22 @@ def unstack_columns(v: Mat, n: int) -> Mat:
 
 
 def _right_mult_operator(m: Mat, n: int) -> Mat:
-    """Matrix of x -> x*m on g_{-1} in the stacked-column coordinates."""
-    cols = []
-    for k in range(2 * n):
-        basis_vec = [Fraction(0)] * (2 * n)
-        basis_vec[k] = Fraction(1)
-        x = unstack_columns(Mat.col(basis_vec), n)
-        cols.append(stack_columns(x * m).column(0))
-    return Mat(cols).T
+    """Matrix of x -> x*m on g_{-1} in the stacked-column coordinates:
+    column j of x*m is the sum over k of m[k, j] times column k of x, so
+    block (j, k) of the operator is m[k, j] times the n x n identity."""
+    zero = Fraction(0)
+    return Mat([[m[c // n, r // n] if r % n == c % n else zero
+                 for c in range(2 * n)] for r in range(2 * n)])
 
 
 def eigenspace_decompose(structure: QuatStructureOnH):
-    """Bases of the +1 and -1 eigenspaces of I, as n x 2 matrices.
-    Each has dimension n, and J swaps the two subspaces."""
+    """Bases of the +1 and -1 eigenspaces of I, as n x 2 matrices: the
+    kernels of right multiplication by I - 1 and I + 1. Each has dimension
+    n, and J swaps the two subspaces."""
     n = structure.sig.n
-    op = _right_mult_operator(structure.mi, n)
-    ident = Mat.identity(2 * n)
-    _, plus = rank_kernel(op - ident)
-    _, minus = rank_kernel(op + ident)
+    ident = Mat.identity(2)
+    _, plus = rank_kernel(_right_mult_operator(structure.mi - ident, n))
+    _, minus = rank_kernel(_right_mult_operator(structure.mi + ident, n))
     return ([unstack_columns(v, n) for v in plus],
             [unstack_columns(v, n) for v in minus])
 

@@ -21,6 +21,7 @@ from liecontact.linalg import (IntMat, Mat, exp_nilpotent, invert,
 from liecontact.so_contact import (Signature, SoElement, ambient_inverse,
                                    bracket_gm1, segre_rank)
 from liecontact.split_quat import stack_columns
+from oracles import form_s, product
 from test_linalg import _corrupted, _sign_swap
 from test_so_contact import _bracket_by_inner
 
@@ -80,14 +81,14 @@ def test_form_checks_refuse_near_misses():
     # point is made, each with its check's message
     rng = random.Random(88)
     for sig in (Signature(2, 1), Signature(2, 2), Signature(3, 3)):
-        s = sig.form_s()
+        s = form_s(sig)
         g = samplers.rand_oform(sig, rng)
         bad = [_corrupted(g, rng), 2 * Mat.identity(sig.n + 4),
                Fraction(1, 3) * g]
         if sig.p == sig.q:
-            bad.append(g * _sign_swap(sig)[0])
+            bad.append(product(g, _sign_swap(sig)[0]))
         for b in bad:
-            assert b.T * s * b != s
+            assert product(b.T, s, b) != s
             for make in (lambda: act(sig, b, origin(sig)),
                          lambda: ChainCurve(sig, b)):
                 with pytest.raises(ValueError, match="the acting matrix must "
@@ -96,7 +97,7 @@ def test_form_checks_refuse_near_misses():
         span = g.submat(0, sig.n + 4, 0, 2)
         assert ModelPoint(sig, span).span == span
         skew = _corrupted(span, rng)
-        assert not (skew.T * s * skew).is_zero()
+        assert not product(skew.T, s, skew).is_zero()
         with pytest.raises(ValueError, match="span must be isotropic for the "
                            "ambient form"):
             ModelPoint(sig, skew)
@@ -176,18 +177,18 @@ def test_ambient_inverse_matches_elimination():
     # n = 1 to 6
     for sig in ORACLE_SIGS + (Signature(0, 1), Signature(1, 1),
                               Signature(3, 1), Signature(3, 2)):
-        s = sig.form_s()
+        s = form_s(sig)
         # frames of the model and the assembled elements of Q, whose
         # adjoint action inverts them the same way
         gs = [samplers.rand_oform(sig, rng) for _ in range(6)]
         gs += [samplers.rand_q_element(sig, rng).assemble() for _ in range(6)]
         for g in gs:
             inv = ambient_inverse(sig, g)
-            assert inv == s * g.T * s
+            assert inv == product(s, g.T, s)
             assert inv == invert(g)
         # S·m^T·S on a matrix outside the group is still the product
         m = samplers.rand_mat(rng, sig.n + 4, sig.n + 4)
-        assert ambient_inverse(sig, m) == s * m.T * s
+        assert ambient_inverse(sig, m) == product(s, m.T, s)
 
 
 def test_affine_frame_matches_the_exponential():
@@ -201,10 +202,10 @@ def test_affine_frame_matches_the_exponential():
                                          for _ in range(6)]:
             t = samplers.rand_fraction(rng)
             curve = ChainCurve(sig, g)
-            frame = g * exp_nilpotent(t * e, 2)
+            frame = product(g, exp_nilpotent(t * e, 2))
             assert curve.at(t).span == frame.submat(0, size, 0, 2)
             step = curve.at(1).span - curve.at(0).span
-            assert step.data == (g * e).submat(0, size, 0, 2).data
+            assert step.data == product(g, e).submat(0, size, 0, 2).data
 
 
 def test_pullbacks_match_the_eliminated_inverse():
@@ -214,15 +215,15 @@ def test_pullbacks_match_the_eliminated_inverse():
         for _ in range(4):
             g = samplers.rand_oform(sig, rng)
             t = samplers.rand_fraction(rng)
-            frame = g * exp_nilpotent(t * e, 2)
-            expected = SoElement.from_matrix(sig, invert(frame) * (g * e))
+            frame = product(g, exp_nilpotent(t * e, 2))
+            expected = SoElement.from_matrix(sig, product(invert(frame), g, e))
             assert ChainCurve(sig, g).velocity_class(t) == expected
             for x in (SoElement(sig, X=samplers.rand_gm1(sig, rng)),
                       SoElement(sig, z=samplers.rand_nonzero_fraction(rng),
                                 X=samplers.rand_gm1(sig, rng))):
                 m = x.assemble()
                 flow = exp_nilpotent(t * m, 4)
-                pullback = invert(flow) * (m * flow)
+                pullback = product(invert(flow), m, flow)
                 assert (flow_transversality(sig, x, t)
                         == (SoElement.from_matrix(sig, pullback).z != 0))
 
@@ -247,8 +248,8 @@ def test_chain_point_is_the_frame_first_two_columns():
             for t in (0, 1, Fraction(-7, 3), samplers.rand_fraction(rng),
                       "5/4"):
                 span = curve.at(t).span
-                frame = curve.g * exp_nilpotent(
-                    rat(t) * chain_matrix(sig), 2)
+                frame = product(curve.g, exp_nilpotent(
+                    rat(t) * chain_matrix(sig), 2))
                 want = frame.submat(0, size, 0, 2)
                 assert span.data == want.data
                 assert {type(e) for r in span.data for e in r} == {Fraction}
@@ -610,7 +611,7 @@ def test_emit_trajectory_isotropy_residual():
     sig = Signature(2, 2)
     g = samplers.rand_oform(sig, rng)
     rows = emit_trajectory(sig, g, Fraction(-2), Fraction(2), 9)
-    sform = sig.form_s().map(float)
+    sform = form_s(sig).map(float)
     for row in rows:
         span = Mat([[row[1 + 2 * i + j] for j in range(2)]
                     for i in range(sig.n + 4)])

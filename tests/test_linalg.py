@@ -11,12 +11,13 @@ import pytest
 
 import liecontact
 from liecontact import samplers
-from liecontact.linalg import (IntMat, Mat, SignedPerm, commutator, det,
+from liecontact.linalg import (IntMat, Mat, SignedPerm, det,
                                exp_float, exp_nilpotent, invert,
                                jacobi_failures, max_abs, plain_sum,
                                rank_kernel, rat, rat_sqrt, solve_linear,
                                structure_table)
 from liecontact.so_contact import Signature
+from oracles import form_s, ipq, product
 
 
 class DualRat:
@@ -355,13 +356,13 @@ def test_exp_float_agrees_with_exp_nilpotent():
 
 
 def test_commutator_antisymmetry():
-    a = Mat([[1, 2], [0, 1]]).map(Fraction)
-    b = Mat([[0, 1], [1, 0]]).map(Fraction)
-    assert commutator(a, b) == -1 * commutator(b, a)
+    a = IntMat.of(Mat([[1, 2], [0, 1]]))
+    b = IntMat.of(Mat([[0, 1], [1, 0]]))
+    assert a.commutator(b).to_mat() == -1 * b.commutator(a).to_mat()
 
 
 # ---------------------------------------------------------------------------
-# the exact product kernel against a triple-loop Fraction reference
+# the exact product kernel, IntMat, against a triple-loop Fraction reference
 
 
 def _ref_product(a, b):
@@ -405,10 +406,11 @@ def test_kernel_product_matches_triple_loop(density):
         for r, k, c in shapes:
             a = _rand_fraction_mat(rng, r, k, density)
             b = _rand_fraction_mat(rng, k, c, density)
-            prod = a * b
+            prod = (IntMat.of(a) * IntMat.of(b)).to_mat()
             assert (prod.rows, prod.cols) == (r, c)
             assert [list(row) for row in prod.data] == _ref_product(a, b)
             _assert_fraction_entries(prod)
+            assert a * b == prod  # the entrywise Mat product
 
 
 @pytest.mark.parametrize("density", [0, 0.05, 0.3, 1])
@@ -421,7 +423,7 @@ def test_kernel_commutator_matches_reference(density):
             ab = _ref_product(a, b)
             ba = _ref_product(b, a)
             ref = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
-            comm = commutator(a, b)
+            comm = IntMat.of(a).commutator(IntMat.of(b)).to_mat()
             assert [list(row) for row in comm.data] == ref
             _assert_fraction_entries(comm)
 
@@ -706,8 +708,8 @@ def _gram_cases(sig, rng):
     as the signed permutation the check reads, and expected whether
     a^T·s·a = s: elements of O(S) and O(p, q), copies with one entry
     corrupted, and near misses."""
-    forms = {"s": (sig.form_s(), sig.form_s_perm()),
-             "ipq": (sig.ipq(), sig.ipq_perm())}
+    forms = {"s": (form_s(sig), sig.form_s_perm()),
+             "ipq": (ipq(sig), sig.ipq_perm())}
     cases = []
     for _ in range(3):
         g = samplers.rand_oform(sig, rng)
@@ -718,8 +720,8 @@ def _gram_cases(sig, rng):
     if sig.p == sig.q:
         g, c = _sign_swap(sig)
         cases += [(g, "s", False), (c, "ipq", False),
-                  (samplers.rand_oform(sig, rng) * g, "s", False),
-                  (samplers.rand_opq(sig, rng) * c, "ipq", False)]
+                  (product(samplers.rand_oform(sig, rng), g), "s", False),
+                  (product(samplers.rand_opq(sig, rng), c), "ipq", False)]
     for form in forms:
         one = Mat.identity(forms[form][0].rows)
         cases += [(k * one, form, k in (1, -1))
@@ -732,14 +734,14 @@ def test_gram_check_matches_the_product_form(sig):
     rng = random.Random(31 + 7 * sig.p + sig.q)
     planes = []
     for a, s, table, expected in _gram_cases(sig, rng):
-        assert (a.T * s * a == s) is expected
+        assert (product(a.T, s, a) == s) is expected
         assert IntMat.of(a).gram_equals(table, table) is expected
         if s.rows == sig.n + 4:
             # the first two columns of an element of O(S) span an isotropic
             # plane, the other columns need not
             planes += [a.submat(0, a.rows, 0, 2), a.submat(0, a.rows, 1, 3),
                        _corrupted(a.submat(0, a.rows, 0, 2), rng)]
-    isotropic = [(p.T * sig.form_s() * p).is_zero() for p in planes]
+    isotropic = [product(p.T, form_s(sig), p).is_zero() for p in planes]
     assert ([IntMat.of(p).gram_equals(sig.form_s_perm()) for p in planes]
             == isotropic)
     assert True in isotropic and False in isotropic
@@ -753,7 +755,7 @@ def test_gram_check_reads_signed_permutation_forms(sig):
     rng = random.Random(41 + 7 * sig.p + sig.q)
     for a, s, table, _ in _gram_cases(sig, rng):
         size = table.rows
-        gram = a.T * s * a
+        gram = product(a.T, s, a)
         for target in (table, SignedPerm(table.perm, [-x for x in
                                                       table.signs]),
                        SignedPerm(range(size), [1] * size)):
@@ -761,7 +763,7 @@ def test_gram_check_reads_signed_permutation_forms(sig):
                     is (gram == target.left(Mat.identity(size))))
         plane = a.submat(0, a.rows, 0, 2)
         assert (IntMat.of(plane).gram_equals(table)
-                is (plane.T * s * plane).is_zero())
+                is product(plane.T, s, plane).is_zero())
     for table in (sig.form_s_perm(), sig.ipq_perm()):
         size = table.rows
         with pytest.raises(TypeError, match="float"):
@@ -825,7 +827,7 @@ def test_kernel_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         Mat.identity(2) * Mat.identity(3)
     with pytest.raises(ValueError, match="shape mismatch"):
-        commutator(Mat.zeros(2, 3), Mat.zeros(3, 2))
+        IntMat.of(Mat.zeros(2, 3)) * IntMat.of(Mat.zeros(2, 3))
     with pytest.raises(ValueError, match="shape mismatch"):
         Mat.zeros(2, 2) + Mat.zeros(2, 3)
     with pytest.raises(ValueError, match="shape mismatch"):
@@ -846,8 +848,6 @@ def test_float_products_keep_signed_zeros():
     assert _signed(a * b) == [[(x, math.copysign(1.0, x)) for x in r]
                               for r in expect]
     assert all(type(e) is float for r in (a * b).data for e in r)
-    comm = commutator(a, b)
-    assert _signed(comm) == _signed(a * b - b * a)
 
 
 def test_dual_and_mixed_products_are_unchanged():
@@ -868,7 +868,7 @@ def test_dual_and_mixed_products_are_unchanged():
 
 
 # ---------------------------------------------------------------------------
-# the zero-skipping linear operations against the entrywise reference
+# the linear operations against the entrywise reference
 
 
 def _key(x):

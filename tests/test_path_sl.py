@@ -11,6 +11,7 @@ from liecontact.path_sl import (_SLOT_DEGREE, SlElement, _is_trace_free,
                                 _slot_of, entry_degrees, neg_positions,
                                 sl_bracket, sl_neg_coordinates,
                                 sl_neg_degrees, sl_neg_slots, w0)
+from oracles import product
 from test_linalg import DualRat
 
 
@@ -173,6 +174,20 @@ def test_grade_projections_partition_the_element():
         assert total == x
 
 
+def test_sl_bracket_matches_the_fraction_commutator():
+    rng = random.Random(42)
+    for n in (1, 2, 3):
+        m = 2 * n + 2
+        xs = []
+        for _ in range(3):
+            x = samplers.rand_mat(rng, m, m)
+            xs.append(SlElement(n, x - Fraction(x.trace(), m)
+                                * Mat.identity(m)))
+        for x in xs:
+            for y in xs:
+                assert sl_bracket(x, y).mat == x.mat * y.mat - y.mat * x.mat
+
+
 def test_bracket_respects_grading():
     rng = random.Random(41)
     n = 3
@@ -212,7 +227,7 @@ def test_duals_pair_by_trace():
     for a, da in enumerate(duals):
         for b, xb in enumerate(basis):
             expected = Fraction(1) if a == b else Fraction(0)
-            assert (da.mat * xb.mat).trace() == expected
+            assert product(da.mat, xb.mat).trace() == expected
 
 
 # the documented order of the negative-part basis, written out by hand

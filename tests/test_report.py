@@ -23,6 +23,7 @@ from liecontact.report import (CHECKS, SUITE_NAMES, Check, SuiteConfig, run,
                                run_checks)
 from liecontact.so_contact import Signature
 from liecontact.split_quat import QuatStructureOnH, SplitQuaternion, quat_mul
+from oracles import form_s
 
 
 def test_config_validation():
@@ -269,7 +270,7 @@ def test_cli_chain_export(tmp_path):
     ts = [float(r[0]) for r in rows[1:]]
     assert ts == [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
     sig = Signature(2, 2)
-    sform = [[float(sig.form_s()[i, j]) for j in range(n + 4)]
+    sform = [[float(form_s(sig)[i, j]) for j in range(n + 4)]
              for i in range(n + 4)]
     for r in rows[1:]:
         cols = [[float(r[1 + 2 * i + j]) for i in range(n + 4)]

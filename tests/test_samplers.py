@@ -8,6 +8,7 @@ import pytest
 from liecontact import samplers
 from liecontact.linalg import Mat, det, exp_nilpotent, invert, rat_sqrt
 from liecontact.so_contact import Signature, SoElement, segre_rank
+from oracles import form_s, ipq, product, rand_so_element
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 # the signatures of the golden outputs; I - D is singular for some draws
@@ -31,7 +32,7 @@ def _product_antisym(rng, n, span=3, den=3):
 
 
 def _product_so_pq(sig, rng):
-    return sig.ipq() * _product_antisym(rng, sig.n)
+    return product(ipq(sig), _product_antisym(rng, sig.n))
 
 
 def _product_opq(sig, rng, redraws=None):
@@ -40,13 +41,13 @@ def _product_opq(sig, rng, redraws=None):
     while True:
         d = _product_so_pq(sig, rng)
         try:
-            c = invert(eye - d) * (eye + d)
+            c = product(invert(eye - d), eye + d)
             break
         except ValueError:
             if redraws is not None:
                 redraws.append(d)
     signs = Mat.diag([Fraction(rng.choice((1, -1))) for _ in range(n)])
-    return c * signs
+    return product(c, signs)
 
 
 def _product_oform(sig, rng):
@@ -59,8 +60,8 @@ def _product_oform(sig, rng):
     mid = Mat.block([[b, Mat.zeros(2, n), Mat.zeros(2, 2)],
                      [Mat.zeros(n, 2), c, Mat.zeros(n, 2)],
                      [Mat.zeros(2, 2), Mat.zeros(2, n), invert(b).T]])
-    return (exp_nilpotent(neg.assemble(), 3) * mid
-            * exp_nilpotent(pos.assemble(), 3))
+    return product(exp_nilpotent(neg.assemble(), 3), mid,
+                   exp_nilpotent(pos.assemble(), 3))
 
 
 def _product_q_element(sig, rng):
@@ -74,6 +75,20 @@ def _product_q_square(sig, rng):
     if rng.choice((True, False)):
         b = b * Mat.diag([Fraction(1), Fraction(-1)])
     return b, _product_opq(sig, rng), samplers.rand_fraction(rng)
+
+
+def _product_isotropic_rank_one(sig, rng):
+    u0 = [Fraction(0)] * sig.n
+    u0[0] = u0[sig.p] = Fraction(1)
+    u = product(_product_opq(sig, rng), Mat.col(u0))
+    return u * samplers.rand_nonzero_col(rng, 2).T
+
+
+def _product_isotropic_plane(sig, rng):
+    n, p = sig.n, sig.p
+    rows = [[Fraction(0)] * 2 for _ in range(n)]
+    rows[0][0] = rows[p][0] = rows[1][1] = rows[p + 1][1] = Fraction(1)
+    return product(_product_opq(sig, rng), Mat(rows), samplers.rand_gl2(rng))
 
 
 def _same_draw(sampler, reference, sig, seed):
@@ -101,6 +116,17 @@ def test_rand_so_pq_and_rand_opq_match_their_diagonal_products(sig):
         _same_draw(samplers.rand_opq, _product_opq, sig, seed)
         _same_draw(lambda s, rng: samplers.rand_antisym(rng, s.n),
                    lambda s, rng: _product_antisym(rng, s.n), sig, seed)
+
+
+@pytest.mark.parametrize("sig", (Signature(1, 1), Signature(2, 1),
+                                 Signature(2, 2), Signature(3, 3)), ids=repr)
+def test_isotropic_samplers_match_their_products(sig):
+    for seed in range(4):
+        _same_draw(samplers.rand_isotropic_rank_one,
+                   _product_isotropic_rank_one, sig, seed)
+        if sig.p >= 2 and sig.q >= 2:
+            _same_draw(samplers.rand_isotropic_plane,
+                       _product_isotropic_plane, sig, seed)
 
 
 # every signature with 2 <= n <= 6
@@ -146,7 +172,7 @@ def test_so_draw_core_matches_the_fraction_draw(sig):
             got, want = (samplers.rand_so_int(sig, rng),
                          _fraction_so_element(sig, ref_rng))
             assert got.to_mat() == want.assemble(), (sig, seed)
-            assert samplers.rand_so_element(sig, elt_rng) == want
+            assert rand_so_element(sig, elt_rng) == want
             assert rng.getstate() == ref_rng.getstate() == elt_rng.getstate()
 
 
@@ -163,19 +189,19 @@ def test_rand_opq_redraws_while_i_minus_d_is_singular():
 def test_rand_opq_is_orthogonal():
     rng = random.Random(90)
     for sig in SIGS:
-        ipq = sig.ipq()
+        form = ipq(sig)
         for _ in range(10):
             c = samplers.rand_opq(sig, rng)
-            assert c.T * ipq * c == ipq
+            assert product(c.T, form, c) == form
 
 
 def test_rand_oform_preserves_the_ambient_form():
     rng = random.Random(91)
     for sig in SIGS:
-        s = sig.form_s()
+        s = form_s(sig)
         for _ in range(5):
             g = samplers.rand_oform(sig, rng)
-            assert g.T * s * g == s
+            assert product(g.T, s, g) == s
 
 
 def test_rand_q_square_has_square_determinant_both_signs():

@@ -132,6 +132,29 @@ def test_stack_unstack_round_trip():
         unstack_columns(Mat.identity(4), 2)
 
 
+def _right_mult_by_products(m, n):
+    # the reference: column k of the operator is x_k * m, stacked, for the
+    # k-th unit x_k in the stacked-column coordinates
+    cols = []
+    for k in range(2 * n):
+        unit = [Fraction(0)] * (2 * n)
+        unit[k] = Fraction(1)
+        x = unstack_columns(Mat.col(unit), n)
+        cols.append(stack_columns(x * m).column(0))
+    return Mat(cols).T
+
+
+def test_right_mult_operator_matches_the_products():
+    rng = random.Random(37)
+    for n in (1, 2, 4):
+        for m in (M_I, M_J, M_K, samplers.rand_mat(rng, 2, 2),
+                  samplers.rand_mat(rng, 2, 2)):
+            op = split_quat._right_mult_operator(m, n)
+            assert op == _right_mult_by_products(m, n)
+            x = samplers.rand_mat(rng, n, 2)
+            assert op * stack_columns(x) == stack_columns(x * m)
+
+
 def test_eigenspace_split_and_swap():
     for sig in SIGS:
         st = QuatStructureOnH.standard(sig)
