@@ -90,11 +90,11 @@ def chain_matrix(sig: Signature) -> Mat:
     """Assembled matrix E of the distinguished nilpotent generator; E^2 = 0,
     so its exponential is exactly I + tE. Built and checked once per
     signature."""
-    e = SoElement.generator_e(sig).assemble()
-    ei = IntMat.of(e)
+    e = SoElement.generator_e(sig)
+    ei = e.ints
     if not (ei * ei).is_zero():
         raise ValueError("the chain generator must square to zero")
-    return e
+    return e.assemble()
 
 
 def _chain_moves(sig: Signature):
@@ -155,7 +155,7 @@ class ChainCurve:
         ambient form, so it is inverted in closed form."""
         frame = self._frame(t, 0, self.g.cols)
         pullback = ambient_inverse(self.sig, frame) * self._vel
-        return SoElement.from_matrix(self.sig, pullback.to_mat())
+        return SoElement.from_matrix(self.sig, pullback)
 
 
 def chain_eval(sig: Signature, t, g: Mat | None = None) -> ModelPoint:
@@ -174,11 +174,10 @@ def flow_transversality(sig: Signature, x: SoElement, t) -> bool:
     nilpotent matrix (every negative-slot element does). Contact directions
     X in the middle slot come out non-transverse. The pullback is formed on
     the integer rows of the frame."""
-    m = x.assemble()
     # exp of an element of so(S)
-    frame = IntMat.of(exp_nilpotent(rat(t) * m, 4))
-    pullback = ambient_inverse(sig, frame) * (IntMat.of(m) * frame)
-    return SoElement.from_matrix(sig, pullback.to_mat()).z != 0
+    frame = exp_nilpotent((t * x).ints, 4)
+    pullback = ambient_inverse(sig, frame) * (x.ints * frame)
+    return SoElement.from_matrix(sig, pullback).z != 0
 
 
 # ---------------------------------------------------------------------------

@@ -36,21 +36,15 @@ from .linalg import (IntMat, Mat, exp_float, invert, max_abs, rank_kernel,
 from .path_sl import (SlElement, entry_degrees, neg_positions, sl_bracket,
                       sl_neg_coordinates, sl_neg_degrees, sl_neg_slots, w0)
 from .so_contact import (QGroupElement, Signature, SoElement,
-                         assembled_rows, basis_positions, bracket,
-                         coordinate_rows, from_coordinates, int_coordinates,
-                         so_basis_degrees)
+                         basis_positions, bracket, from_coordinates,
+                         int_coordinates, so_basis_degrees)
 from . import samplers
 
 
 def alpha(x: SoElement) -> SlElement:
-    """The matrix of the module docstring, the Mat view of `_alpha_int`."""
-    return SlElement(x.sig.n, _alpha_int(x).to_mat())
-
-
-def _alpha_int(x: SoElement) -> IntMat:
-    """alpha(x), read off the integer rows of x's matrix; integer entries are
-    read as rationals, and floats are refused (TypeError)."""
-    return _alpha_assembled(x.sig, IntMat.of(x.assemble()))
+    """The matrix of the module docstring, read off the integer rows of x
+    (`_alpha_assembled`)."""
+    return SlElement(x.sig.n, _alpha_assembled(x.sig, x.ints))
 
 
 def _alpha_assembled(sig: Signature, g: IntMat) -> IntMat:
@@ -192,11 +186,12 @@ class _Jet:
         return _Jet(1, self.u // 2)
 
 
-def i_prime(a: Mat, d: Mat, w) -> Mat:
+def i_prime(a: Mat, d: Mat, w) -> SlElement:
     """Exact derivative at the identity of i along the curve
-    (I + t*A, I + t*D, t*w), the Mat view of `_i_prime_int`. Any curve
-    with these velocities gives the same result."""
-    return _i_prime_int(a, d, w).to_mat()
+    (I + t*A, I + t*D, t*w), on integer jets (`_i_prime_int`). Any curve
+    with these velocities gives the same result. i maps into matrices of
+    determinant +-1, so its derivative at the identity is trace free."""
+    return SlElement(d.rows, _i_prime_int(a, d, w))
 
 
 def _i_prime_int(a: Mat, d: Mat, w) -> IntMat:
@@ -248,20 +243,10 @@ def _lift_indices(sig: Signature):
 
 @functools.cache
 def _so_image(sig: Signature, k: int) -> IntMat:
-    """alpha of so_basis element k, built once, read off its integer rows
-    (`_basis_ints`)."""
-    return _alpha_assembled(sig, _basis_ints(sig, k))
-
-
-def _basis_ints(sig: Signature, k: int) -> IntMat:
-    """The matrix of so_basis element k as integer rows: the blocks of its
-    coordinate (`coordinate_rows`), assembled (`assembled_rows`)."""
-    n, lo = sig.n, sig.n + 2  # lo: the last block band
-    g = coordinate_rows(sig, [(basis_positions(sig)[k], 1)], 0)
-    top, mid = g[:2], g[2:lo]
-    return IntMat(1, n + 4, assembled_rows(
-        sig, g[lo][1], [r[:2] for r in mid], [r[:2] for r in top],
-        [r[2:lo] for r in mid], [r[2:lo] for r in top], g[0][lo + 1], 0))
+    """alpha of so_basis element k, built once, read off the integer rows of
+    that one element (`from_coordinates`)."""
+    return _alpha_assembled(sig, from_coordinates(
+        sig, ((basis_positions(sig)[k], 1),)).ints)
 
 
 @functools.cache
@@ -277,8 +262,16 @@ def alpha_restriction_matrix(sig: Signature) -> Mat:
 
 
 @functools.cache
-def _lift_inverse(sig: Signature) -> IntMat:
-    return IntMat.of(invert(alpha_restriction_matrix(sig)))
+def _lift_rows(sig: Signature) -> IntMat:
+    """The transposed inverse of the restriction matrix, once per signature:
+    row j holds the coordinates, on the `_lift_positions`, of the hat lift
+    of negative basis element j."""
+    return IntMat.of(invert(alpha_restriction_matrix(sig)).T)
+
+
+def _lift_positions(sig: Signature):
+    """The `basis_positions` entries of g_- + g_1 (`_lift_indices`)."""
+    return [basis_positions(sig)[k] for k in _lift_indices(sig)]
 
 
 def _check_negative(sig: Signature, z: SlElement):
@@ -292,12 +285,13 @@ def _check_negative(sig: Signature, z: SlElement):
 
 def hat_lift(sig: Signature, z: SlElement) -> SoElement:
     """The unique element of g_- + g_1 that alpha sends to z modulo the
-    nonnegative slots; solves the restriction system exactly, as one integer
-    product with the inverse factored once per signature."""
+    nonnegative slots; solves the restriction system exactly, as the one
+    integer row of z's coordinates times the inverse factored once per
+    signature (`_lift_rows`)."""
     _check_negative(sig, z)
-    coords = _lift_inverse(sig) * IntMat.of(Mat.col(sl_neg_coordinates(z)))
-    positions = [basis_positions(sig)[k] for k in _lift_indices(sig)]
-    return from_coordinates(sig, zip(positions, coords.to_mat().column(0)))
+    coords = sl_neg_coordinates(z) * _lift_rows(sig)
+    return from_coordinates(sig, zip(_lift_positions(sig), coords.dense[0]),
+                            coords.d)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +303,12 @@ def psi_gq(x: SoElement, y: SoElement) -> SlElement:
     argument by A-, D- or w-directions, which is what makes the factorized
     map below well defined. The obstruction cochain evaluates the same
     formula in coordinates and is tested against this one. Here it is one
-    integer combination of the alpha images (`_alpha_int`)."""
-    value = IntMat.combination([(1, _alpha_int(x).commutator(_alpha_int(y))),
-                                (-1, _alpha_int(bracket(x, y)))])
-    return SlElement(x.sig.n, value.to_mat())
+    integer combination of the alpha images (`_alpha_assembled`)."""
+    sig = x.sig
+    ax, ay = _alpha_assembled(sig, x.ints), _alpha_assembled(sig, y.ints)
+    return SlElement(sig.n, IntMat.combination([
+        (1, ax.commutator(ay)),
+        (-1, _alpha_assembled(sig, bracket(x, y).ints))]))
 
 
 def psi_alpha(sig: Signature, z1: SlElement, z2: SlElement) -> SlElement:
@@ -335,28 +331,16 @@ def psi_from_coordinates(sig: Signature, c1: IntMat, c2: IntMat) -> IntMat:
     return IntMat(d * c1.d * c2.d, m, acc)
 
 
-def trilinear_ints(sig: Signature, x: Mat, y: Mat, z: Mat):
-    """psi_trilinear on integer rows, with the Psi value it brackets:
-    (Psi(x, [y, W0]), [Psi(x, [y, W0]), z]) as IntMats. The m2 elements of
-    x, y, z and W0 are integer rows; [y, W0] is an integer commutator, read
-    in the negative coordinates, and Psi is read off the cochain
-    (`psi_from_coordinates`)."""
-    n, m = sig.n, 2 * sig.n + 2
-    xm, ym, zm = (_m2_ints(n, v) for v in (x, y, z))
-    unit = IntMat(1, m, sparse=[[(1, 1)]] + [[]] * (m - 1))
-    c1, c2 = (IntMat(g.d, 4 * n + 1, [[g.dense[r][c] for r, c in
-                                       neg_positions(n)]])
-              for g in (xm, ym.commutator(unit)))
-    psi = psi_from_coordinates(sig, c1, c2)
-    return psi, psi.commutator(zm)
-
-
-def _m2_ints(n: int, v: Mat) -> IntMat:
-    """The g~_{-2} element with the 2n-column v (`SlElement.from_m2`), as
-    integer rows."""
-    ints, d = _int_column(v)
-    return IntMat(d, 2 * n + 2, sparse=[[], []] + [[(0, e)] if e else []
-                                                 for e in ints])
+def trilinear_ints(sig: Signature, x: IntMat, y: IntMat, z: IntMat):
+    """psi_trilinear on the integer 2n-columns x, y, z, with the Psi value it
+    brackets: (Psi(x, [y, W0]), [Psi(x, [y, W0]), z]) as IntMats. [y, W0]
+    is an integer commutator, read in the negative coordinates, and Psi is
+    read off the cochain (`psi_from_coordinates`)."""
+    n = sig.n
+    xe, ye, ze = (SlElement.from_m2(n, v) for v in (x, y, z))
+    psi = psi_from_coordinates(sig, sl_neg_coordinates(xe),
+                               sl_neg_coordinates(sl_bracket(ye, w0(n))))
+    return psi, psi.commutator(ze.ints)
 
 
 def psi_trilinear(sig: Signature, x: Mat, y: Mat, z: Mat) -> SlElement:
@@ -368,22 +352,23 @@ def psi_trilinear(sig: Signature, x: Mat, y: Mat, z: Mat) -> SlElement:
     return sl_bracket(psi_alpha(sig, xe, yv), SlElement.from_m2(n, z))
 
 
-def _int_column(v: Mat):
-    """The entries of a column as integers, and their one denominator."""
-    s = IntMat.of(v)
-    return [r[0] for r in s.dense], s.d
+def _int_column(v: IntMat):
+    """The integers of a column, and their one denominator."""
+    return [r[0] for r in v.dense], v.d
 
 
 def symmetrized_reference(sig: Signature, x: Mat, y: Mat, z: Mat) -> Mat:
-    """The Mat view of `symmetrized_ints`."""
-    return symmetrized_ints(sig, x, y, z).to_mat()
+    """The Mat view of `symmetrized_ints`, on the columns read as
+    IntMats."""
+    return symmetrized_ints(sig, *(IntMat.of(v) for v in (x, y, z))).to_mat()
 
 
-def symmetrized_ints(sig: Signature, x: Mat, y: Mat, z: Mat) -> IntMat:
+def symmetrized_ints(sig: Signature, x: IntMat, y: IntMat,
+                     z: IntMat) -> IntMat:
     """Sum over all six argument orders of
     (<X1,Y2>Z1 - <X1,Y1>Z2 ; <X2,Y2>Z1 - <X1,Y2>Z2), with <,> the Ipq
-    pairing. The columns are scaled to integers and the sum, trilinear in
-    them, is taken over the product of their denominators."""
+    pairing, for integer 2n-columns. The sum, trilinear in their integers,
+    is taken over the product of their denominators."""
     n = sig.n
     signs = sig.signs()
     (xs, dx), (ys, dy), (zs, dz) = (_int_column(v) for v in (x, y, z))
@@ -426,7 +411,7 @@ def fit_trilinear_constant(sig: Signature) -> Fraction:
                      "map appears to vanish")
 
 
-def r_block_path(sig: Signature, x: Mat, y: Mat) -> IntMat:
+def r_block_path(sig: Signature, x: IntMat, y: IntMat) -> IntMat:
     """Closed-form 2n x 2n block of Psi(x, [y, W0]) built from the four
     rank-two matrices R_ab = (X_a Y_b^t + Y_a X_b^t) Ipq; the second
     computation path for the trilinear map. The block is
@@ -434,8 +419,8 @@ def r_block_path(sig: Signature, x: Mat, y: Mat) -> IntMat:
         [[ -R12/2 + R21 - tr(R12)/2 I,  -(R11 - tr(R11) I)/2         ],
          [ (R22 - tr(R22) I)/2,          R21/2 - R12 + tr(R12)/2 I ]],
 
-    formed twice over on the columns scaled to integers, over twice the
-    product of their denominators."""
+    formed twice over on the integers of the 2n-columns x and y, over twice
+    the product of their denominators."""
     n = sig.n
     signs = sig.signs()
     (xs, dx), (ys, dy) = _int_column(x), _int_column(y)
@@ -478,7 +463,7 @@ class Cochain2:
 
     def __init__(self, n: int, table: dict | None = None, ints=None):
         """From a table of SlElements, or from ints, the values as IntMats by
-        sorted key; TypeError when a value has an entry that isn't rational."""
+        sorted key."""
         table = table or {}
         for (a, b), v in table.items():
             if not a < b:
@@ -486,8 +471,7 @@ class Cochain2:
             if v.n != n:
                 raise ValueError("value dimension mismatch")
         if ints is None:
-            keys = sorted(table)
-            ints = dict(zip(keys, IntMat.common([table[k].mat for k in keys])))
+            ints = {k: table[k].ints for k in sorted(table)}
         common = IntMat.aligned(list(ints.values()))
         rows = MappingProxyType({k: v.sparse for k, v in zip(ints, common)})
         object.__setattr__(self, "n", n)
@@ -502,10 +486,10 @@ class Cochain2:
         d, rows = self.int_rows
         m = 2 * self.n + 2
         return MappingProxyType({k: SlElement(self.n, IntMat(
-            d, m, sparse=r).to_mat()) for k, r in rows.items()})
+            d, m, sparse=r)) for k, r in rows.items()})
 
     def value(self, a: int, b: int) -> SlElement:
-        return SlElement(self.n, self.int_value(a, b).to_mat())
+        return SlElement(self.n, self.int_value(a, b))
 
     def int_value(self, a: int, b: int) -> IntMat:
         """value(a, b) as an IntMat over the denominator of `int_rows`."""
@@ -534,15 +518,12 @@ class Cochain1:
 @functools.cache
 def _lift_ints(sig: Signature):
     """The hat lift of each negative basis element as IntMats (matrix, alpha
-    image): its coordinates, a column of `_lift_inverse`, combine the
-    so_basis matrices (`_basis_ints`) and their images (`_so_image`)."""
-    inv = _lift_inverse(sig)
-    cols = [[(k, Fraction(x, inv.d)) for k, x in zip(_lift_indices(sig), c)
-             if x] for c in zip(*inv.dense)]
-    return tuple((IntMat.combination([(v, _basis_ints(sig, k))
-                                      for k, v in col]),
-                  IntMat.combination([(v, _so_image(sig, k))
-                                      for k, v in col])) for col in cols)
+    image): the element with the coordinates of its row of `_lift_rows`,
+    and alpha of its integer rows."""
+    rows = _lift_rows(sig)
+    lifts = (from_coordinates(sig, zip(_lift_positions(sig), r), rows.d).ints
+             for r in rows.dense)
+    return tuple((g, _alpha_assembled(sig, g)) for g in lifts)
 
 
 def _psi_int(sig: Signature, x, y) -> IntMat:
@@ -586,8 +567,7 @@ def codifferential(phi: Cochain2) -> Cochain1:
     phi's values (`Cochain2.int_rows`). A dual is the unit at the
     transposed position of its basis unit, so a bracket [Z, W] is one row
     of W moved in and one column moved out (`_add_dual_bracket`), and
-    [Z1, Z2] is a dual, minus a dual, or zero. TypeError when a value has
-    an entry that is not rational."""
+    [Z1, Z2] is a dual, minus a dual, or zero."""
     n = phi.n
     m = 2 * n + 2
     positions = neg_positions(n)
@@ -605,7 +585,7 @@ def codifferential(phi: Cochain2) -> Cochain1:
         for hit, pos, k in ((ra == sb, (rb, sa), -1), (sa == rb, (ra, sb), 1)):
             if hit and pos in index:
                 _add_rows(outputs[index[pos]], w, k)
-    return Cochain1(n, {c: SlElement(n, IntMat(d, m, rows).to_mat())
+    return Cochain1(n, {c: SlElement(n, IntMat(d, m, rows))
                         for c, rows in outputs.items() if any(map(any, rows))})
 
 
@@ -741,11 +721,10 @@ def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
             witness = witness or repr(h)
     derivative_failures = 0
     derivative_float_error = 0.0
-    one = Fraction(1)
     for pos, deg in zip(basis_positions(sig), so_basis_degrees(sig)):
         if deg in (0, 2):  # the stabilizer subalgebra's basis
-            x = from_coordinates(sig, ((pos, one),))
-            if i_prime(x.A, x.D, x.w) != alpha(x).mat:
+            x = from_coordinates(sig, ((pos, 1),))
+            if i_prime(x.A, x.D, x.w) != alpha(x):
                 derivative_failures += 1
     rng_f = random.Random(seed + 1)
     for _ in range(min(trials, 20)):

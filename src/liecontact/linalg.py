@@ -245,12 +245,6 @@ class IntMat:
         return _scaled_rows(m) or _scaled_rows(m.map(rat))
 
     @classmethod
-    def common(cls, mats):
-        """The matrices mats, each read as by `of`, over one common
-        denominator: the lcm of their own."""
-        return cls.aligned([cls.of(m) for m in mats])
-
-    @classmethod
     def aligned(cls, ints):
         """The IntMats ints over one common denominator: the lcm of their
         own."""
@@ -484,21 +478,19 @@ class SignedPerm:
 
 def structure_table(basis, coordinates):
     """Structure constants of the Lie algebra spanned by the integer square
-    matrices `basis`: a mapping (a, b) -> {c: coeff}, read-only at both
-    levels, over all pairs a != b, with [x_a, x_b] = sum coeff * x_c; each
-    unordered pair is bracketed once and its reverse negated. `coordinates`
-    maps the dense integer rows of a commutator to its integer coordinates
-    in the basis order (and raises when the commutator leaves the algebra).
-    ValueError unless the basis matrices have integer Fraction entries and
-    are square of one size."""
-    if any(type(e) is not Fraction or e.denominator != 1
-           for m in basis for r in m.data for e in r):
+    matrices `basis`, IntMats over the denominator 1: a mapping
+    (a, b) -> {c: coeff}, read-only at both levels, over all pairs a != b,
+    with [x_a, x_b] = sum coeff * x_c; each unordered pair is bracketed
+    once and its reverse negated. `coordinates` maps the dense integer rows
+    of a commutator to its integer coordinates in the basis order (and
+    raises when the commutator leaves the algebra). ValueError unless the
+    basis matrices have the denominator 1 and are square of one size."""
+    if any(m.d != 1 for m in basis):
         raise ValueError("structure constants need integer basis matrices")
-    ints = [IntMat.of(m) for m in basis]
     table = {}
-    for a, ia in enumerate(ints):
-        for b in range(a + 1, len(ints)):
-            comm = ia.commutator(ints[b]).dense
+    for a, ia in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            comm = ia.commutator(basis[b]).dense
             sparse = {c: v for c, v in enumerate(coordinates(comm)) if v}
             table[(a, b)] = MappingProxyType(sparse)
             table[(b, a)] = MappingProxyType(
@@ -610,16 +602,17 @@ def det(m: Mat) -> Fraction:
     return Fraction(sign * d, scale)
 
 
-def exp_nilpotent(m: Mat, nilpotency_bound: int) -> Mat:
-    """Exact exp of a nilpotent matrix: sum_{j<k} m^j / j! where m^k = 0.
+def exp_nilpotent(m, nilpotency_bound: int):
+    """Exact exp of a nilpotent matrix: sum_{j<k} m^j / j! where m^k = 0,
+    for m a Mat or an IntMat; the result is of the kind given.
 
     Raises ValueError naming the power that failed to vanish when m is not
-    nilpotent within the stated bound. Integer entries of m are read as
+    nilpotent within the stated bound. Integer entries of a Mat are read as
     rationals, and floats are refused (TypeError)."""
     if m.rows != m.cols:
         raise ValueError("exp of a non-square matrix")
     n = m.rows
-    p = mi = IntMat.of(m)
+    p = mi = m if isinstance(m, IntMat) else IntMat.of(m)
     terms = [(1, IntMat(1, n, sparse=[[(i, 1)] for i in range(n)]))]
     for j in range(1, nilpotency_bound + 1):
         if p.is_zero():
@@ -629,7 +622,8 @@ def exp_nilpotent(m: Mat, nilpotency_bound: int) -> Mat:
     else:
         raise ValueError("m^%d != 0, not nilpotent within the stated bound"
                          % nilpotency_bound)
-    return IntMat.combination(terms).to_mat()
+    out = IntMat.combination(terms)
+    return out if mi is m else out.to_mat()
 
 
 def exp_float(m):

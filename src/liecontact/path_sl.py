@@ -21,8 +21,6 @@ basis, its duals, slots, degrees and coordinates and the codifferential of
 from __future__ import annotations
 
 import functools
-import math
-from fractions import Fraction
 
 from .linalg import IntMat, Mat, rat
 
@@ -59,90 +57,94 @@ def entry_degrees(n: int):
     return tuple(tuple(_SLOT_DEGREE[s] for s in r) for r in _slot_table(n))
 
 
-def _is_trace_free(mat: Mat) -> bool:
-    """mat.trace() == 0. A diagonal of Fractions is summed as integers over
-    the lcm of the denominators of its nonzero entries; any other entry
-    type takes Mat.trace()."""
-    diag = [r[i] for i, r in enumerate(mat.data)]
-    if any(type(e) is not Fraction for e in diag):
-        return mat.trace() == 0
-    diag = [e for e in diag if e]
-    d = math.lcm(*[e.denominator for e in diag])
-    return sum(e.numerator * (d // e.denominator) for e in diag) == 0
-
-
 class SlElement:
-    """Trace-free (2n+2) x (2n+2) matrix with slot accessors."""
+    """Trace-free (2n+2) x (2n+2) matrix with slot accessors, held as its
+    integer rows over one denominator (`ints`, an IntMat); `mat` is its
+    Fraction view, built the first time it is read. Immutable."""
 
-    __slots__ = ("n", "mat")
+    __slots__ = ("n", "ints", "_mat")
 
-    def __init__(self, n: int, mat: Mat):
-        m = 2 * n + 2
-        if mat.rows != m or mat.cols != m:
-            raise ValueError("expected a %dx%d matrix" % (m, m))
-        if not _is_trace_free(mat):
+    def __init__(self, n: int, m):
+        """The element with the matrix m, a Mat of exact entries or an IntMat
+        (kept as it is); TypeError on any other entry, ValueError unless m
+        is trace free."""
+        size = 2 * n + 2
+        if m.rows != size or m.cols != size:
+            raise ValueError("expected a %dx%d matrix" % (size, size))
+        ints = m if isinstance(m, IntMat) else IntMat.of(m)
+        if sum(r[i] for i, r in enumerate(ints.dense)):
             raise ValueError("matrix must be trace free")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "_mat", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SlElement is immutable")
 
-    @classmethod
-    def zero(cls, n: int):
-        return cls(n, Mat.zeros(2 * n + 2, 2 * n + 2))
+    @property
+    def mat(self) -> Mat:
+        if self._mat is None:
+            object.__setattr__(self, "_mat", self.ints.to_mat())
+        return self._mat
 
     @classmethod
-    def from_m2(cls, n: int, v: Mat):
-        """g~_{-2} element with column vector v in R^2n."""
+    def zero(cls, n: int):
+        return cls(n, IntMat(1, 2 * n + 2, sparse=[[]] * (2 * n + 2)))
+
+    @classmethod
+    def from_m2(cls, n: int, v):
+        """g~_{-2} element with column vector v in R^2n, a Mat or an
+        IntMat."""
         if v.cols != 1 or v.rows != 2 * n:
             raise ValueError("expected a 2n x 1 column")
-        m = 2 * n + 2
-        rows = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(2 * n):
-            rows[2 + i][0] = rat(v[i, 0])
-        return cls(n, Mat(rows))
+        v = IntMat.of(v) if isinstance(v, Mat) else v
+        return cls(n, IntMat(v.d, 2 * n + 2, sparse=[[], []] + [
+            [(0, e)] if e else [] for (e,) in v.dense]))
 
     def grade_project(self, d: int) -> "SlElement":
         if d not in (-2, -1, 0, 1, 2):
             raise ValueError("degree must be in -2..2")
-        zero = Fraction(0)
-        rows = [[e if s == d else zero for s, e in zip(sr, r)]
-                for sr, r in zip(entry_degrees(self.n), self.mat.data)]
-        return SlElement(self.n, Mat(rows))
+        g = self.ints
+        rows = [[e if s == d else 0 for s, e in zip(sr, r)]
+                for sr, r in zip(entry_degrees(self.n), g.dense)]
+        return SlElement(self.n, IntMat(g.d, g.cols, rows))
 
     # vector views
 
     def m2_vector(self) -> Mat:
-        return Mat.col([self.mat[2 + i, 0] for i in range(2 * self.n)])
+        g = self.ints
+        return IntMat(g.d, 1, [r[:1] for r in g.dense[2:]]).to_mat()
 
     def in_slots(self, slots) -> bool:
         """True when every nonzero entry lies in one of the given slots."""
         return all(s in slots
-                   for sr, r in zip(_slot_table(self.n), self.mat.data)
-                   for s, e in zip(sr, r) if e != 0)
+                   for sr, r in zip(_slot_table(self.n), self.ints.dense)
+                   for s, e in zip(sr, r) if e)
 
     def __add__(self, other):
         _check_n(self, other)
-        return SlElement(self.n, self.mat + other.mat)
+        return SlElement(self.n, IntMat.combination([(1, self.ints),
+                                                     (1, other.ints)]))
 
     def __sub__(self, other):
         _check_n(self, other)
-        return SlElement(self.n, self.mat - other.mat)
+        return SlElement(self.n, IntMat.combination([(1, self.ints),
+                                                     (-1, other.ints)]))
 
     def __neg__(self):
-        return SlElement(self.n, -self.mat)
+        return SlElement(self.n, IntMat.combination([(-1, self.ints)]))
 
     def __rmul__(self, scalar):
-        return SlElement(self.n, rat(scalar) * self.mat)
+        return SlElement(self.n, IntMat.combination([(rat(scalar),
+                                                      self.ints)]))
 
     def is_zero(self):
-        return self.mat.is_zero()
+        return self.ints.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, SlElement):
             return NotImplemented
-        return self.n == other.n and self.mat == other.mat
+        return self.n == other.n and self.ints.equals(other.ints)
 
     def __hash__(self):
         return hash((self.n, self.mat))
@@ -158,16 +160,13 @@ def _check_n(x, y):
 
 def sl_bracket(x: SlElement, y: SlElement) -> SlElement:
     _check_n(x, y)
-    comm = IntMat.of(x.mat).commutator(IntMat.of(y.mat))
-    return SlElement(x.n, comm.to_mat())
+    return SlElement(x.n, x.ints.commutator(y.ints))
 
 
 def w0(n: int) -> SlElement:
     """The fixed generator of g~_1^E: the unit at position (0, 1)."""
     m = 2 * n + 2
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    rows[0][1] = Fraction(1)
-    return SlElement(n, Mat(rows))
+    return SlElement(n, IntMat(1, m, sparse=[[(1, 1)]] + [[]] * (m - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +190,9 @@ def sl_neg_degrees(n: int):
     return [_SLOT_DEGREE[s] for s in sl_neg_slots(n)]
 
 
-def sl_neg_coordinates(x: SlElement):
-    """Coordinates of the negative part of x in the `neg_positions` order."""
-    rows = x.mat.data
-    return [rows[r][c] for r, c in neg_positions(x.n)]
+def sl_neg_coordinates(x: SlElement) -> IntMat:
+    """Coordinates of the negative part of x in the `neg_positions` order,
+    as one integer row over the denominator of `x.ints`."""
+    rows = x.ints.dense
+    return IntMat(x.ints.d, 4 * x.n + 1,
+                  [[rows[r][c] for r, c in neg_positions(x.n)]])

@@ -353,7 +353,9 @@ def _m2_col(sig, rng):
          needs_psi=True)
 def _symmetrization(sig, cst, x, y, z):
     # psi_trilinear on integer rows, keeping Psi(x, [y, W0]) to compare
-    # whole blocks: the m2 column of the value and the 2n block of Psi
+    # whole blocks: the m2 column of the value and the 2n block of Psi; each
+    # column is read as integers once
+    x, y, z = (IntMat.of(v) for v in (x, y, z))
     psi, val = extension.trilinear_ints(sig, x, y, z)
     ref = extension.symmetrized_ints(sig, x, y, z)
     if not IntMat(val.d, 1, [r[:1] for r in val.dense[2:]]).equals(

@@ -105,7 +105,7 @@ def rand_so_int(sig: Signature, rng) -> IntMat:
     big = math.lcm(*(q for m in (z, x, a, d, u, w) for r in m for _, q in r))
     ((z,),), x, a, d, u, ((w,),) = ([[p * (big // q) for p, q in r]
                                      for r in m] for m in (z, x, a, d, u, w))
-    return IntMat(big, n + 4, assembled_rows(sig, z, x, a, d, u, w, 0))
+    return IntMat(big, n + 4, assembled_rows(sig, z, x, a, d, u, w))
 
 
 def rand_opq(sig: Signature, rng) -> Mat:

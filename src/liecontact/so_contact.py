@@ -16,8 +16,8 @@ Conventions, fixed once for the whole package:
   product with S or Ipq, the form checks included, moves entries and
   flips signs instead of multiplying;
 
-* an algebra element is stored by its blocks (z, X, A, D, U, w) and
-  assembles to
+* an algebra element with the blocks (z, X, A, D, U, w) is held as the
+  integer rows, over one denominator, of its matrix
 
       [[ A,    U,    w*J ],
        [ X,    D,  Ipq*U^t],
@@ -45,8 +45,8 @@ from fractions import Fraction
 from .linalg import (IntMat, Mat, SignedPerm, jacobi_failures, rank_kernel,
                      rat, structure_table)
 
-_ZERO = Fraction(0)
 _NOT_IN_SO = "matrix is not in the orthogonal algebra of the standard form"
+_D_NOT_IN_SO = "D is not in so(p,q) for the given signature"
 
 
 class Signature:
@@ -108,47 +108,39 @@ def inner(sig: Signature, u, v) -> Fraction:
     return acc
 
 
-def _is_so_pq(sig: Signature, d: Mat) -> bool:
-    """D^t Ipq + Ipq D = 0, read entrywise: D_ji = -s_i s_j D_ij. The signs
-    are +-1, so D_ji is compared with D_ij or its negation."""
-    signs = sig.signs()
-    rows = d.data
-    return all(rows[j][i] == (-rows[i][j] if signs[i] == signs[j]
-                              else rows[i][j])
-               for i in range(sig.n) for j in range(i, sig.n))
-
-
 class SoElement:
-    """Element of so(p+2, q+2) stored by blocks. Immutable."""
+    """Element of so(p+2, q+2), held as the integer rows of its assembled
+    matrix over one denominator (`ints`, an IntMat), as `QGroupElement`
+    holds B and C. The blocks z, X, A, D, U, w are Fraction views made when
+    read, and the matrix (`assemble`) the one built on its first call.
+    Immutable."""
 
-    __slots__ = ("sig", "z", "X", "A", "D", "U", "w", "_matrix")
+    __slots__ = ("sig", "ints", "_matrix")
 
     def __init__(self, sig: Signature, z=0, X: Mat | None = None,
                  A: Mat | None = None, D: Mat | None = None,
                  U: Mat | None = None, w=0):
+        """The element with the given blocks, Mats of exact entries (a
+        missing one is zero); TypeError on a float entry, ValueError unless
+        D lies in so(p,q)."""
         n = sig.n
-        X = Mat.zeros(n, 2) if X is None else X
-        A = Mat.zeros(2, 2) if A is None else A
-        D = Mat.zeros(n, n) if D is None else D
-        U = Mat.zeros(2, n) if U is None else U
-        if X.rows != n or X.cols != 2:
-            raise ValueError("X must be %dx2" % n)
-        if A.rows != 2 or A.cols != 2:
-            raise ValueError("A must be 2x2")
-        if D.rows != n or D.cols != n:
-            raise ValueError("D must be %dx%d" % (n, n))
-        if U.rows != 2 or U.cols != n:
-            raise ValueError("U must be 2x%d" % n)
-        if not _is_so_pq(sig, D):
-            raise ValueError("D is not in so(p,q) for the given signature")
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "z", rat(z))
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "w", rat(w))
-        object.__setattr__(self, "_matrix", None)
+        blocks = []
+        for name, m, rows, cols in (("X", X, n, 2), ("A", A, 2, 2),
+                                    ("D", D, n, n), ("U", U, 2, n)):
+            if m is None:
+                blocks.append(IntMat(1, cols, sparse=[[]] * rows))
+            elif m.rows != rows or m.cols != cols:
+                raise ValueError("%s must be %dx%d" % (name, rows, cols))
+            else:
+                blocks.append(IntMat.of(m))
+        z, w = (IntMat(e.denominator, 1, [[e.numerator]])
+                for e in (rat(z), rat(w)))
+        x, a, d, u, z, w = IntMat.aligned([*blocks, z, w])
+        g = assembled_rows(sig, z.dense[0][0], x.dense, a.dense, d.dense,
+                           u.dense, w.dense[0][0])
+        if _block_mismatch(sig, g):
+            raise ValueError(_D_NOT_IN_SO)
+        _element(sig, IntMat(x.d, n + 4, g), self)
 
     def __setattr__(self, name, value):
         raise AttributeError("SoElement is immutable")
@@ -158,95 +150,101 @@ class SoElement:
         return cls(sig, z=1)
 
     def assemble(self) -> Mat:
-        """The matrix of the module docstring (`assembled_rows`). The element
-        is immutable, so it is built on the first call and kept in a slot of
-        this element."""
+        """The matrix of the module docstring, the Mat view of `ints`. The
+        element is immutable, so it is built on the first call and kept in a
+        slot of this element."""
         if self._matrix is None:
-            object.__setattr__(self, "_matrix", Mat(assembled_rows(
-                self.sig, self.z, self.X.data, self.A.data, self.D.data,
-                self.U.data, self.w, _ZERO)))
+            object.__setattr__(self, "_matrix", self.ints.to_mat())
         return self._matrix
 
+    def _block(self, r0, r1, c0, c1) -> Mat:
+        """The Mat view of rows r0:r1 and columns c0:c1 of the matrix."""
+        g = self.ints
+        rows = [r[c0:c1] for r in g.dense[r0:r1]]
+        return IntMat(g.d, len(rows[0]), rows).to_mat()
+
+    def _entry(self, r, c) -> Fraction:
+        return Fraction(self.ints.dense[r][c], self.ints.d)
+
+    # the views, by the rows and columns of the module docstring's layout,
+    # counted from either end
+    z = property(lambda self: self._entry(-2, 1))
+    X = property(lambda self: self._block(2, -2, 0, 2))
+    A = property(lambda self: self._block(0, 2, 0, 2))
+    D = property(lambda self: self._block(2, -2, 2, -2))
+    U = property(lambda self: self._block(0, 2, 2, -2))
+    w = property(lambda self: self._entry(0, -1))
+
     @classmethod
-    def from_matrix(cls, sig: Signature, m: Mat) -> "SoElement":
-        """Decompose an (n+4)x(n+4) matrix. The blocks A, U, X, D and the
-        entries z, w are read off, and every redundant entry is compared
-        with the one it repeats (`_block_mismatch`); the new element keeps
-        the checked matrix as its own."""
+    def from_matrix(cls, sig: Signature, m) -> "SoElement":
+        """The element with the (n+4)x(n+4) matrix m: an IntMat, which
+        becomes its `ints` as it is, or a Mat, read by `IntMat.of`. Every
+        redundant entry is compared with the one it repeats
+        (`_block_mismatch`): ValueError naming D when the middle block is
+        not in so(p,q), and the orthogonal algebra for any other mismatch."""
+        ints = m if isinstance(m, IntMat) else IntMat.of(m)
         n = sig.n
-        if m.rows != n + 4 or m.cols != n + 4:
+        if ints.rows != n + 4 or ints.cols != n + 4:
             raise ValueError("expected a %dx%d matrix" % (n + 4, n + 4))
-        rows = m.data
-        elt = _read_blocks(sig, rows)
-        if _block_mismatch(sig, rows):
-            raise ValueError(_NOT_IN_SO)
-        object.__setattr__(elt, "_matrix", m)
-        return elt
+        bad = _block_mismatch(sig, ints.dense)
+        if bad:
+            raise ValueError(bad if bad is _D_NOT_IN_SO else _NOT_IN_SO)
+        return _element(sig, ints)
 
     def __add__(self, other):
         _check_sig(self, other)
-        return SoElement(self.sig, self.z + other.z, self.X + other.X,
-                         self.A + other.A, self.D + other.D,
-                         self.U + other.U, self.w + other.w)
+        return _element(self.sig, IntMat.combination([(1, self.ints),
+                                                      (1, other.ints)]))
 
     def __sub__(self, other):
         _check_sig(self, other)
-        return SoElement(self.sig, self.z - other.z, self.X - other.X,
-                         self.A - other.A, self.D - other.D,
-                         self.U - other.U, self.w - other.w)
+        return _element(self.sig, IntMat.combination([(1, self.ints),
+                                                      (-1, other.ints)]))
 
     def __neg__(self):
-        return SoElement(self.sig, -self.z, -self.X, -self.A, -self.D,
-                         -self.U, -self.w)
+        return _element(self.sig, IntMat.combination([(-1, self.ints)]))
 
     def __rmul__(self, scalar):
-        s = rat(scalar)
-        return SoElement(self.sig, s * self.z, s * self.X, s * self.A,
-                         s * self.D, s * self.U, s * self.w)
+        return _element(self.sig, IntMat.combination([(rat(scalar),
+                                                       self.ints)]))
 
     def is_zero(self):
-        return (self.z == 0 and self.w == 0 and self.X.is_zero()
-                and self.A.is_zero() and self.D.is_zero() and self.U.is_zero())
+        return self.ints.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, SoElement):
             return NotImplemented
-        return (self.sig == other.sig and self.z == other.z and self.w == other.w
-                and self.X == other.X and self.A == other.A
-                and self.D == other.D and self.U == other.U)
+        return self.sig == other.sig and self.ints.equals(other.ints)
 
     def __hash__(self):
-        return hash((self.sig, self.z, self.X, self.A, self.D, self.U, self.w))
+        return hash((self.sig, self.assemble()))
 
     def __repr__(self):
         return ("SoElement(%r, z=%s, X=%r, A=%r, D=%r, U=%r, w=%s)"
                 % (self.sig, self.z, self.X, self.A, self.D, self.U, self.w))
 
 
-def assembled_rows(sig: Signature, z, x, a, d, u, w, zero):
+def _element(sig: Signature, ints: IntMat, x=None) -> SoElement:
+    """The element x, or a new one, with the signature sig and the integer
+    rows ints, taken as they are, and no view built yet."""
+    x = object.__new__(SoElement) if x is None else x
+    for name, value in (("sig", sig), ("ints", ints), ("_matrix", None)):
+        object.__setattr__(x, name, value)
+    return x
+
+
+def assembled_rows(sig: Signature, z, x, a, d, u, w):
     """The rows of the matrix of the module docstring, the one place its
-    layout is written, from the blocks z, X, A, D, U, w (Fractions, or
-    integers over one denominator) and the zero entry. Ipq*U^t and X^t*Ipq
-    are U^t and X^t with the rows, resp. columns, of sign -1 negated."""
+    layout is written, from the blocks z, X, A, D, U, w, integers over one
+    denominator. Ipq*U^t and X^t*Ipq are U^t and X^t with the rows, resp.
+    columns, of sign -1 negated."""
     signs = sig.signs()
     (a00, a01), (a10, a11) = a
     xt = [[e if s > 0 else -e for e, s in zip(col, signs)] for col in zip(*x)]
-    return [[a00, a01, *u[0], zero, w], [a10, a11, *u[1], -w, zero],
+    return [[a00, a01, *u[0], 0, w], [a10, a11, *u[1], -w, 0],
             *([*xi, *di, *((u0, u1) if s > 0 else (-u0, -u1))]
               for s, xi, di, u0, u1 in zip(signs, x, d, *u)),
-            [zero, z, *xt[0], -a00, -a10], [-z, zero, *xt[1], -a01, -a11]]
-
-
-def _read_blocks(sig: Signature, rows) -> SoElement:
-    """The element with the blocks z, X, A, D, U, w of the (n+4)x(n+4)
-    matrix with the given rows. The redundant blocks are not read."""
-    def block(r0, r1, c0, c1):
-        return Mat([r[c0:c1] for r in rows[r0:r1]])
-
-    n = sig.n
-    return SoElement(sig, z=rows[n + 2][1], X=block(2, n + 2, 0, 2),
-                     A=block(0, 2, 0, 2), D=block(2, n + 2, 2, n + 2),
-                     U=block(0, 2, 2, n + 2), w=rows[0][n + 3])
+            [0, z, *xt[0], -a00, -a10], [-z, 0, *xt[1], -a01, -a11]]
 
 
 def _check_sig(x, y):
@@ -255,13 +253,12 @@ def _check_sig(x, y):
 
 
 def bracket(x: SoElement, y: SoElement) -> SoElement:
-    """Lie bracket: commutator of the assembled matrices, on their integer
-    rows, decomposed back. The closed forms below (bracket_gm1,
+    """Lie bracket: the commutator of the integer rows of x and y, checked
+    by `SoElement.from_matrix`. The closed forms below (bracket_gm1,
     rank_one_bracket) are the second computation path and are tested
     against this one."""
     _check_sig(x, y)
-    comm = IntMat.of(x.assemble()).commutator(IntMat.of(y.assemble()))
-    return SoElement.from_matrix(x.sig, comm.to_mat())
+    return SoElement.from_matrix(x.sig, x.ints.commutator(y.ints))
 
 
 def bracket_gm1(sig: Signature, x, y) -> Fraction:
@@ -470,32 +467,30 @@ def basis_positions(sig: Signature):
             (0, n + 3, 1))
 
 
-def from_coordinates(sig: Signature, entries) -> SoElement:
-    """The element with the given coordinates (`coordinate_rows`)."""
-    return _read_blocks(sig, coordinate_rows(sig, entries))
-
-
-def coordinate_rows(sig: Signature, entries, zero=_ZERO):
-    """The rows of the blocks z, X, A, D, U, w of the element with the given
-    coordinates, as pairs ((row, column, sign), value) of `basis_positions`
-    entries and values; every other entry, and every redundant block, is
-    zero. A D coordinate fills its mirror entry too: D_ji = -s_i s_j D_ij."""
-    size = sig.n + 4
+def from_coordinates(sig: Signature, entries, d=1) -> SoElement:
+    """The element with the given coordinates, pairs ((row, column, sign),
+    k) of a `basis_positions` entry and an integer, the coordinate being
+    k/d. The blocks z, X, A, D, U, w are filled from them, a D coordinate
+    with its mirror entry D_ji = -s_i s_j D_ij too, and assembled
+    (`assembled_rows`)."""
+    n, lo = sig.n, sig.n + 2  # lo: the last block band
     signs = sig.signs()
-    g = [[zero] * size for _ in range(size)]
+    g = [[0] * (n + 4) for _ in range(n + 4)]
     for (r, c, s), v in entries:
         e = g[r][c] = v if s > 0 else -v
-        if 2 <= r < c < size - 2:
+        if 2 <= r < c < lo:
             g[c][r] = -e if signs[r - 2] == signs[c - 2] else e
-    return g
+    top, mid = g[:2], g[2:lo]
+    return _element(sig, IntMat(d, n + 4, assembled_rows(
+        sig, g[lo][1], [r[:2] for r in mid], [r[:2] for r in top],
+        [r[2:lo] for r in mid], [r[2:lo] for r in top], g[0][lo + 1])))
 
 
 @functools.cache
 def so_basis(sig: Signature):
     """Ordered basis, see the module docstring, as a tuple of length
     (n+3)(n+4)/2. Built once per signature and shared by every caller."""
-    one = Fraction(1)
-    return tuple(from_coordinates(sig, ((pos, one),))
+    return tuple(from_coordinates(sig, ((pos, 1),))
                  for pos in basis_positions(sig))
 
 
@@ -518,7 +513,7 @@ def structure_constants(sig: Signature):
     sum coeff * x_c (see `linalg.structure_table`). All basis brackets have
     integer coordinates in this basis. Built once per signature and shared
     by every caller."""
-    return structure_table([b.assemble() for b in so_basis(sig)],
+    return structure_table([b.ints for b in so_basis(sig)],
                            functools.partial(int_coordinates, sig))
 
 
@@ -526,13 +521,20 @@ def _block_mismatch(sig: Signature, m):
     """Which redundant block of the (n+4)x(n+4) matrix with rows m (exact
     entries: ints or Fractions) disagrees with the block it repeats in the
     assembled form of the module docstring, or None when every one agrees.
-    The blocks are w*J, z*J, -A^t, Ipq*U^t and X^t*Ipq, and D must lie in
-    so(p,q). The signs are +-1, so each test compares an entry with another
-    entry or its negation. The one check behind `SoElement.from_matrix`
-    and the structure-constant table."""
+    D must lie in so(p,q), which is tested first, and the blocks w*J, z*J,
+    -A^t, Ipq*U^t and X^t*Ipq must repeat theirs. The signs are +-1, so
+    each test compares an entry with another entry or its negation. The one
+    check behind both constructors of `SoElement` and the structure-constant
+    table."""
     n = sig.n
     signs = sig.signs()
     lo = n + 2  # first row and column of the last block band
+    for i in range(n):
+        for j in range(i, n):
+            mirror = m[2 + i][2 + j]
+            if m[2 + j][2 + i] != (-mirror if signs[i] == signs[j]
+                                   else mirror):
+                return _D_NOT_IN_SO
     z = m[lo][1]
     w = m[0][lo + 1]
     if (m[lo][0], m[lo + 1][0], m[lo + 1][1]) != (0, -z, 0):
@@ -543,12 +545,6 @@ def _block_mismatch(sig: Signature, m):
         for j in range(2):
             if m[lo + j][lo + i] != -m[i][j]:
                 return "lower-right block is not -A^t"
-    for i in range(n):
-        for j in range(i, n):
-            mirror = m[2 + i][2 + j]
-            if m[2 + j][2 + i] != (-mirror if signs[i] == signs[j]
-                                   else mirror):
-                return "middle block is not in so(p,q)"
     for i in range(2):
         for j, s in enumerate(signs):
             u = m[i][2 + j]

@@ -179,13 +179,15 @@ MUTANTS = (
            "scale = self.d * self.d", "scale = 1", GRAM),
     Mutant("Gram check: the sign of S dropped", LINALG,
            "x *= t", "x *= 1", GRAM),
-    # the so(p, q) test and the per-element matrix
+    # the so(p, q) test of the block check and the per-element matrix
     Mutant("so(p,q): skip the diagonal", SO,
-           "for j in range(i, sig.n))", "for j in range(i + 1, sig.n))",
-           SO_PQ),
+           "for j in range(i, n):\n            mirror",
+           "for j in range(i + 1, n):\n            mirror", SO_PQ),
     Mutant("so(p,q): wrong sign between the mirrored entries", SO,
-           "(-rows[i][j] if signs[i] == signs[j]",
-           "(-rows[i][j] if signs[i] != signs[j]", SO_PQ),
+           "(-mirror if signs[i] == signs[j]",
+           "(-mirror if signs[i] != signs[j]", SO_PQ),
+    Mutant("block constructor: D not checked", SO,
+           "if _block_mismatch(sig, g):", "if False:", SO_PQ),
     Mutant("ad_so: h^T as the inverse, without the form S", SO,
            "pair = (h, ambient_inverse(self.sig, h))",
            "pair = (h, IntMat(h.d, h.cols,\n"
@@ -215,7 +217,11 @@ MUTANTS = (
            (T_SO + "test_assemble_matches_the_block_products",)),
     # the one redundant-block check, behind from_matrix and the so table
     Mutant("from_matrix: block check removed", SO,
-           "if _block_mismatch(sig, rows):", "if False:", BLOCKS),
+           "bad = _block_mismatch(sig, ints.dense)", "bad = None", BLOCKS),
+    Mutant("from_matrix: an IntMat taken without the block check", SO,
+           "bad = _block_mismatch(sig, ints.dense)",
+           "bad = m is not ints and _block_mismatch(sig, ints.dense)",
+           BLOCKS[:1]),
     Mutant("block check: z block not compared", SO,
            "!= (0, -z, 0):", "!= (0, -z, 0) and False:", BLOCKS),
     Mutant("block check: D not tested for so(p,q)", SO,
@@ -239,8 +245,7 @@ MUTANTS = (
             T_LINALG + "test_int_mat_product_and_commutator_match_fraction_"
             "arithmetic")),
     Mutant("table: basis matrices with denominators accepted", LINALG,
-           "if any(type(e) is not Fraction or e.denominator != 1",
-           "if any(type(e) is not Fraction",
+           "if any(m.d != 1 for m in basis):", "if False:",
            (T_LINALG + "test_structure_table_needs_integer_square_matrices_"
             "of_one_size",)),
     Mutant("so table: D coordinates without the form sign", SO,
@@ -269,9 +274,13 @@ MUTANTS = (
            "_slot_of(i, j, n) for j in range(m)",
            "_slot_of(i, j + 1, n) for j in range(m)",
            (T_SL + "test_slot_table_reads_match_slot_of",)),
-    Mutant("trace check: numerators summed without the lcm scale", SL,
-           "sum(e.numerator * (d // e.denominator) for e in diag)",
-           "sum(e.numerator for e in diag)",
+    Mutant("IntMat.of: numerators without the lcm scale, seen by the trace "
+           "check", LINALG,
+           "(j, x * (d // q)) for j, x, q in r", "(j, x) for j, x, q in r",
+           (T_SL + "test_trace_free_check_matches_the_trace",)),
+    Mutant("trace check: the first diagonal entry skipped", SL,
+           "if sum(r[i] for i, r in enumerate(ints.dense)):",
+           "if sum(r[i] for i, r in enumerate(ints.dense) if i):",
            (T_SL + "test_trace_free_check_matches_the_trace",)),
     Mutant("alpha: s*U_0 without the sign on negative forms", EXT,
            "else (2 * u1[i], -2 * u0[i]))", "else (2 * u1[i], 2 * u0[i]))",
@@ -291,18 +300,32 @@ MUTANTS = (
            "(Fraction(-c, comm.d), _so_image(sig, k))",
            "(Fraction(c, comm.d), _so_image(sig, k))", COCHAIN),
     Mutant("cochain: the sign of a lift's z coordinate in its matrix", EXT,
-           "IntMat.combination([(v, _basis_ints(sig, k))",
-           "IntMat.combination([(v if k else -v, _basis_ints(sig, k))",
-           COCHAIN),
+           "zip(_lift_positions(sig), r)",
+           "zip(_lift_positions(sig), [-r[0], *r[1:]])", COCHAIN),
     Mutant("cochain: a zero so bracket gives a zero value", EXT,
            "        return ia.commutator(ib)\n",
            "        return IntMat.combination([(0, ia)])\n",
            COCHAIN + (T_EXT + "test_zero_bracket_shortcut_gives_the_full_"
                       "cochain[2-2]",)),
-    Mutant("lift basis rows: the A block transposed", EXT,
+    Mutant("lift basis rows: the A block transposed", SO,
            "[r[:2] for r in top]", "[list(c) for c in zip(*[r[:2] for r "
            "in top])]", (T_EXT + "test_lift_basis_rows_match_the_so_basis["
                          "2-2]",)),
+    Mutant("from_coordinates: the denominator dropped", SO,
+           "return _element(sig, IntMat(d, n + 4,",
+           "return _element(sig, IntMat(1, n + 4,",
+           (T_SO + "test_elements_hold_the_integer_rows_of_their_matrix["
+            "Signature(2, 2)]",)),
+    Mutant("so equality: the rows compared without their denominators", SO,
+           "self.sig == other.sig and self.ints.equals(other.ints)",
+           "self.sig == other.sig and self.ints.dense == other.ints.dense",
+           (T_SO + "test_elements_hold_the_integer_rows_of_their_matrix["
+            "Signature(2, 1)]",)),
+    Mutant("sl equality: the rows compared without their denominators", SL,
+           "self.n == other.n and self.ints.equals(other.ints)",
+           "self.n == other.n and self.ints.dense == other.ints.dense",
+           (T_EXT + "test_sl_elements_of_every_route_hold_their_integer_"
+            "rows[Signature(2, 1)]",)),
     Mutant("cochain: bracket coordinates read without the block check", EXT,
            "coords = int_coordinates(",
            "coords = (lambda s, g: [g[r][c] * t for r, c, t\n"
@@ -311,7 +334,8 @@ MUTANTS = (
             "algebra",)),
     # Psi read off the cochain, and the integer references beside it
     Mutant("psi_gq: alpha([x, y]) added, not subtracted", EXT,
-           "(-1, _alpha_int(bracket(x, y)))", "(1, _alpha_int(bracket(x, y)))",
+           "(-1, _alpha_assembled(sig, bracket(x, y).ints))",
+           "(1, _alpha_assembled(sig, bracket(x, y).ints))",
            (T_EXT + "test_psi_gq_matches_the_fraction_formula",)),
     Mutant("psi_from_coordinates: without its antisymmetric term", EXT,
            "x1[a] * x2[b] - x1[b] * x2[a]", "x1[a] * x2[b]", CONTRACTION),
@@ -319,7 +343,7 @@ MUTANTS = (
            "IntMat(d * c1.d * c2.d, m, acc)", "IntMat(d, m, acc)",
            CONTRACTION),
     Mutant("trilinear_ints: [W0, y] for [y, W0]", EXT,
-           "ym.commutator(unit)", "unit.commutator(ym)",
+           "sl_bracket(ye, w0(n))", "sl_bracket(w0(n), ye)",
            (T_EXT + "test_trilinear_ints_match_psi_trilinear[2-2]",)),
     Mutant("symmetrized_reference: one column's denominator dropped", EXT,
            "IntMat(dx * dy * dz, 1,", "IntMat(dx * dy, 1,",
@@ -406,23 +430,23 @@ MUTANTS = (
            "sum(x for i, j, x in entries)", (T_EXT + "test_psi_support",)),
     # the exact products of real size, written on IntMat
     Mutant("bracket: [y, x] for [x, y]", SO,
-           "IntMat.of(x.assemble()).commutator(IntMat.of(y.assemble()))",
-           "IntMat.of(y.assemble()).commutator(IntMat.of(x.assemble()))",
+           "from_matrix(x.sig, x.ints.commutator(y.ints))",
+           "from_matrix(x.sig, y.ints.commutator(x.ints))",
            (T_SO + "test_bracket_matches_the_fraction_commutator",)),
     Mutant("bracket: the commutator formed as Mat products", SO,
-           "comm = IntMat.of(x.assemble()).commutator(IntMat.of(y.assemble()))",
+           "return SoElement.from_matrix(x.sig, x.ints.commutator(y.ints))",
            "a, b = x.assemble(), y.assemble()\n"
-           "    comm = IntMat.of(a * b - b * a)",
+           "    return SoElement.from_matrix(x.sig, a * b - b * a)",
            ("tests/test_golden.py::test_no_wide_fraction_product_reaches_a_"
             "report[report-2-2-seed0.json]",)),
     Mutant("sl_bracket: [y, x] for [x, y]", SL,
-           "IntMat.of(x.mat).commutator(IntMat.of(y.mat))",
-           "IntMat.of(y.mat).commutator(IntMat.of(x.mat))",
+           "SlElement(x.n, x.ints.commutator(y.ints))",
+           "SlElement(x.n, y.ints.commutator(x.ints))",
            (T_SL + "test_sl_bracket_matches_the_fraction_commutator",)),
     Mutant("flow_transversality: the frame where its inverse belongs",
            "liecontact/chains.py",
-           "pullback = ambient_inverse(sig, frame) * (IntMat.of(m) * frame)",
-           "pullback = frame * (IntMat.of(m) * frame)",
+           "pullback = ambient_inverse(sig, frame) * (x.ints * frame)",
+           "pullback = frame * (x.ints * frame)",
            ("tests/test_chains.py::test_pullbacks_match_the_eliminated_"
             "inverse",)),
     Mutant("chain-equivariance: h·g in place of g·h", REPORT,

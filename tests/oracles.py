@@ -15,7 +15,7 @@ import functools
 from fractions import Fraction
 
 from liecontact import samplers
-from liecontact.linalg import IntMat, Mat
+from liecontact.linalg import Mat
 from liecontact.so_contact import SoElement
 
 
@@ -54,13 +54,12 @@ def form_s(sig) -> Mat:
 def ad_so(h, x: SoElement) -> SoElement:
     """The adjoint action h x h^-1 of a stabilizer-group element h on an
     algebra element x: `QGroupElement.ad_int`, read back by blocks."""
-    g = h.ad_int(IntMat.of(x.assemble()))
-    return SoElement.from_matrix(h.sig, g.to_mat())
+    return SoElement.from_matrix(h.sig, h.ad_int(x.ints))
 
 
 def rand_so_element(sig, rng) -> SoElement:
     """Random element of so(p+2, q+2): the element of `rand_so_int`."""
-    return SoElement.from_matrix(sig, samplers.rand_so_int(sig, rng).to_mat())
+    return SoElement.from_matrix(sig, samplers.rand_so_int(sig, rng))
 
 
 def ss_block(x) -> Mat:

@@ -1,6 +1,5 @@
 """Tests for the embedding of the stabilizer group and the obstruction map."""
 
-import functools
 import itertools
 import math
 import random
@@ -28,12 +27,15 @@ from liecontact.path_sl import (_SLOT_DEGREE, SlElement, _slot_of,
                                 neg_positions, sl_bracket,
                                 sl_neg_coordinates, sl_neg_slots, w0)
 from liecontact.so_contact import (QGroupElement, Signature, SoElement,
-                                   bracket, inner, int_coordinates,
-                                   so_basis, so_basis_degrees)
-from oracles import ad_so, ipq, rand_so_element, ss_block
+                                   basis_positions, bracket, from_coordinates,
+                                   inner, int_coordinates, so_basis,
+                                   so_basis_degrees)
+from oracles import ad_so, ipq, product, rand_so_element, ss_block
 from test_linalg import DualRat
-from test_path_sl import sl_neg_basis, sl_neg_duals
-from test_so_contact import grade, q_identity
+from test_path_sl import (_grade_project_by_slot_of, sl_neg_basis,
+                          sl_neg_duals)
+from test_so_contact import (_block_assembly, _so_basis_by_blocks, grade,
+                             q_identity)
 
 
 def q_tangent_basis(sig):
@@ -50,8 +52,8 @@ def psi_from_cochain(sig, z1, z2):
     # checks its argument
     for z in (z1, z2):
         extension._check_negative(sig, z)
-    c1, c2 = (IntMat.of(Mat([sl_neg_coordinates(z)])) for z in (z1, z2))
-    return SlElement(sig.n, psi_from_coordinates(sig, c1, c2).to_mat())
+    c1, c2 = (sl_neg_coordinates(z) for z in (z1, z2))
+    return SlElement(sig.n, psi_from_coordinates(sig, c1, c2))
 
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
@@ -186,11 +188,13 @@ def test_alpha_matches_the_two_product_reference(entries):
 @pytest.mark.parametrize("entry", [0.5, DualRat(Fraction(1), Fraction(2))],
                          ids=["float", "DualRat"])
 def test_alpha_refuses_entries_that_are_not_rational(entry):
+    # such an entry is refused when the element is built, so no element
+    # hands one to alpha
     sig = Signature(2, 1)
     zero = Fraction(0)
-    x = SoElement(sig, X=Mat([[entry, zero], [zero, zero], [zero, zero]]))
     with pytest.raises(TypeError):
-        alpha(x)
+        alpha(SoElement(sig, X=Mat([[entry, zero], [zero, zero],
+                                    [zero, zero]])))
 
 
 def _alpha_fractions(x):
@@ -239,11 +243,64 @@ def test_integer_alpha_matches_the_fraction_formula(pq):
         x = rand_so_element(sig, rng)
         xs += [x] + [grade(x, d) for d in (-2, -1, 0, 1, 2)]
     for x in xs:
-        got = extension._alpha_int(x)
+        got = extension._alpha_assembled(sig, x.ints)
         assert got.to_mat() == _alpha_fractions(x), x
-        den = [e.denominator for m in (x.A, x.X, x.U, x.D)
-               for r in m.data for e in r] + [x.z.denominator, x.w.denominator]
-        assert got.d == 2 * math.lcm(*den)
+        assert got.d == 2 * x.ints.d
+
+
+def _assert_sl_rows(x, want):
+    # x holds the integer rows of the Fraction matrix want, its view
+    assert x.ints.equals(IntMat.of(want))
+    assert x.mat == want
+
+
+def _commutator(a, b):
+    return product(a, b) - product(b, a)
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=repr)
+def test_sl_elements_of_every_route_hold_their_integer_rows(sig):
+    # each route that builds an SlElement or a lift, against its Fraction
+    # formula: alpha, the brackets, Psi, the hat lift, the m2 element, the
+    # grade projections, the linear operations and the cochain's values
+    rng = random.Random(31 + 7 * sig.p + sig.q)
+    n = sig.n
+    x, y = rand_so_element(sig, rng), rand_so_element(sig, rng)
+    ax, ay = _alpha_fractions(x), _alpha_fractions(y)
+    bxy = SoElement.from_matrix(sig, _commutator(x.assemble(), y.assemble()))
+    _assert_sl_rows(alpha(x), ax)
+    _assert_sl_rows(sl_bracket(alpha(x), alpha(y)), _commutator(ax, ay))
+    _assert_sl_rows(psi_gq(x, y), _commutator(ax, ay) - _alpha_fractions(bxy))
+    z = _rand_sl_neg(n, rng)
+    lift = hat_lift(sig, z)
+    assert lift.ints.equals(IntMat.of(_block_assembly(lift)))
+    image = alpha(lift)
+    assert image.grade_project(-2) + image.grade_project(-1) == z
+    v = samplers.rand_col(rng, 2 * n)
+    m2 = Mat([[Fraction(0)] * (2 * n + 2)] * 2 + [
+        [v[i, 0]] + [Fraction(0)] * (2 * n + 1) for i in range(2 * n)])
+    for col in (v, IntMat.of(v)):
+        _assert_sl_rows(SlElement.from_m2(n, col), m2)
+    for d in (-2, -1, 0, 1, 2):
+        _assert_sl_rows(alpha(x).grade_project(d),
+                        _grade_project_by_slot_of(alpha(x), d))
+    c = samplers.rand_nonzero_fraction(rng)
+    for got, want in ((alpha(x) + alpha(y), ax + ay),
+                      (alpha(x) - alpha(y), ax - ay), (-alpha(x), -1 * ax),
+                      (c * alpha(x), c * ax)):
+        _assert_sl_rows(got, want)
+    # equality reads values: the rows doubled over twice the denominator
+    # are alpha(x), the rows over twice the denominator are not
+    g = alpha(x).ints
+    size = 2 * n + 2
+    assert SlElement(n, IntMat(2 * g.d, size, [[2 * e for e in r]
+                                               for r in g.dense])) == alpha(x)
+    assert SlElement(n, IntMat(2 * g.d, size, g.dense)) != alpha(x)
+    phi = build_psi_cochain(sig)
+    lifts = _hat_lifts(sig)
+    for a, b in list(phi.int_rows[1])[:3]:
+        _assert_sl_rows(phi.value(a, b), psi_gq(lifts[a], lifts[b]).mat)
+        _assert_sl_rows(phi.value(b, a), -1 * psi_gq(lifts[a], lifts[b]).mat)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +413,7 @@ def test_exact_embedding_matches_the_fraction_assembly():
 def test_i_prime_agrees_with_alpha_on_stabilizer():
     for sig in SIGS:
         for a, d, w in q_tangent_basis(sig):
-            assert i_prime(a, d, w) == alpha(
-                SoElement(sig, A=a, D=d, w=w)).mat
+            assert i_prime(a, d, w) == alpha(SoElement(sig, A=a, D=d, w=w))
 
 
 def test_i_prime_float_agrees_with_jets():
@@ -365,7 +421,7 @@ def test_i_prime_float_agrees_with_jets():
     sig = Signature(2, 1)
     for _ in range(5):
         a, d, w = samplers.rand_q_tangent(sig, rng)
-        exact = i_prime(a, d, w).map(float)
+        exact = i_prime(a, d, w).mat.map(float)
         approx = i_prime_float(a, d, w)
         assert max_abs(exact - approx) < 1e-6
 
@@ -389,7 +445,7 @@ def test_integer_jets_match_the_dual_rat_route(sig):
     tangents = q_tangent_basis(sig) + [samplers.rand_q_tangent(sig, rng)
                                        for _ in range(4)]
     for a, d, w in tangents:
-        got = i_prime(a, d, w)
+        got = i_prime(a, d, w).mat
         assert got == _i_prime_by_dual_rats(a, d, w), (a, d, w)
         assert {type(e) for r in got.data for e in r} == {Fraction}
 
@@ -561,7 +617,7 @@ def test_hat_lift_matches_direct_solve():
     mat = alpha_restriction_matrix(sig)
     for _ in range(10):
         z = _rand_sl_neg(sig.n, rng)
-        coords = solve_linear(mat, Mat.col(sl_neg_coordinates(z)))
+        coords = solve_linear(mat, sl_neg_coordinates(z).to_mat().T)
         assert coords is not None
         lift = hat_lift(sig, z)
         n = sig.n
@@ -962,7 +1018,7 @@ def test_r_block_matches_the_product_form():
         for _ in range(6):
             x = samplers.rand_col(rng, 2 * sig.n, den=rng.choice((1, 4)))
             y = samplers.rand_col(rng, 2 * sig.n)
-            assert (r_block_path(sig, x, y).to_mat().data
+            assert (r_block_path(sig, IntMat.of(x), IntMat.of(y)).to_mat().data
                     == _r_block_product_form(sig, x, y).data)
 
 
@@ -976,7 +1032,7 @@ def test_r_block_closed_form():
             xe = SlElement.from_m2(n, x)
             yv = sl_bracket(SlElement.from_m2(n, y), w0(n))
             val = psi_alpha(sig, xe, yv)
-            block = r_block_path(sig, x, y).to_mat()
+            block = r_block_path(sig, IntMat.of(x), IntMat.of(y)).to_mat()
             assert ss_block(val) == block
             z = samplers.rand_col(rng, 2 * n)
             assert psi_trilinear(sig, x, y, z).m2_vector() == block * z
@@ -1040,10 +1096,13 @@ def test_obstruction_cochain_matches_psi_on_every_pair(p, q):
 @pytest.mark.parametrize("sig", DOMAIN_SIGS,
                          ids=lambda sig: "%d-%d" % (sig.p, sig.q))
 def test_lift_basis_rows_match_the_so_basis(sig):
-    for k, x in enumerate(so_basis(sig)):
-        rows = extension._basis_ints(sig, k)
+    # the rows of one coordinate, which the restriction matrix, the lifts
+    # and the cochain read, against the basis spelled out block by block
+    for k, (pos, want) in enumerate(zip(basis_positions(sig),
+                                        _so_basis_by_blocks(sig))):
+        rows = from_coordinates(sig, ((pos, 1),)).ints
         assert rows.d == 1
-        assert rows.equals(IntMat.of(x.assemble())), k
+        assert rows.equals(IntMat.of(_block_assembly(want))), k
 
 
 def _psi_int_in_full(sig, x, y):
@@ -1093,10 +1152,10 @@ def test_cochain_readout_matches_psi_gq_in_every_slot_order(sig):
     slots = ("m2", "m1E", "m1V")
     for s1, s2 in itertools.product(slots, slots):
         z1, z2 = _rand_in_slot(sig.n, s1, rng), _rand_in_slot(sig.n, s2, rng)
-        c1, c2 = (IntMat.of(Mat([sl_neg_coordinates(z)])) for z in (z1, z2))
+        c1, c2 = (sl_neg_coordinates(z) for z in (z1, z2))
         want = psi_gq(hat_lift(sig, z1), hat_lift(sig, z2))
         got = psi_from_coordinates(sig, c1, c2)
-        assert got.equals(IntMat.of(want.mat)), (s1, s2)
+        assert got.equals(want.ints), (s1, s2)
         assert got.is_zero() == ({s1, s2} != {"m2", "m1V"}), (s1, s2)
 
 
@@ -1106,7 +1165,7 @@ def test_trilinear_ints_match_psi_trilinear(sig):
     rng = random.Random(83 + 7 * sig.p + sig.q)
     n = sig.n
     x, y, z = (samplers.rand_col(rng, 2 * n) for _ in range(3))
-    psi, val = trilinear_ints(sig, x, y, z)
+    psi, val = trilinear_ints(sig, *(IntMat.of(v) for v in (x, y, z)))
     yv = sl_bracket(SlElement.from_m2(n, y), w0(n))
     assert psi.to_mat() == psi_alpha(sig, SlElement.from_m2(n, x), yv).mat
     assert val.to_mat() == psi_trilinear(sig, x, y, z).mat
@@ -1115,25 +1174,18 @@ def test_trilinear_ints_match_psi_trilinear(sig):
 
 def test_obstruction_cochain_refuses_a_bracket_outside_the_algebra(
         monkeypatch):
-    # the so_basis matrix that the first lift reads gets an X companion
-    # entry that no longer repeats its X entry, so the lift's brackets leave
-    # so(p+2, q+2): the block check of the integer route must refuse them
+    # the matrix of the first lift gets an X companion entry that no longer
+    # repeats its X entry, so the lift's brackets leave so(p+2, q+2): the
+    # block check of the integer route must refuse them
     sig = Signature(2, 1)
     n = sig.n
-    inv = extension._lift_inverse(sig)
-    (k,) = [k for k, r in zip(extension._lift_indices(sig), inv.dense) if r[0]]
-    basis_ints = extension._basis_ints
-    rows = [list(r) for r in basis_ints(sig, k).dense]
+    (g, image), *rest = extension._lift_ints(sig)
+    rows = [list(r) for r in g.dense]
     assert rows[2][0] != 0
-    rows[n + 2][2] += 1
+    rows[n + 2][2] += g.d
     build_psi_cochain.cache_clear()
-    monkeypatch.setattr(extension, "_basis_ints", lambda s, j: IntMat(
-        1, n + 4, rows) if j == k else basis_ints(s, j))
-    # caches of their own for the lifts and images, so that none is read
-    # or left behind
-    for name in ("_lift_ints", "_so_image"):
-        monkeypatch.setattr(extension, name, functools.cache(
-            getattr(extension, name).__wrapped__))
+    monkeypatch.setattr(extension, "_lift_ints", lambda s: (
+        (IntMat(g.d, n + 4, rows), image), *rest))
     with pytest.raises(ValueError, match="block"):
         build_psi_cochain(sig)
 

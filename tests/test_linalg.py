@@ -306,6 +306,9 @@ def test_exp_nilpotent_matches_the_explicit_sum():
             expected = expected + Fraction(1, math.factorial(j)) * _mat_power(m, j)
         for bound in range(k, n + 2):
             assert exp_nilpotent(m, bound) == expected
+            # the same sum on integer rows, kept as an IntMat
+            got = exp_nilpotent(IntMat.of(m), bound)
+            assert type(got) is IntMat and got.to_mat() == expected
         if k > 1:
             with pytest.raises(ValueError, match=r"m\^%d != 0, not nilpotent"
                                % (k - 1)):
@@ -432,7 +435,7 @@ def test_common_rows_put_every_matrix_over_one_denominator():
     rng = random.Random(13)
     mats = [_rand_fraction_mat(rng, 3, 4, density) for density in
             (0, 0.3, 1, 0.5)] + [Mat.identity(3)]
-    tables = IntMat.common(mats)
+    tables = IntMat.aligned([IntMat.of(m) for m in mats])
     d = math.lcm(*[e.denominator for m in mats for r in m.data for e in r])
     for m, t in zip(mats, tables):
         assert t.d == d
@@ -442,9 +445,7 @@ def test_common_rows_put_every_matrix_over_one_denominator():
             for j, x in r:
                 dense[i][j] = Fraction(x, d)
         assert Mat(dense) == m
-    assert IntMat.common([]) == []
-    with pytest.raises(TypeError, match="float"):
-        IntMat.common([Mat.identity(2), Mat.identity(2, one=1.0)])
+    assert IntMat.aligned([]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1026,9 +1027,8 @@ def test_jacobi_failures_refuse_a_table_that_is_not_antisymmetric():
 def test_structure_table_on_sl2():
     # basis (e, f, h) of sl(2); the coordinates read e, f and h off a
     # trace-free integer matrix
-    e, f, h = (Mat(r).map(Fraction) for r in ([[0, 1], [0, 0]],
-                                              [[0, 0], [1, 0]],
-                                              [[1, 0], [0, -1]]))
+    e, f, h = (IntMat(1, 2, r) for r in ([[0, 1], [0, 0]], [[0, 0], [1, 0]],
+                                          [[1, 0], [0, -1]]))
 
     def coordinates(rows):
         assert rows[0][0] == -rows[1][1]
@@ -1046,16 +1046,11 @@ def test_structure_table_on_sl2():
 
 
 def test_structure_table_needs_integer_square_matrices_of_one_size():
-    e = Mat([[0, 1], [0, 0]]).map(Fraction)
-    with pytest.raises(ValueError):
-        structure_table([e, Fraction(1, 2) * e], lambda rows: [])
-    with pytest.raises(ValueError):
-        structure_table([e, Mat.identity(3)], lambda rows: [])
-    with pytest.raises(ValueError):
-        structure_table([e, Mat([[0, 1, 0], [0, 0, 0]]).map(Fraction)],
-                        lambda rows: [])
-    with pytest.raises(ValueError):
-        structure_table([e, Mat([[0, 1], [0, 0]])], lambda rows: [])
+    e = IntMat(1, 2, [[0, 1], [0, 0]])
+    for bad in (IntMat(2, 2, [[0, 1], [0, 0]]), IntMat.of(Mat.identity(3)),
+                IntMat(1, 3, [[0, 1, 0], [0, 0, 0]])):
+        with pytest.raises(ValueError):
+            structure_table([e, bad], lambda rows: [])
 
 
 # ---------------------------------------------------------------------------

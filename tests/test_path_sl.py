@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from liecontact import samplers
-from liecontact.linalg import Mat, jacobi_failures, structure_table
-from liecontact.path_sl import (_SLOT_DEGREE, SlElement, _is_trace_free,
-                                _slot_of, entry_degrees, neg_positions,
+from liecontact.linalg import IntMat, Mat, jacobi_failures, structure_table
+from liecontact.path_sl import (_SLOT_DEGREE, SlElement, _slot_of, entry_degrees, neg_positions,
                                 sl_bracket, sl_neg_coordinates,
                                 sl_neg_degrees, sl_neg_slots, w0)
 from oracles import product
@@ -62,7 +61,8 @@ def _sl_coordinates(rows):
 
 def sl_structure_constants(n):
     # the structure-constant table of sl(2n+2) over sl_full_basis
-    return structure_table([b.mat for b in sl_full_basis(n)], _sl_coordinates)
+    return structure_table([b.ints for b in sl_full_basis(n)],
+                           _sl_coordinates)
 
 
 def test_trace_free_enforced():
@@ -72,11 +72,11 @@ def test_trace_free_enforced():
     assert x.is_zero()
 
 
-@pytest.mark.parametrize("entries", ["Fraction", "int", "float", "DualRat"])
+@pytest.mark.parametrize("entries", ["Fraction", "int"])
 def test_trace_free_check_matches_the_trace(entries):
-    convert = {"Fraction": lambda e: e, "int": lambda e: int(12 * e),
-               "float": lambda e: float(12 * e),
-               "DualRat": lambda e: DualRat(e, 3 * e)}[entries]
+    # the trace check on the integer rows accepts exactly the matrices whose
+    # trace is zero
+    convert = {"Fraction": lambda e: e, "int": lambda e: int(12 * e)}[entries]
     rng = random.Random(43)
     diagonals = [
         # trace free, but the numerators alone do not sum to zero
@@ -103,13 +103,27 @@ def test_trace_free_check_matches_the_trace(entries):
         for m in cases:
             m = m.map(convert)
             # the reference: Mat.trace(), in the entries' own arithmetic
-            nonzero_trace = m.trace() != 0
-            assert _is_trace_free(m) == (not nonzero_trace), m
-            if nonzero_trace:
+            if m.trace() != 0:
                 with pytest.raises(ValueError, match="trace free"):
                     SlElement(n, m)
             else:
-                assert SlElement(n, m).mat is m
+                x = SlElement(n, m)
+                assert x.mat == m and x.ints.equals(IntMat.of(m))
+
+
+@pytest.mark.parametrize("entries", ["float", "DualRat"])
+def test_elements_refuse_entries_that_are_not_rational(entries):
+    # refused when the element is built, trace free or not
+    convert = {"float": float, "DualRat": lambda e: DualRat(e, 3 * e)}[
+        entries]
+    for n in (1, 2):
+        size = 2 * n + 2
+        for diag in ((1, -1), (1, 2)):
+            rows = [[Fraction(0)] * size for _ in range(size)]
+            rows[0][0], rows[1][1] = map(Fraction, diag)
+            rows[0][size - 1] = Fraction(1, 3)
+            with pytest.raises(TypeError):
+                SlElement(n, Mat(rows).map(convert))
 
 
 def _grade_project_by_slot_of(x, d):
@@ -255,7 +269,9 @@ def test_negative_basis_sits_at_the_documented_positions(n):
     # every entry distinct, so a coordinate read from a wrong position shows
     x = SlElement(n, Mat([[Fraction(i * m + j) if i != j else Fraction(0)
                            for j in range(m)] for i in range(m)]))
-    assert sl_neg_coordinates(x) == [x.mat[i, j] for i, j in positions]
+    coords = sl_neg_coordinates(x)
+    assert coords.d == x.ints.d and coords.rows == 1
+    assert list(coords.to_mat().data[0]) == [x.mat[i, j] for i, j in positions]
 
 
 def test_negative_coordinates_round_trip():
@@ -267,7 +283,7 @@ def test_negative_coordinates_round_trip():
         x = SlElement.zero(n)
         for c, b in zip(coords, basis):
             x = x + c * b
-        assert sl_neg_coordinates(x) == coords
+        assert list(sl_neg_coordinates(x).to_mat().data[0]) == coords
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from liecontact import samplers
-from liecontact.linalg import Mat, SignedPerm, det, invert
+from liecontact.linalg import IntMat, Mat, SignedPerm, det, invert
 from liecontact.so_contact import (QGroupElement, Signature, SoElement,
-                                   int_coordinates, _is_so_pq, bracket,
-                                   bracket_gm1, grading_check, inner,
-                                   jacobi_check, orthogonal_residual,
-                                   rank_one_bracket, scaling_residual,
-                                   segre_rank, so_basis, so_basis_degrees,
-                                   structure_constants)
+                                   basis_positions, bracket, bracket_gm1,
+                                   from_coordinates, grading_check,
+                                   inner, int_coordinates, jacobi_check,
+                                   orthogonal_residual, rank_one_bracket,
+                                   scaling_residual, segre_rank, so_basis,
+                                   so_basis_degrees, structure_constants)
 from oracles import ad_so, form_s, ipq, product, rand_so_element
 from test_linalg import _corrupted, _sign_swap
 
@@ -66,6 +66,17 @@ def _is_so_pq_by_products(sig, d):
     return (d.T * form + form * d).is_zero()
 
 
+def _accepts_d(sig, d):
+    # whether the block constructor takes d as its middle block; a refusal
+    # names D
+    try:
+        SoElement(sig, D=d)
+    except ValueError as exc:
+        assert str(exc) == "D is not in so(p,q) for the given signature"
+        return False
+    return True
+
+
 def test_entrywise_so_pq_test_matches_the_product_form():
     rng = random.Random(5)
     for sig in (Signature(1, 0), Signature(2, 1), Signature(3, 0),
@@ -73,15 +84,16 @@ def test_entrywise_so_pq_test_matches_the_product_form():
         n = sig.n
         for _ in range(10):
             d = samplers.rand_so_pq(sig, rng)
-            assert _is_so_pq(sig, d) and _is_so_pq_by_products(sig, d)
+            assert _accepts_d(sig, d) and _is_so_pq_by_products(sig, d)
             i, j = rng.randrange(n), rng.randrange(n)
             rows = [list(r) for r in d.data]
             rows[i][j] += samplers.rand_nonzero_fraction(rng)
             bad = Mat(rows)
-            assert not _is_so_pq(sig, bad)
+            assert not _accepts_d(sig, bad)
             assert not _is_so_pq_by_products(sig, bad)
             generic = samplers.rand_mat(rng, n, n)
-            assert _is_so_pq(sig, generic) == _is_so_pq_by_products(sig, generic)
+            assert (_accepts_d(sig, generic)
+                    == _is_so_pq_by_products(sig, generic))
 
 
 def test_signature_constants_are_built_once():
@@ -172,14 +184,14 @@ def test_assemble_builds_one_matrix_per_element():
         twin = SoElement(sig, z=xs[0].z, X=xs[0].X, A=xs[0].A, D=xs[0].D,
                          U=xs[0].U, w=xs[0].w)
         assert twin == xs[0] and twin.assemble() is not xs[0].assemble()
-        # an element built from a matrix keeps the matrix it was checked
-        # against as its own
+        # an element built from integer rows keeps the rows it was checked
+        # against as its own, and builds its own matrix from them
         for x in reversed(xs):
             m = x.assemble()
-            y = SoElement.from_matrix(sig, m)
+            y = SoElement.from_matrix(sig, x.ints)
+            assert y.ints is x.ints
             assert y.assemble() is y.assemble()
-            assert y.assemble() == _block_assembly(y)
-            assert y.assemble() is m
+            assert y.assemble() == _block_assembly(y) == m
 
 
 ORACLE_SIGS = (Signature(2, 1), Signature(3, 0), Signature(1, 2),
@@ -240,9 +252,72 @@ def test_from_matrix_refuses_what_reassembly_refuses():
                     got = _outcome(SoElement.from_matrix, sig, bad)
                     expected = _outcome(_from_matrix_by_reassembly, sig, bad)
                     assert got == expected, (sig, r, c)
+                    # the same matrix given as integer rows
+                    got = _outcome(SoElement.from_matrix, sig, IntMat.of(bad))
+                    assert got == expected, (sig, r, c)
                     refused += isinstance(got, str)
             # each entry repeats another one up to sign or must vanish
             assert refused == size * size
+
+
+def _assert_rows(x, want):
+    # x holds the integer rows of the Fraction matrix want, and its views
+    # read back the blocks of want
+    assert x.ints.equals(IntMat.of(want))
+    assert x.assemble() == want and _block_assembly(x) == want
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=repr)
+def test_elements_hold_the_integer_rows_of_their_matrix(sig):
+    # every way of building an element, against the Fraction matrix of the
+    # module docstring (`_block_assembly`)
+    rng = random.Random(27 + 7 * sig.p + sig.q)
+    n = sig.n
+    basis = [_block_assembly(b) for b in _so_basis_by_blocks(sig)]
+    for _ in range(3):
+        blocks = (samplers.rand_fraction(rng), samplers.rand_mat(rng, n, 2),
+                  samplers.rand_mat(rng, 2, 2), samplers.rand_so_pq(sig, rng),
+                  samplers.rand_mat(rng, 2, n), samplers.rand_fraction(rng))
+        x = SoElement(sig, *blocks)
+        assert (x.z, x.X, x.A, x.D, x.U, x.w) == blocks
+        want = _block_assembly(x)
+        _assert_rows(x, want)
+        _assert_rows(SoElement.from_matrix(sig, want), want)
+        g = x.ints
+        assert SoElement.from_matrix(sig, g).ints is g
+        # equality reads values: the rows doubled over twice the
+        # denominator are x, the rows over twice the denominator are not
+        assert SoElement.from_matrix(sig, IntMat(
+            2 * g.d, n + 4, [[2 * e for e in r] for r in g.dense])) == x
+        assert SoElement.from_matrix(sig, IntMat(2 * g.d, n + 4, g.dense)) != x
+        y = rand_so_element(sig, rng)
+        other = _block_assembly(y)
+        c = samplers.rand_nonzero_fraction(rng)
+        for got, expected in ((x + y, want + other), (x - y, want - other),
+                              (-x, -1 * want), (c * x, c * want),
+                              (0 * x, Mat.zeros(n + 4, n + 4)),
+                              (bracket(x, y), product(want, other)
+                               - product(other, want))):
+            _assert_rows(got, expected)
+        # integer coordinates over one denominator
+        d = rng.randint(2, 6)
+        ks = [rng.randint(-4, 4) for _ in basis]
+        expected = Mat.zeros(n + 4, n + 4)
+        for k, b in zip(ks, basis):
+            expected = expected + Fraction(k, d) * b
+        _assert_rows(from_coordinates(sig, zip(basis_positions(sig), ks), d),
+                     expected)
+
+
+def test_elements_refuse_float_entries_when_built():
+    sig = Signature(2, 1)
+    m = SoElement.generator_e(sig).assemble()
+    for make in (lambda: SoElement(sig, z=0.5), lambda: SoElement(sig, w=0.5),
+                 lambda: SoElement(sig, X=Mat.zeros(3, 2).map(float)),
+                 lambda: SoElement(sig, D=Mat.zeros(3, 3).map(float)),
+                 lambda: SoElement.from_matrix(sig, m.map(float))):
+        with pytest.raises(TypeError, match="float"):
+            make()
 
 
 def _unit(r, c, i, j):
