@@ -1,7 +1,11 @@
 """The homogeneous model: points as isotropic 2-planes, the exact degree-one
 chain curves through them, transversality of their velocity classes, the
 symmetric cubic tensor on the contact directions, the rank-one test it
-induces, and cone reconstruction plus trajectory export."""
+induces, and cone reconstruction plus trajectory export.
+
+The frames and spans of the model are `IntMat`s, as the samplers draw
+them: a point's span, a chain's frame and the matrix that acts. A `Mat` in
+their place is refused with TypeError, not converted."""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .extension import psi_trilinear
+from .extension import fit_on_unit_triples, psi_trilinear
 from .linalg import IntMat, Mat, bareiss, exp_nilpotent, plain_sum, rat
 from .so_contact import (Signature, SoElement, ambient_inverse, gm1_pairing,
                          segre_rank)
@@ -18,53 +22,49 @@ from .split_quat import QuatStructureOnH, stack_columns, unstack_columns
 
 
 class ModelPoint:
-    """An isotropic 2-plane in R^(n+4), stored as an (n+4) x 2 span matrix.
+    """An isotropic 2-plane in R^(n+4), stored as its (n+4) x 2 span, an
+    `IntMat` (a Mat is refused with TypeError), whose rows give its rank
+    (`bareiss`) and its isotropy (`gram_equals`). Two points are equal
+    exactly when their column spans agree."""
 
-    The span, a Mat or an IntMat, is read once as an `IntMat`, whose rows
-    give its rank (`bareiss`) and its isotropy (`gram_equals`); a Mat
-    `span` is built from them on first use. Two points are equal exactly
-    when their column spans agree."""
+    __slots__ = ("sig", "span")
 
-    __slots__ = ("sig", "_ints", "_span")
-
-    def __init__(self, sig: Signature, span):
+    def __init__(self, sig: Signature, span: IntMat):
+        _require_ints(span, "span")
         if span.rows != sig.n + 4 or span.cols != 2:
             raise ValueError("span must be an (n+4) x 2 matrix")
-        ints = span if isinstance(span, IntMat) else IntMat.of(span)
-        if _rank(ints.dense) != 2:
+        if _rank(span.dense) != 2:
             raise ValueError("span must have rank 2")
-        if not ints.gram_equals(sig.form_s_perm()):
+        if not span.gram_equals(sig.form_s_perm()):
             raise ValueError("span must be isotropic for the ambient form")
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "_span", None if span is ints else span)
+        object.__setattr__(self, "span", span)
 
     def __setattr__(self, name, value):
         raise AttributeError("ModelPoint is immutable")
-
-    @property
-    def span(self) -> Mat:
-        if self._span is None:
-            object.__setattr__(self, "_span", self._ints.to_mat())
-        return self._span
 
     def __eq__(self, other):
         if not isinstance(other, ModelPoint) or self.sig != other.sig:
             return NotImplemented
         # scaling a column keeps the rank: no common denominator is needed
-        return _rank([ra + rb for ra, rb in zip(self._ints.dense,
-                                                other._ints.dense)]) == 2
+        return _rank([ra + rb for ra, rb in zip(self.span.dense,
+                                                other.span.dense)]) == 2
 
     def __repr__(self):
         return "ModelPoint(%r, %r)" % (self.sig, self.span)
 
 
+def _require_ints(m, what):
+    """TypeError unless the frame or span m is an `IntMat`."""
+    if not isinstance(m, IntMat):
+        raise TypeError("the %s must be an IntMat, not a %s"
+                        % (what, type(m).__name__))
+
+
 def origin(sig: Signature) -> ModelPoint:
     """The plane spanned by the first two standard basis vectors."""
-    rows = [[Fraction(0)] * 2 for _ in range(sig.n + 4)]
-    rows[0][0] = Fraction(1)
-    rows[1][1] = Fraction(1)
-    return ModelPoint(sig, Mat(rows))
+    return ModelPoint(sig, IntMat(1, 2, sparse=[[(0, 1)], [(1, 1)],
+                                                *[[]] * (sig.n + 2)]))
 
 
 def _rank(rows) -> int:
@@ -72,65 +72,66 @@ def _rank(rows) -> int:
     return len(bareiss([list(r) for r in rows])[1])
 
 
-def _check_ambient(sig: Signature, g: Mat) -> IntMat:
-    """g as an `IntMat`; ValueError unless it preserves the ambient form."""
-    ints = IntMat.of(g)
+def _check_ambient(sig: Signature, g: IntMat) -> None:
+    """TypeError unless g is an `IntMat`, ValueError unless it preserves the
+    ambient form."""
+    _require_ints(g, "frame")
     s = sig.form_s_perm()
-    if not ints.gram_equals(s, s):
+    if not g.gram_equals(s, s):
         raise ValueError("the acting matrix must preserve the ambient form")
-    return ints
 
 
-def act(sig: Signature, g: Mat, pt: ModelPoint) -> ModelPoint:
-    return ModelPoint(sig, _check_ambient(sig, g) * pt._ints)
+def act(sig: Signature, g: IntMat, pt: ModelPoint) -> ModelPoint:
+    _check_ambient(sig, g)
+    return ModelPoint(sig, g * pt.span)
 
 
 @functools.cache
-def chain_matrix(sig: Signature) -> Mat:
-    """Assembled matrix E of the distinguished nilpotent generator; E^2 = 0,
-    so its exponential is exactly I + tE. Built and checked once per
-    signature."""
-    e = SoElement.generator_e(sig)
-    ei = e.ints
+def chain_matrix(sig: Signature) -> IntMat:
+    """Integer rows of the assembled matrix E of the distinguished nilpotent
+    generator; E^2 = 0, so its exponential is exactly I + tE. Built and
+    checked once per signature."""
+    ei = SoElement.generator_e(sig).ints
     if not (ei * ei).is_zero():
         raise ValueError("the chain generator must square to zero")
-    return e.assemble()
+    return ei
 
 
 def _chain_moves(sig: Signature):
-    """The nonzero entries (row, column, sign) of chain_matrix(sig), which
-    must be one +-1 per column: g·E is then the column `row` of g moved to
-    `column`, times `sign`, for each entry."""
-    moves = tuple((k, j, e) for k, r in enumerate(chain_matrix(sig).data)
-                  for j, e in enumerate(r) if e)
-    if (any(e not in (1, -1) for _, _, e in moves)
+    """The nonzero entries (row, column, sign) of chain_matrix(sig), read
+    off its sparse rows, which must be one +-1 per column: g·E is then the
+    column `row` of g moved to `column`, times `sign`, for each entry."""
+    e = chain_matrix(sig)
+    moves = tuple((k, j, x) for k, r in enumerate(e.sparse) for j, x in r
+                  if x)
+    if (e.d != 1 or any(x not in (1, -1) for _, _, x in moves)
             or len({j for _, j, _ in moves}) != len(moves)):
         raise ValueError("the chain generator must have one +-1 per column")
     return moves
 
 
 class ChainCurve:
-    """The exact chain t -> g (I + tE) . origin.
+    """The exact chain t -> g (I + tE) . origin, for a frame g of O(S), an
+    `IntMat` (the identity when none is given).
 
     The frame g (I + tE) = g + t gE is affine in t, so every value is an
-    exact rational point of the model. g is read once as an `IntMat`, by
-    `_check_ambient`, and gE is formed once per curve on its integers, as
-    columns moved and signed (`_chain_moves`)."""
+    exact rational point of the model. gE is formed once per curve on the
+    integers of g, as columns moved and signed (`_chain_moves`)."""
 
-    __slots__ = ("sig", "g", "_g", "_vel")
+    __slots__ = ("sig", "g", "_vel")
 
-    def __init__(self, sig: Signature, g: Mat | None = None):
+    def __init__(self, sig: Signature, g: IntMat | None = None):
+        size = sig.n + 4
         if g is None:
-            g = Mat.identity(sig.n + 4)
-        ints = _check_ambient(sig, g)
+            g = IntMat(1, size, sparse=[[(i, 1)] for i in range(size)])
+        _check_ambient(sig, g)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "_g", ints)
-        vel = [[0] * g.cols for _ in range(g.rows)]
+        vel = [[0] * size for _ in range(size)]
         for k, j, sign in _chain_moves(sig):
-            for out, r in zip(vel, ints.dense):
+            for out, r in zip(vel, g.dense):
                 out[j] = r[k] if sign > 0 else -r[k]
-        object.__setattr__(self, "_vel", IntMat(ints.d, g.cols, vel))
+        object.__setattr__(self, "_vel", IntMat(g.d, size, vel))
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainCurve is immutable")
@@ -140,9 +141,9 @@ class ChainCurve:
         with t = u/v and g = G/d, v·G + u·GE over v·d."""
         t = rat(t)
         u, v = t.numerator, t.denominator
-        return IntMat(v * self._g.d, stop - start, [
+        return IntMat(v * self.g.d, stop - start, [
             [v * x + u * y for x, y in zip(r[start:stop], e[start:stop])]
-            for r, e in zip(self._g.dense, self._vel.dense)])
+            for r, e in zip(self.g.dense, self._vel.dense)])
 
     def at(self, t) -> ModelPoint:
         """The frame applied to the origin [e1 e2]: its first two columns.
@@ -158,11 +159,11 @@ class ChainCurve:
         return SoElement.from_matrix(self.sig, pullback)
 
 
-def chain_eval(sig: Signature, t, g: Mat | None = None) -> ModelPoint:
+def chain_eval(sig: Signature, t, g: IntMat | None = None) -> ModelPoint:
     return ChainCurve(sig, g).at(t)
 
 
-def chain_transversality(sig: Signature, t, g: Mat | None = None) -> bool:
+def chain_transversality(sig: Signature, t, g: IntMat | None = None) -> bool:
     """Whether the chain's velocity class at parameter t is exactly the
     generator e, which leaves the contact distribution (nonzero bottom
     grade); computed, not assumed."""
@@ -260,39 +261,27 @@ def pipeline_s(sig: Signature, xi: Mat, eta: Mat, zeta: Mat) -> Mat:
 
 
 def gm1_units(n: int):
-    """Unit contact directions ordered compatibly with column stacking."""
-    out = []
-    for a in range(2):
-        for i in range(n):
-            rows = [[Fraction(0)] * 2 for _ in range(n)]
-            rows[i][a] = Fraction(1)
-            out.append(Mat(rows))
-    return out
+    """Unit contact directions ordered compatibly with column stacking: the
+    Mat views of `_unit_ints`."""
+    return [u.to_mat() for u in _unit_ints(n)]
+
+
+def _unit_ints(n: int):
+    """The unit contact directions as integer rows, column by column."""
+    return [IntMat(1, 2, sparse=[[(a, 1)] if k == i else [] for k in range(n)])
+            for a in range(2) for i in range(n)]
 
 
 def fit_pipeline_constant(ev: STensorEval) -> Fraction:
     """The one constant relating the closed-form tensor to the pipeline
-    value, fitted on the first unit triple where both are nonzero and
-    checked for exact proportionality there; the pipeline runs only where
-    the closed form is nonzero."""
+    value (`fit_on_unit_triples`); the pipeline runs only where the closed
+    form is nonzero."""
     sig = ev.sig
-    units = gm1_units(sig.n)
-    for u1 in units:
-        for u2 in units:
-            for u3 in units:
-                closed = s_tensor(ev, u1, u2, u3)
-                if closed.is_zero():
-                    continue
-                pipe = pipeline_s(sig, u1, u2, u3)
-                if pipe.is_zero():
-                    continue
-                idx = next((i, j) for i in range(sig.n) for j in range(2)
-                           if pipe[i, j] != 0)
-                cst = closed[idx] / pipe[idx]
-                if closed == cst * pipe:
-                    return cst
-    raise ValueError("no unit triple relates the two paths; the pipeline "
-                     "appears degenerate")
+    return 1 / fit_on_unit_triples(
+        gm1_units(sig.n), lambda *u: s_tensor(ev, *u),
+        lambda *u: pipeline_s(sig, *u),
+        "no unit triple relates the two paths; the pipeline appears "
+        "degenerate")
 
 
 def rank_one_by_S(ev: STensorEval, xi: Mat) -> bool:
@@ -316,7 +305,7 @@ def rank_one_by_S(ev: STensorEval, xi: Mat) -> bool:
                            ).is_zero()
     cols = [_stacked(_cyclic_sum(ev, (x, x, e), [
         [img, img, e * m] for img, m in zip(images, ev._units)]))
-        for e in map(IntMat.of, gm1_units(ev.sig.n))]
+        for e in _unit_ints(ev.sig.n)]
     return _rank(zip(*cols)) == _rank(zip(*cols, _stacked(x)))
 
 
@@ -329,7 +318,7 @@ def reconstruct_cone(ev: STensorEval, samples) -> dict:
     """Classifies each sample by rank_one_by_S and compares against the
     exact factorization rank; an identically vanishing tensor is rejected
     since it certifies a broken pipeline rather than a classification."""
-    units = [IntMat.of(u) for u in gm1_units(ev.sig.n)]
+    units = _unit_ints(ev.sig.n)
     if all(s_tensor_int(ev, *t).is_zero()
            for t in itertools.product(units, repeat=3)):
         raise ValueError("degenerate evaluation: the cubic tensor vanishes "
@@ -385,12 +374,13 @@ def _normalized_span(span: IntMat):
     return out
 
 
-def emit_trajectory(sig: Signature, g: Mat | None, t_min, t_max,
+def emit_trajectory(sig: Signature, g: IntMat | None, t_min, t_max,
                     steps: int):
-    """Samples the chain on an even rational grid from t_min up to t_max
-    (ValueError unless t_min < t_max) and returns float rows (t, then the
-    normalized span entries row-major). The span is exact until the final
-    cast, so isotropy residuals are float noise only."""
+    """Samples the chain of the frame g (`ChainCurve`) on an even rational
+    grid from t_min up to t_max (ValueError unless t_min < t_max) and
+    returns float rows (t, then the normalized span entries row-major).
+    The span is exact until the final cast, so isotropy residuals are
+    float noise only."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
     t0 = rat(t_min)
@@ -402,5 +392,5 @@ def emit_trajectory(sig: Signature, g: Mat | None, t_min, t_max,
     rows = []
     for k in range(steps):
         t = t0 + (t1 - t0) * Fraction(k, steps - 1)
-        rows.append([float(t)] + _normalized_span(curve.at(t)._ints))
+        rows.append([float(t)] + _normalized_span(curve.at(t).span))
     return rows

@@ -388,27 +388,35 @@ def symmetrized_ints(sig: Signature, x: IntMat, y: IntMat,
 
 def fit_trilinear_constant(sig: Signature) -> Fraction:
     """The one global constant relating psi_trilinear to the symmetrized
-    reference, fitted on the first unit triple where both are nonzero and
-    checked for proportionality there."""
+    reference (`fit_on_unit_triples`)."""
     n = sig.n
     units = [Mat.col([Fraction(1 if r == i else 0) for r in range(2 * n)])
              for i in range(2 * n)]
-    for i in range(2 * n):
-        for j in range(2 * n):
-            for k in range(2 * n):
-                ref = symmetrized_reference(sig, units[i], units[j], units[k])
-                if ref.is_zero():
-                    continue
-                val = psi_trilinear(sig, units[i], units[j], units[k])
-                vec = val.m2_vector()
-                if vec.is_zero():
-                    continue
-                idx = next(r for r in range(2 * n) if ref[r, 0] != 0)
-                cst = vec[idx, 0] / ref[idx, 0]
-                if vec == cst * ref:
-                    return cst
-    raise ValueError("no nondegenerate unit triple found; the obstruction "
-                     "map appears to vanish")
+    return fit_on_unit_triples(
+        units, lambda *u: symmetrized_reference(sig, *u),
+        lambda *u: psi_trilinear(sig, *u).m2_vector(),
+        "no nondegenerate unit triple found; the obstruction map appears to "
+        "vanish")
+
+
+def fit_on_unit_triples(units, cheap, costly, error: str) -> Fraction:
+    """The constant c with costly(u, v, w) = c·cheap(u, v, w), two Mats,
+    fitted on the first triple of units, in nested-loop order, where both
+    are nonzero and checked for exact proportionality there. costly runs
+    only where cheap is nonzero; ValueError(error) when no triple fits."""
+    for triple in itertools.product(units, repeat=3):
+        base = cheap(*triple)
+        if base.is_zero():
+            continue
+        value = costly(*triple)
+        if value.is_zero():
+            continue
+        a, b = next((a, b) for ra, rb in zip(base.data, value.data)
+                    for a, b in zip(ra, rb) if a)
+        cst = b / a
+        if value == cst * base:
+            return cst
+    raise ValueError(error)
 
 
 def r_block_path(sig: Signature, x: IntMat, y: IntMat) -> IntMat:

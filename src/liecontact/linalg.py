@@ -275,6 +275,11 @@ class IntMat:
     def is_zero(self) -> bool:
         return not any(map(any, self.dense))
 
+    def __repr__(self):
+        """The repr of the Mat view, so a witness reads as it would for a
+        Mat."""
+        return repr(self.to_mat())
+
     def to_mat(self) -> Mat:
         """The Mat of the Fractions, one built per nonzero entry; the zero
         entries share one zero."""
@@ -463,17 +468,15 @@ class SignedPerm:
         return Mat([data[k] if s > 0 else [-e for e in data[k]]
                     for k, s in zip(self.perm, self.signs)])
 
-    def conjugate_transpose(self, m):
-        """P·m^T·P, for a Mat m or an IntMat m (then over m's denominator):
-        entry (i, j) is signs[i]·signs[j]·m[perm j][perm i]."""
+    def conjugate_transpose(self, m: IntMat) -> IntMat:
+        """P·m^T·P over m's denominator: entry (i, j) is
+        signs[i]·signs[j]·m[perm j][perm i]."""
         self._fits(m.rows)
         self._fits(m.cols)
-        exact = isinstance(m, IntMat)
-        data = m.dense if exact else m.data
+        data = m.dense
         cols = tuple(zip(self.perm, self.signs))
-        rows = [[data[k][l] if s * t > 0 else -data[k][l]
-                 for k, s in cols] for l, t in cols]
-        return IntMat(m.d, m.cols, rows) if exact else Mat(rows)
+        return IntMat(m.d, m.cols, [[data[k][l] if s * t > 0 else -data[k][l]
+                                     for k, s in cols] for l, t in cols])
 
 
 def structure_table(basis, coordinates):

@@ -4,11 +4,11 @@ Every sampler takes an explicit random.Random and returns exact rational
 data, so a fixed seed reproduces the same samples everywhere. Orthogonal
 matrices come from Cayley transforms of so(p,q) elements times sign flips,
 which reaches all components of O(p,q); `rand_opq` solves the transform
-by one integer elimination and flips the signs on its integer rows, and
-the product with Ipq in `rand_so_pq` is a signed permutation
-(`linalg.SignedPerm`), so neither multiplies Fraction matrices. The
-isotropic samplers turn their null directions by the integer rows of the
-same draw (`_opq_int`).
+by one integer elimination, flips the signs on its integer rows and
+returns them as an `IntMat`, and the product with Ipq in `rand_so_pq` is
+a signed permutation (`linalg.SignedPerm`), so neither multiplies
+Fraction matrices. The isotropic samplers take their null directions as
+sums of two columns of a `rand_opq` draw.
 
 Elements of the orthogonal group of the big form S come from its big cell,
 g = exp(N-)·diag(B, C, B^-T)·exp(N+), with N- the assembled (z, X) and N+
@@ -17,8 +17,11 @@ the assembled (U, w) of `so_contact`. Each factor is exactly in the group.
 `linalg.IntMat`s: N-² and N+² are zero outside the corner block, so
 exp(N-) has the corner zJ + ½XᵀIpqX and exp(N+) the corner
 wJ + ½UIpqUᵀ, and diag(B, C, B^-T) is the stabilizer-group element
-(B, C, 0) (`QGroupElement.int_pair`). g is their product. The samplers
-hand B and C to a group element as the integer rows they were built on.
+(B, C, 0) (`QGroupElement.int_pair`). g is their product, returned as
+the `IntMat` it is. So every group sample reaches its claim as the integer
+rows it was built on: C, g, and the B and C of a group element. The g_{-1}
+samplers (`rand_gm1`, `rand_mixed_gm1` and the shapes they mix) return
+`Mat`s.
 """
 
 from __future__ import annotations
@@ -108,18 +111,13 @@ def rand_so_int(sig: Signature, rng) -> IntMat:
     return IntMat(big, n + 4, assembled_rows(sig, z, x, a, d, u, w))
 
 
-def rand_opq(sig: Signature, rng) -> Mat:
-    """Random element of O(p,q), in any of its components: `_opq_int`."""
-    return _opq_int(sig, rng).to_mat()
-
-
-def _opq_int(sig: Signature, rng) -> IntMat:
-    """The draw of `rand_opq` as an IntMat: the Cayley transform
-    C = (I - D)^-1 (I + D) of a `rand_so_pq` draw D, drawn again while
-    I - D is singular, times a diagonal of random signs. With D = Di / d,
-    C solves (d·I - Di)·C = d·I + Di, and one integer elimination of
-    [d·I - Di | d·I + Di] gives it; D is never built as a Fraction
-    matrix."""
+def rand_opq(sig: Signature, rng) -> IntMat:
+    """Random element of O(p,q), in any of its components, as an IntMat:
+    the Cayley transform C = (I - D)^-1 (I + D) of a `rand_so_pq` draw D,
+    drawn again while I - D is singular, times a diagonal of random signs.
+    With D = Di / d, C solves (d·I - Di)·C = d·I + Di, and one integer
+    elimination of [d·I - Di | d·I + Di] gives it; D is never built as a
+    Fraction matrix."""
     n = sig.n
     while True:
         a, d = _antisym_ratio_rows(rng, n)
@@ -146,7 +144,7 @@ def rand_gl2(rng, span=4, den=3) -> Mat:
 
 def rand_q_element(sig: Signature, rng) -> QGroupElement:
     """Generic stabilizer-group element; det B can be anything nonzero."""
-    return QGroupElement(sig, rand_gl2(rng), _opq_int(sig, rng),
+    return QGroupElement(sig, rand_gl2(rng), rand_opq(sig, rng),
                          rand_fraction(rng))
 
 
@@ -157,7 +155,7 @@ def rand_q_square(sig: Signature, rng) -> QGroupElement:
     b = m * m
     if rng.choice((True, False)):  # B times diag(1, -1)
         b = IntMat(b.d, 2, [[x, -y] for x, y in b.dense])
-    return QGroupElement(sig, b, _opq_int(sig, rng), rand_fraction(rng))
+    return QGroupElement(sig, b, rand_opq(sig, rng), rand_fraction(rng))
 
 
 def rand_q_tangent(sig: Signature, rng):
@@ -179,7 +177,7 @@ def _corner(signs, v, dv, z):
     return k, d
 
 
-def rand_oform(sig: Signature, rng) -> Mat:
+def rand_oform(sig: Signature, rng) -> IntMat:
     """Random rational element of the orthogonal group of the big form,
     g = exp(N-)·diag(B, C, B^-T)·exp(N+), built on integer rows (module
     docstring). B and C are checked as for a `QGroupElement`."""
@@ -194,7 +192,7 @@ def rand_oform(sig: Signature, rng) -> Mat:
     w = _rand_ratio(rng)
     # diag(B, C, B^-T) is the stabilizer-group element (B, C, 0), which
     # checks B invertible and C in O(p, q), or raises ValueError
-    middle = QGroupElement(sig, rand_gl2(rng), _opq_int(sig, rng))
+    middle = QGroupElement(sig, rand_gl2(rng), rand_opq(sig, rng))
 
     # exp(N-) = [[I, 0, 0], [X, I, 0], [zJ + ½XᵀIpqX, XᵀIpq, I]] over d1
     xt = list(zip(*x))  # the two columns of X
@@ -218,7 +216,7 @@ def rand_oform(sig: Signature, rng) -> Mat:
     upper += [[(lo, d3)], [(lo + 1, d3)]]
 
     return (IntMat(d1, n + 4, sparse=lower) * middle.int_pair()[0]
-            * IntMat(d3, n + 4, sparse=upper)).to_mat()
+            * IntMat(d3, n + 4, sparse=upper))
 
 
 def rand_rank_one(sig: Signature, rng) -> Mat:
@@ -238,10 +236,9 @@ def rand_isotropic_rank_one(sig: Signature, rng) -> Mat:
     """Rank-one element u f^t with <u,u> = 0; needs mixed signature."""
     if sig.p < 1 or sig.q < 1:
         raise ValueError("isotropic vectors need p >= 1 and q >= 1")
-    u0 = [Fraction(0)] * sig.n
-    u0[0] = Fraction(1)
-    u0[sig.p] = Fraction(1)
-    u = (_opq_int(sig, rng) * IntMat.of(Mat.col(u0))).to_mat()
+    p, c = sig.p, rand_opq(sig, rng)
+    # C·(e_0 + e_p), the sum of two columns of C
+    u = IntMat(c.d, 1, [[r[0] + r[p]] for r in c.dense]).to_mat()
     f = rand_nonzero_col(rng, 2)
     return u * f.T
 
@@ -251,12 +248,10 @@ def rand_isotropic_plane(sig: Signature, rng) -> Mat:
     Levi form vanishes on everything it generates; needs p, q >= 2."""
     if sig.p < 2 or sig.q < 2:
         raise ValueError("a totally null plane needs p >= 2 and q >= 2")
-    n, p = sig.n, sig.p
-    rows = [[Fraction(0)] * 2 for _ in range(n)]
-    rows[0][0] = rows[p][0] = Fraction(1)
-    rows[1][1] = rows[p + 1][1] = Fraction(1)
-    plane = (_opq_int(sig, rng) * IntMat.of(Mat(rows))).to_mat()
-    return plane * rand_gl2(rng)
+    p, c = sig.p, rand_opq(sig, rng)
+    # C·[e_0 + e_p, e_1 + e_(p+1)], two sums of two columns of C
+    plane = IntMat(c.d, 2, [[r[0] + r[p], r[1] + r[p + 1]] for r in c.dense])
+    return plane.to_mat() * rand_gl2(rng)
 
 
 def rand_mixed_gm1(sig: Signature, rng) -> Mat:

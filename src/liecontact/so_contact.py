@@ -92,10 +92,9 @@ class Signature:
         return "Signature(%d, %d)" % (self.p, self.q)
 
 
-def ambient_inverse(sig: Signature, g):
+def ambient_inverse(sig: Signature, g: IntMat) -> IntMat:
     """g^-1 = S g^T S for g preserving the ambient form S, since S^2 = I;
-    S is a signed permutation, so this moves entries and flips signs. g is
-    a Mat or an IntMat, and the inverse is of the same type."""
+    S is a signed permutation, so this moves entries and flips signs."""
     return sig.form_s_perm().conjugate_transpose(g)
 
 
@@ -111,11 +110,10 @@ def inner(sig: Signature, u, v) -> Fraction:
 class SoElement:
     """Element of so(p+2, q+2), held as the integer rows of its assembled
     matrix over one denominator (`ints`, an IntMat), as `QGroupElement`
-    holds B and C. The blocks z, X, A, D, U, w are Fraction views made when
-    read, and the matrix (`assemble`) the one built on its first call.
-    Immutable."""
+    holds B and C. The blocks z, X, A, D, U, w and the matrix (`assemble`)
+    are Fraction views made when read. Immutable."""
 
-    __slots__ = ("sig", "ints", "_matrix")
+    __slots__ = ("sig", "ints")
 
     def __init__(self, sig: Signature, z=0, X: Mat | None = None,
                  A: Mat | None = None, D: Mat | None = None,
@@ -150,12 +148,8 @@ class SoElement:
         return cls(sig, z=1)
 
     def assemble(self) -> Mat:
-        """The matrix of the module docstring, the Mat view of `ints`. The
-        element is immutable, so it is built on the first call and kept in a
-        slot of this element."""
-        if self._matrix is None:
-            object.__setattr__(self, "_matrix", self.ints.to_mat())
-        return self._matrix
+        """The matrix of the module docstring, the Mat view of `ints`."""
+        return self.ints.to_mat()
 
     def _block(self, r0, r1, c0, c1) -> Mat:
         """The Mat view of rows r0:r1 and columns c0:c1 of the matrix."""
@@ -228,7 +222,7 @@ def _element(sig: Signature, ints: IntMat, x=None) -> SoElement:
     """The element x, or a new one, with the signature sig and the integer
     rows ints, taken as they are, and no view built yet."""
     x = object.__new__(SoElement) if x is None else x
-    for name, value in (("sig", sig), ("ints", ints), ("_matrix", None)):
+    for name, value in (("sig", sig), ("ints", ints)):
         object.__setattr__(x, name, value)
     return x
 
@@ -317,12 +311,13 @@ def _check_g0(sig: Signature, b, c):
     return b, c
 
 
-def orthogonal_residual(sig: Signature, c: Mat, x: Mat, y: Mat) -> Fraction:
+def orthogonal_residual(sig: Signature, c: IntMat, x: Mat,
+                        y: Mat) -> Fraction:
     """[Cx, Cy] - [x, y], exactly zero for C in O(p, q), on integer rows
     (`gm1_pairing`); ValueError unless C is orthogonal."""
-    ci, xi, yi = IntMat.of(c), IntMat.of(x), IntMat.of(y)
-    _check_orthogonal(sig, ci)
-    return bracket_gm1(sig, ci * xi, ci * yi) - bracket_gm1(sig, xi, yi)
+    xi, yi = IntMat.of(x), IntMat.of(y)
+    _check_orthogonal(sig, c)
+    return bracket_gm1(sig, c * xi, c * yi) - bracket_gm1(sig, xi, yi)
 
 
 def scaling_residual(sig: Signature, m: Mat, x: Mat, y: Mat,
@@ -357,7 +352,7 @@ class QGroupElement:
     realized as (B, C, w) ~ (-B, -C, w). B and C, given as Mats or IntMats,
     are kept as the IntMats `int_b` and `int_c`, which every method reads."""
 
-    __slots__ = ("sig", "int_b", "int_c", "w", "_matrix", "_ints")
+    __slots__ = ("sig", "int_b", "int_c", "w", "_ints")
 
     def __init__(self, sig: Signature, b, c, w=0):
         b, c = _check_g0(sig, b, c)
@@ -365,7 +360,6 @@ class QGroupElement:
         object.__setattr__(self, "int_b", b)
         object.__setattr__(self, "int_c", c)
         object.__setattr__(self, "w", rat(w))
-        object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
@@ -378,14 +372,8 @@ class QGroupElement:
         return Fraction(_det2(self.int_b.dense), self.int_b.d ** 2)
 
     def assemble(self) -> Mat:
-        """The matrix of the class docstring, the Mat view of `int_pair`,
-        built on the first call and kept in a slot of this element, as
-        `SoElement.assemble` does."""
-        h = self._matrix
-        if h is None:
-            h = self.int_pair()[0].to_mat()
-            object.__setattr__(self, "_matrix", h)
-        return h
+        """The matrix of the class docstring, the Mat view of `int_pair`."""
+        return self.int_pair()[0].to_mat()
 
     def compose(self, other: "QGroupElement") -> "QGroupElement":
         """Group law in block data; matches the assembled matrix product."""
@@ -403,7 +391,7 @@ class QGroupElement:
         """(h, h^-1) as IntMats over one denominator: the matrix of the class
         docstring, filled in place from the integer rows of B, C, w·B·J and
         (B^-1)^t, and its inverse S h^T S (h preserves S). Built on the
-        first call and kept in a slot of this element, as `assemble` does."""
+        first call and kept in a slot of this element."""
         pair = self._ints
         if pair is None:
             n, lo = self.sig.n, self.sig.n + 2  # lo: the last block band

@@ -104,6 +104,13 @@ OPQ = (T_SAMPLERS + "test_rand_so_pq_and_rand_opq_match_their_diagonal_"
        "products",)
 TABLES = (T_SO + "test_signed_permutation_tables_multiply_as_the_forms",
           "tests/test_chains.py::test_ambient_inverse_matches_elimination")
+ISOTROPIC = tuple(T_SAMPLERS + "test_isotropic_samplers_match_their_"
+                  "products[Signature(%d, %d)]" % pq
+                  for pq in ((2, 1), (2, 2)))
+CHAINS = "liecontact/chains.py"
+T_CHAINS = "tests/test_chains.py::"
+UNIT_FIT = (T_CHAINS + "test_unit_triple_fit_runs_the_costly_route_where_the_"
+            "cheap_is_nonzero",)
 
 MUTANTS = (
     # the fraction-free elimination
@@ -199,15 +206,6 @@ MUTANTS = (
            "@functools.cache\ndef chain_matrix(", "def chain_matrix(",
            ("tests/test_chains.py::test_chain_matrix_is_built_once_per_"
             "signature",)),
-    Mutant("assemble: one memo shared by every element", SO,
-           "return self._matrix",
-           "return SoElement.assemble.__dict__.setdefault(\"m\", "
-           "self._matrix)",
-           (T_SO + "test_assemble_builds_one_matrix_per_element",)),
-    Mutant("Q assemble: one memo shared by every element", SO,
-           "return h\n",
-           "return QGroupElement.assemble.__dict__.setdefault(\"m\", h)\n",
-           (T_SO + "test_q_assemble_builds_one_matrix_per_element",)),
     Mutant("assemble: Ipq*U^t without the sign flip", SO,
            "*((u0, u1) if s > 0 else (-u0, -u1))", "*(u0, u1)",
            (T_SO + "test_assemble_matches_the_block_products",)),
@@ -450,8 +448,7 @@ MUTANTS = (
            ("tests/test_chains.py::test_pullbacks_match_the_eliminated_"
             "inverse",)),
     Mutant("chain-equivariance: h·g in place of g·h", REPORT,
-           "gh = (IntMat.of(g) * IntMat.of(h)).to_mat()",
-           "gh = (IntMat.of(h) * IntMat.of(g)).to_mat()",
+           "chain_eval(sig, t, g * h)", "chain_eval(sig, t, h * g)",
            ("tests/test_golden.py::test_output_matches_its_golden_file["
             "report-2-2-seed0.json]",)),
     Mutant("chain-exactness: E² = 0 taken for granted", REPORT,
@@ -459,18 +456,22 @@ MUTANTS = (
            (T_REPORT + "test_chain_exactness_names_a_generator_that_does_"
             "not_square_to_zero",)),
     Mutant("rand_isotropic_rank_one: the null direction not rotated",
-           SAMPLERS, "u = (_opq_int(sig, rng) * IntMat.of(Mat.col(u0)))",
-           "u = (_opq_int(sig, rng) and IntMat.of(Mat.col(u0)))",
-           (T_SAMPLERS + "test_isotropic_samplers_match_their_products["
-            "Signature(2, 1)]",)),
+           SAMPLERS, "u = IntMat(c.d, 1, [[r[0] + r[p]] for r in c.dense])",
+           "u = IntMat(1, 1, [[int(i in (0, p))] for i in range(sig.n)])",
+           ISOTROPIC[:1]),
+    Mutant("rand_isotropic_rank_one: one column of C for the sum of two",
+           SAMPLERS, "[[r[0] + r[p]] for r in c.dense]",
+           "[[r[0]] for r in c.dense]", ISOTROPIC[:1]),
     Mutant("rand_isotropic_plane: the null plane not rotated", SAMPLERS,
-           "plane = (_opq_int(sig, rng) * IntMat.of(Mat(rows)))",
-           "plane = (_opq_int(sig, rng) and IntMat.of(Mat(rows)))",
-           (T_SAMPLERS + "test_isotropic_samplers_match_their_products["
-            "Signature(2, 2)]",)),
+           "plane = IntMat(c.d, 2, [[r[0] + r[p], r[1] + r[p + 1]] for r in "
+           "c.dense])",
+           "plane = IntMat(1, 2, [[int(i in (0, p)), int(i in (1, p + 1))]\n"
+           "                          for i in range(sig.n)])", ISOTROPIC[1:]),
+    Mutant("rand_isotropic_plane: the second null column off by one column",
+           SAMPLERS, "r[1] + r[p + 1]]", "r[1] + r[p]]", ISOTROPIC[1:]),
     Mutant("chain-exactness: I + tE formed without I", REPORT,
-           "frame = IntMat.combination([(1, one), (t, e_int)]).to_mat()",
-           "frame = IntMat.combination([(t, e_int)]).to_mat()",
+           "frame = IntMat.combination([(1, one), (t, e_int)])",
+           "frame = IntMat.combination([(t, e_int)])",
            ("tests/test_golden.py::test_output_matches_its_golden_file["
             "report-2-2-seed0.json]",)),
     Mutant("eigenspaces: the -1 eigenspace taken for the +1", QUAT,
@@ -531,7 +532,7 @@ MUTANTS = (
            ("tests/test_chains.py::test_rank_one_by_s_matches_the_matrix_"
             "formula",)),
     Mutant("ModelPoint: a span of rank one accepted", "liecontact/chains.py",
-           "if _rank(ints.dense) != 2:", "if _rank(ints.dense) == 0:",
+           "if _rank(span.dense) != 2:", "if _rank(span.dense) == 0:",
            ("tests/test_chains.py::test_model_point_rank_matches_rank_"
             "kernel",)),
     # the big-cell sampler on integer rows
@@ -560,6 +561,47 @@ MUTANTS = (
            "di = [s * x for x in r]", "di = list(r)", OPQ),
     Mutant("rand_opq: a singular I - D accepted", SAMPLERS,
            "if pivots[:n] == list(range(n)):", "if True:", OPQ),
+    # frames and spans of the chain model as IntMats
+    Mutant("ModelPoint: a Mat span converted, not refused", CHAINS,
+           "        _require_ints(span, \"span\")\n",
+           "        span = span if isinstance(span, IntMat) else "
+           "IntMat.of(span)\n",
+           (T_CHAINS + "test_a_mat_frame_or_span_is_refused",)),
+    Mutant("ChainCurve: -I as the default frame", CHAINS,
+           "sparse=[[(i, 1)] for i in range(size)])",
+           "sparse=[[(i, -1)] for i in range(size)])",
+           (T_CHAINS + "test_default_frame_is_the_identity",)),
+    Mutant("chain moves: E over a denominator read as E", CHAINS,
+           "if (e.d != 1 or any(", "if (any(",
+           (T_CHAINS + "test_chain_moves_need_one_unit_entry_per_column",)),
+    Mutant("chain moves: an entry other than +-1 accepted", CHAINS,
+           "any(x not in (1, -1) for _, _, x in moves)", "False",
+           (T_CHAINS + "test_chain_moves_need_one_unit_entry_per_column",)),
+    Mutant("chain moves: the row and column of an entry swapped", CHAINS,
+           "(k, j, x) for k, r in enumerate(e.sparse)",
+           "(j, k, x) for k, r in enumerate(e.sparse)",
+           (T_CHAINS + "test_affine_frame_matches_the_exponential",)),
+    Mutant("chain-exactness: the generator read back from a Mat", REPORT,
+           "ei = chains.chain_matrix(sig)",
+           "ei = IntMat.of(chains.chain_matrix(sig).to_mat())",
+           ("tests/test_golden.py::test_no_frame_is_converted["
+            "report-2-2-seed0.json]",)),
+    Mutant("IntMat repr: the default, with its address", LINALG,
+           "        return repr(self.to_mat())",
+           "        return object.__repr__(self)",
+           (T_REPORT + "test_group_sample_witnesses_print_the_mat_views["
+            "orthogonal-invariance-2-1]",)),
+    # the unit directions and the one unit-triple fit
+    Mutant("unit directions: row by row", CHAINS,
+           "for a in range(2) for i in range(n)]",
+           "for i in range(n) for a in range(2)]",
+           (T_CHAINS + "test_unit_directions_stack_to_the_standard_basis",)),
+    Mutant("unit-triple fit: the costly route run on every triple", EXT,
+           "        base = cheap(*triple)\n",
+           "        base, _ = cheap(*triple), costly(*triple)\n", UNIT_FIT),
+    Mutant("unit-triple fit: the ratio read at the first entry", EXT,
+           "for a, b in zip(ra, rb) if a)", "for a, b in zip(ra, rb))",
+           UNIT_FIT),
     # S and Ipq as signed permutations
     Mutant("S table: one sign", SO,
            "(-1, -1, *self.signs(), -1, -1)", "(-1, 1, *self.signs(), -1, -1)",

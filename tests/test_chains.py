@@ -8,14 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from liecontact import samplers
-from liecontact import chains
+from liecontact import chains, extension, samplers
 from liecontact.chains import (ChainCurve, ModelPoint, STensorEval, act,
                                chain_eval, chain_matrix,
                                chain_transversality, emit_trajectory,
                                fit_pipeline_constant, flow_transversality,
                                gm1_units, origin, pipeline_s, rank_one_by_S,
                                reconstruct_cone, s_tensor)
+from liecontact.extension import fit_on_unit_triples, fit_trilinear_constant
 from liecontact.linalg import (IntMat, Mat, exp_nilpotent, invert,
                                rank_kernel, rat, solve_linear)
 from liecontact.so_contact import (Signature, SoElement, ambient_inverse,
@@ -48,23 +48,23 @@ def _mat(rows):
 def test_model_point_validation():
     sig = Signature(2, 1)
     with pytest.raises(ValueError, match="matrix"):
-        ModelPoint(sig, Mat.zeros(5, 2))
-    first = Mat.col(origin(sig).span.column(0))
+        ModelPoint(sig, IntMat.of(Mat.zeros(5, 2)))
+    first = Mat.col(origin(sig).span.to_mat().column(0))
     thin = Mat.block([[first, first]])
     with pytest.raises(ValueError, match="rank 2"):
-        ModelPoint(sig, thin)
+        ModelPoint(sig, IntMat.of(thin))
     rows = [[Fraction(0)] * 2 for _ in range(7)]
     rows[0][0] = Fraction(1)
     rows[2][1] = Fraction(1)
     with pytest.raises(ValueError, match="isotropic"):
-        ModelPoint(sig, Mat(rows))
+        ModelPoint(sig, IntMat.of(Mat(rows)))
 
 
 def test_model_point_equality_ignores_basis_of_the_plane():
     sig = Signature(2, 1)
     pt = origin(sig)
     mix = _mat([[2, 3], [1, 2]])
-    assert ModelPoint(sig, pt.span * mix) == pt
+    assert ModelPoint(sig, pt.span * IntMat.of(mix)) == pt
     other = chain_eval(sig, Fraction(1, 2))
     assert not (other == pt)
 
@@ -72,7 +72,7 @@ def test_model_point_equality_ignores_basis_of_the_plane():
 def test_act_requires_form_preservation():
     sig = Signature(2, 1)
     with pytest.raises(ValueError, match="preserve the ambient form"):
-        act(sig, 2 * Mat.identity(7), origin(sig))
+        act(sig, IntMat.of(2 * Mat.identity(7)), origin(sig))
 
 
 def test_form_checks_refuse_near_misses():
@@ -82,25 +82,25 @@ def test_form_checks_refuse_near_misses():
     rng = random.Random(88)
     for sig in (Signature(2, 1), Signature(2, 2), Signature(3, 3)):
         s = form_s(sig)
-        g = samplers.rand_oform(sig, rng)
+        g = samplers.rand_oform(sig, rng).to_mat()
         bad = [_corrupted(g, rng), 2 * Mat.identity(sig.n + 4),
                Fraction(1, 3) * g]
         if sig.p == sig.q:
             bad.append(product(g, _sign_swap(sig)[0]))
         for b in bad:
             assert product(b.T, s, b) != s
-            for make in (lambda: act(sig, b, origin(sig)),
-                         lambda: ChainCurve(sig, b)):
+            for make in (lambda: act(sig, IntMat.of(b), origin(sig)),
+                         lambda: ChainCurve(sig, IntMat.of(b))):
                 with pytest.raises(ValueError, match="the acting matrix must "
                                    "preserve the ambient form"):
                     make()
         span = g.submat(0, sig.n + 4, 0, 2)
-        assert ModelPoint(sig, span).span == span
+        assert ModelPoint(sig, IntMat.of(span)).span.to_mat() == span
         skew = _corrupted(span, rng)
         assert not product(skew.T, s, skew).is_zero()
         with pytest.raises(ValueError, match="span must be isotropic for the "
                            "ambient form"):
-            ModelPoint(sig, skew)
+            ModelPoint(sig, IntMat.of(skew))
 
 
 @pytest.mark.parametrize("sig", DOMAIN_SIGS, ids=_sig_id)
@@ -111,27 +111,46 @@ def test_model_point_rank_matches_rank_kernel(sig):
     rng = random.Random(91 + 7 * sig.p + sig.q)
     size = sig.n + 4
     for _ in range(3):
-        span = samplers.rand_oform(sig, rng).submat(0, size, 0, 2)
+        span = samplers.rand_oform(sig, rng).to_mat().submat(0, size, 0, 2)
         col = Mat.col(span.column(rng.randrange(2)))
         thin = Mat.block([[col, samplers.rand_fraction(rng) * col]])
         for m, rank in ((span, 2), (thin, 1), (Mat.zeros(size, 2), 0)):
             assert rank_kernel(m)[0] == rank
+            ints = IntMat.of(m)
             if rank == 2:
-                assert ModelPoint(sig, m).span is m
+                assert ModelPoint(sig, ints).span is ints
                 continue
             with pytest.raises(ValueError, match="span must have rank 2"):
-                ModelPoint(sig, m)
+                ModelPoint(sig, ints)
         skew = _corrupted(span, rng)
         assert rank_kernel(skew)[0] == 2
         with pytest.raises(ValueError, match="span must be isotropic"):
-            ModelPoint(sig, skew)
-        pt = ModelPoint(sig, span)
-        other = samplers.rand_oform(sig, rng).submat(0, size, 0, 2)
+            ModelPoint(sig, IntMat.of(skew))
+        pt = ModelPoint(sig, IntMat.of(span))
+        other = samplers.rand_oform(sig, rng).to_mat().submat(0, size, 0, 2)
         for m in (span * samplers.rand_gl2(rng), other):
             joint = rank_kernel(Mat.block([[span, m]]))[0]
-            assert (pt == ModelPoint(sig, m)) == (joint == 2)
-        assert pt == ModelPoint(sig, IntMat.of(span))
-        assert ModelPoint(sig, IntMat.of(span)).span == span
+            assert (pt == ModelPoint(sig, IntMat.of(m))) == (joint == 2)
+        # the repr shows the span as a Mat
+        assert repr(pt) == "ModelPoint(%r, %r)" % (sig, span)
+
+
+def test_a_mat_frame_or_span_is_refused():
+    # the chain model takes frames and spans as IntMats: a Mat is refused
+    # with TypeError, not converted
+    sig = Signature(2, 1)
+    g = samplers.rand_oform(sig, random.Random(87))
+    frame, span = g.to_mat(), origin(sig).span.to_mat()
+    for make in (lambda: ModelPoint(sig, span),
+                 lambda: act(sig, frame, origin(sig)),
+                 lambda: ChainCurve(sig, frame),
+                 lambda: chain_eval(sig, 1, frame),
+                 lambda: chain_transversality(sig, 1, frame),
+                 lambda: emit_trajectory(sig, frame, 0, 1, 2)):
+        with pytest.raises(TypeError, match="must be an IntMat, not a Mat"):
+            make()
+    assert act(sig, g, ModelPoint(sig, IntMat.of(span))) == chain_eval(
+        sig, 0, g)
 
 
 def test_act_moves_points_and_keeps_them_valid():
@@ -140,7 +159,8 @@ def test_act_moves_points_and_keeps_them_valid():
         for _ in range(10):
             g = samplers.rand_oform(sig, rng)
             pt = act(sig, g, origin(sig))
-            assert pt.span == g * origin(sig).span
+            assert pt.span.to_mat() == product(g.to_mat(),
+                                               origin(sig).span.to_mat())
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +176,28 @@ def test_chain_matrix_squares_to_zero():
 def test_chain_matrix_is_built_once_per_signature():
     for sig in SIGS:
         assert chain_matrix(sig) is chain_matrix(Signature(sig.p, sig.q))
-        assert chain_matrix(sig) == SoElement.generator_e(sig).assemble()
+        assert (chain_matrix(sig).to_mat()
+                == SoElement.generator_e(sig).assemble())
+
+
+def test_chain_moves_need_one_unit_entry_per_column(monkeypatch):
+    # gE moves the columns of g by the sparse rows of E, which are read as
+    # integers: E over a denominator other than 1, or an entry other than
+    # +-1, is refused
+    sig = Signature(2, 1)
+    e = chain_matrix(sig)
+    for bad in (IntMat(2, e.cols, e.dense),
+                IntMat(1, e.cols, [[2 * x for x in r] for r in e.dense])):
+        monkeypatch.setattr(chains, "chain_matrix", lambda sig: bad)
+        with pytest.raises(ValueError, match="one \\+-1 per column"):
+            ChainCurve(sig)
+
+
+def test_default_frame_is_the_identity():
+    for sig in ORACLE_SIGS:
+        curve = ChainCurve(sig)
+        assert curve.g.to_mat() == Mat.identity(sig.n + 4)
+        assert curve.at(0) == origin(sig)
 
 
 def test_chain_matrix_rejects_a_generator_that_does_not_square_to_zero(
@@ -181,14 +222,16 @@ def test_ambient_inverse_matches_elimination():
         # frames of the model and the assembled elements of Q, whose
         # adjoint action inverts them the same way
         gs = [samplers.rand_oform(sig, rng) for _ in range(6)]
-        gs += [samplers.rand_q_element(sig, rng).assemble() for _ in range(6)]
+        gs += [samplers.rand_q_element(sig, rng).int_pair()[0]
+               for _ in range(6)]
         for g in gs:
-            inv = ambient_inverse(sig, g)
-            assert inv == product(s, g.T, s)
-            assert inv == invert(g)
+            inv, gm = ambient_inverse(sig, g).to_mat(), g.to_mat()
+            assert inv == product(s, gm.T, s)
+            assert inv == invert(gm)
         # S·m^T·S on a matrix outside the group is still the product
         m = samplers.rand_mat(rng, sig.n + 4, sig.n + 4)
-        assert ambient_inverse(sig, m) == product(s, m.T, s)
+        assert (ambient_inverse(sig, IntMat.of(m)).to_mat()
+                == product(s, m.T, s))
 
 
 def test_affine_frame_matches_the_exponential():
@@ -196,27 +239,29 @@ def test_affine_frame_matches_the_exponential():
     # t = 0 to t = 1 off the velocity gE, whose columns the curve moves
     rng = random.Random(83)
     for sig in ORACLE_SIGS:
-        e = chain_matrix(sig)
+        e = chain_matrix(sig).to_mat()
         size = sig.n + 4
-        for g in [Mat.identity(size)] + [samplers.rand_oform(sig, rng)
-                                         for _ in range(6)]:
+        for g in [IntMat.of(Mat.identity(size))] + [
+                samplers.rand_oform(sig, rng) for _ in range(6)]:
             t = samplers.rand_fraction(rng)
             curve = ChainCurve(sig, g)
-            frame = product(g, exp_nilpotent(t * e, 2))
-            assert curve.at(t).span == frame.submat(0, size, 0, 2)
-            step = curve.at(1).span - curve.at(0).span
-            assert step.data == product(g, e).submat(0, size, 0, 2).data
+            frame = product(g.to_mat(), exp_nilpotent(t * e, 2))
+            assert curve.at(t).span.to_mat() == frame.submat(0, size, 0, 2)
+            step = curve.at(1).span.to_mat() - curve.at(0).span.to_mat()
+            assert step.data == product(g.to_mat(), e).submat(0, size, 0,
+                                                              2).data
 
 
 def test_pullbacks_match_the_eliminated_inverse():
     rng = random.Random(84)
     for sig in ORACLE_SIGS:
-        e = chain_matrix(sig)
+        e = chain_matrix(sig).to_mat()
         for _ in range(4):
             g = samplers.rand_oform(sig, rng)
             t = samplers.rand_fraction(rng)
-            frame = product(g, exp_nilpotent(t * e, 2))
-            expected = SoElement.from_matrix(sig, product(invert(frame), g, e))
+            frame = product(g.to_mat(), exp_nilpotent(t * e, 2))
+            expected = SoElement.from_matrix(
+                sig, product(invert(frame), g.to_mat(), e))
             assert ChainCurve(sig, g).velocity_class(t) == expected
             for x in (SoElement(sig, X=samplers.rand_gm1(sig, rng)),
                       SoElement(sig, z=samplers.rand_nonzero_fraction(rng),
@@ -234,7 +279,7 @@ def test_chain_through_origin_has_linear_span():
     pt = chain_eval(sig, t)
     expected = _mat([
         [1, 0], [0, 1], [0, 0], [0, 0], [0, 0], [0, t], [-t, 0]])
-    assert pt == ModelPoint(sig, expected)
+    assert pt == ModelPoint(sig, IntMat.of(expected))
     assert chain_eval(sig, 0) == origin(sig)
 
 
@@ -247,12 +292,11 @@ def test_chain_point_is_the_frame_first_two_columns():
                       ChainCurve(sig, samplers.rand_oform(sig, rng))):
             for t in (0, 1, Fraction(-7, 3), samplers.rand_fraction(rng),
                       "5/4"):
-                span = curve.at(t).span
-                frame = product(curve.g, exp_nilpotent(
-                    rat(t) * chain_matrix(sig), 2))
+                span = curve.at(t).span.to_mat()
+                frame = product(curve.g.to_mat(), exp_nilpotent(
+                    rat(t) * chain_matrix(sig).to_mat(), 2))
                 want = frame.submat(0, size, 0, 2)
                 assert span.data == want.data
-                assert {type(e) for r in span.data for e in r} == {Fraction}
 
 
 def test_chain_equivariance():
@@ -395,6 +439,54 @@ def test_tensor_matches_pipeline_up_to_one_constant():
             b = samplers.rand_gm1(sig, rng)
             c = samplers.rand_gm1(sig, rng)
             assert s_tensor(ev, a, b, c) == cst * pipeline_s(sig, a, b, c)
+
+
+def test_unit_directions_stack_to_the_standard_basis():
+    for n in range(1, 6):
+        stacked = [stack_columns(u).column(0) for u in gm1_units(n)]
+        assert stacked == [tuple(Fraction(int(i == k)) for i in range(2 * n))
+                           for k in range(2 * n)]
+
+
+def test_unit_triple_fit_runs_the_costly_route_where_the_cheap_is_nonzero():
+    # units a, b, triples in nested-loop order: the cheap route vanishes on
+    # aaa, the costly one on aab, is not proportional to the cheap one on
+    # aba, and is 3 times it on abb, read at its first nonzero entry
+    seen = []
+
+    def routes(costly_values):
+        def cheap(*triple):
+            return _mat([(0, 0) if triple == ("a",) * 3 else (0, 2)])
+
+        def costly(*triple):
+            seen.append("".join(triple))
+            return _mat([costly_values.get("".join(triple), (0, 6))])
+        return cheap, costly
+
+    assert fit_on_unit_triples("ab", *routes({"aab": (0, 0), "aba": (1, 5)}),
+                               "unused") == 3
+    assert seen == ["aab", "aba", "abb"]
+    seen.clear()
+    with pytest.raises(ValueError, match="^no fit$"):
+        fit_on_unit_triples("ab", *routes({"aab": (0, 0), "aba": (1, 5),
+                                           "abb": (1, 6), "baa": (1, 6),
+                                           "bab": (1, 6), "bba": (1, 6),
+                                           "bbb": (1, 6)}), "no fit")
+    assert len(seen) == 7
+
+
+def test_unit_triple_fits_keep_their_error_texts(monkeypatch):
+    sig = Signature(2, 1)
+    zero = _mat([[0, 0]] * sig.n)
+    monkeypatch.setattr(chains, "s_tensor", lambda *args: zero)
+    with pytest.raises(ValueError, match="^no unit triple relates the two "
+                       "paths; the pipeline appears degenerate$"):
+        fit_pipeline_constant(STensorEval.standard(sig))
+    monkeypatch.setattr(extension, "symmetrized_reference",
+                        lambda *args: _mat([[0]] * 2 * sig.n))
+    with pytest.raises(ValueError, match="^no nondegenerate unit triple "
+                       "found; the obstruction map appears to vanish$"):
+        fit_trilinear_constant(sig)
 
 
 def test_cubic_vanishes_on_rank_one_directions():

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from liecontact.cli import main
-from liecontact.linalg import Mat
+from liecontact.linalg import IntMat, Mat
+from liecontact.report import CHECKS
 from regenerate_golden import CASES, GOLDEN, argv
 
 
@@ -77,3 +78,46 @@ def test_no_wide_fraction_product_reaches_a_report(case, tmp_path,
 
     monkeypatch.setattr(Mat, "__mul__", refuse_wide)
     test_output_matches_its_golden_file(case, tmp_path)
+
+
+# the chains records at (2,2) and (3,3), and two exports with random frames
+FRAME_CASES = [c for c in CASES if c[0] in (
+    "report-2-2-seed0.json", "report-3-3-seed0.json", "chain-2-2-seed1.csv",
+    "chain-3-3.csv")]
+
+
+@pytest.mark.parametrize("case", FRAME_CASES, ids=[c[0] for c in FRAME_CASES])
+def test_no_frame_is_converted(case, tmp_path, monkeypatch):
+    # group samples, frames and spans stay IntMats from the sampler to the
+    # claim: with IntMat.of and IntMat.to_mat made to raise on any square
+    # matrix of the frames' size n+4, the chains suite's records and the
+    # chain export rebuild byte for byte (a raise would turn a record into
+    # a failing one, or end the export)
+    name, args, flag = case
+    p, q = (int(args[args.index(flag) + 1]) for flag in ("--p", "--q"))
+    size = p + q + 4
+    of, to_mat = IntMat.of.__func__, IntMat.to_mat
+
+    def refuse(m):
+        if m.rows == m.cols == size:
+            raise AssertionError("a %dx%d frame converted" % (size, size))
+
+    monkeypatch.setattr(IntMat, "of",
+                        classmethod(lambda cls, m: refuse(m) or of(cls, m)))
+    monkeypatch.setattr(IntMat, "to_mat",
+                        lambda self: refuse(self) or to_mat(self))
+    if flag == "--export-chain":
+        test_output_matches_its_golden_file(case, tmp_path)
+        return
+    # the chains suite alone, which runs in this process
+    while "--suite" in args:
+        at = args.index("--suite")
+        args = args[:at] + args[at + 2:]
+    path = tmp_path / name
+    assert main(args + ["--suite", "chains", flag, str(path)]) == 0
+    want = json.loads((GOLDEN / name).read_text())
+    names = {c.name for c in CHECKS if c.suite == "chains"}
+    want["suites"] = ["chains"]
+    want["records"] = [r for r in want["records"] if r["name"] in names]
+    assert len(want["records"]) == len(names)
+    assert path.read_text() == json.dumps(want, indent=2) + "\n"

@@ -713,16 +713,19 @@ def _gram_cases(sig, rng):
              "ipq": (ipq(sig), sig.ipq_perm())}
     cases = []
     for _ in range(3):
-        g = samplers.rand_oform(sig, rng)
-        c = samplers.rand_opq(sig, rng)
+        # the samplers' integer rows, read as the Mats the checks take
+        g = samplers.rand_oform(sig, rng).to_mat()
+        c = samplers.rand_opq(sig, rng).to_mat()
         cases += [(g, "s", True), (c, "ipq", True),
                   (_corrupted(g, rng), "s", False),
                   (_corrupted(c, rng), "ipq", False)]
     if sig.p == sig.q:
         g, c = _sign_swap(sig)
         cases += [(g, "s", False), (c, "ipq", False),
-                  (product(samplers.rand_oform(sig, rng), g), "s", False),
-                  (product(samplers.rand_opq(sig, rng), c), "ipq", False)]
+                  (product(samplers.rand_oform(sig, rng).to_mat(), g), "s",
+                   False),
+                  (product(samplers.rand_opq(sig, rng).to_mat(), c), "ipq",
+                   False)]
     for form in forms:
         one = Mat.identity(forms[form][0].rows)
         cases += [(k * one, form, k in (1, -1))

@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import pytest
 
-from liecontact import chains, extension, report
+from liecontact import chains, extension, report, samplers
 from liecontact.cli import main
-from liecontact.linalg import Mat
+from liecontact.linalg import IntMat, Mat
 from liecontact.report import (CHECKS, SUITE_NAMES, Check, SuiteConfig, run,
                                run_checks)
 from liecontact.so_contact import Signature
@@ -595,10 +595,46 @@ def test_split_relations_checks_the_basis_once_per_record(monkeypatch):
 def test_chain_exactness_names_a_generator_that_does_not_square_to_zero(
         monkeypatch):
     monkeypatch.setattr(chains, "chain_matrix",
-                        lambda sig: Mat.identity(sig.n + 4))
+                        lambda sig: IntMat.of(Mat.identity(sig.n + 4)))
     status, witness = _registry_record("chain-exactness")
     assert status == "fail"
     assert witness.startswith("generator squares to a nonzero matrix: t=")
+
+
+# The sha256 of each witness below, first 16 hex digits, as the records
+# wrote it when the samplers returned Mats: integer rows print as their
+# Mat views, so the text did not move.
+WITNESS_DIGESTS = {
+    ("chain-equivariance", (2, 1)): "95500edbe21b3f63",
+    ("chain-equivariance", (3, 3)): "2474a174988401fc",
+    ("orthogonal-invariance", (2, 1)): "516a3c334905f727",
+    ("orthogonal-invariance", (3, 3)): "ba9c41dc835a541c",
+}
+
+
+@pytest.mark.parametrize("name,pq", sorted(WITNESS_DIGESTS),
+                         ids=["%s-%d-%d" % (name, *pq)
+                              for name, pq in sorted(WITNESS_DIGESTS)])
+def test_group_sample_witnesses_print_the_mat_views(monkeypatch, name, pq):
+    # both claims made to fail on their first trial: the witness names the
+    # drawn IntMats by their Mat views, as it did when they were Mats
+    sig = Signature(*pq)
+    monkeypatch.setattr(chains, "act", lambda sig, g, pt: chains.origin(sig))
+    monkeypatch.setattr(report, "orthogonal_residual", lambda *args: 1)
+    check, = [c for c in CHECKS if c.name == name]
+    record, = run_checks(sig, random.Random(0), 5, [check])
+    rng = random.Random(0)
+    if name == "chain-equivariance":
+        g, h = (samplers.rand_oform(sig, rng).to_mat() for _ in range(2))
+        want = "g=%r h=%r t=%r" % (g, h, samplers.rand_fraction(rng))
+    else:
+        c = samplers.rand_opq(sig, rng).to_mat()
+        x, y = samplers.rand_gm1(sig, rng), samplers.rand_gm1(sig, rng)
+        want = "C=%r x=%r y=%r" % (c, x, y)
+    assert record["status"] == "fail"
+    assert record["witness"] == want
+    assert hashlib.sha256(want.encode()).hexdigest()[:16] == \
+        WITNESS_DIGESTS[name, pq]
 
 
 # ---------------------------------------------------------------------------
