@@ -4,8 +4,10 @@ symmetric cubic tensor on the contact directions, the rank-one test it
 induces, and cone reconstruction plus trajectory export.
 
 The frames and spans of the model are `IntMat`s, as the samplers draw
-them: a point's span, a chain's frame and the matrix that acts. A `Mat` in
-their place is refused with TypeError, not converted."""
+them: a point's span, a chain's frame and the matrix that acts. So are the
+contact directions the cubic tensor reads and returns, and the columns of
+the pipeline that it is compared with. A `Mat` in their place is refused
+with TypeError (`linalg.need_ints`), not converted."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .extension import fit_on_unit_triples, psi_trilinear
-from .linalg import IntMat, Mat, bareiss, exp_nilpotent, plain_sum, rat
+from .linalg import IntMat, bareiss, exp_nilpotent, need_ints, plain_sum, rat
 from .so_contact import (Signature, SoElement, ambient_inverse, gm1_pairing,
                          segre_rank)
 from .split_quat import QuatStructureOnH, stack_columns, unstack_columns
@@ -30,8 +32,7 @@ class ModelPoint:
     __slots__ = ("sig", "span")
 
     def __init__(self, sig: Signature, span: IntMat):
-        _require_ints(span, "span")
-        if span.rows != sig.n + 4 or span.cols != 2:
+        if need_ints(span, "span").rows != sig.n + 4 or span.cols != 2:
             raise ValueError("span must be an (n+4) x 2 matrix")
         if _rank(span.dense) != 2:
             raise ValueError("span must have rank 2")
@@ -54,13 +55,6 @@ class ModelPoint:
         return "ModelPoint(%r, %r)" % (self.sig, self.span)
 
 
-def _require_ints(m, what):
-    """TypeError unless the frame or span m is an `IntMat`."""
-    if not isinstance(m, IntMat):
-        raise TypeError("the %s must be an IntMat, not a %s"
-                        % (what, type(m).__name__))
-
-
 def origin(sig: Signature) -> ModelPoint:
     """The plane spanned by the first two standard basis vectors."""
     return ModelPoint(sig, IntMat(1, 2, sparse=[[(0, 1)], [(1, 1)],
@@ -75,7 +69,7 @@ def _rank(rows) -> int:
 def _check_ambient(sig: Signature, g: IntMat) -> None:
     """TypeError unless g is an `IntMat`, ValueError unless it preserves the
     ambient form."""
-    _require_ints(g, "frame")
+    need_ints(g, "frame")
     s = sig.form_s_perm()
     if not g.gram_equals(s, s):
         raise ValueError("the acting matrix must preserve the ambient form")
@@ -191,7 +185,7 @@ class STensorEval:
     overall scale. Robustness tests swap in conjugated structures and
     rescaled copies; classifications must not move."""
 
-    __slots__ = ("sig", "structure", "scale", "_units")
+    __slots__ = ("sig", "structure", "scale")
 
     def __init__(self, sig: Signature, structure: QuatStructureOnH | None = None,
                  scale=1):
@@ -205,9 +199,6 @@ class STensorEval:
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "scale", scale)
-        # the structure's matrices as s_tensor reads them, once per instance
-        object.__setattr__(self, "_units", tuple(
-            IntMat.of(m) for m in (structure.mi, structure.mj, structure.mk)))
 
     def __setattr__(self, name, value):
         raise AttributeError("STensorEval is immutable")
@@ -219,29 +210,26 @@ class STensorEval:
     def rescaled(self, c) -> "STensorEval":
         return STensorEval(self.sig, self.structure, self.scale * rat(c))
 
-    def basis_changed(self, g: Mat) -> "STensorEval":
+    def basis_changed(self, g: IntMat) -> "STensorEval":
         return STensorEval(self.sig, self.structure.conjugated(g), self.scale)
 
 
-def s_tensor(ev: STensorEval, xi: Mat, eta: Mat, zeta: Mat) -> Mat:
+def s_tensor(ev: STensorEval, xi: IntMat, eta: IntMat,
+             zeta: IntMat) -> IntMat:
     """Cyclic sum of (a, b, c) -> L(a, Ib) Ic + L(a, Jb) Jc - L(a, Kb) Kc,
     times the stored scale, where L is the bottom-grade bracket. Totally
-    symmetric, with values back among the contact directions."""
-    return s_tensor_int(ev, *(IntMat.of(a) for a in (xi, eta, zeta))).to_mat()
-
-
-def s_tensor_int(ev: STensorEval, xi: IntMat, eta: IntMat,
-                 zeta: IntMat) -> IntMat:
-    """`s_tensor` on integer rows. The images a·M are integer products with
-    M = mi, mj, mk, read once per `STensorEval` (`_units`)."""
-    plain = (xi, eta, zeta)
-    return _cyclic_sum(ev, plain, [[a * m for a in plain] for m in ev._units])
+    symmetric, with values back among the contact directions. The images
+    a·M are integer products with the integer rows of the structure's units
+    (`QuatStructureOnH.int_units`)."""
+    plain = tuple(need_ints(a) for a in (xi, eta, zeta))
+    return _cyclic_sum(ev, plain, [[a * m for a in plain]
+                                   for m in ev.structure.int_units])
 
 
 def _cyclic_sum(ev: STensorEval, plain, images) -> IntMat:
-    """The tensor on plain = (xi, eta, zeta), given the images a·M per M of
-    `_units`. With scale = num/den, a term ±scale·L(a, b)·c is ±num·L(A, B)
-    (`gm1_pairing`) times the rows of c over den·a.d·b.d·c.d."""
+    """The tensor on plain = (xi, eta, zeta), given the images a·M per unit
+    M of the structure. With scale = num/den, a term ±scale·L(a, b)·c is
+    ±num·L(A, B) (`gm1_pairing`) times the rows of c over den·a.d·b.d·c.d."""
     num, den = ev.scale.numerator, ev.scale.denominator
     terms = []
     for imgs, sgn in zip(images, (num, num, -num)):
@@ -252,7 +240,8 @@ def _cyclic_sum(ev: STensorEval, plain, images) -> IntMat:
     return IntMat.combination(terms)
 
 
-def pipeline_s(sig: Signature, xi: Mat, eta: Mat, zeta: Mat) -> Mat:
+def pipeline_s(sig: Signature, xi: IntMat, eta: IntMat,
+               zeta: IntMat) -> IntMat:
     """The same trilinear map obtained from the obstruction cochain: stack
     the columns, push through the trilinear bracket expression, unstack."""
     v = psi_trilinear(sig, stack_columns(xi), stack_columns(eta),
@@ -260,14 +249,9 @@ def pipeline_s(sig: Signature, xi: Mat, eta: Mat, zeta: Mat) -> Mat:
     return unstack_columns(v.m2_vector(), sig.n)
 
 
-def gm1_units(n: int):
-    """Unit contact directions ordered compatibly with column stacking: the
-    Mat views of `_unit_ints`."""
-    return [u.to_mat() for u in _unit_ints(n)]
-
-
 def _unit_ints(n: int):
-    """The unit contact directions as integer rows, column by column."""
+    """The unit contact directions as integer rows, ordered compatibly with
+    column stacking: column by column."""
     return [IntMat(1, 2, sparse=[[(a, 1)] if k == i else [] for k in range(n)])
             for a in range(2) for i in range(n)]
 
@@ -278,13 +262,13 @@ def fit_pipeline_constant(ev: STensorEval) -> Fraction:
     form is nonzero."""
     sig = ev.sig
     return 1 / fit_on_unit_triples(
-        gm1_units(sig.n), lambda *u: s_tensor(ev, *u),
+        _unit_ints(sig.n), lambda *u: s_tensor(ev, *u),
         lambda *u: pipeline_s(sig, *u),
         "no unit triple relates the two paths; the pipeline appears "
         "degenerate")
 
 
-def rank_one_by_S(ev: STensorEval, xi: Mat) -> bool:
+def rank_one_by_S(ev: STensorEval, xi: IntMat) -> bool:
     """Whether xi lies on the cone of rank-one directions, decided through
     the cubic tensor alone.
 
@@ -296,15 +280,16 @@ def rank_one_by_S(ev: STensorEval, xi: Mat) -> bool:
     The pairings are read off the images xi·M the tensor forms, and xi is
     reachable when it keeps the rank of the columns S(xi, xi, e) over the
     unit directions e, each over its own denominator."""
-    x = IntMat.of(xi)
+    x = need_ints(xi)
     if x.is_zero():
         raise ValueError("the tested element must be nonzero")
-    images = [x * m for m in ev._units]
+    units = ev.structure.int_units
+    images = [x * m for m in units]
     if any(gm1_pairing(ev.sig, x, img) for img in images):
         return _cyclic_sum(ev, (x, x, x), [[img] * 3 for img in images]
                            ).is_zero()
     cols = [_stacked(_cyclic_sum(ev, (x, x, e), [
-        [img, img, e * m] for img, m in zip(images, ev._units)]))
+        [img, img, e * m] for img, m in zip(images, units)]))
         for e in _unit_ints(ev.sig.n)]
     return _rank(zip(*cols)) == _rank(zip(*cols, _stacked(x)))
 
@@ -319,7 +304,7 @@ def reconstruct_cone(ev: STensorEval, samples) -> dict:
     exact factorization rank; an identically vanishing tensor is rejected
     since it certifies a broken pipeline rather than a classification."""
     units = _unit_ints(ev.sig.n)
-    if all(s_tensor_int(ev, *t).is_zero()
+    if all(s_tensor(ev, *t).is_zero()
            for t in itertools.product(units, repeat=3)):
         raise ValueError("degenerate evaluation: the cubic tensor vanishes "
                          "identically")

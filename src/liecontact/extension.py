@@ -31,8 +31,8 @@ import random
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linalg import (IntMat, Mat, exp_float, invert, max_abs, rank_kernel,
-                     rat, rat_sqrt)
+from .linalg import (IntMat, Mat, exp_float, invert, max_abs, need_ints,
+                     rank_kernel, rat, rat_sqrt)
 from .path_sl import (SlElement, entry_degrees, neg_positions, sl_bracket,
                       sl_neg_coordinates, sl_neg_degrees, sl_neg_slots, w0)
 from .so_contact import (QGroupElement, Signature, SoElement,
@@ -76,18 +76,12 @@ def _alpha_assembled(sig: Signature, g: IntMat) -> IntMat:
     return IntMat(2 * big, m, rows)
 
 
-def i_map(h: QGroupElement) -> Mat:
-    """Exact image of a stabilizer-group element, defined up to sign.
+def i_map(h: QGroupElement) -> IntMat:
+    """Exact image of a stabilizer-group element, defined up to sign, as
+    integers over one denominator. Needs |det B| to be a perfect rational
+    square; use i_map_float for generic determinants.
 
-    Needs |det B| to be a perfect rational square; use i_map_float for
-    generic determinants.
-    """
-    return _i_exact(h).to_mat()
-
-
-def _i_exact(h: QGroupElement) -> IntMat:
-    """i(h) as integers over one denominator, the exact route behind
-    `i_map`. The entries of beta, -w·beta, 1 and of B and C (the integer
+    The entries of beta, -w·beta, 1 and of B and C (the integer
     rows of h) are scaled to integers over L, the lcm of the denominators
     of beta and w·beta and of den(B)·den(C), and put in `_i_layout`; the
     factor 1/sbar = sd/sn multiplies the rows by sd and the denominator, L,
@@ -186,7 +180,7 @@ class _Jet:
         return _Jet(1, self.u // 2)
 
 
-def i_prime(a: Mat, d: Mat, w) -> SlElement:
+def i_prime(a: IntMat, d: IntMat, w) -> SlElement:
     """Exact derivative at the identity of i along the curve
     (I + t*A, I + t*D, t*w), on integer jets (`_i_prime_int`). Any curve
     with these velocities gives the same result. i maps into matrices of
@@ -194,13 +188,13 @@ def i_prime(a: Mat, d: Mat, w) -> SlElement:
     return SlElement(d.rows, _i_prime_int(a, d, w))
 
 
-def _i_prime_int(a: Mat, d: Mat, w) -> IntMat:
+def _i_prime_int(a: IntMat, d: IntMat, w) -> IntMat:
     """i_prime as integers over 2L, L the lcm of the denominators of A, D
     and w: `_i_assemble` run on the jets (`_Jet`) of B = I + eps·A,
     C = I + eps·D and eps·w, each entry's velocity scaled to an integer
     over 2L. Then beta = 1 + eps·tr A and sbar = 1 + eps·tr A/2, and the
     velocities of the result are the integers of i'."""
-    ia, id_, w = IntMat.of(a), IntMat.of(d), rat(w)
+    ia, id_, w = need_ints(a, "A"), need_ints(d, "D"), rat(w)
     big = 2 * math.lcm(ia.d, id_.d, w.denominator)
 
     def jets(m):
@@ -213,11 +207,13 @@ def _i_prime_int(a: Mat, d: Mat, w) -> IntMat:
     return IntMat(big, len(rows), [[e.u for e in r] for r in rows])
 
 
-def i_prime_float(a: Mat, d: Mat, w, step=1e-5) -> Mat:
+def i_prime_float(a: IntMat, d: IntMat, w, step=1e-5) -> Mat:
     """Central-difference derivative of i at the identity along one-parameter
     subgroups, the second computation path for the derivative condition.
-    Runs on rows of floats (`exp_float`, `_i_assemble`)."""
-    af, df = ([[float(e) for e in r] for r in m.data] for m in (a, d))
+    Runs on rows of floats (`exp_float`, `_i_assemble`); x / m.d rounds
+    correctly, as float(Fraction(x, m.d)) does."""
+    af, df = ([[x / m.d for x in r] for r in m.dense]
+              for m in (need_ints(a, "A"), need_ints(d, "D")))
     wf = float(w)
 
     def at(t):
@@ -250,15 +246,15 @@ def _so_image(sig: Signature, k: int) -> IntMat:
 
 
 @functools.cache
-def alpha_restriction_matrix(sig: Signature) -> Mat:
+def alpha_restriction_matrix(sig: Signature) -> IntMat:
     """Matrix of alpha restricted to g_- + g_1, read in the negative-slot
     coordinates of sl(2n+2). Square of size 4n+1; full rank by the pair
-    condition on the induced quotient map. Built once per signature (a Mat
-    is immutable) for the hat lift and the rank check, from the alpha
-    images of `_so_image`."""
-    im = [_so_image(sig, k) for k in _lift_indices(sig)]
-    return Mat([[Fraction(e.dense[r][c], e.d) for e in im]
-                for r, c in neg_positions(sig.n)])
+    condition on the induced quotient map. Built once per signature for the
+    hat lift and the rank check, from the alpha images of `_so_image` over
+    their common denominator."""
+    im = IntMat.aligned([_so_image(sig, k) for k in _lift_indices(sig)])
+    return IntMat(im[0].d, len(im), [[e.dense[r][c] for e in im]
+                                     for r, c in neg_positions(sig.n)])
 
 
 @functools.cache
@@ -266,7 +262,8 @@ def _lift_rows(sig: Signature) -> IntMat:
     """The transposed inverse of the restriction matrix, once per signature:
     row j holds the coordinates, on the `_lift_positions`, of the hat lift
     of negative basis element j."""
-    return IntMat.of(invert(alpha_restriction_matrix(sig)).T)
+    inv = invert(alpha_restriction_matrix(sig))
+    return IntMat(inv.d, inv.rows, [list(c) for c in zip(*inv.dense)])
 
 
 def _lift_positions(sig: Signature):
@@ -321,7 +318,7 @@ def psi_from_coordinates(sig: Signature, c1: IntMat, c2: IntMat) -> IntMat:
     by bilinearity: the sum over its keys a < b of
     (x1_a x2_b - x1_b x2_a) Psi(e_a, e_b), for the integers x1, x2 of c1,
     c2, summed against the table's integer rows (`Cochain2.int_rows`)."""
-    (x1,), (x2,) = c1.dense, c2.dense
+    (x1,), (x2,) = need_ints(c1).dense, need_ints(c2).dense
     phi = build_psi_cochain(sig)
     d, values = phi.int_rows
     m = 2 * sig.n + 2
@@ -343,7 +340,8 @@ def trilinear_ints(sig: Signature, x: IntMat, y: IntMat, z: IntMat):
     return psi, psi.commutator(ze.ints)
 
 
-def psi_trilinear(sig: Signature, x: Mat, y: Mat, z: Mat) -> SlElement:
+def psi_trilinear(sig: Signature, x: IntMat, y: IntMat,
+                  z: IntMat) -> SlElement:
     """[Psi(x, [y, W0]), z] for 2n-columns x, y, z read as bottom-left
     column slots; the value lands back in that slot."""
     n = sig.n
@@ -354,17 +352,11 @@ def psi_trilinear(sig: Signature, x: Mat, y: Mat, z: Mat) -> SlElement:
 
 def _int_column(v: IntMat):
     """The integers of a column, and their one denominator."""
-    return [r[0] for r in v.dense], v.d
+    return [r[0] for r in need_ints(v).dense], v.d
 
 
-def symmetrized_reference(sig: Signature, x: Mat, y: Mat, z: Mat) -> Mat:
-    """The Mat view of `symmetrized_ints`, on the columns read as
-    IntMats."""
-    return symmetrized_ints(sig, *(IntMat.of(v) for v in (x, y, z))).to_mat()
-
-
-def symmetrized_ints(sig: Signature, x: IntMat, y: IntMat,
-                     z: IntMat) -> IntMat:
+def symmetrized_reference(sig: Signature, x: IntMat, y: IntMat,
+                          z: IntMat) -> IntMat:
     """Sum over all six argument orders of
     (<X1,Y2>Z1 - <X1,Y1>Z2 ; <X2,Y2>Z1 - <X1,Y2>Z2), with <,> the Ipq
     pairing, for integer 2n-columns. The sum, trilinear in their integers,
@@ -390,7 +382,8 @@ def fit_trilinear_constant(sig: Signature) -> Fraction:
     """The one global constant relating psi_trilinear to the symmetrized
     reference (`fit_on_unit_triples`)."""
     n = sig.n
-    units = [Mat.col([Fraction(1 if r == i else 0) for r in range(2 * n)])
+    units = [IntMat(1, 1, sparse=[[(0, 1)] if r == i else []
+                                  for r in range(2 * n)])
              for i in range(2 * n)]
     return fit_on_unit_triples(
         units, lambda *u: symmetrized_reference(sig, *u),
@@ -400,10 +393,11 @@ def fit_trilinear_constant(sig: Signature) -> Fraction:
 
 
 def fit_on_unit_triples(units, cheap, costly, error: str) -> Fraction:
-    """The constant c with costly(u, v, w) = c·cheap(u, v, w), two Mats,
+    """The constant c with costly(u, v, w) = c·cheap(u, v, w), two IntMats,
     fitted on the first triple of units, in nested-loop order, where both
-    are nonzero and checked for exact proportionality there. costly runs
-    only where cheap is nonzero; ValueError(error) when no triple fits."""
+    are nonzero and checked for exact proportionality there: c is read off
+    the first nonzero entry of cheap. costly runs only where cheap is
+    nonzero; ValueError(error) when no triple fits."""
     for triple in itertools.product(units, repeat=3):
         base = cheap(*triple)
         if base.is_zero():
@@ -411,10 +405,10 @@ def fit_on_unit_triples(units, cheap, costly, error: str) -> Fraction:
         value = costly(*triple)
         if value.is_zero():
             continue
-        a, b = next((a, b) for ra, rb in zip(base.data, value.data)
+        a, b = next((a, b) for ra, rb in zip(base.dense, value.dense)
                     for a, b in zip(ra, rb) if a)
-        cst = b / a
-        if value == cst * base:
+        cst = Fraction(b * base.d, a * value.d)
+        if value.equals(IntMat.combination([(cst, base)])):
             return cst
     raise ValueError(error)
 
@@ -465,21 +459,12 @@ class Cochain2:
     ordered basis pairs (a < b) of the negative basis. It keeps them as
     `int_rows` (d, rows): integer matrices over one denominator d, rows
     mapping each key, in sorted order, to the sparse rows of its value (as
-    `IntMat.sparse`); `table` reads them as a mapping of SlElements."""
+    `IntMat.sparse`)."""
 
     __slots__ = ("n", "int_rows")
 
-    def __init__(self, n: int, table: dict | None = None, ints=None):
-        """From a table of SlElements, or from ints, the values as IntMats by
-        sorted key."""
-        table = table or {}
-        for (a, b), v in table.items():
-            if not a < b:
-                raise ValueError("table keys must be ordered pairs a < b")
-            if v.n != n:
-                raise ValueError("value dimension mismatch")
-        if ints is None:
-            ints = {k: table[k].ints for k in sorted(table)}
+    def __init__(self, n: int, ints: dict):
+        """From ints, the values as IntMats by sorted key."""
         common = IntMat.aligned(list(ints.values()))
         rows = MappingProxyType({k: v.sparse for k, v in zip(ints, common)})
         object.__setattr__(self, "n", n)
@@ -489,18 +474,9 @@ class Cochain2:
     def __setattr__(self, name, value):
         raise AttributeError("Cochain2 is immutable")
 
-    @property
-    def table(self):
-        d, rows = self.int_rows
-        m = 2 * self.n + 2
-        return MappingProxyType({k: SlElement(self.n, IntMat(
-            d, m, sparse=r)) for k, r in rows.items()})
-
-    def value(self, a: int, b: int) -> SlElement:
-        return SlElement(self.n, self.int_value(a, b))
-
     def int_value(self, a: int, b: int) -> IntMat:
-        """value(a, b) as an IntMat over the denominator of `int_rows`."""
+        """The value on the pair (a, b), either order, as an IntMat over the
+        denominator of `int_rows`."""
         d, values = self.int_rows
         m = 2 * self.n + 2
         sign = 1 if a < b else -1
@@ -563,7 +539,7 @@ def build_psi_cochain(sig: Signature) -> Cochain2:
             value = _psi_int(sig, la, lifts[b])
             if not value.is_zero():
                 values[(a, b)] = value
-    return Cochain2(sig.n, ints=values)
+    return Cochain2(sig.n, values)
 
 
 def codifferential(phi: Cochain2) -> Cochain1:
@@ -700,7 +676,7 @@ def _i_invertible(h: QGroupElement, ih: IntMat) -> bool:
     +-1, C being in O(p, q): the top block has determinant beta/|beta|,
     the lower one beta^n det(C)^2/|beta|^n)."""
     m = ih.rows
-    return (ih * _i_exact(h.inverse())).equals(
+    return (ih * i_map(h.inverse())).equals(
         IntMat(1, m, sparse=[[(i, 1)] for i in range(m)]), up_to_sign=True)
 
 
@@ -720,7 +696,7 @@ def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
     for trial in range(trials):
         h = samplers.rand_q_square(sig, rng)
         x = samplers.rand_so_int(sig, rng)
-        ih = _i_exact(h)
+        ih = i_map(h)
         lhs = _alpha_assembled(sig, h.ad_int(x)) * ih
         rhs = ih * _alpha_assembled(sig, x)
         ok = lhs.equals(rhs, up_to_sign=True)
@@ -757,8 +733,8 @@ def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
 def i_product_rule(h1: QGroupElement, h2: QGroupElement) -> bool:
     """Whether i(h1 h2) = +- i(h1) i(h2), for two elements with square
     |det B|, either orientation; compared on integer rows."""
-    return _i_exact(h1.compose(h2)).equals(_i_exact(h1) * _i_exact(h2),
-                                           up_to_sign=True)
+    return i_map(h1.compose(h2)).equals(i_map(h1) * i_map(h2),
+                                        up_to_sign=True)
 
 
 def i_product_defect(h1: QGroupElement, h2: QGroupElement) -> float:
@@ -782,7 +758,7 @@ def psi_equivariance_check(sig: Signature, h: QGroupElement, a: int,
     Checked strictly, with no sign to spare, as the product
     i(h)·Psi(e_a, e_b) = Psi(Ad(h) lift_a, Ad(h) lift_b)·i(h) on integer
     rows: the same claim, as i(h) is invertible (`_i_invertible`)."""
-    ih = _i_exact(h)
+    ih = i_map(h)
     if not _i_invertible(h, ih):
         return "i(h)·i(h^-1) is not +-I"
     value = build_psi_cochain(sig).int_value(a, b)

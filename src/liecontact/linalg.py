@@ -10,19 +10,23 @@ the largest the CI smoke run covers).
 `Mat` is a plain entrywise matrix: each of its operations has one code
 path, which applies the entry type's own arithmetic, so a product of
 Fractions runs Fraction arithmetic and a product of floats sums its terms
-in column order (`_dot`). Exact work of any size is written on the one
-integer type, `IntMat`: a rational matrix held as integers over one
-positive denominator. Every exact product, commutator, sum and Gram check
-of the package's routes runs on it, and it builds one Fraction per nonzero
-entry only when it goes back to a `Mat`. Floats are summed left to right
-(`plain_sum`), so no Python version's `sum()` enters a float result.
+in column order (`_dot`). Every exact matrix that a sampler draws or a
+claim reads is of the one integer type, `IntMat`: a rational matrix held
+as integers over one positive denominator. Every exact product,
+commutator, sum, elimination and Gram check runs on it, and it builds one
+Fraction per nonzero entry only when it goes back to a `Mat` view. Floats
+are summed left to right (`plain_sum`), so no Python version's `sum()`
+enters a float result.
 
 `structure_table` brackets every pair of an integer basis to build the
 structure-constant table of either algebra (so(p+2, q+2) and sl(2n+2))
 that `jacobi_failures` checks. Rank, kernel, solve, inverse and
-determinant share one fraction-free Gauss-Jordan elimination on rows of
-Fractions scaled to integers, `_eliminate`; its integer core, `bareiss`,
-also solves the Cayley transform of `samplers.rand_opq`.
+determinant take `IntMat`s and run one fraction-free Gauss-Jordan
+elimination, `bareiss`, on the integer rows they are given; rank, kernel,
+solve and inverse return `IntMat`s. `bareiss` also solves the Cayley
+transform of `samplers.rand_opq`. A `Mat` given to any of them, or to any
+other exact entry point of the package, is refused with TypeError
+(`need_ints`), not converted.
 
 The forms S and Ipq are symmetric signed permutations, kept per signature
 as `SignedPerm` tables. A product with one (`left`,
@@ -51,8 +55,9 @@ def rat(x) -> Fraction:
 
 
 def rat_sqrt(x: Fraction) -> Fraction:
-    """Exact square root of a perfect-square rational, else ValueError."""
-    x = Fraction(x)
+    """Exact square root of a perfect-square rational, else ValueError;
+    read through `rat`, so a float is refused (TypeError)."""
+    x = rat(x)
     if x < 0:
         raise ValueError("negative radicand %s" % x)
     rn = math.isqrt(x.numerator)
@@ -65,7 +70,9 @@ def rat_sqrt(x: Fraction) -> Fraction:
 class Mat:
     """Immutable dense matrix over whatever field elements it is fed
     (Fraction, float, or any number type with the field operations).
-    Arithmetic never mutates."""
+    Arithmetic never mutates. It has three roles: the float routes, the
+    views that print witnesses and reprs, and the 2x2 units of the
+    split-quaternion algebra; exact work is written on `IntMat`."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -85,52 +92,14 @@ class Mat:
     # constructors
 
     @classmethod
-    def zeros(cls, rows, cols, zero=Fraction(0)):
-        return cls([[zero] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n, one=Fraction(1)):
         z = one - one
         return cls([[one if i == j else z for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diag(cls, entries):
-        entries = list(entries)
-        n = len(entries)
-        return cls([[entries[i] if i == j else Fraction(0) for j in range(n)]
-                    for i in range(n)])
-
-    @classmethod
-    def col(cls, entries):
-        return cls([[e] for e in entries])
-
-    @classmethod
-    def block(cls, grid):
-        """Assemble from a 2d grid of Mat blocks with consistent sizes."""
-        rows = []
-        for band in grid:
-            height = band[0].rows
-            if any(b.rows != height for b in band):
-                raise ValueError("inconsistent block heights")
-            for i in range(height):
-                row = []
-                for b in band:
-                    row.extend(b.data[i])
-                rows.append(row)
-        return cls(rows)
-
     # access
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
 
     def column(self, j):
         return tuple(r[j] for r in self.data)
-
-    def submat(self, r0, r1, c0, c1):
-        """Block self[r0:r1, c0:c1]."""
-        return Mat([r[c0:c1] for r in self.data[r0:r1]])
 
     # arithmetic
 
@@ -147,21 +116,12 @@ class Mat:
     def __neg__(self):
         return Mat([[-a for a in r] for r in self.data])
 
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch %sx%s * %sx%s"
-                                 % (self.rows, self.cols, other.rows, other.cols))
-            cols = [other.column(j) for j in range(other.cols)]
-            return Mat([[_dot(r, c) for c in cols] for r in self.data])
-        return Mat([[a * other for a in r] for r in self.data])
-
-    def __rmul__(self, scalar):
-        return Mat([[scalar * a for a in r] for r in self.data])
-
-    @property
-    def T(self):
-        return Mat([self.column(j) for j in range(self.cols)])
+    def __mul__(self, other: Mat) -> Mat:
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch %sx%s * %sx%s"
+                             % (self.rows, self.cols, other.rows, other.cols))
+        cols = [other.column(j) for j in range(other.cols)]
+        return Mat([[_dot(r, c) for c in cols] for r in self.data])
 
     def trace(self):
         if self.rows != self.cols:
@@ -170,9 +130,6 @@ class Mat:
         for i in range(1, self.rows):
             t = t + self.data[i][i]
         return t
-
-    def is_zero(self):
-        return all(a == 0 for r in self.data for a in r)
 
     def map(self, fn):
         return Mat([[fn(a) for a in r] for r in self.data])
@@ -215,12 +172,12 @@ class IntMat:
     entry (i, j) is the integer at (i, j) divided by d.
 
     The integers keep the form that made them: `sparse` rows of (column,
-    int) pairs of the nonzero entries when read from a `Mat`, `dense` rows
-    from a product, a commutator or a combination; the other form is
-    derived once, on first use. Immutable by contract: nothing sets its
-    fields after it is made or writes the rows it hands out. Assignment is
-    not blocked: a guarded constructor costs three times as much, and a
-    product makes three."""
+    int) pairs of the nonzero entries, as a basis unit or a lift is built,
+    or `dense` rows, as a product, a commutator or a combination is; the
+    other form is derived once, on first use. Immutable by contract:
+    nothing sets its fields after it is made or writes the rows it hands
+    out. Assignment is not blocked: a guarded constructor costs three times
+    as much, and a product makes three."""
 
     __slots__ = ("d", "rows", "cols", "_dense", "_sparse")
 
@@ -240,9 +197,12 @@ class IntMat:
 
     @classmethod
     def of(cls, m: Mat) -> IntMat:
-        """m over the lcm of its entry denominators. Integer entries are
-        read as rationals, and floats are refused (TypeError)."""
-        return _scaled_rows(m) or _scaled_rows(m.map(rat))
+        """m over the lcm of its entry denominators (`ints_over_lcm`).
+        Integer entries are read as rationals, and floats are refused
+        (TypeError)."""
+        ints, d = ints_over_lcm([e for r in m.data for e in r])
+        c = m.cols
+        return cls(d, c, [ints[i:i + c] for i in range(0, len(ints), c)])
 
     @classmethod
     def aligned(cls, ints):
@@ -396,25 +356,12 @@ class IntMat:
         return True
 
 
-def _scaled_rows(m: Mat):
-    """m as an IntMat over the lcm of its entry denominators; None unless
-    every entry of m is a Fraction."""
-    d = 1
-    rows = []
-    for r in m.data:
-        row = []
-        for j, e in enumerate(r):
-            if type(e) is not Fraction:
-                return None
-            x = e.numerator
-            if x:
-                q = e.denominator
-                if q != 1:
-                    d = math.lcm(d, q)
-                row.append((j, x, q))
-        rows.append(row)
-    return IntMat(d, m.cols, None,
-                  [[(j, x * (d // q)) for j, x, q in r] for r in rows])
+def ints_over_lcm(values):
+    """(ints, d): the exact values, read through `rat`, as integers over the
+    lcm d of their denominators."""
+    values = [rat(v) for v in values]
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _addmul(acc, row, rows, sign):
@@ -461,17 +408,18 @@ class SignedPerm:
             raise ValueError("shape mismatch: a %dx%d signed permutation "
                              "against a side of %d" % (k, k, side))
 
-    def left(self, m: Mat) -> Mat:
-        """P·m: row i is signs[i] times row perm[i] of m."""
-        self._fits(m.rows)
-        data = m.data
-        return Mat([data[k] if s > 0 else [-e for e in data[k]]
-                    for k, s in zip(self.perm, self.signs)])
+    def left(self, m: IntMat) -> IntMat:
+        """P·m over m's denominator: row i is signs[i] times row perm[i] of
+        m."""
+        self._fits(need_ints(m).rows)
+        data = m.dense
+        return IntMat(m.d, m.cols, [data[k] if s > 0 else [-x for x in data[k]]
+                                    for k, s in zip(self.perm, self.signs)])
 
     def conjugate_transpose(self, m: IntMat) -> IntMat:
         """P·m^T·P over m's denominator: entry (i, j) is
         signs[i]·signs[j]·m[perm j][perm i]."""
-        self._fits(m.rows)
+        self._fits(need_ints(m).rows)
         self._fits(m.cols)
         data = m.dense
         cols = tuple(zip(self.perm, self.signs))
@@ -499,25 +447,6 @@ def structure_table(basis, coordinates):
             table[(b, a)] = MappingProxyType(
                 {c: -v for c, v in sparse.items()})
     return MappingProxyType(table)
-
-
-def _eliminate(rows):
-    """Fraction-free Gauss-Jordan elimination (`bareiss`) of the rows of
-    Fractions `rows`, each first scaled to integers by its lcm. Returns
-    (rows, pivots, d, sign, scale): the integer rows are d times the
-    reduced row echelon form, d the last pivot (1 if none), sign the parity
-    of the row swaps and scale the product of the row lcms, so a square
-    full-rank input has determinant sign * d / scale. TypeError on any
-    entry that is not a Fraction."""
-    out = []
-    scale = 1
-    for r in rows:
-        if any(type(e) is not Fraction for e in r):
-            raise TypeError("elimination needs Fraction entries: %r" % (r,))
-        lcm = math.lcm(*[e.denominator for e in r])
-        out.append([e.numerator * (lcm // e.denominator) for e in r])
-        scale *= lcm
-    return (*bareiss(out), scale)
 
 
 def bareiss(out):
@@ -550,83 +479,102 @@ def bareiss(out):
     return out, pivots, prev, sign
 
 
-def rank_kernel(m: Mat):
-    """Exact rank and a basis of the right kernel, as column matrices."""
-    rows, pivots, d, _, _ = _eliminate(m.data)
+def need_ints(m, what="matrix") -> IntMat:
+    """m, unless it is not an `IntMat`: TypeError. The one refusal of every
+    exact entry point, so a `Mat` is never converted on the way in."""
+    if not isinstance(m, IntMat):
+        raise TypeError("the %s must be an IntMat, not a %s"
+                        % (what, type(m).__name__))
+    return m
+
+
+def rank_kernel(m: IntMat):
+    """Exact rank and a basis of the right kernel, as integer columns: one
+    per free column fc, d at fc and minus the integers of the reduced rows
+    at the pivots, over the last pivot d."""
+    rows, pivots, d, _ = bareiss(list(need_ints(m).dense))
     pivset = set(pivots)
     basis = []
     for fc in range(m.cols):
         if fc in pivset:
             continue
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
+        v = [[0] for _ in range(m.cols)]
+        v[fc][0] = d
         for pr, pc in enumerate(pivots):
-            v[pc] = Fraction(-rows[pr][fc], d)
-        basis.append(Mat.col(v))
+            v[pc][0] = -rows[pr][fc]
+        basis.append(IntMat(d, 1, v))
     return len(pivots), basis
 
 
-def solve_linear(a: Mat, b: Mat):
-    """Some exact solution x of a*x = b, or None when inconsistent.
-    Free variables are set to zero."""
+def solve_linear(a: IntMat, b: IntMat):
+    """Some exact solution x of a*x = b, as an integer column, or None when
+    inconsistent. Free variables are set to zero. With a = A / da and
+    b = B / db it eliminates [db·A | da·B]."""
+    need_ints(a)
+    need_ints(b)
     if b.cols != 1:
         raise ValueError("right hand side must be a column")
     if a.rows != b.rows:
         raise ValueError("a has %d rows but b has %d" % (a.rows, b.rows))
-    rows, pivots, d, _, _ = _eliminate(
-        [ra + rb for ra, rb in zip(a.data, b.data)])
+    da, db = a.d, b.d
+    rows, pivots, d, _ = bareiss([[db * x for x in ra] + [da * rb[0]]
+                                  for ra, rb in zip(a.dense, b.dense)])
     if a.cols in pivots:
         return None
-    x = [Fraction(0)] * a.cols
+    x = [[0] for _ in range(a.cols)]
     for pr, pc in enumerate(pivots):
-        x[pc] = Fraction(rows[pr][a.cols], d)
-    return Mat.col(x)
+        x[pc][0] = rows[pr][a.cols]
+    return IntMat(d, 1, x)
 
 
-def invert(m: Mat) -> Mat:
-    """Exact inverse, ValueError when singular."""
+def invert(m: IntMat) -> IntMat:
+    """Exact inverse over its least common denominator, ValueError when
+    singular. With m = M / d it eliminates [M | d·I]."""
+    need_ints(m)
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    rows, pivots, d, _, _ = _eliminate(
-        [r + e for r, e in zip(m.data, Mat.identity(n).data)])
+    n, f = m.rows, m.d
+    rows, pivots, d, _ = bareiss([r + [f if i == j else 0 for j in range(n)]
+                                  for i, r in enumerate(m.dense)])
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    return IntMat(d, n, dense=[r[n:] for r in rows]).to_mat()
+    inv = [r[n:] for r in rows]
+    g = math.gcd(d, *itertools.chain.from_iterable(inv))
+    return IntMat(d // g, n, [[x // g for x in r] for r in inv])
 
 
-def det(m: Mat) -> Fraction:
-    """Exact determinant by elimination."""
+def det(m: IntMat) -> Fraction:
+    """Exact determinant by elimination: for m = M / d, det M / d^n, with
+    det M the last pivot times the parity of the row swaps."""
+    need_ints(m)
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, d, sign, scale = _eliminate(m.data)
+    _, pivots, d, sign = bareiss(list(m.dense))
     if len(pivots) < m.rows:
         return Fraction(0)
-    return Fraction(sign * d, scale)
+    return Fraction(sign * d, m.d ** m.rows)
 
 
-def exp_nilpotent(m, nilpotency_bound: int):
-    """Exact exp of a nilpotent matrix: sum_{j<k} m^j / j! where m^k = 0,
-    for m a Mat or an IntMat; the result is of the kind given.
+def exp_nilpotent(m: IntMat, nilpotency_bound: int) -> IntMat:
+    """Exact exp of a nilpotent matrix: sum_{j<k} m^j / j! where m^k = 0.
 
     Raises ValueError naming the power that failed to vanish when m is not
-    nilpotent within the stated bound. Integer entries of a Mat are read as
-    rationals, and floats are refused (TypeError)."""
+    nilpotent within the stated bound, TypeError unless m is an IntMat."""
+    need_ints(m)
     if m.rows != m.cols:
         raise ValueError("exp of a non-square matrix")
     n = m.rows
-    p = mi = m if isinstance(m, IntMat) else IntMat.of(m)
+    p = m
     terms = [(1, IntMat(1, n, sparse=[[(i, 1)] for i in range(n)]))]
     for j in range(1, nilpotency_bound + 1):
         if p.is_zero():
             break
         terms.append((Fraction(1, math.factorial(j)), p))
-        p = p * mi
+        p = p * m
     else:
         raise ValueError("m^%d != 0, not nilpotent within the stated bound"
                          % nilpotency_bound)
-    out = IntMat.combination(terms)
-    return out if mi is m else out.to_mat()
+    return IntMat.combination(terms)
 
 
 def exp_float(m):

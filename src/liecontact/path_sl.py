@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 
-from .linalg import IntMat, Mat, rat
+from .linalg import IntMat, Mat, need_ints, rat
 
 _SLOT_DEGREE = {"m2": -2, "m1E": -1, "m1V": -1, "g0": 0,
                 "p1E": 1, "p1V": 1, "p2": 2}
@@ -60,44 +60,37 @@ def entry_degrees(n: int):
 class SlElement:
     """Trace-free (2n+2) x (2n+2) matrix with slot accessors, held as its
     integer rows over one denominator (`ints`, an IntMat); `mat` is its
-    Fraction view, built the first time it is read. Immutable."""
+    Fraction view for the repr, made when read. Immutable."""
 
-    __slots__ = ("n", "ints", "_mat")
+    __slots__ = ("n", "ints")
 
-    def __init__(self, n: int, m):
-        """The element with the matrix m, a Mat of exact entries or an IntMat
-        (kept as it is); TypeError on any other entry, ValueError unless m
-        is trace free."""
+    def __init__(self, n: int, m: IntMat):
+        """The element with the matrix m, an IntMat, kept as it is;
+        TypeError on a Mat, ValueError unless m is trace free."""
         size = 2 * n + 2
-        if m.rows != size or m.cols != size:
+        if need_ints(m).rows != size or m.cols != size:
             raise ValueError("expected a %dx%d matrix" % (size, size))
-        ints = m if isinstance(m, IntMat) else IntMat.of(m)
-        if sum(r[i] for i, r in enumerate(ints.dense)):
+        if sum(r[i] for i, r in enumerate(m.dense)):
             raise ValueError("matrix must be trace free")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ints", ints)
-        object.__setattr__(self, "_mat", None)
+        object.__setattr__(self, "ints", m)
 
     def __setattr__(self, name, value):
         raise AttributeError("SlElement is immutable")
 
     @property
     def mat(self) -> Mat:
-        if self._mat is None:
-            object.__setattr__(self, "_mat", self.ints.to_mat())
-        return self._mat
+        return self.ints.to_mat()
 
     @classmethod
     def zero(cls, n: int):
         return cls(n, IntMat(1, 2 * n + 2, sparse=[[]] * (2 * n + 2)))
 
     @classmethod
-    def from_m2(cls, n: int, v):
-        """g~_{-2} element with column vector v in R^2n, a Mat or an
-        IntMat."""
-        if v.cols != 1 or v.rows != 2 * n:
+    def from_m2(cls, n: int, v: IntMat):
+        """g~_{-2} element with the column v in R^2n, an IntMat."""
+        if need_ints(v).cols != 1 or v.rows != 2 * n:
             raise ValueError("expected a 2n x 1 column")
-        v = IntMat.of(v) if isinstance(v, Mat) else v
         return cls(n, IntMat(v.d, 2 * n + 2, sparse=[[], []] + [
             [(0, e)] if e else [] for (e,) in v.dense]))
 
@@ -111,9 +104,10 @@ class SlElement:
 
     # vector views
 
-    def m2_vector(self) -> Mat:
+    def m2_vector(self) -> IntMat:
+        """The g~_{-2} column: rows 2 to 2n+1 of column 0."""
         g = self.ints
-        return IntMat(g.d, 1, [r[:1] for r in g.dense[2:]]).to_mat()
+        return IntMat(g.d, 1, [r[:1] for r in g.dense[2:]])
 
     def in_slots(self, slots) -> bool:
         """True when every nonzero entry lies in one of the given slots."""

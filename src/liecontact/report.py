@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import chains, extension, samplers
-from .linalg import IntMat, Mat, exp_nilpotent, rank_kernel
+from .linalg import IntMat, exp_nilpotent, ints_over_lcm, rank_kernel
 from .path_sl import sl_neg_slots
 from .so_contact import (Signature, SoElement, bracket, bracket_gm1,
                          grading_check, jacobi_check,
@@ -209,13 +209,19 @@ def _det_scaling(sig, A, x, y):
     return scaling_residual(sig, A, x, y) == 0
 
 
+def _rank_one(u, f) -> IntMat:
+    """u·f^t for the Fractions u (n of them) and f (two), on their
+    integers."""
+    (us, du), (fs, df) = ints_over_lcm(u), ints_over_lcm(f)
+    return IntMat(du * df, 2, [[a * b for b in fs] for a in us])
+
+
 @_trials("algebra", "rank-one-bracket",
          "bracket of rank-one elements matches its closed form",
          _draw(f1=_fractions(2), f2=_fractions(2), u1=_row, u2=_row))
 def _rank_one_closed(sig, f1, f2, u1, u2):
-    x = Mat([[u * f1[0], u * f1[1]] for u in u1])
-    y = Mat([[u * f2[0], u * f2[1]] for u in u2])
-    return bracket_gm1(sig, x, y) == rank_one_bracket(sig, f1, f2, u1, u2)
+    return (bracket_gm1(sig, _rank_one(u1, f1), _rank_one(u2, f2))
+            == rank_one_bracket(sig, f1, f2, u1, u2))
 
 
 def _quaternion(sig, rng):
@@ -264,10 +270,12 @@ def _eigensplit(sig, rng, trials):
     plus, minus = eigenspace_decompose(st)
     if len(plus) != sig.n or len(minus) != sig.n:
         return False, "eigenspace dimensions %d, %d" % (len(plus), len(minus))
+    # each column's integers: the rank does not see their denominators
+    cols = [[x for (x,) in stack_columns(m).dense] for m in minus]
     for v in plus:
-        cols = [stack_columns(m).column(0) for m in minus]
-        cols.append(stack_columns(st.apply_j(v)).column(0))
-        rank, _ = rank_kernel(Mat(cols).T)
+        image = [x for (x,) in stack_columns(st.apply_j(v)).dense]
+        rank, _ = rank_kernel(IntMat(1, sig.n + 1,
+                                     [list(r) for r in zip(*cols, image)]))
         if rank != sig.n:
             return False, "J image leaves the opposite eigenspace"
     return True, None
@@ -282,8 +290,8 @@ def _line(sig, rng):
          "kernel-line subspaces are rank-at-most-one and bracket-null",
          _draw(l=_line, coeffs=_row))
 def _max_subspaces(sig, l, coeffs):
-    basis = [IntMat.of(m) for m in max_subspace_for_line(l, sig.n)]
-    combo = IntMat.combination(list(zip(coeffs, basis))).to_mat()
+    basis = max_subspace_for_line(l, sig.n)
+    combo = IntMat.combination(list(zip(coeffs, basis)))
     if segre_rank(combo) > 1:
         return "combination of rank two"
     return all(bracket_gm1(sig, m1, m2) == 0
@@ -353,11 +361,9 @@ def _m2_col(sig, rng):
          needs_psi=True)
 def _symmetrization(sig, cst, x, y, z):
     # psi_trilinear on integer rows, keeping Psi(x, [y, W0]) to compare
-    # whole blocks: the m2 column of the value and the 2n block of Psi; each
-    # column is read as integers once
-    x, y, z = (IntMat.of(v) for v in (x, y, z))
+    # whole blocks: the m2 column of the value and the 2n block of Psi
     psi, val = extension.trilinear_ints(sig, x, y, z)
-    ref = extension.symmetrized_ints(sig, x, y, z)
+    ref = extension.symmetrized_reference(sig, x, y, z)
     if not IntMat(val.d, 1, [r[:1] for r in val.dense[2:]]).equals(
             IntMat.combination([(cst, ref)])):
         return False
@@ -436,16 +442,16 @@ def _stabilizer(sig, o, h):
     return chains.act(sig, h.int_pair()[0], o) == o
 
 
-def _rand_sl2pm(rng):
-    """Random rational 2x2 matrix of determinant exactly +1 or -1."""
+def _rand_sl2pm(rng) -> IntMat:
+    """Random rational 2x2 matrix of determinant exactly +1 or -1: the
+    matrix [[a, b], [c, d]] with ad - bc = 1, times diag(1, -1) on a coin
+    flip."""
     a = samplers.rand_nonzero_fraction(rng)
     b = samplers.rand_fraction(rng)
     c = samplers.rand_fraction(rng)
-    d = (1 + b * c) / a
-    g = Mat([[a, b], [c, d]])
-    if rng.random() < 0.5:
-        g = g * Mat([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]])
-    return g
+    (a, b, c, d), den = ints_over_lcm((a, b, c, (1 + b * c) / a))
+    s = -1 if rng.random() < 0.5 else 1
+    return IntMat(den, 2, [[a, s * b], [c, s * d]])
 
 
 def _cone_samples(sig, rng, trials):
@@ -466,18 +472,17 @@ def _tensor_and_constant(sig):
          _draw(xi=_gm1, eta=_gm1, zeta=_gm1), setup=_tensor_and_constant,
          needs_psi=True)
 def _dual_path(sig, ev, cst, xi, eta, zeta):
-    return (chains.s_tensor(ev, xi, eta, zeta)
-            == cst * chains.pipeline_s(sig, xi, eta, zeta))
+    return chains.s_tensor(ev, xi, eta, zeta).equals(IntMat.combination(
+        [(cst, chains.pipeline_s(sig, xi, eta, zeta))]))
 
 
 @_trials("reconstruction", "tensor-symmetry",
          "cubic tensor is totally symmetric", _draw(a=_gm1, b=_gm1, c=_gm1),
          _at_most(200), setup=_tensor)
 def _symmetry(sig, ev, a, b, c):
-    plain = [IntMat.of(m) for m in (a, b, c)]
-    base = chains.s_tensor_int(ev, *plain)
-    return all(chains.s_tensor_int(ev, *perm).equals(base)
-               for perm in itertools.permutations(plain))
+    base = chains.s_tensor(ev, a, b, c)
+    return all(chains.s_tensor(ev, *perm).equals(base)
+               for perm in itertools.permutations((a, b, c)))
 
 
 @_declare("reconstruction", "cone-classification",

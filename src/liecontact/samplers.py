@@ -19,9 +19,10 @@ exp(N-) has the corner zJ + ½XᵀIpqX and exp(N+) the corner
 wJ + ½UIpqUᵀ, and diag(B, C, B^-T) is the stabilizer-group element
 (B, C, 0) (`QGroupElement.int_pair`). g is their product, returned as
 the `IntMat` it is. So every group sample reaches its claim as the integer
-rows it was built on: C, g, and the B and C of a group element. The g_{-1}
-samplers (`rand_gm1`, `rand_mixed_gm1` and the shapes they mix) return
-`Mat`s.
+rows it was built on: C, g, and the B and C of a group element. Every
+other exact matrix drawn here, the g_{-1} directions and g~_{-2} columns
+included, is an `IntMat` too, built from the ratios it draws
+(`_ratio_rows`) in the order of the Fraction draw.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import IntMat, Mat, bareiss, det
+from .linalg import IntMat, bareiss, det
 from .so_contact import QGroupElement, Signature, assembled_rows
 
 
@@ -56,16 +57,18 @@ def rand_nonzero_fraction(rng, span=6, den=4) -> Fraction:
             return x
 
 
-def rand_mat(rng, rows, cols, span=6, den=4) -> Mat:
-    return Mat([[rand_fraction(rng, span, den) for _ in range(cols)]
-                for _ in range(rows)])
+def rand_mat(rng, rows, cols, span=6, den=4) -> IntMat:
+    """A rows x cols matrix of `rand_fraction` draws, row by row."""
+    ints, d = _ratio_rows([[_rand_ratio(rng, span, den) for _ in range(cols)]
+                           for _ in range(rows)])
+    return IntMat(d, cols, ints)
 
 
-def rand_col(rng, n, span=6, den=4) -> Mat:
-    return Mat.col([rand_fraction(rng, span, den) for _ in range(n)])
+def rand_col(rng, n, span=6, den=4) -> IntMat:
+    return rand_mat(rng, n, 1, span, den)
 
 
-def rand_nonzero_col(rng, n, span=6, den=4) -> Mat:
+def rand_nonzero_col(rng, n, span=6, den=4) -> IntMat:
     while True:
         v = rand_col(rng, n, span, den)
         if not v.is_zero():
@@ -83,12 +86,12 @@ def _antisym_ratio_rows(rng, n, span=3, den=3):
     return _ratio_rows(rows)
 
 
-def rand_antisym(rng, n, span=3, den=3) -> Mat:
+def rand_antisym(rng, n, span=3, den=3) -> IntMat:
     rows, d = _antisym_ratio_rows(rng, n, span, den)
-    return IntMat(d, n, dense=rows).to_mat()
+    return IntMat(d, n, dense=rows)
 
 
-def rand_so_pq(sig: Signature, rng) -> Mat:
+def rand_so_pq(sig: Signature, rng) -> IntMat:
     """Random element of so(p,q): Ipq times an antisymmetric matrix."""
     return sig.ipq_perm().left(rand_antisym(rng, sig.n))
 
@@ -135,7 +138,7 @@ def rand_opq(sig: Signature, rng) -> IntMat:
     return IntMat(den, n, dense=rows)
 
 
-def rand_gl2(rng, span=4, den=3) -> Mat:
+def rand_gl2(rng, span=4, den=3) -> IntMat:
     while True:
         b = rand_mat(rng, 2, 2, span, den)
         if det(b) != 0:
@@ -151,7 +154,7 @@ def rand_q_element(sig: Signature, rng) -> QGroupElement:
 def rand_q_square(sig: Signature, rng) -> QGroupElement:
     """Stabilizer-group element with |det B| a perfect rational square,
     mixing both signs of det B."""
-    m = IntMat.of(rand_gl2(rng))
+    m = rand_gl2(rng)
     b = m * m
     if rng.choice((True, False)):  # B times diag(1, -1)
         b = IntMat(b.d, 2, [[x, -y] for x, y in b.dense])
@@ -219,31 +222,37 @@ def rand_oform(sig: Signature, rng) -> IntMat:
             * IntMat(d3, n + 4, sparse=upper))
 
 
-def rand_rank_one(sig: Signature, rng) -> Mat:
+def _outer(u: IntMat, f: IntMat) -> IntMat:
+    """u·f^t for two integer columns, over the product of their
+    denominators."""
+    return IntMat(u.d * f.d, f.rows, [[x * y for (y,) in f.dense]
+                                      for (x,) in u.dense])
+
+
+def rand_rank_one(sig: Signature, rng) -> IntMat:
     u = rand_nonzero_col(rng, sig.n)
     f = rand_nonzero_col(rng, 2)
-    return u * f.T
+    return _outer(u, f)
 
 
-def rand_gm1(sig: Signature, rng) -> Mat:
+def rand_gm1(sig: Signature, rng) -> IntMat:
     while True:
         x = rand_mat(rng, sig.n, 2)
         if not x.is_zero():
             return x
 
 
-def rand_isotropic_rank_one(sig: Signature, rng) -> Mat:
+def rand_isotropic_rank_one(sig: Signature, rng) -> IntMat:
     """Rank-one element u f^t with <u,u> = 0; needs mixed signature."""
     if sig.p < 1 or sig.q < 1:
         raise ValueError("isotropic vectors need p >= 1 and q >= 1")
     p, c = sig.p, rand_opq(sig, rng)
     # C·(e_0 + e_p), the sum of two columns of C
-    u = IntMat(c.d, 1, [[r[0] + r[p]] for r in c.dense]).to_mat()
-    f = rand_nonzero_col(rng, 2)
-    return u * f.T
+    u = IntMat(c.d, 1, [[r[0] + r[p]] for r in c.dense])
+    return _outer(u, rand_nonzero_col(rng, 2))
 
 
-def rand_isotropic_plane(sig: Signature, rng) -> Mat:
+def rand_isotropic_plane(sig: Signature, rng) -> IntMat:
     """Rank-two element whose two columns span a totally null plane, so the
     Levi form vanishes on everything it generates; needs p, q >= 2."""
     if sig.p < 2 or sig.q < 2:
@@ -251,10 +260,10 @@ def rand_isotropic_plane(sig: Signature, rng) -> Mat:
     p, c = sig.p, rand_opq(sig, rng)
     # C·[e_0 + e_p, e_1 + e_(p+1)], two sums of two columns of C
     plane = IntMat(c.d, 2, [[r[0] + r[p], r[1] + r[p + 1]] for r in c.dense])
-    return plane.to_mat() * rand_gl2(rng)
+    return plane * rand_gl2(rng)
 
 
-def rand_mixed_gm1(sig: Signature, rng) -> Mat:
+def rand_mixed_gm1(sig: Signature, rng) -> IntMat:
     """Mixture for classification tests: rank-one, generic, and the
     adversarial fully isotropic shapes the signature admits."""
     roll = rng.random()

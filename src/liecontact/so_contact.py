@@ -42,8 +42,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .linalg import (IntMat, Mat, SignedPerm, jacobi_failures, rank_kernel,
-                     rat, structure_table)
+from .linalg import (IntMat, Mat, SignedPerm, jacobi_failures, need_ints,
+                     rank_kernel, rat, structure_table)
 
 _NOT_IN_SO = "matrix is not in the orthogonal algebra of the standard form"
 _D_NOT_IN_SO = "D is not in so(p,q) for the given signature"
@@ -99,38 +99,40 @@ def ambient_inverse(sig: Signature, g: IntMat) -> IntMat:
 
 
 def inner(sig: Signature, u, v) -> Fraction:
-    """<u, v> with respect to Ipq; u, v are length-n sequences."""
+    """<u, v> with respect to Ipq; u, v are length-n sequences of exact
+    entries, each read through `rat` (a float is refused with TypeError)."""
     signs = sig.signs()
     acc = Fraction(0)
     for s, a, b in zip(signs, u, v):
-        acc += s * a * b
+        acc += s * rat(a) * rat(b)
     return acc
 
 
 class SoElement:
     """Element of so(p+2, q+2), held as the integer rows of its assembled
     matrix over one denominator (`ints`, an IntMat), as `QGroupElement`
-    holds B and C. The blocks z, X, A, D, U, w and the matrix (`assemble`)
-    are Fraction views made when read. Immutable."""
+    holds B and C. The blocks X, A, D, U are IntMats and z, w Fractions,
+    read off those rows when read; the matrix (`assemble`) is their Mat
+    view. Immutable."""
 
     __slots__ = ("sig", "ints")
 
-    def __init__(self, sig: Signature, z=0, X: Mat | None = None,
-                 A: Mat | None = None, D: Mat | None = None,
-                 U: Mat | None = None, w=0):
-        """The element with the given blocks, Mats of exact entries (a
-        missing one is zero); TypeError on a float entry, ValueError unless
-        D lies in so(p,q)."""
+    def __init__(self, sig: Signature, z=0, X: IntMat | None = None,
+                 A: IntMat | None = None, D: IntMat | None = None,
+                 U: IntMat | None = None, w=0):
+        """The element with the given blocks, IntMats (a missing one is
+        zero) and exact z, w; TypeError on a Mat block or a float, ValueError
+        unless D lies in so(p,q)."""
         n = sig.n
         blocks = []
         for name, m, rows, cols in (("X", X, n, 2), ("A", A, 2, 2),
                                     ("D", D, n, n), ("U", U, 2, n)):
             if m is None:
                 blocks.append(IntMat(1, cols, sparse=[[]] * rows))
-            elif m.rows != rows or m.cols != cols:
+            elif need_ints(m, name).rows != rows or m.cols != cols:
                 raise ValueError("%s must be %dx%d" % (name, rows, cols))
             else:
-                blocks.append(IntMat.of(m))
+                blocks.append(m)
         z, w = (IntMat(e.denominator, 1, [[e.numerator]])
                 for e in (rat(z), rat(w)))
         x, a, d, u, z, w = IntMat.aligned([*blocks, z, w])
@@ -151,11 +153,11 @@ class SoElement:
         """The matrix of the module docstring, the Mat view of `ints`."""
         return self.ints.to_mat()
 
-    def _block(self, r0, r1, c0, c1) -> Mat:
-        """The Mat view of rows r0:r1 and columns c0:c1 of the matrix."""
+    def _block(self, r0, r1, c0, c1) -> IntMat:
+        """Rows r0:r1 and columns c0:c1 of the matrix."""
         g = self.ints
         rows = [r[c0:c1] for r in g.dense[r0:r1]]
-        return IntMat(g.d, len(rows[0]), rows).to_mat()
+        return IntMat(g.d, len(rows[0]), rows)
 
     def _entry(self, r, c) -> Fraction:
         return Fraction(self.ints.dense[r][c], self.ints.d)
@@ -170,13 +172,13 @@ class SoElement:
     w = property(lambda self: self._entry(0, -1))
 
     @classmethod
-    def from_matrix(cls, sig: Signature, m) -> "SoElement":
-        """The element with the (n+4)x(n+4) matrix m: an IntMat, which
-        becomes its `ints` as it is, or a Mat, read by `IntMat.of`. Every
+    def from_matrix(cls, sig: Signature, m: IntMat) -> "SoElement":
+        """The element with the (n+4)x(n+4) matrix m, an IntMat, which
+        becomes its `ints` as it is (a Mat is refused with TypeError). Every
         redundant entry is compared with the one it repeats
         (`_block_mismatch`): ValueError naming D when the middle block is
         not in so(p,q), and the orthogonal algebra for any other mismatch."""
-        ints = m if isinstance(m, IntMat) else IntMat.of(m)
+        ints = need_ints(m)
         n = sig.n
         if ints.rows != n + 4 or ints.cols != n + 4:
             raise ValueError("expected a %dx%d matrix" % (n + 4, n + 4))
@@ -255,12 +257,10 @@ def bracket(x: SoElement, y: SoElement) -> SoElement:
     return SoElement.from_matrix(x.sig, x.ints.commutator(y.ints))
 
 
-def bracket_gm1(sig: Signature, x, y) -> Fraction:
+def bracket_gm1(sig: Signature, x: IntMat, y: IntMat) -> Fraction:
     """g_{-1} x g_{-1} -> g_{-2} in closed form: the coefficient of e is
-    <X1, Y2> - <X2, Y1>, the `gm1_pairing` of x and y, Mats read as
-    `IntMat`s or IntMats."""
-    a, b = (IntMat.of(m) if isinstance(m, Mat) else m for m in (x, y))
-    return Fraction(gm1_pairing(sig, a, b), a.d * b.d)
+    <X1, Y2> - <X2, Y1>, the `gm1_pairing` of the IntMats x and y."""
+    return Fraction(gm1_pairing(sig, need_ints(x), need_ints(y)), x.d * y.d)
 
 
 def gm1_pairing(sig: Signature, a: IntMat, b: IntMat) -> int:
@@ -294,42 +294,36 @@ def _inv2(b: IntMat) -> IntMat:
     return IntMat(_det2(b.dense), 2, [[q * d, -r * d], [-s * d, p * d]])
 
 
-def _check_g0(sig: Signature, b, c):
-    """B and C, Mats or IntMats, as IntMats; ValueError unless B is an
-    invertible 2x2 matrix and C lies in O(p, q), TypeError unless a B given
-    as a Mat has Fraction entries."""
-    if b.rows != 2 or b.cols != 2:
+def _check_g0(sig: Signature, b: IntMat, c: IntMat) -> None:
+    """TypeError unless B and C are IntMats, ValueError unless B is an
+    invertible 2x2 matrix and C lies in O(p, q)."""
+    if need_ints(b, "B").rows != 2 or b.cols != 2:
         raise ValueError("B must be 2x2")
-    if isinstance(b, Mat):
-        if any(type(e) is not Fraction for r in b.data for e in r):
-            raise TypeError("B needs Fraction entries: %r" % (b,))
-        b = IntMat.of(b)
     if _det2(b.dense) == 0:
         raise ValueError("B must be invertible")
-    c = IntMat.of(c) if isinstance(c, Mat) else c
-    _check_orthogonal(sig, c)
-    return b, c
+    _check_orthogonal(sig, need_ints(c, "C"))
 
 
-def orthogonal_residual(sig: Signature, c: IntMat, x: Mat,
-                        y: Mat) -> Fraction:
+def orthogonal_residual(sig: Signature, c: IntMat, x: IntMat,
+                        y: IntMat) -> Fraction:
     """[Cx, Cy] - [x, y], exactly zero for C in O(p, q), on integer rows
     (`gm1_pairing`); ValueError unless C is orthogonal."""
-    xi, yi = IntMat.of(x), IntMat.of(y)
-    _check_orthogonal(sig, c)
-    return bracket_gm1(sig, c * xi, c * yi) - bracket_gm1(sig, xi, yi)
+    _check_orthogonal(sig, need_ints(c, "C"))
+    return (bracket_gm1(sig, c * need_ints(x), c * need_ints(y))
+            - bracket_gm1(sig, x, y))
 
 
-def scaling_residual(sig: Signature, m: Mat, x: Mat, y: Mat,
+def scaling_residual(sig: Signature, m: IntMat, x: IntMat, y: IntMat,
                      factor=None) -> Fraction:
     """[xM, yM] - factor·[x, y] for a 2x2 M, on integer rows; exactly zero
     for the default factor det M, by which the g_{-1} bracket scales."""
-    mi, xi, yi = IntMat.of(m), IntMat.of(x), IntMat.of(y)
-    f = _det2(m.data) if factor is None else rat(factor)
-    return bracket_gm1(sig, xi * mi, yi * mi) - f * bracket_gm1(sig, xi, yi)
+    need_ints(m)
+    f = Fraction(_det2(m.dense), m.d * m.d) if factor is None else rat(factor)
+    return (bracket_gm1(sig, need_ints(x) * m, need_ints(y) * m)
+            - f * bracket_gm1(sig, x, y))
 
 
-def segre_rank(x: Mat) -> int:
+def segre_rank(x: IntMat) -> int:
     rank, _ = rank_kernel(x)
     return rank
 
@@ -349,13 +343,14 @@ class QGroupElement:
     The upper-right block has to be w*B*J (it is the only 2x2 block linear
     in w for which the assembled matrix preserves the form S; a w*C*J block
     would not even be 2x2 for n != 2). Equality is up to an overall sign,
-    realized as (B, C, w) ~ (-B, -C, w). B and C, given as Mats or IntMats,
-    are kept as the IntMats `int_b` and `int_c`, which every method reads."""
+    realized as (B, C, w) ~ (-B, -C, w). B and C are given as IntMats (a
+    Mat is refused with TypeError) and kept as `int_b` and `int_c`, which
+    every method reads."""
 
     __slots__ = ("sig", "int_b", "int_c", "w", "_ints")
 
-    def __init__(self, sig: Signature, b, c, w=0):
-        b, c = _check_g0(sig, b, c)
+    def __init__(self, sig: Signature, b: IntMat, c: IntMat, w=0):
+        _check_g0(sig, b, c)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "int_b", b)
         object.__setattr__(self, "int_c", c)

@@ -11,18 +11,28 @@ by right multiplication with their matrix images; we write I, J, K for
 these operators. Note I(X1|X2) = (X1|-X2), J(X1|X2) = (X2|X1),
 K(X1|X2) = (-X2|X1), so I and J square to +id and K to -id, and since
 right multiplication reverses products, J(I(x)) = K(x).
+
+The units are 2x2 Fraction matrices (`Mat`), on which `QuatStructureOnH`
+checks the relations and `conjugated` changes basis; everything that acts
+on g_{-1} reads their integer rows (`int_units`). These 2x2 conversions
+are the only ones on the package's exact routes. Elements of g_{-1} and
+their stacked columns are `IntMat`s, and a `Mat` is refused with
+TypeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, invert, rank_kernel, rat, solve_linear
+from .linalg import (IntMat, Mat, ints_over_lcm, invert, need_ints,
+                     rank_kernel, rat, solve_linear)
 from .so_contact import Signature, scaling_residual
 
 M_I = Mat([[1, 0], [0, -1]]).map(Fraction)
 M_J = Mat([[0, 1], [1, 0]]).map(Fraction)
 M_K = Mat([[0, 1], [-1, 0]]).map(Fraction)
+# their integer rows, which the closed forms below combine
+_UNITS = tuple(IntMat.of(m) for m in (M_I, M_J, M_K))
 
 
 class SplitQuaternion:
@@ -82,11 +92,12 @@ def norm_sq(q: SplitQuaternion) -> Fraction:
 
 class QuatStructureOnH:
     """The triple of operators (I, J, K) on g_{-1}, stored through their
-    right-multiplication matrices. Admissible bases other than the standard
-    one arise by conjugating all three matrices by a fixed GL(2) element;
-    the defining relations are checked on construction."""
+    right-multiplication matrices and their integer rows (`int_units`).
+    Admissible bases other than the standard one arise by conjugating all
+    three matrices by a fixed GL(2) element; the defining relations are
+    checked on construction."""
 
-    __slots__ = ("sig", "mi", "mj", "mk")
+    __slots__ = ("sig", "mi", "mj", "mk", "int_units")
 
     def __init__(self, sig: Signature, mi: Mat, mj: Mat, mk: Mat):
         ident = Mat.identity(2)
@@ -100,6 +111,8 @@ class QuatStructureOnH:
         object.__setattr__(self, "mi", mi)
         object.__setattr__(self, "mj", mj)
         object.__setattr__(self, "mk", mk)
+        object.__setattr__(self, "int_units",
+                           tuple(IntMat.of(m) for m in (mi, mj, mk)))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuatStructureOnH is immutable")
@@ -108,71 +121,70 @@ class QuatStructureOnH:
     def standard(cls, sig: Signature):
         return cls(sig, M_I, M_J, M_K)
 
-    def conjugated(self, g: Mat) -> "QuatStructureOnH":
-        ginv = invert(g)
-        return QuatStructureOnH(self.sig, g * self.mi * ginv,
-                                g * self.mj * ginv, g * self.mk * ginv)
+    def conjugated(self, g: IntMat) -> "QuatStructureOnH":
+        """The units g·M·g^-1, on the Mat views of g and its inverse."""
+        gm, ginv = need_ints(g).to_mat(), invert(g).to_mat()
+        return QuatStructureOnH(self.sig, gm * self.mi * ginv,
+                                gm * self.mj * ginv, gm * self.mk * ginv)
 
-    def apply_i(self, x: Mat) -> Mat:
-        return x * self.mi
+    def apply_i(self, x: IntMat) -> IntMat:
+        return need_ints(x) * self.int_units[0]
 
-    def apply_j(self, x: Mat) -> Mat:
-        return x * self.mj
+    def apply_j(self, x: IntMat) -> IntMat:
+        return need_ints(x) * self.int_units[1]
 
-    def apply_k(self, x: Mat) -> Mat:
-        return x * self.mk
+    def apply_k(self, x: IntMat) -> IntMat:
+        return need_ints(x) * self.int_units[2]
 
 
-def stack_columns(x: Mat) -> Mat:
+def stack_columns(x: IntMat) -> IntMat:
     """n x 2 -> 2n x 1, first column on top of the second."""
-    return Mat.col(list(x.column(0)) + list(x.column(1)))
+    rows = need_ints(x).dense
+    return IntMat(x.d, 1, [r[j:j + 1] for j in range(2) for r in rows])
 
 
-def unstack_columns(v: Mat, n: int) -> Mat:
-    if v.cols != 1 or v.rows != 2 * n:
+def unstack_columns(v: IntMat, n: int) -> IntMat:
+    if need_ints(v).cols != 1 or v.rows != 2 * n:
         raise ValueError("expected a 2n x 1 column")
-    col = v.column(0)
-    return Mat([[col[i], col[n + i]] for i in range(n)])
+    col = v.dense
+    return IntMat(v.d, 2, [[col[i][0], col[n + i][0]] for i in range(n)])
 
 
-def _right_mult_operator(m: Mat, n: int) -> Mat:
+def _right_mult_operator(m: IntMat, n: int) -> IntMat:
     """Matrix of x -> x*m on g_{-1} in the stacked-column coordinates:
     column j of x*m is the sum over k of m[k, j] times column k of x, so
     block (j, k) of the operator is m[k, j] times the n x n identity."""
-    zero = Fraction(0)
-    return Mat([[m[c // n, r // n] if r % n == c % n else zero
-                 for c in range(2 * n)] for r in range(2 * n)])
+    rows = m.dense
+    return IntMat(m.d, 2 * n, [[rows[c // n][r // n] if r % n == c % n else 0
+                                for c in range(2 * n)] for r in range(2 * n)])
 
 
 def eigenspace_decompose(structure: QuatStructureOnH):
-    """Bases of the +1 and -1 eigenspaces of I, as n x 2 matrices: the
+    """Bases of the +1 and -1 eigenspaces of I, as n x 2 IntMats: the
     kernels of right multiplication by I - 1 and I + 1. Each has dimension
     n, and J swaps the two subspaces."""
     n = structure.sig.n
-    ident = Mat.identity(2)
-    _, plus = rank_kernel(_right_mult_operator(structure.mi - ident, n))
-    _, minus = rank_kernel(_right_mult_operator(structure.mi + ident, n))
+    mi, one = structure.int_units[0], IntMat(1, 2, [[1, 0], [0, 1]])
+    plus, minus = (rank_kernel(_right_mult_operator(
+        IntMat.combination([(1, mi), (s, one)]), n))[1] for s in (-1, 1))
     return ([unstack_columns(v, n) for v in plus],
             [unstack_columns(v, n) for v in minus])
 
 
 def max_subspace_for_line(l, n: int):
     """Basis of the n-dimensional space of elements whose kernel contains
-    the line through l = (l1, l2): the rank-at-most-one matrices u * f^t
-    with f the covector annihilating l."""
+    the line through l = (l1, l2): the rank-at-most-one matrices e_r * f^t
+    with f the covector annihilating l, as IntMats over the lcm of the
+    denominators of l."""
     l1, l2 = rat(l[0]), rat(l[1])
     if l1 == 0 and l2 == 0:
         raise ValueError("l must span a line")
-    f = (l2, -l1)
-    out = []
-    for r in range(n):
-        rows = [[Fraction(0), Fraction(0)] for _ in range(n)]
-        rows[r] = [f[0], f[1]]
-        out.append(Mat(rows))
-    return out
+    f, d = ints_over_lcm((l2, -l1))
+    return [IntMat(d, 2, [f if k == r else [0, 0] for k in range(n)])
+            for r in range(n)]
 
 
-def rank_one_witness(x: Mat):
+def rank_one_witness(x: IntMat):
     """For nonzero x, the coefficients (a, b, c) of a skew reflection
     A = aI + bJ + cK with A(x) = x and |A|^2 = -1, when x has rank one;
     None when x has rank two.
@@ -182,29 +194,30 @@ def rank_one_witness(x: Mat):
     +1 eigendirection, and x(m - id) = 0 since the image of m - id is the
     kernel line; det m = -1 makes |A|^2 = -1 automatic. Both facts are
     checked on every call: ValueError when the linear system for (a, b, c)
-    is inconsistent or when A(x) != x."""
-    if x.is_zero():
+    is inconsistent or when A(x) != x. The system is linear in v on both
+    sides, so it is set up on the integers of the kernel column."""
+    if need_ints(x).is_zero():
         raise ValueError("rank-one test needs a nonzero element")
     rank, kernel = rank_kernel(x)
     if rank == 2:
         return None
-    v = kernel[0].column(0)
-    v1, v2 = v[0], v[1]
-    system = Mat([[v1, v2, v2], [-v2, v1, -v1]])
-    rhs = Mat.col([-v1, -v2])
-    sol = solve_linear(system, rhs)
+    (v1,), (v2,) = kernel[0].dense
+    system = IntMat(1, 3, [[v1, v2, v2], [-v2, v1, -v1]])
+    sol = solve_linear(system, IntMat(1, 1, [[-v1], [-v2]]))
     if sol is None:
+        d = kernel[0].d
         raise ValueError("the reflection system has no solution for the "
-                         "kernel vector (%s, %s)" % (v1, v2))
-    a, b, c = sol.column(0)
-    m = a * M_I + b * M_J + c * M_K
-    if x * m != x:
+                         "kernel vector (%s, %s)"
+                         % (Fraction(v1, d), Fraction(v2, d)))
+    a, b, c = (Fraction(e, sol.d) for (e,) in sol.dense)
+    if not (x * IntMat.combination(list(zip((a, b, c), _UNITS)))).equals(x):
         raise ValueError("the reflection does not fix x: A(x) != x")
     return (a, b, c)
 
 
-def levi_compat_residual(sig: Signature, coeffs, x: Mat, y: Mat) -> Fraction:
+def levi_compat_residual(sig: Signature, coeffs, x: IntMat,
+                         y: IntMat) -> Fraction:
     """[Ax, Ay] - |A|^2 [x, y] for A = aI + bJ + cK; must be zero."""
-    a, b, c = (rat(t) for t in coeffs)
-    m = a * M_I + b * M_J + c * M_K
-    return scaling_residual(sig, m, x, y, -a * a - b * b + c * c)
+    a, b, c = coeffs = [rat(t) for t in coeffs]
+    return scaling_residual(sig, IntMat.combination(list(zip(coeffs, _UNITS))),
+                            x, y, -a * a - b * b + c * c)

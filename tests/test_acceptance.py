@@ -20,7 +20,7 @@ from liecontact.chains import (STensorEval, act, chain_eval,
                                fit_pipeline_constant, reconstruct_cone)
 from liecontact.cli import main
 from liecontact.extension import fit_trilinear_constant
-from liecontact.linalg import Mat
+from liecontact.linalg import IntMat
 from liecontact.report import CHECKS, run_checks
 from liecontact.so_contact import Signature
 
@@ -151,8 +151,7 @@ def test_criterion_08_tensor_dual_path_and_classification():
         if sig.p >= 2 and sig.q >= 2:
             adversarial.extend(samplers.rand_isotropic_plane(sig, rng)
                                for _ in range(50))
-            grid = Mat([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)],
-                        [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+            grid = IntMat(1, 2, [[1, 0], [0, 1], [1, 0], [0, 1]])
             adversarial.append(grid)
         total += counts[key] + len(adversarial)
         rep = reconstruct_cone(ev, adversarial)
@@ -168,8 +167,8 @@ def test_criterion_08_tensor_dual_path_and_classification():
 def test_criterion_09_classification_invariance():
     rng = random.Random(2030)
     failures = []
-    shear = Mat([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]])
-    swap = Mat([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
+    shear = IntMat(1, 2, [[1, 1], [0, 1]])
+    swap = IntMat(1, 2, [[0, 1], [1, 0]])
     for sig in SIGS:
         # fixed rescalings and determinant +-1 basis changes
         ev = STensorEval.standard(sig)

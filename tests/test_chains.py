@@ -13,7 +13,7 @@ from liecontact.chains import (ChainCurve, ModelPoint, STensorEval, act,
                                chain_eval, chain_matrix,
                                chain_transversality, emit_trajectory,
                                fit_pipeline_constant, flow_transversality,
-                               gm1_units, origin, pipeline_s, rank_one_by_S,
+                               origin, pipeline_s, rank_one_by_S,
                                reconstruct_cone, s_tensor)
 from liecontact.extension import fit_on_unit_triples, fit_trilinear_constant
 from liecontact.linalg import (IntMat, Mat, exp_nilpotent, invert,
@@ -21,7 +21,8 @@ from liecontact.linalg import (IntMat, Mat, exp_nilpotent, invert,
 from liecontact.so_contact import (Signature, SoElement, ambient_inverse,
                                    bracket_gm1, segre_rank)
 from liecontact.split_quat import stack_columns
-from oracles import form_s, product
+from oracles import (block, col, form_s, ints, is_zero, product, scaled,
+                     submat, transpose, zeros)
 from test_linalg import _corrupted, _sign_swap
 from test_so_contact import _bracket_by_inner
 
@@ -37,10 +38,6 @@ def _sig_id(sig):
     return "%d-%d" % (sig.p, sig.q)
 
 
-def _mat(rows):
-    return Mat([[Fraction(e) for e in r] for r in rows])
-
-
 # ---------------------------------------------------------------------------
 # model points
 
@@ -48,9 +45,9 @@ def _mat(rows):
 def test_model_point_validation():
     sig = Signature(2, 1)
     with pytest.raises(ValueError, match="matrix"):
-        ModelPoint(sig, IntMat.of(Mat.zeros(5, 2)))
-    first = Mat.col(origin(sig).span.to_mat().column(0))
-    thin = Mat.block([[first, first]])
+        ModelPoint(sig, IntMat.of(zeros(5, 2)))
+    first = col(origin(sig).span.to_mat().column(0))
+    thin = block([[first, first]])
     with pytest.raises(ValueError, match="rank 2"):
         ModelPoint(sig, IntMat.of(thin))
     rows = [[Fraction(0)] * 2 for _ in range(7)]
@@ -63,8 +60,8 @@ def test_model_point_validation():
 def test_model_point_equality_ignores_basis_of_the_plane():
     sig = Signature(2, 1)
     pt = origin(sig)
-    mix = _mat([[2, 3], [1, 2]])
-    assert ModelPoint(sig, pt.span * IntMat.of(mix)) == pt
+    mix = ints([[2, 3], [1, 2]])
+    assert ModelPoint(sig, pt.span * mix) == pt
     other = chain_eval(sig, Fraction(1, 2))
     assert not (other == pt)
 
@@ -72,7 +69,7 @@ def test_model_point_equality_ignores_basis_of_the_plane():
 def test_act_requires_form_preservation():
     sig = Signature(2, 1)
     with pytest.raises(ValueError, match="preserve the ambient form"):
-        act(sig, IntMat.of(2 * Mat.identity(7)), origin(sig))
+        act(sig, IntMat.of(scaled(2, Mat.identity(7))), origin(sig))
 
 
 def test_form_checks_refuse_near_misses():
@@ -83,21 +80,21 @@ def test_form_checks_refuse_near_misses():
     for sig in (Signature(2, 1), Signature(2, 2), Signature(3, 3)):
         s = form_s(sig)
         g = samplers.rand_oform(sig, rng).to_mat()
-        bad = [_corrupted(g, rng), 2 * Mat.identity(sig.n + 4),
-               Fraction(1, 3) * g]
+        bad = [_corrupted(g, rng), scaled(2, Mat.identity(sig.n + 4)),
+               scaled(Fraction(1, 3), g)]
         if sig.p == sig.q:
             bad.append(product(g, _sign_swap(sig)[0]))
         for b in bad:
-            assert product(b.T, s, b) != s
+            assert product(transpose(b), s, b) != s
             for make in (lambda: act(sig, IntMat.of(b), origin(sig)),
                          lambda: ChainCurve(sig, IntMat.of(b))):
                 with pytest.raises(ValueError, match="the acting matrix must "
                                    "preserve the ambient form"):
                     make()
-        span = g.submat(0, sig.n + 4, 0, 2)
+        span = submat(g, 0, sig.n + 4, 0, 2)
         assert ModelPoint(sig, IntMat.of(span)).span.to_mat() == span
         skew = _corrupted(span, rng)
-        assert not product(skew.T, s, skew).is_zero()
+        assert not is_zero(product(transpose(skew), s, skew))
         with pytest.raises(ValueError, match="span must be isotropic for the "
                            "ambient form"):
             ModelPoint(sig, IntMat.of(skew))
@@ -111,25 +108,25 @@ def test_model_point_rank_matches_rank_kernel(sig):
     rng = random.Random(91 + 7 * sig.p + sig.q)
     size = sig.n + 4
     for _ in range(3):
-        span = samplers.rand_oform(sig, rng).to_mat().submat(0, size, 0, 2)
-        col = Mat.col(span.column(rng.randrange(2)))
-        thin = Mat.block([[col, samplers.rand_fraction(rng) * col]])
-        for m, rank in ((span, 2), (thin, 1), (Mat.zeros(size, 2), 0)):
-            assert rank_kernel(m)[0] == rank
+        span = submat(samplers.rand_oform(sig, rng).to_mat(), 0, size, 0, 2)
+        c = col(span.column(rng.randrange(2)))
+        thin = block([[c, scaled(samplers.rand_fraction(rng), c)]])
+        for m, rank in ((span, 2), (thin, 1), (zeros(size, 2), 0)):
             ints = IntMat.of(m)
+            assert rank_kernel(ints)[0] == rank
             if rank == 2:
                 assert ModelPoint(sig, ints).span is ints
                 continue
             with pytest.raises(ValueError, match="span must have rank 2"):
                 ModelPoint(sig, ints)
         skew = _corrupted(span, rng)
-        assert rank_kernel(skew)[0] == 2
+        assert rank_kernel(IntMat.of(skew))[0] == 2
         with pytest.raises(ValueError, match="span must be isotropic"):
             ModelPoint(sig, IntMat.of(skew))
         pt = ModelPoint(sig, IntMat.of(span))
-        other = samplers.rand_oform(sig, rng).to_mat().submat(0, size, 0, 2)
-        for m in (span * samplers.rand_gl2(rng), other):
-            joint = rank_kernel(Mat.block([[span, m]]))[0]
+        other = submat(samplers.rand_oform(sig, rng).to_mat(), 0, size, 0, 2)
+        for m in (span * samplers.rand_gl2(rng).to_mat(), other):
+            joint = rank_kernel(IntMat.of(block([[span, m]])))[0]
             assert (pt == ModelPoint(sig, IntMat.of(m))) == (joint == 2)
         # the repr shows the span as a Mat
         assert repr(pt) == "ModelPoint(%r, %r)" % (sig, span)
@@ -226,12 +223,17 @@ def test_ambient_inverse_matches_elimination():
                for _ in range(6)]
         for g in gs:
             inv, gm = ambient_inverse(sig, g).to_mat(), g.to_mat()
-            assert inv == product(s, gm.T, s)
-            assert inv == invert(gm)
+            assert inv == product(s, transpose(gm), s)
+            assert inv == invert(g).to_mat()
         # S·m^T·S on a matrix outside the group is still the product
         m = samplers.rand_mat(rng, sig.n + 4, sig.n + 4)
-        assert (ambient_inverse(sig, IntMat.of(m)).to_mat()
-                == product(s, m.T, s))
+        assert (ambient_inverse(sig, m).to_mat()
+                == product(s, transpose(m.to_mat()), s))
+
+
+def _exp(t, m, bound=2):
+    """exp(t·m) of the nilpotent Fraction matrix m, as a Mat."""
+    return exp_nilpotent(IntMat.of(scaled(t, m)), bound).to_mat()
 
 
 def test_affine_frame_matches_the_exponential():
@@ -245,11 +247,11 @@ def test_affine_frame_matches_the_exponential():
                 samplers.rand_oform(sig, rng) for _ in range(6)]:
             t = samplers.rand_fraction(rng)
             curve = ChainCurve(sig, g)
-            frame = product(g.to_mat(), exp_nilpotent(t * e, 2))
-            assert curve.at(t).span.to_mat() == frame.submat(0, size, 0, 2)
+            frame = product(g.to_mat(), _exp(t, e))
+            assert curve.at(t).span.to_mat() == submat(frame, 0, size, 0, 2)
             step = curve.at(1).span.to_mat() - curve.at(0).span.to_mat()
-            assert step.data == product(g.to_mat(), e).submat(0, size, 0,
-                                                              2).data
+            assert step.data == submat(product(g.to_mat(), e), 0, size, 0,
+                                       2).data
 
 
 def test_pullbacks_match_the_eliminated_inverse():
@@ -259,27 +261,27 @@ def test_pullbacks_match_the_eliminated_inverse():
         for _ in range(4):
             g = samplers.rand_oform(sig, rng)
             t = samplers.rand_fraction(rng)
-            frame = product(g.to_mat(), exp_nilpotent(t * e, 2))
-            expected = SoElement.from_matrix(
-                sig, product(invert(frame), g.to_mat(), e))
+            frame = product(g.to_mat(), _exp(t, e))
+            expected = SoElement.from_matrix(sig, IntMat.of(product(
+                invert(IntMat.of(frame)).to_mat(), g.to_mat(), e)))
             assert ChainCurve(sig, g).velocity_class(t) == expected
             for x in (SoElement(sig, X=samplers.rand_gm1(sig, rng)),
                       SoElement(sig, z=samplers.rand_nonzero_fraction(rng),
                                 X=samplers.rand_gm1(sig, rng))):
                 m = x.assemble()
-                flow = exp_nilpotent(t * m, 4)
-                pullback = product(invert(flow), m, flow)
-                assert (flow_transversality(sig, x, t)
-                        == (SoElement.from_matrix(sig, pullback).z != 0))
+                flow = _exp(t, m, 4)
+                pullback = product(invert(IntMat.of(flow)).to_mat(), m, flow)
+                assert (flow_transversality(sig, x, t) == (
+                    SoElement.from_matrix(sig, IntMat.of(pullback)).z != 0))
 
 
 def test_chain_through_origin_has_linear_span():
     sig = Signature(2, 1)
     t = Fraction(3, 5)
     pt = chain_eval(sig, t)
-    expected = _mat([
+    expected = ints([
         [1, 0], [0, 1], [0, 0], [0, 0], [0, 0], [0, t], [-t, 0]])
-    assert pt == ModelPoint(sig, IntMat.of(expected))
+    assert pt == ModelPoint(sig, expected)
     assert chain_eval(sig, 0) == origin(sig)
 
 
@@ -293,9 +295,9 @@ def test_chain_point_is_the_frame_first_two_columns():
             for t in (0, 1, Fraction(-7, 3), samplers.rand_fraction(rng),
                       "5/4"):
                 span = curve.at(t).span.to_mat()
-                frame = product(curve.g.to_mat(), exp_nilpotent(
-                    rat(t) * chain_matrix(sig).to_mat(), 2))
-                want = frame.submat(0, size, 0, 2)
+                frame = product(curve.g.to_mat(), _exp(
+                    rat(t), chain_matrix(sig).to_mat()))
+                want = submat(frame, 0, size, 0, 2)
                 assert span.data == want.data
 
 
@@ -349,20 +351,21 @@ def _s_tensor_by_matrices(ev, xi, eta, zeta):
     structure application per term."""
     sig = ev.sig
     st = ev.structure
-    acc = Mat.zeros(sig.n, 2)
+    acc = zeros(sig.n, 2)
 
     def term(a, b, c):
-        out = Mat.zeros(sig.n, 2)
-        for apply_m, sgn in ((st.apply_i, 1), (st.apply_j, 1),
-                             (st.apply_k, -1)):
-            # the Fraction formula, apart from the pairing the tensor shares
-            coeff = _bracket_by_inner(sig, a, apply_m(b))
+        # the Fraction formula on the Mat views, with the structure's own
+        # Mat units, apart from the pairing the tensor shares
+        a, b, c = a.to_mat(), b.to_mat(), c.to_mat()
+        out = zeros(sig.n, 2)
+        for m, sgn in ((st.mi, 1), (st.mj, 1), (st.mk, -1)):
+            coeff = _bracket_by_inner(sig, IntMat.of(a), IntMat.of(b * m))
             if coeff != 0:
-                out = out + (sgn * coeff) * apply_m(c)
+                out = out + scaled(sgn * coeff, c * m)
         return out
 
     acc = acc + term(xi, eta, zeta) + term(eta, zeta, xi) + term(zeta, xi, eta)
-    return ev.scale * acc
+    return scaled(ev.scale, acc)
 
 
 def test_tensor_matches_the_matrix_formula():
@@ -372,7 +375,7 @@ def test_tensor_matches_the_matrix_formula():
         evs = (std, std.rescaled(Fraction(-7, 3)),
                std.basis_changed(samplers.rand_gl2(rng)),
                std.basis_changed(samplers.rand_gl2(rng)).rescaled(5))
-        zero = Mat.zeros(sig.n, 2)
+        zero = IntMat(1, 2, sparse=[[]] * sig.n)
         for ev in evs:
             for _ in range(4):
                 a = samplers.rand_gm1(sig, rng)
@@ -381,37 +384,48 @@ def test_tensor_matches_the_matrix_formula():
                 for args in ((a, b, c), (a, a, a), (a, zero, c),
                              (zero, zero, zero)):
                     got = s_tensor(ev, *args)
-                    assert got == _s_tensor_by_matrices(ev, *args)
-                    assert all(type(x) is Fraction for r in got.data
-                               for x in r)
+                    assert type(got) is IntMat
+                    assert got.to_mat() == _s_tensor_by_matrices(ev, *args)
         a = samplers.rand_gm1(sig, rng)
         assert s_tensor(_zero_eval(sig), a, a, a).is_zero()
 
 
 def test_tensor_reads_the_structure_once_per_evaluator(monkeypatch):
+    # the structure holds the integer rows of its units, read once when it
+    # is made; the tensor converts nothing, neither its arguments nor the
+    # units
     rng = random.Random(86)
     sig = Signature(2, 2)
     ev = STensorEval.standard(sig).basis_changed(samplers.rand_gl2(rng))
     st = ev.structure
+    units = st.int_units
+    assert [u.to_mat() for u in units] == [st.mi, st.mj, st.mk]
     read = []
     of = IntMat.of.__func__
     monkeypatch.setattr(IntMat, "of", classmethod(
         lambda cls, m: read.append(m) or of(cls, m)))
+    monkeypatch.setattr(IntMat, "to_mat", lambda self: read.append(self))
     args = [samplers.rand_gm1(sig, rng) for _ in range(3)]
     for _ in range(4):
         s_tensor(ev, *args)
-    assert len(read) == 12
-    assert not any(m is x for m in read for x in (st.mi, st.mj, st.mk))
+        rank_one_by_S(ev, args[0])
+    assert read == [] and st.int_units is units
 
 
 def test_tensor_reads_integer_entries_and_refuses_floats():
     sig = Signature(2, 1)
     ev = STensorEval.standard(sig)
     ints = Mat([[1, 2], [0, -3], [4, 1]])
-    frac = ints.map(Fraction)
-    assert s_tensor(ev, ints, frac, ints) == s_tensor(ev, frac, frac, frac)
-    with pytest.raises(TypeError, match="float"):
-        s_tensor(ev, ints.map(float), frac, frac)
+    frac = IntMat.of(ints.map(Fraction))
+    assert s_tensor(ev, IntMat.of(ints), frac, IntMat.of(ints)).equals(
+        s_tensor(ev, frac, frac, frac))
+    # a Mat is refused in any slot, of ints or of floats
+    for bad in (ints, ints.map(float)):
+        for args in ((bad, frac, frac), (frac, bad, frac), (frac, frac, bad)):
+            with pytest.raises(TypeError, match="IntMat"):
+                s_tensor(ev, *args)
+        with pytest.raises(TypeError, match="IntMat"):
+            rank_one_by_S(ev, bad)
 
 
 def test_tensor_is_totally_symmetric():
@@ -423,9 +437,9 @@ def test_tensor_is_totally_symmetric():
             b = samplers.rand_gm1(sig, rng)
             c = samplers.rand_gm1(sig, rng)
             base = s_tensor(ev, a, b, c)
-            assert s_tensor(ev, b, a, c) == base
-            assert s_tensor(ev, c, b, a) == base
-            assert s_tensor(ev, a, c, b) == base
+            assert s_tensor(ev, b, a, c).equals(base)
+            assert s_tensor(ev, c, b, a).equals(base)
+            assert s_tensor(ev, a, c, b).equals(base)
 
 
 def test_tensor_matches_pipeline_up_to_one_constant():
@@ -438,12 +452,17 @@ def test_tensor_matches_pipeline_up_to_one_constant():
             a = samplers.rand_gm1(sig, rng)
             b = samplers.rand_gm1(sig, rng)
             c = samplers.rand_gm1(sig, rng)
-            assert s_tensor(ev, a, b, c) == cst * pipeline_s(sig, a, b, c)
+            value = pipeline_s(sig, a, b, c)
+            assert type(value) is IntMat
+            assert s_tensor(ev, a, b, c).equals(
+                IntMat.combination([(cst, value)]))
 
 
 def test_unit_directions_stack_to_the_standard_basis():
     for n in range(1, 6):
-        stacked = [stack_columns(u).column(0) for u in gm1_units(n)]
+        units = chains._unit_ints(n)
+        assert all(type(u) is IntMat and u.d == 1 for u in units)
+        stacked = [stack_columns(u).to_mat().column(0) for u in units]
         assert stacked == [tuple(Fraction(int(i == k)) for i in range(2 * n))
                            for k in range(2 * n)]
 
@@ -456,11 +475,11 @@ def test_unit_triple_fit_runs_the_costly_route_where_the_cheap_is_nonzero():
 
     def routes(costly_values):
         def cheap(*triple):
-            return _mat([(0, 0) if triple == ("a",) * 3 else (0, 2)])
+            return ints([(0, 0) if triple == ("a",) * 3 else (0, 2)])
 
         def costly(*triple):
             seen.append("".join(triple))
-            return _mat([costly_values.get("".join(triple), (0, 6))])
+            return ints([costly_values.get("".join(triple), (0, 6))])
         return cheap, costly
 
     assert fit_on_unit_triples("ab", *routes({"aab": (0, 0), "aba": (1, 5)}),
@@ -477,13 +496,13 @@ def test_unit_triple_fit_runs_the_costly_route_where_the_cheap_is_nonzero():
 
 def test_unit_triple_fits_keep_their_error_texts(monkeypatch):
     sig = Signature(2, 1)
-    zero = _mat([[0, 0]] * sig.n)
+    zero = ints([[0, 0]] * sig.n)
     monkeypatch.setattr(chains, "s_tensor", lambda *args: zero)
     with pytest.raises(ValueError, match="^no unit triple relates the two "
                        "paths; the pipeline appears degenerate$"):
         fit_pipeline_constant(STensorEval.standard(sig))
     monkeypatch.setattr(extension, "symmetrized_reference",
-                        lambda *args: _mat([[0]] * 2 * sig.n))
+                        lambda *args: ints([[0]] * 2 * sig.n))
     with pytest.raises(ValueError, match="^no nondegenerate unit triple "
                        "found; the obstruction map appears to vanish$"):
         fit_trilinear_constant(sig)
@@ -525,7 +544,7 @@ def test_isotropic_rank_one_directions_are_kept():
 def test_fully_isotropic_rank_two_plane_is_rejected():
     sig = Signature(2, 2)
     ev = STensorEval.standard(sig)
-    xi = _mat([[1, 0], [0, 1], [1, 0], [0, 1]])
+    xi = ints([[1, 0], [0, 1], [1, 0], [0, 1]])
     assert segre_rank(xi) == 2
     st = ev.structure
     pairings = (bracket_gm1(sig, xi, st.apply_i(xi)),
@@ -544,9 +563,10 @@ def _rank_one_by_matrices(ev, xi):
     if any(bracket_gm1(sig, xi, apply_m(xi)) != 0
            for apply_m in (st.apply_i, st.apply_j, st.apply_k)):
         return s_tensor(ev, xi, xi, xi).is_zero()
-    cols = [stack_columns(s_tensor(ev, xi, xi, eta)).column(0)
-            for eta in gm1_units(sig.n)]
-    return solve_linear(Mat(cols).T, stack_columns(xi)) is not None
+    cols = [stack_columns(s_tensor(ev, xi, xi, eta)).to_mat().column(0)
+            for eta in chains._unit_ints(sig.n)]
+    return solve_linear(IntMat.of(transpose(Mat(cols))),
+                        stack_columns(xi)) is not None
 
 
 @pytest.mark.parametrize("sig", DOMAIN_SIGS, ids=_sig_id)
@@ -573,20 +593,21 @@ def test_rank_one_test_rejects_zero():
     sig = Signature(2, 1)
     ev = STensorEval.standard(sig)
     with pytest.raises(ValueError, match="nonzero"):
-        rank_one_by_S(ev, Mat.zeros(3, 2))
+        rank_one_by_S(ev, IntMat(1, 2, sparse=[[]] * 3))
 
 
 class _ZeroStructure:
-    """The zero operator in place of I, J and K, both as the maps and as
-    their right-multiplication matrices."""
+    """The zero operator in place of I, J and K, as the maps, as their
+    right-multiplication matrices and as the integer rows of those."""
 
-    mi = mj = mk = Mat.zeros(2, 2)
+    mi = mj = mk = zeros(2, 2)
+    int_units = (IntMat(1, 2, sparse=[[], []]),) * 3
 
     def __init__(self, sig):
         self.sig = sig
 
     def _zero(self, xi):
-        return Mat.zeros(self.sig.n, 2)
+        return IntMat(1, 2, sparse=[[]] * self.sig.n)
 
     apply_i = apply_j = apply_k = _zero
 
@@ -624,8 +645,8 @@ def test_classification_is_invariant_under_admissible_changes():
     samples = [samplers.rand_mixed_gm1(sig, rng) for _ in range(20)]
     base = reconstruct_cone(ev, samples)["flags"]
     scaled = reconstruct_cone(ev.rescaled(Fraction(7, 3)), samples)
-    swap = _mat([[0, 1], [1, 0]])
-    shear = _mat([[1, 1], [0, 1]])
+    swap = ints([[0, 1], [1, 0]])
+    shear = ints([[1, 1], [0, 1]])
     for g in (swap, shear):
         changed = reconstruct_cone(ev.basis_changed(g), samples)
         assert changed["flags"] == base
@@ -707,6 +728,5 @@ def test_emit_trajectory_isotropy_residual():
     for row in rows:
         span = Mat([[row[1 + 2 * i + j] for j in range(2)]
                     for i in range(sig.n + 4)])
-        residual = span.T * sform * span
-        assert max(abs(residual[a, b]) for a in range(2)
-                   for b in range(2)) < 1e-10
+        residual = transpose(span) * sform * span
+        assert max(abs(x) for r in residual.data for x in r) < 1e-10

@@ -14,7 +14,6 @@ import pytest
 
 from liecontact.cli import main
 from liecontact.linalg import IntMat, Mat
-from liecontact.report import CHECKS
 from regenerate_golden import CASES, GOLDEN, argv
 
 
@@ -58,66 +57,60 @@ WIDE_CASES = [c for c in CASES
               if c[0].startswith(("report-2-2-", "report-3-3-"))]
 
 
-@pytest.mark.parametrize("case", WIDE_CASES, ids=[c[0] for c in WIDE_CASES])
-def test_no_wide_fraction_product_reaches_a_report(case, tmp_path,
-                                                   monkeypatch):
-    # exact products of real size are written on IntMat: with every Mat
-    # product of two all-Fraction matrices whose left factor has more than
-    # 2 columns made to raise, the report still rebuilds byte for byte (a
-    # raise would turn a record into a failing one). Forked suite workers
-    # inherit the patch.
-    product = Mat.__mul__
+def _refuse_wide_work(monkeypatch):
+    """Make every Mat product of two all-Fraction matrices raise unless both
+    are 2x2, and IntMat.of and IntMat.to_mat raise on any matrix that is not
+    2x2. Exact work of real size runs on IntMat from the sampler to the
+    claim; what is left on Mat is the split-quaternion algebra's 2x2 units
+    and the views that print a failing witness. A raise turns a record into
+    a failing one, or ends an export; forked suite workers inherit the
+    patches."""
+    product, of, to_mat = Mat.__mul__, IntMat.of.__func__, IntMat.to_mat
 
-    def refuse_wide(a, b):
-        if (isinstance(b, Mat) and a.cols > 2
+    def square2(m):
+        return m.rows == m.cols == 2
+
+    def refuse_product(a, b):
+        if (not (square2(a) and square2(b))
                 and all(type(e) is Fraction
                         for m in (a, b) for r in m.data for e in r)):
             raise AssertionError("a %dx%d times %dx%d product of Fractions "
                                  "on Mat" % (a.rows, a.cols, b.rows, b.cols))
         return product(a, b)
 
-    monkeypatch.setattr(Mat, "__mul__", refuse_wide)
-    test_output_matches_its_golden_file(case, tmp_path)
-
-
-# the chains records at (2,2) and (3,3), and two exports with random frames
-FRAME_CASES = [c for c in CASES if c[0] in (
-    "report-2-2-seed0.json", "report-3-3-seed0.json", "chain-2-2-seed1.csv",
-    "chain-3-3.csv")]
-
-
-@pytest.mark.parametrize("case", FRAME_CASES, ids=[c[0] for c in FRAME_CASES])
-def test_no_frame_is_converted(case, tmp_path, monkeypatch):
-    # group samples, frames and spans stay IntMats from the sampler to the
-    # claim: with IntMat.of and IntMat.to_mat made to raise on any square
-    # matrix of the frames' size n+4, the chains suite's records and the
-    # chain export rebuild byte for byte (a raise would turn a record into
-    # a failing one, or end the export)
-    name, args, flag = case
-    p, q = (int(args[args.index(flag) + 1]) for flag in ("--p", "--q"))
-    size = p + q + 4
-    of, to_mat = IntMat.of.__func__, IntMat.to_mat
-
     def refuse(m):
-        if m.rows == m.cols == size:
-            raise AssertionError("a %dx%d frame converted" % (size, size))
+        if not square2(m):
+            raise AssertionError("a %dx%d matrix converted" % (m.rows,
+                                                               m.cols))
 
+    monkeypatch.setattr(Mat, "__mul__", refuse_product)
     monkeypatch.setattr(IntMat, "of",
                         classmethod(lambda cls, m: refuse(m) or of(cls, m)))
     monkeypatch.setattr(IntMat, "to_mat",
                         lambda self: refuse(self) or to_mat(self))
-    if flag == "--export-chain":
-        test_output_matches_its_golden_file(case, tmp_path)
-        return
-    # the chains suite alone, which runs in this process
-    while "--suite" in args:
-        at = args.index("--suite")
-        args = args[:at] + args[at + 2:]
-    path = tmp_path / name
-    assert main(args + ["--suite", "chains", flag, str(path)]) == 0
-    want = json.loads((GOLDEN / name).read_text())
-    names = {c.name for c in CHECKS if c.suite == "chains"}
-    want["suites"] = ["chains"]
-    want["records"] = [r for r in want["records"] if r["name"] in names]
-    assert len(want["records"]) == len(names)
-    assert path.read_text() == json.dumps(want, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("case", WIDE_CASES, ids=[c[0] for c in WIDE_CASES])
+def test_no_wide_fraction_product_reaches_a_report(case, tmp_path,
+                                                   monkeypatch):
+    # every suite's report rebuilds byte for byte with no Fraction product
+    # on Mat beyond 2x2·2x2 and no conversion beyond 2x2
+    _refuse_wide_work(monkeypatch)
+    test_output_matches_its_golden_file(case, tmp_path)
+
+
+# the (2,2) and (3,3) reports at seed 0 and every chain export
+FRAME_CASES = [c for c in CASES if c[0] in (
+    "report-2-2-seed0.json", "report-3-3-seed0.json")
+    or c[0].startswith("chain-")]
+
+
+@pytest.mark.parametrize("case", FRAME_CASES, ids=[c[0] for c in FRAME_CASES])
+def test_no_frame_is_converted(case, tmp_path, monkeypatch):
+    # group samples, frames, spans, contact directions and columns stay
+    # IntMats from the sampler to the claim: with the conversions and the
+    # Fraction products of `_refuse_wide_work` made to raise, the whole
+    # report of all six suites and each chain export rebuild byte for byte
+    _refuse_wide_work(monkeypatch)
+    test_output_matches_its_golden_file(case, tmp_path)
+

@@ -10,7 +10,7 @@ from liecontact.linalg import IntMat, Mat, jacobi_failures, structure_table
 from liecontact.path_sl import (_SLOT_DEGREE, SlElement, _slot_of, entry_degrees, neg_positions,
                                 sl_bracket, sl_neg_coordinates,
                                 sl_neg_degrees, sl_neg_slots, w0)
-from oracles import product
+from oracles import col, identity, ints, product, scaled, zeros
 from test_linalg import DualRat
 
 
@@ -23,14 +23,16 @@ def _unit(m, i, j):
 def sl_neg_basis(n):
     # the units at the negative-basis positions, in their order
     m = 2 * n + 2
-    return [SlElement(n, _unit(m, r, c)) for r, c in neg_positions(n)]
+    return [SlElement(n, IntMat.of(_unit(m, r, c)))
+            for r, c in neg_positions(n)]
 
 
 def sl_neg_duals(n):
     # the trace-form duals of sl_neg_basis, in the positive part: the
     # transposed units
     m = 2 * n + 2
-    return [SlElement(n, _unit(m, c, r)) for r, c in neg_positions(n)]
+    return [SlElement(n, IntMat.of(_unit(m, c, r)))
+            for r, c in neg_positions(n)]
 
 
 def sl_full_basis(n):
@@ -40,7 +42,7 @@ def sl_full_basis(n):
     basis = [_unit(m, a, b) for a in range(m) for b in range(m) if a != b]
     for i in range(m - 1):
         basis.append(_unit(m, i, i) - _unit(m, i + 1, i + 1))
-    return [SlElement(n, b) for b in basis]
+    return [SlElement(n, IntMat.of(b)) for b in basis]
 
 
 def _sl_coordinates(rows):
@@ -67,9 +69,15 @@ def sl_structure_constants(n):
 
 def test_trace_free_enforced():
     with pytest.raises(ValueError):
-        SlElement(2, Mat.identity(6))
+        SlElement(2, IntMat.of(Mat.identity(6)))
     x = SlElement.zero(2)
     assert x.is_zero()
+    # the matrix is an IntMat: a Mat is refused, trace free or not
+    for m in (zeros(6, 6), Mat.identity(6)):
+        with pytest.raises(TypeError, match="IntMat"):
+            SlElement(2, m)
+    with pytest.raises(TypeError, match="IntMat"):
+        SlElement.from_m2(2, zeros(4, 1))
 
 
 @pytest.mark.parametrize("entries", ["Fraction", "int"])
@@ -96,18 +104,18 @@ def test_trace_free_check_matches_the_trace(entries):
             rows[0][size - 1] = samplers.rand_fraction(rng)
             cases.append(Mat(rows))
         for _ in range(20):
-            m = samplers.rand_mat(rng, size, size)
+            m = samplers.rand_mat(rng, size, size).to_mat()
             if rng.random() < 0.5:
-                m = m - Fraction(m.trace(), size) * Mat.identity(size)
+                m = m - scaled(Fraction(m.trace(), size), Mat.identity(size))
             cases.append(m)
         for m in cases:
             m = m.map(convert)
             # the reference: Mat.trace(), in the entries' own arithmetic
             if m.trace() != 0:
                 with pytest.raises(ValueError, match="trace free"):
-                    SlElement(n, m)
+                    SlElement(n, IntMat.of(m))
             else:
-                x = SlElement(n, m)
+                x = SlElement(n, IntMat.of(m))
                 assert x.mat == m and x.ints.equals(IntMat.of(m))
 
 
@@ -123,7 +131,7 @@ def test_elements_refuse_entries_that_are_not_rational(entries):
             rows[0][0], rows[1][1] = map(Fraction, diag)
             rows[0][size - 1] = Fraction(1, 3)
             with pytest.raises(TypeError):
-                SlElement(n, Mat(rows).map(convert))
+                SlElement(n, IntMat.of(Mat(rows).map(convert)))
 
 
 def _grade_project_by_slot_of(x, d):
@@ -145,7 +153,7 @@ def test_slot_table_reads_match_slot_of():
                     for _ in range(size)]
             for i in range(size):
                 rows[i][i] = Fraction(0)
-            x = SlElement(n, Mat(rows))
+            x = SlElement(n, IntMat.of(Mat(rows)))
             used = {_slot_of(i, j, n) for i in range(size)
                     for j in range(size) if rows[i][j] != 0}
             assert ({entry_degrees(n)[i][j] for i in range(size)
@@ -161,26 +169,33 @@ def test_slot_table_reads_match_slot_of():
 
 def test_slot_constructors_and_extractors():
     n = 3
-    col = Mat.col([Fraction(k + 1) for k in range(2 * n)])
-    x = SlElement.from_m2(n, col)
-    assert x.m2_vector() == col
+    v = ints([[k + 1] for k in range(2 * n)])
+    x = SlElement.from_m2(n, v)
+    got = x.m2_vector()
+    assert type(got) is IntMat and got.equals(v)
     assert x.in_slots(("m2",))
-    y = sl_bracket(SlElement.from_m2(n, col), w0(n))
-    assert Mat.col([y.mat[2 + i, 1] for i in range(2 * n)]) == col
+    y = sl_bracket(SlElement.from_m2(n, v), w0(n))
+    assert col([y.mat.data[2 + i][1] for i in range(2 * n)]) == v.to_mat()
     assert y.in_slots(("m1V",))
     z = Fraction(5) * sl_neg_basis(n)[2 * n]
-    assert z.mat[1, 0] == 5
+    assert z.mat.data[1][0] == 5
     assert z.in_slots(("m1E",))
-    assert w0(n).mat[0, 1] == 1
+    assert w0(n).mat.data[0][1] == 1
     assert w0(n).in_slots(("p1E",))
+
+
+def _trace_free(m: IntMat) -> IntMat:
+    """m minus tr(m)/size times the identity."""
+    size = m.rows
+    trace = Fraction(sum(r[i] for i, r in enumerate(m.dense)), m.d)
+    return IntMat.combination([(1, m), (-trace / size, identity(size))])
 
 
 def test_grade_projections_partition_the_element():
     rng = random.Random(40)
     n = 3
     for _ in range(20):
-        m = samplers.rand_mat(rng, 2 * n + 2, 2 * n + 2)
-        m = m - Fraction(m.trace(), 2 * n + 2) * Mat.identity(2 * n + 2)
+        m = _trace_free(samplers.rand_mat(rng, 2 * n + 2, 2 * n + 2))
         x = SlElement(n, m)
         total = SlElement.zero(n)
         for d in (-2, -1, 0, 1, 2):
@@ -194,9 +209,7 @@ def test_sl_bracket_matches_the_fraction_commutator():
         m = 2 * n + 2
         xs = []
         for _ in range(3):
-            x = samplers.rand_mat(rng, m, m)
-            xs.append(SlElement(n, x - Fraction(x.trace(), m)
-                                * Mat.identity(m)))
+            xs.append(SlElement(n, _trace_free(samplers.rand_mat(rng, m, m))))
         for x in xs:
             for y in xs:
                 assert sl_bracket(x, y).mat == x.mat * y.mat - y.mat * x.mat
@@ -208,11 +221,9 @@ def test_bracket_respects_grading():
     for _ in range(30):
         da = rng.choice((-2, -1, 0, 1, 2))
         db = rng.choice((-2, -1, 0, 1, 2))
-        m = samplers.rand_mat(rng, 2 * n + 2, 2 * n + 2)
-        m = m - Fraction(m.trace(), 2 * n + 2) * Mat.identity(2 * n + 2)
+        m = _trace_free(samplers.rand_mat(rng, 2 * n + 2, 2 * n + 2))
         a = SlElement(n, m).grade_project(da)
-        m2 = samplers.rand_mat(rng, 2 * n + 2, 2 * n + 2)
-        m2 = m2 - Fraction(m2.trace(), 2 * n + 2) * Mat.identity(2 * n + 2)
+        m2 = _trace_free(samplers.rand_mat(rng, 2 * n + 2, 2 * n + 2))
         b = SlElement(n, m2).grade_project(db)
         out = sl_bracket(a, b)
         target = da + db
@@ -267,11 +278,12 @@ def test_negative_basis_sits_at_the_documented_positions(n):
             == [(j, i) for i, j in positions])
     m = 2 * n + 2
     # every entry distinct, so a coordinate read from a wrong position shows
-    x = SlElement(n, Mat([[Fraction(i * m + j) if i != j else Fraction(0)
-                           for j in range(m)] for i in range(m)]))
+    x = SlElement(n, ints([[i * m + j if i != j else 0 for j in range(m)]
+                           for i in range(m)]))
     coords = sl_neg_coordinates(x)
     assert coords.d == x.ints.d and coords.rows == 1
-    assert list(coords.to_mat().data[0]) == [x.mat[i, j] for i, j in positions]
+    assert list(coords.to_mat().data[0]) == [x.mat.data[i][j]
+                                             for i, j in positions]
 
 
 def test_negative_coordinates_round_trip():
@@ -309,8 +321,8 @@ def test_jacobi_identity_exact():
 
 def test_w0_bracket_turns_bottom_into_vertical():
     n = 3
-    col = Mat.col([Fraction(k + 2) for k in range(2 * n)])
-    x = SlElement.from_m2(n, col)
+    v = ints([[k + 2] for k in range(2 * n)])
+    x = SlElement.from_m2(n, v)
     out = sl_bracket(x, w0(n))
     assert out.in_slots(("m1V",))
-    assert Mat.col([out.mat[2 + i, 1] for i in range(2 * n)]) == col
+    assert col([out.mat.data[2 + i][1] for i in range(2 * n)]) == v.to_mat()

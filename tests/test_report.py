@@ -270,7 +270,7 @@ def test_cli_chain_export(tmp_path):
     ts = [float(r[0]) for r in rows[1:]]
     assert ts == [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
     sig = Signature(2, 2)
-    sform = [[float(form_s(sig)[i, j]) for j in range(n + 4)]
+    sform = [[float(form_s(sig).data[i][j]) for j in range(n + 4)]
              for i in range(n + 4)]
     for r in rows[1:]:
         cols = [[float(r[1 + 2 * i + j]) for i in range(n + 4)]
@@ -635,6 +635,69 @@ def test_group_sample_witnesses_print_the_mat_views(monkeypatch, name, pq):
     assert record["witness"] == want
     assert hashlib.sha256(want.encode()).hexdigest()[:16] == \
         WITNESS_DIGESTS[name, pq]
+
+
+# The sha256 of each witness below, first 16 hex digits, as the records
+# wrote it when the g_{-1} directions and the g~_{-2} columns were drawn as
+# Mats, with the claim made to fail on its first trial (the cone
+# classification on its first sample) by the patch beside it.
+CONTACT_WITNESSES = {
+    "levi-closed-form": (
+        ("82d33de02298f980", "6ea3446c885a893d"),
+        (report, "bracket_gm1", lambda *args: Fraction(7))),
+    "orthogonal-invariance": (
+        ("516a3c334905f727", "b7b5018776b1e434"),
+        (report, "orthogonal_residual", lambda *args: 1)),
+    "determinant-scaling": (
+        ("35369c6e093387c1", "cebcb03894a2f7a9"),
+        (report, "scaling_residual", lambda *args: 1)),
+    "pairing-compatibility": (
+        ("fd219cf3f761def7", "a11f378b98fe851a"),
+        (report, "levi_compat_residual", lambda *args: 1)),
+    "rank-one-witness": (
+        ("3337d9a7ceae746c", "9357942f971d32c9"),
+        (report, "rank_one_witness", lambda x: (Fraction(0),) * 3)),
+    "trilinear-symmetrization": (
+        ("1ed13be845e05295", "4c7a730c4676cf72"),
+        (extension, "fit_trilinear_constant", lambda sig: Fraction(0))),
+    "tensor-dual-path": (
+        ("05e38a4490ab5c31", "9f3bfdf112447b19"),
+        (chains, "fit_pipeline_constant", lambda ev: Fraction(0))),
+    "tensor-symmetry": (
+        ("2f0794f26d594b3d", "c7f3801d16007889"),
+        (chains, "s_tensor", lambda ev, a, b, c: a)),
+    "chain-transversality": (
+        ("5ec03e29437342cb", "2c0683211b8bd10a"),
+        (chains, "chain_transversality", lambda *args: False)),
+    "cone-classification": (
+        ("3d6f2e14ceb0be86", "ef2a62c612aaa0d3"),
+        (chains, "rank_one_by_S",
+         lambda ev, xi: chains.segre_rank(xi) != 1)),
+}
+CONTACT_CASES = [(name, pq) for name in CONTACT_WITNESSES
+                 for pq in ((2, 1), (2, 2))]
+
+
+@pytest.mark.parametrize("name,pq", CONTACT_CASES,
+                         ids=["%s-%d-%d" % (name, *pq)
+                              for name, pq in CONTACT_CASES])
+def test_contact_direction_witnesses_print_the_mat_views(monkeypatch, name,
+                                                         pq):
+    # every claim that draws a g_{-1} direction or a g~_{-2} column, made to
+    # fail: the witness names the drawn IntMats by their Mat views, so its
+    # text is the one the Mat draws gave
+    digests, (owner, attr, patch) = CONTACT_WITNESSES[name]
+    monkeypatch.setattr(owner, attr, patch)
+    check, = [c for c in CHECKS if c.name == name]
+    texts = [run_checks(Signature(*pq), random.Random(0), trials, [check])[0]
+             for trials in (1, 5)]
+    assert [r["status"] for r in texts] == ["fail", "fail"]
+    witness = texts[1]["witness"]
+    if check.draws is None:  # a trial loop: the first trial failed
+        assert texts[0]["witness"] == witness
+    assert "Mat([[Fraction(" in witness
+    assert hashlib.sha256(witness.encode()).hexdigest()[:16] == \
+        digests[pq == (2, 2)]
 
 
 # ---------------------------------------------------------------------------

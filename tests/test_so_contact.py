@@ -14,7 +14,9 @@ from liecontact.so_contact import (QGroupElement, Signature, SoElement,
                                    orthogonal_residual, rank_one_bracket,
                                    scaling_residual, segre_rank, so_basis,
                                    so_basis_degrees, structure_constants)
-from oracles import ad_so, form_s, ipq, product, rand_so_element
+from oracles import (ad_so, block, diag, form_s, identity, ints, ipq, is_zero,
+                     product, rand_so_element, scaled, submat, transpose,
+                     zeros)
 from test_linalg import _corrupted, _sign_swap
 
 SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
@@ -22,7 +24,7 @@ SIGS = (Signature(2, 1), Signature(3, 0), Signature(2, 2))
 
 def q_identity(sig):
     """The identity of the stabilizer group Q."""
-    return QGroupElement(sig, Mat.identity(2), Mat.identity(sig.n), 0)
+    return QGroupElement(sig, identity(2), identity(sig.n), 0)
 
 
 def grade(x, d):
@@ -48,29 +50,33 @@ def test_signature_validation():
 def test_form_is_symmetric_with_expected_blocks():
     sig = Signature(2, 1)
     s = form_s(sig)
-    assert s == s.T
-    assert s[0, 5] == -1 and s[1, 6] == -1
-    assert s[2, 2] == 1 and s[4, 4] == -1
-    assert s[0, 0] == 0
+    assert s == transpose(s)
+    assert s.data[0][5] == -1 and s.data[1][6] == -1
+    assert s.data[2][2] == 1 and s.data[4][4] == -1
+    assert s.data[0][0] == 0
 
 
 def test_so_element_rejects_bad_middle_block():
     sig = Signature(2, 1)
     bad = Mat.identity(3)
     with pytest.raises(ValueError):
-        SoElement(sig, D=bad)
+        SoElement(sig, D=IntMat.of(bad))
+    # a block is an IntMat: a Mat is refused, in so(p,q) or not
+    for d in (bad, zeros(3, 3)):
+        with pytest.raises(TypeError, match="D must be an IntMat"):
+            SoElement(sig, D=d)
 
 
 def _is_so_pq_by_products(sig, d):
     form = ipq(sig)
-    return (d.T * form + form * d).is_zero()
+    return is_zero(transpose(d) * form + form * d)
 
 
 def _accepts_d(sig, d):
     # whether the block constructor takes d as its middle block; a refusal
     # names D
     try:
-        SoElement(sig, D=d)
+        SoElement(sig, D=IntMat.of(d))
     except ValueError as exc:
         assert str(exc) == "D is not in so(p,q) for the given signature"
         return False
@@ -83,7 +89,7 @@ def test_entrywise_so_pq_test_matches_the_product_form():
                 Signature(2, 2), Signature(3, 3)):
         n = sig.n
         for _ in range(10):
-            d = samplers.rand_so_pq(sig, rng)
+            d = samplers.rand_so_pq(sig, rng).to_mat()
             assert _accepts_d(sig, d) and _is_so_pq_by_products(sig, d)
             i, j = rng.randrange(n), rng.randrange(n)
             rows = [list(r) for r in d.data]
@@ -91,7 +97,7 @@ def test_entrywise_so_pq_test_matches_the_product_form():
             bad = Mat(rows)
             assert not _accepts_d(sig, bad)
             assert not _is_so_pq_by_products(sig, bad)
-            generic = samplers.rand_mat(rng, n, n)
+            generic = samplers.rand_mat(rng, n, n).to_mat()
             assert (_accepts_d(sig, generic)
                     == _is_so_pq_by_products(sig, generic))
 
@@ -118,19 +124,23 @@ def test_signed_permutation_tables_multiply_as_the_forms(sig):
                         (sig.ipq_perm(), ipq(sig))):
         size = form.rows
         assert (table.rows, table.cols) == (size, size)
-        assert table.left(Mat.identity(size)) == form
-        exact = (samplers.rand_mat(rng, size, size),
-                 samplers.rand_mat(rng, size, 2) * Mat.zeros(2, size))
-        for m in exact + (samplers.rand_mat(rng, size, size).map(float),):
-            assert table.left(m) == product(form, m)
+        assert table.left(identity(size)).to_mat() == form
+        exact = (samplers.rand_mat(rng, size, size).to_mat(),
+                 samplers.rand_mat(rng, size, 2).to_mat() * zeros(2, size))
         for m in exact:
+            assert table.left(IntMat.of(m)).to_mat() == product(form, m)
             assert (table.conjugate_transpose(IntMat.of(m)).to_mat()
-                    == product(form, m.T, form))
+                    == product(form, transpose(m), form))
         tall = samplers.rand_mat(rng, size, size + 1)
-        assert table.left(tall) == product(form, tall)
-        for make in (lambda: table.left(tall.T),
-                     lambda: table.conjugate_transpose(IntMat.of(tall)),
-                     lambda: table.left(Mat.identity(size + 1))):
+        assert table.left(tall).to_mat() == product(form, tall.to_mat())
+        for m in (tall.to_mat(), Mat.identity(size)):
+            for make in (lambda: table.left(m),
+                         lambda: table.conjugate_transpose(m)):
+                with pytest.raises(TypeError, match="IntMat"):
+                    make()
+        for make in (lambda: table.left(IntMat.of(transpose(tall.to_mat()))),
+                     lambda: table.conjugate_transpose(tall),
+                     lambda: table.left(identity(size + 1))):
             with pytest.raises(ValueError, match="shape mismatch"):
                 make()
 
@@ -153,7 +163,7 @@ def test_assembled_matrices_lie_in_the_algebra():
         s = form_s(sig)
         for _ in range(20):
             m = rand_so_element(sig, rng).assemble()
-            assert (product(m.T, s) + product(s, m)).is_zero()
+            assert is_zero(product(transpose(m), s) + product(s, m))
 
 
 def test_assemble_from_matrix_round_trip():
@@ -161,16 +171,21 @@ def test_assemble_from_matrix_round_trip():
     for sig in SIGS:
         for _ in range(20):
             x = rand_so_element(sig, rng)
-            assert SoElement.from_matrix(sig, x.assemble()) == x
+            assert SoElement.from_matrix(sig, IntMat.of(x.assemble())) == x
+            # the matrix is an IntMat: its Mat view is refused
+            with pytest.raises(TypeError, match="IntMat"):
+                SoElement.from_matrix(sig, x.assemble())
 
 
 def _block_assembly(x):
     # the assembled matrix of the module docstring, built here on its own
     form = ipq(x.sig)
     j2 = Mat([[0, 1], [-1, 0]]).map(Fraction)
-    return Mat.block([[x.A, x.U, x.w * j2],
-                      [x.X, x.D, product(form, x.U.T)],
-                      [x.z * j2, product(x.X.T, form), -1 * x.A.T]])
+    a, u, xx, d = (m.to_mat() for m in (x.A, x.U, x.X, x.D))
+    return block([[a, u, scaled(x.w, j2)],
+                  [xx, d, product(form, transpose(u))],
+                  [scaled(x.z, j2), product(transpose(xx), form),
+                   -transpose(a)]])
 
 
 def test_assemble_is_the_matrix_of_the_integer_rows():
@@ -199,9 +214,12 @@ ORACLE_SIGS = (Signature(2, 1), Signature(3, 0), Signature(1, 2),
 def _from_matrix_by_reassembly(sig, m):
     # the reference: read the blocks, reassemble them and compare
     n = sig.n
-    elt = SoElement(sig, z=m[n + 2, 1], X=m.submat(2, n + 2, 0, 2),
-                    A=m.submat(0, 2, 0, 2), D=m.submat(2, n + 2, 2, n + 2),
-                    U=m.submat(0, 2, 2, n + 2), w=m[0, n + 3])
+    m = m.to_mat()
+    elt = SoElement(sig, z=m.data[n + 2][1],
+                    X=IntMat.of(submat(m, 2, n + 2, 0, 2)),
+                    A=IntMat.of(submat(m, 0, 2, 0, 2)),
+                    D=IntMat.of(submat(m, 2, n + 2, 2, n + 2)),
+                    U=IntMat.of(submat(m, 0, 2, 2, n + 2)), w=m.data[0][n + 3])
     if m != _block_assembly(elt):
         raise ValueError("matrix is not in the orthogonal algebra "
                          "of the standard form")
@@ -240,18 +258,15 @@ def test_from_matrix_refuses_what_reassembly_refuses():
         for x in (rand_so_element(sig, rng),
                   SoElement.generator_e(sig), SoElement(sig)):
             m = x.assemble()
-            assert SoElement.from_matrix(sig, m) == x
+            assert SoElement.from_matrix(sig, x.ints) == x
             refused = 0
             for r in range(size):
                 for c in range(size):
                     rows = [list(row) for row in m.data]
                     rows[r][c] += samplers.rand_nonzero_fraction(rng)
-                    bad = Mat(rows)
+                    bad = IntMat.of(Mat(rows))
                     got = _outcome(SoElement.from_matrix, sig, bad)
                     expected = _outcome(_from_matrix_by_reassembly, sig, bad)
-                    assert got == expected, (sig, r, c)
-                    # the same matrix given as integer rows
-                    got = _outcome(SoElement.from_matrix, sig, IntMat.of(bad))
                     assert got == expected, (sig, r, c)
                     refused += isinstance(got, str)
             # each entry repeats another one up to sign or must vanish
@@ -277,10 +292,13 @@ def test_elements_hold_the_integer_rows_of_their_matrix(sig):
                   samplers.rand_mat(rng, 2, 2), samplers.rand_so_pq(sig, rng),
                   samplers.rand_mat(rng, 2, n), samplers.rand_fraction(rng))
         x = SoElement(sig, *blocks)
-        assert (x.z, x.X, x.A, x.D, x.U, x.w) == blocks
+        views = (x.z, x.X, x.A, x.D, x.U, x.w)
+        assert (views[0], views[-1]) == (blocks[0], blocks[-1])
+        for view, b in zip(views[1:-1], blocks[1:-1]):
+            assert type(view) is IntMat and view.equals(b)
         want = _block_assembly(x)
         _assert_rows(x, want)
-        _assert_rows(SoElement.from_matrix(sig, want), want)
+        _assert_rows(SoElement.from_matrix(sig, IntMat.of(want)), want)
         g = x.ints
         assert SoElement.from_matrix(sig, g).ints is g
         # equality reads values: the rows doubled over twice the
@@ -292,17 +310,17 @@ def test_elements_hold_the_integer_rows_of_their_matrix(sig):
         other = _block_assembly(y)
         c = samplers.rand_nonzero_fraction(rng)
         for got, expected in ((x + y, want + other), (x - y, want - other),
-                              (-x, -1 * want), (c * x, c * want),
-                              (0 * x, Mat.zeros(n + 4, n + 4)),
+                              (-x, -want), (c * x, scaled(c, want)),
+                              (0 * x, zeros(n + 4, n + 4)),
                               (bracket(x, y), product(want, other)
                                - product(other, want))):
             _assert_rows(got, expected)
         # integer coordinates over one denominator
         d = rng.randint(2, 6)
         ks = [rng.randint(-4, 4) for _ in basis]
-        expected = Mat.zeros(n + 4, n + 4)
+        expected = zeros(n + 4, n + 4)
         for k, b in zip(ks, basis):
-            expected = expected + Fraction(k, d) * b
+            expected = expected + scaled(Fraction(k, d), b)
         _assert_rows(from_coordinates(sig, zip(basis_positions(sig), ks), d),
                      expected)
 
@@ -311,17 +329,22 @@ def test_elements_refuse_float_entries_when_built():
     sig = Signature(2, 1)
     m = SoElement.generator_e(sig).assemble()
     for make in (lambda: SoElement(sig, z=0.5), lambda: SoElement(sig, w=0.5),
-                 lambda: SoElement(sig, X=Mat.zeros(3, 2).map(float)),
-                 lambda: SoElement(sig, D=Mat.zeros(3, 3).map(float)),
-                 lambda: SoElement.from_matrix(sig, m.map(float))):
+                 lambda: SoElement(sig, X=IntMat.of(zeros(3, 2, 0.0))),
+                 lambda: SoElement.from_matrix(sig, IntMat.of(m.map(float)))):
         with pytest.raises(TypeError, match="float"):
+            make()
+    # a block or a matrix given as a Mat is refused before its entries
+    for make in (lambda: SoElement(sig, X=zeros(3, 2, 0.0)),
+                 lambda: SoElement(sig, D=zeros(3, 3, 0.0)),
+                 lambda: SoElement.from_matrix(sig, m.map(float))):
+        with pytest.raises(TypeError, match="IntMat"):
             make()
 
 
-def _unit(r, c, i, j):
-    m = [[Fraction(0)] * c for _ in range(r)]
-    m[i][j] = Fraction(1)
-    return Mat(m)
+def _unit(r, c, i, j) -> IntMat:
+    m = [[0] * c for _ in range(r)]
+    m[i][j] = 1
+    return IntMat(1, c, m)
 
 
 def _so_basis_by_blocks(sig):
@@ -341,7 +364,7 @@ def _so_basis_by_blocks(sig):
             d = [[Fraction(0)] * n for _ in range(n)]
             d[i][j] = Fraction(signs[i])
             d[j][i] = Fraction(-signs[j])
-            out.append(SoElement(sig, D=Mat(d)))
+            out.append(SoElement(sig, D=ints(d)))
     for i in range(2):
         for j in range(n):
             out.append(SoElement(sig, U=_unit(2, n, i, j)))
@@ -353,19 +376,20 @@ def _so_coordinates_by_blocks(x):
     # coordinates in the documented order, read block by block
     n = x.sig.n
     signs = x.sig.signs()
+    xm, am, dm, um = (m.to_mat().data for m in (x.X, x.A, x.D, x.U))
     coords = [x.z]
     for j in range(2):
         for i in range(n):
-            coords.append(x.X[i, j])
+            coords.append(xm[i][j])
     for i in range(2):
         for j in range(2):
-            coords.append(x.A[i, j])
+            coords.append(am[i][j])
     for i in range(n):
         for j in range(i + 1, n):
-            coords.append(x.D[i, j] / signs[i])
+            coords.append(dm[i][j] / signs[i])
     for i in range(2):
         for j in range(n):
-            coords.append(x.U[i, j])
+            coords.append(um[i][j])
     coords.append(x.w)
     return coords
 
@@ -373,7 +397,7 @@ def _so_coordinates_by_blocks(x):
 def _typed_blocks(x):
     return [(type(e), repr(e)) for e in (x.z, x.w)] + [
         (type(e), repr(e)) for m in (x.X, x.A, x.D, x.U)
-        for r in m.data for e in r]
+        for r in m.to_mat().data for e in r]
 
 
 def test_table_basis_matches_the_block_by_block_oracle():
@@ -438,11 +462,11 @@ def test_bracket_antisymmetry_and_signature_guard():
 
 def test_levi_bracket_oracles():
     sig = Signature(2, 1)
-    e1 = Mat([[1, 0], [0, 0], [0, 0]]).map(Fraction)
-    e1_right = Mat([[0, 1], [0, 0], [0, 0]]).map(Fraction)
+    e1 = ints([[1, 0], [0, 0], [0, 0]])
+    e1_right = ints([[0, 1], [0, 0], [0, 0]])
     assert bracket_gm1(sig, e1, e1_right) == 1
-    e3 = Mat([[0, 0], [0, 0], [1, 0]]).map(Fraction)
-    e3_right = Mat([[0, 0], [0, 0], [0, 1]]).map(Fraction)
+    e3 = ints([[0, 0], [0, 0], [1, 0]])
+    e3_right = ints([[0, 0], [0, 0], [0, 1]])
     assert bracket_gm1(sig, e3, e3_right) == -1
     assert bracket_gm1(sig, e1, e1) == 0
 
@@ -459,7 +483,9 @@ def test_levi_bracket_matches_matrix_commutator():
 
 
 def _bracket_by_inner(sig, x, y):
-    """bracket_gm1 by its formula on Fractions: <X1, Y2> - <X2, Y1>."""
+    """bracket_gm1 by its formula on Fractions: <X1, Y2> - <X2, Y1>, for
+    the Fraction views of the IntMats x and y."""
+    x, y = x.to_mat(), y.to_mat()
     return (inner(sig, x.column(0), y.column(1))
             - inner(sig, x.column(1), y.column(0)))
 
@@ -468,7 +494,7 @@ def _bracket_by_inner(sig, x, y):
                          ids=lambda sig: "%d-%d" % (sig.p, sig.q))
 def test_bracket_gm1_matches_the_inner_formula(sig):
     rng = random.Random(14 + 7 * sig.p + sig.q)
-    zero = Mat.zeros(sig.n, 2)
+    zero = IntMat(1, 2, sparse=[[]] * sig.n)
     for _ in range(12):
         x = samplers.rand_gm1(sig, rng)
         y = samplers.rand_mixed_gm1(sig, rng)
@@ -476,11 +502,16 @@ def test_bracket_gm1_matches_the_inner_formula(sig):
             got = bracket_gm1(sig, a, b)
             assert type(got) is Fraction
             assert got == _bracket_by_inner(sig, a, b)
-    # integer entries are read as rationals, and floats are refused
-    ints = Mat([[i - 2 * j for j in range(2)] for i in range(sig.n)])
-    assert bracket_gm1(sig, ints, x) == _bracket_by_inner(sig, ints, x)
-    with pytest.raises(TypeError, match="float"):
-        bracket_gm1(sig, ints.map(float), x)
+    # integer rows over 1 are read as rationals, and a Mat is refused,
+    # of Fractions or of floats
+    m = Mat([[i - 2 * j for j in range(2)] for i in range(sig.n)])
+    assert (bracket_gm1(sig, IntMat.of(m), x)
+            == _bracket_by_inner(sig, IntMat.of(m), x))
+    for bad in (m.map(Fraction), m.map(float)):
+        with pytest.raises(TypeError, match="IntMat"):
+            bracket_gm1(sig, bad, x)
+        with pytest.raises(TypeError, match="IntMat"):
+            bracket_gm1(sig, x, bad)
 
 
 def test_generator_bracket_with_top_grade_lands_in_middle():
@@ -502,10 +533,19 @@ def test_equivariance_residuals_vanish():
             assert orthogonal_residual(sig, c, x, y) == 0
             assert scaling_residual(sig, a, x, y) == 0
             # the same residuals through Fraction products
-            cm = c.to_mat()
-            assert bracket_gm1(sig, cm * x, cm * y) == bracket_gm1(sig, x, y)
-            assert (bracket_gm1(sig, x * a, y * a)
+            cm, xm, ym, am = (m.to_mat() for m in (c, x, y, a))
+            assert (bracket_gm1(sig, IntMat.of(cm * xm), IntMat.of(cm * ym))
+                    == bracket_gm1(sig, x, y))
+            assert (bracket_gm1(sig, IntMat.of(xm * am), IntMat.of(ym * am))
                     == det(a) * bracket_gm1(sig, x, y))
+    # every matrix is an IntMat: a Mat view is refused
+    for args in ((c.to_mat(), x, y), (c, x.to_mat(), y), (c, x, y.to_mat())):
+        with pytest.raises(TypeError, match="IntMat"):
+            orthogonal_residual(sig, *args)
+    for args in ((a.to_mat(), x, y), (a, x.to_mat(), y), (a, x, y.to_mat())):
+        for factor in (None, 1):
+            with pytest.raises(TypeError, match="IntMat"):
+                scaling_residual(sig, *args, factor)
 
 
 def test_equivariance_rejects_non_orthogonal_c():
@@ -513,7 +553,7 @@ def test_equivariance_rejects_non_orthogonal_c():
     rng = random.Random(15)
     x = samplers.rand_gm1(sig, rng)
     with pytest.raises(ValueError):
-        orthogonal_residual(sig, IntMat.of(2 * Mat.identity(3)), x, x)
+        orthogonal_residual(sig, IntMat.of(scaled(2, Mat.identity(3))), x, x)
 
 
 def test_orthogonality_check_refuses_near_misses():
@@ -522,33 +562,34 @@ def test_orthogonality_check_refuses_near_misses():
     rng = random.Random(17)
     for sig in (Signature(2, 1), Signature(2, 2), Signature(3, 3)):
         c = samplers.rand_opq(sig, rng).to_mat()
-        bad = [_corrupted(c, rng), 2 * Mat.identity(sig.n),
-               Fraction(-1, 3) * c]
+        bad = [_corrupted(c, rng), scaled(2, Mat.identity(sig.n)),
+               scaled(Fraction(-1, 3), c)]
         if sig.p == sig.q:
             bad.append(c * _sign_swap(sig)[1])
         x = samplers.rand_gm1(sig, rng)
-        one = Mat.identity(2)
+        one = identity(2)
         for b in bad:
-            assert b.T * ipq(sig) * b != ipq(sig)
-            for make in (lambda: QGroupElement(sig, one, b),
+            assert transpose(b) * ipq(sig) * b != ipq(sig)
+            for make in (lambda: QGroupElement(sig, one, IntMat.of(b)),
                          lambda: orthogonal_residual(sig, IntMat.of(b), x,
                                                      x)):
                 with pytest.raises(ValueError, match=r"C is not orthogonal "
                                    r"for the \(p,q\) form"):
                     make()
-        assert QGroupElement(sig, one, c).C == c
+        assert QGroupElement(sig, one, IntMat.of(c)).C == c
 
 
 def test_group_elements_reject_singular_b_and_non_orthogonal_c():
     sig = Signature(2, 1)
-    singular = Mat([[1, 2], [2, 4]]).map(Fraction)
-    flip = Mat.diag([Fraction(1), Fraction(-1), Fraction(1)])
+    singular = ints([[1, 2], [2, 4]])
+    flip = diag([Fraction(1), Fraction(-1), Fraction(1)])
     for w in (0, Fraction(3, 2)):
         with pytest.raises(ValueError, match="B must be invertible"):
-            QGroupElement(sig, singular, Mat.identity(3), w)
+            QGroupElement(sig, singular, identity(3), w)
         with pytest.raises(ValueError, match="C is not orthogonal"):
-            QGroupElement(sig, Mat.identity(2), 2 * Mat.identity(3), w)
-        assert QGroupElement(sig, Mat.identity(2), flip, w).C == flip
+            QGroupElement(sig, identity(2), ints([[2, 0, 0], [0, 2, 0],
+                                                  [0, 0, 2]]), w)
+        assert QGroupElement(sig, identity(2), IntMat.of(flip), w).C == flip
 
 
 def test_rank_one_bracket_closed_form():
@@ -560,8 +601,8 @@ def test_rank_one_bracket_closed_form():
             f2 = (samplers.rand_fraction(rng), samplers.rand_fraction(rng))
             u1 = [samplers.rand_fraction(rng) for _ in range(n)]
             u2 = [samplers.rand_fraction(rng) for _ in range(n)]
-            x = Mat([[u1[i] * f1[0], u1[i] * f1[1]] for i in range(n)])
-            y = Mat([[u2[i] * f2[0], u2[i] * f2[1]] for i in range(n)])
+            x = ints([[u1[i] * f1[0], u1[i] * f1[1]] for i in range(n)])
+            y = ints([[u2[i] * f2[0], u2[i] * f2[1]] for i in range(n)])
             assert bracket_gm1(sig, x, y) == rank_one_bracket(
                 sig, f1, f2, u1, u2)
 
@@ -569,11 +610,11 @@ def test_rank_one_bracket_closed_form():
 def test_g0_adjoint_oracle_and_scaling_law():
     # the elements of Q with w = 0 make up G0
     sig = Signature(2, 1)
-    h = QGroupElement(sig, 2 * Mat.identity(2), Mat.identity(3))
-    x = Mat([[1, 2], [3, 4], [5, 6]]).map(Fraction)
+    h = QGroupElement(sig, ints([[2, 0], [0, 2]]), identity(3))
+    x = ints([[1, 2], [3, 4], [5, 6]])
     out = ad_so(h, SoElement(sig, z=1, X=x))
     assert out.z == Fraction(1, 4)
-    assert out.X == Fraction(1, 2) * x
+    assert out.X.to_mat() == scaled(Fraction(1, 2), x.to_mat())
     rng = random.Random(17)
     for _ in range(30):
         h = QGroupElement(sig, samplers.rand_gl2(rng),
@@ -582,25 +623,29 @@ def test_g0_adjoint_oracle_and_scaling_law():
         y = samplers.rand_gm1(sig, rng)
         gx = ad_so(h, SoElement(sig, X=x)).X
         gy = ad_so(h, SoElement(sig, X=y)).X
-        assert bracket_gm1(sig, gx, gy) == bracket_gm1(sig, x, y) / det(h.B)
+        assert (bracket_gm1(sig, gx, gy)
+                == bracket_gm1(sig, x, y) / det(h.int_b))
 
 
 @pytest.mark.parametrize("w", [0, 3])
 def test_q_group_element_equality_is_up_to_sign(w):
     sig = Signature(2, 1)
-    b = Mat([[1, 2], [0, 1]]).map(Fraction)
-    c = Mat.identity(3)
+    b = ints([[1, 2], [0, 1]])
+    c = identity(3)
+    neg_b, neg_c = (IntMat.combination([(-1, m)]) for m in (b, c))
     h = QGroupElement(sig, b, c, w)
-    assert h == QGroupElement(sig, -1 * b, -1 * c, w)
-    assert h != QGroupElement(sig, -1 * b, c, w)
-    assert h != QGroupElement(sig, b, -1 * c, w)
+    assert h == QGroupElement(sig, neg_b, neg_c, w)
+    assert h != QGroupElement(sig, neg_b, c, w)
+    assert h != QGroupElement(sig, b, neg_c, w)
     assert h != QGroupElement(sig, b, c, w + 1)
 
 
 def test_segre_rank():
-    assert segre_rank(Mat([[1, 0], [0, 1], [0, 0]]).map(Fraction)) == 2
-    assert segre_rank(Mat([[1, 2], [2, 4], [3, 6]]).map(Fraction)) == 1
-    assert segre_rank(Mat.zeros(3, 2)) == 0
+    assert segre_rank(ints([[1, 0], [0, 1], [0, 0]])) == 2
+    assert segre_rank(ints([[1, 2], [2, 4], [3, 6]])) == 1
+    assert segre_rank(IntMat(1, 2, sparse=[[]] * 3)) == 0
+    with pytest.raises(TypeError, match="IntMat"):
+        segre_rank(zeros(3, 2))
 
 
 def test_q_group_membership_and_line_stabilization():
@@ -611,12 +656,12 @@ def test_q_group_membership_and_line_stabilization():
         for _ in range(20):
             h = samplers.rand_q_element(sig, rng)
             m = h.assemble()
-            assert product(m.T, s, m) == s
+            assert product(transpose(m), s, m) == s
             out = ad_so(h, e)
             beta = h.det_b()
             assert out.X.is_zero() and out.D.is_zero() and out.U.is_zero()
             assert out.z == 1 / beta
-            assert out.A == -h.w * Mat.identity(2)
+            assert out.A.to_mat() == scaled(-h.w, Mat.identity(2))
             assert out.w == h.w * h.w * beta
 
 
@@ -631,11 +676,13 @@ def test_q_group_composition_against_assembled_product():
                                                   h2.assemble())
             inv = h1.inverse()
             assert h1.compose(inv) == q_identity(sig)
-            assert inv.assemble() == invert(h1.assemble())
+            assert inv.assemble() == invert(IntMat.of(h1.assemble())).to_mat()
             # the data of the inverse as products, with the form Ipq
             form = ipq(sig)
             assert (inv.B, inv.C, inv.w) == (
-                invert(h1.B), product(form, h1.C.T, form), -h1.w * det(h1.B))
+                invert(h1.int_b).to_mat(),
+                product(form, transpose(h1.C), form),
+                -h1.w * det(h1.int_b))
 
 
 @pytest.mark.parametrize("sampler", [samplers.rand_q_element,
@@ -647,10 +694,10 @@ def test_q_closed_form_block_matches_elimination(sampler):
         for _ in range(30):
             h = sampler(sig, rng)
             n = sig.n
-            assert h.det_b() == det(h.B)
-            assert h.assemble().submat(n + 2, n + 4, n + 2, n + 4) == (
-                invert(h.B).T)
-            assert h.inverse().B == invert(h.B)
+            assert h.det_b() == det(h.int_b)
+            assert submat(h.assemble(), n + 2, n + 4, n + 2, n + 4) == (
+                transpose(invert(h.int_b).to_mat()))
+            assert h.inverse().B == invert(h.int_b).to_mat()
 
 
 @pytest.mark.parametrize("sampler", [samplers.rand_q_element,
@@ -667,19 +714,21 @@ def test_integer_q_matches_the_fraction_block_formulas(sampler):
             b, c, w = h.B, h.C, h.w
             m = h.assemble()
             assert m == _q_block_assembly(h)
-            assert h.det_b() == det(b)
-            assert [x.to_mat() for x in h.int_pair()] == [m, invert(m)]
+            assert h.det_b() == det(IntMat.of(b))
+            assert [x.to_mat() for x in h.int_pair()] == [
+                m, invert(IntMat.of(m)).to_mat()]
             hg = h.compose(g)
             assert (hg.B, hg.C, hg.w) == (b * g.B, product(c, g.C),
-                                          g.w + w / det(g.B))
+                                          g.w + w / det(IntMat.of(g.B)))
             inv = h.inverse()
-            assert (inv.B, inv.C, inv.w) == (invert(b),
-                                             product(form, c.T, form),
-                                             -w * det(b))
-            for other, equal in ((QGroupElement(sig, -1 * b, -1 * c, w), True),
-                                 (QGroupElement(sig, -1 * b, c, w), False),
-                                 (QGroupElement(sig, b, -1 * c, w), False),
-                                 (QGroupElement(sig, b, c, w + 1), False),
+            assert (inv.B, inv.C, inv.w) == (invert(IntMat.of(b)).to_mat(),
+                                             product(form, transpose(c), form),
+                                             -w * det(IntMat.of(b)))
+            ib, ic, nb, nc = (IntMat.of(x) for x in (b, c, -b, -c))
+            for other, equal in ((QGroupElement(sig, nb, nc, w), True),
+                                 (QGroupElement(sig, nb, ic, w), False),
+                                 (QGroupElement(sig, ib, nc, w), False),
+                                 (QGroupElement(sig, ib, ic, w + 1), False),
                                  (hg.compose(g.inverse()), True), (g, False)):
                 assert (h == other) == equal
 
@@ -687,18 +736,23 @@ def test_integer_q_matches_the_fraction_block_formulas(sampler):
 def test_group_elements_reject_a_b_that_is_not_2x2():
     sig = Signature(2, 1)
     with pytest.raises(ValueError, match="B must be 2x2"):
-        QGroupElement(sig, Mat.identity(3), Mat.identity(3))
-    with pytest.raises(TypeError, match="B needs Fraction entries"):
-        QGroupElement(sig, Mat([[1, 0], [0, 1]]), Mat.identity(3))
+        QGroupElement(sig, identity(3), identity(3))
+    # B and C are IntMats: a Mat is refused, of ints or of Fractions
+    for b in (Mat([[1, 0], [0, 1]]), Mat.identity(2)):
+        with pytest.raises(TypeError, match="B must be an IntMat"):
+            QGroupElement(sig, b, identity(3))
+    with pytest.raises(TypeError, match="C must be an IntMat"):
+        QGroupElement(sig, identity(2), Mat.identity(3))
 
 
 def _q_block_assembly(h):
     # the assembled matrix of the QGroupElement docstring, built here
     n = h.sig.n
     j2 = Mat([[0, 1], [-1, 0]]).map(Fraction)
-    return Mat.block([[h.B, Mat.zeros(2, n), h.w * (h.B * j2)],
-                      [Mat.zeros(n, 2), h.C, Mat.zeros(n, 2)],
-                      [Mat.zeros(2, 2), Mat.zeros(2, n), invert(h.B).T]])
+    return block([[h.B, zeros(2, n), scaled(h.w, h.B * j2)],
+                  [zeros(n, 2), h.C, zeros(n, 2)],
+                  [zeros(2, 2), zeros(2, n),
+                   transpose(invert(h.int_b).to_mat())]])
 
 
 def test_q_assemble_is_the_matrix_of_the_integer_pair():
@@ -708,7 +762,8 @@ def test_q_assemble_is_the_matrix_of_the_integer_pair():
         hs.append(q_identity(sig))
         for h in hs:
             assert h.assemble() == _q_block_assembly(h)
-        twin = QGroupElement(sig, hs[0].B, hs[0].C, hs[0].w)
+        twin = QGroupElement(sig, IntMat.of(hs[0].B), IntMat.of(hs[0].C),
+                             hs[0].w)
         assert twin == hs[0] and twin.assemble() == hs[0].assemble()
 
 
@@ -720,7 +775,8 @@ def test_q_adjoint_matches_matrix_conjugation():
             x = rand_so_element(sig, rng)
             lhs = ad_so(h, x).assemble()
             m = h.assemble()
-            assert lhs == product(m, x.assemble(), invert(m))
+            assert lhs == product(m, x.assemble(),
+                                  invert(IntMat.of(m)).to_mat())
 
 
 def test_q_integer_pair_is_the_matrix_and_its_inverse():
@@ -731,7 +787,8 @@ def test_q_integer_pair_is_the_matrix_and_its_inverse():
             pair = h.int_pair()
             assert h.int_pair() is pair
             m = h.assemble()
-            assert [x.to_mat() for x in pair] == [m, invert(m)]
+            assert [x.to_mat() for x in pair] == [
+                m, invert(IntMat.of(m)).to_mat()]
 
 
 def test_q_adjoint_on_negative_part_matches_g0_formula():
@@ -744,8 +801,9 @@ def test_q_adjoint_on_negative_part_matches_g0_formula():
             z = samplers.rand_fraction(rng)
             out = ad_so(h, SoElement(sig, z=z, X=x))
             # the action of G0 on g_-2 + g_-1: (z, X) -> (z / det B, C X B^-1)
-            assert out.z == z / det(h.B)
-            assert out.X == product(h.C, x, invert(h.B))
+            assert out.z == z / det(h.int_b)
+            assert out.X.to_mat() == product(h.C, x.to_mat(),
+                                             invert(h.int_b).to_mat())
 
 
 def test_basis_coordinates_round_trip():
@@ -811,3 +869,14 @@ def test_inner_uses_the_signature():
     assert inner(sig, (1, 0, 0), (1, 0, 0)) == 1
     assert inner(sig, (0, 0, 1), (0, 0, 1)) == -1
     assert inner(sig, (1, 2, 3), (3, 2, 1)) == 3 + 4 - 3
+
+
+def test_inner_refuses_floats():
+    # each entry is read through rat, so a float never reaches the sum
+    sig = Signature(2, 1)
+    for u, v in (([0.5, 1, 1], [1, 1, 1]), ([1, 1, 1], [1, 1.0, 1]),
+                 ([Fraction(1, 2), 1, 1], [1, 1, -0.0])):
+        with pytest.raises(TypeError, match="float"):
+            inner(sig, u, v)
+    got = inner(sig, [Fraction(1, 2), 1, 1], [1, 1, 1])
+    assert got == Fraction(1, 2) and type(got) is Fraction
