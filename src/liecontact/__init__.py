@@ -21,7 +21,7 @@ from .extension import (Cochain1, Cochain2, alpha, alpha_restriction_matrix,
                         psi_equivariance_check, psi_gq, psi_support_report,
                         psi_trilinear, symmetrized_reference)
 from .linalg import (IntMat, Mat, det, exp_float, exp_nilpotent, invert,
-                     rank_kernel, rat, rat_sqrt, solve_linear)
+                     rank, rank_kernel, rat, rat_sqrt, solve_linear)
 from .path_sl import SlElement, sl_bracket, sl_neg_coordinates, w0
 from .report import SUITE_NAMES, SuiteConfig, run
 from .so_contact import (QGroupElement, Signature, SoElement, bracket,

@@ -17,16 +17,17 @@ import math
 from fractions import Fraction
 
 from .extension import fit_on_unit_triples, psi_trilinear
-from .linalg import IntMat, bareiss, exp_nilpotent, need_ints, plain_sum, rat
+from .linalg import (Frozen, IntMat, exp_nilpotent, need_ints, plain_sum,
+                     rank, rat)
 from .so_contact import (Signature, SoElement, ambient_inverse, gm1_pairing,
                          segre_rank)
 from .split_quat import QuatStructureOnH, stack_columns, unstack_columns
 
 
-class ModelPoint:
+class ModelPoint(Frozen):
     """An isotropic 2-plane in R^(n+4), stored as its (n+4) x 2 span, an
     `IntMat` (a Mat is refused with TypeError), whose rows give its rank
-    (`bareiss`) and its isotropy (`gram_equals`). Two points are equal
+    (`linalg.rank`) and its isotropy (`gram_equals`). Two points are equal
     exactly when their column spans agree."""
 
     __slots__ = ("sig", "span")
@@ -34,22 +35,18 @@ class ModelPoint:
     def __init__(self, sig: Signature, span: IntMat):
         if need_ints(span, "span").rows != sig.n + 4 or span.cols != 2:
             raise ValueError("span must be an (n+4) x 2 matrix")
-        if _rank(span.dense) != 2:
+        if rank(span) != 2:
             raise ValueError("span must have rank 2")
         if not span.gram_equals(sig.form_s_perm()):
             raise ValueError("span must be isotropic for the ambient form")
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "span", span)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModelPoint is immutable")
+        self._set(sig=sig, span=span)
 
     def __eq__(self, other):
         if not isinstance(other, ModelPoint) or self.sig != other.sig:
             return NotImplemented
         # scaling a column keeps the rank: no common denominator is needed
-        return _rank([ra + rb for ra, rb in zip(self.span.dense,
-                                                other.span.dense)]) == 2
+        return rank(IntMat(1, 4, [ra + rb for ra, rb in zip(
+            self.span.dense, other.span.dense)])) == 2
 
     def __repr__(self):
         return "ModelPoint(%r, %r)" % (self.sig, self.span)
@@ -59,11 +56,6 @@ def origin(sig: Signature) -> ModelPoint:
     """The plane spanned by the first two standard basis vectors."""
     return ModelPoint(sig, IntMat(1, 2, sparse=[[(0, 1)], [(1, 1)],
                                                 *[[]] * (sig.n + 2)]))
-
-
-def _rank(rows) -> int:
-    """The rank of the integer rows, which stay as they are."""
-    return len(bareiss([list(r) for r in rows])[1])
 
 
 def _check_ambient(sig: Signature, g: IntMat) -> None:
@@ -104,7 +96,7 @@ def _chain_moves(sig: Signature):
     return moves
 
 
-class ChainCurve:
+class ChainCurve(Frozen):
     """The exact chain t -> g (I + tE) . origin, for a frame g of O(S), an
     `IntMat` (the identity when none is given).
 
@@ -117,18 +109,13 @@ class ChainCurve:
     def __init__(self, sig: Signature, g: IntMat | None = None):
         size = sig.n + 4
         if g is None:
-            g = IntMat(1, size, sparse=[[(i, 1)] for i in range(size)])
+            g = IntMat.identity(size)
         _check_ambient(sig, g)
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "g", g)
         vel = [[0] * size for _ in range(size)]
         for k, j, sign in _chain_moves(sig):
             for out, r in zip(vel, g.dense):
                 out[j] = r[k] if sign > 0 else -r[k]
-        object.__setattr__(self, "_vel", IntMat(g.d, size, vel))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainCurve is immutable")
+        self._set(sig=sig, g=g, _vel=IntMat(g.d, size, vel))
 
     def _frame(self, t, start, stop) -> IntMat:
         """Columns start to stop of the frame g + t·gE, on the integers:
@@ -179,7 +166,7 @@ def flow_transversality(sig: Signature, x: SoElement, t) -> bool:
 # the cubic tensor on the contact directions
 
 
-class STensorEval:
+class STensorEval(Frozen):
     """Evaluation data for the cubic tensor at the model origin: a
     split-quaternionic structure on the contact directions plus a nonzero
     overall scale. Robustness tests swap in conjugated structures and
@@ -196,12 +183,7 @@ class STensorEval:
         scale = rat(scale)
         if scale == 0:
             raise ValueError("scale must be nonzero")
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "scale", scale)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("STensorEval is immutable")
+        self._set(sig=sig, structure=structure, scale=scale)
 
     @classmethod
     def standard(cls, sig: Signature):
@@ -291,7 +273,9 @@ def rank_one_by_S(ev: STensorEval, xi: IntMat) -> bool:
     cols = [_stacked(_cyclic_sum(ev, (x, x, e), [
         [img, img, e * m] for img, m in zip(images, units)]))
         for e in _unit_ints(ev.sig.n)]
-    return _rank(zip(*cols)) == _rank(zip(*cols, _stacked(x)))
+    return (rank(IntMat(1, len(cols), [list(r) for r in zip(*cols)]))
+            == rank(IntMat(1, len(cols) + 1,
+                           [list(r) for r in zip(*cols, _stacked(x))])))
 
 
 def _stacked(m: IntMat):

@@ -31,8 +31,8 @@ import random
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linalg import (IntMat, Mat, exp_float, invert, max_abs, need_ints,
-                     rank_kernel, rat, rat_sqrt)
+from .linalg import (Frozen, IntMat, Mat, exp_float, invert, max_abs,
+                     need_ints, rank, rat, rat_sqrt)
 from .path_sl import (SlElement, entry_degrees, neg_positions, sl_bracket,
                       sl_neg_coordinates, sl_neg_degrees, sl_neg_slots, w0)
 from .so_contact import (QGroupElement, Signature, SoElement,
@@ -454,7 +454,7 @@ def r_block_path(sig: Signature, x: IntMat, y: IntMat) -> IntMat:
 # cochains and the codifferential
 
 
-class Cochain2:
+class Cochain2(Frozen):
     """Antisymmetric 2-cochain on the negative slots, given by its values on
     ordered basis pairs (a < b) of the negative basis. It keeps them as
     `int_rows` (d, rows): integer matrices over one denominator d, rows
@@ -467,12 +467,7 @@ class Cochain2:
         """From ints, the values as IntMats by sorted key."""
         common = IntMat.aligned(list(ints.values()))
         rows = MappingProxyType({k: v.sparse for k, v in zip(ints, common)})
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "int_rows", (common[0].d if common else 1,
-                                              rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cochain2 is immutable")
+        self._set(n=n, int_rows=(common[0].d if common else 1, rows))
 
     def int_value(self, a: int, b: int) -> IntMat:
         """The value on the pair (a, b), either order, as an IntMat over the
@@ -485,15 +480,14 @@ class Cochain2:
                                     for r in rows])
 
 
-class Cochain1:
+class Cochain1(Frozen):
+    """1-cochain on the negative slots: its values, `SlElement`s by basis
+    index, in a read-only mapping."""
+
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values: dict):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", dict(values))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cochain1 is immutable")
+        self._set(n=n, values=MappingProxyType(dict(values)))
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values.values())
@@ -675,9 +669,8 @@ def _i_invertible(h: QGroupElement, ih: IntMat) -> bool:
     conjugations they stand for (det i(h) = sgn(beta)^(n+1)·det(C)^2 =
     +-1, C being in O(p, q): the top block has determinant beta/|beta|,
     the lower one beta^n det(C)^2/|beta|^n)."""
-    m = ih.rows
-    return (ih * i_map(h.inverse())).equals(
-        IntMat(1, m, sparse=[[(i, 1)] for i in range(m)]), up_to_sign=True)
+    return (ih * i_map(h.inverse())).equals(IntMat.identity(ih.rows),
+                                            up_to_sign=True)
 
 
 def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
@@ -718,13 +711,12 @@ def check_pair_conditions(sig: Signature, trials=50, seed=0) -> dict:
         derivative_float_error = max(derivative_float_error, max(
             abs(x / exact.d - y) for rx, ry in zip(exact.dense, approx.data)
             for x, y in zip(rx, ry)))
-    rank, _ = rank_kernel(alpha_restriction_matrix(sig))
     return {
         "trials": trials,
         "equivariance_failures": equivariance_failures,
         "derivative_failures": derivative_failures,
         "derivative_float_error": derivative_float_error,
-        "restriction_rank": rank,
+        "restriction_rank": rank(alpha_restriction_matrix(sig)),
         "restriction_rank_expected": 4 * sig.n + 1,
         "witness": witness,
     }

@@ -3,27 +3,29 @@ needed for sampling and derivative checks.
 
 Every identity asserted anywhere in this package runs over
 `fractions.Fraction`. Floats appear only in `exp_float` and in trajectory
-export. Matrices are immutable, dense and row-major; the largest are the
+export. Matrices are dense and row-major; the largest are the
 (2n+2) x (2n+2) matrices of sl(2n+2), 14 x 14 at n = 6 (signature (3, 3),
 the largest the CI smoke run covers).
 
-`Mat` is a plain entrywise matrix: each of its operations has one code
-path, which applies the entry type's own arithmetic, so a product of
-Fractions runs Fraction arithmetic and a product of floats sums its terms
-in column order (`_dot`). Every exact matrix that a sampler draws or a
-claim reads is of the one integer type, `IntMat`: a rational matrix held
-as integers over one positive denominator. Every exact product,
-commutator, sum, elimination and Gram check runs on it, and it builds one
-Fraction per nonzero entry only when it goes back to a `Mat` view. Floats
-are summed left to right (`plain_sum`), so no Python version's `sum()`
-enters a float result.
+`Frozen` holds the one immutability policy of the package's value types:
+`Mat`, `SignedPerm` and the elements, points, chains and cochains of the
+other modules inherit it. `Mat` is a plain entrywise matrix: each of its
+operations has one code path, which applies the entry type's own
+arithmetic, so a product of Fractions runs Fraction arithmetic and a
+product of floats sums its terms in column order (`_dot`). Every exact
+matrix that a sampler draws or a claim reads is of the one integer type,
+`IntMat`: a rational matrix held as integers over one positive
+denominator. Every exact product, commutator, sum, elimination and Gram
+check runs on it, and it builds one Fraction per nonzero entry only when
+it goes back to a `Mat` view. Floats are summed left to right
+(`plain_sum`), so no Python version's `sum()` enters a float result.
 
 `structure_table` brackets every pair of an integer basis to build the
 structure-constant table of either algebra (so(p+2, q+2) and sl(2n+2))
 that `jacobi_failures` checks. Rank, kernel, solve, inverse and
 determinant take `IntMat`s and run one fraction-free Gauss-Jordan
-elimination, `bareiss`, on the integer rows they are given; rank, kernel,
-solve and inverse return `IntMat`s. `bareiss` also solves the Cayley
+elimination, `bareiss`, on the integer rows they are given; kernel, solve
+and inverse return `IntMat`s. `bareiss` also solves the Cayley
 transform of `samplers.rand_opq`. A `Mat` given to any of them, or to any
 other exact entry point of the package, is refused with TypeError
 (`need_ints`), not converted.
@@ -67,7 +69,27 @@ def rat_sqrt(x: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-class Mat:
+class Frozen:
+    """The base of the package's value types: an instance refuses every
+    assignment and deletion of an attribute (AttributeError naming its
+    class). Its constructor, or a lazy fill of a slot, writes through
+    `_set`, the one place that gets past the guard."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _set(self, **fields):
+        """Set the given fields, past the guard."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+
+class Mat(Frozen):
     """Immutable dense matrix over whatever field elements it is fed
     (Fraction, float, or any number type with the field operations).
     Arithmetic never mutates. It has three roles: the float routes, the
@@ -82,12 +104,7 @@ class Mat:
             raise ValueError("empty matrix")
         if any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat is immutable")
+        self._set(data=data, rows=len(data), cols=len(data[0]))
 
     # constructors
 
@@ -232,8 +249,19 @@ class IntMat:
                             for r in self._dense]
         return self._sparse
 
+    @classmethod
+    def identity(cls, n) -> IntMat:
+        return cls(1, n, sparse=[[(i, 1)] for i in range(n)])
+
     def is_zero(self) -> bool:
         return not any(map(any, self.dense))
+
+    def lowest_terms(self):
+        """(d, rows): the denominator and the integer rows, as tuples, both
+        divided by their gcd; equal matrices give equal pairs, whatever
+        denominators they are held over."""
+        g = math.gcd(self.d, *itertools.chain.from_iterable(self.dense))
+        return self.d // g, tuple(tuple(x // g for x in r) for r in self.dense)
 
     def __repr__(self):
         """The repr of the Mat view, so a witness reads as it would for a
@@ -372,7 +400,7 @@ def _addmul(acc, row, rows, sign):
             acc[j] += x * y
 
 
-class SignedPerm:
+class SignedPerm(Frozen):
     """A symmetric signed permutation matrix P, given by its rows: P has
     signs[i] = +-1 at (i, perm[i]) and zeros elsewhere, and P = P^T (perm
     is an involution and signs[perm[i]] = signs[i]), so P^2 = I. Products
@@ -390,11 +418,7 @@ class SignedPerm:
                        for i, k in enumerate(perm))):
             raise ValueError("not a symmetric signed permutation: %r, %r"
                              % (perm, signs))
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "signs", signs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedPerm is immutable")
+        self._set(perm=perm, signs=signs)
 
     @property
     def rows(self):
@@ -488,6 +512,12 @@ def need_ints(m, what="matrix") -> IntMat:
     return m
 
 
+def rank(m: IntMat) -> int:
+    """Exact rank: the number of pivots `bareiss` finds in m's integer
+    rows."""
+    return len(bareiss(list(need_ints(m).dense))[1])
+
+
 def rank_kernel(m: IntMat):
     """Exact rank and a basis of the right kernel, as integer columns: one
     per free column fc, d at fc and minus the integers of the reduced rows
@@ -563,9 +593,8 @@ def exp_nilpotent(m: IntMat, nilpotency_bound: int) -> IntMat:
     need_ints(m)
     if m.rows != m.cols:
         raise ValueError("exp of a non-square matrix")
-    n = m.rows
     p = m
-    terms = [(1, IntMat(1, n, sparse=[[(i, 1)] for i in range(n)]))]
+    terms = [(1, IntMat.identity(m.rows))]
     for j in range(1, nilpotency_bound + 1):
         if p.is_zero():
             break
@@ -577,13 +606,12 @@ def exp_nilpotent(m: IntMat, nilpotency_bound: int) -> IntMat:
     return IntMat.combination(terms)
 
 
-def exp_float(m):
-    """Matrix exponential of a square float matrix, given as a Mat or as its
-    rows, by scaling and squaring with a Taylor tail summed to machine
-    precision; the result is of the kind given. Runs on rows of floats; each
-    product sums its terms in column order, as `Mat.__mul__` does on
-    floats, and each row norm left to right (`plain_sum`)."""
-    rows = m.data if isinstance(m, Mat) else m
+def exp_float(rows):
+    """Matrix exponential of a square float matrix, given and returned as
+    its rows, by scaling and squaring with a Taylor tail summed to machine
+    precision. Each product sums its terms in column order, as
+    `Mat.__mul__` does on floats, and each row norm left to right
+    (`plain_sum`)."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("exp of a non-square matrix")
@@ -607,7 +635,7 @@ def exp_float(m):
         result = _float_product(result, result)
     if not all(map(math.isfinite, itertools.chain.from_iterable(result))):
         raise OverflowError("overflow in exp_float")
-    return Mat(result) if isinstance(m, Mat) else result
+    return result
 
 
 def plain_sum(values) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 
-from .linalg import IntMat, Mat, need_ints, rat
+from .linalg import Frozen, IntMat, Mat, need_ints, rat
 
 _SLOT_DEGREE = {"m2": -2, "m1E": -1, "m1V": -1, "g0": 0,
                 "p1E": 1, "p1V": 1, "p2": 2}
@@ -57,7 +57,7 @@ def entry_degrees(n: int):
     return tuple(tuple(_SLOT_DEGREE[s] for s in r) for r in _slot_table(n))
 
 
-class SlElement:
+class SlElement(Frozen):
     """Trace-free (2n+2) x (2n+2) matrix with slot accessors, held as its
     integer rows over one denominator (`ints`, an IntMat); `mat` is its
     Fraction view for the repr, made when read. Immutable."""
@@ -72,11 +72,7 @@ class SlElement:
             raise ValueError("expected a %dx%d matrix" % (size, size))
         if sum(r[i] for i, r in enumerate(m.dense)):
             raise ValueError("matrix must be trace free")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ints", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SlElement is immutable")
+        self._set(n=n, ints=m)
 
     @property
     def mat(self) -> Mat:
@@ -141,7 +137,7 @@ class SlElement:
         return self.n == other.n and self.ints.equals(other.ints)
 
     def __hash__(self):
-        return hash((self.n, self.mat))
+        return hash((self.n, self.ints.lowest_terms()))
 
     def __repr__(self):
         return "SlElement(%d, %r)" % (self.n, self.mat)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import chains, extension, samplers
-from .linalg import IntMat, exp_nilpotent, ints_over_lcm, rank_kernel
+from .linalg import Frozen, IntMat, exp_nilpotent, ints_over_lcm, rank
 from .path_sl import sl_neg_slots
 from .so_contact import (Signature, SoElement, bracket, bracket_gm1,
                          grading_check, jacobi_check,
@@ -274,9 +274,8 @@ def _eigensplit(sig, rng, trials):
     cols = [[x for (x,) in stack_columns(m).dense] for m in minus]
     for v in plus:
         image = [x for (x,) in stack_columns(st.apply_j(v)).dense]
-        rank, _ = rank_kernel(IntMat(1, sig.n + 1,
-                                     [list(r) for r in zip(*cols, image)]))
-        if rank != sig.n:
+        if rank(IntMat(1, sig.n + 1,
+                       [list(r) for r in zip(*cols, image)])) != sig.n:
             return False, "J image leaves the opposite eigenspace"
     return True, None
 
@@ -400,9 +399,8 @@ def _chain_generator(sig):
 def _degree_one(sig, e_int, square_zero, t):
     if not square_zero:
         return "generator squares to a nonzero matrix"
-    size = sig.n + 4
-    one = IntMat(1, size, sparse=[[(i, 1)] for i in range(size)])
-    frame = IntMat.combination([(1, one), (t, e_int)])  # I + tE
+    frame = IntMat.combination([(1, IntMat.identity(sig.n + 4)),
+                                (t, e_int)])  # I + tE
     if not chains.chain_eval(sig, t).span.equals(
             IntMat(frame.d, 2, [r[:2] for r in frame.dense])):
         return "chain point is not the first two columns of I + tE"
@@ -518,7 +516,7 @@ SUITE_NAMES = tuple(dict.fromkeys(c.suite for c in CHECKS))
 _PSI_SUITES = tuple(dict.fromkeys(c.suite for c in CHECKS if c.needs_psi))
 
 
-class SuiteConfig:
+class SuiteConfig(Frozen):
     """Settings for one verification run. Unknown suite names, and the
     obstruction suites at n = 1, are rejected here so the command line can
     surface them as usage errors."""
@@ -543,14 +541,8 @@ class SuiteConfig:
                     % ", ".join(rejected))
         if trials < 1:
             raise ValueError("trials must be at least 1")
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "seed", int(seed))
-        object.__setattr__(self, "trials", int(trials))
-        object.__setattr__(self, "suites", suites)
-        object.__setattr__(self, "timings", bool(timings))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuiteConfig is immutable")
+        self._set(sig=sig, seed=int(seed), trials=int(trials), suites=suites,
+                  timings=bool(timings))
 
 
 def run(config: SuiteConfig) -> dict:

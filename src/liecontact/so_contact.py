@@ -42,14 +42,14 @@ import functools
 import math
 from fractions import Fraction
 
-from .linalg import (IntMat, Mat, SignedPerm, jacobi_failures, need_ints,
-                     rank_kernel, rat, structure_table)
+from .linalg import (Frozen, IntMat, Mat, SignedPerm, jacobi_failures,
+                     need_ints, rank, rat, structure_table)
 
 _NOT_IN_SO = "matrix is not in the orthogonal algebra of the standard form"
 _D_NOT_IN_SO = "D is not in so(p,q) for the given signature"
 
 
-class Signature:
+class Signature(Frozen):
     """Signature (p, q) of the bundle metric; n = p + q >= 1."""
 
     __slots__ = ("p", "q", "n")
@@ -57,12 +57,7 @@ class Signature:
     def __init__(self, p: int, q: int):
         if p < 0 or q < 0 or p + q < 1:
             raise ValueError("signature needs p, q >= 0 and p + q >= 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", p + q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Signature is immutable")
+        self._set(p=p, q=q, n=p + q)
 
     def signs(self):
         return (1,) * self.p + (-1,) * self.q
@@ -108,7 +103,7 @@ def inner(sig: Signature, u, v) -> Fraction:
     return acc
 
 
-class SoElement:
+class SoElement(Frozen):
     """Element of so(p+2, q+2), held as the integer rows of its assembled
     matrix over one denominator (`ints`, an IntMat), as `QGroupElement`
     holds B and C. The blocks X, A, D, U are IntMats and z, w Fractions,
@@ -141,9 +136,6 @@ class SoElement:
         if _block_mismatch(sig, g):
             raise ValueError(_D_NOT_IN_SO)
         _element(sig, IntMat(x.d, n + 4, g), self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SoElement is immutable")
 
     @classmethod
     def generator_e(cls, sig: Signature):
@@ -213,7 +205,7 @@ class SoElement:
         return self.sig == other.sig and self.ints.equals(other.ints)
 
     def __hash__(self):
-        return hash((self.sig, self.assemble()))
+        return hash((self.sig, self.ints.lowest_terms()))
 
     def __repr__(self):
         return ("SoElement(%r, z=%s, X=%r, A=%r, D=%r, U=%r, w=%s)"
@@ -224,8 +216,7 @@ def _element(sig: Signature, ints: IntMat, x=None) -> SoElement:
     """The element x, or a new one, with the signature sig and the integer
     rows ints, taken as they are, and no view built yet."""
     x = object.__new__(SoElement) if x is None else x
-    for name, value in (("sig", sig), ("ints", ints)):
-        object.__setattr__(x, name, value)
+    x._set(sig=sig, ints=ints)
     return x
 
 
@@ -324,8 +315,7 @@ def scaling_residual(sig: Signature, m: IntMat, x: IntMat, y: IntMat,
 
 
 def segre_rank(x: IntMat) -> int:
-    rank, _ = rank_kernel(x)
-    return rank
+    return rank(x)
 
 
 def rank_one_bracket(sig: Signature, f1, f2, u1, u2) -> Fraction:
@@ -335,7 +325,7 @@ def rank_one_bracket(sig: Signature, f1, f2, u1, u2) -> Fraction:
     return wedge * inner(sig, u1, u2)
 
 
-class QGroupElement:
+class QGroupElement(Frozen):
     """Element of the subgroup Q: data (B, C, w), assembling to
 
         [[B, 0, w*B*J], [0, C, 0], [0, 0, (B^-1)^t]].
@@ -351,14 +341,7 @@ class QGroupElement:
 
     def __init__(self, sig: Signature, b: IntMat, c: IntMat, w=0):
         _check_g0(sig, b, c)
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "int_b", b)
-        object.__setattr__(self, "int_c", c)
-        object.__setattr__(self, "w", rat(w))
-        object.__setattr__(self, "_ints", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QGroupElement is immutable")
+        self._set(sig=sig, int_b=b, int_c=c, w=rat(w), _ints=None)
 
     B = property(lambda self: self.int_b.to_mat())  # Mat views, for repr
     C = property(lambda self: self.int_c.to_mat())
@@ -403,7 +386,7 @@ class QGroupElement:
                 rows[2 + i][2:lo] = [fc * x for x in r]
             h = IntMat(d, n + 4, rows)
             pair = (h, ambient_inverse(self.sig, h))
-            object.__setattr__(self, "_ints", pair)
+            self._set(_ints=pair)
         return pair
 
     def ad_int(self, m: IntMat) -> IntMat:

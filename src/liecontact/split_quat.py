@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import (IntMat, Mat, ints_over_lcm, invert, need_ints,
+from .linalg import (Frozen, IntMat, Mat, ints_over_lcm, invert, need_ints,
                      rank_kernel, rat, solve_linear)
 from .so_contact import Signature, scaling_residual
 
@@ -35,19 +35,13 @@ M_K = Mat([[0, 1], [-1, 0]]).map(Fraction)
 _UNITS = tuple(IntMat.of(m) for m in (M_I, M_J, M_K))
 
 
-class SplitQuaternion:
+class SplitQuaternion(Frozen):
     """Coefficients (a0, a, b, c) over the basis (1, i, j, k)."""
 
     __slots__ = ("a0", "a", "b", "c")
 
     def __init__(self, a0=0, a=0, b=0, c=0):
-        object.__setattr__(self, "a0", rat(a0))
-        object.__setattr__(self, "a", rat(a))
-        object.__setattr__(self, "b", rat(b))
-        object.__setattr__(self, "c", rat(c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SplitQuaternion is immutable")
+        self._set(a0=rat(a0), a=rat(a), b=rat(b), c=rat(c))
 
     def __add__(self, other):
         return SplitQuaternion(self.a0 + other.a0, self.a + other.a,
@@ -90,7 +84,7 @@ def norm_sq(q: SplitQuaternion) -> Fraction:
     return q.a0 ** 2 - q.a ** 2 - q.b ** 2 + q.c ** 2
 
 
-class QuatStructureOnH:
+class QuatStructureOnH(Frozen):
     """The triple of operators (I, J, K) on g_{-1}, stored through their
     right-multiplication matrices and their integer rows (`int_units`).
     Admissible bases other than the standard one arise by conjugating all
@@ -107,15 +101,8 @@ class QuatStructureOnH:
             raise ValueError("ij = k = -ji must hold")
         if mi.trace() != 0 or mj.trace() != 0 or mk.trace() != 0:
             raise ValueError("imaginary units must be trace free")
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "mi", mi)
-        object.__setattr__(self, "mj", mj)
-        object.__setattr__(self, "mk", mk)
-        object.__setattr__(self, "int_units",
-                           tuple(IntMat.of(m) for m in (mi, mj, mk)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuatStructureOnH is immutable")
+        self._set(sig=sig, mi=mi, mj=mj, mk=mk,
+                  int_units=tuple(IntMat.of(m) for m in (mi, mj, mk)))
 
     @classmethod
     def standard(cls, sig: Signature):
@@ -164,7 +151,7 @@ def eigenspace_decompose(structure: QuatStructureOnH):
     kernels of right multiplication by I - 1 and I + 1. Each has dimension
     n, and J swaps the two subspaces."""
     n = structure.sig.n
-    mi, one = structure.int_units[0], IntMat(1, 2, [[1, 0], [0, 1]])
+    mi, one = structure.int_units[0], IntMat.identity(2)
     plus, minus = (rank_kernel(_right_mult_operator(
         IntMat.combination([(1, mi), (s, one)]), n))[1] for s in (-1, 1))
     return ([unstack_columns(v, n) for v in plus],

@@ -89,7 +89,7 @@ def ints(rows) -> IntMat:
 
 def identity(n) -> IntMat:
     """The n x n identity as integer rows."""
-    return IntMat(1, n, sparse=[[(i, 1)] for i in range(n)])
+    return IntMat.identity(n)
 
 
 def product(*mats: Mat) -> Mat:

@@ -471,8 +471,8 @@ def _i_prime_float_by_mats(a, d, w, step=1e-5):
     af, df, wf = a.to_mat().map(float), d.to_mat().map(float), float(w)
 
     def at(t):
-        return _i_map_float_by_mats(exp_float(scaled(t, af)),
-                                    exp_float(scaled(t, df)), wf * t)
+        return _i_map_float_by_mats(Mat(exp_float(scaled(t, af).data)),
+                                    Mat(exp_float(scaled(t, df).data)), wf * t)
 
     return scaled(1.0 / (2.0 * step), at(step) - at(-step))
 
@@ -1109,6 +1109,17 @@ def test_obstruction_cochain_is_cached_and_read_only():
     with pytest.raises(TypeError):
         cochain_table(phi)[(0, 1)] = w0(phi.n)
     assert list(rows) == sorted(rows)
+
+
+def test_codifferential_values_are_read_only():
+    values = codifferential(build_psi_cochain(Signature(2, 1))).values
+    assert values == {}
+    with pytest.raises(TypeError):
+        values[0] = w0(2)
+    values = extension.Cochain1(2, {3: w0(2)}).values
+    assert values == {3: w0(2)}
+    with pytest.raises(TypeError):
+        values[3] = SlElement.zero(2)
 
 
 # every signature with 2 <= n <= 4, both sign orders, and n = 6

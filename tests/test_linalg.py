@@ -10,13 +10,14 @@ from pathlib import Path
 import pytest
 
 import liecontact
-from liecontact import samplers
-from liecontact.linalg import (IntMat, Mat, SignedPerm, det,
+from liecontact import chains, extension, report, samplers, split_quat
+from liecontact.linalg import (Frozen, IntMat, Mat, SignedPerm, det,
                                exp_float, exp_nilpotent, invert,
-                               jacobi_failures, max_abs, plain_sum,
+                               jacobi_failures, max_abs, plain_sum, rank,
                                rank_kernel, rat, rat_sqrt, solve_linear,
                                structure_table)
-from liecontact.so_contact import Signature
+from liecontact.path_sl import SlElement
+from liecontact.so_contact import QGroupElement, Signature, SoElement
 from oracles import (block, col, form_s, identity, ints, ipq, is_zero,
                      product, scaled, submat, transpose, zeros)
 
@@ -187,6 +188,45 @@ def test_mat_block_assembly():
     z = zeros(2, 2)
     m = block([[a, z], [z, a]])
     assert m == Mat.identity(4)
+
+
+_SIG = Signature(2, 1)
+# one instance of each class built on the frozen base
+FROZEN = (
+    lambda: Mat([[1]]),
+    lambda: SignedPerm((1, 0), (-1, -1)),
+    lambda: _SIG,
+    lambda: SoElement.generator_e(_SIG),
+    lambda: QGroupElement(_SIG, identity(2), identity(3), 1),
+    lambda: SlElement.zero(2),
+    lambda: extension.Cochain2(2, {(0, 1): SlElement.zero(2).ints}),
+    lambda: extension.Cochain1(2, {0: SlElement.zero(2)}),
+    lambda: chains.ChainCurve(_SIG),
+    lambda: chains.origin(_SIG),
+    lambda: chains.STensorEval(_SIG),
+    lambda: split_quat.SplitQuaternion(1, 2, 3, 4),
+    lambda: split_quat.QuatStructureOnH.standard(_SIG),
+    lambda: report.SuiteConfig(2, 1),
+)
+
+
+def test_every_frozen_class_is_covered():
+    assert ({type(make()) for make in FROZEN}
+            == set(Frozen.__subclasses__()))
+
+
+@pytest.mark.parametrize("make", FROZEN,
+                         ids=lambda make: type(make()).__name__)
+def test_frozen_values_refuse_assignment_and_deletion(make):
+    x = make()
+    name = type(x).__name__
+    before = {slot: getattr(x, slot) for slot in type(x).__slots__}
+    for slot in (*before, "extra"):
+        with pytest.raises(AttributeError, match="%s is immutable" % name):
+            setattr(x, slot, 0)
+        with pytest.raises(AttributeError, match="%s is immutable" % name):
+            delattr(x, slot)
+    assert {slot: getattr(x, slot) for slot in before} == before
 
 
 def test_rank_kernel_identity():
@@ -370,9 +410,10 @@ def _mat_power(m, j):
 
 
 def test_exp_float_matches_scalar_exponential():
-    assert exp_float(zeros(2, 2, zero=0.0)) == Mat.identity(2, one=1.0)
+    assert (Mat(exp_float(zeros(2, 2, zero=0.0).data))
+            == Mat.identity(2, one=1.0))
     m = Mat([[math.log(2.0), 0.0], [0.0, 0.0]])
-    out = exp_float(m).data
+    out = exp_float(m.data)
     assert abs(out[0][0] - 2.0) < 1e-12
     assert abs(out[1][1] - 1.0) < 1e-12
     assert abs(out[0][1]) < 1e-12
@@ -385,7 +426,7 @@ def test_exp_float_agrees_with_exp_nilpotent():
         m = Mat([[Fraction(rng.randrange(-2, 3)) if j > i else Fraction(0)
                   for j in range(n)] for i in range(n)])
         exact = exp_nilpotent(IntMat.of(m), n).to_mat().map(float)
-        approx = exp_float(m.map(float))
+        approx = Mat(exp_float(m.map(float).data))
         assert max_abs(exact - approx) < 1e-12
 
 
@@ -1242,6 +1283,14 @@ def test_elimination_matches_the_fraction_loops():
         hidden = _rand_fraction_mat(rng, m.cols, 1, 0.8)
         outcomes.append(_check_against_reference(m, (m * hidden).column(0)))
     assert "inconsistent" in outcomes and "solved" in outcomes
+
+
+def test_rank_counts_the_pivots_of_rank_kernel():
+    for m in _elimination_cases(random.Random(21)):
+        im = IntMat.of(m)
+        assert rank(im) == rank_kernel(im)[0]
+    with pytest.raises(TypeError, match="IntMat"):
+        rank(Mat.identity(2))
 
 
 @pytest.mark.parametrize("bad", [1, 0.5, DualRat(1)])

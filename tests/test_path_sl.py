@@ -203,6 +203,18 @@ def test_grade_projections_partition_the_element():
         assert total == x
 
 
+def test_elements_over_two_denominators_are_equal_and_hash_equal():
+    rng = random.Random(43)
+    for n in (1, 2, 3):
+        m = 2 * n + 2
+        x = SlElement(n, _trace_free(samplers.rand_mat(rng, m, m)))
+        g = x.ints
+        y = SlElement(n, IntMat(2 * g.d, m, [[2 * e for e in r]
+                                             for r in g.dense]))
+        assert x == y and hash(x) == hash(y)
+        assert g.lowest_terms() == y.ints.lowest_terms()
+
+
 def test_sl_bracket_matches_the_fraction_commutator():
     rng = random.Random(42)
     for n in (1, 2, 3):

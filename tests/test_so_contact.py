@@ -640,6 +640,18 @@ def test_q_group_element_equality_is_up_to_sign(w):
     assert h != QGroupElement(sig, b, c, w + 1)
 
 
+def test_elements_over_two_denominators_are_equal_and_hash_equal():
+    rng = random.Random(12)
+    for sig in SIGS:
+        x = rand_so_element(sig, rng)
+        g = x.ints
+        y = SoElement.from_matrix(sig, IntMat(
+            2 * g.d, g.cols, [[2 * e for e in r] for r in g.dense]))
+        assert y.ints.d != g.d
+        assert x == y and hash(x) == hash(y)
+        assert x.ints.lowest_terms() == y.ints.lowest_terms()
+
+
 def test_segre_rank():
     assert segre_rank(ints([[1, 0], [0, 1], [0, 0]])) == 2
     assert segre_rank(ints([[1, 2], [2, 4], [3, 6]])) == 1
