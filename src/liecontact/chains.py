@@ -83,47 +83,30 @@ def chain_matrix(sig: Signature) -> IntMat:
     return ei
 
 
-def _chain_moves(sig: Signature):
-    """The nonzero entries (row, column, sign) of chain_matrix(sig), read
-    off its sparse rows, which must be one +-1 per column: g·E is then the
-    column `row` of g moved to `column`, times `sign`, for each entry."""
-    e = chain_matrix(sig)
-    moves = tuple((k, j, x) for k, r in enumerate(e.sparse) for j, x in r
-                  if x)
-    if (e.d != 1 or any(x not in (1, -1) for _, _, x in moves)
-            or len({j for _, j, _ in moves}) != len(moves)):
-        raise ValueError("the chain generator must have one +-1 per column")
-    return moves
-
-
 class ChainCurve(Frozen):
     """The exact chain t -> g (I + tE) . origin, for a frame g of O(S), an
     `IntMat` (the identity when none is given).
 
     The frame g (I + tE) = g + t gE is affine in t, so every value is an
-    exact rational point of the model. gE is formed once per curve on the
-    integers of g, as columns moved and signed (`_chain_moves`)."""
+    exact rational point of the model. The velocity gE is the kernel's
+    product with `chain_matrix`, formed once per curve."""
 
     __slots__ = ("sig", "g", "_vel")
 
     def __init__(self, sig: Signature, g: IntMat | None = None):
-        size = sig.n + 4
         if g is None:
-            g = IntMat.identity(size)
+            g = IntMat.identity(sig.n + 4)
         _check_ambient(sig, g)
-        vel = [[0] * size for _ in range(size)]
-        for k, j, sign in _chain_moves(sig):
-            for out, r in zip(vel, g.dense):
-                out[j] = r[k] if sign > 0 else -r[k]
-        self._set(sig=sig, g=g, _vel=IntMat(g.d, size, vel))
+        self._set(sig=sig, g=g, _vel=g * chain_matrix(sig))
 
     def _frame(self, t, start, stop) -> IntMat:
         """Columns start to stop of the frame g + t·gE, on the integers:
-        with t = u/v and g = G/d, v·G + u·GE over v·d."""
+        with t = u/v, g = G/d and gE = V/(d·e), v·e·G + u·V over v·d·e."""
         t = rat(t)
         u, v = t.numerator, t.denominator
-        return IntMat(v * self.g.d, stop - start, [
-            [v * x + u * y for x, y in zip(r[start:stop], e[start:stop])]
+        ve = v * (self._vel.d // self.g.d)
+        return IntMat(v * self._vel.d, stop - start, [
+            [ve * x + u * y for x, y in zip(r[start:stop], e[start:stop])]
             for r, e in zip(self.g.dense, self._vel.dense)])
 
     def at(self, t) -> ModelPoint:
@@ -318,15 +301,25 @@ def reconstruct_cone(ev: STensorEval, samples) -> dict:
 # trajectory export
 
 
+def _float_column(span: IntMat, j: int):
+    """Column j of the span as floats, x / d correctly rounded, as
+    float(Fraction(x, d)) is. A column past 2^500 is scaled by a power of
+    two first, so no cast or square overflows; each column is normalized,
+    and a power of two commutes with correct rounding: no digit moves."""
+    d = span.d
+    col = [r[j] for r in span.dense]
+    shift = max(map(abs, col)).bit_length() - d.bit_length()
+    if shift > 500:
+        d <<= shift
+    return [x / d for x in col]
+
+
 def _normalized_span(span: IntMat):
-    """Euclidean Gram-Schmidt on the float columns, first column's leading
-    entry made positive; returns the entries row-major. x / d rounds
-    correctly, as float(Fraction(x, d)) does, and every sum runs left to
-    right (`plain_sum`), so the digits do not depend on the Python
-    version."""
-    m, d = span.rows, span.d
-    c0 = [r[0] / d for r in span.dense]
-    c1 = [r[1] / d for r in span.dense]
+    """Euclidean Gram-Schmidt on the float columns (`_float_column`), first
+    column's leading entry made positive; returns the entries row-major.
+    Every sum runs left to right (`plain_sum`), so the digits do not depend
+    on the Python version."""
+    c0, c1 = _float_column(span, 0), _float_column(span, 1)
     norm0 = math.sqrt(plain_sum(e * e for e in c0))
     u0 = [e / norm0 for e in c0]
     lead = next((e for e in u0 if abs(e) > 1e-9), 1.0)
@@ -335,12 +328,7 @@ def _normalized_span(span: IntMat):
     proj = plain_sum(a * b for a, b in zip(c1, u0))
     v = [a - proj * b for a, b in zip(c1, u0)]
     norm1 = math.sqrt(plain_sum(e * e for e in v))
-    u1 = [e / norm1 for e in v]
-    out = []
-    for i in range(m):
-        out.append(u0[i])
-        out.append(u1[i])
-    return out
+    return [x for pair in zip(u0, [e / norm1 for e in v]) for x in pair]
 
 
 def emit_trajectory(sig: Signature, g: IntMat | None, t_min, t_max,

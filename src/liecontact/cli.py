@@ -28,7 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--q", type=int, required=True,
                         help="negative part of the signature")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized checks (default 0)")
+                        help="seed for all randomized checks, at least 0 "
+                             "(default 0)")
     parser.add_argument("--trials", type=int, default=100,
                         help="trial count per randomized check (default 100)")
     parser.add_argument("--suite", action="append", choices=SUITE_NAMES,
@@ -83,6 +84,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     # usage errors come before any suite runs or any file is written
+    if args.seed < 0:  # random.Random(-3) would replay seed 3
+        parser.error("--seed must be at least 0, got %d" % args.seed)
     for flag, path in (("--out", args.out),
                        ("--export-chain", args.export_chain)):
         folder = os.path.dirname(path) if path else ""
@@ -100,9 +103,13 @@ def main(argv=None) -> int:
             parser.error("steps must be at least 2")
         try:
             t_min, t_max = rat(args.t_min), rat(args.t_max)
+            float(t_min), float(t_max)  # the t column is written as floats
         except (ValueError, ZeroDivisionError) as exc:
             parser.error("--t-min and --t-max must be rationals p/q with "
                          "q != 0: %s" % exc)
+        except OverflowError:
+            parser.error("--t-min and --t-max must lie in the float range, "
+                         "got %s and %s" % (args.t_min, args.t_max))
         if t_min >= t_max:
             parser.error("--t-min must be less than --t-max, got %s and %s"
                          % (t_min, t_max))

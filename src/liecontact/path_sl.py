@@ -28,10 +28,8 @@ _SLOT_DEGREE = {"m2": -2, "m1E": -1, "m1V": -1, "g0": 0,
                 "p1E": 1, "p1V": 1, "p2": 2}
 
 
-def _slot_of(i: int, j: int, n: int) -> str:
-    gi = 0 if i == 0 else (1 if i == 1 else 2)
-    gj = 0 if j == 0 else (1 if j == 1 else 2)
-    d = (0, 1, 2)[gj] - (0, 1, 2)[gi]
+def _slot_of(i: int, j: int) -> str:
+    d = min(j, 2) - min(i, 2)  # the groups of the column and the row
     if d == 0:
         return "g0"
     if d == -2:
@@ -48,7 +46,7 @@ def _slot_table(n: int):
     """The `_slot_of` name of every entry position, as rows, built once per
     n; the degree of a position is `_SLOT_DEGREE` of its name."""
     m = 2 * n + 2
-    return tuple(tuple(_slot_of(i, j, n) for j in range(m)) for i in range(m))
+    return tuple(tuple(_slot_of(i, j) for j in range(m)) for i in range(m))
 
 
 @functools.cache

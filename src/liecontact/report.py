@@ -517,9 +517,9 @@ _PSI_SUITES = tuple(dict.fromkeys(c.suite for c in CHECKS if c.needs_psi))
 
 
 class SuiteConfig(Frozen):
-    """Settings for one verification run. Unknown suite names, and the
-    obstruction suites at n = 1, are rejected here so the command line can
-    surface them as usage errors."""
+    """Settings for one verification run. Unknown suite names, the
+    obstruction suites at n = 1 and a negative seed are rejected here so
+    the command line can surface them as usage errors."""
 
     __slots__ = ("sig", "seed", "trials", "suites", "timings")
 
@@ -541,19 +541,20 @@ class SuiteConfig(Frozen):
                     % ", ".join(rejected))
         if trials < 1:
             raise ValueError("trials must be at least 1")
+        if seed < 0:  # random.Random drops the sign: -3 would replay 3
+            raise ValueError("seed must be at least 0, got %s" % seed)
         self._set(sig=sig, seed=int(seed), trials=int(trials), suites=suites,
                   timings=bool(timings))
 
 
 def run(config: SuiteConfig) -> dict:
     """Execute the selected suites and assemble the report dictionary
-    (JSON-ready), its records in declaration order. A run of more than one
-    suite runs them concurrently (`_run_forked`), unless it fills
-    wall_time: then every suite runs in this process, so that each
-    wall_time is its record's own time and not the contention between
-    suites."""
+    (JSON-ready), its records in declaration order. The suites run
+    concurrently (`_run_forked`; a lone suite forks nothing) unless the run
+    fills wall_time: then all run here, so that each wall_time is its
+    record's own time and not the contention between suites."""
     suites = [s for s in SUITE_NAMES if s in config.suites]
-    if config.timings or len(suites) == 1:
+    if config.timings:
         records = [r for s in suites for r in _suite_records(config, s)]
     else:
         records = _run_forked(config, suites)

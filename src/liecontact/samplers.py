@@ -35,7 +35,8 @@ from .so_contact import QGroupElement, Signature, assembled_rows
 
 
 def _rand_ratio(rng, span=6, den=4):
-    """The numerator and denominator that `rand_fraction` draws, as ints."""
+    """A numerator in [-span, span] and a denominator in [1, den], as ints:
+    the one draw behind every rational sampled here."""
     return rng.randint(-span, span), rng.randint(1, den)
 
 
@@ -46,48 +47,48 @@ def _ratio_rows(ratios):
     return [[x * (d // q) for x, q in r] for r in ratios], d
 
 
-def rand_fraction(rng, span=6, den=4) -> Fraction:
-    return Fraction(*_rand_ratio(rng, span, den))
+def rand_fraction(rng) -> Fraction:
+    return Fraction(*_rand_ratio(rng))
 
 
-def rand_nonzero_fraction(rng, span=6, den=4) -> Fraction:
+def rand_nonzero_fraction(rng) -> Fraction:
     while True:
-        x = rand_fraction(rng, span, den)
+        x = rand_fraction(rng)
         if x != 0:
             return x
 
 
-def rand_mat(rng, rows, cols, span=6, den=4) -> IntMat:
-    """A rows x cols matrix of `rand_fraction` draws, row by row."""
-    ints, d = _ratio_rows([[_rand_ratio(rng, span, den) for _ in range(cols)]
+def rand_mat(rng, rows, cols, *width) -> IntMat:
+    """A rows x cols matrix of `_rand_ratio(rng, *width)` draws, row by row."""
+    ints, d = _ratio_rows([[_rand_ratio(rng, *width) for _ in range(cols)]
                            for _ in range(rows)])
     return IntMat(d, cols, ints)
 
 
-def rand_col(rng, n, span=6, den=4) -> IntMat:
-    return rand_mat(rng, n, 1, span, den)
+def rand_col(rng, n) -> IntMat:
+    return rand_mat(rng, n, 1)
 
 
-def rand_nonzero_col(rng, n, span=6, den=4) -> IntMat:
+def rand_nonzero_col(rng, n) -> IntMat:
     while True:
-        v = rand_col(rng, n, span, den)
+        v = rand_col(rng, n)
         if not v.is_zero():
             return v
 
 
-def _antisym_ratio_rows(rng, n, span=3, den=3):
+def _antisym_ratio_rows(rng, n):
     """(rows, d): the antisymmetric matrix `rand_antisym` draws, with the
     same draws, as dense integer rows over one denominator d."""
     rows = [[(0, 1)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            x, q = _rand_ratio(rng, span, den)
+            x, q = _rand_ratio(rng, 3, 3)
             rows[i][j], rows[j][i] = (x, q), (-x, q)
     return _ratio_rows(rows)
 
 
-def rand_antisym(rng, n, span=3, den=3) -> IntMat:
-    rows, d = _antisym_ratio_rows(rng, n, span, den)
+def rand_antisym(rng, n) -> IntMat:
+    rows, d = _antisym_ratio_rows(rng, n)
     return IntMat(d, n, dense=rows)
 
 
@@ -138,9 +139,9 @@ def rand_opq(sig: Signature, rng) -> IntMat:
     return IntMat(den, n, dense=rows)
 
 
-def rand_gl2(rng, span=4, den=3) -> IntMat:
+def rand_gl2(rng) -> IntMat:
     while True:
-        b = rand_mat(rng, 2, 2, span, den)
+        b = rand_mat(rng, 2, 2, 4, 3)
         if det(b) != 0:
             return b
 

@@ -22,6 +22,7 @@ TypeError.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .linalg import (Frozen, IntMat, Mat, ints_over_lcm, invert, need_ints,
@@ -105,7 +106,9 @@ class QuatStructureOnH(Frozen):
                   int_units=tuple(IntMat.of(m) for m in (mi, mj, mk)))
 
     @classmethod
+    @functools.cache
     def standard(cls, sig: Signature):
+        """The units' structure, built and checked once per signature."""
         return cls(sig, M_I, M_J, M_K)
 
     def conjugated(self, g: IntMat) -> "QuatStructureOnH":

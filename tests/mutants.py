@@ -75,6 +75,7 @@ SO_PQ = (T_SO + "test_entrywise_so_pq_test_matches_the_product_form",
 EXPORT_ERRORS = ("tests/test_report.py::"
                  "test_cli_export_errors_come_before_any_work",)
 REPORT = "liecontact/report.py"
+CLI = "liecontact/cli.py"
 T_REPORT = "tests/test_report.py::"
 TRIAL_LOOP = tuple("tests/test_report.py::test_trial_loop_" + name
                    for name in ("draws_every_trial_and_sets_up_once",
@@ -111,6 +112,8 @@ ISOTROPIC = tuple(T_SAMPLERS + "test_isotropic_samplers_match_their_"
                   for pq in ((2, 1), (2, 2)))
 CHAINS = "liecontact/chains.py"
 T_CHAINS = "tests/test_chains.py::"
+WIDE_REPORT = ("tests/test_golden.py::test_no_wide_fraction_product_reaches_"
+               "a_report[report-2-2-seed0.json]")
 UNIT_FIT = (T_CHAINS + "test_unit_triple_fit_runs_the_costly_route_where_the_"
             "cheap_is_nonzero",)
 
@@ -319,8 +322,8 @@ MUTANTS = (
            "acc[s][j] += k * x", "acc[r][j] += k * x", CODIFFERENTIAL),
     # the slot table, the trace check and alpha
     Mutant("slot table: every slot read one column to the right", SL,
-           "_slot_of(i, j, n) for j in range(m)",
-           "_slot_of(i, j + 1, n) for j in range(m)",
+           "_slot_of(i, j) for j in range(m)",
+           "_slot_of(i, j + 1) for j in range(m)",
            (T_SL + "test_slot_table_reads_match_slot_of",)),
     Mutant("IntMat.of: numerators without the lcm scale, seen by the trace "
            "check", LINALG,
@@ -487,8 +490,7 @@ MUTANTS = (
            "return SoElement.from_matrix(x.sig, x.ints.commutator(y.ints))",
            "a, b = x.assemble(), y.assemble()\n"
            "    return SoElement.from_matrix(x.sig, a * b - b * a)",
-           ("tests/test_golden.py::test_no_wide_fraction_product_reaches_a_"
-            "report[report-2-2-seed0.json]",)),
+           (WIDE_REPORT,)),
     Mutant("sl_bracket: [y, x] for [x, y]", SL,
            "SlElement(x.n, x.ints.commutator(y.ints))",
            "SlElement(x.n, y.ints.commutator(x.ints))",
@@ -529,6 +531,11 @@ MUTANTS = (
            "[(1, mi), (s, one)]), n))[1] for s in (-1, 1))",
            "[(1, mi), (s, one)]), n))[1] for s in (1, -1))",
            ("tests/test_split_quat.py::test_eigenspace_split_and_swap",)),
+    Mutant("QuatStructureOnH.standard: rebuilt on every call", QUAT,
+           "    @classmethod\n    @functools.cache\n    def standard(",
+           "    @classmethod\n    def standard(",
+           ("tests/test_split_quat.py::test_standard_structure_is_built_once_"
+            "per_signature",)),
     Mutant("right multiplication operator: the blocks transposed", QUAT,
            "rows[c // n][r // n] if r % n == c % n",
            "rows[r // n][c // n] if r % n == c % n",
@@ -546,11 +553,6 @@ MUTANTS = (
             "tests/test_chains.py::test_chain_equivariance",
             "tests/test_chains.py::test_chain_point_is_the_frame_first_two_"
             "columns")),
-    Mutant("ChainCurve: gE with the moved columns unsigned",
-           "liecontact/chains.py",
-           "out[j] = r[k] if sign > 0 else -r[k]", "out[j] = r[k]",
-           ("tests/test_chains.py::test_affine_frame_matches_the_"
-            "exponential",)),
     Mutant("ChainCurve frame: the velocity without t", "liecontact/chains.py",
            "u, v = t.numerator, t.denominator", "u, v = 1, 1",
            ("tests/test_chains.py::test_chain_point_is_the_frame_first_two_"
@@ -619,24 +621,25 @@ MUTANTS = (
            "IntMat.of(span)\n        if span.rows",
            (T_CHAINS + "test_a_mat_frame_or_span_is_refused",)),
     Mutant("ChainCurve: -I as the default frame", CHAINS,
-           "g = IntMat.identity(size)",
-           "g = IntMat(1, size, sparse=[[(i, -1)] for i in range(size)])",
+           "g = IntMat.identity(sig.n + 4)",
+           "g = IntMat(1, sig.n + 4,\n"
+           "                       sparse=[[(i, -1)] for i in range(sig.n + 4)])",
            (T_CHAINS + "test_default_frame_is_the_identity",)),
-    Mutant("chain moves: E over a denominator read as E", CHAINS,
-           "if (e.d != 1 or any(", "if (any(",
-           (T_CHAINS + "test_chain_moves_need_one_unit_entry_per_column",)),
-    Mutant("chain moves: an entry other than +-1 accepted", CHAINS,
-           "any(x not in (1, -1) for _, _, x in moves)", "False",
-           (T_CHAINS + "test_chain_moves_need_one_unit_entry_per_column",)),
-    Mutant("chain moves: the row and column of an entry swapped", CHAINS,
-           "(k, j, x) for k, r in enumerate(e.sparse)",
-           "(j, k, x) for k, r in enumerate(e.sparse)",
+    Mutant("ChainCurve: the velocity E·g in place of g·E", CHAINS,
+           "_vel=g * chain_matrix(sig)", "_vel=chain_matrix(sig) * g",
            (T_CHAINS + "test_affine_frame_matches_the_exponential",)),
+    Mutant("ChainCurve frame: g not brought to the velocity's denominator",
+           CHAINS, "ve = v * (self._vel.d // self.g.d)", "ve = v",
+           (T_CHAINS + "test_chain_velocity_reads_the_generator_over_its_"
+            "denominator",)),
+    Mutant("export: a column past the float range cast unscaled", CHAINS,
+           "if shift > 500:", "if False:",
+           (T_CHAINS + "test_normalized_span_scales_large_columns_exactly",
+            T_CHAINS + "test_emit_trajectory_keeps_unit_frames_at_large_t")),
     Mutant("chain-exactness: the generator read back from a Mat", REPORT,
            "ei = chains.chain_matrix(sig)",
            "ei = IntMat.of(chains.chain_matrix(sig).to_mat())",
-           ("tests/test_golden.py::test_no_frame_is_converted["
-            "report-2-2-seed0.json]",)),
+           (WIDE_REPORT,)),
     Mutant("IntMat repr: the default, with its address", LINALG,
            "        return repr(self.to_mat())",
            "        return object.__repr__(self)",
@@ -651,9 +654,9 @@ MUTANTS = (
            (T_SAMPLERS + "test_small_samplers_match_their_fraction_draws["
             "rand_rank_one]",)),
     Mutant("rand_mat: drawn column by column", SAMPLERS,
-           "[[_rand_ratio(rng, span, den) for _ in range(cols)]\n"
+           "[[_rand_ratio(rng, *width) for _ in range(cols)]\n"
            "                           for _ in range(rows)]",
-           "[list(r) for r in zip(*[[_rand_ratio(rng, span, den)\n"
+           "[list(r) for r in zip(*[[_rand_ratio(rng, *width)\n"
            "    for _ in range(rows)] for _ in range(cols)])]",
            (T_SAMPLERS + "test_small_samplers_match_their_fraction_draws["
             "rand_gm1]",)),
@@ -663,8 +666,7 @@ MUTANTS = (
            CHAINS, "plain = tuple(need_ints(a) for a in (xi, eta, zeta))",
            "plain = tuple(IntMat.of(need_ints(a).to_mat())\n"
            "                  for a in (xi, eta, zeta))",
-           ("tests/test_golden.py::test_no_frame_is_converted["
-            "report-2-2-seed0.json]",)),
+           (WIDE_REPORT,)),
     Mutant("rank_one_witness: A(x) formed as a Fraction product", QUAT,
            "if not (x * IntMat.combination(list(zip((a, b, c), _UNITS)))"
            ").equals(x):",
@@ -746,8 +748,7 @@ MUTANTS = (
            "records += _unreported(config, suite, code)", "records += []",
            (T_REPORT + "test_a_worker_that_ends_early_fails_its_suite",)),
     Mutant("runner: --timings no longer keeps the suites in process", REPORT,
-           "if config.timings or len(suites) == 1:",
-           "if len(suites) == 1:",
+           "if config.timings:", "if False:",
            (T_REPORT + "test_only_a_run_without_timings_leaves_this_"
             "process",)),
     # the group-element checks and the CLI
@@ -777,6 +778,15 @@ MUTANTS = (
            "liecontact/cli.py",
            "except (ValueError, ZeroDivisionError) as exc:",
            "except ValueError as exc:", EXPORT_ERRORS),
+    Mutant("cli: a t past the float range accepted", CLI,
+           "float(t_min), float(t_max)  # the t column",
+           "t_min, t_max  # the t column", EXPORT_ERRORS),
+    Mutant("cli: a negative --seed accepted for an export", CLI,
+           "if args.seed < 0:", "if False:",
+           (T_REPORT + "test_cli_negative_seed_writes_nothing",)),
+    Mutant("SuiteConfig: a negative seed accepted", REPORT,
+           "if seed < 0:", "if False:",
+           (T_REPORT + "test_config_validation",)),
     Mutant("cli: no check that --t-min < --t-max", "liecontact/cli.py",
            "if t_min >= t_max:", "if False:", EXPORT_ERRORS),
     Mutant("cli: an existing directory accepted as an output file",

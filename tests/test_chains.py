@@ -1,6 +1,7 @@
 """Tests for model points, chain curves, the cubic tensor and cone logic."""
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -177,17 +178,22 @@ def test_chain_matrix_is_built_once_per_signature():
                 == SoElement.generator_e(sig).assemble())
 
 
-def test_chain_moves_need_one_unit_entry_per_column(monkeypatch):
-    # gE moves the columns of g by the sparse rows of E, which are read as
-    # integers: E over a denominator other than 1, or an entry other than
-    # +-1, is refused
-    sig = Signature(2, 1)
-    e = chain_matrix(sig)
-    for bad in (IntMat(2, e.cols, e.dense),
-                IntMat(1, e.cols, [[2 * x for x in r] for r in e.dense])):
-        monkeypatch.setattr(chains, "chain_matrix", lambda sig: bad)
-        with pytest.raises(ValueError, match="one \\+-1 per column"):
-            ChainCurve(sig)
+def test_chain_velocity_reads_the_generator_over_its_denominator(
+        monkeypatch):
+    # gE is the kernel's product with E, so E held over another
+    # denominator gives the same points and velocity classes
+    rng = random.Random(85)
+    for sig in SIGS:
+        g = samplers.rand_oform(sig, rng)
+        t = samplers.rand_fraction(rng)
+        e = chain_matrix(sig)
+        plain = ChainCurve(sig, g)
+        monkeypatch.setattr(chains, "chain_matrix", lambda s: IntMat(
+            3, e.cols, [[3 * x for x in r] for r in e.dense]))
+        over3 = ChainCurve(sig, g)
+        monkeypatch.undo()
+        assert over3.at(t).span.to_mat() == plain.at(t).span.to_mat()
+        assert over3.velocity_class(t) == plain.velocity_class(t)
 
 
 def test_default_frame_is_the_identity():
@@ -685,6 +691,35 @@ def test_normalized_span_sums_left_to_right():
     left = _gram_schmidt(span, _left_fold)
     assert left != _gram_schmidt(span, math.fsum)
     assert chains._normalized_span(span) == left
+
+
+def test_normalized_span_scales_large_columns_exactly():
+    # a power of two commutes with every correctly rounded step, so spans
+    # shifted past the float range give the digits of the unshifted span
+    rng = random.Random(86)
+    for sig in (Signature(1, 0), Signature(2, 2)):
+        curve = ChainCurve(sig, samplers.rand_oform(sig, rng))
+        span = curve.at(Fraction(5, 3)).span
+        want = chains._normalized_span(span)
+        for shift in (520, 1100):
+            big = IntMat(span.d, 2, [[x << shift for x in r]
+                                     for r in span.dense])
+            assert chains._normalized_span(big) == want
+
+
+def test_emit_trajectory_keeps_unit_frames_at_large_t():
+    # entries above 1e154 square past the float range: the rows must
+    # still be orthonormal pairs of columns
+    rng = random.Random(87)
+    for sig in (Signature(1, 0), Signature(2, 2)):
+        for g, t_max in itertools.product(
+                (None, samplers.rand_oform(sig, rng)),
+                (Fraction(10) ** 200, Fraction(10) ** 307)):
+            for row in emit_trajectory(sig, g, 0, t_max, 3):
+                c0, c1 = row[1::2], row[2::2]
+                assert sum(e * e for e in c0) == pytest.approx(1)
+                assert sum(e * e for e in c1) == pytest.approx(1)
+                assert abs(sum(a * b for a, b in zip(c0, c1))) < 1e-12
 
 
 def test_emit_trajectory_shape_and_validation():

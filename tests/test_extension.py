@@ -998,7 +998,7 @@ def test_symmetrized_reference_matches_the_fraction_loops():
         zero = IntMat(1, 1, sparse=[[]] * (2 * n))
         for _ in range(8):
             # denominators up to 4, some columns with integer entries only
-            x, y, z = (samplers.rand_col(rng, 2 * n, den=rng.choice((1, 4)))
+            x, y, z = (samplers.rand_mat(rng, 2 * n, 1, 6, rng.choice((1, 4)))
                        for _ in range(3))
             for args in ((x, y, z), (x, x, z), (x, y, zero)):
                 got = symmetrized_reference(sig, *args)
@@ -1049,7 +1049,7 @@ def test_r_block_matches_the_product_form():
     rng = random.Random(61)
     for sig in SIGS + (Signature(1, 1), Signature(0, 3), Signature(3, 3)):
         for _ in range(6):
-            x = samplers.rand_col(rng, 2 * sig.n, den=rng.choice((1, 4)))
+            x = samplers.rand_mat(rng, 2 * sig.n, 1, 6, rng.choice((1, 4)))
             y = samplers.rand_col(rng, 2 * sig.n)
             assert (r_block_path(sig, x, y).to_mat().data
                     == _r_block_product_form(sig, x, y).data)
@@ -1328,7 +1328,7 @@ def _curvature_by_slot_degrees(phi):
     degrees = [-2] * (2 * phi.n) + [-1] * (2 * phi.n + 1)
     homog, used = set(), set()
     for (a, b), wv in cochain_table(phi).items():
-        found = {_SLOT_DEGREE[_slot_of(i, j, phi.n)]
+        found = {_SLOT_DEGREE[_slot_of(i, j)]
                  for i, r in enumerate(wv.mat.data)
                  for j, e in enumerate(r) if e != 0}
         used |= found

@@ -136,7 +136,7 @@ def test_elements_refuse_entries_that_are_not_rational(entries):
 
 def _grade_project_by_slot_of(x, d):
     # the reference: the slot of every entry derived afresh
-    return Mat([[e if _SLOT_DEGREE[_slot_of(i, j, x.n)] == d else Fraction(0)
+    return Mat([[e if _SLOT_DEGREE[_slot_of(i, j)] == d else Fraction(0)
                  for j, e in enumerate(r)] for i, r in enumerate(x.mat.data)])
 
 
@@ -145,7 +145,7 @@ def test_slot_table_reads_match_slot_of():
     for n in (1, 2, 3):
         size = 2 * n + 2
         assert entry_degrees(n) == tuple(
-            tuple(_SLOT_DEGREE[_slot_of(i, j, n)] for j in range(size))
+            tuple(_SLOT_DEGREE[_slot_of(i, j)] for j in range(size))
             for i in range(size))
         for _ in range(15):
             rows = [[samplers.rand_fraction(rng) if rng.random() < 0.3
@@ -154,7 +154,7 @@ def test_slot_table_reads_match_slot_of():
             for i in range(size):
                 rows[i][i] = Fraction(0)
             x = SlElement(n, IntMat.of(Mat(rows)))
-            used = {_slot_of(i, j, n) for i in range(size)
+            used = {_slot_of(i, j) for i in range(size)
                     for j in range(size) if rows[i][j] != 0}
             assert ({entry_degrees(n)[i][j] for i in range(size)
                      for j in range(size) if rows[i][j] != 0}

@@ -35,6 +35,9 @@ def test_config_validation():
         SuiteConfig(2, 1, trials=0)
     with pytest.raises(ValueError, match="signature"):
         SuiteConfig(0, 0)
+    # random.Random(-3) is random.Random(3): a negative seed is refused
+    with pytest.raises(ValueError, match="seed must be at least 0, got -3"):
+        SuiteConfig(2, 1, seed=-3)
 
 
 def test_full_run_passes_and_has_the_report_shape():
@@ -317,6 +320,12 @@ def test_cli_usage_errors():
      "--out and --export-chain name the same file {tmp}/r.json"),
     (["--export-chain", "{tmp}/./r.json"],
      "--out and --export-chain name the same file {tmp}/./r.json"),
+    # a t whose float is infinite cannot be written to the t column
+    (["--t-max", "1e400"],
+     "--t-min and --t-max must lie in the float range, got -1 and 1e400"),
+    (["--t-min=-1e309", "--t-max", "0"],
+     "--t-min and --t-max must lie in the float range, got -1e309 and 0"),
+    (["--seed", "-3"], "--seed must be at least 0, got -3"),
 ])
 def test_cli_export_errors_come_before_any_work(tmp_path, capsys,
                                                 monkeypatch, bad, message):
@@ -334,6 +343,17 @@ def test_cli_export_errors_come_before_any_work(tmp_path, capsys,
     assert message.format(tmp=tmp_path) in capsys.readouterr().err
     assert not out.exists()
     assert not csv_path.exists()
+
+
+def test_cli_negative_seed_writes_nothing(tmp_path, capsys):
+    # random.Random(-3) is random.Random(3): the export would replay seed 3
+    csv_path = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["--p", "2", "--q", "2", "--seed", "-3", "--chain-g", "random",
+              "--export-chain", str(csv_path)])
+    assert err.value.code == 2
+    assert "--seed must be at least 0, got -3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("missing", ["--out", "--export-chain"])

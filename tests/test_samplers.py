@@ -27,7 +27,7 @@ def _product_antisym(rng, n, span=3, den=3):
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            x = samplers.rand_fraction(rng, span, den)
+            x = Fraction(*samplers._rand_ratio(rng, span, den))
             rows[i][j] = x
             rows[j][i] = -x
     return Mat(rows)
@@ -68,10 +68,10 @@ def _product_oform(sig, rng):
 
 
 def _fraction_mat(rng, rows, cols, span=6, den=4):
-    """A Mat of `rand_fraction` draws, row by row: the reference for
-    `rand_mat`."""
-    return Mat([[samplers.rand_fraction(rng, span, den) for _ in range(cols)]
-                for _ in range(rows)])
+    """A Mat of `_rand_ratio` draws as Fractions, row by row: the
+    reference for `rand_mat`."""
+    return Mat([[Fraction(*samplers._rand_ratio(rng, span, den))
+                 for _ in range(cols)] for _ in range(rows)])
 
 
 def _fraction_nonzero_col(rng, n):

@@ -130,6 +130,20 @@ def test_structure_validation():
         st.conjugated(gm)
 
 
+def test_standard_structure_is_built_once_per_signature():
+    # one checked standard structure per signature is shared; a structure
+    # built from bad units still raises
+    for sig in SIGS:
+        st = QuatStructureOnH.standard(sig)
+        assert st is QuatStructureOnH.standard(Signature(sig.p, sig.q))
+        assert st.sig == sig
+        for bad in ((M_J, M_I, M_K), (M_I, M_J, -M_K), (M_I, M_I, M_K)):
+            with pytest.raises(ValueError):
+                QuatStructureOnH(sig, *bad)
+    assert (QuatStructureOnH.standard(SIGS[0])
+            is not QuatStructureOnH.standard(SIGS[1]))
+
+
 def test_pairing_compatibility_residual_vanishes():
     rng = random.Random(35)
     for sig in SIGS:
