@@ -52,9 +52,9 @@ def test_output_matches_its_golden_file(case, tmp_path):
             name, _first_difference(name, want.decode(), got.decode())))
 
 
-# the reports of every suite at (2,2) and (3,3), and every chain export
-WIDE_CASES = [c for c in CASES if c[0].startswith(
-    ("report-2-2-", "report-3-3-", "chain-"))]
+# the reports of every suite at (2,2) and (3,3)
+WIDE_CASES = [c for c in CASES
+              if c[0].startswith(("report-2-2-", "report-3-3-"))]
 
 
 def _refuse_wide_work(monkeypatch):
@@ -93,9 +93,24 @@ def _refuse_wide_work(monkeypatch):
 @pytest.mark.parametrize("case", WIDE_CASES, ids=[c[0] for c in WIDE_CASES])
 def test_no_wide_fraction_product_reaches_a_report(case, tmp_path,
                                                    monkeypatch):
-    # group samples, frames, spans, contact directions and columns stay
-    # IntMats from the sampler to the claim: with the conversions and the
-    # Fraction products of `_refuse_wide_work` made to raise, each report
-    # of all six suites and each chain export rebuild byte for byte
+    # every suite's report rebuilds byte for byte with no Fraction product
+    # on Mat beyond 2x2·2x2 and no conversion beyond 2x2
     _refuse_wide_work(monkeypatch)
     test_output_matches_its_golden_file(case, tmp_path)
+
+
+# the (2,2) and (3,3) reports at seed 0 and every chain export
+FRAME_CASES = [c for c in CASES if c[0] in (
+    "report-2-2-seed0.json", "report-3-3-seed0.json")
+    or c[0].startswith("chain-")]
+
+
+@pytest.mark.parametrize("case", FRAME_CASES, ids=[c[0] for c in FRAME_CASES])
+def test_no_frame_is_converted(case, tmp_path, monkeypatch):
+    # group samples, frames, spans, contact directions and columns stay
+    # IntMats from the sampler to the claim: with the conversions and the
+    # Fraction products of `_refuse_wide_work` made to raise, the whole
+    # report of all six suites and each chain export rebuild byte for byte
+    _refuse_wide_work(monkeypatch)
+    test_output_matches_its_golden_file(case, tmp_path)
+
